@@ -217,14 +217,14 @@ func BenchmarkE8RepeatedBlocks(b *testing.B) {
 	}
 }
 
-// Micro: full rewrite of the paper's Figure 3 and Figure 5 queries.
-func BenchmarkRewriteFigure3(b *testing.B) {
-	s := paperSession(b)
+// benchRewrite times the rewriter alone on one translated query.
+func benchRewrite(b *testing.B, s *Session, query string) {
+	b.Helper()
 	rw, err := s.Rewriter()
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := translateBench(s, "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN, FILM WHERE FILM.Numf = APPEARS_IN.Numf AND Name(Refactor) = 'Quinn' AND MEMBER('Adventure', Categories)")
+	q, err := translateBench(s, query)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,23 +237,15 @@ func BenchmarkRewriteFigure3(b *testing.B) {
 	}
 }
 
+const figure3Query = "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN, FILM WHERE FILM.Numf = APPEARS_IN.Numf AND Name(Refactor) = 'Quinn' AND MEMBER('Adventure', Categories)"
+
+// Micro: full rewrite of the paper's Figure 3 and Figure 5 queries.
+func BenchmarkRewriteFigure3(b *testing.B) {
+	benchRewrite(b, paperSession(b), figure3Query)
+}
+
 func BenchmarkRewriteFigure5(b *testing.B) {
-	s := paperSession(b)
-	rw, err := s.Rewriter()
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := translateBench(s, "SELECT Name(Refactor1) FROM BETTER_THAN WHERE Name(Refactor2) = 'Quinn'")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := rw.Rewrite(q); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRewrite(b, paperSession(b), "SELECT Name(Refactor1) FROM BETTER_THAN WHERE Name(Refactor2) = 'Quinn'")
 }
 
 func paperSession(b testing.TB, opts ...Option) *Session {
@@ -277,20 +269,9 @@ func paperSession(b testing.TB, opts ...Option) *Session {
 	return s
 }
 
-// engineModes pairs the default (indexed) engine with the WithFullScan
-// oracle so the hot-path benchmarks report both sides of the tentpole.
-var engineModes = []struct {
-	name string
-	opts []Option
-}{
-	{"indexed", nil},
-	{"fullscan", []Option{WithFullScan()}},
-}
-
 // deadRuleSrc builds n rules whose LHS heads never occur in any LERA
-// term, collected into one block. The full-scan engine still attempts
-// every rule at every node; the indexed engine discards them all from a
-// single map lookup.
+// term, collected into one block: the rule index discards them all from
+// a single map lookup.
 func deadRuleSrc(n int) string {
 	var src strings.Builder
 	names := make([]string, 0, n)
@@ -307,123 +288,26 @@ const deadSeq = "seq({typecheck, normalize, merge, push, fixpoint, merge, constr
 // Micro: a realistic rule base padded with 64 dead-head rules — the
 // many-rule regime the head index targets.
 func BenchmarkRewriteManyRules(b *testing.B) {
-	for _, mode := range engineModes {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := append([]Option{WithRules(deadRuleSrc(64)), WithSequence(deadSeq)}, mode.opts...)
-			s := paperSession(b, opts...)
-			rw, err := s.Rewriter()
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := translateBench(s, "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN, FILM WHERE FILM.Numf = APPEARS_IN.Numf AND Name(Refactor) = 'Quinn' AND MEMBER('Adventure', Categories)")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := rw.Rewrite(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchRewrite(b, paperSession(b, WithRules(deadRuleSrc(64)), WithSequence(deadSeq)), figure3Query)
 }
 
-// Micro: rewrite of a deep operand tree (a 12-view stack), where each pass
-// of the naive loop re-walks every node for every rule.
+// Micro: rewrite of a deep operand tree (a 12-view stack).
 func BenchmarkRewriteDeepTerm(b *testing.B) {
-	for _, mode := range engineModes {
-		b.Run(mode.name, func(b *testing.B) {
-			s := filmsBench(b, 10, mode.opts...)
-			prev := "FILM"
-			for i := 1; i <= 12; i++ {
-				name := fmt.Sprintf("DV%d", i)
-				s.MustExec(fmt.Sprintf(
-					"CREATE VIEW %s (Numf, Title, Categories) AS SELECT Numf, Title, Categories FROM %s WHERE Numf > %d;", name, prev, i))
-				prev = name
-			}
-			rw, err := s.Rewriter()
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := translateBench(s, "SELECT Title FROM DV12 WHERE Numf < 100")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := rw.Rewrite(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := filmsBench(b, 10)
+	prev := "FILM"
+	for i := 1; i <= 12; i++ {
+		name := fmt.Sprintf("DV%d", i)
+		s.MustExec(fmt.Sprintf(
+			"CREATE VIEW %s (Numf, Title, Categories) AS SELECT Numf, Title, Categories FROM %s WHERE Numf > %d;", name, prev, i))
+		prev = name
 	}
+	benchRewrite(b, s, "SELECT Title FROM DV12 WHERE Numf < 100")
 }
 
 // Micro: the no-match worst case — a sequence of nothing but dead rules,
 // so every attempted match fails and the engine's fixed costs dominate.
 func BenchmarkRewriteNoMatch(b *testing.B) {
-	for _, mode := range engineModes {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := append([]Option{WithRules(deadRuleSrc(64)), WithSequence("seq({benchdead}, 1);")}, mode.opts...)
-			s := paperSession(b, opts...)
-			rw, err := s.Rewriter()
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := translateBench(s, "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN, FILM WHERE FILM.Numf = APPEARS_IN.Numf AND Name(Refactor) = 'Quinn' AND MEMBER('Adventure', Categories)")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := rw.Rewrite(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// E17 — the batched execution engine against the tuple-at-a-time oracle
-// (WithRowEngine) on execution-heavy shapes: an equi-join over stored
-// relations (warm persistent index) and a recursive closure (hashed
-// fixpoint seen-sets). Results are bit-identical; only the cost moves.
-func BenchmarkE17BatchEngine(b *testing.B) {
-	engines := []struct {
-		name string
-		opts []Option
-	}{
-		{"batch", nil},
-		{"row", []Option{WithRowEngine()}},
-	}
-	workloads := []struct {
-		name  string
-		build func(b *testing.B, opts ...Option) *Session
-		q     string
-	}{
-		{"join", func(b *testing.B, opts ...Option) *Session {
-			s := graphBench(b, 20000, opts...)
-			return s
-		}, "SELECT E1.Src, E2.Dst FROM EDGE E1, EDGE E2 WHERE E1.Dst = E2.Src"},
-		{"closure", func(b *testing.B, opts ...Option) *Session {
-			return graphBench(b, 192, opts...)
-		}, "SELECT Src, Dst FROM TC"},
-	}
-	for _, w := range workloads {
-		for _, eng := range engines {
-			b.Run(w.name+"/"+eng.name, func(b *testing.B) {
-				s := w.build(b, eng.opts...)
-				if _, err := s.Query(w.q); err != nil { // warm view cache + indexes
-					b.Fatal(err)
-				}
-				benchQuery(b, s, w.q)
-			})
-		}
-	}
+	benchRewrite(b, paperSession(b, WithRules(deadRuleSrc(64)), WithSequence("seq({benchdead}, 1);")), figure3Query)
 }
 
 func translateBench(s *Session, src string) (*Term, error) {

@@ -20,13 +20,12 @@
 // itself (cold rewrite vs warm hit) and sizes its own caches, N when
 // given, 64 otherwise.
 //
-// -engine batch|row selects the execution engine for every measured
-// query and -batch-size its batch granularity (docs/PERF.md). The
-// counter tables must not move under either flag — the batched engine
-// and the row oracle are bit-identical — so rerunning with -engine row
-// is another differential check. E17 measures the two engines against
-// each other and ignores the flag's engine choice (it still honors
-// -batch-size and -parallelism).
+// -batch-size sets the engine's batch granularity for every measured
+// query (docs/PERF.md). The counter tables must not move under it — the
+// engine is bit-identical at every batch size — so rerunning with
+// -batch-size 1 is another differential check. (E17, the row-vs-batch
+// experiment, went with the row evaluator; bench/'s exec_join and
+// exec_closure workloads succeed it.)
 //
 // With -json the tables are emitted as one JSON document that also
 // records provenance — the git commit the binary was built from and a
@@ -44,6 +43,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,11 +55,11 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"lera"
 	"lera/internal/engine"
+	"lera/internal/guard"
 	"lera/internal/obs"
 	"lera/internal/provenance"
 	"lera/internal/rules"
@@ -123,18 +123,14 @@ var poolSize = 1
 // session uncached, which keeps archived tables comparable.
 var planCacheSize = 0
 
-// rowEngine and batchSize are the -engine/-batch-size flags, applied by
-// measure to every session. Neither may change a counter table: the
-// batched engine and the row oracle are bit-identical at every batch
-// size (docs/PERF.md).
-var (
-	rowEngine = false
-	batchSize = 0
-)
+// batchSize is the -batch-size flag, applied by measure to every session.
+// It may never change a counter table: the engine is bit-identical at
+// every batch size (docs/PERF.md).
+var batchSize = 0
 
 // maxMemBytes and spillDir are the -max-mem/-spill-dir flags, applied by
-// measure to every session. Like the engine and batch-size knobs they
-// may never change a counter table: spill-forced runs are bit-identical
+// measure to every session. Like the batch-size knob they may never
+// change a counter table: spill-forced runs are bit-identical
 // to in-memory runs (docs/PERF.md, "Memory governor & spill"), so
 // running the whole suite at a tiny grant measures the cost of going out
 // of core on unchanged answers.
@@ -160,25 +156,20 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	parFlag := flag.Int("parallelism", 1, "engine worker-pool size for every measured query (0 = all cores, 1 = serial)")
 	cacheFlag := flag.Int("plancache", 0, "arm every workload session with a plan cache of this capacity (0 = uncached; E16 sizes its own)")
-	engineFlag := flag.String("engine", "batch", "execution engine for every measured query: batch or row (bit-identical tables, docs/PERF.md)")
-	batchFlag := flag.Int("batch-size", 0, "rows per batch for the batched engine (0 = default; tables never depend on it)")
+	batchFlag := flag.Int("batch-size", 0, "rows per engine batch (0 = default; tables never depend on it)")
 	maxMemFlag := flag.Int64("max-mem", 0, "per-operator memory grant in bytes for every measured query (0 = ungoverned; tables never depend on it)")
 	spillFlag := flag.String("spill-dir", "", "spill directory under -max-mem (empty = no spilling)")
 	flag.Parse()
 	rec.jsonMode = *asJSON
 	poolSize = *parFlag
 	planCacheSize = *cacheFlag
-	switch *engineFlag {
-	case "batch":
-	case "row":
-		rowEngine = true
-	default:
-		fmt.Fprintf(os.Stderr, "benchrunner: unknown -engine %q (want batch or row)\n", *engineFlag)
-		os.Exit(1)
-	}
-	if *batchFlag < 0 {
-		fmt.Fprintln(os.Stderr, "benchrunner: -batch-size must be >= 0")
-		os.Exit(1)
+	if err := errors.Join(
+		guard.NonNegative("", "-parallelism", int64(*parFlag)),
+		guard.NonNegative("", "-batch-size", int64(*batchFlag)),
+		guard.NonNegative("", "-max-mem", *maxMemFlag),
+	); err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
 	}
 	batchSize = *batchFlag
 	maxMemBytes = *maxMemFlag
@@ -268,7 +259,6 @@ func main() {
 	run(11, e11Guardrails)
 	run(14, e14Parallel)
 	run(16, e16PlanCache)
-	run(17, e17BatchEngine)
 	if rec.jsonMode {
 		emitJSON()
 	}
@@ -423,7 +413,6 @@ func randGraph(n, e int) [][2]int {
 func measure(s *lera.Session, q string) (*lera.Result, engine.Counters, time.Duration) {
 	s.Obs = obsv
 	s.Parallelism = poolSize
-	s.DB.RowEngine = rowEngine
 	s.BatchSize = batchSize
 	s.Limits.MaxMemBytes = maxMemBytes
 	s.SpillDir = spillDir
@@ -928,108 +917,6 @@ func e16PlanCache() {
 			sh.name, iters, coldUs, warmUs, speedup,
 			coldMatches/iters, warmMatches/maxInt(warmHits, 1), snap.Hits, snap.Misses)
 	}
-}
-
-// --- E17: batched execution engine vs the tuple-at-a-time oracle ---
-
-// figure3Scaled builds the Figure 3 join shape at size: FILM(Numf,
-// Title, Categories) with n rows and APPEARS(Numf, Pay) with 3n rows,
-// so FILM.Numf = APPEARS.Numf is a fanout-3 equi-join over stored
-// relations — the shape whose build side the persistent relation index
-// caches across queries.
-func figure3Scaled(n int, opts ...lera.Option) *lera.Session {
-	s := lera.NewSession(cacheOpts(opts)...)
-	s.MustExec(`
-TYPE Category ENUMERATION OF ('Comedy', 'Adventure', 'Science Fiction', 'Western');
-TYPE SetCategory SET OF Category;
-TABLE FILM (Numf : NUMERIC, Title : CHAR, Categories : SetCategory);
-TABLE APPEARS (Numf : NUMERIC, Pay : NUMERIC);
-`)
-	cats := []string{"Comedy", "Adventure", "Science Fiction", "Western"}
-	films := make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		films[i] = []value.Value{
-			value.Int(int64(i + 1)),
-			value.String(fmt.Sprintf("film-%d", i+1)),
-			value.NewSet(value.String(cats[i%4])),
-		}
-	}
-	if err := s.DB.Load("FILM", films); err != nil {
-		panic(err)
-	}
-	appears := make([][]value.Value, 3*n)
-	for i := range appears {
-		appears[i] = []value.Value{
-			value.Int(int64(i%n + 1)),
-			value.Int(int64(i % 997)),
-		}
-	}
-	if err := s.DB.Load("APPEARS", appears); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func e17BatchEngine() {
-	header("E17 — batched execution vs the tuple-at-a-time oracle (docs/PERF.md)",
-		"Beyond the paper: the engine evaluates in ~1024-row batches with 64-bit hashed dedup/join keys and persistent stored-relation indexes; the retained row oracle (WithRowEngine) is bit-identical on rows, counters and EXPLAIN ANALYZE. This measures what the refactor buys on the Figure 3 join shape and the Figure 5 fixpoint shape with warm indexes — each engine runs the same query repeatedly on a live session, so the batched engine reuses its relation index where the oracle rescans.",
-		"workload | engine | rows | ms/op | allocs/op | KB/op | speedup | allocs vs row")
-	workloads := []struct {
-		name  string
-		build func() *lera.Session
-		q     string
-	}{
-		{"Figure 3 shape: FILM ⋈ APPEARS (20k ⋈ 60k) + predicate",
-			func() *lera.Session { return figure3Scaled(20000) },
-			"SELECT Title, Pay FROM FILM, APPEARS WHERE FILM.Numf = APPEARS.Numf AND Pay > 100"},
-		{"Figure 5 shape: focused closure (chain 4000, point query)",
-			func() *lera.Session { return edgeGraph(chain(4000)) },
-			"SELECT Src FROM TC WHERE Dst = 2000"},
-	}
-	for _, w := range workloads {
-		var rowNs, rowAllocs int64
-		for _, eng := range []struct {
-			name string
-			row  bool
-		}{{"row", true}, {"batch", false}} {
-			s := w.build()
-			// Warm-up through measure: captures the JSON observability
-			// snapshot, primes the view cache and (for the batched engine)
-			// the persistent relation indexes.
-			saved := rowEngine
-			rowEngine = eng.row
-			res, _, _ := measure(s, w.q)
-			rowEngine = saved
-			s.DB.CollectStats = false // keep the timed loop stats-free
-			nrows := len(res.Rows)
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Query(w.q); err != nil {
-						panic(err)
-					}
-				}
-			})
-			speedup, allocRatio := "-", "-"
-			if eng.row {
-				rowNs, rowAllocs = r.NsPerOp(), r.AllocsPerOp()
-			} else {
-				speedup = fmt.Sprintf("%.2fx", float64(rowNs)/float64(maxInt64(r.NsPerOp(), 1)))
-				allocRatio = fmt.Sprintf("%.0f%%", 100*float64(r.AllocsPerOp())/float64(maxInt64(rowAllocs, 1)))
-			}
-			row("%s | %s | %d | %.2f | %d | %d | %s | %s",
-				w.name, eng.name, nrows,
-				float64(r.NsPerOp())/float64(time.Millisecond),
-				r.AllocsPerOp(), r.AllocedBytesPerOp()/1024, speedup, allocRatio)
-		}
-	}
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // firstWords truncates a reason string for table display.

@@ -32,10 +32,8 @@
 //	                 results are bit-identical at every setting, see docs/PERF.md)
 //	--plan-cache N   arm a plan cache of N entries (docs/PLANCACHE.md);
 //	                 each query then prints its cache outcome (hit/miss)
-//	--engine E       execution engine: batch (default) or the row oracle;
-//	                 results are bit-identical either way (docs/PERF.md)
-//	--batch-size N   rows per batch for the batched engine (0 = default;
-//	                 results never depend on it)
+//	--batch-size N   rows per engine batch (0 = default; results never
+//	                 depend on it)
 //	--slow-threshold D  slow-query capture latency bound for \slowlog
 //	                 (0 = default 500ms; degraded/failed queries are
 //	                 captured regardless)
@@ -47,6 +45,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,8 +68,7 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "intra-query worker pool size (0 = all cores, 1 = serial)")
 	planCache := flag.Int("plan-cache", 0, "plan-cache entries (0 = off; see docs/PLANCACHE.md)")
 	planCacheVal := flag.Int("plan-cache-validate", 0, "re-validate every n'th plan-cache hit against a cold rewrite (0 = off)")
-	engineName := flag.String("engine", "batch", "execution engine: batch or row (bit-identical results, docs/PERF.md)")
-	batchSize := flag.Int("batch-size", 0, "rows per batch for the batched engine (0 = default; results never depend on it)")
+	batchSize := flag.Int("batch-size", 0, "rows per engine batch (0 = default; results never depend on it)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "slow-query capture latency threshold for \\slowlog (0 = default 500ms)")
 	flag.Parse()
 
@@ -81,20 +79,17 @@ func main() {
 			opts = append(opts, lera.WithPlanCacheValidation(*planCacheVal))
 		}
 	}
-	switch *engineName {
-	case "batch":
-	case "row":
-		opts = append(opts, lera.WithRowEngine())
-	default:
-		fmt.Fprintf(os.Stderr, "edsql: unknown -engine %q (want batch or row)\n", *engineName)
-		os.Exit(2)
-	}
-	if *batchSize < 0 {
-		fmt.Fprintln(os.Stderr, "edsql: -batch-size must be >= 0")
+	limits := lera.Limits{Timeout: *timeout, MaxSteps: *maxSteps, MaxRows: *maxRows, MaxMemBytes: *maxMem}
+	if err := errors.Join(
+		limits.Validate(""),
+		guard.NonNegative("", "-parallelism", int64(*parallelism)),
+		guard.NonNegative("", "-batch-size", int64(*batchSize)),
+	); err != nil {
+		fmt.Fprintln(os.Stderr, "edsql:", err)
 		os.Exit(2)
 	}
 	s := lera.NewSession(opts...)
-	s.Limits = lera.Limits{Timeout: *timeout, MaxSteps: *maxSteps, MaxRows: *maxRows, MaxMemBytes: *maxMem}
+	s.Limits = limits
 	s.SpillDir = *spillDir
 	s.Parallelism = *parallelism
 	s.BatchSize = *batchSize

@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -27,6 +28,7 @@ import (
 	"syscall"
 	"time"
 
+	"lera/internal/guard"
 	"lera/internal/obs"
 	"lera/internal/provenance"
 	"lera/internal/server"
@@ -47,7 +49,6 @@ type options struct {
 	parallelism  int
 	planCache    int
 	planCacheVal int
-	rowEngine    bool
 	batchSize    int
 	maxMem       int64
 	spillDir     string
@@ -75,8 +76,7 @@ func main() {
 	flag.IntVar(&o.parallelism, "parallelism", 1, "intra-query parallelism per session (0 = GOMAXPROCS)")
 	flag.IntVar(&o.planCache, "plancache", 0, "plan-cache entries shared by the session pool (0 = off)")
 	flag.IntVar(&o.planCacheVal, "plancache-validate", 0, "re-validate every n'th plan-cache hit against a cold rewrite (0 = off)")
-	engineName := flag.String("engine", "batch", "execution engine: batch or row (bit-identical responses, docs/PERF.md)")
-	flag.IntVar(&o.batchSize, "batch-size", 0, "rows per batch for the batched engine (0 = default; responses never depend on it)")
+	flag.IntVar(&o.batchSize, "batch-size", 0, "rows per engine batch (0 = default; responses never depend on it)")
 	flag.Int64Var(&o.maxMem, "max-mem", 0, "per-operator memory grant in bytes for tenants without their own maxMemBytes (0 = ungoverned)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "directory for spill files when an operator outgrows its memory grant (empty = fail with MEM_BUDGET)")
 	flag.StringVar(&o.queryLog, "query-log", "", "structured query log: JSON-lines file, one wide event per request ('-' = stderr)")
@@ -86,17 +86,13 @@ func main() {
 	flag.DurationVar(&o.slowThreshold, "slow-threshold", 0, "slow-query capture latency threshold (0 = default 500ms)")
 	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	flag.Parse()
-	if *engineName != "batch" && *engineName != "row" {
-		fmt.Fprintf(os.Stderr, "leraserver: unknown -engine %q (want batch or row)\n", *engineName)
-		os.Exit(2)
-	}
-	o.rowEngine = *engineName == "row"
-	if o.batchSize < 0 {
-		fmt.Fprintln(os.Stderr, "leraserver: -batch-size must be >= 0")
-		os.Exit(2)
-	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "leraserver:", err)
+		// A negative limit in a flag or the tenants file is a usage error.
+		var ce *guard.ConfigError
+		if errors.As(err, &ce) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -113,7 +109,6 @@ func run(o options) error {
 		Parallelism:         o.parallelism,
 		PlanCache:           o.planCache,
 		PlanCacheValidation: o.planCacheVal,
-		RowEngine:           o.rowEngine,
 		BatchSize:           o.batchSize,
 		MaxMemBytes:         o.maxMem,
 		SpillDir:            o.spillDir,

@@ -5,7 +5,7 @@
 // cleanly. It exits non-zero if any request goes unreported or the audit
 // fails, which makes it the CI chaos gate (see docs/SERVER.md).
 //
-//	loadgen -url http://127.0.0.1:7457 -n 500 -c 16 -json BENCH_server.json
+//	loadgen -url http://127.0.0.1:7457 -n 500 -c 16 -json /tmp/loadgen.json
 //
 // Against a server started with -plancache, `-assert-cache` additionally
 // balances the plan-cache ledger (hits + misses must equal the queries
@@ -53,7 +53,7 @@ type result struct {
 	Total    time.Duration
 }
 
-// report is the JSON account of one run (the BENCH_server.json shape).
+// report is the JSON account of one run.
 type report struct {
 	URL         string         `json:"url"`
 	Requests    int            `json:"requests"`

@@ -79,10 +79,10 @@ func (r *Rewriter) Fingerprint() string {
 // knobs returns the signature of every construction-time option that
 // can change rewrite output without changing the rule-base fingerprint:
 // block budgets and disabled blocks, the master sequence, the dynamic
-// limit policy and the check budget. (WithFullScan and WithRowEngine are
-// excluded on purpose — the indexed and full-scan rewriters produce
-// identical rewrites, and the execution-engine choice never affects the
-// rewrite output at all, which is exactly what docs/PERF.md pins.)
+// limit policy and the check budget. (The test-only full-scan match loop
+// is excluded on purpose — the indexed and full-scan rewriters produce
+// identical rewrites, which is exactly what index_regression_test.go
+// pins.)
 func (r *Rewriter) knobs() string {
 	if r.knobSig != "" {
 		return r.knobSig

@@ -52,8 +52,7 @@ type config struct {
 	disableBlocks map[string]bool
 	blockLimits   map[string]int
 	ruleCheck     bool
-	fullScan      bool
-	rowEngine     bool
+	fullScan      bool // in-package tests only: rewrite.Options.FullScan, the match-loop oracle
 	injector      *guard.Injector
 	planCache     int
 	planCacheVal  int
@@ -106,20 +105,6 @@ func WithBlockLimit(name string, limit int) Option {
 		c.blockLimits[name] = limit
 	}
 }
-
-// WithFullScan disables the head-discrimination rule index and restores
-// the naive walk-per-rule match loop. The two paths produce identical
-// rewrites (docs/PERF.md); this exists as the differential-testing oracle
-// and as an escape hatch while diagnosing index-related surprises.
-func WithFullScan() Option { return func(c *config) { c.fullScan = true } }
-
-// WithRowEngine selects the retained tuple-at-a-time execution engine
-// instead of the default batched one — the execution-side counterpart of
-// WithFullScan. Rows, work counters and EXPLAIN ANALYZE statistics are
-// bit-identical between the two engines (docs/PERF.md, "Batched
-// execution & relation indexes"); this exists as the differential-testing
-// oracle and as an escape hatch while diagnosing batch-engine surprises.
-func WithRowEngine() Option { return func(c *config) { c.rowEngine = true } }
 
 // WithInjector arms a deterministic fault injector across the whole
 // pipeline: every rewrite-side external (constraint, method, builtin) and

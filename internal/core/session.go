@@ -104,21 +104,8 @@ func NewSession(opts ...Option) *Session {
 	// from its config, the engine from DB.Injector, so one injector
 	// covers constraints, methods, builtins and ADT calls alike.
 	s.DB.Injector = injectorOf(opts)
-	// WithRowEngine routes execution through the tuple-at-a-time oracle;
-	// like fullScan on the rewrite side it changes no observable output,
-	// so it is deliberately NOT part of the plan-cache knob environment.
-	s.DB.RowEngine = rowEngineOf(opts)
 	s.Plans, s.validateEvery = planCacheOf(opts)
 	return s
-}
-
-// rowEngineOf extracts the WithRowEngine flag from an option list.
-func rowEngineOf(opts []Option) bool {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.rowEngine
 }
 
 // injectorOf extracts the WithInjector value from an option list (nil

@@ -1,21 +1,22 @@
 package engine
 
-// The batched execution engine — the default since the PR that added it.
+// The batched execution engine — the only engine in the product.
 // Operators produce and consume row batches (DefaultBatchSize rows at a
 // time) so the hot loops run tight over slices with one amortized guard
 // tick, one counter update and one stats touch per batch instead of
 // per-row function dispatch. Row identity uses 64-bit hashed keys with
-// collision-checked buckets (hash.go) in place of the oracle's rowKey
-// strings, and SEARCH join build sides over stored relations come from
+// collision-checked buckets (hash.go) in place of rowKey strings, and
+// SEARCH join build sides over stored relations come from
 // the persistent index set (index.go, batchsearch.go).
 //
-// The contract with the retained tuple-at-a-time oracle (DB.RowEngine,
-// engine.go) is bit-identity: rows in the same order, every Counters
-// field, and the EXPLAIN ANALYZE OpStats tree must be indistinguishable
-// at every BatchSize and Parallelism setting, under guard budgets and
-// fault injection alike. Counters therefore keep the oracle's *logical*
-// work model — e.g. REL accounts Scanned on every stored access even
-// when a warm index means no physical rescan happens.
+// The contract (docs/PERF.md, "Batched execution & relation indexes"):
+// rows, order included, equal the semantics-only reference evaluator's
+// (reference.go); every Counters field and the EXPLAIN ANALYZE OpStats
+// tree are indistinguishable at every BatchSize, Parallelism and memory
+// budget, under guard budgets and fault injection alike, and equal the
+// goldens in testdata/engine_corpus.golden. Counters therefore keep a
+// *logical* work model — e.g. REL accounts Scanned on every stored access
+// even when a warm index means no physical rescan happens.
 
 import (
 	"fmt"
@@ -210,8 +211,8 @@ func (db *DB) evalJoinBatch(t *term.Term, e env) (*Relation, error) {
 			}
 			for _, r := range right.Rows[ri : ri+n] {
 				// JoinPairs stays per-pair (not per-batch) so the counter
-				// state is oracle-identical when a qualification faults
-				// mid-batch.
+				// state is the same at every batch size when a
+				// qualification faults mid-batch.
 				db.Count.JoinPairs++
 				ctxRows[1] = r
 				ok, err := db.evalBool(t.Args[2], ctxRows)

@@ -1,11 +1,12 @@
 package engine
 
-// Differential tests for the batched engine against the retained
-// tuple-at-a-time oracle: rows (order included), every Counters field and
-// the EXPLAIN ANALYZE OpStats tree must be bit-identical at every batch
-// size and every Parallelism setting — under guard budgets and fault
-// injection too. This is the engine-side analogue of the rewriter's
-// indexed-vs-full-scan differential gate.
+// The engine's determinism gates (docs/PERF.md, "Batched execution &
+// relation indexes"): rows, order included, equal the semantics-only
+// reference evaluator's (ReferenceEval); every Counters field and the
+// timing-free EXPLAIN ANALYZE tree equal the goldens captured from the
+// parent commit's row evaluator (golden_test.go) at every batch size and
+// every Parallelism setting — under guard budgets and fault injection
+// too. Batch size 1 is the degenerate row-at-a-time leg.
 
 import (
 	"context"
@@ -16,151 +17,62 @@ import (
 	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/term"
-	"lera/internal/testdb"
 	"lera/internal/value"
 )
 
-// diffCorpus is a set of queries covering every operator and both batch
-// fast paths (compiled predicates, persistent/transient join indexes) as
-// well as their generic fallbacks.
-func diffCorpus() map[string]*term.Term {
-	fig3 := lera.Search(
-		[]*term.Term{lera.Rel("APPEARS_IN"), lera.Rel("FILM")},
-		lera.Ands(
-			lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
-			lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn")),
-			lera.Call("Member", term.Str("Adventure"), lera.Attr(2, 3)),
-		),
-		[]*term.Term{lera.Attr(2, 2), lera.Attr(2, 3), lera.Call("Salary", lera.Attr(1, 2))},
-	)
-	fa := lera.Nest(
-		lera.Search(
-			[]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")},
-			lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))),
-			[]*term.Term{lera.Attr(1, 2), lera.Attr(1, 3), lera.Attr(2, 2)},
-		),
-		[]int{3}, "Actors",
-	)
-	fig4 := lera.Search(
-		[]*term.Term{fa},
-		lera.Ands(
-			term.F("MEMBER", term.Str("Adventure"), lera.Attr(1, 2)),
-			term.F("ALL", lera.Cmp(">", lera.Call("Salary", lera.Attr(1, 3)), term.Num(10000))),
-		),
-		[]*term.Term{lera.Attr(1, 1)},
-	)
-	fig5 := lera.Search(
-		[]*term.Term{fig5Fix()},
-		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
-		[]*term.Term{lera.Call("Name", lera.Attr(1, 1))},
-	)
-	filmIDs := func(rel string) *term.Term {
-		return lera.Search([]*term.Term{lera.Rel(rel)}, lera.TrueQual(), []*term.Term{lera.Attr(1, 1)})
-	}
-	return map[string]*term.Term{
-		"fig3-hash-join":   fig3,
-		"fig4-nest-all":    fig4,
-		"fig5-fixpoint":    fig5,
-		"union":            lera.Union(filmIDs("FILM"), filmIDs("APPEARS_IN")),
-		"inter":            lera.Inter(filmIDs("FILM"), filmIDs("DOMINATE")),
-		"diff":             lera.Diff(filmIDs("FILM"), filmIDs("DOMINATE")),
-		"filter-member":    lera.Filter(lera.Rel("FILM"), lera.Ands(term.F("MEMBER", term.Str("Western"), lera.Attr(1, 3)))),
-		"join-op":          lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)))),
-		"nest-multi":       lera.Nest(lera.Rel("DOMINATE"), []int{2, 3}, "Pairs"),
-		"unnest":           lera.Unnest(lera.Nest(lera.Rel("APPEARS_IN"), []int{2}, "Actors"), 2),
-		"let-self-join":    lera.Let("M", filmIDs("FILM"), lera.Search([]*term.Term{lera.Rel("M"), lera.Rel("M")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1)})),
-		"cartesian-filter": lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)}),
-		"leftover-conj":    lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Cmp("=", term.Str("x"), term.Str("x")), lera.Cmp(">=", lera.Attr(1, 1), term.Num(2))), []*term.Term{lera.Attr(1, 2)}),
-		"static-false":     lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(term.FalseT()), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}),
-	}
-}
-
-// engineRun is one evaluation outcome: rows rendered through the oracle
-// row keys, counters, the stats tree and the error (if any).
-type engineRun struct {
-	rows  []string
-	width int
-	count Counters
-	stats string
-	err   error
-}
-
-func runEngine(t *testing.T, q *term.Term, row bool, batch, par int, lim guard.Limits, mode FixMode) engineRun {
+// referenceRows evaluates q with the reference evaluator on db's data and
+// returns the rows rendered like engineRun.Rows.
+func referenceRows(t *testing.T, db *DB, q *term.Term, mode FixMode) []string {
 	t.Helper()
-	db := loadedDB(t)
-	db.RowEngine = row
-	db.BatchSize = batch
-	db.Parallelism = par
-	db.Limits = lim
 	db.Mode = mode
-	db.CollectStats = true
-	rel, err := db.EvalCtx(context.Background(), q)
-	out := engineRun{count: db.Count, err: err}
-	if st := db.LastExecStats(); st != nil {
-		out.stats = st.Format(false)
+	rel, err := ReferenceEval(context.Background(), db, q)
+	if err != nil {
+		t.Fatalf("reference failed: %v", err)
 	}
-	if err == nil {
-		out.width = rel.Arity()
-		for _, r := range rel.Rows {
-			out.rows = append(out.rows, rowKey(r))
-		}
+	var rows []string
+	for _, r := range rel.Rows {
+		rows = append(rows, rowKey(r))
 	}
-	return out
+	return rows
 }
 
-func diffRuns(a, b engineRun) string {
-	if (a.err == nil) != (b.err == nil) {
-		return fmt.Sprintf("error parity: %v vs %v", a.err, b.err)
+// diffRows compares a run's rows, order included, to the reference's.
+func diffRows(ref []string, got engineRun) string {
+	if got.Err != "" {
+		return "engine failed where the reference succeeded: " + got.Err
 	}
-	if a.err != nil {
-		if a.err.Error() != b.err.Error() {
-			return fmt.Sprintf("error text: %q vs %q", a.err, b.err)
+	if len(ref) != len(got.Rows) {
+		return fmt.Sprintf("reference has %d rows, engine %d", len(ref), len(got.Rows))
+	}
+	for i := range ref {
+		if ref[i] != got.Rows[i] {
+			return fmt.Sprintf("row %d differs from the reference", i)
 		}
-		return ""
-	}
-	if a.width != b.width {
-		return fmt.Sprintf("width %d vs %d", a.width, b.width)
-	}
-	if len(a.rows) != len(b.rows) {
-		return fmt.Sprintf("%d vs %d rows", len(a.rows), len(b.rows))
-	}
-	for i := range a.rows {
-		if a.rows[i] != b.rows[i] {
-			return fmt.Sprintf("row %d differs", i)
-		}
-	}
-	if a.count != b.count {
-		return fmt.Sprintf("counters %+v vs %+v", a.count, b.count)
-	}
-	if a.stats != b.stats {
-		return fmt.Sprintf("stats trees differ:\n%s\nvs\n%s", a.stats, b.stats)
 	}
 	return ""
 }
 
-// TestBatchEngineBitIdentity pins the tentpole contract: for every corpus
-// query, in both fixpoint modes, the batched engine reproduces the serial
-// row oracle bit-for-bit — rows in order, all counters, the whole OpStats
-// tree — at batch sizes 1, 2 and 1024 and Parallelism 1 and 4, and so
-// does the row engine's own parallel run.
+// TestBatchEngineBitIdentity pins the contract: for every corpus query, in
+// both fixpoint modes, at batch sizes 1, 2 and 1024 and Parallelism 1 and
+// 4, rows equal the reference's and rows, counters and the whole OpStats
+// tree equal the golden.
 func TestBatchEngineBitIdentity(t *testing.T) {
+	g := loadGolden(t)
 	for name, q := range diffCorpus() {
 		for _, mode := range []FixMode{SemiNaive, Naive} {
-			ref := runEngine(t, q, true, 0, 1, guard.Limits{}, mode)
-			if ref.err != nil {
-				t.Fatalf("%s: oracle failed: %v", name, ref.err)
-			}
+			ref := referenceRows(t, loadedDB(t), q, mode)
+			want := golden(t, g, "corpus/"+name+"/"+modeName(mode))
 			for _, bs := range []int{1, 2, 1024} {
 				for _, par := range []int{1, 4} {
-					got := runEngine(t, q, false, bs, par, guard.Limits{}, mode)
-					if d := diffRuns(ref, got); d != "" {
-						t.Errorf("%s (mode %v, batch %d, par %d): %s", name, mode, bs, par, d)
+					c := runCfg{batch: bs, par: par, mode: mode}
+					got := runEngine(t, q, c)
+					if d := diffRuns(want, got); d != "" {
+						t.Errorf("%s (%s) vs golden: %s", name, c, d)
+					}
+					if d := diffRows(ref, got); d != "" {
+						t.Errorf("%s (%s): %s", name, c, d)
 					}
 				}
-			}
-			got := runEngine(t, q, true, 0, 4, guard.Limits{}, mode)
-			if d := diffRuns(ref, got); d != "" {
-				t.Errorf("%s (mode %v, row engine, par 4): %s", name, mode, d)
 			}
 		}
 	}
@@ -168,66 +80,51 @@ func TestBatchEngineBitIdentity(t *testing.T) {
 
 // TestBatchEngineBitIdentityUnderLimits re-runs the gate with a row
 // budget tight enough to trip several corpus queries: budget errors must
-// fire with identical text in both engines, and whatever fits the budget
-// must still match exactly.
+// fire with the golden's text and counters at every batch size, and
+// whatever fits the budget must still match exactly. The reference
+// honours the row budget too, so it must trip on exactly the same queries.
 func TestBatchEngineBitIdentityUnderLimits(t *testing.T) {
-	lim := guard.Limits{MaxRows: 12, MaxFixIterations: 50}
-	tripped := 0
+	g := loadGolden(t)
 	for name, q := range diffCorpus() {
-		ref := runEngine(t, q, true, 0, 1, lim, SemiNaive)
-		if ref.err != nil {
-			tripped++
+		want := golden(t, g, "limits/"+name)
+		db := loadedDB(t)
+		db.Limits = tightLimits
+		_, refErr := ReferenceEval(context.Background(), db, q)
+		if (refErr != nil) != (want.Err != "") {
+			t.Errorf("%s: reference error %v, golden error %q", name, refErr, want.Err)
 		}
 		for _, bs := range []int{1, 2, 1024} {
-			got := runEngine(t, q, false, bs, 1, lim, SemiNaive)
-			if d := diffRuns(ref, got); d != "" {
-				t.Errorf("%s (batch %d): %s", name, bs, d)
+			c := runCfg{batch: bs, par: 1, lim: tightLimits}
+			got := runEngine(t, q, c)
+			if d := diffRuns(want, got); d != "" {
+				t.Errorf("%s (%s) vs golden: %s", name, c, d)
+			}
+			if want.Err == "" {
+				if d := diffRows(referenceRows(t, loadedDB(t), q, SemiNaive), got); d != "" {
+					t.Errorf("%s (%s): %s", name, c, d)
+				}
 			}
 		}
-	}
-	if tripped == 0 {
-		t.Fatal("budget never tripped — the limit is not exercising the error path")
 	}
 }
 
 // TestBatchEngineFaultParity arms deterministic ADT faults and checks the
-// engines fail identically: with an injector present the batch engine
-// must disable its compiled comparisons, so every ADT hit — and therefore
-// the fault call index — matches the oracle exactly.
+// engine fails identically at every batch size: with an injector present
+// it must disable its compiled comparisons, so every ADT hit — and
+// therefore the fault call index, the error and the counters at the
+// point of failure — matches the golden exactly.
 func TestBatchEngineFaultParity(t *testing.T) {
+	g := loadGolden(t)
 	q := diffCorpus()["fig3-hash-join"]
 	for _, call := range []int{1, 2} {
-		run := func(row bool, bs int) engineRun {
-			db := loadedDB(t)
-			inj := guard.NewInjector()
-			// MEMBER reaches the ADT registry (Name resolves as a field
-			// projection and never hits the injector).
-			inj.Set("MEMBER", guard.Fault{OnCall: call, Mode: guard.FaultError})
-			db.Injector = inj
-			db.RowEngine = row
-			db.BatchSize = bs
-			db.CollectStats = true
-			rel, err := db.EvalCtx(context.Background(), q)
-			out := engineRun{count: db.Count, err: err}
-			if err == nil {
-				out.width = rel.Arity()
-				for _, r := range rel.Rows {
-					out.rows = append(out.rows, rowKey(r))
-				}
-			}
-			return out
-		}
-		ref := run(true, 0)
-		if ref.err == nil {
-			t.Fatalf("call %d: fault did not fire", call)
+		want := golden(t, g, fmt.Sprintf("fault/member-call-%d", call))
+		if want.Err == "" {
+			t.Fatalf("call %d: golden records no fault", call)
 		}
 		for _, bs := range []int{1, 1024} {
-			got := run(false, bs)
-			if (got.err == nil) || got.err.Error() != ref.err.Error() {
-				t.Errorf("call %d batch %d: error %v, oracle %v", call, bs, got.err, ref.err)
-			}
-			if got.count != ref.count {
-				t.Errorf("call %d batch %d: counters at failure %+v, oracle %+v", call, bs, got.count, ref.count)
+			got := runEngine(t, q, runCfg{batch: bs, par: 1, fault: call})
+			if d := diffRuns(want, got); d != "" {
+				t.Errorf("call %d batch %d: %s", call, bs, d)
 			}
 		}
 	}
@@ -237,49 +134,65 @@ func TestBatchEngineFaultParity(t *testing.T) {
 // random graphs large enough to cross batch and parallel-chunk
 // boundaries.
 func TestBatchEngineBitIdentityLargeFixpoint(t *testing.T) {
-	cat, err := testdb.Catalog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := loadGolden(t)
 	for seed := int64(1); seed <= 3; seed++ {
-		rows := randomGraph(40, 80, seed)
-		run := func(row bool, bs, par int, mode FixMode) engineRun {
-			db := New(cat)
-			if err := db.Load("DOMINATE", rows); err != nil {
-				t.Fatal(err)
-			}
-			db.RowEngine = row
-			db.BatchSize = bs
-			db.Parallelism = par
-			db.Mode = mode
-			db.CollectStats = true
-			rel, err := db.EvalCtx(context.Background(), fig5Fix())
-			out := engineRun{count: db.Count, err: err}
-			if st := db.LastExecStats(); st != nil {
-				out.stats = st.Format(false)
-			}
-			if err == nil {
-				out.width = rel.Arity()
-				for _, r := range rel.Rows {
-					out.rows = append(out.rows, rowKey(r))
-				}
-			}
-			return out
-		}
 		for _, mode := range []FixMode{SemiNaive, Naive} {
-			ref := run(true, 0, 1, mode)
-			if ref.err != nil {
-				t.Fatalf("seed %d: oracle failed: %v", seed, ref.err)
-			}
-			for _, bs := range []int{2, 1024} {
+			ref := referenceRows(t, graphDB(t, seed), fig5Fix(), mode)
+			want := golden(t, g, fmt.Sprintf("large-fixpoint/seed-%d/%s", seed, modeName(mode)))
+			for _, bs := range []int{1, 2, 1024} {
 				for _, par := range []int{1, 4} {
-					got := run(false, bs, par, mode)
-					if d := diffRuns(ref, got); d != "" {
-						t.Errorf("seed %d (mode %v, batch %d, par %d): %s", seed, mode, bs, par, d)
+					c := runCfg{batch: bs, par: par, mode: mode}
+					got := runOn(graphDB(t, seed), fig5Fix(), c)
+					if d := diffRuns(want, got); d != "" {
+						t.Errorf("seed %d (%s) vs golden: %s", seed, c, d)
+					}
+					if d := diffRows(ref, got); d != "" {
+						t.Errorf("seed %d (%s): %s", seed, c, d)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestReferenceEvalIsIsolated: the reference ignores the memory governor
+// and the spill directory (a one-byte grant with no spill directory fails
+// the engine but not the reference), and leaves the caller's counters,
+// spill totals and last stats tree untouched.
+func TestReferenceEvalIsIsolated(t *testing.T) {
+	q := diffCorpus()["fig3-hash-join"]
+	db := loadedDB(t)
+	db.CollectStats = true
+	db.Limits = guard.Limits{MaxMemBytes: 1}
+	db.SpillDir = t.TempDir()
+	db.Parallelism = 4
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	count, spill, stats := db.Count, db.Spill, db.LastExecStats()
+	if spill == (SpillStats{}) {
+		t.Fatal("setup: the governed run did not spill")
+	}
+
+	rel, err := ReferenceEval(context.Background(), db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) == 0 {
+		t.Fatal("reference returned no rows")
+	}
+	if db.Count != count || db.Spill != spill || db.LastExecStats() != stats {
+		t.Errorf("ReferenceEval touched the caller: counters %+v→%+v, spill %+v→%+v, stats %p→%p",
+			count, db.Count, spill, db.Spill, stats, db.LastExecStats())
+	}
+	dirEmpty(t, db.SpillDir, "after ReferenceEval")
+
+	db.SpillDir = ""
+	if _, err := db.EvalCtx(context.Background(), q); err == nil {
+		t.Fatal("setup: engine ran over-grant without a spill directory")
+	}
+	if _, err := ReferenceEval(context.Background(), db, q); err != nil {
+		t.Errorf("reference honoured MaxMemBytes: %v", err)
 	}
 }
 
@@ -336,7 +249,7 @@ func nanPayload() float64 {
 // TestRelationIndexLifecycle is the white-box half of the persistent
 // index contract: lazily built on first keyed access, warm on the second,
 // dropped by Load and Insert (declared and undeclared relations alike),
-// and rebuilt — with oracle-identical results — afterwards.
+// and rebuilt — with reference-identical results — afterwards.
 func TestRelationIndexLifecycle(t *testing.T) {
 	db := loadedDB(t)
 	q := diffCorpus()["fig3-hash-join"]
@@ -360,7 +273,7 @@ func TestRelationIndexLifecycle(t *testing.T) {
 	}
 
 	// Load drops the cached index; the next evaluation rebuilds against
-	// the new rows and still matches the oracle.
+	// the new rows.
 	films := db.Stored("FILM")
 	newRows := append([][]value.Value{}, films.Rows...)
 	if err := db.Load("FILM", newRows); err != nil {
@@ -388,19 +301,17 @@ func TestRelationIndexLifecycle(t *testing.T) {
 		t.Error("Insert did not invalidate the FILM index")
 	}
 
-	// Post-invalidation results stay oracle-identical.
+	// Post-invalidation results stay reference-identical.
 	batch, err := db.Eval(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := db.Fork()
-	oracle.RowEngine = true
-	want, err := oracle.Eval(q)
+	want, err := ReferenceEval(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batch.Rows) != len(want.Rows) {
-		t.Fatalf("post-invalidation rows: %d vs oracle %d", len(batch.Rows), len(want.Rows))
+		t.Fatalf("post-invalidation rows: %d vs reference %d", len(batch.Rows), len(want.Rows))
 	}
 	for i := range batch.Rows {
 		if rowKey(batch.Rows[i]) != rowKey(want.Rows[i]) {
@@ -481,52 +392,55 @@ func TestIndexSharedAcrossForks(t *testing.T) {
 
 // TestWidthPreservation extends the PR 5 empty-arity fixes to the batched
 // engine: declared widths survive empty results through every operator
-// and short-circuit, in both engines, and EXPLAIN ANALYZE renders them.
+// and short-circuit, in the engine and the reference alike, and EXPLAIN
+// ANALYZE renders them.
 func TestWidthPreservation(t *testing.T) {
-	for _, row := range []bool{false, true} {
-		db := loadedDB(t)
-		db.RowEngine = row
-		// Empty stored relation keeps its declared width.
-		if err := db.Load("FILM", nil); err != nil {
-			t.Fatal(err)
-		}
-		checks := []struct {
-			name  string
-			q     *term.Term
-			width int
-		}{
-			{"static-false-search", lera.Search([]*term.Term{lera.Rel("APPEARS_IN")}, lera.Ands(term.FalseT()), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}), 2},
-			{"empty-input-search", lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 2), lera.Attr(2, 2), lera.Attr(2, 1)}), 3},
-			{"filter-empty", lera.Filter(lera.Rel("FILM"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1)))), 3},
-			{"join-empty", lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.TrueQual()), 5},
-			{"union-empty", lera.Union(lera.Rel("FILM"), lera.Rel("FILM")), 3},
-			{"inter-empty", lera.Inter(lera.Rel("FILM"), lera.Rel("FILM")), 3},
-			{"diff-full", lera.Diff(lera.Rel("APPEARS_IN"), lera.Rel("APPEARS_IN")), 2},
-			{"unnest-empty", lera.Unnest(lera.Rel("FILM"), 3), 3},
-		}
+	db := loadedDB(t)
+	// Empty stored relation keeps its declared width.
+	if err := db.Load("FILM", nil); err != nil {
+		t.Fatal(err)
+	}
+	checks := []struct {
+		name  string
+		q     *term.Term
+		width int
+	}{
+		{"static-false-search", lera.Search([]*term.Term{lera.Rel("APPEARS_IN")}, lera.Ands(term.FalseT()), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}), 2},
+		{"empty-input-search", lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 2), lera.Attr(2, 2), lera.Attr(2, 1)}), 3},
+		{"filter-empty", lera.Filter(lera.Rel("FILM"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1)))), 3},
+		{"join-empty", lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.TrueQual()), 5},
+		{"union-empty", lera.Union(lera.Rel("FILM"), lera.Rel("FILM")), 3},
+		{"inter-empty", lera.Inter(lera.Rel("FILM"), lera.Rel("FILM")), 3},
+		{"diff-full", lera.Diff(lera.Rel("APPEARS_IN"), lera.Rel("APPEARS_IN")), 2},
+		{"unnest-empty", lera.Unnest(lera.Rel("FILM"), 3), 3},
+	}
+	evals := map[string]func(q *term.Term) (*Relation, error){
+		"engine":    db.Eval,
+		"reference": func(q *term.Term) (*Relation, error) { return ReferenceEval(context.Background(), db, q) },
+	}
+	for who, eval := range evals {
 		for _, c := range checks {
-			r, err := db.Eval(c.q)
+			r, err := eval(c.q)
 			if err != nil {
-				t.Fatalf("row=%v %s: %v", row, c.name, err)
+				t.Fatalf("%s %s: %v", who, c.name, err)
 			}
 			if len(r.Rows) != 0 {
-				t.Fatalf("row=%v %s: expected empty result, got %d rows", row, c.name, len(r.Rows))
+				t.Fatalf("%s %s: expected empty result, got %d rows", who, c.name, len(r.Rows))
 			}
 			if r.Arity() != c.width {
-				t.Errorf("row=%v %s: Arity() = %d, want %d", row, c.name, r.Arity(), c.width)
+				t.Errorf("%s %s: Arity() = %d, want %d", who, c.name, r.Arity(), c.width)
 			}
 		}
-		// The declared width of an empty operator output surfaces in
-		// EXPLAIN ANALYZE (stats.go renders width= only for empty
-		// results).
-		db.CollectStats = true
-		if _, err := db.EvalCtx(context.Background(), checks[0].q); err != nil {
-			t.Fatal(err)
-		}
-		if s := db.LastExecStats().Format(false); !strings.Contains(s, "width=2") {
-			t.Errorf("row=%v: stats missing declared width:\n%s", row, s)
-		}
-		db.CollectStats = false
+	}
+	// The declared width of an empty operator output surfaces in
+	// EXPLAIN ANALYZE (stats.go renders width= only for empty
+	// results).
+	db.CollectStats = true
+	if _, err := db.EvalCtx(context.Background(), checks[0].q); err != nil {
+		t.Fatal(err)
+	}
+	if s := db.LastExecStats().Format(false); !strings.Contains(s, "width=2") {
+		t.Errorf("stats missing declared width:\n%s", s)
 	}
 }
 
@@ -534,12 +448,12 @@ func TestWidthPreservation(t *testing.T) {
 // corpus entry, all bit-identical.
 func TestBatchSizeInvariance(t *testing.T) {
 	q := diffCorpus()["join-op"]
-	ref := runEngine(t, q, false, 0, 1, guard.Limits{}, SemiNaive)
-	if ref.err != nil {
-		t.Fatal(ref.err)
+	ref := runEngine(t, q, runCfg{par: 1})
+	if ref.Err != "" {
+		t.Fatal(ref.Err)
 	}
 	for _, bs := range []int{1, 3, 7, 255, 256, 257} {
-		got := runEngine(t, q, false, bs, 1, guard.Limits{}, SemiNaive)
+		got := runEngine(t, q, runCfg{batch: bs, par: 1})
 		if d := diffRuns(ref, got); d != "" {
 			t.Errorf("batch %d: %s", bs, d)
 		}

@@ -1,10 +1,15 @@
 package engine
 
-// Batched SEARCH evaluation. Planning (static-false short-circuit,
-// relation evaluation order, conjunct classification, widths and the
-// empty-relation short-circuit) is shared with the oracle through
-// prepareSearch/equiJoinKeys so both engines make identical decisions;
-// only the row loops differ:
+// Evaluation of the compound SEARCH operator (§3.1): the relation list is
+// joined left-to-right, using a hash join whenever the qualification
+// supplies an equi-join conjunct connecting the accumulated prefix to the
+// next relation, and a nested-loop (cartesian) step otherwise. Conjuncts
+// are applied as early as their attribute references allow; the projection
+// is computed last. Planning (static-false short-circuit, relation
+// evaluation order, conjunct classification, widths and the
+// empty-relation short-circuit) lives in prepareSearch/equiJoinKeys, which
+// the reference evaluator shares so both make identical decisions; the
+// row loops here are batched:
 //
 //   - hash-join build sides come from the persistent index set when the
 //     build relation is stored (acquireJoinIndex), probes emit matches
@@ -16,7 +21,7 @@ package engine
 //     evaluator (bit-identical by construction) for everything else.
 //     Compilation of comparisons is disabled when a fault injector is
 //     armed, since the compiled path would skip the injector hit the
-//     oracle's ADT call performs.
+//     generic evaluator's ADT call performs.
 
 import (
 	"fmt"
@@ -27,7 +32,30 @@ import (
 	"lera/internal/value"
 )
 
-// searchPrep is the planning state shared by both engines.
+type searchPlan struct {
+	rels  []*Relation
+	conjs []conjunct
+	projs []*term.Term
+}
+
+type conjunct struct {
+	expr   *term.Term
+	maxRel int // highest relation index referenced (0 = none)
+	used   bool
+}
+
+func maxRelIndex(e *term.Term) int {
+	max := 0
+	term.Walk(e, func(s *term.Term, _ term.Path) bool {
+		if i, _, ok := lera.AttrIdx(s); ok && i > max {
+			max = i
+		}
+		return true
+	})
+	return max
+}
+
+// searchPrep is the planning state of one SEARCH evaluation.
 type searchPrep struct {
 	plan   *searchPlan
 	widths []int
@@ -38,10 +66,10 @@ type searchPrep struct {
 	names []string
 }
 
-// prepareSearch runs the SEARCH planning steps shared by the batched and
-// oracle engines. It returns a non-nil short relation when the search
-// short-circuits (statically false qualification, or an empty input
-// relation) — both cases preserve the declared projection arity.
+// prepareSearch runs the SEARCH planning steps. It returns a non-nil short
+// relation when the search short-circuits (statically false qualification,
+// or an empty input relation) — both cases preserve the declared
+// projection arity.
 func (db *DB) prepareSearch(t *term.Term, e env) (*searchPrep, *Relation, error) {
 	relTerms := t.Args[0].Args
 	if len(relTerms) == 0 {
@@ -103,8 +131,7 @@ func (db *DB) storedRelName(rt *term.Term, e env) string {
 // equiJoinKeys finds (and marks used) the equi-join conjuncts
 // ATTR(a,x) = ATTR(b,y) connecting the joined prefix (< ri) to relation
 // ri; leftKeys are flat prefix slots, rightKeys are 0-based columns of
-// relation ri. Shared by both engines so conjunct consumption is
-// identical.
+// relation ri.
 func equiJoinKeys(plan *searchPlan, ri int, offset []int) (leftKeys, rightKeys []int) {
 	attrSlot := func(i, j int) int { return offset[i-1] + j - 1 }
 	for ci := range plan.conjs {
@@ -176,7 +203,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 			} else {
 				// Hash join through the (possibly persistent) index; matches
 				// surface in (probe row, build insertion) order, exactly the
-				// oracle's output sequence.
+				// reference's nested-loop sequence.
 				ix := db.acquireJoinIndex(prep.names[ri-1], next.Rows, rightKeys)
 				db.chargeMem(buildBytes)
 				joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
@@ -292,18 +319,11 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	return out, nil
 }
 
-// filterRowsBatch is the batched filterRows: the same active-conjunct
-// selection and marking, with the conjuncts compiled and ticks amortized
-// per batch.
+// filterRowsBatch applies every unused conjunct whose references are
+// confined to the first upto relations (takeConjuncts), compiled, with
+// ticks amortized per batch.
 func (db *DB) filterRowsBatch(rows [][]value.Value, plan *searchPlan, upto int, widths []int) ([][]value.Value, error) {
-	var active []*conjunct
-	for ci := range plan.conjs {
-		c := &plan.conjs[ci]
-		if !c.used && c.maxRel >= 1 && c.maxRel <= upto {
-			active = append(active, c)
-			c.used = true
-		}
-	}
+	active := takeConjuncts(plan, upto)
 	if len(active) == 0 {
 		return rows, nil
 	}
@@ -341,6 +361,20 @@ func (db *DB) filterRowsBatch(rows [][]value.Value, plan *searchPlan, upto int, 
 		}
 		return out, nil
 	})
+}
+
+// takeConjuncts returns (and marks used) the unused conjuncts that
+// reference at least one attribute and none beyond relation upto.
+func takeConjuncts(plan *searchPlan, upto int) []*conjunct {
+	var active []*conjunct
+	for ci := range plan.conjs {
+		c := &plan.conjs[ci]
+		if !c.used && c.maxRel >= 1 && c.maxRel <= upto {
+			active = append(active, c)
+			c.used = true
+		}
+	}
+	return active
 }
 
 // leftoverConjuncts returns the conjuncts no earlier stage consumed.
@@ -419,7 +453,7 @@ func (o *operand) fetch(w *DB, row []value.Value) (value.Value, error) {
 	return w.callField(o.field, row[o.slot])
 }
 
-// cmpPred is a compiled built-in comparison. It reproduces the oracle
+// cmpPred is a compiled built-in comparison. It reproduces the generic
 // path — PredEvals accounting, operand evaluation order, the Figure 4
 // broadcast error for a collection-vs-scalar comparison, and the
 // value.Compare semantics of the built-in comparison ADTs — without the
@@ -441,7 +475,7 @@ func (p *cmpPred) eval(w *DB, row []value.Value, sc *splitScratch) (bool, error)
 		return false, err
 	}
 	if av.K.IsCollection() != bv.K.IsCollection() {
-		// The oracle broadcasts the comparison over the collection and
+		// The generic path broadcasts the comparison over the collection and
 		// then fails to coerce the resulting collection to a boolean.
 		k := av.K
 		if !k.IsCollection() {

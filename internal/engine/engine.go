@@ -43,35 +43,6 @@ func (r *Relation) Arity() int {
 	return r.Width
 }
 
-// Key encodes a row for hashing and duplicate elimination. This is the
-// retained oracle engine's key; the batched engine uses 64-bit hashed
-// keys instead (hash.go). The builder is pre-sized so the baseline the
-// batch engine is measured against isn't dominated by avoidable
-// reallocation.
-func rowKey(row []value.Value) string {
-	var sb strings.Builder
-	sb.Grow(16 * len(row))
-	for _, v := range row {
-		sb.WriteString(v.Key())
-		sb.WriteByte('|')
-	}
-	return sb.String()
-}
-
-// Dedup returns the relation with duplicate rows removed (set semantics).
-func (r *Relation) Dedup() *Relation {
-	seen := map[string]bool{}
-	out := &Relation{Width: r.Width}
-	for _, row := range r.Rows {
-		k := rowKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
 // Counters aggregate engine work.
 type Counters struct {
 	Scanned       int // rows read from stored relations
@@ -102,46 +73,26 @@ const (
 	Naive
 )
 
-// DB is an in-memory database instance: stored relations, the object
-// store, and the catalog for schema information.
-type DB struct {
-	Cat     *catalog.Catalog
-	Objects map[int64]value.Value
-	Mode    FixMode
-	Count   Counters
+// knobs groups the evaluation settings a fork or a parallel worker
+// inherits from its parent. Fork copies them by one struct assignment
+// (and worker goes through Fork), so a setting added here can never be
+// forgotten at a copy site.
+type knobs struct {
+	Mode FixMode
 	// Limits is the guard budget enforced during evaluation: MaxRows caps
 	// cumulative materialized rows per EvalCtx call, MaxFixIterations caps
-	// each fixpoint instance. The zero value means "defaults" (see
-	// internal/guard).
+	// each fixpoint instance, MaxMemBytes is the per-operator memory grant
+	// (spill.go). The zero value means "defaults" (see internal/guard).
 	Limits guard.Limits
-	// CollectStats enables per-operator execution statistics (stats.go):
-	// each EvalCtx builds an OpStats tree retrievable with LastExecStats.
-	// Off, evaluation pays one nil check per operator and zero
-	// allocations.
-	CollectStats bool
 	// Parallelism sizes the intra-query worker pool (parallel.go):
 	// 0 = runtime.GOMAXPROCS(0), 1 = the serial path, n > 1 = n workers.
 	// Results, counters and stats trees are bit-identical at every
 	// setting — workers merge in deterministic task order (docs/PERF.md,
 	// "Parallel execution").
 	Parallelism int
-	// Injector, when non-nil, is hit (by uppercase function name) before
-	// every ADT-function invocation during evaluation, so chaos tests can
-	// fire deterministic faults inside live executions (see
-	// guard/faultinject.go for the determinism contract). Injected
-	// faults surface as typed ExternalErrors, like real ADT failures.
-	Injector *guard.Injector
-	// RowEngine selects the retained tuple-at-a-time oracle engine
-	// instead of the default batched engine — the execution-side analogue
-	// of the rewriter's full-scan oracle. Rows, Counters and EXPLAIN
-	// ANALYZE OpStats trees are bit-identical between the two engines at
-	// every BatchSize and Parallelism setting (docs/PERF.md, "Batched
-	// execution & relation indexes").
-	RowEngine bool
-	// BatchSize is the row-batch granularity of the batched engine: hot
-	// loops process rows in batches of this size with one amortized
-	// cancellation tick per batch. 0 means DefaultBatchSize. Results
-	// never depend on it.
+	// BatchSize is the row-batch granularity: hot loops process rows in
+	// batches of this size with one amortized cancellation tick per batch.
+	// 0 means DefaultBatchSize. Results never depend on it.
 	BatchSize int
 	// SpillDir is the directory the memory governor moves over-grant
 	// operator state into (spill.go): each EvalCtx creates a private temp
@@ -149,10 +100,35 @@ type DB struct {
 	// evaluation ends. Empty means spilling is disabled — an operator
 	// exceeding Limits.MaxMemBytes then fails with guard.ErrMemBudget.
 	SpillDir string
+	// Injector, when non-nil, is hit (by uppercase function name) before
+	// every ADT-function invocation during evaluation, so chaos tests can
+	// fire deterministic faults inside live executions (see
+	// guard/faultinject.go for the determinism contract). Injected
+	// faults surface as typed ExternalErrors, like real ADT failures.
+	Injector *guard.Injector
+}
+
+// DB is an in-memory database instance: stored relations, the object
+// store, and the catalog for schema information.
+type DB struct {
+	Cat     *catalog.Catalog
+	Objects map[int64]value.Value
+	knobs
+	Count Counters
+	// CollectStats enables per-operator execution statistics (stats.go):
+	// each EvalCtx builds an OpStats tree retrievable with LastExecStats.
+	// Off, evaluation pays one nil check per operator and zero
+	// allocations.
+	CollectStats bool
 	// Spill accumulates the out-of-core counters across evaluations,
 	// like Count. Kept outside Counters because Counters are part of the
 	// bit-identity contract between spilled and in-memory runs.
 	Spill SpillStats
+
+	// reference routes the data-moving operators to the semantics-only
+	// reference evaluator (reference.go). Only ReferenceEval sets it, on a
+	// private fork; no option, flag or config field reaches it.
+	reference bool
 
 	rels      map[string]*Relation
 	idx       *indexSet  // persistent per-relation join indexes, shared across forks
@@ -168,7 +144,7 @@ type DB struct {
 }
 
 // evalGuard is the per-evaluation guard state: the cancellation context,
-// an amortizing tick counter for the tuple-at-a-time hot path, the
+// an amortizing tick counter for the row hot loops, the
 // cumulative materialized-row account, the worker pool, and the open
 // per-operator stats frame (nil unless CollectStats). The context, tick
 // and stats frame are per-worker (each parallel worker clone owns an
@@ -240,24 +216,17 @@ func New(cat *catalog.Catalog) *DB {
 // one loaded database serves many concurrent evaluators, each owning its
 // mutable evaluation state. The shared storage is treated as immutable;
 // forks serving concurrent readers must not Load/Insert/SetObject (the
-// server enforces this by accepting only SELECTs). Mode, Limits,
-// Parallelism, Injector and the engine knobs (RowEngine, BatchSize) are
-// copied as defaults the fork may override; the persistent relation
-// indexes are shared, so a fork pool probes warm indexes instead of
-// rebuilding per fork.
+// server enforces this by accepting only SELECTs). The knobs are copied
+// as defaults the fork may override; the persistent relation indexes are
+// shared, so a fork pool probes warm indexes instead of rebuilding per
+// fork.
 func (db *DB) Fork() *DB {
 	return &DB{
-		Cat:         db.Cat,
-		Objects:     db.Objects,
-		Mode:        db.Mode,
-		Limits:      db.Limits,
-		Parallelism: db.Parallelism,
-		Injector:    db.Injector,
-		RowEngine:   db.RowEngine,
-		BatchSize:   db.BatchSize,
-		SpillDir:    db.SpillDir,
-		rels:        db.rels,
-		idx:         db.idx,
+		Cat:     db.Cat,
+		Objects: db.Objects,
+		knobs:   db.knobs,
+		rels:    db.rels,
+		idx:     db.idx,
 	}
 }
 
@@ -339,10 +308,9 @@ func (db *DB) Eval(t *term.Term) (*Relation, error) {
 }
 
 // EvalCtx evaluates a relational LERA term under a cancellation context
-// and the DB's Limits. Cancellation is checked amortized in the
-// tuple-at-a-time hot path (every guardTickInterval rows) and at every
-// fixpoint round; the row budget is charged wherever an operator
-// materializes its output.
+// and the DB's Limits. Cancellation is checked amortized in the row hot
+// loops (every guardTickInterval rows) and at every fixpoint round; the
+// row budget is charged wherever an operator materializes its output.
 func (db *DB) EvalCtx(ctx context.Context, t *term.Term) (*Relation, error) {
 	prev := db.g
 	db.g = &evalGuard{ctx: ctx, lim: db.Limits, rows: &guard.Budget{}, spill: &spillState{base: db.SpillDir}}
@@ -403,11 +371,9 @@ func (db *DB) eval(t *term.Term, e env) (*Relation, error) {
 }
 
 // evalOp dispatches one operator. REL, LET and FIX are pure control flow
-// shared by both engines (their recursive eval calls re-dispatch, so a
-// fixpoint body runs batched under the batch engine and row-at-a-time
-// under the oracle); the data-moving operators route to the batched
-// implementations (batch.go, batchsearch.go) by default, or to the
-// retained tuple-at-a-time oracle when RowEngine is set.
+// (their recursive eval calls re-dispatch); the data-moving operators
+// route to the batched implementations (batch.go, batchsearch.go) — or,
+// under ReferenceEval only, to the reference ones (reference.go).
 func (db *DB) evalOp(t *term.Term, e env) (*Relation, error) {
 	if t.Kind != term.Fun {
 		return nil, fmt.Errorf("engine: cannot evaluate %s", t)
@@ -444,279 +410,8 @@ func (db *DB) evalOp(t *term.Term, e env) (*Relation, error) {
 	case "FIX":
 		return db.evalFix(t, e)
 	}
-	if db.RowEngine {
-		return db.evalOpRow(t, e)
+	if db.reference {
+		return db.evalOpReference(t, e)
 	}
 	return db.evalOpBatch(t, e)
-}
-
-// evalOpRow is the retained tuple-at-a-time oracle engine: per-row
-// function dispatch, string row keys, no persistent indexes. It is kept
-// bit-identical in results, Counters and OpStats to the batched engine,
-// exactly as the rewriter keeps its full-scan match loop as the oracle
-// for the indexed one.
-func (db *DB) evalOpRow(t *term.Term, e env) (*Relation, error) {
-	switch t.Functor {
-	case "SEARCH":
-		return db.evalSearch(t, e)
-
-	case "FILTER":
-		in, err := db.eval(t.Args[0], e)
-		if err != nil {
-			return nil, err
-		}
-		kept, err := db.mapRowChunks(in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-			var out [][]value.Value
-			for _, row := range chunk {
-				if err := w.tickRow(); err != nil {
-					return nil, err
-				}
-				ok, err := w.evalBool(t.Args[1], [][]value.Value{row})
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out = append(out, row)
-				}
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := &Relation{Rows: kept, Width: in.Arity()}
-		out = out.Dedup()
-		db.Count.Emitted += len(out.Rows)
-		if err := db.chargeRows(len(out.Rows)); err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	case "JOIN":
-		left, err := db.eval(t.Args[0], e)
-		if err != nil {
-			return nil, err
-		}
-		right, err := db.eval(t.Args[1], e)
-		if err != nil {
-			return nil, err
-		}
-		out := &Relation{Width: left.Arity() + right.Arity()}
-		for _, l := range left.Rows {
-			for _, r := range right.Rows {
-				if err := db.tickRow(); err != nil {
-					return nil, err
-				}
-				db.Count.JoinPairs++
-				ok, err := db.evalBool(t.Args[2], [][]value.Value{l, r})
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out.Rows = append(out.Rows, append(append([]value.Value(nil), l...), r...))
-				}
-			}
-		}
-		out = out.Dedup()
-		db.Count.Emitted += len(out.Rows)
-		if err := db.chargeRows(len(out.Rows)); err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	case "UNIONN":
-		// Members are independent: evaluate them on the worker pool and
-		// merge in member order, so the pre-dedup row sequence — and with
-		// it the output — is identical to the serial loop.
-		rels, err := db.evalMembers(t.Args[0].Args, e)
-		if err != nil {
-			return nil, err
-		}
-		out := &Relation{}
-		for _, r := range rels {
-			if out.Width == 0 {
-				out.Width = r.Arity()
-			}
-			out.Rows = append(out.Rows, r.Rows...)
-		}
-		out = out.Dedup()
-		db.Count.Emitted += len(out.Rows)
-		if err := db.chargeRows(len(out.Rows)); err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	case "INTERN":
-		members := t.Args[0].Args
-		if len(members) == 0 {
-			return nil, fmt.Errorf("engine: empty intersection")
-		}
-		acc, err := db.eval(members[0], e)
-		if err != nil {
-			return nil, err
-		}
-		keys := map[string]bool{}
-		for _, row := range acc.Rows {
-			keys[rowKey(row)] = true
-		}
-		for _, m := range members[1:] {
-			r, err := db.eval(m, e)
-			if err != nil {
-				return nil, err
-			}
-			next := map[string]bool{}
-			for _, row := range r.Rows {
-				k := rowKey(row)
-				if keys[k] {
-					next[k] = true
-				}
-			}
-			keys = next
-		}
-		out := &Relation{Width: acc.Arity()}
-		seen := map[string]bool{}
-		for _, row := range acc.Rows {
-			k := rowKey(row)
-			if keys[k] && !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		db.Count.Emitted += len(out.Rows)
-		if err := db.chargeRows(len(out.Rows)); err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	case "DIFF":
-		left, err := db.eval(t.Args[0], e)
-		if err != nil {
-			return nil, err
-		}
-		right, err := db.eval(t.Args[1], e)
-		if err != nil {
-			return nil, err
-		}
-		drop := map[string]bool{}
-		for _, row := range right.Rows {
-			drop[rowKey(row)] = true
-		}
-		out := &Relation{Width: left.Arity()}
-		seen := map[string]bool{}
-		for _, row := range left.Rows {
-			k := rowKey(row)
-			if !drop[k] && !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		db.Count.Emitted += len(out.Rows)
-		if err := db.chargeRows(len(out.Rows)); err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	case "NEST":
-		return db.evalNest(t, e)
-
-	case "UNNEST":
-		return db.evalUnnest(t, e)
-	}
-	return nil, fmt.Errorf("engine: unknown operator %s", t.Functor)
-}
-
-func (db *DB) evalNest(t *term.Term, e env) (*Relation, error) {
-	in, err := db.eval(t.Args[0], e)
-	if err != nil {
-		return nil, err
-	}
-	nested := map[int]bool{}
-	var nestedIdx []int
-	for _, ix := range t.Args[1].Args {
-		j := int(ix.Val.I)
-		nested[j] = true
-		nestedIdx = append(nestedIdx, j)
-	}
-	type group struct {
-		key   []value.Value
-		elems []value.Value
-	}
-	order := []string{}
-	groups := map[string]*group{}
-	for _, row := range in.Rows {
-		if len(nestedIdx) > 0 && nestedIdx[len(nestedIdx)-1] > len(row) {
-			return nil, fmt.Errorf("engine: NEST index out of range for row of width %d", len(row))
-		}
-		var key []value.Value
-		for j := 1; j <= len(row); j++ {
-			if !nested[j] {
-				key = append(key, row[j-1])
-			}
-		}
-		var elem value.Value
-		if len(nestedIdx) == 1 {
-			elem = row[nestedIdx[0]-1]
-		} else {
-			names := make([]string, len(nestedIdx))
-			vals := make([]value.Value, len(nestedIdx))
-			for i, j := range nestedIdx {
-				names[i] = fmt.Sprintf("a%d", j)
-				vals[i] = row[j-1]
-			}
-			elem = value.NewTuple(names, vals)
-		}
-		k := rowKey(key)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{key: key}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.elems = append(g.elems, elem)
-	}
-	out := &Relation{}
-	if w := in.Arity(); w > 0 {
-		out.Width = w - len(nestedIdx) + 1
-	}
-	for _, k := range order {
-		g := groups[k]
-		out.Rows = append(out.Rows, append(append([]value.Value(nil), g.key...), value.NewSet(g.elems...)))
-	}
-	db.Count.Emitted += len(out.Rows)
-	if err := db.chargeRows(len(out.Rows)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (db *DB) evalUnnest(t *term.Term, e env) (*Relation, error) {
-	in, err := db.eval(t.Args[0], e)
-	if err != nil {
-		return nil, err
-	}
-	j := int(t.Args[1].Val.I)
-	out := &Relation{Width: in.Arity()}
-	for _, row := range in.Rows {
-		if err := db.tickRow(); err != nil {
-			return nil, err
-		}
-		if j < 1 || j > len(row) {
-			return nil, fmt.Errorf("engine: UNNEST index %d out of range", j)
-		}
-		coll := row[j-1]
-		if !coll.K.IsCollection() {
-			return nil, fmt.Errorf("engine: UNNEST column %d is %s, not a collection", j, coll.K)
-		}
-		for _, el := range coll.Elems {
-			nrow := append([]value.Value(nil), row...)
-			nrow[j-1] = el
-			out.Rows = append(out.Rows, nrow)
-		}
-	}
-	out = out.Dedup()
-	db.Count.Emitted += len(out.Rows)
-	if err := db.chargeRows(len(out.Rows)); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -39,7 +39,7 @@ func (db *DB) fixIterCap() int { return db.Limits.FixIterations() }
 func (db *DB) fixNaive(name string, body *term.Term, e env) (*Relation, error) {
 	db.setStatsDetail(name + " [naive]")
 	total := &Relation{}
-	seen := db.newSeenSet()
+	seen := db.newMemSet("fixpoint seen-set")
 	defer seen.close()
 	cap := db.fixIterCap()
 	for iters := 1; ; iters++ {
@@ -106,7 +106,7 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 	}
 
 	total := &Relation{}
-	seen := db.newSeenSet()
+	seen := db.newMemSet("fixpoint seen-set")
 	defer seen.close()
 	add := func(rows [][]value.Value) (*Relation, error) {
 		delta := &Relation{Width: total.Width}

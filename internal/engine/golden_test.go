@@ -1,0 +1,289 @@
+package engine
+
+// The absolute half of the engine's determinism contract: rows, Counters
+// and the timing-free EXPLAIN ANALYZE tree of a fixed corpus, committed in
+// testdata/engine_corpus.golden. The file was produced at commit 19ebe43 by
+// the tuple-at-a-time row evaluator that commit still shipped, when "row
+// engine ≡ batched engine on every bookkeeping detail" was a tested
+// invariant — so passing it unmodified proves this engine still does the
+// bookkeeping that evaluator did. To reproduce it: check that commit out,
+// replace its batch_test.go and spill_test.go by this file, make runOn
+// select the row evaluator instead of setting the batch size, and run
+// TestEngineGolden with -update-golden (exact commands: CHANGES.md, PR 13).
+// Everything in this file therefore sticks to the API both commits have.
+// Running -update-golden on this commit regenerates the file from the
+// serial default configuration — only for adding corpus entries.
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"lera/internal/guard"
+	"lera/internal/lera"
+	"lera/internal/term"
+	"lera/internal/testdb"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engine_corpus.golden from the serial default configuration")
+
+const goldenPath = "../../testdata/engine_corpus.golden"
+
+// diffCorpus is a set of queries covering every operator and both batch
+// fast paths (compiled predicates, persistent/transient join indexes) as
+// well as their generic fallbacks.
+func diffCorpus() map[string]*term.Term {
+	fig3 := lera.Search(
+		[]*term.Term{lera.Rel("APPEARS_IN"), lera.Rel("FILM")},
+		lera.Ands(
+			lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
+			lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn")),
+			lera.Call("Member", term.Str("Adventure"), lera.Attr(2, 3)),
+		),
+		[]*term.Term{lera.Attr(2, 2), lera.Attr(2, 3), lera.Call("Salary", lera.Attr(1, 2))},
+	)
+	fa := lera.Nest(
+		lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")},
+			lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))),
+			[]*term.Term{lera.Attr(1, 2), lera.Attr(1, 3), lera.Attr(2, 2)},
+		),
+		[]int{3}, "Actors",
+	)
+	fig4 := lera.Search(
+		[]*term.Term{fa},
+		lera.Ands(
+			term.F("MEMBER", term.Str("Adventure"), lera.Attr(1, 2)),
+			term.F("ALL", lera.Cmp(">", lera.Call("Salary", lera.Attr(1, 3)), term.Num(10000))),
+		),
+		[]*term.Term{lera.Attr(1, 1)},
+	)
+	fig5 := lera.Search(
+		[]*term.Term{fig5Fix()},
+		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
+		[]*term.Term{lera.Call("Name", lera.Attr(1, 1))},
+	)
+	filmIDs := func(rel string) *term.Term {
+		return lera.Search([]*term.Term{lera.Rel(rel)}, lera.TrueQual(), []*term.Term{lera.Attr(1, 1)})
+	}
+	return map[string]*term.Term{
+		"fig3-hash-join":   fig3,
+		"fig4-nest-all":    fig4,
+		"fig5-fixpoint":    fig5,
+		"union":            lera.Union(filmIDs("FILM"), filmIDs("APPEARS_IN")),
+		"inter":            lera.Inter(filmIDs("FILM"), filmIDs("DOMINATE")),
+		"diff":             lera.Diff(filmIDs("FILM"), filmIDs("DOMINATE")),
+		"filter-member":    lera.Filter(lera.Rel("FILM"), lera.Ands(term.F("MEMBER", term.Str("Western"), lera.Attr(1, 3)))),
+		"join-op":          lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)))),
+		"nest-multi":       lera.Nest(lera.Rel("DOMINATE"), []int{2, 3}, "Pairs"),
+		"unnest":           lera.Unnest(lera.Nest(lera.Rel("APPEARS_IN"), []int{2}, "Actors"), 2),
+		"let-self-join":    lera.Let("M", filmIDs("FILM"), lera.Search([]*term.Term{lera.Rel("M"), lera.Rel("M")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1)})),
+		"cartesian-filter": lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)}),
+		"leftover-conj":    lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Cmp("=", term.Str("x"), term.Str("x")), lera.Cmp(">=", lera.Attr(1, 1), term.Num(2))), []*term.Term{lera.Attr(1, 2)}),
+		"static-false":     lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(term.FalseT()), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}),
+	}
+}
+
+// runCfg is one engine configuration of the determinism matrix.
+type runCfg struct {
+	batch, par int
+	lim        guard.Limits
+	spillDir   string
+	mode       FixMode
+	fault      int // > 0: a MEMBER fault armed on that call index
+}
+
+func (c runCfg) String() string {
+	return fmt.Sprintf("%s batch=%d par=%d mem=%d spill=%v", modeName(c.mode), c.batch, c.par, c.lim.MaxMemBytes, c.spillDir != "")
+}
+
+func modeName(m FixMode) string {
+	if m == Naive {
+		return "naive"
+	}
+	return "semi-naive"
+}
+
+// engineRun is one evaluation outcome — the unit the golden file stores
+// and every configuration is compared on. Rows are rendered through
+// rowKey; Stats is OpStats.Format(false), one line per element, and is
+// recorded for successful runs only.
+type engineRun struct {
+	Rows     []string `json:"rows,omitempty"`
+	NRows    int      `json:"nrows"`
+	Width    int      `json:"width"`
+	Counters Counters `json:"counters"`
+	Stats    []string `json:"stats,omitempty"`
+	Err      string   `json:"err,omitempty"`
+}
+
+// runOn evaluates q on db under configuration c.
+func runOn(db *DB, q *term.Term, c runCfg) engineRun {
+	db.BatchSize = c.batch
+	db.Parallelism = c.par
+	db.Limits = c.lim
+	db.SpillDir = c.spillDir
+	db.Mode = c.mode
+	db.CollectStats = true
+	if c.fault > 0 {
+		// MEMBER reaches the ADT registry (Name resolves as a field
+		// projection and never hits the injector).
+		db.Injector = guard.NewInjector()
+		db.Injector.Set("MEMBER", guard.Fault{OnCall: c.fault, Mode: guard.FaultError})
+	}
+	rel, err := db.EvalCtx(context.Background(), q)
+	out := engineRun{Counters: db.Count}
+	if err != nil {
+		out.Err = err.Error()
+		return out
+	}
+	out.Stats = strings.Split(strings.TrimRight(db.LastExecStats().Format(false), "\n"), "\n")
+	out.Width = rel.Arity()
+	out.NRows = len(rel.Rows)
+	for _, r := range rel.Rows {
+		out.Rows = append(out.Rows, rowKey(r))
+	}
+	return out
+}
+
+// runEngine evaluates q on a fresh films database.
+func runEngine(t *testing.T, q *term.Term, c runCfg) engineRun {
+	t.Helper()
+	return runOn(loadedDB(t), q, c)
+}
+
+// graphDB holds one seeded random DOMINATE graph, large enough that the
+// Figure 5 closure crosses batch and parallel-chunk boundaries.
+func graphDB(t *testing.T, seed int64) *DB {
+	t.Helper()
+	cat, err := testdb.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(cat)
+	if err := db.Load("DOMINATE", randomGraph(40, 80, seed)); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// diffRuns compares two outcomes bit for bit; want may be a golden entry
+// stored without its rows (NRows still pins the cardinality).
+func diffRuns(want, got engineRun) string {
+	if want.Err != got.Err {
+		return fmt.Sprintf("error: %q vs %q", want.Err, got.Err)
+	}
+	if want.Width != got.Width {
+		return fmt.Sprintf("width %d vs %d", want.Width, got.Width)
+	}
+	if want.NRows != got.NRows {
+		return fmt.Sprintf("%d vs %d rows", want.NRows, got.NRows)
+	}
+	for i := range want.Rows {
+		if want.Rows[i] != got.Rows[i] {
+			return fmt.Sprintf("row %d differs", i)
+		}
+	}
+	if want.Counters != got.Counters {
+		return fmt.Sprintf("counters %+v vs %+v", want.Counters, got.Counters)
+	}
+	if a, b := strings.Join(want.Stats, "\n"), strings.Join(got.Stats, "\n"); a != b {
+		return fmt.Sprintf("stats trees differ:\n%s\nvs\n%s", a, b)
+	}
+	return ""
+}
+
+// tightLimits trips the row budget on several corpus queries.
+var tightLimits = guard.Limits{MaxRows: 12, MaxFixIterations: 50}
+
+// goldenRuns computes every golden entry under the given batch and pool
+// size: the corpus in both fixpoint modes, the corpus under tightLimits,
+// the first two MEMBER fault positions of the Figure 3 query, and the
+// Figure 5 closure over three random graphs (rows elided).
+func goldenRuns(t *testing.T, batch, par int) map[string]engineRun {
+	t.Helper()
+	out := map[string]engineRun{}
+	for name, q := range diffCorpus() {
+		for _, mode := range []FixMode{SemiNaive, Naive} {
+			out["corpus/"+name+"/"+modeName(mode)] = runEngine(t, q, runCfg{batch: batch, par: par, mode: mode})
+		}
+		out["limits/"+name] = runEngine(t, q, runCfg{batch: batch, par: par, lim: tightLimits})
+	}
+	for _, call := range []int{1, 2} {
+		out[fmt.Sprintf("fault/member-call-%d", call)] = runEngine(t, diffCorpus()["fig3-hash-join"], runCfg{batch: batch, par: par, fault: call})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, mode := range []FixMode{SemiNaive, Naive} {
+			run := runOn(graphDB(t, seed), fig5Fix(), runCfg{batch: batch, par: par, mode: mode})
+			run.Rows = nil
+			out[fmt.Sprintf("large-fixpoint/seed-%d/%s", seed, modeName(mode))] = run
+		}
+	}
+	return out
+}
+
+// loadGolden reads the committed golden file.
+func loadGolden(t *testing.T) map[string]engineRun {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g map[string]engineRun
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return g
+}
+
+// golden returns one entry of the golden file, failing the test when it
+// is missing.
+func golden(t *testing.T, g map[string]engineRun, key string) engineRun {
+	t.Helper()
+	e, ok := g[key]
+	if !ok {
+		t.Fatalf("%s has no entry %q", goldenPath, key)
+	}
+	return e
+}
+
+// TestEngineGolden pins the serial default configuration to the golden
+// file entry by entry (the other configurations are covered by the
+// bit-identity tests), and checks the file has no stale entries.
+func TestEngineGolden(t *testing.T) {
+	runs := goldenRuns(t, 0, 1)
+	if *updateGolden {
+		data, err := json.MarshalIndent(runs, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	g := loadGolden(t)
+	for key, run := range runs {
+		if d := diffRuns(golden(t, g, key), run); d != "" {
+			t.Errorf("%s: %s", key, d)
+		}
+	}
+	for key := range g {
+		if _, ok := runs[key]; !ok {
+			t.Errorf("%s: stale golden entry", key)
+		}
+	}
+	tripped := 0
+	for name := range diffCorpus() {
+		if g["limits/"+name].Err != "" {
+			tripped++
+		}
+	}
+	if tripped == 0 {
+		t.Error("tightLimits never tripped — the limits entries are not exercising the error path")
+	}
+}

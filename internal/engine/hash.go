@@ -1,10 +1,10 @@
 package engine
 
-// 64-bit hashed row keys — the batched engine's replacement for the
-// oracle's rowKey strings. A row hashes to one uint64 (FNV-1a over the
-// per-value structural hashes); equality is decided by a collision-checked
-// structural comparison that reproduces rowKey-string equality exactly
-// without materializing the key:
+// 64-bit hashed row keys — the engine's replacement for the reference
+// evaluator's rowKey strings (reference.go). A row hashes to one uint64
+// (FNV-1a over the per-value structural hashes); equality is decided by a
+// collision-checked structural comparison that reproduces rowKey-string
+// equality exactly without materializing the key:
 //
 //   - ints and reals compare by their float64 bit pattern (Key encodes
 //     both through strconv.FormatFloat of the float64 value, so 5 and 5.0
@@ -60,8 +60,8 @@ var (
 )
 
 // valueKeyEq reports whether a and b encode to the same Key string — the
-// exact equality the string-keyed oracle engine uses — without building
-// the strings.
+// exact equality the string-keyed reference evaluator uses — without
+// building the strings.
 func valueKeyEq(a, b value.Value) bool {
 	af, aok := a.AsFloat()
 	bf, bok := b.AsFloat()
@@ -135,8 +135,8 @@ func rowKeyEq(a, b []value.Value) bool {
 	return true
 }
 
-// rowSet is the hashed replacement for the oracle's map[string]bool
-// seen-sets (Dedup, fixpoint accumulation, INTERN/DIFF membership):
+// rowSet is the hashed replacement for a map[string]bool over rowKey
+// strings (dedup, fixpoint accumulation, INTERN/DIFF membership):
 // rows bucket under their 64-bit hash with collision-checked structural
 // equality, preserving the first-seen semantics of the string map without
 // building a key string per row.
@@ -186,42 +186,6 @@ func dedupRows(rows [][]value.Value) [][]value.Value {
 	return out
 }
 
-// seenSet is the fixpoint accumulation set, chosen per engine: the
-// batched engine uses the budgeted memSet (spill.go) — a hashed rowSet
-// that migrates to disk under the memory governor — while the oracle
-// keeps its string-key map. Both implement first-seen semantics over
-// rowKey equality.
-type seenSet interface {
-	// add inserts row and reports whether it was newly added. The error
-	// is the governor's: ErrMemBudget when the set outgrew its grant with
-	// no spill dir, or a spill I/O failure.
-	add(row []value.Value) (bool, error)
-	// close releases the set's memory charge and any spill file.
-	close()
-}
-
-// stringSeen is the oracle's string-keyed seen-set.
-type stringSeen map[string]bool
-
-func (s stringSeen) add(row []value.Value) (bool, error) {
-	k := rowKey(row)
-	if s[k] {
-		return false, nil
-	}
-	s[k] = true
-	return true, nil
-}
-
-func (s stringSeen) close() {}
-
-// newSeenSet picks the seen-set implementation for the active engine.
-func (db *DB) newSeenSet() seenSet {
-	if db.RowEngine {
-		return stringSeen{}
-	}
-	return db.newMemSet("fixpoint seen-set")
-}
-
 // joinGroup is one distinct join key with its build rows in insertion
 // order.
 type joinGroup struct {
@@ -232,7 +196,7 @@ type joinGroup struct {
 // joinIndex is the hashed build side of a batch hash join (and the
 // persistent per-relation index): rows grouped by their key columns under
 // a 64-bit hash with collision-checked key groups. Per-key row order is
-// build insertion order, matching the string-keyed oracle hash table, so
+// build insertion order, matching the reference's string-keyed map, so
 // probes emit matches in the same sequence.
 type joinIndex struct {
 	keyIdx []int

@@ -22,7 +22,7 @@ package engine
 //
 // Counters are unaffected by index reuse: REL evaluation still accounts
 // Scanned for every stored access, so a warm index changes wall-clock and
-// allocations, never the oracle-identical work model.
+// allocations, never the logical work model.
 
 import (
 	"strconv"

@@ -2,8 +2,8 @@ package engine
 
 // Intra-query parallelism: a per-evaluation worker pool that fans
 // independent units of work — union members, semi-naive recursive members
-// within a round, hash-join build partitions and probe/filter/projection
-// row chunks — across DB.Parallelism goroutines.
+// within a round and probe/filter/projection row chunks — across
+// DB.Parallelism goroutines.
 //
 // The design invariant is determinism: every parallel site merges its
 // results in task/partition index order, never completion order, so rows,
@@ -70,20 +70,8 @@ func (db *DB) canParallel(n int) bool {
 // tick and stats frame.
 func (db *DB) worker(ctx context.Context) *DB {
 	g := db.g
-	w := &DB{
-		Cat:          db.Cat,
-		Objects:      db.Objects,
-		Mode:         db.Mode,
-		Limits:       db.Limits,
-		CollectStats: db.CollectStats,
-		Parallelism:  db.Parallelism,
-		RowEngine:    db.RowEngine,
-		BatchSize:    db.BatchSize,
-		SpillDir:     db.SpillDir,
-		rels:         db.rels,
-		idx:          db.idx,
-		Injector:     db.Injector,
-	}
+	w := db.Fork()
+	w.CollectStats = db.CollectStats
 	// Workers share the evaluation's spill handle like the Budget, so all
 	// their spill files land in (and unwind with) the same temp dir.
 	wg := &evalGuard{ctx: ctx, lim: g.lim, rows: g.rows, pool: g.pool, spill: g.spill}
@@ -213,76 +201,6 @@ func (db *DB) evalMembers(members []*term.Term, e env) ([]*Relation, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// hashTable is the build side of a hash join: one key→rows map per
-// partition. The serial path builds a single partition; the parallel path
-// builds Workers() partitions keyed by the hash of the join key, each
-// owned end-to-end by one worker, so the per-key row order equals the
-// serial insertion order regardless of scheduling.
-type hashTable struct {
-	parts []map[string][][]value.Value
-	mod   uint64
-}
-
-func (h *hashTable) lookup(key string) [][]value.Value {
-	if len(h.parts) == 1 {
-		return h.parts[0][key]
-	}
-	return h.parts[value.HashString(value.HashOffset, key)%h.mod][key]
-}
-
-// buildHashTable indexes rows by the columns in keyIdx. Small builds (or
-// pool-less evaluations) produce the single-map table of the serial
-// engine; large builds under a pool are partitioned: a first chunked pass
-// extracts each row's key and partition, then one task per partition
-// inserts its rows in row order.
-func (db *DB) buildHashTable(rows [][]value.Value, keyIdx []int) (*hashTable, error) {
-	key := func(row []value.Value) string {
-		var kb []value.Value
-		for _, k := range keyIdx {
-			kb = append(kb, row[k])
-		}
-		return rowKey(kb)
-	}
-	if !db.canParallel(2) || len(rows) < parallelMinRows {
-		build := map[string][][]value.Value{}
-		for _, row := range rows {
-			k := key(row)
-			build[k] = append(build[k], row)
-		}
-		return &hashTable{parts: []map[string][][]value.Value{build}, mod: 1}, nil
-	}
-	p := db.Workers()
-	keys := make([]string, len(rows))
-	part := make([]uint32, len(rows))
-	cks := chunkRanges(len(rows), p)
-	err := db.runTasks(len(cks), func(w *DB, i int) error {
-		for j := cks[i][0]; j < cks[i][1]; j++ {
-			k := key(rows[j])
-			keys[j] = k
-			part[j] = uint32(value.HashString(value.HashOffset, k) % uint64(p))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ht := &hashTable{parts: make([]map[string][][]value.Value, p), mod: uint64(p)}
-	err = db.runTasks(p, func(w *DB, pi int) error {
-		m := map[string][][]value.Value{}
-		for j, row := range rows {
-			if part[j] == uint32(pi) {
-				m[keys[j]] = append(m[keys[j]], row)
-			}
-		}
-		ht.parts[pi] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ht, nil
 }
 
 // chunkRanges splits n items into at most p near-equal contiguous

@@ -34,9 +34,8 @@ package engine
 // The size estimates are pure functions of row content, so the
 // spill/fail decision is identical at every BatchSize and Parallelism
 // setting — the governor never consults the (racy) shared account to
-// decide, only to report. The tuple-at-a-time oracle engine is the
-// unlimited-memory reference and ignores the governor entirely, exactly
-// as it ignores the persistent index set.
+// decide, only to report. The reference evaluator (reference.go) runs
+// with the governor off, exactly as it ignores the persistent index set.
 
 import (
 	"encoding/binary"
@@ -130,10 +129,8 @@ func rowsMemBytes(rows [][]value.Value) int64 {
 }
 
 // memGrant returns the per-operator memory grant (0 = governor off).
-// The row oracle is the unlimited-memory reference engine and is never
-// governed.
 func (db *DB) memGrant() int64 {
-	if db.g == nil || db.RowEngine {
+	if db.g == nil {
 		return 0
 	}
 	return db.g.lim.MaxMemBytes

@@ -2,8 +2,8 @@ package engine
 
 // The memory governor and spill-to-disk contract (docs/PERF.md, "Memory
 // governor & spill"): spill-forced runs are bit-identical to in-memory
-// runs and to the row oracle — rows in order, every counter, the
-// timing-free stats tree; spill temp files never outlive their query
+// runs — rows in order (equal to the reference's), every counter and the
+// timing-free stats tree (equal to the golden); spill temp files never outlive their query
 // (success, error, cancel); an over-grant operator with no spill
 // directory fails typed with MEM_BUDGET; and hash collisions — forced by
 // swapping the package hashers for constant functions — are absorbed by
@@ -30,24 +30,7 @@ import (
 func runSpillEngine(t *testing.T, q *term.Term, batch, par int, maxMem int64, spillDir string, mode FixMode) (engineRun, *DB) {
 	t.Helper()
 	db := loadedDB(t)
-	db.BatchSize = batch
-	db.Parallelism = par
-	db.Limits = guard.Limits{MaxMemBytes: maxMem}
-	db.SpillDir = spillDir
-	db.Mode = mode
-	db.CollectStats = true
-	rel, err := db.EvalCtx(context.Background(), q)
-	out := engineRun{count: db.Count, err: err}
-	if st := db.LastExecStats(); st != nil {
-		out.stats = st.Format(false)
-	}
-	if err == nil {
-		out.width = rel.Arity()
-		for _, r := range rel.Rows {
-			out.rows = append(out.rows, rowKey(r))
-		}
-	}
-	return out, db
+	return runOn(db, q, runCfg{batch: batch, par: par, lim: guard.Limits{MaxMemBytes: maxMem}, spillDir: spillDir, mode: mode}), db
 }
 
 // dirEmpty fails the test when dir contains anything.
@@ -64,21 +47,26 @@ func dirEmpty(t *testing.T, dir, when string) {
 
 // TestSpillBitIdentity is the ISSUE 10 acceptance gate: for every corpus
 // query and both fixpoint modes, spill-forced evaluation (grant so small
-// every governed structure goes out of core) reproduces the serial row
-// oracle bit-for-bit — rows in order, all counters, the whole stats tree
-// — at batch sizes 1 and 1024 and pool sizes 1 and 4. A generous grant
-// that never spills is covered too, and the tiny-grant runs must in fact
-// have spilled.
+// every governed structure goes out of core) reproduces the golden bit
+// for bit — rows in order, all counters, the whole stats tree — and the
+// reference's rows, at batch sizes 1 and 1024 and pool sizes 1 and 4. A
+// generous grant that never spills is covered too, and the tiny-grant
+// runs must in fact have spilled.
 func TestSpillBitIdentity(t *testing.T) {
+	g := loadGolden(t)
 	spilled := int64(0)
 	for name, q := range diffCorpus() {
 		for _, mode := range []FixMode{Naive, SemiNaive} {
-			oracle := runEngine(t, q, true, 0, 1, guard.Limits{}, mode)
+			want := golden(t, g, "corpus/"+name+"/"+modeName(mode))
+			ref := referenceRows(t, loadedDB(t), q, mode)
 			for _, budget := range []int64{1, 1 << 30} {
 				for _, batch := range []int{1, 1024} {
 					for _, par := range []int{1, 4} {
 						run, db := runSpillEngine(t, q, batch, par, budget, t.TempDir(), mode)
-						if d := diffRuns(oracle, run); d != "" {
+						if d := diffRuns(want, run); d != "" {
+							t.Errorf("%s mode=%v budget=%d batch=%d par=%d vs golden: %s", name, mode, budget, batch, par, d)
+						}
+						if d := diffRows(ref, run); d != "" {
 							t.Errorf("%s mode=%v budget=%d batch=%d par=%d: %s", name, mode, budget, batch, par, d)
 						}
 						if budget == 1 {
@@ -102,8 +90,8 @@ func TestSpillTempFilesCleanedOnSuccess(t *testing.T) {
 	dir := t.TempDir()
 	for name, q := range diffCorpus() {
 		run, _ := runSpillEngine(t, q, 1, 4, 1, dir, SemiNaive)
-		if run.err != nil {
-			t.Fatalf("%s: %v", name, run.err)
+		if run.Err != "" {
+			t.Fatalf("%s: %v", name, run.Err)
 		}
 		dirEmpty(t, dir, name)
 	}
@@ -175,8 +163,8 @@ func TestMemBudgetWithoutSpillDir(t *testing.T) {
 	}
 
 	run, _ := runSpillEngine(t, q, 0, 1, 1, t.TempDir(), SemiNaive)
-	if run.err != nil {
-		t.Fatalf("with spill dir: %v", run.err)
+	if run.Err != "" {
+		t.Fatalf("with spill dir: %v", run.Err)
 	}
 }
 
@@ -253,35 +241,31 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 
 // TestHashCollisionAudit forces every hash to collide by swapping the
 // package hashers for constant functions, then re-runs the corpus in
-// memory and spill-forced: results must equal the proper-hash oracle
-// computed beforehand, proving every hash structure — rowSet, join
-// index, grace partitions, spill sets — falls back to bucket equality,
-// and that an unsplittable all-one-hash partition terminates instead of
-// recursing forever.
+// memory and spill-forced: results must equal the golden and the
+// reference (which hashes nothing), proving every hash structure —
+// rowSet, join index, grace partitions, spill sets — falls back to bucket
+// equality, and that an unsplittable all-one-hash partition terminates
+// instead of recursing forever.
 func TestHashCollisionAudit(t *testing.T) {
-	type ref struct {
-		q      *term.Term
-		oracle engineRun
-	}
-	var refs []ref
-	for _, q := range diffCorpus() {
-		refs = append(refs, ref{q, runEngine(t, q, true, 0, 1, guard.Limits{}, SemiNaive)})
-	}
-
+	g := loadGolden(t)
 	savedRow, savedKey := hashRowFn, hashKeyFn
 	hashRowFn = func([]value.Value) uint64 { return 0xDEAD }
 	hashKeyFn = func([]value.Value, []int) uint64 { return 0xDEAD }
 	defer func() { hashRowFn, hashKeyFn = savedRow, savedKey }()
 
 	spilledParts := int64(0)
-	for i, r := range refs {
-		inMem := runEngine(t, r.q, false, 0, 4, guard.Limits{}, SemiNaive)
-		if d := diffRuns(r.oracle, inMem); d != "" {
-			t.Errorf("corpus[%d] in-memory under constant hash: %s", i, d)
+	for name, q := range diffCorpus() {
+		want := golden(t, g, "corpus/"+name+"/semi-naive")
+		inMem := runEngine(t, q, runCfg{par: 4})
+		if d := diffRuns(want, inMem); d != "" {
+			t.Errorf("%s in-memory under constant hash: %s", name, d)
 		}
-		spillRun, db := runSpillEngine(t, r.q, 1, 4, 1, t.TempDir(), SemiNaive)
-		if d := diffRuns(r.oracle, spillRun); d != "" {
-			t.Errorf("corpus[%d] spill-forced under constant hash: %s", i, d)
+		spillRun, db := runSpillEngine(t, q, 1, 4, 1, t.TempDir(), SemiNaive)
+		if d := diffRuns(want, spillRun); d != "" {
+			t.Errorf("%s spill-forced under constant hash: %s", name, d)
+		}
+		if d := diffRows(referenceRows(t, loadedDB(t), q, SemiNaive), spillRun); d != "" {
+			t.Errorf("%s spill-forced under constant hash: %s", name, d)
 		}
 		spilledParts += db.Spill.Partitions
 	}
@@ -296,8 +280,8 @@ func TestHashCollisionAudit(t *testing.T) {
 func TestSpillStatsOnlyInTimedOutput(t *testing.T) {
 	q := diffCorpus()["fig3-hash-join"]
 	run, db := runSpillEngine(t, q, 0, 1, 1, t.TempDir(), SemiNaive)
-	if run.err != nil {
-		t.Fatal(run.err)
+	if run.Err != "" {
+		t.Fatal(run.Err)
 	}
 	if db.Spill.Partitions == 0 {
 		t.Fatal("query did not spill; test needs a spilling query")

@@ -77,6 +77,46 @@ type Limits struct {
 	MaxMemBytes int64
 }
 
+// ConfigError reports a configured limit or knob that is negative. Every
+// such setting's zero value already means "unlimited" (or "default"), and
+// the enforcement sites test "> 0", so a negative value from a tenant
+// file or a flag would silently switch the guardrail off. server.New,
+// server.ParseTenants and the binaries' flag checks return it, so a bad
+// configuration fails at start-up instead.
+type ConfigError struct {
+	Tenant string // the tenant the limit belongs to; "" for a process-wide setting
+	Field  string
+	Value  int64
+}
+
+func (e *ConfigError) Error() string {
+	where := ""
+	if e.Tenant != "" {
+		where = fmt.Sprintf("tenant %q: ", e.Tenant)
+	}
+	return fmt.Sprintf("guard: config: %s%s = %d is negative (0 means unlimited or default)", where, e.Field, e.Value)
+}
+
+// NonNegative returns a *ConfigError naming field when v is negative.
+func NonNegative(tenant, field string, v int64) error {
+	if v < 0 {
+		return &ConfigError{Tenant: tenant, Field: field, Value: v}
+	}
+	return nil
+}
+
+// Validate rejects negative limits, blaming tenant ("" for none).
+func (l Limits) Validate(tenant string) error {
+	return errors.Join(
+		NonNegative(tenant, "Timeout", int64(l.Timeout)),
+		NonNegative(tenant, "MaxSteps", int64(l.MaxSteps)),
+		NonNegative(tenant, "MaxTermSize", int64(l.MaxTermSize)),
+		NonNegative(tenant, "MaxRows", int64(l.MaxRows)),
+		NonNegative(tenant, "MaxFixIterations", int64(l.MaxFixIterations)),
+		NonNegative(tenant, "MaxMemBytes", l.MaxMemBytes),
+	)
+}
+
 // FixIterations returns the effective per-instance fixpoint iteration cap.
 func (l Limits) FixIterations() int {
 	if l.MaxFixIterations > 0 {

@@ -161,7 +161,7 @@ func diffOne(ctx context.Context, db *engine.DB, r *rules.Rule, ext *rewrite.Ext
 		return nil, false, nil
 	}
 
-	base, errBase := evalPhase(ctx, db, opt.Limits, q.Term)
+	base, errBase := evalPhase(ctx, db.EvalCtx, opt.Limits, q.Term)
 	if errBase != nil {
 		// The corpus term itself is not executable here (or busted a
 		// budget); nothing to compare, but the rule did fire.
@@ -170,7 +170,7 @@ func diffOne(ctx context.Context, db *engine.DB, r *rules.Rule, ext *rewrite.Ext
 		}
 		return nil, true, nil
 	}
-	out, errOut := evalPhase(ctx, db, opt.Limits, rewritten)
+	out, errOut := evalPhase(ctx, db.EvalCtx, opt.Limits, rewritten)
 	if errOut != nil {
 		if ctx.Err() != nil {
 			return nil, true, ctx.Err()
@@ -209,14 +209,14 @@ func diffWhole(ctx context.Context, db *engine.DB, eng *rewrite.Engine, q Query,
 		return &Diagnostic{Rule: "(all)", Severity: sev, Code: CodeRewriteError,
 			Site: q.Name, Msg: fmt.Sprintf("full-sequence rewrite failed on %s: %v", lera.Format(q.Term), err)}, nil
 	}
-	base, errBase := evalPhase(ctx, db, opt.Limits, q.Term)
+	base, errBase := evalPhase(ctx, db.EvalCtx, opt.Limits, q.Term)
 	if errBase != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, nil
 	}
-	out, errOut := evalPhase(ctx, db, opt.Limits, rewritten)
+	out, errOut := evalPhase(ctx, db.EvalCtx, opt.Limits, rewritten)
 	if errOut != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -250,13 +250,15 @@ func runPhase(ctx context.Context, lim guard.Limits, fn func(context.Context) (*
 	return fn(ctx)
 }
 
-func evalPhase(ctx context.Context, db *engine.DB, lim guard.Limits, t *term.Term) (*engine.Relation, error) {
+// evalPhase is runPhase for execution: eval is an engine.DB's EvalCtx, or
+// the reference evaluator bound to one.
+func evalPhase(ctx context.Context, eval func(context.Context, *term.Term) (*engine.Relation, error), lim guard.Limits, t *term.Term) (*engine.Relation, error) {
 	if lim.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	return db.EvalCtx(ctx, t)
+	return eval(ctx, t)
 }
 
 // isBudget reports whether an error is a guard budget trip rather than a

@@ -1,16 +1,22 @@
 package rulecheck
 
 // Engine differential harness: the generated corpus is executed under
-// every evaluation variant the engine offers — the batched engine and the
-// tuple-at-a-time oracle, each in naive and semi-naive fixpoint mode, each
-// serially and on a worker pool — and the results are cross-checked.
-// Mode pairs must agree as multisets (row order is not part of the
-// fixpoint-mode contract); serial/parallel pairs of the same engine and
-// mode, and batch/row pairs of the same mode, must agree bit-for-bit,
-// rows in the same order — parallel evaluation promises determinism and
-// the batched engine promises oracle bit-identity (docs/PERF.md). This is
-// the random-corpus half of the parallel and engine differential gates;
-// the golden Figure 3–12 half lives in internal/core.
+// every configuration the engine offers — naive and semi-naive fixpoint
+// mode, serially and on a worker pool, in memory and (optionally)
+// spill-forced — and by the semantics-only reference evaluator
+// (engine.ReferenceEval), and the results are cross-checked. Mode pairs
+// must agree as multisets (row order is not part of the fixpoint-mode
+// contract); every other pair must agree bit-for-bit, rows in the same
+// order:
+//
+//	reference ↔ serial, per mode      the engine computes what the operators mean
+//	serial ↔ parallel, per mode       parallel evaluation is deterministic
+//	in-memory ↔ spill, serial         out-of-core processing changes nothing
+//	spill serial ↔ spill parallel     … at any pool size
+//
+// This is the random-corpus half of the engine's determinism gates
+// (docs/PERF.md); the golden-corpus half, which also pins counters and
+// EXPLAIN ANALYZE trees, lives in internal/engine and internal/core.
 
 import (
 	"context"
@@ -20,6 +26,7 @@ import (
 	"lera/internal/engine"
 	"lera/internal/guard"
 	"lera/internal/lera"
+	"lera/internal/term"
 )
 
 // EngineDiffOptions configures the engine differential harness. The zero
@@ -34,19 +41,19 @@ type EngineDiffOptions struct {
 	// Parallelism is the pool size of the parallel variants (minimum 2 to
 	// actually exercise worker goroutines).
 	Parallelism int
-	// BatchSize is the batch granularity of the batched variants
+	// BatchSize is the batch granularity of the engine variants
 	// (0 = engine.DefaultBatchSize). Results must not depend on it — run
 	// the harness at several values to prove that.
 	BatchSize int
 	// Limits is the guard budget applied to every evaluation.
 	Limits guard.Limits
-	// SpillDir, when set, adds four spill-forced variants: the batched
-	// variants (both fixpoint modes, serial and parallel) re-run with
-	// Limits.MaxMemBytes = SpillMaxMem and this spill directory armed, so
-	// join builds, dedup passes and seen-sets all take the out-of-core
-	// path. Their outputs must stay bit-identical to the unlimited-memory
-	// batched runs — the spill half of the engine differential gate
-	// (docs/PERF.md, "Memory governor & spill").
+	// SpillDir, when set, adds four spill-forced variants: both fixpoint
+	// modes, serial and parallel, re-run with Limits.MaxMemBytes =
+	// SpillMaxMem and this spill directory armed, so join builds, dedup
+	// passes and seen-sets all take the out-of-core path. Their outputs
+	// must stay bit-identical to the unlimited-memory runs — the spill
+	// half of the engine differential gate (docs/PERF.md, "Memory governor
+	// & spill").
 	SpillDir string
 	// SpillMaxMem is the per-operator memory grant of the spill variants.
 	// 0 means 1 byte: every governed structure spills immediately.
@@ -66,66 +73,76 @@ func (o EngineDiffOptions) withDefaults() EngineDiffOptions {
 	return o
 }
 
-// engineVariant is one way of running the engine.
+// engineVariant is one way of evaluating a term.
 type engineVariant struct {
-	name  string
-	mode  engine.FixMode
-	par   int
-	row   bool // tuple-at-a-time oracle instead of the batched engine
-	spill bool // memory governor armed with a tiny grant + spill dir
+	name      string
+	mode      engine.FixMode
+	par       int
+	reference bool // engine.ReferenceEval instead of the engine
+	spill     bool // memory governor armed with a tiny grant + spill dir
 }
 
-// EngineDiff executes every corpus term under all eight engine variants
-// (twelve when SpillDir arms the spill-forced runs) and reports
-// divergence as RC104 diagnostics. The error return is reserved for
-// setup failures and context cancellation.
+// EngineDiff executes every corpus term under the four engine variants
+// (eight when SpillDir arms the spill-forced runs) and the reference in
+// both fixpoint modes, and reports divergence as RC104 diagnostics. The
+// error return is reserved for setup failures and context cancellation.
 func EngineDiff(ctx context.Context, cat *catalog.Catalog, opt EngineDiffOptions) ([]Diagnostic, error) {
 	opt = opt.withDefaults()
 	inst := Generate(cat, opt.Seed, opt.RowsPerRelation)
 	corpus := Corpus(cat, inst, opt.Seed)
 	variants := []engineVariant{
-		{"batch/naive/serial", engine.Naive, 1, false, false},
-		{"batch/semi-naive/serial", engine.SemiNaive, 1, false, false},
-		{"batch/naive/parallel", engine.Naive, opt.Parallelism, false, false},
-		{"batch/semi-naive/parallel", engine.SemiNaive, opt.Parallelism, false, false},
-		{"row/naive/serial", engine.Naive, 1, true, false},
-		{"row/semi-naive/serial", engine.SemiNaive, 1, true, false},
-		{"row/naive/parallel", engine.Naive, opt.Parallelism, true, false},
-		{"row/semi-naive/parallel", engine.SemiNaive, opt.Parallelism, true, false},
+		{name: "naive/serial", mode: engine.Naive, par: 1},
+		{name: "semi-naive/serial", mode: engine.SemiNaive, par: 1},
+		{name: "naive/parallel", mode: engine.Naive, par: opt.Parallelism},
+		{name: "semi-naive/parallel", mode: engine.SemiNaive, par: opt.Parallelism},
+		{name: "reference/naive", mode: engine.Naive, reference: true},
+		{name: "reference/semi-naive", mode: engine.SemiNaive, reference: true},
+	}
+	// Bit-exact pairs. Exactness composes: together these pin every
+	// variant's successful output to the reference's, up to the
+	// fixpoint-mode multiset tolerance.
+	exactPairs := [][2]int{
+		{4, 0}, {5, 1}, // reference vs serial
+		{0, 2}, {1, 3}, // serial vs parallel
 	}
 	if opt.SpillDir != "" {
 		variants = append(variants,
-			engineVariant{"batch/naive/serial/spill", engine.Naive, 1, false, true},
-			engineVariant{"batch/semi-naive/serial/spill", engine.SemiNaive, 1, false, true},
-			engineVariant{"batch/naive/parallel/spill", engine.Naive, opt.Parallelism, false, true},
-			engineVariant{"batch/semi-naive/parallel/spill", engine.SemiNaive, opt.Parallelism, false, true},
+			engineVariant{name: "naive/serial/spill", mode: engine.Naive, par: 1, spill: true},
+			engineVariant{name: "semi-naive/serial/spill", mode: engine.SemiNaive, par: 1, spill: true},
+			engineVariant{name: "naive/parallel/spill", mode: engine.Naive, par: opt.Parallelism, spill: true},
+			engineVariant{name: "semi-naive/parallel/spill", mode: engine.SemiNaive, par: opt.Parallelism, spill: true},
+		)
+		exactPairs = append(exactPairs,
+			[2]int{0, 6}, [2]int{1, 7}, // serial: in-memory vs spill
+			[2]int{6, 8}, [2]int{7, 9}, // spill: serial vs parallel
 		)
 	}
 	spillMem := opt.SpillMaxMem
 	if spillMem <= 0 {
 		spillMem = 1
 	}
-	limsOf := func(v engineVariant) guard.Limits {
+	evals := make([]func(context.Context, *term.Term) (*engine.Relation, error), len(variants))
+	for i, v := range variants {
 		lims := opt.Limits
 		if v.spill {
 			lims.MaxMemBytes = spillMem
 		}
-		return lims
-	}
-	dbs := make([]*engine.DB, len(variants))
-	for i, v := range variants {
-		db, err := NewDB(cat, inst, limsOf(v))
+		db, err := NewDB(cat, inst, lims)
 		if err != nil {
 			return nil, err
 		}
 		db.Mode = v.mode
 		db.Parallelism = v.par
-		db.RowEngine = v.row
 		db.BatchSize = opt.BatchSize
 		if v.spill {
 			db.SpillDir = opt.SpillDir
 		}
-		dbs[i] = db
+		evals[i] = db.EvalCtx
+		if v.reference {
+			evals[i] = func(ctx context.Context, t *term.Term) (*engine.Relation, error) {
+				return engine.ReferenceEval(ctx, db, t)
+			}
+		}
 	}
 
 	var ds []Diagnostic
@@ -135,26 +152,6 @@ func EngineDiff(ctx context.Context, cat *catalog.Catalog, opt EngineDiffOptions
 			Msg: fmt.Sprintf("seed-%d database: %s and %s diverge on %s: %s",
 				opt.Seed, a.name, b.name, lera.Format(q.Term), detail)})
 	}
-	// Bit-exact pairs: same engine and mode, serial vs parallel (parallel
-	// determinism), and same mode serial, batch vs row (engine oracle
-	// identity). Exactness composes: together these pin all eight
-	// variants' successful outputs to the serial row oracle's, up to the
-	// fixpoint-mode multiset tolerance.
-	exactPairs := [][2]int{
-		{0, 2}, {1, 3}, // batch: serial vs parallel
-		{4, 6}, {5, 7}, // row: serial vs parallel
-		{0, 4}, {1, 5}, // serial: batch vs row
-	}
-	if len(variants) > 8 {
-		// Spill determinism: the spill-forced runs must match the
-		// unlimited-memory batched runs bit for bit (and each other across
-		// pool sizes) — out-of-core processing is an implementation detail,
-		// never a semantic one.
-		exactPairs = append(exactPairs,
-			[2]int{0, 8}, [2]int{1, 9}, // serial batch: unlimited vs spill
-			[2]int{8, 10}, [2]int{9, 11}, // spill: serial vs parallel
-		)
-	}
 	for _, q := range corpus {
 		if err := ctx.Err(); err != nil {
 			return ds, err
@@ -162,11 +159,11 @@ func EngineDiff(ctx context.Context, cat *catalog.Catalog, opt EngineDiffOptions
 		rels := make([]*engine.Relation, len(variants))
 		errs := make([]error, len(variants))
 		for i := range variants {
-			rels[i], errs[i] = evalPhase(ctx, dbs[i], limsOf(variants[i]), q.Term)
+			rels[i], errs[i] = evalPhase(ctx, evals[i], opt.Limits, q.Term)
 		}
 		// Success parity holds across every exact pair: the cumulative row
 		// account is order-independent, so a budget trips under the pool
-		// (or in batches) iff it trips in the serial row loop.
+		// (or in batches, or in the reference) iff it trips serially.
 		for _, pair := range exactPairs {
 			a, b := pair[0], pair[1]
 			if (errs[a] == nil) != (errs[b] == nil) {

@@ -9,10 +9,10 @@ import (
 )
 
 // TestEngineModesAgree is the random-corpus differential gate: on several
-// seeded databases, all eight engine variants (batch/row × naive/semi-
-// naive × serial/parallel) must agree on every generated term — as
-// multisets across fixpoint modes, bit-for-bit between serial/parallel
-// runs and between the batched engine and the row oracle.
+// seeded databases, the four engine variants (naive/semi-naive ×
+// serial/parallel) and the reference evaluator must agree on every
+// generated term — as multisets across fixpoint modes, bit-for-bit
+// between serial/parallel runs and between the engine and the reference.
 func TestEngineModesAgree(t *testing.T) {
 	cat, err := testdb.Catalog()
 	if err != nil {
@@ -34,8 +34,8 @@ func TestEngineModesAgree(t *testing.T) {
 }
 
 // TestEngineModesAgreeUnderLimits re-runs the gate with a guard budget in
-// force: budget trips must be consistent between a mode's serial and
-// parallel runs, and whatever converges must still agree.
+// force: budget trips must be consistent between a mode's serial,
+// parallel and reference runs, and whatever converges must still agree.
 func TestEngineModesAgreeUnderLimits(t *testing.T) {
 	cat, err := testdb.Catalog()
 	if err != nil {
@@ -59,8 +59,8 @@ func TestEngineModesAgreeUnderLimits(t *testing.T) {
 // (ISSUE 10 acceptance): with a one-byte memory grant and a spill
 // directory armed, every join build, dedup pass and fixpoint seen-set in
 // the spill-forced variants goes out of core, and the results must still
-// be bit-identical to the unlimited-memory batched runs — at degenerate
-// and whole-input batch sizes, serial and on a pool.
+// be bit-identical to the unlimited-memory runs — at degenerate and
+// whole-input batch sizes, serial and on a pool.
 func TestEngineAgreesUnderSpill(t *testing.T) {
 	cat, err := testdb.Catalog()
 	if err != nil {

@@ -6,7 +6,6 @@ package server
 // latency next to rewrite and execution counters.
 
 import (
-	"strings"
 	"time"
 
 	"lera/internal/guard"
@@ -16,8 +15,6 @@ import (
 // metrics bundles the server's registry handles. All underlying types are
 // atomic; the bundle is shared freely across connection goroutines.
 type metrics struct {
-	reg *obs.Registry
-
 	// requests is labeled {tenant, code}: the per-tenant breakdown of
 	// every finished query. It is incremented exactly once per request,
 	// in observe, so the sum over all series equals ok+errors exactly —
@@ -45,7 +42,6 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		reg:         reg,
 		requests:    reg.CounterVec("lera_server_requests_total", "queries finished, by tenant and protocol code", "tenant", "code"),
 		admitted:    reg.Counter("lera_server_admitted_total", "queries that passed admission control"),
 		shed:        reg.Counter("lera_server_shed_total", "queries shed with OVERLOADED at admission"),
@@ -64,19 +60,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// code counts one response by protocol code: a per-code counter named
-// lera_server_code_<code>_total (codes are a small closed vocabulary, so
-// the metric set stays bounded).
-func (m *metrics) code(c guard.Code) {
-	m.reg.Counter("lera_server_code_"+strings.ToLower(string(c))+"_total",
-		"responses with code "+string(c)).Inc()
-}
-
 // observe records one finished request under its tenant.
 func (m *metrics) observe(tenant string, c guard.Code, degraded bool, d time.Duration) {
 	m.requests.With(tenant, string(c)).Inc()
 	m.latency.With(tenant).Observe(d.Seconds())
-	m.code(c)
 	if c == guard.CodeOK {
 		m.ok.Inc()
 		if degraded {

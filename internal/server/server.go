@@ -66,10 +66,7 @@ type Config struct {
 	// Parallelism is each pooled session's intra-query worker pool size
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// RowEngine selects the tuple-at-a-time execution oracle instead of
-	// the default batched engine (bit-identical responses; docs/PERF.md).
-	RowEngine bool
-	// BatchSize is the batched engine's rows-per-batch granularity
+	// BatchSize is the engine's rows-per-batch granularity
 	// (0 = engine default). Responses never depend on it.
 	BatchSize int
 	// PlanCache, when > 0, arms a plan cache of that many entries,
@@ -184,6 +181,14 @@ type Server struct {
 // init failure is returned here — a server that starts is a server whose
 // snapshot and rule base are known-good.
 func New(cfg Config) (*Server, error) {
+	if err := errors.Join(
+		cfg.Tenants.Validate(),
+		guard.NonNegative("", "MaxMemBytes", cfg.MaxMemBytes),
+		guard.NonNegative("", "Parallelism", int64(cfg.Parallelism)),
+		guard.NonNegative("", "BatchSize", int64(cfg.BatchSize)),
+	); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 8
 	}
@@ -215,9 +220,6 @@ func New(cfg Config) (*Server, error) {
 		opts = append(opts, core.WithRules(cfg.Rules))
 	}
 	opts = append(opts, core.WithInjector(inj))
-	if cfg.RowEngine {
-		opts = append(opts, core.WithRowEngine())
-	}
 	if cfg.PlanCache > 0 {
 		opts = append(opts, core.WithPlanCache(cfg.PlanCache))
 		if cfg.PlanCacheValidation > 0 {

@@ -355,7 +355,6 @@ func TestServerMetricsScrape(t *testing.T) {
 		`lera_server_requests_total{tenant="default",code="OK"} 5`,
 		"lera_server_admitted_total 5",
 		"lera_server_queries_ok_total 5",
-		"lera_server_code_ok_total 5",
 		`lera_server_request_seconds_count{tenant="default"} 5`,
 		"lera_server_sessions",
 		"lera_queries_total", // session metrics share the scrape
@@ -363,6 +362,11 @@ func TestServerMetricsScrape(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+	// One metric per fact: the protocol code lives on the labeled series
+	// only, not on a second per-code counter family.
+	if strings.Contains(text, "lera_server_code_") {
+		t.Error("scrape still carries the lera_server_code_<code>_total family")
 	}
 	for _, line := range strings.Split(text, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {

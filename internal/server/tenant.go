@@ -24,7 +24,8 @@ import (
 const DefaultTenant = "default"
 
 // TenantLimits is the JSON shape of one tenant's budget. Zero fields mean
-// "unlimited", exactly like the corresponding guard.Limits fields.
+// "unlimited", exactly like the corresponding guard.Limits fields;
+// negative fields are rejected (Tenants.Validate).
 type TenantLimits struct {
 	// TimeoutMs is the per-phase wall-clock budget in milliseconds
 	// (applied to rewrite and execution separately, like edsql
@@ -71,7 +72,22 @@ func ParseTenants(r io.Reader) (Tenants, error) {
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("server: tenant config: %w", err)
 	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("server: tenant config: %w", err)
+	}
 	return t, nil
+}
+
+// Validate rejects a tenant with a negative limit (a *guard.ConfigError
+// naming the tenant and the field): "maxMemBytes": -1 would otherwise
+// defeat the server-wide backstop and run that tenant ungoverned.
+func (t Tenants) Validate() error {
+	for _, name := range t.Names() {
+		if err := t[name].Limits().Validate(name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadTenants reads a tenant-config file.

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"lera/internal/guard"
 )
 
 // TestLoadTenantsExample pins the shipped example config
@@ -21,5 +26,58 @@ func TestLoadTenantsExample(t *testing.T) {
 	}
 	if got := ten.Names(); len(got) != 4 || got[0] != "batch" {
 		t.Fatalf("Names() = %v", got)
+	}
+}
+
+// TestNegativeLimitsRejected: every limit's zero already means
+// "unlimited", and enforcement tests "> 0", so a negative value would
+// silently switch a guardrail off — "maxMemBytes": -1 also defeats the
+// server-wide backstop. Tenant files and server.New must refuse them with
+// a typed error naming the tenant and the field.
+func TestNegativeLimitsRejected(t *testing.T) {
+	for _, c := range []struct{ json, field string }{
+		{`{"timeoutMs": -1}`, "Timeout"},
+		{`{"maxSteps": -1}`, "MaxSteps"},
+		{`{"maxTermSize": -1}`, "MaxTermSize"},
+		{`{"maxRows": -1}`, "MaxRows"},
+		{`{"maxFixIterations": -1}`, "MaxFixIterations"},
+		{`{"maxMemBytes": -1}`, "MaxMemBytes"},
+	} {
+		_, err := ParseTenants(strings.NewReader(`{"default": {}, "free": ` + c.json + `}`))
+		var ce *guard.ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: ParseTenants error = %v, want a *guard.ConfigError", c.json, err)
+			continue
+		}
+		if ce.Tenant != "free" || ce.Field != c.field || ce.Value >= 0 {
+			t.Errorf("%s: error blames %q/%q = %d", c.json, ce.Tenant, ce.Field, ce.Value)
+		}
+	}
+	if _, err := ParseTenants(strings.NewReader(`{"free": {"maxRows": 0, "maxMemBytes": 1}}`)); err != nil {
+		t.Errorf("zero and positive limits rejected: %v", err)
+	}
+
+	for _, c := range []struct {
+		cfg    Config
+		tenant string
+		field  string
+	}{
+		{Config{Tenants: Tenants{"mem": {MaxMemBytes: -1}}}, "mem", "MaxMemBytes"},
+		{Config{MaxMemBytes: -1}, "", "MaxMemBytes"},
+		{Config{Parallelism: -1}, "", "Parallelism"},
+		{Config{BatchSize: -1}, "", "BatchSize"},
+	} {
+		srv, err := New(c.cfg)
+		var ce *guard.ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("New(%s=-1): error = %v, want a *guard.ConfigError", c.field, err)
+			if srv != nil {
+				srv.Drain(context.Background())
+			}
+			continue
+		}
+		if ce.Tenant != c.tenant || ce.Field != c.field {
+			t.Errorf("New(%s=-1): error blames %q/%q", c.field, ce.Tenant, ce.Field)
+		}
 	}
 }

@@ -187,15 +187,6 @@ var (
 	// WithPlanning enables the §7 planning-hint extension: join operands
 	// reorder by estimated cardinality, smallest first.
 	WithPlanning = core.WithPlanning
-	// WithFullScan disables the head-discrimination rule index and uses
-	// the naive walk-per-rule match loop (identical results; see
-	// docs/PERF.md). Kept as a differential-testing oracle.
-	WithFullScan = core.WithFullScan
-	// WithRowEngine selects the retained tuple-at-a-time execution engine
-	// instead of the default batched one (identical rows, counters and
-	// EXPLAIN ANALYZE statistics; see docs/PERF.md). Kept as the
-	// execution-side differential-testing oracle.
-	WithRowEngine = core.WithRowEngine
 	// WithRuleCheck statically verifies the assembled rule base at
 	// construction time: error-level findings refuse the rule base,
 	// advisory findings are kept on Rewriter.CheckDiagnostics. See
