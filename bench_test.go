@@ -372,3 +372,61 @@ func BenchmarkE16PlanCache(b *testing.B) {
 		})
 	}
 }
+
+// The two execution shapes of the repository's benchmark (bench/README.md)
+// at a tenth of its size, one operation = ESQL text in, rendered rows out
+// over the workload's 15-query list: a two-second inner loop for engine
+// work, beside the 16-second harness that judges it.
+
+// BenchmarkExecJoin is exec_join: FILM 500 ⋈ APPEARS 1500 (fan-out 3) with
+// Pay > k from the whole join down to a fifteenth of it, index warm.
+func BenchmarkExecJoin(b *testing.B) {
+	const films, fanout, payRange = 500, 3, 1000
+	s := filmsBench(b, films)
+	s.Parallelism = 1
+	s.MustExec(`TABLE APPEARS (Numf : NUMERIC, Pay : NUMERIC);`)
+	rows := make([][]value.Value, 0, fanout*films)
+	for i := 0; i < fanout*films; i++ {
+		rows = append(rows, []value.Value{value.Int(int64(i%films + 1)), value.Int(int64(i * 7919 % payRange))})
+	}
+	if err := s.DB.Load("APPEARS", rows); err != nil {
+		b.Fatal(err)
+	}
+	benchList(b, s, func(i int) string {
+		return fmt.Sprintf("SELECT Title, Pay FROM FILM, APPEARS WHERE FILM.Numf = APPEARS.Numf AND Pay > %d", i*payRange/15)
+	})
+}
+
+// BenchmarkExecClosure is exec_closure: the focused closure over chain(70)
+// at 15 positions along the chain.
+func BenchmarkExecClosure(b *testing.B) {
+	const chain = 70
+	s := graphBench(b, chain)
+	s.Parallelism = 1
+	benchList(b, s, func(i int) string {
+		return fmt.Sprintf("SELECT Src FROM TC WHERE Dst = %d", (i+1)*chain/15)
+	})
+}
+
+// benchList runs the 15-query list q(0..14) once per iteration, rendering
+// every answer, after one warm-up pass.
+func benchList(b *testing.B, s *Session, q func(i int) string) {
+	b.Helper()
+	pass := func() {
+		for i := 0; i < 15; i++ {
+			res, err := s.Query(q(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if FormatResult(res) == "" {
+				b.Fatal("empty rendering")
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -428,5 +429,41 @@ func TestRewriteAgreesAcrossFixModes(t *testing.T) {
 	}
 	if len(res.Rows) != len(testdb.DominatorsOfQuinn()) {
 		t.Errorf("naive rows = %d", len(res.Rows))
+	}
+}
+
+// TestFormatResultAllocs: rendering allocates a constant number of times
+// however many rows there are — the builder, grown once from the first
+// row, and one cell buffer — and the text is what joining each cell's
+// String() with " | " gives.
+func TestFormatResultAllocs(t *testing.T) {
+	result := func(n int) *Result {
+		r := &Result{Kind: ResultRows, Columns: []string{"Numf", "Title", "Categories"}, Message: fmt.Sprintf("%d rows", n)}
+		for i := 0; i < n; i++ {
+			r.Rows = append(r.Rows, []value.Value{
+				value.Int(int64(1000 + i)),
+				value.String(fmt.Sprintf("film-%04d", i)),
+				value.NewSet(value.String("Comedy"), value.String("it's")),
+			})
+		}
+		return r
+	}
+	small, large := result(10), result(1000)
+	var want strings.Builder
+	want.WriteString("Numf | Title | Categories\n-------------------------\n")
+	for _, row := range large.Rows {
+		want.WriteString(row[0].String() + " | " + row[1].String() + " | " + row[2].String() + "\n")
+	}
+	want.WriteString("1000 rows")
+	if got := FormatResult(large); got != want.String() {
+		t.Fatalf("FormatResult changed its rendering:\n%.200s\nwant\n%.200s", got, want.String())
+	}
+	allocs := func(r *Result) float64 {
+		return testing.AllocsPerRun(20, func() { _ = FormatResult(r) })
+	}
+	a10, a1000 := allocs(small), allocs(large)
+	t.Logf("allocations: %.0f for 10 rows, %.0f for 1000", a10, a1000)
+	if a1000 > a10+2 || a1000 > 12 {
+		t.Errorf("FormatResult allocates per row: %.0f allocations for 10 rows, %.0f for 1000", a10, a1000)
 	}
 }

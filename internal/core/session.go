@@ -619,18 +619,29 @@ func FormatResult(r *Result) string {
 	}
 	var sb strings.Builder
 	if len(r.Columns) > 0 {
-		sb.WriteString(strings.Join(r.Columns, " | "))
+		header := strings.Join(r.Columns, " | ")
+		sb.WriteString(header)
 		sb.WriteString("\n")
-		sb.WriteString(strings.Repeat("-", len(strings.Join(r.Columns, " | "))))
+		sb.WriteString(strings.Repeat("-", len(header)))
 		sb.WriteString("\n")
 	}
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
+	// Cells are appended through one scratch buffer (value.AppendText), never
+	// rendered to a string each, and the builder grows once, to the first
+	// row's length times the row count.
+	var cell []byte
+	for n, row := range r.Rows {
+		start := sb.Len()
 		for i, v := range row {
-			parts[i] = v.String()
+			if i > 0 {
+				sb.WriteString(" | ")
+			}
+			cell = v.AppendText(cell[:0])
+			sb.Write(cell)
 		}
-		sb.WriteString(strings.Join(parts, " | "))
 		sb.WriteString("\n")
+		if n == 0 {
+			sb.Grow((len(r.Rows)-1)*(sb.Len()-start+2) + len(r.Message))
+		}
 	}
 	sb.WriteString(r.Message)
 	return sb.String()

@@ -57,19 +57,21 @@ func (db *DB) tickRows(n int) error {
 
 // rowArena amortizes output-row allocation: rows are carved out of shared
 // blocks with full-capacity slicing, so an append on a returned row can
-// never alias the next one. Blocks grow geometrically from a small first
-// block to arenaMaxBlockValues, so the thousands of tiny evaluations a
-// fixpoint performs don't each zero a full-size block while large scans
-// still amortize to one allocation per ~8k values. One arena per worker
-// chunk — never shared across goroutines. When db is set, block
-// allocations are charged to the evaluation's tracked-memory account
-// (arena rows live on as operator output, so the charge is never
-// released within the evaluation — a safe overestimate for the peak
-// gauge, and never part of any spill/fail decision).
+// never alias the next one. Blocks grow geometrically to
+// arenaMaxBlockValues from a first block of arenaMinBlockValues — or of
+// the owner's estimate of the whole output (sizedArena), when that is
+// smaller — so the thousands of tiny evaluations a fixpoint performs don't
+// each zero a block they will never fill, while large scans still amortize
+// to one allocation per ~8k values. One arena per worker chunk — never
+// shared across goroutines. When db is set, block allocations are charged
+// to the evaluation's tracked-memory account (arena rows live on as
+// operator output, so the charge is never released within the evaluation
+// — a safe overestimate for the peak gauge, and never part of any
+// spill/fail decision).
 type rowArena struct {
-	buf []value.Value
-	blk int
-	db  *DB
+	buf  []value.Value
+	next int // values in the next block; 0 = arenaMinBlockValues
+	db   *DB
 }
 
 // Arena block growth bounds, in values (not rows).
@@ -78,14 +80,23 @@ const (
 	arenaMaxBlockValues = 8192
 )
 
+// sizedArena returns an arena whose first block holds est values when
+// that is less than arenaMinBlockValues.
+func sizedArena(db *DB, est int) rowArena {
+	if est > arenaMinBlockValues {
+		est = arenaMinBlockValues
+	}
+	return rowArena{db: db, next: est}
+}
+
 // alloc returns a zeroed row of n values from the arena.
 func (a *rowArena) alloc(n int) []value.Value {
 	if n == 0 {
 		return nil
 	}
 	if len(a.buf)+n > cap(a.buf) {
-		blk := a.blk * 2
-		if blk < arenaMinBlockValues {
+		blk := a.next
+		if blk == 0 {
 			blk = arenaMinBlockValues
 		}
 		if blk > arenaMaxBlockValues {
@@ -94,7 +105,7 @@ func (a *rowArena) alloc(n int) []value.Value {
 		if blk < n {
 			blk = n
 		}
-		a.blk = blk
+		a.next = blk * 2
 		a.buf = make([]value.Value, 0, blk)
 		if a.db != nil {
 			a.db.chargeMem(int64(blk) * valueSelfBytes)

@@ -8,20 +8,26 @@ package engine
 // is computed last. Planning (static-false short-circuit, relation
 // evaluation order, conjunct classification, widths and the
 // empty-relation short-circuit) lives in prepareSearch/equiJoinKeys, which
-// the reference evaluator shares so both make identical decisions; the
-// row loops here are batched:
+// the reference evaluator shares so both make identical decisions. The
+// evaluation is one stage per relation, and a stage never stores the pairs
+// it considers (docs/PERF.md, "SEARCH pipeline: late materialisation"):
 //
-//   - hash-join build sides come from the persistent index set when the
-//     build relation is stored (acquireJoinIndex), probes emit matches
-//     with one amortized tick and counter update per probe row;
-//   - the filter and projection stages run over compiled predicate and
-//     projection programs: built-in comparisons over attribute slots,
-//     constants and single-attribute function calls evaluate without
-//     term-tree walks or row re-splitting, falling back to the generic
-//     evaluator (bit-identical by construction) for everything else.
-//     Compilation of comparisons is disabled when a fault injector is
-//     armed, since the compiled path would skip the injector hit the
-//     generic evaluator's ADT call performs.
+//   - a producer enumerates the stage's pairs — a scan of the first
+//     relation, probes of a hash-join build side (from the persistent
+//     index set when the build relation is stored, acquireJoinIndex; by
+//     grace partitions when it exceeds the memory grant, spill.go), or a
+//     nested loop when no equi-join conjunct connects the relation — with
+//     one amortized tick and counter update per probe row;
+//   - searchKernel.pair judges each pair in place over compiled predicate
+//     programs and materialises only what survives: the joined row in a
+//     non-final stage, the projected output row in the final one.
+//     Built-in comparisons over attribute slots, constants and
+//     single-attribute function calls evaluate without term-tree walks or
+//     row splitting, falling back to the generic evaluator (bit-identical
+//     by construction) for everything else. Compilation of comparisons is
+//     disabled when a fault injector is armed, since the compiled path
+//     would skip the injector hit the generic evaluator's ADT call
+//     performs.
 
 import (
 	"fmt"
@@ -176,17 +182,47 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 		return short, nil
 	}
 	plan, widths := prep.plan, prep.widths
+	n := len(plan.rels)
+	bs := db.batchSize()
 
-	current, err := db.filterRowsBatch(plan.rels[0].Rows, plan, 1, widths[:1])
-	if err != nil {
-		return nil, err
-	}
-
-	for ri := 2; ri <= len(plan.rels); ri++ {
-		next := plan.rels[ri-1]
-		leftKeys, rightKeys := equiJoinKeys(plan, ri, prep.offset)
-		var joined [][]value.Value
-		if len(leftKeys) > 0 {
+	// One stage per relation: stage 1 scans the first relation, stage ri
+	// pairs every surviving prefix row with its matches in relation ri. The
+	// producers below only enumerate pairs; searchKernel.pair does the rest.
+	current := plan.rels[0].Rows
+	for ri := 1; ri <= n; ri++ {
+		var leftKeys, rightKeys []int
+		if ri > 1 {
+			leftKeys, rightKeys = equiJoinKeys(plan, ri, prep.offset)
+		}
+		st := db.compileStage(plan, widths[:ri], ri == n)
+		switch {
+		case ri == 1:
+			if !st.final && len(st.preds) == 0 {
+				continue
+			}
+			current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+				k := st.kernel(w, len(chunk))
+				var out [][]value.Value
+				if len(st.preds) == 0 {
+					out = make([][]value.Value, 0, len(chunk))
+				}
+				for len(chunk) > 0 && k.err == nil {
+					batch := chunk
+					if len(batch) > bs {
+						batch = batch[:bs]
+					}
+					chunk = chunk[len(batch):]
+					if err := w.tickRows(len(batch)); err != nil {
+						return nil, err
+					}
+					for _, row := range batch {
+						out = k.pair(out, nil, row)
+					}
+				}
+				return out, k.err
+			})
+		case len(leftKeys) > 0:
+			next := plan.rels[ri-1]
 			// The memory governor sizes the build side with the same
 			// deterministic estimate graceJoin partitions against, so the
 			// spill decision is identical at every batch and pool size.
@@ -199,16 +235,16 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 				if !db.spillOK() {
 					return nil, db.errMemBudget("SEARCH join build", buildBytes)
 				}
-				joined, err = db.graceJoin(current, next.Rows, leftKeys, rightKeys)
+				current, err = db.graceJoin(current, next.Rows, leftKeys, rightKeys, st.kernel(db, 1))
 			} else {
 				// Hash join through the (possibly persistent) index; matches
 				// surface in (probe row, build insertion) order, exactly the
 				// reference's nested-loop sequence.
 				ix := db.acquireJoinIndex(prep.names[ri-1], next.Rows, rightKeys)
 				db.chargeMem(buildBytes)
-				joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+				current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+					k := st.kernel(w, 1)
 					var out [][]value.Value
-					ar := &rowArena{db: w}
 					for _, prow := range chunk {
 						matches := ix.probe(prow, leftKeys)
 						if len(matches) == 0 {
@@ -219,96 +255,46 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 						}
 						w.Count.JoinPairs += len(matches)
 						for _, rrow := range matches {
-							out = append(out, ar.join(prow, rrow))
+							out = k.pair(out, prow, rrow)
 						}
 					}
-					return out, nil
+					return out, k.err
 				})
 				db.releaseMem(buildBytes)
 			}
-		} else {
-			bs := db.batchSize()
-			joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+		default:
+			next := plan.rels[ri-1].Rows
+			current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+				k := st.kernel(w, 1)
 				var out [][]value.Value
-				ar := &rowArena{db: w}
 				for _, prow := range chunk {
-					for ni := 0; ni < len(next.Rows); {
-						n := len(next.Rows) - ni
-						if n > bs {
-							n = bs
+					for ni := 0; ni < len(next); {
+						m := len(next) - ni
+						if m > bs {
+							m = bs
 						}
-						if err := w.tickRows(n); err != nil {
+						if err := w.tickRows(m); err != nil {
 							return nil, err
 						}
-						w.Count.JoinPairs += n
-						for _, rrow := range next.Rows[ni : ni+n] {
-							out = append(out, ar.join(prow, rrow))
+						w.Count.JoinPairs += m
+						for _, rrow := range next[ni : ni+m] {
+							out = k.pair(out, prow, rrow)
 						}
-						ni += n
+						ni += m
 					}
 				}
-				return out, nil
+				return out, k.err
 			})
 		}
 		if err != nil {
 			return nil, err
 		}
-		current, err = db.filterRowsBatch(joined, plan, ri, widths[:ri])
-		if err != nil {
-			return nil, err
-		}
 	}
 
-	// Final stage: leftover conjuncts (e.g. referencing no attributes)
-	// and the projection, both compiled.
-	preds := db.compilePreds(leftoverConjuncts(plan), widths)
-	projs := compileProjs(plan.projs, widths)
-	out := &Relation{Width: len(plan.projs)}
-	bs := db.batchSize()
-	projected, err := db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-		var kept [][]value.Value
-		ar := &rowArena{db: w}
-		sc := newSplitScratch(widths)
-		for len(chunk) > 0 {
-			batch := chunk
-			if len(batch) > bs {
-				batch = batch[:bs]
-			}
-			chunk = chunk[len(batch):]
-			if err := w.tickRows(len(batch)); err != nil {
-				return nil, err
-			}
-		rowLoop:
-			for _, row := range batch {
-				sc.reset()
-				for i := range preds {
-					ok, err := preds[i].eval(w, row, sc)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue rowLoop
-					}
-				}
-				prow := ar.alloc(len(projs))
-				for i := range projs {
-					v, err := projs[i].eval(w, row, sc)
-					if err != nil {
-						return nil, err
-					}
-					prow[i] = v
-				}
-				kept = append(kept, prow)
-			}
-		}
-		return kept, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	// LERA is an extension of Codd's algebra: relations are sets, so the
 	// projection output deduplicates.
-	out.Rows, err = db.dedupRows(projected)
+	out := &Relation{Width: len(plan.projs)}
+	out.Rows, err = db.dedupRows(current)
 	if err != nil {
 		return nil, err
 	}
@@ -319,48 +305,100 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	return out, nil
 }
 
-// filterRowsBatch applies every unused conjunct whose references are
-// confined to the first upto relations (takeConjuncts), compiled, with
-// ticks amortized per batch.
-func (db *DB) filterRowsBatch(rows [][]value.Value, plan *searchPlan, upto int, widths []int) ([][]value.Value, error) {
-	active := takeConjuncts(plan, upto)
-	if len(active) == 0 {
-		return rows, nil
+// searchStage is the compiled program of one SEARCH stage: the conjuncts
+// that become evaluable once the stage's relation joins the prefix and, in
+// the final stage, the leftover conjuncts (e.g. referencing no attributes)
+// and the projection. It is shared by the stage's workers.
+type searchStage struct {
+	preds  []searchPred
+	projs  []projOp // final stage only
+	final  bool
+	widths []int // per-relation widths of the prefix plus this stage's relation
+}
+
+func (db *DB) compileStage(plan *searchPlan, widths []int, final bool) *searchStage {
+	conjs := takeConjuncts(plan, len(widths))
+	st := &searchStage{final: final, widths: widths}
+	if final {
+		conjs = append(conjs, leftoverConjuncts(plan)...)
+		st.projs = compileProjs(plan.projs, widths)
 	}
-	preds := db.compilePreds(active, widths)
-	bs := db.batchSize()
-	return db.mapRowChunks(rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-		var out [][]value.Value
-		sc := newSplitScratch(widths)
-		for len(chunk) > 0 {
-			batch := chunk
-			if len(batch) > bs {
-				batch = batch[:bs]
-			}
-			chunk = chunk[len(batch):]
-			if err := w.tickRows(len(batch)); err != nil {
-				return nil, err
-			}
-			for _, row := range batch {
-				sc.reset()
-				keep := true
-				for i := range preds {
-					b, err := preds[i].eval(w, row, sc)
-					if err != nil {
-						return nil, err
-					}
-					if !b {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out = append(out, row)
-				}
-			}
+	st.preds = db.compilePreds(conjs, widths)
+	return st
+}
+
+// searchKernel is one worker's late-materialising evaluator of a stage,
+// fed (prefix row, next-relation row) pairs by the scan, hash-probe,
+// cartesian and grace-join producers alike. A pair is judged in place, its
+// two rows addressed as one flat row; nothing is allocated for a pair a
+// conjunct rejects, a joined row only for a survivor of a non-final stage,
+// and in the final stage only the projected output row.
+type searchKernel struct {
+	*searchStage
+	w  *DB
+	sc splitScratch
+	ar rowArena
+	// err is the first evaluation error. It is sticky rather than returned
+	// per pair: the producer goes on enumerating (and accounting JoinPairs
+	// for) the remaining pairs, which pair then skips, so the counters at
+	// the point of failure stay those of "join, then filter".
+	err error
+}
+
+// kernel returns a worker's kernel. est is the producer's estimate of the
+// rows it will output, which sizes the first arena block: a scan passes its
+// chunk length; a join cannot tell (a semi-naive round probes a whole
+// relation for a one-row delta) and passes 1, leaving it to the arena's
+// doubling.
+func (st *searchStage) kernel(w *DB, est int) *searchKernel {
+	width := len(st.projs) // of the rows the stage allocates
+	if !st.final {
+		for _, rw := range st.widths {
+			width += rw
 		}
-		return out, nil
-	})
+	}
+	return &searchKernel{
+		searchStage: st, w: w,
+		sc: splitScratch{widths: st.widths},
+		ar: sizedArena(w, est*width),
+	}
+}
+
+// pair evaluates the stage over prefix row l (nil in the scan stage) and
+// relation row r, appending the surviving joined row — or, in the final
+// stage, the projected row — to dst. Conjuncts run in order and
+// short-circuit, exactly as a filter over the materialised pair would.
+func (k *searchKernel) pair(dst [][]value.Value, l, r []value.Value) [][]value.Value {
+	if k.err != nil {
+		return dst
+	}
+	k.sc.valid = false
+	for i := range k.preds {
+		ok, err := k.preds[i].eval(k.w, l, r, &k.sc)
+		if err != nil {
+			k.err = err
+			return dst
+		}
+		if !ok {
+			return dst
+		}
+	}
+	if !k.final {
+		if len(l) == 0 {
+			return append(dst, r)
+		}
+		row := k.ar.alloc(len(l) + len(r))
+		copy(row, l)
+		copy(row[len(l):], r)
+		return append(dst, row)
+	}
+	row := k.ar.alloc(len(k.projs))
+	for i := range k.projs {
+		if row[i], k.err = k.projs[i].eval(k.w, l, r, &k.sc); k.err != nil {
+			return dst
+		}
+	}
+	return append(dst, row)
 }
 
 // takeConjuncts returns (and marks used) the unused conjuncts that
@@ -389,44 +427,52 @@ func leftoverConjuncts(plan *searchPlan) []*conjunct {
 	return out
 }
 
-// splitScratch lazily splits a flat prefix row into per-relation segments
-// for the generic evaluator, computed at most once per row across every
-// generic predicate and projection.
+// splitScratch lazily presents a pair — flat prefix row l, relation row r
+// — as per-relation segments for the generic evaluator, computed at most
+// once per pair across every generic predicate and projection. widths has
+// one entry per prefix relation plus r's.
 type splitScratch struct {
 	widths []int
 	rows   [][]value.Value
 	valid  bool
 }
 
-func newSplitScratch(widths []int) *splitScratch {
-	return &splitScratch{widths: widths, rows: make([][]value.Value, len(widths))}
-}
-
-func (sc *splitScratch) reset() { sc.valid = false }
-
-func (sc *splitScratch) get(row []value.Value) [][]value.Value {
+func (sc *splitScratch) get(l, r []value.Value) [][]value.Value {
 	if !sc.valid {
+		if sc.rows == nil {
+			sc.rows = make([][]value.Value, len(sc.widths))
+		}
+		last := len(sc.widths) - 1
 		pos := 0
-		for i, w := range sc.widths {
-			sc.rows[i] = row[pos : pos+w]
+		for i, w := range sc.widths[:last] {
+			sc.rows[i] = l[pos : pos+w]
 			pos += w
 		}
+		sc.rows[last] = r
 		sc.valid = true
 	}
 	return sc.rows
 }
 
+// pairAt addresses the pair (l, r) as the flat row l ++ r.
+func pairAt(l, r []value.Value, slot int) value.Value {
+	if slot < len(l) {
+		return l[slot]
+	}
+	return r[slot-len(l)]
+}
+
 // searchPred is one compiled qualification conjunct.
 type searchPred interface {
-	eval(w *DB, row []value.Value, sc *splitScratch) (bool, error)
+	eval(w *DB, l, r []value.Value, sc *splitScratch) (bool, error)
 }
 
 // genericPred evaluates the conjunct through the ordinary evaluator —
 // the bit-identical fallback for everything the compiler does not cover.
 type genericPred struct{ expr *term.Term }
 
-func (p *genericPred) eval(w *DB, row []value.Value, sc *splitScratch) (bool, error) {
-	return w.evalBool(p.expr, sc.get(row))
+func (p *genericPred) eval(w *DB, l, r []value.Value, sc *splitScratch) (bool, error) {
+	return w.evalBool(p.expr, sc.get(l, r))
 }
 
 // operand kinds of a compiled comparison.
@@ -443,14 +489,14 @@ type operand struct {
 	field string
 }
 
-func (o *operand) fetch(w *DB, row []value.Value) (value.Value, error) {
+func (o *operand) fetch(w *DB, l, r []value.Value) (value.Value, error) {
 	switch o.kind {
 	case opSlot:
-		return row[o.slot], nil
+		return pairAt(l, r, o.slot), nil
 	case opConst:
 		return o.cval, nil
 	}
-	return w.callField(o.field, row[o.slot])
+	return w.callField(o.field, pairAt(l, r, o.slot))
 }
 
 // cmpPred is a compiled built-in comparison. It reproduces the generic
@@ -464,13 +510,13 @@ type cmpPred struct {
 	a, b operand
 }
 
-func (p *cmpPred) eval(w *DB, row []value.Value, sc *splitScratch) (bool, error) {
+func (p *cmpPred) eval(w *DB, l, r []value.Value, _ *splitScratch) (bool, error) {
 	w.Count.PredEvals++
-	av, err := p.a.fetch(w, row)
+	av, err := p.a.fetch(w, l, r)
 	if err != nil {
 		return false, err
 	}
-	bv, err := p.b.fetch(w, row)
+	bv, err := p.b.fetch(w, l, r)
 	if err != nil {
 		return false, err
 	}
@@ -571,15 +617,15 @@ func flatSlot(i, j int, widths []int) (int, bool) {
 // attribute reference, the generic evaluator otherwise. The slot path is
 // safe under fault injection — attribute access never calls an ADT.
 type projOp struct {
-	slot int // >= 0: copy row[slot]
+	slot int // >= 0: copy that slot of the flat row
 	expr *term.Term
 }
 
-func (p *projOp) eval(w *DB, row []value.Value, sc *splitScratch) (value.Value, error) {
+func (p *projOp) eval(w *DB, l, r []value.Value, sc *splitScratch) (value.Value, error) {
 	if p.slot >= 0 {
-		return row[p.slot], nil
+		return pairAt(l, r, p.slot), nil
 	}
-	return w.evalExpr(p.expr, sc.get(row))
+	return w.evalExpr(p.expr, sc.get(l, r))
 }
 
 func compileProjs(projs []*term.Term, widths []int) []projOp {

@@ -85,6 +85,52 @@ func diffCorpus() map[string]*term.Term {
 		"cartesian-filter": lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)}),
 		"leftover-conj":    lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Cmp("=", term.Str("x"), term.Str("x")), lera.Cmp(">=", lera.Attr(1, 1), term.Num(2))), []*term.Term{lera.Attr(1, 2)}),
 		"static-false":     lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(term.FalseT()), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}),
+		// What the fused stage kernel distinguishes (docs/PERF.md, "SEARCH
+		// pipeline: late materialisation"): a conjunct consumed at every
+		// one of three stages, compiled and generic alike;
+		"three-stage-conjuncts": lera.Search(
+			[]*term.Term{lera.Rel("APPEARS_IN"), lera.Rel("FILM"), lera.Rel("DOMINATE")},
+			lera.Ands(
+				lera.Cmp("<", lera.Attr(1, 1), term.Num(4)),
+				lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
+				lera.Call("Member", term.Str("Adventure"), lera.Attr(2, 3)),
+				lera.Cmp("=", lera.Attr(2, 1), lera.Attr(3, 1)),
+				lera.Cmp("<>", lera.Call("Name", lera.Attr(1, 2)), lera.Call("Name", lera.Attr(3, 3))),
+			),
+			[]*term.Term{lera.Attr(2, 2), lera.Call("Name", lera.Attr(1, 2)), lera.Attr(3, 1)},
+		),
+		// a stage conjunct that rejects every pair of a non-final join, so
+		// the final one probes an empty prefix;
+		"join-rejects-all": lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Rel("DOMINATE")},
+			lera.Ands(
+				lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
+				lera.Cmp("<", lera.Attr(2, 1), term.Num(0)),
+				lera.Cmp("=", lera.Attr(1, 1), lera.Attr(3, 1)),
+			),
+			[]*term.Term{lera.Attr(1, 2), lera.Attr(3, 1)},
+		),
+		// a final stage whose projection mixes slots of both rows with a
+		// generic call, after a stage conjunct and an attribute-free leftover;
+		"final-mixed-projection": lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")},
+			lera.Ands(
+				lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
+				lera.Cmp("=", term.Str("x"), term.Str("x")),
+				lera.Cmp(">", lera.Call("Salary", lera.Attr(2, 2)), term.Num(9000)),
+			),
+			[]*term.Term{lera.Attr(2, 1), lera.Call("Salary", lera.Attr(2, 2)), lera.Attr(1, 2), term.F("UNION", lera.Attr(1, 3), lera.Attr(1, 3))},
+		),
+		// and a filtered cartesian step feeding a hash step.
+		"cartesian-then-hash": lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("DOMINATE"), lera.Rel("APPEARS_IN")},
+			lera.Ands(
+				lera.Cmp("<", lera.Attr(1, 1), lera.Attr(2, 1)),
+				lera.Cmp("=", lera.Attr(3, 1), lera.Attr(1, 1)),
+				lera.Cmp("=", lera.Attr(3, 2), lera.Attr(2, 3)),
+			),
+			[]*term.Term{lera.Attr(1, 2), lera.Attr(2, 1), lera.Call("Name", lera.Attr(3, 2))},
+		),
 	}
 }
 

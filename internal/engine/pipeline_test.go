@@ -1,0 +1,111 @@
+package engine
+
+// Allocation gates of the fused SEARCH pipeline (docs/PERF.md, "SEARCH
+// pipeline: late materialisation"): a pair costs nothing until a row
+// survives its stage, and the final stage allocates its output and nothing
+// that scales with the join.
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"lera/internal/lera"
+	"lera/internal/term"
+	"lera/internal/testdb"
+	"lera/internal/value"
+)
+
+// fanoutDB stores L (keys 1..keys, one column) and R (every key fanout
+// times, wide columns), serial, with R's join index warm.
+func fanoutDB(t *testing.T, keys, fanout, rwidth int) *DB {
+	t.Helper()
+	cat, err := testdb.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(cat)
+	db.Parallelism = 1
+	var l, r [][]value.Value
+	for k := 1; k <= keys; k++ {
+		l = append(l, []value.Value{value.Int(int64(k))})
+		for f := 0; f < fanout; f++ {
+			row := make([]value.Value, rwidth)
+			row[0] = value.Int(int64(k))
+			for c := 1; c < rwidth; c++ {
+				row[c] = value.Int(int64(k*fanout + f + c))
+			}
+			r = append(r, row)
+		}
+	}
+	if err := db.Load("L", l); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load("R", r); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// evalAllocBytes returns the bytes one evaluation of q allocates, after a
+// warm-up evaluation (index build, lazy set-up), and its row count.
+func evalAllocBytes(t *testing.T, db *DB, q *term.Term) (uint64, int) {
+	t.Helper()
+	if _, err := db.Eval(q); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rows := 0
+	for i := 0; i < runs; i++ {
+		rel, err := db.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = len(rel.Rows)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs, rows
+}
+
+func TestSearchPipelineAllocs(t *testing.T) {
+	const keys, rwidth = 500, 6
+	join := func(conj *term.Term) *term.Term {
+		return lera.Search(
+			[]*term.Term{lera.Rel("L"), lera.Rel("R")},
+			lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)), conj),
+			[]*term.Term{lera.Attr(1, 1), lera.Attr(2, 2)},
+		)
+	}
+
+	// (a) Every pair rejected: eight times the pairs, not a byte more (at the
+	// parent commit each pair cost a 7-value joined row and a row header).
+	rejectAll := join(lera.Cmp("<", lera.Attr(2, 2), term.Num(0)))
+	at1, n1 := evalAllocBytes(t, fanoutDB(t, keys, 1, rwidth), rejectAll)
+	at8, n8 := evalAllocBytes(t, fanoutDB(t, keys, 8, rwidth), rejectAll)
+	if n1 != 0 || n8 != 0 {
+		t.Fatalf("reject-all join returned %d and %d rows", n1, n8)
+	}
+	if at8 > at1+1024 {
+		t.Errorf("rejected pairs allocate: %d B at fan-out 1, %d B at fan-out 8", at1, at8)
+	}
+
+	// (b) Every pair kept: the output rows, plus per output row a header in
+	// a slice grown by appending (measured ~90 B) and a dedup set entry
+	// (~195 B) — nothing of the joined width (7 values a pair at the parent
+	// commit, which fails this limit three times over).
+	const fanout, projs = 8, 2
+	keepAll := join(lera.Cmp(">", lera.Attr(2, 2), term.Num(0)))
+	got, rows := evalAllocBytes(t, fanoutDB(t, keys, fanout, rwidth), keepAll)
+	if rows != keys*fanout {
+		t.Fatalf("keep-all join returned %d rows, want %d", rows, keys*fanout)
+	}
+	const perRowOverhead, slack = 320, 64 << 10
+	limit := uint64(rows)*(projs*uint64(unsafe.Sizeof(value.Value{}))+perRowOverhead) + slack
+	t.Logf("final-stage join: %d B for %d rows (limit %d, joined rows alone would be %d)",
+		got, rows, limit, uint64(rows)*(1+rwidth)*uint64(unsafe.Sizeof(value.Value{})))
+	if got > limit {
+		t.Errorf("final-stage join allocated %d B for %d rows of %d values, limit %d", got, rows, projs, limit)
+	}
+}

@@ -114,6 +114,17 @@ func (db *DB) evalOpReference(t *term.Term, e env) (*Relation, error) {
 	return out, db.chargeRows(len(out.Rows))
 }
 
+// splitRow cuts a flat joined row into one segment per relation.
+func splitRow(row []value.Value, widths []int) [][]value.Value {
+	segs := make([][]value.Value, len(widths))
+	pos := 0
+	for i, w := range widths {
+		segs[i] = row[pos : pos+w]
+		pos += w
+	}
+	return segs
+}
+
 // refFilter keeps the rows satisfying every qualification in quals, in
 // order and short-circuiting; widths lays the flat row out as one segment
 // per relation.
@@ -121,13 +132,12 @@ func (db *DB) refFilter(rows [][]value.Value, quals []*conjunct, widths []int) (
 	if len(quals) == 0 {
 		return rows, nil
 	}
-	sc := newSplitScratch(widths)
 	var out [][]value.Value
 rowLoop:
 	for _, row := range rows {
-		sc.reset()
+		segs := splitRow(row, widths)
 		for _, q := range quals {
-			ok, err := db.evalBool(q.expr, sc.get(row))
+			ok, err := db.evalBool(q.expr, segs)
 			if err != nil {
 				return nil, err
 			}
@@ -189,12 +199,11 @@ func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
 		return nil, err
 	}
 	out := &Relation{Width: len(plan.projs)}
-	sc := newSplitScratch(widths)
 	for _, row := range current {
-		sc.reset()
+		segs := splitRow(row, widths)
 		prow := make([]value.Value, len(plan.projs))
 		for i, p := range plan.projs {
-			if prow[i], err = db.evalExpr(p, sc.get(row)); err != nil {
+			if prow[i], err = db.evalExpr(p, segs); err != nil {
 				return nil, err
 			}
 		}

@@ -749,8 +749,10 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 // probe rows in original order. Per-probe match lists collect into an
 // array indexed by probe position, so the final flatten reproduces the
 // in-memory probe-order output exactly; JoinPairs and ticks account per
-// probe row exactly as the in-memory loop does.
-func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int) ([][]value.Value, error) {
+// probe row exactly as the in-memory loop does. Like the in-memory
+// producers it only enumerates pairs: k judges each one and yields the
+// stage's output row for the survivors.
+func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int, k *searchKernel) ([][]value.Value, error) {
 	probeHash := make([]uint64, len(probe))
 	for i, prow := range probe {
 		if err := db.tickRow(); err != nil {
@@ -782,7 +784,6 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int)
 		probeIdxs[pi] = append(probeIdxs[pi], i)
 	}
 	out := make([][][]value.Value, len(probe))
-	ar := &rowArena{db: db}
 	for pi, p := range parts {
 		if p == nil || len(probeIdxs[pi]) == 0 {
 			if p != nil {
@@ -792,9 +793,12 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int)
 			}
 			continue
 		}
-		if err := db.joinPart(p, probe, probeHash, probeIdxs[pi], leftKeys, rightKeys, 0, ar, out); err != nil {
+		if err := db.joinPart(p, probe, probeHash, probeIdxs[pi], leftKeys, rightKeys, 0, k, out); err != nil {
 			return nil, err
 		}
+	}
+	if k.err != nil {
+		return nil, k.err
 	}
 	joined := make([][]value.Value, 0, len(probe))
 	for _, matches := range out {
@@ -806,7 +810,7 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int)
 // joinPart joins one build partition against its probe rows, recursing
 // with the next hash nibble when the partition exceeds the grant and is
 // still splittable.
-func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, idxs []int, leftKeys, rightKeys []int, depth int, ar *rowArena, out [][][]value.Value) error {
+func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, idxs []int, leftKeys, rightKeys []int, depth int, k *searchKernel, out [][][]value.Value) error {
 	var recs []spillRecord
 	if err := db.readSpillPart(p, func(rec spillRecord) error {
 		recs = append(recs, rec)
@@ -835,7 +839,7 @@ func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, 
 			if sp == nil || len(subIdxs[ni]) == 0 {
 				continue
 			}
-			if err := db.joinPart(sp, probe, probeHash, subIdxs[ni], leftKeys, rightKeys, depth+1, ar, out); err != nil {
+			if err := db.joinPart(sp, probe, probeHash, subIdxs[ni], leftKeys, rightKeys, depth+1, k, out); err != nil {
 				return err
 			}
 		}
@@ -860,7 +864,7 @@ func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, 
 		}
 		db.Count.JoinPairs += len(matches)
 		for _, rrow := range matches {
-			out[i] = append(out[i], ar.join(probe[i], rrow))
+			out[i] = k.pair(out[i], probe[i], rrow)
 		}
 	}
 	return nil

@@ -385,39 +385,63 @@ func (v Value) encode(sb *strings.Builder) {
 
 // String renders v in ESQL literal syntax.
 func (v Value) String() string {
+	var buf [64]byte // on the stack: one allocation, the string, for all but long values
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the String rendering of v to dst and returns the
+// extended buffer, so that a caller rendering many values (a result set)
+// pays for one growing buffer rather than one string per value.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.K {
 	case KNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KBool:
 		if v.B {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	case KInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case KReal:
 		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.FormatFloat(v.F, 'f', 1, 64)
+			return strconv.AppendFloat(dst, v.F, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case KString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		dst = append(dst, '\'')
+		s := v.S
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			dst = append(append(dst, s[:i+1]...), '\'') // the quote, doubled
+			s = s[i+1:]
+		}
+		return append(append(dst, s...), '\'')
 	case KOID:
-		return fmt.Sprintf("@%d", v.OID)
+		return strconv.AppendInt(append(dst, '@'), v.OID, 10)
 	case KTuple:
-		parts := make([]string, len(v.Elems))
+		dst = append(dst, "TUPLE("...)
 		for i, e := range v.Elems {
-			parts[i] = v.Names[i] + ": " + e.String()
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(append(dst, v.Names[i]...), ": "...)
+			dst = e.AppendText(dst)
 		}
-		return "TUPLE(" + strings.Join(parts, ", ") + ")"
+		return append(dst, ')')
 	case KSet, KBag, KList, KArray:
-		parts := make([]string, len(v.Elems))
-		for i, e := range v.Elems {
-			parts[i] = e.String()
+		for _, c := range []byte(v.K.String()) { // lower-case ASCII for these kinds
+			dst = append(dst, c-'a'+'A')
 		}
-		return strings.ToUpper(v.K.String()) + "(" + strings.Join(parts, ", ") + ")"
+		dst = append(dst, '(')
+		for i, e := range v.Elems {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = e.AppendText(dst)
+		}
+		return append(dst, ')')
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Convert converts a collection value to another collection kind, following

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -177,13 +178,37 @@ func TestString(t *testing.T) {
 		{NewSet(String("b"), String("a")), "SET('a', 'b')"},
 		{NewList(Int(1), Int(2)), "LIST(1, 2)"},
 		{NewTuple([]string{"x"}, []Value{Int(1)}), "TUPLE(x: 1)"},
+		{String(""), "''"},
+		{String("'a''"), "'''a'''''"},
+		{Int(-7), "-7"},
+		{OID(-3), "@-3"},
+		{Real(1e15), "1e+15"},
+		{Real(-0.125), "-0.125"},
+		{Real(math.Inf(1)), "+Inf"},
+		{NewSet(), "SET()"},
+		{NewBag(Int(2), Int(2)), "BAG(2, 2)"},
+		{NewArray(NewList(String("q'"), Null), Bool(true)), "ARRAY(LIST('q''', NULL), TRUE)"},
+		{NewTuple([]string{"a", "b"}, []Value{NewSet(Int(1)), Real(2)}), "TUPLE(a: SET(1), b: 2.0)"},
+		{Value{K: Kind(99)}, "?"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
 		}
+		// AppendText extends the buffer it is given and is what String returns.
+		if got := string(c.v.AppendText([]byte("x | "))); got != "x | "+c.want {
+			t.Errorf("AppendText(%#v) = %q, want %q", c.v, got, "x | "+c.want)
+		}
+		// A short rendering costs the string and nothing else, nested or not
+		// (the server renders every cell of a response through String).
+		v := c.v
+		if n := testing.AllocsPerRun(20, func() { stringSink = v.String() }); n > 1 {
+			t.Errorf("String(%s) allocates %.0f times", c.want, n)
+		}
 	}
 }
+
+var stringSink string
 
 func TestConvert(t *testing.T) {
 	b := NewBag(Int(1), Int(1), Int(2))
