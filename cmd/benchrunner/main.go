@@ -20,13 +20,6 @@
 // itself (cold rewrite vs warm hit) and sizes its own caches, N when
 // given, 64 otherwise.
 //
-// -batch-size sets the engine's batch granularity for every measured
-// query (docs/PERF.md). The counter tables must not move under it — the
-// engine is bit-identical at every batch size — so rerunning with
-// -batch-size 1 is another differential check. (E17, the row-vs-batch
-// experiment, went with the row evaluator; bench/'s exec_join and
-// exec_closure workloads succeed it.)
-//
 // With -json the tables are emitted as one JSON document that also
 // records provenance — the git commit the binary was built from and a
 // fingerprint of the parsed built-in rule base — so archived runs can be
@@ -43,7 +36,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -123,22 +115,6 @@ var poolSize = 1
 // session uncached, which keeps archived tables comparable.
 var planCacheSize = 0
 
-// batchSize is the -batch-size flag, applied by measure to every session.
-// It may never change a counter table: the engine is bit-identical at
-// every batch size (docs/PERF.md).
-var batchSize = 0
-
-// maxMemBytes and spillDir are the -max-mem/-spill-dir flags, applied by
-// measure to every session. Like the batch-size knob they may never
-// change a counter table: spill-forced runs are bit-identical
-// to in-memory runs (docs/PERF.md, "Memory governor & spill"), so
-// running the whole suite at a tiny grant measures the cost of going out
-// of core on unchanged answers.
-var (
-	maxMemBytes int64 = 0
-	spillDir          = ""
-)
-
 // cacheOpts appends the -plancache option, when set, to a builder's
 // session options.
 func cacheOpts(opts []lera.Option) []lera.Option {
@@ -156,24 +132,14 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	parFlag := flag.Int("parallelism", 1, "engine worker-pool size for every measured query (0 = all cores, 1 = serial)")
 	cacheFlag := flag.Int("plancache", 0, "arm every workload session with a plan cache of this capacity (0 = uncached; E16 sizes its own)")
-	batchFlag := flag.Int("batch-size", 0, "rows per engine batch (0 = default; tables never depend on it)")
-	maxMemFlag := flag.Int64("max-mem", 0, "per-operator memory grant in bytes for every measured query (0 = ungoverned; tables never depend on it)")
-	spillFlag := flag.String("spill-dir", "", "spill directory under -max-mem (empty = no spilling)")
 	flag.Parse()
 	rec.jsonMode = *asJSON
 	poolSize = *parFlag
 	planCacheSize = *cacheFlag
-	if err := errors.Join(
-		guard.NonNegative("", "-parallelism", int64(*parFlag)),
-		guard.NonNegative("", "-batch-size", int64(*batchFlag)),
-		guard.NonNegative("", "-max-mem", *maxMemFlag),
-	); err != nil {
+	if err := guard.NonNegative("", "-parallelism", int64(*parFlag)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(2)
 	}
-	batchSize = *batchFlag
-	maxMemBytes = *maxMemFlag
-	spillDir = *spillFlag
 	scrapeURL := ""
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -413,9 +379,6 @@ func randGraph(n, e int) [][2]int {
 func measure(s *lera.Session, q string) (*lera.Result, engine.Counters, time.Duration) {
 	s.Obs = obsv
 	s.Parallelism = poolSize
-	s.BatchSize = batchSize
-	s.Limits.MaxMemBytes = maxMemBytes
-	s.SpillDir = spillDir
 	if rec.jsonMode {
 		s.DB.CollectStats = true
 	}

@@ -223,25 +223,20 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 			})
 		case len(leftKeys) > 0:
 			next := plan.rels[ri-1]
-			// The memory governor sizes the build side with the same
-			// deterministic estimate graceJoin partitions against, so the
-			// spill decision is identical at every batch and pool size.
-			grant := db.memGrant()
-			var buildBytes int64
-			if grant > 0 {
-				buildBytes = rowsMemBytes(next.Rows) + int64(len(next.Rows))*setEntryBytes
-			}
-			if grant > 0 && buildBytes > grant {
-				if !db.spillOK() {
-					return nil, db.errMemBudget("SEARCH join build", buildBytes)
-				}
+			// The governor sizes the build side with the deterministic
+			// estimate graceJoin's partitions are measured in, so the
+			// decision is identical at every batch and pool size.
+			grace, charged, aerr := db.admit("SEARCH join build", next.Rows, setEntryBytes)
+			switch {
+			case aerr != nil:
+				return nil, aerr
+			case grace:
 				current, err = db.graceJoin(current, next.Rows, leftKeys, rightKeys, st.kernel(db, 1))
-			} else {
+			default:
 				// Hash join through the (possibly persistent) index; matches
 				// surface in (probe row, build insertion) order, exactly the
 				// reference's nested-loop sequence.
 				ix := db.acquireJoinIndex(prep.names[ri-1], next.Rows, rightKeys)
-				db.chargeMem(buildBytes)
 				current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 					k := st.kernel(w, 1)
 					var out [][]value.Value
@@ -260,7 +255,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 					}
 					return out, k.err
 				})
-				db.releaseMem(buildBytes)
+				db.releaseMem(charged)
 			}
 		default:
 			next := plan.rels[ri-1].Rows

@@ -8,15 +8,16 @@ package engine
 // estimate of its resident bytes, and the moment the estimate would
 // exceed the grant it switches to its out-of-core strategy:
 //
-//   - join builds and dedup passes go grace-hash: rows are partitioned by
-//     their 64-bit key hash (hash.go) into spillFanout disk partitions
-//     with a length-prefixed value encoding, then joined/deduplicated
-//     partition by partition, recursing with the next hash nibble when a
-//     partition is itself over the grant (skew). Partition outputs merge
-//     by original row index — the same index-ordered merge discipline as
-//     the parallel sites (parallel.go) — so rows, Counters and the
-//     deterministic EXPLAIN ANALYZE rendering are bit-identical to the
-//     in-memory path at every batch size, pool size and budget;
+//   - join builds and dedup passes go grace-hash: rows are routed by their
+//     64-bit key hash (hash.go) into spillFanout disk partitions with a
+//     length-prefixed value encoding, and one recursion (graceWalk) visits
+//     the partitions, re-partitioning by the next hash nibble any whose
+//     resident estimate is itself over the grant (skew) and handing every
+//     other to the operator's leaf. Leaf outputs merge by original row
+//     index — the same index-ordered merge discipline as the parallel
+//     sites (parallel.go) — so rows, Counters and the deterministic
+//     EXPLAIN ANALYZE rendering are bit-identical to the in-memory path
+//     at every batch size, pool size and budget;
 //   - online membership sets (fixpoint seen-sets, INTERN/DIFF keys),
 //     which must answer add/has queries mid-stream and therefore cannot
 //     be deferred to a partition pass, migrate their row storage to an
@@ -40,7 +41,6 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sync"
@@ -156,6 +156,28 @@ func (db *DB) releaseMem(n int64) {
 // spillOK reports whether the evaluation has a spill directory to move
 // over-grant state into.
 func (db *DB) spillOK() bool { return db.g != nil && db.g.spill.enabled() }
+
+// admit is the memory governor's one decision, taken before an operator
+// builds a hashed structure over rows (entry = its bookkeeping bytes per
+// row). Ungoverned: run in memory, nothing charged. Over the grant with
+// no spill directory: the typed MEM_BUDGET. Over the grant: grace = true,
+// the caller goes out of core. Under it: the estimate is charged, and the
+// caller runs in memory and releases charged when done.
+func (db *DB) admit(op string, rows [][]value.Value, entry int64) (grace bool, charged int64, err error) {
+	grant := db.memGrant()
+	if grant <= 0 {
+		return false, 0, nil
+	}
+	need := rowsMemBytes(rows) + int64(len(rows))*entry
+	switch {
+	case need <= grant:
+		db.chargeMem(need)
+		return false, need, nil
+	case !db.spillOK():
+		return false, 0, db.errMemBudget(op, need)
+	}
+	return true, 0, nil
+}
 
 // errMemBudget is the typed over-grant failure of an operator that had
 // no spill directory to degrade into.
@@ -286,85 +308,78 @@ func appendRow(buf []byte, row []value.Value) []byte {
 
 var errSpillCorrupt = fmt.Errorf("engine: corrupt spill record")
 
+// decodeLen reads the uvarint byte length or element count at buf[pos:]
+// and bounds it by the bytes that remain after it — every byte and every
+// element it announces occupies at least one — so a corrupt length can
+// neither wrap an int nor size an allocation. It returns the length and
+// the position after the uvarint.
+func decodeLen(buf []byte, pos int) (int, int, error) {
+	n, w := binary.Uvarint(buf[pos:])
+	if w <= 0 || n > uint64(len(buf)-pos-w) {
+		return 0, pos, errSpillCorrupt
+	}
+	return int(n), pos + w, nil
+}
+
 // decodeValue decodes one value at buf[pos:], returning the value and
-// the position after it.
+// the position after it. An element is decoded with the one byte each of
+// its later siblings needs at least held back from buf: that is free for
+// a valid record, and keeps what nested corrupt counts can make the
+// decoder allocate linear in the record's size instead of quadratic.
 func decodeValue(buf []byte, pos int) (value.Value, int, error) {
 	if pos >= len(buf) {
 		return value.Value{}, pos, errSpillCorrupt
 	}
-	k := value.Kind(buf[pos])
+	v := value.Value{K: value.Kind(buf[pos])}
 	pos++
-	v := value.Value{K: k}
-	need := func(n int) bool { return pos+n <= len(buf) }
-	switch k {
+	var n int
+	var err error
+	switch v.K {
 	case value.KNull:
 	case value.KBool:
-		if !need(1) {
+		if pos >= len(buf) {
 			return v, pos, errSpillCorrupt
 		}
 		v.B = buf[pos] == 1
 		pos++
-	case value.KInt:
-		if !need(8) {
+	case value.KInt, value.KReal, value.KOID:
+		if len(buf)-pos < 8 {
 			return v, pos, errSpillCorrupt
 		}
-		v.I = int64(binary.LittleEndian.Uint64(buf[pos:]))
+		bits := binary.LittleEndian.Uint64(buf[pos:])
 		pos += 8
-	case value.KReal:
-		if !need(8) {
-			return v, pos, errSpillCorrupt
+		switch v.K {
+		case value.KInt:
+			v.I = int64(bits)
+		case value.KReal:
+			v.F = math.Float64frombits(bits)
+		default:
+			v.OID = int64(bits)
 		}
-		v.F = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
 	case value.KString:
-		n, w := binary.Uvarint(buf[pos:])
-		if w <= 0 || !need(w+int(n)) {
-			return v, pos, errSpillCorrupt
+		if n, pos, err = decodeLen(buf, pos); err != nil {
+			return v, pos, err
 		}
-		pos += w
-		v.S = string(buf[pos : pos+int(n)])
-		pos += int(n)
-	case value.KOID:
-		if !need(8) {
-			return v, pos, errSpillCorrupt
+		v.S = string(buf[pos : pos+n])
+		pos += n
+	case value.KTuple, value.KSet, value.KBag, value.KList, value.KArray:
+		if n, pos, err = decodeLen(buf, pos); err != nil {
+			return v, pos, err
 		}
-		v.OID = int64(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
-	case value.KTuple:
-		n, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return v, pos, errSpillCorrupt
-		}
-		pos += w
-		v.Names = make([]string, n)
-		for i := range v.Names {
-			ln, lw := binary.Uvarint(buf[pos:])
-			if lw <= 0 || !need(lw+int(ln)) {
-				return v, pos, errSpillCorrupt
+		if v.K == value.KTuple {
+			v.Names = make([]string, n)
+			for i := range v.Names {
+				var ln int
+				if ln, pos, err = decodeLen(buf, pos); err != nil {
+					return v, pos, err
+				}
+				v.Names[i] = string(buf[pos : pos+ln])
+				pos += ln
 			}
-			pos += lw
-			v.Names[i] = string(buf[pos : pos+int(ln)])
-			pos += int(ln)
 		}
 		v.Elems = make([]value.Value, n)
 		for i := range v.Elems {
-			var err error
-			v.Elems[i], pos, err = decodeValue(buf, pos)
-			if err != nil {
-				return v, pos, err
-			}
-		}
-	case value.KSet, value.KBag, value.KList, value.KArray:
-		n, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return v, pos, errSpillCorrupt
-		}
-		pos += w
-		v.Elems = make([]value.Value, n)
-		for i := range v.Elems {
-			var err error
-			v.Elems[i], pos, err = decodeValue(buf, pos)
-			if err != nil {
+			if v.Elems[i], pos, err = decodeValue(buf[:len(buf)-(n-1-i)], pos); err != nil {
 				return v, pos, err
 			}
 		}
@@ -376,16 +391,13 @@ func decodeValue(buf []byte, pos int) (value.Value, int, error) {
 
 // decodeRow decodes one encoded row (the payload appendRow produced).
 func decodeRow(buf []byte) ([]value.Value, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return nil, errSpillCorrupt
+	n, pos, err := decodeLen(buf, 0)
+	if err != nil {
+		return nil, err
 	}
-	pos := w
 	row := make([]value.Value, n)
 	for i := range row {
-		var err error
-		row[i], pos, err = decodeValue(buf, pos)
-		if err != nil {
+		if row[i], pos, err = decodeValue(buf[:len(buf)-(n-1-i)], pos); err != nil {
 			return nil, err
 		}
 	}
@@ -395,249 +407,273 @@ func decodeRow(buf []byte) ([]value.Value, error) {
 	return row, nil
 }
 
-// ---- Spill partition files ----
+// ---- The partition store ----
 //
-// Grace-hash record framing: [uvarint payload length] [payload], where
-// the payload is [8-byte hash] [8-byte original row index] [encoded
-// row]. The hash rides along so recursion re-partitions without
-// re-hashing decoded rows; the index is what the index-ordered output
-// merge keys on.
+// Everything out-of-core sits on three small types: a spillFile owns one
+// temp file, a spillPart is a file of hash-routed records plus what the
+// walk must know of it, and a partSet is one fan-out level of the grace
+// partition tree. Grace dedup and grace join fill a partSet and hand it to
+// graceWalk with their leaf; the spilled membership set uses the file
+// owner and the row codec directly.
 
-// spillPart is one buffered partition file being written.
-type spillPart struct {
-	f     *os.File
-	buf   []byte
-	bytes int64
-	rows  int64
+// spillFile owns one temp file of the evaluation's spill directory.
+// newSpillFile is the only creator and close the only remover; the files
+// are single-pass scratch, so nothing is ever synced or kept.
+type spillFile struct {
+	db   *DB
+	f    *os.File
+	size int64 // bytes written
 }
 
-func (p *spillPart) add(h, idx uint64, row []value.Value) error {
-	p.buf = p.buf[:0]
-	p.buf = binary.LittleEndian.AppendUint64(p.buf, h)
-	p.buf = binary.LittleEndian.AppendUint64(p.buf, idx)
-	p.buf = appendRow(p.buf, row)
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(p.buf)))
-	if _, err := p.f.Write(hdr[:n]); err != nil {
+// newSpillFile creates a spill file, counted as one SpillStats.Partitions.
+func (db *DB) newSpillFile() (spillFile, error) {
+	f, err := db.g.spill.tempFile()
+	if err != nil {
+		return spillFile{}, err
+	}
+	db.noteSpill(1, 0)
+	return spillFile{db: db, f: f}, nil
+}
+
+// write appends b in one Write and accounts its bytes.
+func (s *spillFile) write(b []byte) error {
+	if _, err := s.f.Write(b); err != nil {
 		return fmt.Errorf("engine: spill write: %w", err)
 	}
-	if _, err := p.f.Write(p.buf); err != nil {
-		return fmt.Errorf("engine: spill write: %w", err)
-	}
-	p.bytes += int64(n + len(p.buf))
-	p.rows++
+	s.size += int64(len(b))
+	s.db.noteSpill(0, int64(len(b)))
 	return nil
 }
 
-// close removes the partition file (partitions are single-pass scratch).
-func (p *spillPart) close() {
-	if p.f != nil {
-		name := p.f.Name()
-		_ = p.f.Close()
+// close closes and removes the file. Idempotent.
+func (s *spillFile) close() {
+	if s.f != nil {
+		name := s.f.Name()
+		_ = s.f.Close()
 		_ = os.Remove(name)
-		p.f = nil
+		s.f = nil
 	}
 }
 
-// spillRecord is one decoded partition record.
+// spillRecord is one partition record. On disk it is framed as [uvarint
+// payload length] [payload], the payload being [8-byte hash] [8-byte
+// original row index] [encoded row]: the hash rides along so that
+// re-partitioning never re-hashes, and the index is what the
+// index-ordered output merge keys on.
 type spillRecord struct {
 	hash uint64
 	idx  uint64
 	row  []value.Value
 }
 
-// readSpillPart reads every record of a partition file in write order,
-// invoking fn for each. Reads are accounted on db.Spill.
-func (db *DB) readSpillPart(p *spillPart, fn func(rec spillRecord) error) error {
-	if _, err := p.f.Seek(0, io.SeekStart); err != nil {
+// decodeRecord decodes the record framed at data[pos:], returning it and
+// the position after it.
+func decodeRecord(data []byte, pos int) (spillRecord, int, error) {
+	n, pos, err := decodeLen(data, pos)
+	if err != nil || n < 16 {
+		return spillRecord{}, pos, errSpillCorrupt
+	}
+	payload := data[pos : pos+n]
+	row, err := decodeRow(payload[16:])
+	return spillRecord{
+		hash: binary.LittleEndian.Uint64(payload),
+		idx:  binary.LittleEndian.Uint64(payload[8:]),
+		row:  row,
+	}, pos + n, err
+}
+
+// spillPart is one partition file, with what graceWalk must know of it
+// recorded as it fills, so that "over the grant and still splittable" is
+// decided without reading the file back.
+type spillPart struct {
+	spillFile
+	buf  []byte // record scratch
+	rows int
+	// resident is what loading the partition would charge: Σ rowMemBytes +
+	// setEntryBytes, the unit of the grant and of the initial spill
+	// decision — not the encoded size, which is ~13x smaller for int rows.
+	resident int64
+	// mixed reports more than one distinct hash (hash0 is the first): only
+	// then can deeper nibbles separate the rows.
+	hash0 uint64
+	mixed bool
+}
+
+// add appends one record in a single Write: the payload is encoded behind
+// a gap wide enough for any length header, which is then laid
+// right-aligned against it.
+func (p *spillPart) add(h, idx uint64, row []value.Value) error {
+	var hdr [binary.MaxVarintLen64]byte
+	buf := append(p.buf[:0], hdr[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, h)
+	buf = binary.LittleEndian.AppendUint64(buf, idx)
+	buf = appendRow(buf, row)
+	p.buf = buf
+	n := binary.PutUvarint(hdr[:], uint64(len(buf)-len(hdr)))
+	rec := buf[len(hdr)-n:]
+	copy(rec, hdr[:n])
+	if err := p.write(rec); err != nil {
+		return err
+	}
+	if p.rows == 0 {
+		p.hash0 = h
+	} else if h != p.hash0 {
+		p.mixed = true
+	}
+	p.rows++
+	p.resident += rowMemBytes(row) + setEntryBytes
+	return nil
+}
+
+// scan reads the partition back in write order, invoking fn per record
+// and counting each as one SpillStats.Reads.
+func (p *spillPart) scan(fn func(spillRecord) error) error {
+	data := make([]byte, p.size)
+	if _, err := p.f.ReadAt(data, 0); err != nil {
 		return fmt.Errorf("engine: spill read: %w", err)
 	}
-	data, err := io.ReadAll(p.f)
-	if err != nil {
-		return fmt.Errorf("engine: spill read: %w", err)
-	}
-	pos := 0
-	for pos < len(data) {
-		n, w := binary.Uvarint(data[pos:])
-		if w <= 0 || pos+w+int(n) > len(data) || n < 16 {
-			return errSpillCorrupt
-		}
-		pos += w
-		payload := data[pos : pos+int(n)]
-		pos += int(n)
-		row, err := decodeRow(payload[16:])
+	for pos := 0; pos < len(data); {
+		rec, next, err := decodeRecord(data, pos)
 		if err != nil {
 			return err
 		}
-		db.Spill.Reads++
-		if err := fn(spillRecord{
-			hash: binary.LittleEndian.Uint64(payload),
-			idx:  binary.LittleEndian.Uint64(payload[8:]),
-			row:  row,
-		}); err != nil {
+		pos = next
+		p.db.Spill.Reads++
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// spillPartition routes rows into spillFanout partition files by the
-// hash nibble at depth. hashes[i] must be the governing hash of rows[i];
-// idx[i] is the original row index carried through for the ordered
-// merge (nil = identity).
-func (db *DB) spillPartition(rows [][]value.Value, hashes []uint64, idxs []uint64, depth int) ([]*spillPart, error) {
-	parts := make([]*spillPart, spillFanout)
-	cleanup := func() {
-		for _, p := range parts {
-			if p != nil {
-				p.close()
-			}
-		}
-	}
-	for i, row := range rows {
-		if err := db.tickRow(); err != nil {
-			cleanup()
-			return nil, err
-		}
-		h := hashes[i]
-		pi := spillNibble(h, depth)
-		p := parts[pi]
-		if p == nil {
-			f, err := db.g.spill.tempFile()
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			p = &spillPart{f: f}
-			parts[pi] = p
-		}
-		idx := uint64(i)
-		if idxs != nil {
-			idx = idxs[i]
-		}
-		if err := p.add(h, idx, row); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	for _, p := range parts {
-		if p != nil {
-			db.noteSpill(1, p.bytes)
-		}
-	}
-	return parts, nil
+// partSet is one level of a grace partition tree: up to spillFanout
+// partitions, selected by the hash nibble at depth. Whoever creates a set
+// closes it.
+type partSet struct {
+	db    *DB
+	depth int
+	parts [spillFanout]*spillPart
 }
 
-// respillPart re-partitions one over-grant partition at the next hash
-// nibble (the skew recursion), consuming and removing the parent file.
-func (db *DB) respillPart(p *spillPart, depth int) ([]*spillPart, error) {
-	parts := make([]*spillPart, spillFanout)
-	cleanup := func() {
-		for _, np := range parts {
-			if np != nil {
-				np.close()
-			}
-		}
+// route appends a row to the partition its hash selects, creating the
+// partition's file on first use. It serves the initial partitioning of an
+// operator's rows and the re-partitioning of an over-grant partition
+// alike. idx is the original row index, carried unchanged through every
+// level.
+func (ps *partSet) route(h, idx uint64, row []value.Value) error {
+	if err := ps.db.tickRow(); err != nil {
+		return err
 	}
-	err := db.readSpillPart(p, func(rec spillRecord) error {
-		if err := db.tickRow(); err != nil {
+	pi := spillNibble(h, ps.depth)
+	if ps.parts[pi] == nil {
+		f, err := ps.db.newSpillFile()
+		if err != nil {
 			return err
 		}
-		pi := spillNibble(rec.hash, depth)
-		np := parts[pi]
-		if np == nil {
-			f, err := db.g.spill.tempFile()
+		ps.parts[pi] = &spillPart{spillFile: f}
+	}
+	return ps.parts[pi].add(h, idx, row)
+}
+
+// close removes every partition file of the set.
+func (ps *partSet) close() {
+	for _, p := range ps.parts {
+		if p != nil {
+			p.close()
+		}
+	}
+}
+
+// graceWalk is the one recursion of the out-of-core operators, over the
+// partitions of ps in nibble order. A partition whose resident estimate
+// exceeds the grant, and whose rows deeper nibbles can still separate, is
+// streamed from its file into a set one level down — never decoded into
+// memory first, so a spilled row is read once per level it lives at — and
+// that set is walked in turn. Any other partition is loaded and handed to
+// leaf; that includes an over-grant one whose records all share one hash
+// (forced collisions), so termination never depends on hash quality, only
+// the memory bound does. Partitioning preserves relative row order at
+// every level, so leaf sees records in original order.
+//
+// ride lists the in-memory rows travelling with the walk — a join's probe
+// side, by index, with their key hashes in rideHash. They are routed by
+// the same nibble at every level; leaf receives the ones that reached its
+// partition, and a partition none reached cannot contribute and is
+// skipped unread. A nil rideHash means no riders: every partition is
+// visited.
+func (db *DB) graceWalk(ps *partSet, ride []int, rideHash []uint64, leaf func(recs []spillRecord, ride []int) error) error {
+	var rides [spillFanout][]int
+	for _, i := range ride {
+		pi := spillNibble(rideHash[i], ps.depth)
+		rides[pi] = append(rides[pi], i)
+	}
+	for pi, p := range ps.parts {
+		if p == nil || (rideHash != nil && len(rides[pi]) == 0) {
+			continue
+		}
+		if p.resident > db.memGrant() && p.mixed && ps.depth+1 < maxSpillDepth {
+			sub := &partSet{db: db, depth: ps.depth + 1}
+			err := p.scan(func(rec spillRecord) error { return sub.route(rec.hash, rec.idx, rec.row) })
+			p.close()
+			if err == nil {
+				err = db.graceWalk(sub, rides[pi], rideHash, leaf)
+			}
+			sub.close()
 			if err != nil {
 				return err
 			}
-			np = &spillPart{f: f}
-			parts[pi] = np
+			continue
 		}
-		return np.add(rec.hash, rec.idx, rec.row)
-	})
-	p.close()
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	for _, np := range parts {
-		if np != nil {
-			db.noteSpill(1, np.bytes)
+		recs := make([]spillRecord, 0, p.rows)
+		if err := p.scan(func(rec spillRecord) error {
+			recs = append(recs, rec)
+			return nil
+		}); err != nil {
+			return err
+		}
+		if err := leaf(recs, rides[pi]); err != nil {
+			return err
 		}
 	}
-	return parts, nil
-}
-
-// splittable reports whether a partition's rows can still be separated
-// by deeper hash nibbles: once every record shares one hash (forced
-// collisions, pathological data) recursion cannot help and the
-// partition is processed in memory regardless of size.
-func partSplittable(rows []spillRecord) bool {
-	for i := 1; i < len(rows); i++ {
-		if rows[i].hash != rows[0].hash {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // ---- Grace dedup ----
 
 // dedupRows is the governed duplicate-elimination entry of the batched
-// engine: the plain in-place pass (package dedupRows) while the
-// deterministic input estimate is under the grant, graceDedup beyond it.
-// The caller must own rows, like package dedupRows.
+// engine: the plain in-place pass (package dedupRows) under the grant,
+// graceDedup beyond it. The caller must own rows, like package dedupRows.
 func (db *DB) dedupRows(rows [][]value.Value) ([][]value.Value, error) {
-	grant := db.memGrant()
-	if grant <= 0 {
-		return dedupRows(rows), nil
-	}
-	total := rowsMemBytes(rows)
-	if total > grant {
-		if !db.spillOK() {
-			return nil, db.errMemBudget("dedup set", total)
-		}
-		return db.graceDedup(rows)
-	}
-	db.chargeMem(total)
-	out := dedupRows(rows)
-	db.releaseMem(total)
-	return out, nil
-}
-
-// graceDedup is the out-of-core dedupRows: rows are partitioned to disk
-// by rowHash, each partition deduplicates independently (recursing on
-// skew), and survivors merge by original row index — which reconstructs
-// the exact first-occurrence order of the in-memory pass, over the very
-// same row slices (the decoded disk copies are only used for the
-// membership checks). The caller must own rows, like dedupRows.
-func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
-	keep := make([]bool, len(rows))
-	hashes := make([]uint64, len(rows))
-	for i, row := range rows {
-		if err := db.tickRow(); err != nil {
-			return nil, err
-		}
-		hashes[i] = hashRowFn(row)
-	}
-	parts, err := db.spillPartition(rows, hashes, nil, 0)
+	grace, charged, err := db.admit("dedup set", rows, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				p.close()
-			}
-		}
-	}()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := db.dedupPart(p, keep, 0); err != nil {
+	if grace {
+		return db.graceDedup(rows)
+	}
+	defer db.releaseMem(charged)
+	return dedupRows(rows), nil
+}
+
+// graceDedup is the out-of-core dedupRows: rows are partitioned to disk
+// by rowHash, each leaf partition deduplicates independently, and
+// survivors merge by original row index — which reconstructs the exact
+// first-occurrence order of the in-memory pass, over the very same row
+// slices (the decoded disk copies are only used for the membership
+// checks). The caller must own rows, like dedupRows.
+func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
+	ps := &partSet{db: db}
+	defer ps.close()
+	for i, row := range rows {
+		if err := ps.route(hashRowFn(row), uint64(i), row); err != nil {
 			return nil, err
 		}
+	}
+	keep := make([]bool, len(rows))
+	if err := db.graceWalk(ps, nil, nil, func(recs []spillRecord, _ []int) error {
+		return db.dedupRecords(recs, keep)
+	}); err != nil {
+		return nil, err
 	}
 	out := rows[:0]
 	for i, row := range rows {
@@ -648,78 +684,20 @@ func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
 	return out, nil
 }
 
-// dedupPart deduplicates one partition: load its records, recurse when
-// still over the grant and splittable, otherwise mark first occurrences
-// in the shared keep bitmap through a collision-checked bucket scan.
-func (db *DB) dedupPart(p *spillPart, keep []bool, depth int) error {
-	grant := db.memGrant()
-	if p.bytes > grant && depth+1 < maxSpillDepth {
-		var recs []spillRecord
-		// Peek only far enough to know whether deeper nibbles separate the
-		// rows; an unsplittable partition (all one hash) is processed
-		// directly however large.
-		split := false
-		var firstHash uint64
-		first := true
-		err := db.readSpillPart(p, func(rec spillRecord) error {
-			if first {
-				firstHash = rec.hash
-				first = false
-			} else if rec.hash != firstHash {
-				split = true
-			}
-			recs = append(recs, rec)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if split {
-			subs, err := db.respillPart(p, depth+1)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				for _, sp := range subs {
-					if sp != nil {
-						sp.close()
-					}
-				}
-			}()
-			for _, sp := range subs {
-				if sp == nil {
-					continue
-				}
-				if err := db.dedupPart(sp, keep, depth+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return db.dedupRecords(recs, keep)
-	}
-	var recs []spillRecord
-	if err := db.readSpillPart(p, func(rec spillRecord) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return db.dedupRecords(recs, keep)
-}
-
-// dedupRecords marks the first occurrence of each distinct row of one
-// (sub)partition in the keep bitmap. Records arrive in original row
-// order (partitioning preserves relative order at every depth), so the
-// first bucket miss is the globally first occurrence within this
-// partition — and distinct rows never span partitions.
+// dedupRecords, grace dedup's leaf, marks the first occurrence of each
+// distinct row of one partition in the keep bitmap. Records arrive in
+// original row order, so the first bucket miss is the globally first
+// occurrence — distinct rows never span partitions.
 func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 	charged := int64(0)
+	defer func() { db.releaseMem(charged) }()
 	buckets := map[uint64][][]value.Value{}
 	for _, rec := range recs {
 		if err := db.tickRow(); err != nil {
-			db.releaseMem(charged)
 			return err
+		}
+		if rec.idx >= uint64(len(keep)) {
+			return errSpillCorrupt
 		}
 		dup := false
 		for _, seen := range buckets[rec.hash] {
@@ -737,65 +715,40 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 		db.chargeMem(n)
 		keep[rec.idx] = true
 	}
-	db.releaseMem(charged)
 	return nil
 }
 
 // ---- Grace hash join ----
 
 // graceJoin is the out-of-core SEARCH equi-join: build rows spill to
-// hash partitions, probe rows stay in memory routed by the same key
-// hash, and each partition builds its (bounded) joinIndex and probes its
-// probe rows in original order. Per-probe match lists collect into an
-// array indexed by probe position, so the final flatten reproduces the
-// in-memory probe-order output exactly; JoinPairs and ticks account per
-// probe row exactly as the in-memory loop does. Like the in-memory
-// producers it only enumerates pairs: k judges each one and yields the
-// stage's output row for the survivors.
+// hash partitions, probe rows stay in memory and ride the walk by the
+// same key hash, and each leaf partition builds its (bounded) joinIndex
+// and probes the probe rows that reached it, in original order. Per-probe
+// match lists collect into an array indexed by probe position, so the
+// final flatten reproduces the in-memory probe-order output exactly. Like
+// the in-memory producers it only enumerates pairs: k judges each one and
+// yields the stage's output row for the survivors.
 func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int, k *searchKernel) ([][]value.Value, error) {
-	probeHash := make([]uint64, len(probe))
+	ride := make([]int, len(probe))
+	rideHash := make([]uint64, len(probe))
 	for i, prow := range probe {
 		if err := db.tickRow(); err != nil {
 			return nil, err
 		}
-		probeHash[i] = hashKeyFn(prow, leftKeys)
+		ride[i], rideHash[i] = i, hashKeyFn(prow, leftKeys)
 	}
-	buildHash := make([]uint64, len(build))
+	ps := &partSet{db: db}
+	defer ps.close()
 	for i, brow := range build {
-		if err := db.tickRow(); err != nil {
+		if err := ps.route(hashKeyFn(brow, rightKeys), uint64(i), brow); err != nil {
 			return nil, err
 		}
-		buildHash[i] = hashKeyFn(brow, rightKeys)
-	}
-	parts, err := db.spillPartition(build, buildHash, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				p.close()
-			}
-		}
-	}()
-	probeIdxs := make([][]int, spillFanout)
-	for i, h := range probeHash {
-		pi := spillNibble(h, 0)
-		probeIdxs[pi] = append(probeIdxs[pi], i)
 	}
 	out := make([][][]value.Value, len(probe))
-	for pi, p := range parts {
-		if p == nil || len(probeIdxs[pi]) == 0 {
-			if p != nil {
-				// A partition no probe row hashes into cannot produce
-				// matches; skip its scan entirely.
-				continue
-			}
-			continue
-		}
-		if err := db.joinPart(p, probe, probeHash, probeIdxs[pi], leftKeys, rightKeys, 0, k, out); err != nil {
-			return nil, err
-		}
+	if err := db.graceWalk(ps, ride, rideHash, func(recs []spillRecord, idxs []int) error {
+		return db.joinPart(recs, idxs, probe, leftKeys, rightKeys, k, out)
+	}); err != nil {
+		return nil, err
 	}
 	if k.err != nil {
 		return nil, k.err
@@ -807,44 +760,10 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int,
 	return joined, nil
 }
 
-// joinPart joins one build partition against its probe rows, recursing
-// with the next hash nibble when the partition exceeds the grant and is
-// still splittable.
-func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, idxs []int, leftKeys, rightKeys []int, depth int, k *searchKernel, out [][][]value.Value) error {
-	var recs []spillRecord
-	if err := db.readSpillPart(p, func(rec spillRecord) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if p.bytes > db.memGrant() && depth+1 < maxSpillDepth && partSplittable(recs) {
-		subs, err := db.respillPart(p, depth+1)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			for _, sp := range subs {
-				if sp != nil {
-					sp.close()
-				}
-			}
-		}()
-		subIdxs := make([][]int, spillFanout)
-		for _, i := range idxs {
-			ni := spillNibble(probeHash[i], depth+1)
-			subIdxs[ni] = append(subIdxs[ni], i)
-		}
-		for ni, sp := range subs {
-			if sp == nil || len(subIdxs[ni]) == 0 {
-				continue
-			}
-			if err := db.joinPart(sp, probe, probeHash, subIdxs[ni], leftKeys, rightKeys, depth+1, k, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// joinPart, grace join's leaf, indexes one loaded build partition and
+// probes it with the probe rows idxs. JoinPairs and ticks account per
+// probe row exactly as the in-memory loop does.
+func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, out [][][]value.Value) error {
 	rows := make([][]value.Value, len(recs))
 	charged := int64(0)
 	for i, rec := range recs {
@@ -879,9 +798,7 @@ func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, 
 // so first-seen behavior — and with it every downstream row — is
 // untouched by the migration.
 type spillSet struct {
-	db      *DB
-	f       *os.File
-	off     int64
+	spillFile
 	buckets map[uint64][]spillRef
 	mem     int64 // charged bookkeeping bytes
 	scratch []byte
@@ -892,43 +809,38 @@ type spillRef struct {
 	n   int32
 }
 
-func (db *DB) newSpillSet() (*spillSet, error) {
-	f, err := db.g.spill.tempFile()
-	if err != nil {
-		return nil, err
+// find reports whether a stored row under hash h equals row, reading each
+// candidate back (one SpillStats.Reads apiece).
+func (s *spillSet) find(h uint64, row []value.Value) (bool, error) {
+	for _, ref := range s.buckets[h] {
+		if cap(s.scratch) < int(ref.n) {
+			s.scratch = make([]byte, ref.n)
+		}
+		buf := s.scratch[:ref.n]
+		if _, err := s.f.ReadAt(buf, ref.off); err != nil {
+			return false, fmt.Errorf("engine: spill read: %w", err)
+		}
+		s.db.Spill.Reads++
+		stored, err := decodeRow(buf)
+		if err != nil {
+			return false, err
+		}
+		if rowKeyEq(stored, row) {
+			return true, nil
+		}
 	}
-	db.noteSpill(1, 0)
-	return &spillSet{db: db, f: f, buckets: map[uint64][]spillRef{}}, nil
-}
-
-// matchAt reports whether the stored row at ref equals row.
-func (s *spillSet) matchAt(ref spillRef, row []value.Value) (bool, error) {
-	if cap(s.scratch) < int(ref.n) {
-		s.scratch = make([]byte, ref.n)
-	}
-	buf := s.scratch[:ref.n]
-	if _, err := s.f.ReadAt(buf, ref.off); err != nil {
-		return false, fmt.Errorf("engine: spill read: %w", err)
-	}
-	s.db.Spill.Reads++
-	stored, err := decodeRow(buf)
-	if err != nil {
-		return false, err
-	}
-	return rowKeyEq(stored, row), nil
+	return false, nil
 }
 
 // insert appends row under hash h without a membership check.
 func (s *spillSet) insert(h uint64, row []value.Value) error {
 	payload := appendRow(s.scratch[:0], row)
 	s.scratch = payload[:0]
-	if _, err := s.f.WriteAt(payload, s.off); err != nil {
-		return fmt.Errorf("engine: spill write: %w", err)
+	ref := spillRef{off: s.size, n: int32(len(payload))}
+	if err := s.write(payload); err != nil {
+		return err
 	}
-	ref := spillRef{off: s.off, n: int32(len(payload))}
-	s.off += int64(len(payload))
 	s.buckets[h] = append(s.buckets[h], ref)
-	s.db.noteSpill(0, int64(len(payload)))
 	s.db.chargeMem(setEntryBytes)
 	s.mem += setEntryBytes
 	return nil
@@ -937,43 +849,20 @@ func (s *spillSet) insert(h uint64, row []value.Value) error {
 // add inserts row and reports whether it was newly added.
 func (s *spillSet) add(row []value.Value) (bool, error) {
 	h := hashRowFn(row)
-	for _, ref := range s.buckets[h] {
-		ok, err := s.matchAt(ref, row)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return false, nil
-		}
-	}
-	if err := s.insert(h, row); err != nil {
+	if found, err := s.find(h, row); found || err != nil {
 		return false, err
 	}
-	return true, nil
+	return true, s.insert(h, row)
 }
 
 // has reports membership without inserting.
 func (s *spillSet) has(row []value.Value) (bool, error) {
-	for _, ref := range s.buckets[hashRowFn(row)] {
-		ok, err := s.matchAt(ref, row)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
+	return s.find(hashRowFn(row), row)
 }
 
 // close releases the set's file and charged bookkeeping.
 func (s *spillSet) close() {
-	if s.f != nil {
-		name := s.f.Name()
-		_ = s.f.Close()
-		_ = os.Remove(name)
-		s.f = nil
-	}
+	s.spillFile.close()
 	s.db.releaseMem(s.mem)
 	s.mem = 0
 }
@@ -1032,10 +921,11 @@ func (m *memSet) migrate() error {
 	if !m.db.spillOK() {
 		return m.db.errMemBudget(m.label, m.bytes)
 	}
-	sp, err := m.db.newSpillSet()
+	f, err := m.db.newSpillFile()
 	if err != nil {
 		return err
 	}
+	sp := &spillSet{spillFile: f, buckets: map[uint64][]spillRef{}}
 	for h, bucket := range m.set.m {
 		for _, row := range bucket {
 			if err := m.db.tickRow(); err != nil {

@@ -11,10 +11,12 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -50,8 +52,9 @@ func dirEmpty(t *testing.T, dir, when string) {
 // every governed structure goes out of core) reproduces the golden bit
 // for bit — rows in order, all counters, the whole stats tree — and the
 // reference's rows, at batch sizes 1 and 1024 and pool sizes 1 and 4. A
-// generous grant that never spills is covered too, and the tiny-grant
-// runs must in fact have spilled.
+// generous grant that never spills is covered too, as is a 1 KiB grant
+// under which some partitions descend while their siblings are leaves,
+// and the tiny-grant runs must in fact have spilled.
 func TestSpillBitIdentity(t *testing.T) {
 	g := loadGolden(t)
 	spilled := int64(0)
@@ -59,7 +62,7 @@ func TestSpillBitIdentity(t *testing.T) {
 		for _, mode := range []FixMode{Naive, SemiNaive} {
 			want := golden(t, g, "corpus/"+name+"/"+modeName(mode))
 			ref := referenceRows(t, loadedDB(t), q, mode)
-			for _, budget := range []int64{1, 1 << 30} {
+			for _, budget := range []int64{1, 1 << 10, 1 << 30} {
 				for _, batch := range []int{1, 1024} {
 					for _, par := range []int{1, 4} {
 						run, db := runSpillEngine(t, q, batch, par, budget, t.TempDir(), mode)
@@ -69,9 +72,10 @@ func TestSpillBitIdentity(t *testing.T) {
 						if d := diffRows(ref, run); d != "" {
 							t.Errorf("%s mode=%v budget=%d batch=%d par=%d: %s", name, mode, budget, batch, par, d)
 						}
-						if budget == 1 {
+						switch {
+						case budget == 1:
 							spilled += db.Spill.Partitions + db.Spill.Bytes
-						} else if db.Spill != (SpillStats{}) {
+						case budget == 1<<30 && db.Spill != (SpillStats{}):
 							t.Errorf("%s mode=%v batch=%d par=%d: generous grant spilled: %+v", name, mode, batch, par, db.Spill)
 						}
 					}
@@ -82,6 +86,33 @@ func TestSpillBitIdentity(t *testing.T) {
 	if spilled == 0 {
 		t.Error("tiny-grant runs never spilled — the gate is not exercising the out-of-core path")
 	}
+}
+
+// TestSpillRepartitionsOnResidentBytes pins the unit of the recursion
+// threshold and the read-once contract. A 16 000-row two-int build under
+// a 128 KiB grant makes depth-0 partitions of ~1 000 rows: ~36 KB on disk
+// but ~264 KB resident, so they must be re-partitioned — comparing the
+// encoded size instead (the bug this guards) loads them whole. Both
+// governed structures, the join build and the 15 999-row output dedup,
+// then live at exactly two levels, and each spilled row is read once per
+// level: a partition that is split is streamed, never decoded first.
+// Rows, counters and the stats tree stay those of the ungoverned run.
+func TestSpillRepartitionsOnResidentBytes(t *testing.T) {
+	const n = 16000
+	want := runOn(chainDB(t, n), bigJoinQuery(), runCfg{par: 1})
+	dir := t.TempDir()
+	db := chainDB(t, n)
+	got := runOn(db, bigJoinQuery(), runCfg{par: 1, lim: guard.Limits{MaxMemBytes: 128 << 10}, spillDir: dir})
+	if d := diffRuns(want, got); d != "" {
+		t.Fatalf("governed vs ungoverned: %s", d)
+	}
+	if db.Spill.Partitions <= 2*spillFanout {
+		t.Errorf("Spill.Partitions = %d: no over-grant partition was re-partitioned", db.Spill.Partitions)
+	}
+	if wantReads := int64(2*n + 2*(n-1)); db.Spill.Reads != wantReads {
+		t.Errorf("Spill.Reads = %d, want %d (each spilled row once per level)", db.Spill.Reads, wantReads)
+	}
+	dirEmpty(t, dir, "after the re-partitioned join")
 }
 
 // TestSpillTempFilesCleanedOnSuccess: after every successful spill-forced
@@ -239,6 +270,29 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpillCodecNestedCountsStayLinear: a corrupt record of nested lists,
+// each announcing half as many elements as bytes remain, is rejected having
+// allocated a bounded multiple of its size — not the quadratic 4 GB a
+// 16 KB record costs when every level may claim the same bytes.
+func TestSpillCodecNestedCountsStayLinear(t *testing.T) {
+	const size = 16 << 10
+	buf := []byte{1}
+	for len(buf) < size {
+		buf = append(buf, byte(value.KList))
+		buf = binary.AppendUvarint(buf, uint64(size-len(buf))/2)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeRow(buf)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errSpillCorrupt) {
+		t.Fatalf("got %v, want errSpillCorrupt", err)
+	}
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(1024*len(buf)); got > max {
+		t.Errorf("decoding a corrupt %d-byte record allocated %d bytes, want <= %d", len(buf), got, max)
+	}
+}
+
 // TestHashCollisionAudit forces every hash to collide by swapping the
 // package hashers for constant functions, then re-runs the corpus in
 // memory and spill-forced: results must equal the golden and the
@@ -295,4 +349,62 @@ func TestSpillStatsOnlyInTimedOutput(t *testing.T) {
 	if !strings.Contains(timed, "spill=") {
 		t.Errorf("timed stats missing spill info:\n%s", timed)
 	}
+}
+
+// sameKinds reports whether a and b agree on Kind at every nesting level
+// (rowKeyEq alone treats an int and the equal real alike).
+func sameKinds(a, b []value.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].K != b[i].K || !sameKinds(a[i].Elems, b[i].Elems) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSpillCodec feeds arbitrary bytes to the spill decoders, as a row
+// payload and as a run of framed partition records. Whatever a spill file
+// holds must decode or yield errSpillCorrupt — never panic, and never
+// size an allocation from an unchecked length; any row that does decode
+// must survive re-encoding under rowKeyEq with its Kinds, and every
+// strict prefix of that re-encoding must be corrupt. Seeds:
+// testdata/fuzz/FuzzSpillCodec.
+func FuzzSpillCodec(f *testing.F) {
+	f.Add(appendRow(nil, []value.Value{value.Int(1), value.Int(2)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for pos := 0; pos < len(data); {
+			_, next, err := decodeRecord(data, pos)
+			if err != nil {
+				if !errors.Is(err, errSpillCorrupt) {
+					t.Fatalf("decodeRecord: %v, want errSpillCorrupt", err)
+				}
+				break
+			}
+			if next <= pos || next > len(data) {
+				t.Fatalf("decodeRecord moved from %d to %d of %d", pos, next, len(data))
+			}
+			pos = next
+		}
+		row, err := decodeRow(data)
+		if err != nil {
+			if !errors.Is(err, errSpillCorrupt) {
+				t.Fatalf("decodeRow: %v, want errSpillCorrupt", err)
+			}
+			return
+		}
+		enc := appendRow(nil, row)
+		back, err := decodeRow(enc)
+		if err != nil || !rowKeyEq(row, back) || !sameKinds(row, back) {
+			t.Fatalf("round trip changed the row (%v):\n%s\nvs\n%s", err, rowKey(row), rowKey(back))
+		}
+		// Every prefix of a short record, a sample of a long one's.
+		for cut := 0; cut < len(enc); cut += 1 + len(enc)/512 {
+			if _, err := decodeRow(enc[:cut]); !errors.Is(err, errSpillCorrupt) {
+				t.Fatalf("prefix %d of %d: got %v, want errSpillCorrupt", cut, len(enc), err)
+			}
+		}
+	})
 }
