@@ -251,7 +251,7 @@ func (r *Rewriter) CheckRules(ctx context.Context, lim guard.Limits) ([]rulechec
 // count plus conjunct count, recursion weighted heavily.
 func complexity(q *term.Term) int {
 	score := lera.OperatorCount(q)
-	term.Walk(q, func(s *term.Term, _ term.Path) bool {
+	term.Visit(q, func(s *term.Term) bool {
 		if lera.IsOp(s, lera.OpFix) {
 			score += 10
 		}

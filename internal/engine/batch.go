@@ -153,7 +153,7 @@ func (db *DB) evalFilterBatch(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept, err := db.mapRowChunks(in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+	kept, err := mapChunks(db, in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		var out [][]value.Value
 		bs := w.batchSize()
 		ctxRows := make([][]value.Value, 1) // reused single-relation row context

@@ -220,7 +220,7 @@ func TestRowKeyEqMatchesRowKey(t *testing.T) {
 	for i, a := range vals {
 		for j, b := range vals {
 			keyEq := a.Key() == b.Key()
-			if got := valueKeyEq(a, b); got != keyEq {
+			if got := valueKeyEq(&a, &b); got != keyEq {
 				t.Errorf("valueKeyEq(%d:%s, %d:%s) = %v, Key equality %v", i, a, j, b, got, keyEq)
 			}
 			if keyEq && a.Hash() != b.Hash() {

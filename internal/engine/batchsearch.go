@@ -5,19 +5,26 @@ package engine
 // supplies an equi-join conjunct connecting the accumulated prefix to the
 // next relation, and a nested-loop (cartesian) step otherwise. Conjuncts
 // are applied as early as their attribute references allow; the projection
-// is computed last. Planning (static-false short-circuit, relation
-// evaluation order, conjunct classification, widths and the
-// empty-relation short-circuit) lives in prepareSearch/equiJoinKeys, which
-// the reference evaluator shares so both make identical decisions. The
-// evaluation is one stage per relation, and a stage never stores the pairs
-// it considers (docs/PERF.md, "SEARCH pipeline: late materialisation"):
+// is computed last. Planning is split by what it depends on. What depends
+// on the evaluation — the static-false short-circuit, relation evaluation
+// order, the empty-relation short-circuit — is searchInputs; what depends
+// only on the term — conjunct classification, equi-join keys, the order
+// stages consume conjuncts in — is searchPlan/equiJoinKeys/takeConjuncts.
+// The reference evaluator shares both, so the two make identical
+// decisions. The engine compiles the second kind into a searchProgram,
+// once per SEARCH evaluation or, under a FIX, once per FIX (searchCache).
+// The evaluation is one stage per relation, and a stage never stores the
+// pairs it considers (docs/PERF.md, "SEARCH pipeline: late
+// materialisation"):
 //
 //   - a producer enumerates the stage's pairs — a scan of the first
-//     relation, probes of a hash-join build side (from the persistent
-//     index set when the build relation is stored, acquireJoinIndex; by
-//     grace partitions when it exceeds the memory grant, spill.go), or a
-//     nested loop when no equi-join conjunct connects the relation — with
-//     one amortized tick and counter update per probe row;
+//     relation, a hash join (hashJoin: probes of an index, the persistent
+//     one when the indexed relation is stored, acquireJoinIndex; driven
+//     from whichever side is smaller, docs/PERF.md "Delta-driven rounds"),
+//     grace partitions when the build side exceeds the memory grant
+//     (spill.go), or a nested loop when no equi-join conjunct connects the
+//     relation — with one amortized tick and counter update per driving
+//     row;
 //   - searchKernel.pair judges each pair in place over compiled predicate
 //     programs and materialises only what survives: the joined row in a
 //     non-final stage, the projected output row in the final one.
@@ -31,15 +38,20 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/value"
 )
 
+// searchPlan is the qualification of one SEARCH, classified: the stages
+// consume its conjuncts in order (equiJoinKeys, takeConjuncts,
+// leftoverConjuncts), marking each used as they go, so a plan serves one
+// pass over the stages.
 type searchPlan struct {
-	rels  []*Relation
 	conjs []conjunct
 	projs []*term.Term
 }
@@ -50,9 +62,18 @@ type conjunct struct {
 	used   bool
 }
 
+func newSearchPlan(t *term.Term) *searchPlan {
+	conjs := lera.Conjuncts(t.Args[1])
+	plan := &searchPlan{conjs: make([]conjunct, len(conjs)), projs: t.Args[2].Args}
+	for i, c := range conjs {
+		plan.conjs[i] = conjunct{expr: c, maxRel: maxRelIndex(c)}
+	}
+	return plan
+}
+
 func maxRelIndex(e *term.Term) int {
 	max := 0
-	term.Walk(e, func(s *term.Term, _ term.Path) bool {
+	term.Visit(e, func(s *term.Term) bool {
 		if i, _, ok := lera.AttrIdx(s); ok && i > max {
 			max = i
 		}
@@ -61,22 +82,11 @@ func maxRelIndex(e *term.Term) int {
 	return max
 }
 
-// searchPrep is the planning state of one SEARCH evaluation.
-type searchPrep struct {
-	plan   *searchPlan
-	widths []int
-	offset []int
-	// names[i] is the stored-relation name of relation i when its term is
-	// a plain REL over a stored relation (not shadowed by a LET/FIX
-	// binding, not a view) — the index-eligible case — and "" otherwise.
-	names []string
-}
-
-// prepareSearch runs the SEARCH planning steps. It returns a non-nil short
-// relation when the search short-circuits (statically false qualification,
-// or an empty input relation) — both cases preserve the declared
-// projection arity.
-func (db *DB) prepareSearch(t *term.Term, e env) (*searchPrep, *Relation, error) {
+// searchInputs evaluates the relation list of a SEARCH, in order. It
+// returns a non-nil short relation when the search short-circuits
+// (statically false qualification, or an empty input relation) — both
+// cases preserve the declared projection arity.
+func (db *DB) searchInputs(t *term.Term, e env) (rels []*Relation, short *Relation, err error) {
 	relTerms := t.Args[0].Args
 	if len(relTerms) == 0 {
 		return nil, nil, fmt.Errorf("engine: SEARCH with empty relation list")
@@ -90,36 +100,37 @@ func (db *DB) prepareSearch(t *term.Term, e env) (*searchPrep, *Relation, error)
 			return nil, &Relation{Width: len(t.Args[2].Args)}, nil
 		}
 	}
-	plan := &searchPlan{projs: t.Args[2].Args}
-	names := make([]string, len(relTerms))
+	rels = make([]*Relation, len(relTerms))
 	for i, rt := range relTerms {
-		r, err := db.eval(rt, e)
-		if err != nil {
+		if rels[i], err = db.eval(rt, e); err != nil {
 			return nil, nil, err
 		}
-		plan.rels = append(plan.rels, r)
-		names[i] = db.storedRelName(rt, e)
 	}
-	for _, c := range lera.Conjuncts(t.Args[1]) {
-		plan.conjs = append(plan.conjs, conjunct{expr: c, maxRel: maxRelIndex(c)})
-	}
-	widths := make([]int, len(plan.rels))
-	for i, r := range plan.rels {
+	for _, r := range rels {
 		if len(r.Rows) == 0 {
-			return nil, &Relation{Width: len(plan.projs)}, nil
+			return nil, &Relation{Width: len(t.Args[2].Args)}, nil
 		}
+	}
+	return rels, nil, nil
+}
+
+// relOffsets returns the row widths of rels and the flat-row offset of
+// each (offset[i] is where relation i+1 starts; one more entry than rels).
+func relOffsets(rels []*Relation) (widths, offset []int) {
+	widths = make([]int, len(rels))
+	offset = make([]int, len(rels)+1)
+	for i, r := range rels {
 		widths[i] = len(r.Rows[0])
+		offset[i+1] = offset[i] + widths[i]
 	}
-	offset := make([]int, len(plan.rels)+1)
-	for i, w := range widths {
-		offset[i+1] = offset[i] + w
-	}
-	return &searchPrep{plan: plan, widths: widths, offset: offset, names: names}, nil, nil
+	return widths, offset
 }
 
 // storedRelName resolves a relation term to its stored-relation name the
 // same way REL evaluation does — env binding first, then stored relations
-// — returning "" unless the term is served straight from db.rels.
+// — returning "" unless the term is a plain REL served straight from
+// db.rels (not shadowed by a LET/FIX binding, not a view): the
+// index-eligible case.
 func (db *DB) storedRelName(rt *term.Term, e env) string {
 	if rt.Kind != term.Fun || rt.Functor != "REL" {
 		return ""
@@ -164,8 +175,93 @@ func equiJoinKeys(plan *searchPlan, ri int, offset []int) (leftKeys, rightKeys [
 	return leftKeys, rightKeys
 }
 
-// acquireJoinIndex returns the join index for a build side: the shared
-// persistent one when the relation is stored, a transient build otherwise.
+// searchProgram is everything of a SEARCH evaluation that its inputs'
+// rows do not change: per stage the equi-join keys, the compiled conjuncts
+// and, in the last, the compiled projection. It depends on the term, on
+// the relations' widths and on whether a fault injector is armed (which
+// disables compiled comparisons), is immutable once compiled, and is
+// shared by the workers of every evaluation that uses it.
+type searchProgram struct {
+	injected bool
+	stages   []searchStage // stages[ri-1] pairs the prefix with relation ri
+}
+
+func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
+	plan := newSearchPlan(t)
+	widths, offset := relOffsets(rels)
+	n := len(rels)
+	prog := &searchProgram{injected: db.Injector != nil, stages: make([]searchStage, n)}
+	for ri := 1; ri <= n; ri++ {
+		st := &prog.stages[ri-1]
+		st.widths, st.final = widths[:ri], ri == n
+		if ri > 1 {
+			st.leftKeys, st.rightKeys = equiJoinKeys(plan, ri, offset)
+		}
+		conjs := takeConjuncts(plan, ri)
+		if st.final {
+			conjs = append(conjs, leftoverConjuncts(plan)...)
+			st.projs = compileProjs(plan.projs, widths)
+		}
+		st.preds = db.compilePreds(conjs, st.widths)
+	}
+	return prog
+}
+
+// valid reports whether the program still fits an evaluation: compiled
+// slots assume the relations' widths, compiled comparisons that no
+// injector is armed.
+func (p *searchProgram) valid(db *DB, rels []*Relation) bool {
+	if p.injected != (db.Injector != nil) || len(p.stages) != len(rels) {
+		return false
+	}
+	widths := p.stages[len(rels)-1].widths // the last stage's cover every relation
+	for i, r := range rels {
+		if widths[i] != len(r.Rows[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// searchCache holds the programs of the SEARCH terms evaluated under one
+// FIX evaluation, by term identity: a fixpoint evaluates the same terms
+// round after round (fixSemiNaive hoists the variants), so each compiles
+// once per FIX instead of once per round. evalFix installs a fresh cache
+// in the evaluation's guard and removes it when the FIX returns — it never
+// outlives the FIX, let alone the query — and the round's workers share it.
+type searchCache struct {
+	mu sync.Mutex
+	m  map[*term.Term]*searchProgram
+}
+
+// programFor returns the program of SEARCH term t over rels: the open
+// FIX's cached one while it is still valid, a fresh compilation otherwise.
+func (db *DB) programFor(t *term.Term, rels []*Relation) *searchProgram {
+	var c *searchCache
+	if db.g != nil {
+		c = db.g.progs
+	}
+	if c == nil {
+		return db.compileSearch(t, rels)
+	}
+	c.mu.Lock()
+	prog := c.m[t]
+	c.mu.Unlock()
+	if prog != nil && prog.valid(db, rels) {
+		return prog
+	}
+	prog = db.compileSearch(t, rels)
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[*term.Term]*searchProgram{}
+	}
+	c.m[t] = prog
+	c.mu.Unlock()
+	return prog
+}
+
+// acquireJoinIndex returns the join index over rows: the shared persistent
+// one when they are a stored relation's, a transient build otherwise.
 func (db *DB) acquireJoinIndex(name string, rows [][]value.Value, keyIdx []int) *joinIndex {
 	if name != "" && db.idx != nil {
 		return db.idx.acquire(db.Cat.DataVersion(), name, rows, keyIdx)
@@ -174,33 +270,28 @@ func (db *DB) acquireJoinIndex(name string, rows [][]value.Value, keyIdx []int) 
 }
 
 func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
-	prep, short, err := db.prepareSearch(t, e)
-	if err != nil {
-		return nil, err
+	rels, short, err := db.searchInputs(t, e)
+	if err != nil || short != nil {
+		return short, err
 	}
-	if short != nil {
-		return short, nil
-	}
-	plan, widths := prep.plan, prep.widths
-	n := len(plan.rels)
+	prog := db.programFor(t, rels)
+	relTerms := t.Args[0].Args
 	bs := db.batchSize()
 
 	// One stage per relation: stage 1 scans the first relation, stage ri
 	// pairs every surviving prefix row with its matches in relation ri. The
 	// producers below only enumerate pairs; searchKernel.pair does the rest.
-	current := plan.rels[0].Rows
-	for ri := 1; ri <= n; ri++ {
-		var leftKeys, rightKeys []int
-		if ri > 1 {
-			leftKeys, rightKeys = equiJoinKeys(plan, ri, prep.offset)
-		}
-		st := db.compileStage(plan, widths[:ri], ri == n)
+	current := rels[0].Rows
+	scanned := false // stage 1 ran: current is no longer relation 1 itself
+	for ri := 1; ri <= len(rels); ri++ {
+		st := &prog.stages[ri-1]
 		switch {
 		case ri == 1:
 			if !st.final && len(st.preds) == 0 {
 				continue
 			}
-			current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+			scanned = true
+			current, err = mapChunks(db, current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 				k := st.kernel(w, len(chunk))
 				var out [][]value.Value
 				if len(st.preds) == 0 {
@@ -221,45 +312,36 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 				}
 				return out, k.err
 			})
-		case len(leftKeys) > 0:
-			next := plan.rels[ri-1]
+		case len(st.leftKeys) > 0:
+			next := rels[ri-1].Rows
 			// The governor sizes the build side with the deterministic
 			// estimate graceJoin's partitions are measured in, so the
-			// decision is identical at every batch and pool size.
-			grace, charged, aerr := db.admit("SEARCH join build", next.Rows, setEntryBytes)
+			// decision is identical at every batch and pool size — and it is
+			// taken on relation ri whichever side then drives the join.
+			grace, charged, aerr := db.admit("SEARCH join build", next, setEntryBytes)
 			switch {
 			case aerr != nil:
 				return nil, aerr
 			case grace:
-				current, err = db.graceJoin(current, next.Rows, leftKeys, rightKeys, st.kernel(db, 1))
+				current, err = db.graceJoin(current, next, st.leftKeys, st.rightKeys, st.kernel(db, 1))
 			default:
-				// Hash join through the (possibly persistent) index; matches
-				// surface in (probe row, build insertion) order, exactly the
-				// reference's nested-loop sequence.
-				ix := db.acquireJoinIndex(prep.names[ri-1], next.Rows, rightKeys)
-				current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-					k := st.kernel(w, 1)
-					var out [][]value.Value
-					for _, prow := range chunk {
-						matches := ix.probe(prow, leftKeys)
-						if len(matches) == 0 {
-							continue
-						}
-						if err := w.tickRows(len(matches)); err != nil {
-							return nil, err
-						}
-						w.Count.JoinPairs += len(matches)
-						for _, rrow := range matches {
-							out = k.pair(out, prow, rrow)
-						}
-					}
-					return out, k.err
-				})
+				// Relation 1 straight from storage has a persistent index to
+				// offer, so the smaller side drives: a semi-naive round joins
+				// a stored relation with a delta of a few rows.
+				var leftName string
+				if ri == 2 && !scanned && len(next) < len(current) && !forceLeftDrive {
+					leftName = db.storedRelName(relTerms[0], e)
+				}
+				if leftName != "" {
+					current, err = db.hashJoinFromRight(st, db.acquireJoinIndex(leftName, current, st.leftKeys), next)
+				} else {
+					current, err = db.hashJoin(st, current, db.acquireJoinIndex(db.storedRelName(relTerms[ri-1], e), next, st.rightKeys))
+				}
 				db.releaseMem(charged)
 			}
 		default:
-			next := plan.rels[ri-1].Rows
-			current, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+			next := rels[ri-1].Rows
+			current, err = mapChunks(db, current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 				k := st.kernel(w, 1)
 				var out [][]value.Value
 				for _, prow := range chunk {
@@ -288,7 +370,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 
 	// LERA is an extension of Codd's algebra: relations are sets, so the
 	// projection output deduplicates.
-	out := &Relation{Width: len(plan.projs)}
+	out := &Relation{Width: len(t.Args[2].Args)}
 	out.Rows, err = db.dedupRows(current)
 	if err != nil {
 		return nil, err
@@ -300,26 +382,96 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	return out, nil
 }
 
-// searchStage is the compiled program of one SEARCH stage: the conjuncts
-// that become evaluable once the stage's relation joins the prefix and, in
-// the final stage, the leftover conjuncts (e.g. referencing no attributes)
-// and the projection. It is shared by the stage's workers.
-type searchStage struct {
-	preds  []searchPred
-	projs  []projOp // final stage only
-	final  bool
-	widths []int // per-relation widths of the prefix plus this stage's relation
+// forceLeftDrive makes every in-memory hash join drive from the prefix
+// side, as all did before the driving side was chosen by size. Only tests
+// set it, to pin the two directions against each other; no option, flag or
+// DB field reaches it.
+var forceLeftDrive bool
+
+// probeEach is the one probe loop of the hash joins, in memory and in a
+// grace partition alike: every row of drive is looked up in ix by its
+// columns at keys, in order, with one amortized tick and one JoinPairs
+// update per driving row, and emit receives each match as (the driving
+// row's ordinal in drive, the matching row's ordinal in ix.rows), a
+// driving row's matches in index insertion order.
+func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit func(d int, o int32)) error {
+	for d, row := range drive {
+		o, n := ix.probe(row, keys)
+		if n == 0 {
+			continue
+		}
+		if err := db.tickRows(n); err != nil {
+			return err
+		}
+		db.Count.JoinPairs += n
+		for ; o >= 0; o = ix.next[o] {
+			emit(d, o)
+		}
+	}
+	return nil
 }
 
-func (db *DB) compileStage(plan *searchPlan, widths []int, final bool) *searchStage {
-	conjs := takeConjuncts(plan, len(widths))
-	st := &searchStage{final: final, widths: widths}
-	if final {
-		conjs = append(conjs, leftoverConjuncts(plan)...)
-		st.projs = compileProjs(plan.projs, widths)
+// hashJoin is the equi-join stage driven from the prefix: each row of left
+// probes ix, the index of the stage's relation on its key columns, and
+// pairs with its matches in index insertion order — the reference's
+// nested-loop sequence.
+func (db *DB) hashJoin(st *searchStage, left [][]value.Value, ix *joinIndex) ([][]value.Value, error) {
+	return mapChunks(db, left, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+		k := st.kernel(w, 1)
+		var out [][]value.Value
+		err := w.probeEach(ix, chunk, st.leftKeys, func(d int, o int32) {
+			out = k.pair(out, chunk[d], ix.rows[o])
+		})
+		if err != nil {
+			return nil, err
+		}
+		return out, k.err
+	})
+}
+
+// hashJoinFromRight is the same stage driven from the relation: each row
+// of right probes ix, the index of the (unfiltered, stored) prefix
+// relation on the prefix key slots, so the cost is the relation's size and
+// its matches, not the prefix's. The pairs come out grouped by right row;
+// sorted by (prefix ordinal, relation ordinal) they are exactly hashJoin's
+// sequence, and the kernel sees them in that order — rows, counters, the
+// n-th injector hit and the first evaluation error are the same pair's
+// either way.
+func (db *DB) hashJoinFromRight(st *searchStage, ix *joinIndex, right [][]value.Value) ([][]value.Value, error) {
+	var pairs []uint64 // prefix ordinal<<32 | relation ordinal
+	err := db.probeEach(ix, right, st.rightKeys, func(d int, o int32) {
+		pairs = append(pairs, uint64(o)<<32|uint64(d))
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.preds = db.compilePreds(conjs, widths)
-	return st
+	slices.Sort(pairs)
+	return mapChunks(db, pairs, func(w *DB, chunk []uint64) ([][]value.Value, error) {
+		k := st.kernel(w, len(chunk))
+		var out [][]value.Value
+		if len(st.preds) == 0 {
+			out = make([][]value.Value, 0, len(chunk))
+		}
+		for _, p := range chunk {
+			out = k.pair(out, ix.rows[p>>32], right[uint32(p)])
+		}
+		return out, k.err
+	})
+}
+
+// searchStage is the compiled program of one SEARCH stage: the equi-join
+// keys connecting the stage's relation to the prefix (none in stage 1, or
+// when the step is a nested loop), the conjuncts that become evaluable
+// once the relation joins the prefix and, in the final stage, the leftover
+// conjuncts (e.g. referencing no attributes) and the projection. It is
+// shared by the stage's workers.
+type searchStage struct {
+	leftKeys  []int // flat prefix slots
+	rightKeys []int // 0-based columns of the stage's relation
+	preds     []searchPred
+	projs     []projOp // final stage only
+	final     bool
+	widths    []int // per-relation widths of the prefix plus this stage's relation
 }
 
 // searchKernel is one worker's late-materialising evaluator of a stage,
@@ -342,9 +494,9 @@ type searchKernel struct {
 
 // kernel returns a worker's kernel. est is the producer's estimate of the
 // rows it will output, which sizes the first arena block: a scan passes its
-// chunk length; a join cannot tell (a semi-naive round probes a whole
-// relation for a one-row delta) and passes 1, leaving it to the arena's
-// doubling.
+// chunk length and a join driven from its relation the pairs it found; a
+// join driven from the prefix cannot tell before it has probed, and passes
+// 1, leaving it to the arena's doubling.
 func (st *searchStage) kernel(w *DB, est int) *searchKernel {
 	width := len(st.projs) // of the rows the stage allocates
 	if !st.final {

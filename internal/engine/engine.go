@@ -144,12 +144,12 @@ type DB struct {
 }
 
 // evalGuard is the per-evaluation guard state: the cancellation context,
-// an amortizing tick counter for the row hot loops, the
-// cumulative materialized-row account, the worker pool, and the open
-// per-operator stats frame (nil unless CollectStats). The context, tick
-// and stats frame are per-worker (each parallel worker clone owns an
-// evalGuard); the row Budget and the pool are shared by every worker of
-// the evaluation, so the row cap fires promptly from any of them.
+// an amortizing tick counter for the row hot loops, the cumulative
+// materialized-row account, the worker pool, the open FIX's compiled-SEARCH
+// cache, and the open per-operator stats frame (nil unless CollectStats).
+// The context, tick and stats frame are per-worker (each parallel worker
+// clone owns an evalGuard); the row Budget and the pool are shared by every
+// worker of the evaluation, so the row cap fires promptly from any of them.
 type evalGuard struct {
 	ctx  context.Context
 	lim  guard.Limits
@@ -161,6 +161,9 @@ type evalGuard struct {
 	// shared by every worker clone like the Budget so all spill files of
 	// one evaluation unwind together.
 	spill *spillState
+	// progs is the compiled-SEARCH cache of the innermost open FIX
+	// (batchsearch.go); nil outside a fixpoint. Worker clones share it.
+	progs *searchCache
 }
 
 // guardTickInterval amortizes context checks in the row hot path: the

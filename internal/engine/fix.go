@@ -24,6 +24,13 @@ const deltaName = "\x00DELTA"
 func (db *DB) evalFix(t *term.Term, e env) (*Relation, error) {
 	name := strings.ToUpper(t.Args[0].Val.S)
 	body := t.Args[1]
+	// Every round evaluates the same terms: their SEARCHes compile once for
+	// this FIX (searchCache), not once per round.
+	if g := db.g; g != nil {
+		outer := g.progs
+		g.progs = &searchCache{}
+		defer func() { g.progs = outer }()
+	}
 	if db.Mode == Naive {
 		return db.fixNaive(name, body, e)
 	}
@@ -157,6 +164,10 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 	}
 	db.recordFixRound(1, len(delta.Rows), len(total.Rows))
 
+	// The rounds' environment differs only in the delta: total is extended
+	// in place.
+	inner := e.clone()
+	inner[name] = total
 	cap := db.fixIterCap()
 	for iters := 1; len(delta.Rows) > 0; iters++ {
 		db.Count.FixIterations++
@@ -168,8 +179,6 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 		if iters > cap {
 			return nil, fmt.Errorf("engine: semi-naive fixpoint %s still growing after %d iterations (cap %d)", name, iters, cap)
 		}
-		inner := e.clone()
-		inner[name] = total
 		inner[deltaName] = delta
 		recRels, err := db.evalMembers(variants, inner)
 		if err != nil {

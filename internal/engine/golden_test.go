@@ -248,8 +248,9 @@ var tightLimits = guard.Limits{MaxRows: 12, MaxFixIterations: 50}
 
 // goldenRuns computes every golden entry under the given batch and pool
 // size: the corpus in both fixpoint modes, the corpus under tightLimits,
-// the first two MEMBER fault positions of the Figure 3 query, and the
-// Figure 5 closure over three random graphs (rows elided).
+// the first two MEMBER fault positions of the Figure 3 query, the Figure 5
+// closure over three random graphs and its left-linear form over the first
+// (rows elided).
 func goldenRuns(t *testing.T, batch, par int) map[string]engineRun {
 	t.Helper()
 	out := map[string]engineRun{}
@@ -269,7 +270,32 @@ func goldenRuns(t *testing.T, batch, par int) map[string]engineRun {
 			out[fmt.Sprintf("large-fixpoint/seed-%d/%s", seed, modeName(mode))] = run
 		}
 	}
+	for _, mode := range []FixMode{SemiNaive, Naive} {
+		run := runOn(graphDB(t, 1), linearFix(), runCfg{batch: batch, par: par, mode: mode})
+		run.Rows = nil
+		out["delta-driven-fixpoint/"+modeName(mode)] = run
+	}
 	return out
+}
+
+// linearFix is the left-linear closure of DOMINATE — the shape the
+// Alexander rule leaves of a focused closure, unfocused here so that a
+// semi-naive round's delta holds many rows: each round joins the stored
+// relation with the delta, driven from the delta (docs/PERF.md,
+// "Delta-driven rounds"), and its pairs come back in stored-row order
+// only because they are re-sorted.
+func linearFix() *term.Term {
+	seed := lera.Search(
+		[]*term.Term{lera.Rel("DOMINATE")},
+		lera.TrueQual(),
+		[]*term.Term{lera.Attr(1, 2), lera.Attr(1, 3)},
+	)
+	rec := lera.Search(
+		[]*term.Term{lera.Rel("DOMINATE"), lera.Rel("BETTER_THAN")},
+		lera.Ands(lera.Cmp("=", lera.Attr(1, 3), lera.Attr(2, 1))),
+		[]*term.Term{lera.Attr(1, 2), lera.Attr(2, 2)},
+	)
+	return lera.Fix("BETTER_THAN", lera.Union(seed, rec), []string{"Refactor1", "Refactor2"})
 }
 
 // loadGolden reads the committed golden file.

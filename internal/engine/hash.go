@@ -61,13 +61,22 @@ var (
 
 // valueKeyEq reports whether a and b encode to the same Key string — the
 // exact equality the string-keyed reference evaluator uses — without
-// building the strings.
-func valueKeyEq(a, b value.Value) bool {
-	af, aok := a.AsFloat()
-	bf, bok := b.AsFloat()
-	if aok || bok {
-		if !aok || !bok {
+// building the strings. The values are compared where they lie: the hot
+// loops (join probes, dedup buckets) call this per candidate, and a
+// value.Value is too wide to pass by value there.
+func valueKeyEq(a, b *value.Value) bool {
+	aNum := a.K == value.KInt || a.K == value.KReal
+	bNum := b.K == value.KInt || b.K == value.KReal
+	if aNum || bNum {
+		if !aNum || !bNum {
 			return false
+		}
+		af, bf := a.F, b.F
+		if a.K == value.KInt {
+			af = float64(a.I)
+		}
+		if b.K == value.KInt {
+			bf = float64(b.I)
 		}
 		if math.Float64bits(af) == math.Float64bits(bf) {
 			return true
@@ -92,7 +101,7 @@ func valueKeyEq(a, b value.Value) bool {
 		return false
 	}
 	for i := range a.Elems {
-		if !valueKeyEq(a.Elems[i], b.Elems[i]) {
+		if !valueKeyEq(&a.Elems[i], &b.Elems[i]) {
 			return false
 		}
 	}
@@ -128,7 +137,19 @@ func rowKeyEq(a, b []value.Value) bool {
 		return false
 	}
 	for i := range a {
-		if !valueKeyEq(a[i], b[i]) {
+		if !valueKeyEq(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyColsEq reports whether columns acols of row a and bcols of row b are
+// pairwise key-equal — rowKeyEq over two key projections, without
+// materialising either.
+func keyColsEq(a []value.Value, acols []int, b []value.Value, bcols []int) bool {
+	for i, ac := range acols {
+		if !valueKeyEq(&a[ac], &b[bcols[i]]) {
 			return false
 		}
 	}
@@ -173,7 +194,7 @@ func (s *rowSet) has(row []value.Value) bool {
 // matching Relation.Dedup's output order exactly. The caller must own the
 // slice.
 func dedupRows(rows [][]value.Value) [][]value.Value {
-	if len(rows) == 0 {
+	if len(rows) < 2 {
 		return rows
 	}
 	s := newRowSet()
@@ -186,73 +207,80 @@ func dedupRows(rows [][]value.Value) [][]value.Value {
 	return out
 }
 
-// joinGroup is one distinct join key with its build rows in insertion
-// order.
+// joinGroup is one distinct join key of a joinIndex: the chain of its rows'
+// ordinals. The key itself is not stored — it is the key columns of the
+// head row.
 type joinGroup struct {
-	key  []value.Value
-	rows [][]value.Value
+	head, tail int32 // first and last row of the chain
+	n          int32 // rows in the chain
+	link       int32 // next group under the same hash (a collision); -1 = none
 }
 
-// joinIndex is the hashed build side of a batch hash join (and the
-// persistent per-relation index): rows grouped by their key columns under
-// a 64-bit hash with collision-checked key groups. Per-key row order is
-// build insertion order, matching the reference's string-keyed map, so
-// probes emit matches in the same sequence.
+// joinIndex is the hashed side of a batch hash join (and the persistent
+// per-relation index): the ordinals of rows grouped by their key columns
+// under a 64-bit hash with collision-checked key groups. It answers a probe
+// with row ordinals, so one index serves both join directions: the rows of
+// a build side for a driving prefix row, and the prefix rows a driving
+// relation row pairs with (batchsearch.go). A group's rows are chained
+// through next in insertion order, matching the reference's string-keyed
+// map, so probes emit matches in the same sequence. Nothing is allocated
+// per key or per row: the index is the map, one ordinal per row and one
+// 16-byte group per distinct key. Ordinals are int32 — far beyond what an
+// in-memory relation of row slices can hold.
 type joinIndex struct {
 	keyIdx []int
-	groups map[uint64][]*joinGroup
+	rows   [][]value.Value  // the indexed slice; ordinals index it
+	byHash map[uint64]int32 // key hash → first group under it
+	groups []joinGroup
+	next   []int32 // next[o] = the row after o in its group's chain; -1 at the end
 }
 
 // buildJoinIndex indexes rows by the columns in keyIdx.
 func buildJoinIndex(rows [][]value.Value, keyIdx []int) *joinIndex {
 	ix := &joinIndex{
 		keyIdx: append([]int(nil), keyIdx...),
-		groups: make(map[uint64][]*joinGroup, len(rows)),
+		rows:   rows,
+		byHash: make(map[uint64]int32, len(rows)),
+		next:   make([]int32, len(rows)),
 	}
-	for _, row := range rows {
+	for i, row := range rows {
+		o := int32(i)
+		ix.next[o] = -1
 		h := hashKeyFn(row, keyIdx)
-		var g *joinGroup
-		for _, cand := range ix.groups[h] {
-			match := true
-			for i, k := range keyIdx {
-				if !valueKeyEq(cand.key[i], row[k]) {
-					match = false
-					break
-				}
-			}
-			if match {
-				g = cand
-				break
-			}
+		first, ok := ix.byHash[h]
+		if !ok {
+			first = -1
 		}
-		if g == nil {
-			key := make([]value.Value, len(keyIdx))
-			for i, k := range keyIdx {
-				key[i] = row[k]
-			}
-			g = &joinGroup{key: key}
-			ix.groups[h] = append(ix.groups[h], g)
+		g := first
+		for g >= 0 && !keyColsEq(rows[ix.groups[g].head], keyIdx, row, keyIdx) {
+			g = ix.groups[g].link
 		}
-		g.rows = append(g.rows, row)
+		if g < 0 {
+			ix.byHash[h] = int32(len(ix.groups))
+			ix.groups = append(ix.groups, joinGroup{head: o, tail: o, n: 1, link: first})
+			continue
+		}
+		grp := &ix.groups[g]
+		ix.next[grp.tail] = o
+		grp.tail = o
+		grp.n++
 	}
 	return ix
 }
 
-// probe returns the build rows whose key equals the probe row's columns
-// at slots, in build insertion order (nil when no key matches).
-func (ix *joinIndex) probe(row []value.Value, slots []int) [][]value.Value {
-	h := hashKeyFn(row, slots)
-	for _, g := range ix.groups[h] {
-		match := true
-		for i, s := range slots {
-			if !valueKeyEq(g.key[i], row[s]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return g.rows
+// probe looks up the group whose key equals row's columns at slots. It
+// returns the ordinal of the group's first row and its row count — (-1, 0)
+// when no key matches; ix.next chains the rest in insertion order.
+func (ix *joinIndex) probe(row []value.Value, slots []int) (first int32, n int) {
+	g, ok := ix.byHash[hashKeyFn(row, slots)]
+	if !ok {
+		return -1, 0
+	}
+	for ; g >= 0; g = ix.groups[g].link {
+		grp := &ix.groups[g]
+		if keyColsEq(ix.rows[grp.head], ix.keyIdx, row, slots) {
+			return grp.head, int(grp.n)
 		}
 	}
-	return nil
+	return -1, 0
 }

@@ -1,12 +1,17 @@
 package engine
 
-// Persistent per-relation hash indexes. The batched SEARCH builds its
-// join build sides as joinIndex structures (hash.go); when the build side
-// is a stored relation — a REL term resolving to db.rels, not shadowed by
-// a LET/FIX binding and not a view — the index is kept in a set shared by
-// every fork of the database, so repeated evaluations (plan-cache hits,
-// fixpoint rounds joining against a stored relation, a server fork pool
-// running the same shapes) stop rebuilding the hash table per query.
+// Persistent per-relation hash indexes. The batched SEARCH joins through
+// joinIndex structures (hash.go); when the indexed side is a stored
+// relation — a REL term resolving to db.rels, not shadowed by a LET/FIX
+// binding and not a view — the index is kept in a set shared by every fork
+// of the database, so repeated evaluations (plan-cache hits, fixpoint
+// rounds joining against a stored relation, a server fork pool running the
+// same shapes) stop rebuilding the hash table per query. An index answers
+// with row ordinals, so it serves either side of a join: as the build side
+// a prefix row probes, and — when the stored relation is the unfiltered
+// first relation of a SEARCH and the other input is smaller — as the side
+// the other input's rows drive through (docs/PERF.md, "Delta-driven
+// rounds"): a semi-naive round then costs its delta, not the relation.
 //
 // Lifecycle (docs/PERF.md "Batched execution & relation indexes"):
 //   - built lazily on first keyed access to a (relation, key columns)
@@ -25,81 +30,81 @@ package engine
 // allocations, never the logical work model.
 
 import (
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 
 	"lera/internal/value"
 )
 
-// storedIndex is one cached index with its validity stamp.
+// storedIndex is one cached index (its key columns are idx.keyIdx) with
+// its validity stamp.
 type storedIndex struct {
 	version uint64 // catalog data version at build time
 	nrows   int    // stored row count at build time
 	idx     *joinIndex
 }
 
-// indexSet is the shared, concurrency-safe index collection.
+// indexSet is the shared, concurrency-safe index collection: per relation
+// name, one index per key-column list ever joined on — a handful, found by
+// a scan that allocates nothing (a semi-naive round acquires one per
+// recursive member).
 type indexSet struct {
 	mu sync.RWMutex
-	m  map[string]*storedIndex
+	m  map[string][]*storedIndex
 }
 
-func newIndexSet() *indexSet { return &indexSet{m: map[string]*storedIndex{}} }
+func newIndexSet() *indexSet { return &indexSet{m: map[string][]*storedIndex{}} }
 
-// indexSetKey names one (relation, key columns) index. The NUL separator
-// cannot occur in a relation name, so names never alias.
-func indexSetKey(name string, keyIdx []int) string {
-	var sb strings.Builder
-	sb.Grow(len(name) + 4*len(keyIdx))
-	sb.WriteString(name)
-	for _, k := range keyIdx {
-		sb.WriteByte(0)
-		sb.WriteString(strconv.Itoa(k))
+// findIndex returns the entry of list keyed on keyIdx, and its position.
+func findIndex(list []*storedIndex, keyIdx []int) (*storedIndex, int) {
+	for i, e := range list {
+		if slices.Equal(e.idx.keyIdx, keyIdx) {
+			return e, i
+		}
 	}
-	return sb.String()
+	return nil, -1
 }
 
 // acquire returns a warm index for (name, keyIdx) when one is cached and
 // still valid, building and caching a fresh one otherwise.
 func (s *indexSet) acquire(version uint64, name string, rows [][]value.Value, keyIdx []int) *joinIndex {
-	k := indexSetKey(name, keyIdx)
-	s.mu.RLock()
-	e := s.m[k]
-	s.mu.RUnlock()
-	if e != nil && e.version == version && e.nrows == len(rows) {
+	if e := s.lookup(name, keyIdx); e != nil && e.version == version && e.nrows == len(rows) {
 		return e.idx
 	}
-	ix := buildJoinIndex(rows, keyIdx)
+	fresh := &storedIndex{version: version, nrows: len(rows), idx: buildJoinIndex(rows, keyIdx)}
 	s.mu.Lock()
-	s.m[k] = &storedIndex{version: version, nrows: len(rows), idx: ix}
+	if _, i := findIndex(s.m[name], keyIdx); i >= 0 {
+		s.m[name][i] = fresh
+	} else {
+		s.m[name] = append(s.m[name], fresh)
+	}
 	s.mu.Unlock()
-	return ix
+	return fresh.idx
 }
 
 // invalidate drops every cached index of the named relation (the name is
 // already uppercased by Load/Insert).
 func (s *indexSet) invalidate(name string) {
 	s.mu.Lock()
-	for k := range s.m {
-		if k == name || strings.HasPrefix(k, name+"\x00") {
-			delete(s.m, k)
-		}
-	}
+	delete(s.m, name)
 	s.mu.Unlock()
 }
 
-// lookup returns the cached entry for (name, keyIdx) without validation —
-// a white-box hook for the invalidation tests.
+// lookup returns the cached entry for (name, keyIdx) without validation.
 func (s *indexSet) lookup(name string, keyIdx []int) *storedIndex {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.m[indexSetKey(name, keyIdx)]
+	e, _ := findIndex(s.m[name], keyIdx)
+	return e
 }
 
 // size returns the number of cached indexes.
 func (s *indexSet) size() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.m)
+	n := 0
+	for _, list := range s.m {
+		n += len(list)
+	}
+	return n
 }

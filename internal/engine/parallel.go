@@ -74,7 +74,7 @@ func (db *DB) worker(ctx context.Context) *DB {
 	w.CollectStats = db.CollectStats
 	// Workers share the evaluation's spill handle like the Budget, so all
 	// their spill files land in (and unwind with) the same temp dir.
-	wg := &evalGuard{ctx: ctx, lim: g.lim, rows: g.rows, pool: g.pool, spill: g.spill}
+	wg := &evalGuard{ctx: ctx, lim: g.lim, rows: g.rows, pool: g.pool, spill: g.spill, progs: g.progs}
 	if g.cur != nil {
 		// A synthetic frame collects the task's stats children for the
 		// in-order splice of mergeWorker.
@@ -222,18 +222,19 @@ func chunkRanges(n, p int) [][2]int {
 	return out
 }
 
-// mapRowChunks runs fn over contiguous chunks of rows on worker clones
-// and concatenates the per-chunk outputs in chunk order — identical to
-// fn(db, rows) run serially, which is exactly what happens below the
-// parallelMinRows threshold or without a pool.
-func (db *DB) mapRowChunks(rows [][]value.Value, fn func(w *DB, chunk [][]value.Value) ([][]value.Value, error)) ([][]value.Value, error) {
-	if !db.canParallel(2) || len(rows) < parallelMinRows {
-		return fn(db, rows)
+// mapChunks runs fn over contiguous chunks of items (rows, or the ordinal
+// pairs of a join) on worker clones and concatenates the per-chunk outputs
+// in chunk order — identical to fn(db, items) run serially, which is
+// exactly what happens below the parallelMinRows threshold or without a
+// pool.
+func mapChunks[T any](db *DB, items []T, fn func(w *DB, chunk []T) ([][]value.Value, error)) ([][]value.Value, error) {
+	if !db.canParallel(2) || len(items) < parallelMinRows {
+		return fn(db, items)
 	}
-	cks := chunkRanges(len(rows), db.Workers())
+	cks := chunkRanges(len(items), db.Workers())
 	outs := make([][][]value.Value, len(cks))
 	err := db.runTasks(len(cks), func(w *DB, i int) error {
-		o, err := fn(w, rows[cks[i][0]:cks[i][1]])
+		o, err := fn(w, items[cks[i][0]:cks[i][1]])
 		outs[i] = o
 		return err
 	})

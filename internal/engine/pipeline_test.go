@@ -109,3 +109,36 @@ func TestSearchPipelineAllocs(t *testing.T) {
 		t.Errorf("final-stage join allocated %d B for %d rows of %d values, limit %d", got, rows, projs, limit)
 	}
 }
+
+// TestJoinIndexAllocs: a join index is its map, one ordinal per row and
+// one 16-byte group per distinct key — no per-key or per-row objects. At
+// the parent commit a distinct key cost four objects (key copy, group,
+// bucket slice, row-header slice) and six at fan-out 3; exec_spill builds
+// a bounded index per partition per query, so objects per key are its
+// allocs_per_query.
+func TestJoinIndexAllocs(t *testing.T) {
+	const parentPerKey = 4
+	for _, fanout := range []int{1, 3} {
+		const keys = 1000
+		var rows [][]value.Value
+		for f := 0; f < fanout; f++ {
+			for k := 0; k < keys; k++ {
+				rows = append(rows, []value.Value{value.Int(int64(k)), value.Int(int64(f))})
+			}
+		}
+		var ix *joinIndex
+		allocs := testing.AllocsPerRun(10, func() { ix = buildJoinIndex(rows, []int{0}) })
+		if len(ix.groups) != keys {
+			t.Fatalf("fan-out %d: %d groups, want %d", fanout, len(ix.groups), keys)
+		}
+		t.Logf("fan-out %d: %.0f objects for %d distinct keys (parent: %d per key)", fanout, allocs, keys, parentPerKey)
+		if allocs > parentPerKey*keys {
+			t.Errorf("fan-out %d: %.0f objects for %d keys — more per key than the parent's %d", fanout, allocs, keys, parentPerKey)
+		}
+		// Stronger, and what the layout promises: nothing per key at all
+		// (the map's and the group slice's growth steps only).
+		if allocs > 64 {
+			t.Errorf("fan-out %d: %.0f objects for %d keys — the index allocates per key again", fanout, allocs, keys)
+		}
+	}
+}

@@ -8,9 +8,9 @@ package engine
 // or config field selects it, and it makes no promise about Counters,
 // stats trees, batching, worker pools, fault injection or the memory
 // governor. It shares expr.go, the REL/LET/FIX control flow (engine.go,
-// fix.go) and SEARCH planning (prepareSearch, equiJoinKeys, takeConjuncts)
-// with the engine, so the two agree on evaluation order by construction
-// and differ only in how rows are moved and compared.
+// fix.go) and SEARCH planning (searchInputs, searchPlan, equiJoinKeys,
+// takeConjuncts) with the engine, so the two agree on evaluation order by
+// construction and differ only in how rows are moved and compared.
 
 import (
 	"context"
@@ -155,11 +155,12 @@ rowLoop:
 // otherwise — applies each conjunct as soon as its relations are joined,
 // then projects.
 func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
-	prep, short, err := db.prepareSearch(t, e)
+	rels, short, err := db.searchInputs(t, e)
 	if err != nil || short != nil {
 		return short, err
 	}
-	plan, widths := prep.plan, prep.widths
+	plan := newSearchPlan(t)
+	widths, offset := relOffsets(rels)
 	keyOf := func(row []value.Value, cols []int) string {
 		key := make([]value.Value, len(cols))
 		for i, c := range cols {
@@ -167,10 +168,10 @@ func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
 		}
 		return rowKey(key)
 	}
-	current, err := db.refFilter(plan.rels[0].Rows, takeConjuncts(plan, 1), widths[:1])
-	for ri := 2; err == nil && ri <= len(plan.rels); ri++ {
-		next := plan.rels[ri-1].Rows
-		leftKeys, rightKeys := equiJoinKeys(plan, ri, prep.offset)
+	current, err := db.refFilter(rels[0].Rows, takeConjuncts(plan, 1), widths[:1])
+	for ri := 2; err == nil && ri <= len(rels); ri++ {
+		next := rels[ri-1].Rows
+		leftKeys, rightKeys := equiJoinKeys(plan, ri, offset)
 		var joined [][]value.Value
 		if len(leftKeys) > 0 {
 			build := map[string][][]value.Value{}

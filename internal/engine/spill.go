@@ -761,8 +761,9 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int,
 }
 
 // joinPart, grace join's leaf, indexes one loaded build partition and
-// probes it with the probe rows idxs. JoinPairs and ticks account per
-// probe row exactly as the in-memory loop does.
+// probes it with the probe rows idxs — through the in-memory join's own
+// probe loop, so JoinPairs and ticks account per probe row exactly as
+// there.
 func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, out [][][]value.Value) error {
 	rows := make([][]value.Value, len(recs))
 	charged := int64(0)
@@ -773,17 +774,11 @@ func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, le
 	db.chargeMem(charged)
 	defer db.releaseMem(charged)
 	ix := buildJoinIndex(rows, rightKeys)
-	for _, i := range idxs {
-		matches := ix.probe(probe[i], leftKeys)
-		if len(matches) == 0 {
-			continue
-		}
-		if err := db.tickRows(len(matches)); err != nil {
+	var i int // the probe row the loop below is on; emit is built once
+	emit := func(_ int, o int32) { out[i] = k.pair(out[i], probe[i], ix.rows[o]) }
+	for _, i = range idxs {
+		if err := db.probeEach(ix, probe[i:i+1], leftKeys, emit); err != nil {
 			return err
-		}
-		db.Count.JoinPairs += len(matches)
-		for _, rrow := range matches {
-			out[i] = k.pair(out[i], probe[i], rrow)
 		}
 	}
 	return nil

@@ -375,7 +375,7 @@ func MapAttrs(expr *term.Term, fn func(i, j int, at *term.Term) *term.Term) *ter
 // the REFER external of Figure 8 builds on it.
 func RefersOnly(expr *term.Term, pred func(i, j int) bool) bool {
 	ok := true
-	term.Walk(expr, func(s *term.Term, _ term.Path) bool {
+	term.Visit(expr, func(s *term.Term) bool {
 		if i, j, isAttr := AttrIdx(s); isAttr && !pred(i, j) {
 			ok = false
 			return false

@@ -81,7 +81,7 @@ func extractBindings(q *term.Term, p int) []binding {
 
 func collectAttrs(e *term.Term) [][2]int {
 	var out [][2]int
-	term.Walk(e, func(s *term.Term, _ term.Path) bool {
+	term.Visit(e, func(s *term.Term) bool {
 		if i, j, ok := lera.AttrIdx(s); ok {
 			out = append(out, [2]int{i, j})
 		}

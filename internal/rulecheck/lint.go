@@ -299,7 +299,7 @@ func lintSymbols(r *rules.Rule, ext *rewrite.Externals, cat *catalog.Catalog) []
 
 	scan := func(part string, t *term.Term) {
 		site := ruleSite(r, part)
-		term.Walk(t, func(sub *term.Term, _ term.Path) bool {
+		term.Visit(t, func(sub *term.Term) bool {
 			if sub.Kind != term.Fun || sub.VarHead {
 				return true
 			}
@@ -403,7 +403,7 @@ func knownSymbol(f string, ext *rewrite.Externals, cat *catalog.Catalog) bool {
 func selfMatches(r *rules.Rule) bool {
 	sk := skolemize(r.RHS)
 	found := false
-	term.Walk(sk, func(sub *term.Term, _ term.Path) bool {
+	term.Visit(sk, func(sub *term.Term) bool {
 		if _, ok := term.MatchFirst(r.LHS, sub); ok {
 			found = true
 			return false

@@ -172,7 +172,7 @@ func typedSub(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 		return false, nil
 	}
 	var found *term.Term
-	term.Walk(f, func(s *term.Term, _ term.Path) bool {
+	term.Visit(f, func(s *term.Term) bool {
 		if s.Kind != term.Fun {
 			return true
 		}

@@ -72,10 +72,28 @@ func Walk(t *Term, fn func(sub *Term, path Path) bool) bool {
 	return rec(t, Path{})
 }
 
+// Visit calls fn on every subterm of t in Walk's preorder, without paths:
+// the traversal for callers that only look at the subterms, since building
+// a Path per node is Walk's whole cost. If fn returns false the visit stops
+// immediately and Visit returns false.
+func Visit(t *Term, fn func(sub *Term) bool) bool {
+	if !fn(t) {
+		return false
+	}
+	if t.Kind == Fun {
+		for _, a := range t.Args {
+			if !Visit(a, fn) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Count returns the number of subterms satisfying pred.
 func Count(t *Term, pred func(*Term) bool) int {
 	n := 0
-	Walk(t, func(sub *Term, _ Path) bool {
+	Visit(t, func(sub *Term) bool {
 		if pred(sub) {
 			n++
 		}
@@ -86,7 +104,7 @@ func Count(t *Term, pred func(*Term) bool) int {
 
 // Contains reports whether any subterm satisfies pred.
 func Contains(t *Term, pred func(*Term) bool) bool {
-	return !Walk(t, func(sub *Term, _ Path) bool { return !pred(sub) })
+	return !Visit(t, func(sub *Term) bool { return !pred(sub) })
 }
 
 // Rewrite applies fn bottom-up to every subterm, replacing each subterm

@@ -80,6 +80,32 @@ func TestWalkCountContains(t *testing.T) {
 	}
 }
 
+// TestVisitIsWalkWithoutPaths: same subterms, same preorder, same early
+// stop — and no Path per node, which is why Count, Contains and the
+// engine's conjunct classification use it.
+func TestVisitIsWalkWithoutPaths(t *testing.T) {
+	tr := sampleTree()
+	var walked, visited []*Term
+	Walk(tr, func(sub *Term, _ Path) bool { walked = append(walked, sub); return true })
+	Visit(tr, func(sub *Term) bool { visited = append(visited, sub); return true })
+	if len(walked) != len(visited) {
+		t.Fatalf("Walk saw %d subterms, Visit %d", len(walked), len(visited))
+	}
+	for i := range walked {
+		if walked[i] != visited[i] {
+			t.Fatalf("subterm %d: Walk saw %s, Visit %s", i, walked[i], visited[i])
+		}
+	}
+	n := 0
+	if ok := Visit(tr, func(*Term) bool { n++; return n < 3 }); ok || n != 3 {
+		t.Errorf("early stop: ok=%v visited=%d", ok, n)
+	}
+	isFix := func(s *Term) bool { return s.Functor == "FIX" }
+	if a := testing.AllocsPerRun(20, func() { Count(tr, isFix); Contains(tr, isFix) }); a > 2 {
+		t.Errorf("Count+Contains over %d nodes allocate %.0f objects, want at most the two closures", tr.Size(), a)
+	}
+}
+
 func TestWalkPathsAddressable(t *testing.T) {
 	tr := sampleTree()
 	Walk(tr, func(sub *Term, p Path) bool {
