@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"lera/internal/esql"
 	"lera/internal/testdb"
 	"lera/internal/value"
 )
@@ -40,20 +39,8 @@ CREATE VIEW RICH (Id, Name) AS SELECT Id, Name FROM EMP WHERE Salary > 100000;
 // exported API only.
 func TestPublicAPIPaperPipeline(t *testing.T) {
 	s := NewSession(WithTrace())
-	s.MustExec(esql.Figure2DDL)
-	s.MustExec(esql.Figure4View)
-	s.MustExec(esql.Figure5View)
-	inst, err := testdb.Data()
-	if err != nil {
+	if err := s.LoadFilms(); err != nil {
 		t.Fatal(err)
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
 	}
 	res, err := s.Query("SELECT Name(Refactor1) FROM BETTER_THAN WHERE Name(Refactor2) = 'Quinn'")
 	if err != nil {

@@ -1,11 +1,11 @@
 package lera
 
-// One testing.B benchmark per experiment of EXPERIMENTS.md (E1-E8), plus
-// micro-benchmarks for the rewriter itself. The benchrunner command
-// reports the corresponding work-counter tables; these give wall-clock
-// numbers under the standard Go harness. Sizes are kept modest so the
-// full suite runs in seconds (the unfocused recursive baselines are
-// superquadratic by design).
+// Micro-benchmarks under the standard Go harness: the rewriter alone
+// (BenchmarkRewrite*) and the two execution shapes of the repository's
+// benchmark at a tenth of its size (BenchmarkExecJoin/ExecClosure) — the
+// profile-able two-second inner loops docs/PERF.md cites. The paper's
+// claims are work-counter tables, not timings: cmd/benchrunner prints them
+// and testdata/experiments.golden pins them; timing of record is bench/.
 
 import (
 	"fmt"
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"lera/internal/esql"
-	"lera/internal/testdb"
 	"lera/internal/value"
 )
 
@@ -71,152 +70,6 @@ func benchQuery(b *testing.B, s *Session, q string) {
 	}
 }
 
-// E1 — search merging over a k-deep view stack.
-func BenchmarkE1SearchMerging(b *testing.B) {
-	for _, k := range []int{1, 4, 8} {
-		for _, mode := range []string{"raw", "rewritten"} {
-			b.Run(fmt.Sprintf("k=%d/%s", k, mode), func(b *testing.B) {
-				s := filmsBench(b, 500)
-				prev := "FILM"
-				for i := 1; i <= k; i++ {
-					name := fmt.Sprintf("V%d", i)
-					s.MustExec(fmt.Sprintf(
-						"CREATE VIEW %s (Numf, Title, Categories) AS SELECT Numf, Title, Categories FROM %s WHERE Numf > %d;", name, prev, i))
-					prev = name
-				}
-				s.Rewrite = mode == "rewritten"
-				benchQuery(b, s, fmt.Sprintf("SELECT Title FROM V%d WHERE Numf < 100", k))
-			})
-		}
-	}
-}
-
-// E2 — selection pushed through a union of partitions.
-func BenchmarkE2PushUnion(b *testing.B) {
-	build := func(b *testing.B) *Session {
-		s := NewSession()
-		var arms []string
-		for p := 0; p < 4; p++ {
-			name := fmt.Sprintf("P%d", p)
-			s.MustExec(fmt.Sprintf("TABLE %s (Id : INT, V : INT);", name))
-			rows := make([][]value.Value, 1000)
-			for i := range rows {
-				id := p*1000 + i
-				rows[i] = []value.Value{value.Int(int64(id)), value.Int(int64(id % 97))}
-			}
-			if err := s.DB.Load(name, rows); err != nil {
-				b.Fatal(err)
-			}
-			arms = append(arms, "SELECT Id, V FROM "+name)
-		}
-		s.MustExec("CREATE VIEW ALLP (Id, V) AS " + strings.Join(arms, " UNION ") + ";")
-		return s
-	}
-	for _, mode := range []string{"raw", "rewritten"} {
-		b.Run(mode, func(b *testing.B) {
-			s := build(b)
-			s.Rewrite = mode == "rewritten"
-			benchQuery(b, s, "SELECT V FROM ALLP WHERE Id < 40")
-		})
-	}
-}
-
-// E3 — selection pushed through a nest.
-func BenchmarkE3PushNest(b *testing.B) {
-	build := func(b *testing.B) *Session {
-		s := NewSession()
-		s.MustExec(`
-TABLE R (G : INT, V : INT);
-CREATE VIEW NESTED (G, Vs) AS SELECT G, MakeSet(V) FROM R GROUP BY G;
-`)
-		rows := make([][]value.Value, 0, 400*20)
-		for g := 1; g <= 400; g++ {
-			for v := 0; v < 20; v++ {
-				rows = append(rows, []value.Value{value.Int(int64(g)), value.Int(int64(v))})
-			}
-		}
-		if err := s.DB.Load("R", rows); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	for _, mode := range []string{"raw", "rewritten"} {
-		b.Run(mode, func(b *testing.B) {
-			s := build(b)
-			s.Rewrite = mode == "rewritten"
-			benchQuery(b, s, "SELECT Vs FROM NESTED WHERE G = 5")
-		})
-	}
-}
-
-// E4 — the Alexander fixpoint reduction on chain graphs. The raw baseline
-// is kept tiny: unfocused transitive closure is superquadratic.
-func BenchmarkE4Alexander(b *testing.B) {
-	for _, tc := range []struct {
-		n    int
-		mode string
-	}{{60, "raw"}, {60, "rewritten"}, {240, "rewritten"}} {
-		b.Run(fmt.Sprintf("n=%d/%s", tc.n, tc.mode), func(b *testing.B) {
-			s := graphBench(b, tc.n)
-			s.Rewrite = tc.mode == "rewritten"
-			benchQuery(b, s, fmt.Sprintf("SELECT Src FROM TC WHERE Dst = %d", tc.n/2))
-		})
-	}
-}
-
-// E5 — inconsistency short-circuit.
-func BenchmarkE5Inconsistency(b *testing.B) {
-	for _, mode := range []string{"raw", "rewritten"} {
-		b.Run(mode, func(b *testing.B) {
-			s := filmsBench(b, 10000)
-			s.Rewrite = mode == "rewritten"
-			benchQuery(b, s, "SELECT Title FROM FILM WHERE MEMBER('Cartoon', Categories)")
-		})
-	}
-}
-
-// E6 — constant folding of per-tuple predicates.
-func BenchmarkE6Simplify(b *testing.B) {
-	q := "SELECT Title FROM FILM WHERE 1 + 2 > 0 AND 3 + 4 > 5 AND 2 * 3 = 6 AND Numf > 500"
-	for _, mode := range []string{"raw", "rewritten"} {
-		b.Run(mode, func(b *testing.B) {
-			s := filmsBench(b, 5000)
-			s.Rewrite = mode == "rewritten"
-			benchQuery(b, s, q)
-		})
-	}
-}
-
-// E7 — rewrite cost against block limits (rewriting only; the execution
-// side is in benchrunner's table).
-func BenchmarkE7BlockLimits(b *testing.B) {
-	blocks := []string{"typecheck", "normalize", "merge", "push", "fixpoint", "constraints", "semantic", "simplify"}
-	for _, limit := range []int{0, 4, 64} {
-		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
-			var opts []Option
-			for _, bl := range blocks {
-				opts = append(opts, WithBlockLimit(bl, limit))
-			}
-			s := graphBench(b, 100, opts...)
-			benchQuery(b, s, "SELECT Src FROM TC WHERE Dst = 50")
-		})
-	}
-}
-
-// E8 — repeated merge blocks after fixpoint reduction.
-func BenchmarkE8RepeatedBlocks(b *testing.B) {
-	seqs := map[string]string{
-		"once":     "seq({typecheck, normalize, merge, push, fixpoint, constraints, semantic, simplify}, 1);",
-		"repeated": "seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 2);",
-	}
-	for name, seq := range seqs {
-		b.Run(name, func(b *testing.B) {
-			s := graphBench(b, 120, WithSequence(seq))
-			benchQuery(b, s, "SELECT Src FROM TC WHERE Dst = 60")
-		})
-	}
-}
-
 // benchRewrite times the rewriter alone on one translated query.
 func benchRewrite(b *testing.B, s *Session, query string) {
 	b.Helper()
@@ -251,20 +104,8 @@ func BenchmarkRewriteFigure5(b *testing.B) {
 func paperSession(b testing.TB, opts ...Option) *Session {
 	b.Helper()
 	s := NewSession(opts...)
-	s.MustExec(esql.Figure2DDL)
-	s.MustExec(esql.Figure4View)
-	s.MustExec(esql.Figure5View)
-	inst, err := testdb.Data()
-	if err != nil {
+	if err := s.LoadFilms(); err != nil {
 		b.Fatal(err)
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
 	}
 	return s
 }
@@ -320,57 +161,6 @@ func translateBench(s *Session, src string) (*Term, error) {
 		return nil, err
 	}
 	return res.Initial, nil
-}
-
-// E16 — plan cache: the full query path cold (every query rewritten)
-// versus warm (every query a template hit that re-binds its constants).
-// The warm loop asserts the hit, so a templatization regression that
-// silently stops sharing shows up as a benchmark failure, not just a
-// slower number.
-func BenchmarkE16PlanCache(b *testing.B) {
-	workloads := []struct {
-		name  string
-		build func(b *testing.B, opts ...Option) *Session
-		q     func(i int) string
-	}{
-		{"closure-point",
-			func(b *testing.B, opts ...Option) *Session { return graphBench(b, 60, opts...) },
-			func(i int) string { return fmt.Sprintf("SELECT Src FROM TC WHERE Dst = %d", i%30+2) }},
-		{"member-range",
-			func(b *testing.B, opts ...Option) *Session { return filmsBench(b, 500, opts...) },
-			func(i int) string {
-				return fmt.Sprintf("SELECT Title FROM FILM WHERE MEMBER('Adventure', Categories) AND Numf > %d", 450+i%50)
-			}},
-	}
-	for _, w := range workloads {
-		b.Run(w.name+"/cold", func(b *testing.B) {
-			s := w.build(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Query(w.q(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.name+"/warm", func(b *testing.B) {
-			s := w.build(b, WithPlanCache(64))
-			if _, err := s.Query(w.q(0)); err != nil { // prime the template
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Query(w.q(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Cache == nil || !res.Cache.Hit {
-					b.Fatalf("iteration %d: expected a plan-cache hit", i)
-				}
-			}
-		})
-	}
 }
 
 // The two execution shapes of the repository's benchmark (bench/README.md)

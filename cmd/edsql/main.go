@@ -54,9 +54,7 @@ import (
 	"time"
 
 	"lera"
-	"lera/internal/esql"
 	"lera/internal/guard"
-	"lera/internal/testdb"
 )
 
 func main() {
@@ -191,7 +189,7 @@ func meta(s *lera.Session, showPlan *bool, cmd string) bool {
 			c.Scanned, c.JoinPairs, c.Emitted, c.PredEvals, c.FixIterations)
 		s.DB.ResetCounters()
 	case "\\films":
-		if err := loadFilms(s); err != nil {
+		if err := s.LoadFilms(); err != nil {
 			fmt.Println("error:", err)
 		} else {
 			fmt.Println("Figure 2 schema, Figure 4/5 views and sample data loaded")
@@ -333,6 +331,9 @@ func capture(src string, elapsed time.Duration, results []*lera.Result, err erro
 	if err != nil {
 		code = string(guard.CodeOf(err))
 	}
+	add := func(r *lera.Result, err error) {
+		slowRing.Add(lera.NewSlowEntry(time.Now(), "", query, code, elapsed, r, err))
+	}
 	var last *lera.Result
 	for _, r := range results {
 		if r.Kind != lera.ResultRows {
@@ -340,64 +341,13 @@ func capture(src string, elapsed time.Duration, results []*lera.Result, err erro
 		}
 		last = r
 		if st := r.RewriteStats(); st.Degraded {
-			slowRing.Add(entryFor(query, code, elapsed, r, err))
+			add(r, err)
 		}
 	}
 	switch {
 	case err != nil:
-		slowRing.Add(entryFor(query, code, elapsed, last, err))
+		add(last, err)
 	case last != nil && !last.RewriteStats().Degraded && slowRing.ShouldCapture(elapsed, false, code):
-		slowRing.Add(entryFor(query, code, elapsed, last, nil))
+		add(last, nil)
 	}
-}
-
-func entryFor(query, code string, elapsed time.Duration, r *lera.Result, err error) lera.SlowEntry {
-	e := lera.SlowEntry{
-		Time:    time.Now(),
-		Query:   query,
-		Code:    code,
-		Elapsed: elapsed,
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	if r == nil {
-		return e
-	}
-	e.Rows = int64(len(r.Rows))
-	e.Budget = r.Budget
-	e.Report = r.Report
-	if st := r.RewriteStats(); st.Degraded {
-		e.Degraded = true
-		e.Reason = st.DegradationReason
-	}
-	if r.Cache != nil {
-		e.TemplateHash = fmt.Sprintf("%016x", r.Cache.TemplateHash)
-	}
-	return e
-}
-
-func loadFilms(s *lera.Session) error {
-	if _, err := s.Exec(esql.Figure2DDL); err != nil {
-		return err
-	}
-	if _, err := s.Exec(esql.Figure4View); err != nil {
-		return err
-	}
-	if _, err := s.Exec(esql.Figure5View); err != nil {
-		return err
-	}
-	inst, err := testdb.Data()
-	if err != nil {
-		return err
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			return err
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
-	}
-	return nil
 }

@@ -11,27 +11,14 @@ import (
 
 	"lera"
 	"lera/internal/esql"
-	"lera/internal/testdb"
 )
 
 func main() {
 	s := lera.NewSession(lera.WithTrace())
-	s.MustExec(esql.Figure2DDL)
-	s.MustExec(esql.Figure4View)
-	s.MustExec(esql.Figure5View)
-
-	// Load the sample instance (actor objects + the three relations).
-	inst, err := testdb.Data()
-	if err != nil {
+	// The Figure 2 schema, the Figure 4/5 views and the sample instance
+	// (actor objects + the three relations).
+	if err := s.LoadFilms(); err != nil {
 		log.Fatal(err)
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
 	}
 
 	queries := []struct {

@@ -10,8 +10,6 @@ import (
 	"log"
 
 	"lera"
-	"lera/internal/esql"
-	"lera/internal/testdb"
 )
 
 func main() {
@@ -24,18 +22,8 @@ rule ic_category: F(x) / ISA(x, SetCategory)
   --> F(x) AND INCLUDE(x, SET('Comedy', 'Adventure', 'Science Fiction', 'Western')) / ;
 `),
 	)
-	s.MustExec(esql.Figure2DDL)
-	inst, err := testdb.Data()
-	if err != nil {
+	if err := s.LoadFilms(); err != nil {
 		log.Fatal(err)
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
 	}
 
 	fmt.Println("== inconsistent query: films of category 'Cartoon' (not in the enumeration)")

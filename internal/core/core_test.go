@@ -19,26 +19,8 @@ import (
 func filmsSession(t *testing.T, opts ...Option) *Session {
 	t.Helper()
 	s := NewSession(opts...)
-	if _, err := s.Exec(esql.Figure2DDL); err != nil {
+	if err := s.LoadFilms(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s.Exec(esql.Figure4View); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(esql.Figure5View); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := testdb.Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
 	}
 	return s
 }

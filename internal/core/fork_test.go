@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"lera/internal/guard"
+	"lera/internal/obs"
 	"lera/internal/rewrite"
 	"lera/internal/term"
 )
@@ -51,6 +52,29 @@ func TestForkBitIdenticalAndIsolated(t *testing.T) {
 	}
 	if parent.DB.Count != parentCount {
 		t.Errorf("running the fork mutated the parent's counters: %+v", parent.DB.Count)
+	}
+}
+
+// TestForkCarriesCollectStats: a session pool sets stats collection once,
+// on the session it forks from, and every fork's reports carry the
+// EXPLAIN ANALYZE operator tree.
+func TestForkCarriesCollectStats(t *testing.T) {
+	parent := filmsSession(t)
+	parent.Obs = obs.NewObserver() // reports come from the observing path
+	parent.DB.CollectStats = true
+	fork, err := parent.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fork.DB.CollectStats {
+		t.Fatal("Fork dropped CollectStats")
+	}
+	res, err := fork.Query(guardQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report == nil || res.Report.Exec == nil {
+		t.Error("a fork of a stats-collecting session produced no exec tree")
 	}
 }
 

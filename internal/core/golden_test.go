@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"lera/internal/esql"
 	"lera/internal/lera"
-	"lera/internal/testdb"
 )
 
 // goldenCases pins the exact LERA form a query translates to and the
@@ -107,25 +105,13 @@ var goldenCases = []struct {
 func goldenSession(t *testing.T, opts ...Option) *Session {
 	t.Helper()
 	s := NewSession(opts...)
-	s.MustExec(esql.Figure2DDL)
-	s.MustExec(esql.Figure4View)
-	s.MustExec(esql.Figure5View)
+	if err := s.LoadFilms(); err != nil {
+		t.Fatal(err)
+	}
 	s.MustExec("CREATE VIEW AdvFilms (Numf, Title) AS SELECT Numf, Title FROM FILM WHERE MEMBER('Adventure', Categories);")
 	s.MustExec("CREATE VIEW EITHERF (Numf) AS SELECT Numf FROM FILM UNION SELECT Numf FROM APPEARS_IN;")
 	s.MustExec("CREATE VIEW DEEP1 (Numf, Title) AS SELECT Numf, Title FROM AdvFilms WHERE Numf > 0;")
 	s.MustExec("CREATE VIEW DEEP2 (Numf, Title) AS SELECT Numf, Title FROM DEEP1 WHERE Numf < 100;")
-	inst, err := testdb.Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
-	}
 	return s
 }
 

@@ -162,7 +162,7 @@ func TestDisabledObservabilityZeroOverheadPath(t *testing.T) {
 	}
 }
 
-// TestExecStatsViaSession: CollectStats pre-set by a harness (benchrunner
+// TestExecStatsViaSession: CollectStats pre-set by a harness (the server
 // does this) populates Report.Exec even without tracing.
 func TestExecStatsViaSession(t *testing.T) {
 	s := filmsSession(t)

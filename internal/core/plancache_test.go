@@ -62,6 +62,43 @@ func TestPlanCacheDifferentialGolden(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitsAcrossConstants: once a shape has been seen, every
+// later query of that shape — whatever its constants — is a template hit
+// that runs zero match attempts, on a recursive closure and on an ADT
+// filter (the EXPERIMENTS.md E16 contract: one miss per shape). A
+// templatization regression that silently stops sharing fails here.
+func TestPlanCacheHitsAcrossConstants(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		s    *Session
+		q    func(i int) string
+	}{
+		{"closure-point", graphBench(t, 60, WithPlanCache(64)),
+			func(i int) string { return fmt.Sprintf("SELECT Src FROM TC WHERE Dst = %d", i%30+2) }},
+		{"member-range", filmsBench(t, 500, WithPlanCache(64)),
+			func(i int) string {
+				return fmt.Sprintf("SELECT Title FROM FILM WHERE MEMBER('Adventure', Categories) AND Numf > %d", 450+i%50)
+			}},
+	} {
+		if _, err := w.s.Query(w.q(0)); err != nil { // prime the template
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		for i := 1; i <= 50; i++ {
+			res, err := w.s.Query(w.q(i))
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+			if res.Cache == nil || !res.Cache.Hit || res.RewriteStats().MatchAttempts != 0 {
+				t.Fatalf("%s query %d: expected a plan-cache hit with no match attempts, got %+v, %d attempts",
+					w.name, i, res.Cache, res.RewriteStats().MatchAttempts)
+			}
+		}
+		if snap := w.s.Plans.Snapshot(); snap.Misses != 1 {
+			t.Errorf("%s: %d misses, want 1 (one per shape)", w.name, snap.Misses)
+		}
+	}
+}
+
 // EXPLAIN ANALYZE of a cache hit reports the same execution tree as an
 // uncached session's.
 func TestPlanCacheExplainAnalyzeIdentical(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"lera/internal/rewrite"
 	"lera/internal/rulecheck"
 	"lera/internal/term"
+	"lera/internal/testdb"
 	"lera/internal/translate"
 	"lera/internal/value"
 )
@@ -598,6 +599,32 @@ func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term,
 // subset has no object-creation statement; examples and tools load
 // objects through this call).
 func (s *Session) SetObject(oid int64, v value.Value) { s.DB.SetObject(oid, v) }
+
+// LoadFilms loads the paper's running example into the session: the
+// Figure 2 schema, the Figure 4 and Figure 5 views, and the sample
+// instance of internal/testdb (rows and actor objects). It is the one
+// bootstrap behind edsql's \films, leraserver -films, the examples and
+// the tests.
+func (s *Session) LoadFilms() error {
+	for _, src := range []string{esql.Figure2DDL, esql.Figure4View, esql.Figure5View} {
+		if _, err := s.Exec(src); err != nil {
+			return err
+		}
+	}
+	inst, err := testdb.Data()
+	if err != nil {
+		return err
+	}
+	for name, rows := range inst.Rows {
+		if err := s.DB.Load(name, rows); err != nil {
+			return err
+		}
+	}
+	for oid, obj := range inst.Objects {
+		s.SetObject(oid, obj)
+	}
+	return nil
+}
 
 // CheckRules verifies the session's assembled rule base — static lint
 // plus differential semantic testing — under the session's guard Limits,

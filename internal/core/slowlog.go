@@ -61,6 +61,30 @@ type SlowEntry struct {
 	Truncated bool `json:"query_truncated,omitempty"`
 }
 
+// NewSlowEntry assembles the entry for one finished query from its
+// outcome. r is nil for a query that never executed (shed, parse failure,
+// panic); the entry then carries only the outcome fields.
+func NewSlowEntry(t time.Time, tenant, query, code string, elapsed time.Duration, r *Result, err error) SlowEntry {
+	e := SlowEntry{Time: t, Tenant: tenant, Query: query, Code: code, Elapsed: elapsed}
+	if err != nil {
+		e.Error = err.Error()
+	}
+	if r == nil {
+		return e
+	}
+	e.Rows = int64(len(r.Rows))
+	e.Budget = r.Budget
+	e.Report = r.Report
+	if st := r.RewriteStats(); st.Degraded {
+		e.Degraded = true
+		e.Reason = st.DegradationReason
+	}
+	if r.Cache != nil {
+		e.TemplateHash = fmt.Sprintf("%016x", r.Cache.TemplateHash)
+	}
+	return e
+}
+
 // SlowLog is the ring. The zero value is unusable; use NewSlowLog.
 // A nil *SlowLog no-ops every method.
 type SlowLog struct {

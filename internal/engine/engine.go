@@ -106,6 +106,11 @@ type knobs struct {
 	// guard/faultinject.go for the determinism contract). Injected
 	// faults surface as typed ExternalErrors, like real ADT failures.
 	Injector *guard.Injector
+	// CollectStats enables per-operator execution statistics (stats.go):
+	// each EvalCtx builds an OpStats tree retrievable with LastExecStats.
+	// Off, evaluation pays one nil check per operator and zero
+	// allocations.
+	CollectStats bool
 }
 
 // DB is an in-memory database instance: stored relations, the object
@@ -115,11 +120,6 @@ type DB struct {
 	Objects map[int64]value.Value
 	knobs
 	Count Counters
-	// CollectStats enables per-operator execution statistics (stats.go):
-	// each EvalCtx builds an OpStats tree retrievable with LastExecStats.
-	// Off, evaluation pays one nil check per operator and zero
-	// allocations.
-	CollectStats bool
 	// Spill accumulates the out-of-core counters across evaluations,
 	// like Count. Kept outside Counters because Counters are part of the
 	// bit-identity contract between spilled and in-memory runs.

@@ -71,7 +71,6 @@ func (db *DB) canParallel(n int) bool {
 func (db *DB) worker(ctx context.Context) *DB {
 	g := db.g
 	w := db.Fork()
-	w.CollectStats = db.CollectStats
 	// Workers share the evaluation's spill handle like the Budget, so all
 	// their spill files land in (and unwind with) the same temp dir.
 	wg := &evalGuard{ctx: ctx, lim: g.lim, rows: g.rows, pool: g.pool, spill: g.spill, progs: g.progs}

@@ -24,8 +24,9 @@ import (
 // ReferenceEval evaluates plan over db's stored data with the reference
 // evaluator, on a private serial fork: db's counters, spill totals and
 // last stats tree are untouched, and Limits.MaxMemBytes, SpillDir,
-// Parallelism, BatchSize and the Injector are ignored. The semantic
-// guardrails — cancellation, MaxRows, MaxFixIterations — still apply.
+// Parallelism, BatchSize, CollectStats and the Injector are ignored. The
+// semantic guardrails — cancellation, MaxRows, MaxFixIterations — still
+// apply.
 // For tests and rulecheck.EngineDiff only.
 func ReferenceEval(ctx context.Context, db *DB, plan *term.Term) (*Relation, error) {
 	ref := db.Fork()
@@ -34,6 +35,7 @@ func ReferenceEval(ctx context.Context, db *DB, plan *term.Term) (*Relation, err
 	ref.Limits.MaxMemBytes = 0
 	ref.SpillDir = ""
 	ref.Injector = nil
+	ref.CollectStats = false
 	return ref.EvalCtx(ctx, plan)
 }
 

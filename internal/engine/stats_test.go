@@ -162,3 +162,26 @@ func TestExecStatsDisabledCheap(t *testing.T) {
 		t.Fatal("stats tree present after a CollectStats=false run")
 	}
 }
+
+// TestForkCarriesCollectStats: CollectStats is one of the knobs a fork
+// (and so a parallel worker) inherits, while the tree it builds stays
+// private to the fork that ran.
+func TestForkCarriesCollectStats(t *testing.T) {
+	db := loadedDB(t)
+	db.CollectStats = true
+	fork := db.Fork()
+	if !fork.CollectStats {
+		t.Fatal("Fork dropped CollectStats")
+	}
+	q := lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(),
+		[]*term.Term{lera.Attr(1, 2)})
+	if _, err := fork.Eval(q); err != nil {
+		t.Fatal(err)
+	}
+	if fork.LastExecStats() == nil {
+		t.Error("the fork's run left no stats tree")
+	}
+	if db.LastExecStats() != nil {
+		t.Error("the fork's stats tree leaked into its parent")
+	}
+}

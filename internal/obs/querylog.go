@@ -41,7 +41,8 @@ type QueryEvent struct {
 	// rendered as hex for log greppability. Empty when the query never
 	// reached the rewrite phase.
 	TemplateHash string `json:"template_hash,omitempty"`
-	// Cache is the plan-cache outcome: "hit", "miss", "bypass" or "".
+	// Cache is the plan-cache outcome: "hit", "miss", or "" when the server
+	// has no plan cache or the request never reached it.
 	Cache string `json:"cache,omitempty"`
 
 	// Phase timings, nanoseconds. Zero when the phase did not run.

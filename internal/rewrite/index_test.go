@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"lera/internal/rules"
 	"lera/internal/term"
 )
 
@@ -192,39 +191,5 @@ func TestFullScanOptionStillWorks(t *testing.T) {
 	out, st := run(t, e, term.F("WRAP", term.F("FOO", term.Num(1))))
 	if out.String() != "WRAP(BAR(1))" || st.Applications != 1 {
 		t.Errorf("out = %s, applications = %d", out, st.Applications)
-	}
-}
-
-func BenchmarkManyDeadRules(b *testing.B) {
-	var src strings.Builder
-	src.WriteString("rule live: FOO(x) / x > 0 --> FOO2(x);\nrule live2: FOO2(x) --> DONE(x);\n")
-	names := []string{"live", "live2"}
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&src, "rule dead%d: DEADHEAD%d(x) --> GONE%d(x);\n", i, i, i)
-		names = append(names, fmt.Sprintf("dead%d", i))
-	}
-	fmt.Fprintf(&src, "block(all, {%s}, inf);\nseq({all}, 2);\n", strings.Join(names, ", "))
-	rs, err := rules.Parse(src.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := term.F("ROOT")
-	for i := 0; i < 40; i++ {
-		q = term.F("WRAP", q, term.F("LEAF", term.Num(int64(i))))
-	}
-	q = term.F("TOP", q, term.F("FOO", term.Num(1)))
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{{"indexed", Options{}}, {"fullscan", Options{FullScan: true}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := New(rs, NewExternals(), nil, mode.opts)
-				if _, _, err := e.Run(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

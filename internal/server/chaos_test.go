@@ -213,3 +213,26 @@ func TestChaosPanicReplacesSession(t *testing.T) {
 		t.Error("panic isolation counter is zero")
 	}
 }
+
+// TestReplacedSessionFeedsSlowRing: a pooled session whose query panicked
+// is replaced by a fresh fork of the boot session, and that fork still
+// collects the per-operator tree the slow-query ring retains — the setting
+// lives on the session every fork comes from, not at each fork site.
+func TestReplacedSessionFeedsSlowRing(t *testing.T) {
+	srv, base := startServer(t, Config{MaxInFlight: 1, SlowThreshold: time.Nanosecond})
+	sess := <-srv.pool
+	sess.DB = nil // the next query on this session panics past every isolation
+	srv.pool <- sess
+
+	c := NewClient(base)
+	if out := c.Query(context.Background(), filmQuery); out.Code != guard.CodeInternal {
+		t.Fatalf("poisoned session: code = %s, want INTERNAL", out.Code)
+	}
+	if out := c.Query(context.Background(), filmQuery); out.Code != guard.CodeOK {
+		t.Fatalf("replacement session: code = %s", out.Code)
+	}
+	e := srv.SlowLog().Snapshot()[0] // newest first
+	if e.Code != string(guard.CodeOK) || e.Report == nil || e.Report.Exec == nil {
+		t.Errorf("the replacement's capture holds no exec tree: code=%s report=%+v", e.Code, e.Report)
+	}
+}

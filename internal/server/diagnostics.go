@@ -8,7 +8,7 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"time"
 
@@ -25,22 +25,11 @@ func (s *Server) recordDiagnostics(t0 time.Time, elapsed time.Duration, tenant, 
 	if s.qlog == nil && s.slow == nil {
 		return
 	}
-	var (
-		rep      *core.QueryReport
-		hash     string
-		cacheOut string
-	)
-	if res != nil {
-		rep = res.Report
-		if oc := res.Cache; oc != nil {
-			hash = fmt.Sprintf("%016x", oc.TemplateHash)
-			if oc.Hit {
-				cacheOut = "hit"
-			} else {
-				cacheOut = "miss"
-			}
-		}
+	var err error
+	if resp.Error != "" {
+		err = errors.New(resp.Error)
 	}
+	entry := core.NewSlowEntry(t0, tenant, query, resp.Code, elapsed, res, err)
 
 	if s.qlog != nil {
 		ev := obs.QueryEvent{
@@ -49,14 +38,19 @@ func (s *Server) recordDiagnostics(t0 time.Time, elapsed time.Duration, tenant, 
 			Query:        query,
 			Code:         resp.Code,
 			Error:        resp.Error,
-			TemplateHash: hash,
-			Cache:        cacheOut,
+			TemplateHash: entry.TemplateHash,
 			ElapsedNs:    elapsed.Nanoseconds(),
 			Rows:         int64(resp.RowsN),
 			Degraded:     resp.Degraded,
 			Reason:       resp.DegradedReason,
 		}
 		if res != nil {
+			if oc := res.Cache; oc != nil {
+				ev.Cache = "miss"
+				if oc.Hit {
+					ev.Cache = "hit"
+				}
+			}
 			ev.RowsUsed = res.Budget.RowsUsed
 			ev.RowsLimit = res.Budget.RowsLimit
 			ev.StepsUsed = res.Budget.StepsUsed
@@ -67,7 +61,7 @@ func (s *Server) recordDiagnostics(t0 time.Time, elapsed time.Duration, tenant, 
 			ev.MatchAttempts = int64(st.MatchAttempts)
 			ev.Applications = int64(st.Applications)
 		}
-		if rep != nil {
+		if rep := entry.Report; rep != nil {
 			ev.ParseNs = rep.Phases.Parse.Nanoseconds()
 			ev.TranslateNs = rep.Phases.Translate.Nanoseconds()
 			ev.RewriteNs = rep.Phases.Rewrite.Nanoseconds()
@@ -86,23 +80,7 @@ func (s *Server) recordDiagnostics(t0 time.Time, elapsed time.Duration, tenant, 
 	}
 
 	if s.slow.ShouldCapture(elapsed, resp.Degraded, resp.Code) {
-		e := core.SlowEntry{
-			Time:         t0,
-			Tenant:       tenant,
-			Query:        query,
-			Code:         resp.Code,
-			Elapsed:      elapsed,
-			Rows:         int64(resp.RowsN),
-			Degraded:     resp.Degraded,
-			Reason:       resp.DegradedReason,
-			Error:        resp.Error,
-			TemplateHash: hash,
-			Report:       rep,
-		}
-		if res != nil {
-			e.Budget = res.Budget
-		}
-		s.slow.Add(e)
+		s.slow.Add(entry)
 	}
 }
 

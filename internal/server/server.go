@@ -30,10 +30,8 @@ import (
 
 	"lera/internal/core"
 	"lera/internal/engine"
-	"lera/internal/esql"
 	"lera/internal/guard"
 	"lera/internal/obs"
-	"lera/internal/testdb"
 )
 
 // Config configures a Server. The zero value is usable for tests: an
@@ -232,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 	base.BatchSize = cfg.BatchSize
 	base.SpillDir = cfg.SpillDir
 	if cfg.LoadFilms {
-		if err := loadFilms(base); err != nil {
+		if err := base.LoadFilms(); err != nil {
 			return nil, fmt.Errorf("server: loading example database: %w", err)
 		}
 	}
@@ -260,17 +258,16 @@ func New(cfg Config) (*Server, error) {
 		drained: make(chan struct{}),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
+	// The slow-query ring needs the full EXPLAIN ANALYZE operator tree for
+	// any query it captures — and capture is decided after the fact, so
+	// collection is on for every session forked from base: the pool here
+	// and the replacements in handleQuery.
+	base.DB.CollectStats = s.slow != nil
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		fork, err := base.Fork()
 		if err != nil {
 			return nil, fmt.Errorf("server: forking session pool: %w", err)
 		}
-		// The slow-query ring needs the full EXPLAIN ANALYZE operator
-		// tree for any query it captures — and capture is decided after
-		// the fact, so collection must be on for every pooled session.
-		// (Fork does not copy CollectStats; see also the replacement
-		// path in handleQuery.)
-		fork.DB.CollectStats = s.slow != nil
 		s.pool <- fork
 	}
 	s.m.sessions.Set(int64(cfg.MaxInFlight))
@@ -285,29 +282,6 @@ func New(cfg Config) (*Server, error) {
 		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
 	}
 	return s, nil
-}
-
-// loadFilms mirrors edsql's \films: the Figure 2 schema, Figure 4/5
-// views, and the sample instance with its actor objects.
-func loadFilms(s *core.Session) error {
-	for _, src := range []string{esql.Figure2DDL, esql.Figure4View, esql.Figure5View} {
-		if _, err := s.Exec(src); err != nil {
-			return err
-		}
-	}
-	inst, err := testdb.Data()
-	if err != nil {
-		return err
-	}
-	for name, rows := range inst.Rows {
-		if err := s.DB.Load(name, rows); err != nil {
-			return err
-		}
-	}
-	for oid, obj := range inst.Objects {
-		s.SetObject(oid, obj)
-	}
-	return nil
 }
 
 // Injector returns the server's fault injector (chaos faults are armed on
@@ -477,8 +451,6 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 			if ferr != nil {
 				s.logf("session replacement failed, recycling suspect session: %v", ferr)
 				fork = sess
-			} else {
-				fork.DB.CollectStats = s.slow != nil
 			}
 			s.pool <- fork
 		}

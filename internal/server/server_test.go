@@ -63,7 +63,7 @@ func TestServerBitIdenticalToEmbedded(t *testing.T) {
 
 	embedded := core.NewSession()
 	embedded.Obs = obs.NewObserver()
-	if err := loadFilms(embedded); err != nil {
+	if err := embedded.LoadFilms(); err != nil {
 		t.Fatal(err)
 	}
 	want, err := embedded.Query(filmQuery)

@@ -285,6 +285,12 @@ func NewSlowLog(size int, threshold time.Duration) *SlowLog {
 	return core.NewSlowLog(size, threshold)
 }
 
+// NewSlowEntry assembles the slow-log entry of one finished query from
+// its outcome (r is nil for a query that never executed).
+func NewSlowEntry(t time.Time, tenant, query, code string, elapsed time.Duration, r *Result, err error) SlowEntry {
+	return core.NewSlowEntry(t, tenant, query, code, elapsed, r, err)
+}
+
 // FormatSlowEntry renders one captured slow query the way EXPLAIN
 // ANALYZE renders a live one.
 func FormatSlowEntry(e SlowEntry) string { return core.FormatSlowEntry(e) }
