@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -447,5 +448,35 @@ func TestFormatResultAllocs(t *testing.T) {
 	t.Logf("allocations: %.0f for 10 rows, %.0f for 1000", a10, a1000)
 	if a1000 > a10+2 || a1000 > 12 {
 		t.Errorf("FormatResult allocates per row: %.0f allocations for 10 rows, %.0f for 1000", a10, a1000)
+	}
+}
+
+// TestFormatResultPresizeIsBounded: the builder's one-shot presize
+// extrapolates from the first row, so one long first cell in a large answer
+// used to ask for (rows − 1) × its length up front — a gigabyte for a 10 KB
+// SET(...) heading 100 000 rows. The presize is capped; the text is
+// unchanged.
+func TestFormatResultPresizeIsBounded(t *testing.T) {
+	const rows = 100_000
+	elems := make([]value.Value, 1000)
+	for i := range elems {
+		elems[i] = value.String(fmt.Sprintf("c-%05d", i))
+	}
+	long, short := []value.Value{value.NewSet(elems...)}, []value.Value{value.Int(7)}
+	r := &Result{Kind: ResultRows, Rows: [][]value.Value{long}, Message: "done"}
+	for i := 1; i < rows; i++ {
+		r.Rows = append(r.Rows, short)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := FormatResult(r)
+	runtime.ReadMemStats(&after)
+	if want := long[0].String() + "\n" + strings.Repeat("7\n", rows-1) + "done"; got != want {
+		t.Fatalf("FormatResult changed its rendering: %d bytes, want %d", len(got), len(want))
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B allocated for a %d B answer (uncapped presize: %d B)", alloc, len(got), (rows-1)*(len(long[0].String())+3))
+	if alloc > 4*formatPresizeMax {
+		t.Errorf("FormatResult allocated %d B for a %d B answer: the presize is unbounded again", alloc, len(got))
 	}
 }

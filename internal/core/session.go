@@ -639,6 +639,10 @@ func (s *Session) CheckRules(ctx context.Context) ([]rulecheck.Diagnostic, error
 	return rw.CheckRules(ctx, s.Limits)
 }
 
+// formatPresizeMax bounds FormatResult's one-shot presize of its builder;
+// an answer longer than this grows by the builder's own doubling.
+const formatPresizeMax = 4 << 20
+
 // FormatResult renders a query result as an aligned text table.
 func FormatResult(r *Result) string {
 	if r.Kind != ResultRows {
@@ -654,7 +658,9 @@ func FormatResult(r *Result) string {
 	}
 	// Cells are appended through one scratch buffer (value.AppendText), never
 	// rendered to a string each, and the builder grows once, to the first
-	// row's length times the row count.
+	// row's length times the row count — up to formatPresizeMax: the first
+	// row is a guess at the others, and one long first cell must not size
+	// the whole answer.
 	var cell []byte
 	for n, row := range r.Rows {
 		start := sb.Len()
@@ -667,7 +673,7 @@ func FormatResult(r *Result) string {
 		}
 		sb.WriteString("\n")
 		if n == 0 {
-			sb.Grow((len(r.Rows)-1)*(sb.Len()-start+2) + len(r.Message))
+			sb.Grow(min((len(r.Rows)-1)*(sb.Len()-start+2), formatPresizeMax) + len(r.Message))
 		}
 	}
 	sb.WriteString(r.Message)

@@ -216,6 +216,9 @@ func TestRowKeyEqMatchesRowKey(t *testing.T) {
 		value.NewTuple([]string{"a", "b"}, []value.Value{value.Int(1), value.Int(2)}),
 		value.NewTuple([]string{"a,b"}, []value.Value{value.Int(1)}),
 		value.NewTuple([]string{"a"}, []value.Value{value.Int(1)}),
+		// Same arity, one Key: the pair whose names used to hash apart.
+		value.NewTuple([]string{"a,b", "c"}, []value.Value{value.Int(1), value.Int(2)}),
+		value.NewTuple([]string{"a", "b,c"}, []value.Value{value.Int(1), value.Int(2)}),
 	}
 	for i, a := range vals {
 		for j, b := range vals {

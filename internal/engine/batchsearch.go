@@ -541,7 +541,7 @@ func (k *searchKernel) pair(dst [][]value.Value, l, r []value.Value) [][]value.V
 	}
 	row := k.ar.alloc(len(k.projs))
 	for i := range k.projs {
-		if row[i], k.err = k.projs[i].eval(k.w, l, r, &k.sc); k.err != nil {
+		if k.err = k.projs[i].eval(k.w, l, r, &k.sc, &row[i]); k.err != nil {
 			return dst
 		}
 	}
@@ -601,12 +601,14 @@ func (sc *splitScratch) get(l, r []value.Value) [][]value.Value {
 	return sc.rows
 }
 
-// pairAt addresses the pair (l, r) as the flat row l ++ r.
-func pairAt(l, r []value.Value, slot int) value.Value {
+// pairAt addresses the pair (l, r) as the flat row l ++ r. It answers with
+// the cell where it lies: the kernel reads a handful of cells per pair, and
+// a value.Value is too wide to copy for each.
+func pairAt(l, r []value.Value, slot int) *value.Value {
 	if slot < len(l) {
-		return l[slot]
+		return &l[slot]
 	}
-	return r[slot-len(l)]
+	return &r[slot-len(l)]
 }
 
 // searchPred is one compiled qualification conjunct.
@@ -636,14 +638,19 @@ type operand struct {
 	field string
 }
 
-func (o *operand) fetch(w *DB, l, r []value.Value) (value.Value, error) {
+// fetch returns the operand's value by reference: the cell of the pair, the
+// operand's own constant, or — for a function call, the one kind that
+// computes a value — tmp, which the caller owns and fetch fills.
+func (o *operand) fetch(w *DB, l, r []value.Value, tmp *value.Value) (*value.Value, error) {
 	switch o.kind {
 	case opSlot:
 		return pairAt(l, r, o.slot), nil
 	case opConst:
-		return o.cval, nil
+		return &o.cval, nil
 	}
-	return w.callField(o.field, pairAt(l, r, o.slot))
+	var err error
+	*tmp, err = w.callField(o.field, *pairAt(l, r, o.slot))
+	return tmp, err
 }
 
 // cmpPred is a compiled built-in comparison. It reproduces the generic
@@ -659,11 +666,12 @@ type cmpPred struct {
 
 func (p *cmpPred) eval(w *DB, l, r []value.Value, _ *splitScratch) (bool, error) {
 	w.Count.PredEvals++
-	av, err := p.a.fetch(w, l, r)
+	var at, bt value.Value // filled only by a function-call operand
+	av, err := p.a.fetch(w, l, r, &at)
 	if err != nil {
 		return false, err
 	}
-	bv, err := p.b.fetch(w, l, r)
+	bv, err := p.b.fetch(w, l, r, &bt)
 	if err != nil {
 		return false, err
 	}
@@ -676,7 +684,7 @@ func (p *cmpPred) eval(w *DB, l, r []value.Value, _ *splitScratch) (bool, error)
 		}
 		return false, fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(p.expr), k)
 	}
-	return cmpHolds(p.op, value.Compare(av, bv)), nil
+	return cmpHolds(p.op, value.CompareRef(av, bv)), nil
 }
 
 // cmpHolds mirrors the built-in comparison registrations (internal/adt):
@@ -768,11 +776,15 @@ type projOp struct {
 	expr *term.Term
 }
 
-func (p *projOp) eval(w *DB, l, r []value.Value, sc *splitScratch) (value.Value, error) {
+// eval writes the projection of the pair straight into dst, a cell of the
+// output row.
+func (p *projOp) eval(w *DB, l, r []value.Value, sc *splitScratch, dst *value.Value) (err error) {
 	if p.slot >= 0 {
-		return pairAt(l, r, p.slot), nil
+		*dst = *pairAt(l, r, p.slot)
+		return nil
 	}
-	return w.evalExpr(p.expr, sc.get(l, r))
+	*dst, err = w.evalExpr(p.expr, sc.get(l, r))
+	return err
 }
 
 func compileProjs(projs []*term.Term, widths []int) []projOp {

@@ -21,6 +21,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 
 	"lera/internal/value"
@@ -30,8 +31,8 @@ import (
 // strings hash identically.
 func rowHash(row []value.Value) uint64 {
 	h := uint64(value.HashOffset)
-	for _, v := range row {
-		h = value.HashUint(h, v.Hash())
+	for i := range row {
+		h = value.HashUint(h, row[i].Hash())
 	}
 	return h
 }
@@ -51,9 +52,9 @@ func hashKey(row []value.Value, keyIdx []int) uint64 {
 // structure routes through — rowSet, joinIndex, the grace-hash
 // partitioner and the spilled membership sets. Production code always
 // runs the FNV hashers above; the collision-audit tests swap in a
-// constant hasher to force every row into one bucket (and one spill
-// partition), proving the collision-checked equality fallback carries
-// correctness on its own.
+// constant hasher to force every row into one probe chain, one index
+// bucket and one spill partition, proving the collision-checked equality
+// fallback carries correctness on its own.
 var (
 	hashRowFn = rowHash
 	hashKeyFn = hashKey
@@ -157,54 +158,116 @@ func keyColsEq(a []value.Value, acols []int, b []value.Value, bcols []int) bool 
 }
 
 // rowSet is the hashed replacement for a map[string]bool over rowKey
-// strings (dedup, fixpoint accumulation, INTERN/DIFF membership):
-// rows bucket under their 64-bit hash with collision-checked structural
-// equality, preserving the first-seen semantics of the string map without
-// building a key string per row.
+// strings (dedup, fixpoint accumulation, INTERN/DIFF membership, grace
+// dedup's leaf): one open-addressed table in joinIndex's style. The rows
+// sit in a row store in insertion order with their hashes beside them, and
+// a power-of-two slot array holds ordinals into the store — linear probing
+// at load ≤ ½, the stored hash compared before the collision-checked
+// structural equality. First-seen semantics are the string map's, without a
+// key string per row and without anything allocated per row: the set
+// allocates only when its table doubles, and a doubling re-seats the
+// ordinals from the stored hashes, so a row is hashed once in its life.
+// The zero rowSet is empty and ready.
 type rowSet struct {
-	m map[uint64][][]value.Value
+	rows   [][]value.Value // the distinct rows, first occurrences in insertion order
+	hashes []uint64        // hashes[o] is the hash rows[o] was added under
+	slots  []int32         // ordinal+1 of the row seated there; 0 = empty
+	shift  uint            // 64 − log2(len(slots)): a hash's home slot is its top bits
 }
 
-func newRowSet() *rowSet { return &rowSet{m: map[uint64][][]value.Value{}} }
+// rowSetMinRows is what a set's first table holds: small, so that the
+// many few-row seen-sets of a fixpoint workload pay next to nothing.
+const rowSetMinRows = 4
 
-// add inserts row and reports whether it was newly added.
-func (s *rowSet) add(row []value.Value) bool {
-	h := hashRowFn(row)
-	b := s.m[h]
-	for _, r := range b {
-		if rowKeyEq(r, row) {
-			return false
+// reserve sizes the set to hold n rows in all without growing again: the
+// slot table at the power of two that keeps the load at or under ½, the row
+// and hash stores at capacity n. Rows already held are re-seated from their
+// stored hashes, in insertion order.
+func (s *rowSet) reserve(n int) {
+	size := 2 * rowSetMinRows
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(s.rows) < n {
+		s.rows = append(make([][]value.Value, 0, n), s.rows...)
+	}
+	if cap(s.hashes) < n {
+		s.hashes = append(make([]uint64, 0, n), s.hashes...)
+	}
+	s.slots = make([]int32, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for o, h := range s.hashes {
+		i := s.home(h)
+		for s.slots[i] != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		s.slots[i] = int32(o) + 1
+	}
+}
+
+// home returns the slot a probe for hash h starts at: the top bits of a
+// Fibonacci multiply, so the table does not lean on the low bits of FNV.
+func (s *rowSet) home(h uint64) int { return int((h * slotMul) >> s.shift) }
+
+const slotMul = 0x9E3779B97F4A7C15 // 2^64 / the golden ratio, odd
+
+// find probes for row under hash h. It returns the slot holding the equal
+// row and true, or the empty slot that ended the probe and false. The table
+// must exist.
+func (s *rowSet) find(h uint64, row []value.Value) (int, bool) {
+	mask := len(s.slots) - 1
+	i := s.home(h)
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if o := s.slots[i] - 1; s.hashes[o] == h && rowKeyEq(s.rows[o], row) {
+			return i, true
 		}
 	}
-	s.m[h] = append(b, row)
+	return i, false
+}
+
+// add inserts row and reports whether it was newly added.
+func (s *rowSet) add(row []value.Value) bool { return s.addHashed(hashRowFn(row), row) }
+
+// addHashed is add for a caller that already holds row's hash (a spill
+// record carries it).
+func (s *rowSet) addHashed(h uint64, row []value.Value) bool {
+	if 2*(len(s.rows)+1) > len(s.slots) {
+		s.reserve(max(rowSetMinRows, 2*len(s.rows)))
+	}
+	i, found := s.find(h, row)
+	if found {
+		return false
+	}
+	s.slots[i] = int32(len(s.rows)) + 1
+	s.rows = append(s.rows, row)
+	s.hashes = append(s.hashes, h)
 	return true
 }
 
 // has reports membership without inserting.
 func (s *rowSet) has(row []value.Value) bool {
-	for _, r := range s.m[hashRowFn(row)] {
-		if rowKeyEq(r, row) {
-			return true
-		}
+	if len(s.rows) == 0 {
+		return false
 	}
-	return false
+	_, found := s.find(hashRowFn(row), row)
+	return found
 }
 
 // dedupRows removes duplicate rows in place (first occurrence wins),
 // matching Relation.Dedup's output order exactly. The caller must own the
-// slice.
+// slice: it is the set's row store — a row is only ever written at or
+// before the position it was read from — and the table beside it is sized
+// once, so the pass allocates twice however many rows there are.
 func dedupRows(rows [][]value.Value) [][]value.Value {
 	if len(rows) < 2 {
 		return rows
 	}
-	s := newRowSet()
-	out := rows[:0]
+	s := rowSet{rows: rows[:0]}
+	s.reserve(len(rows))
 	for _, row := range rows {
-		if s.add(row) {
-			out = append(out, row)
-		}
+		s.add(row)
 	}
-	return out
+	return s.rows
 }
 
 // joinGroup is one distinct join key of a joinIndex: the chain of its rows'

@@ -92,16 +92,18 @@ func TestSearchPipelineAllocs(t *testing.T) {
 	}
 
 	// (b) Every pair kept: the output rows, plus per output row a header in
-	// a slice grown by appending (measured ~90 B) and a dedup set entry
-	// (~195 B) — nothing of the joined width (7 values a pair at the parent
-	// commit, which fails this limit three times over).
+	// a slice grown by appending (measured ~90 B) and its share of the dedup
+	// set's hash store and slot table (8 B + 8 to 16 B) — measured 112 B a
+	// row in all. Nothing of the joined width (7 values a pair before the
+	// fused pipeline), and no object per row: the bucket map the set used to
+	// be cost ~195 B a row (282 B in all), which fails this limit.
 	const fanout, projs = 8, 2
 	keepAll := join(lera.Cmp(">", lera.Attr(2, 2), term.Num(0)))
 	got, rows := evalAllocBytes(t, fanoutDB(t, keys, fanout, rwidth), keepAll)
 	if rows != keys*fanout {
 		t.Fatalf("keep-all join returned %d rows, want %d", rows, keys*fanout)
 	}
-	const perRowOverhead, slack = 320, 64 << 10
+	const perRowOverhead, slack = 128, 64 << 10
 	limit := uint64(rows)*(projs*uint64(unsafe.Sizeof(value.Value{}))+perRowOverhead) + slack
 	t.Logf("final-stage join: %d B for %d rows (limit %d, joined rows alone would be %d)",
 		got, rows, limit, uint64(rows)*(1+rwidth)*uint64(unsafe.Sizeof(value.Value{})))

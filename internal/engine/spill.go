@@ -91,21 +91,24 @@ func spillNibble(h uint64, d int) int {
 // Deterministic per-value resident-size estimates, in bytes. These are
 // accounting units, not allocator truth: they only need to be pure
 // functions of the value so every engine configuration makes the same
-// spill decision.
+// spill decision. setEntryBytes in particular is deliberately not what the
+// allocator sees — a flat rowSet spends 12 to 24 bytes a row on its hash
+// and slots, a join index less — but it is the unit every spill decision,
+// every golden and every bench/expected counter was cut in, so it stays.
 const (
 	valueSelfBytes = 96 // one value.Value struct
 	rowSliceBytes  = 24 // one row slice header
-	setEntryBytes  = 48 // per-row bookkeeping of a hashed (or spilled) set
+	setEntryBytes  = 48 // per-row bookkeeping charged for a hashed (or spilled) set
 )
 
 // valueMemBytes estimates the resident bytes of one value.
-func valueMemBytes(v value.Value) int64 {
+func valueMemBytes(v *value.Value) int64 {
 	n := int64(valueSelfBytes) + int64(len(v.S))
 	for _, name := range v.Names {
 		n += 16 + int64(len(name))
 	}
-	for _, e := range v.Elems {
-		n += valueMemBytes(e)
+	for i := range v.Elems {
+		n += valueMemBytes(&v.Elems[i])
 	}
 	return n
 }
@@ -113,8 +116,8 @@ func valueMemBytes(v value.Value) int64 {
 // rowMemBytes estimates the resident bytes of one row.
 func rowMemBytes(row []value.Value) int64 {
 	n := int64(rowSliceBytes)
-	for _, v := range row {
-		n += valueMemBytes(v)
+	for i := range row {
+		n += valueMemBytes(&row[i])
 	}
 	return n
 }
@@ -686,12 +689,14 @@ func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
 
 // dedupRecords, grace dedup's leaf, marks the first occurrence of each
 // distinct row of one partition in the keep bitmap. Records arrive in
-// original row order, so the first bucket miss is the globally first
-// occurrence — distinct rows never span partitions.
+// original row order, so a row's first miss in the set is its globally
+// first occurrence — distinct rows never span partitions. The set runs on
+// the hashes the records carry, sized once for the partition.
 func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 	charged := int64(0)
 	defer func() { db.releaseMem(charged) }()
-	buckets := map[uint64][][]value.Value{}
+	var seen rowSet
+	seen.reserve(len(recs))
 	for _, rec := range recs {
 		if err := db.tickRow(); err != nil {
 			return err
@@ -699,17 +704,9 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 		if rec.idx >= uint64(len(keep)) {
 			return errSpillCorrupt
 		}
-		dup := false
-		for _, seen := range buckets[rec.hash] {
-			if rowKeyEq(seen, rec.row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if !seen.addHashed(rec.hash, rec.row) {
 			continue
 		}
-		buckets[rec.hash] = append(buckets[rec.hash], rec.row)
 		n := rowMemBytes(rec.row) + setEntryBytes
 		charged += n
 		db.chargeMem(n)
@@ -863,7 +860,8 @@ func (s *spillSet) close() {
 }
 
 // memSet is the budgeted online membership set of the batched engine:
-// an ordinary hashed rowSet while under the grant, migrating its row
+// an ordinary hashed rowSet while under the grant — grown lazily from its
+// small first table, so an empty set costs nothing — migrating its row
 // storage to a spillSet the moment the tracked estimate crosses it.
 // Used for fixpoint seen-sets and INTERN/DIFF membership — the sites
 // where membership answers are consumed mid-stream and a partition pass
@@ -872,13 +870,13 @@ type memSet struct {
 	db    *DB
 	label string
 	grant int64
-	set   *rowSet
+	set   rowSet
 	bytes int64
 	sp    *spillSet
 }
 
 func (db *DB) newMemSet(label string) *memSet {
-	return &memSet{db: db, label: label, grant: db.memGrant(), set: newRowSet()}
+	return &memSet{db: db, label: label, grant: db.memGrant()}
 }
 
 // add inserts row and reports whether it was newly added, migrating to
@@ -909,9 +907,10 @@ func (m *memSet) has(row []value.Value) (bool, error) {
 	return m.set.has(row), nil
 }
 
-// migrate moves the set's row storage to a spillSet, bucket by bucket
-// (bucket order is irrelevant: only per-bucket candidate order matters,
-// and membership answers are order-independent booleans either way).
+// migrate moves the set's row storage to a spillSet, walking the row store
+// in insertion order: the spill file's bytes and every spillRef are a
+// function of the rows added, the same on every run. (Answers need only
+// the order of candidates under one hash, which this keeps too.)
 func (m *memSet) migrate() error {
 	if !m.db.spillOK() {
 		return m.db.errMemBudget(m.label, m.bytes)
@@ -921,21 +920,19 @@ func (m *memSet) migrate() error {
 		return err
 	}
 	sp := &spillSet{spillFile: f, buckets: map[uint64][]spillRef{}}
-	for h, bucket := range m.set.m {
-		for _, row := range bucket {
-			if err := m.db.tickRow(); err != nil {
-				sp.close()
-				return err
-			}
-			if err := sp.insert(h, row); err != nil {
-				sp.close()
-				return err
-			}
+	for o, row := range m.set.rows {
+		if err := m.db.tickRow(); err != nil {
+			sp.close()
+			return err
+		}
+		if err := sp.insert(m.set.hashes[o], row); err != nil {
+			sp.close()
+			return err
 		}
 	}
 	m.db.releaseMem(m.bytes)
 	m.bytes = 0
-	m.set = nil
+	m.set = rowSet{}
 	m.sp = sp
 	return nil
 }

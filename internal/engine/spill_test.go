@@ -10,12 +10,14 @@ package engine
 // bucket equality checks on the in-memory and spill paths alike.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -325,6 +327,91 @@ func TestHashCollisionAudit(t *testing.T) {
 	}
 	if spilledParts == 0 {
 		t.Error("constant-hash spill runs never wrote a partition")
+	}
+}
+
+// TestSpillSetMigrationIsDeterministic: a seen-set that crosses its grant
+// moves to disk in insertion order, so the file and every spillRef are a
+// function of the rows added. (memSet.migrate used to range over a Go map:
+// same answers, but a different file layout on every run.) The rows are a
+// fixpoint's, fed to a memSet under an evaluation's guard exactly as
+// fixSemiNaive feeds its seen-set; the set is read back before close removes
+// its file. The end-to-end half: two governed runs of that FIX report equal
+// rows and equal SpillStats.
+func TestSpillSetMigrationIsDeterministic(t *testing.T) {
+	const n = 60
+	q := tcFix("TC")
+	total := evalOK(t, chainDB(t, n), q).Rows
+	// Twice over, so half the adds are duplicates that must read a
+	// candidate back from the file.
+	feed := append(append([][]value.Value(nil), total...), total...)
+
+	type snapshot struct {
+		file    []byte
+		buckets map[uint64][]spillRef
+		spill   SpillStats
+	}
+	migrated := func() snapshot {
+		db := chainDB(t, n)
+		db.g = &evalGuard{ctx: context.Background(), lim: guard.Limits{MaxMemBytes: 4 << 10},
+			rows: &guard.Budget{}, spill: &spillState{base: t.TempDir()}}
+		defer db.g.spill.cleanup()
+		m := db.newMemSet("fixpoint seen-set")
+		defer m.close()
+		for i, row := range feed {
+			fresh, err := m.add(row)
+			if err != nil || fresh != (i < len(total)) {
+				t.Fatalf("add %d = %v, %v", i, fresh, err)
+			}
+		}
+		if m.sp == nil {
+			t.Fatal("the seen-set never migrated; the test needs a smaller grant")
+		}
+		file := make([]byte, m.sp.size)
+		if _, err := m.sp.f.ReadAt(file, 0); err != nil {
+			t.Fatal(err)
+		}
+		return snapshot{file, m.sp.buckets, db.Spill}
+	}
+	a, b := migrated(), migrated()
+	if !bytes.Equal(a.file, b.file) {
+		t.Errorf("two migrations of the same seen-set wrote different files (%d and %d bytes)", len(a.file), len(b.file))
+	}
+	if !reflect.DeepEqual(a.buckets, b.buckets) {
+		t.Error("two migrations of the same seen-set hold different (off, n) refs")
+	}
+	if a.spill != b.spill {
+		t.Errorf("SpillStats differ: %+v vs %+v", a.spill, b.spill)
+	}
+	// The file is the rows in insertion order: each ref, taken in that
+	// order, starts where the one before it ended.
+	off := int64(0)
+	for i, row := range total {
+		payload := appendRow(nil, row)
+		var ref spillRef
+		for _, r := range a.buckets[hashRowFn(row)] {
+			if r.off == off {
+				ref = r
+			}
+		}
+		if int(ref.n) != len(payload) || !bytes.Equal(a.file[off:off+int64(ref.n)], payload) {
+			t.Fatalf("row %d is not at offset %d of the spill file", i, off)
+		}
+		off += int64(ref.n)
+	}
+
+	governed := func() (engineRun, SpillStats) {
+		db := chainDB(t, n)
+		run := runOn(db, q, runCfg{par: 1, lim: guard.Limits{MaxMemBytes: 4 << 10}, spillDir: t.TempDir()})
+		return run, db.Spill
+	}
+	run1, spill1 := governed()
+	run2, spill2 := governed()
+	if d := diffRuns(run1, run2); d != "" {
+		t.Errorf("two governed runs of one FIX differ: %s", d)
+	}
+	if spill1 != spill2 || spill1.Partitions == 0 {
+		t.Errorf("SpillStats of two governed runs: %+v vs %+v (both must spill, alike)", spill1, spill2)
 	}
 }
 

@@ -126,11 +126,11 @@ func NewTuple(names []string, vals []Value) Value {
 // canonical order.
 func NewSet(elems ...Value) Value {
 	es := append([]Value(nil), elems...)
-	sort.Slice(es, func(i, j int) bool { return Compare(es[i], es[j]) < 0 })
+	sort.Slice(es, func(i, j int) bool { return CompareRef(&es[i], &es[j]) < 0 })
 	out := es[:0]
-	for i, e := range es {
-		if i == 0 || Compare(es[i-1], e) != 0 {
-			out = append(out, e)
+	for i := range es {
+		if i == 0 || CompareRef(&es[i-1], &es[i]) != 0 {
+			out = append(out, es[i])
 		}
 	}
 	return Value{K: KSet, Elems: out}
@@ -140,7 +140,7 @@ func NewSet(elems ...Value) Value {
 // equal bags compare equal structurally.
 func NewBag(elems ...Value) Value {
 	es := append([]Value(nil), elems...)
-	sort.Slice(es, func(i, j int) bool { return Compare(es[i], es[j]) < 0 })
+	sort.Slice(es, func(i, j int) bool { return CompareRef(&es[i], &es[j]) < 0 })
 	return Value{K: KBag, Elems: es}
 }
 
@@ -176,8 +176,10 @@ func (v Value) Field(name string) (Value, bool) {
 // Len returns the number of elements of a collection or fields of a tuple.
 func (v Value) Len() int { return len(v.Elems) }
 
-// AsFloat converts numeric values to float64; ok is false otherwise.
-func (v Value) AsFloat() (float64, bool) {
+// AsFloat converts numeric values to float64; ok is false otherwise. It
+// and Hash take the value by reference: both run per cell in the engine's
+// hashing and comparing loops, where a Value is too wide to copy.
+func (v *Value) AsFloat() (float64, bool) {
 	switch v.K {
 	case KInt:
 		return float64(v.I), true
@@ -191,7 +193,12 @@ func (v Value) AsFloat() (float64, bool) {
 // order by kind, except that ints and reals compare numerically. Within a
 // kind: booleans order false < true, strings lexicographically, tuples and
 // collections lexicographically element-wise then by length.
-func Compare(a, b Value) int {
+func Compare(a, b Value) int { return CompareRef(&a, &b) }
+
+// CompareRef is Compare over values read where they lie — the one
+// implementation of the order, for callers whose operands already sit in a
+// row or a slice (the engine's compiled comparisons, the sorts here).
+func CompareRef(a, b *Value) int {
 	// Numeric cross-kind comparison.
 	if af, aok := a.AsFloat(); aok {
 		if bf, bok := b.AsFloat(); bok {
@@ -239,7 +246,7 @@ func Compare(a, b Value) int {
 			n = len(b.Elems)
 		}
 		for i := 0; i < n; i++ {
-			if c := Compare(a.Elems[i], b.Elems[i]); c != 0 {
+			if c := CompareRef(&a.Elems[i], &b.Elems[i]); c != 0 {
 				return c
 			}
 		}
@@ -291,11 +298,12 @@ func HashString(h uint64, s string) uint64 {
 	return h
 }
 
-// Hash returns a structural hash consistent with Compare: values for which
-// Compare returns 0 hash identically. Ints and reals hash by float64
-// magnitude (5 and 5.0 collide, mirroring Compare's numeric equality and
-// Key's encoding); -0.0 is normalised to 0.0 for the same reason.
-func (v Value) Hash() uint64 {
+// Hash returns a structural hash consistent with Compare and with Key:
+// values for which Compare returns 0, and values with equal Key strings,
+// hash identically. Ints and reals hash by float64 magnitude (5 and 5.0
+// collide, mirroring Compare's numeric equality and Key's encoding); -0.0
+// is normalised to 0.0 for the same reason.
+func (v *Value) Hash() uint64 {
 	h := uint64(HashOffset)
 	if f, ok := v.AsFloat(); ok {
 		if f == 0 {
@@ -321,13 +329,18 @@ func (v Value) Hash() uint64 {
 		h = HashUint(h, uint64(v.OID))
 	case KTuple, KSet, KBag, KList, KArray:
 		h = HashUint(h, uint64(len(v.Elems)))
-		for _, e := range v.Elems {
-			h = HashUint(h, e.Hash())
+		for i := range v.Elems {
+			h = HashUint(h, v.Elems[i].Hash())
 		}
 		if v.K == KTuple {
-			for _, n := range v.Names {
+			// Field names hash as Key renders them, joined by ",": name
+			// lists Key cannot tell apart ("a,b","c" and "a","b,c") must
+			// not hash apart either.
+			for i, n := range v.Names {
+				if i > 0 {
+					h = HashString(h, ",")
+				}
 				h = HashString(h, n)
-				h = HashUint(h, uint64(len(n)))
 			}
 		}
 	}
