@@ -49,12 +49,12 @@ func TestPublicAPIPaperPipeline(t *testing.T) {
 	if len(res.Rows) != len(testdb.DominatorsOfQuinn()) {
 		t.Errorf("rows = %d", len(res.Rows))
 	}
+	if len(res.Stats.Trace) == 0 {
+		t.Error("trace expected under WithTrace")
+	}
 	rw, err := s.Rewriter()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rw.Trace()) == 0 {
-		t.Error("trace expected under WithTrace")
 	}
 	explain, err := rw.Explain(res.Initial)
 	if err != nil {

@@ -76,13 +76,9 @@ func main() {
 				if res.Stats != nil {
 					fmt.Printf("-- rewrite stats: %d condition checks, %d applications, %d rounds\n",
 						res.Stats.ConditionChecks, res.Stats.Applications, res.Stats.Rounds)
-				}
-				if *explain {
-					rw, err := s.Rewriter()
-					if err == nil {
-						for i, tr := range rw.Trace() {
-							fmt.Printf("--   %2d. [%s/%s] %s ==> %s\n", i+1, tr.Block, tr.Rule, tr.Before, tr.After)
-						}
+					// Empty unless -explain armed WithTrace.
+					for i, tr := range res.Stats.Trace {
+						fmt.Printf("--   %2d. [%s/%s] %s ==> %s\n", i+1, tr.Block, tr.Rule, tr.Before, tr.After)
 					}
 				}
 			}

@@ -57,7 +57,6 @@ func TestSessionCheckRules(t *testing.T) {
 	}
 	s.Cat = cat
 	s.DB = engine.New(cat)
-	s.stale = true
 	s.Limits = guard.Limits{Timeout: 5 * time.Second, MaxRows: 10000}
 	ds, err := s.CheckRules(context.Background())
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"lera/internal/catalog"
 	"lera/internal/lera"
+	"lera/internal/rulecheck"
 	"lera/internal/term"
 )
 
@@ -118,11 +119,12 @@ func TestDefaultRuleInventory(t *testing.T) {
 	}
 }
 
-// The default rule base's saturating blocks contain only rules whose
-// non-termination risk is covered by no-change detection; Lint reports
-// them (and any dead rules) so implementors can audit extensions.
-func TestRewriterLint(t *testing.T) {
-	rw, err := New(catalog.New(), WithRules(`
+// An implementor's extension is audited by the same lint that \check and
+// cmd/rulecheck run: a growing rule in a saturating block gets the §4.2
+// termination advisory, a rule no block lists is reported dead — both
+// info-level, so the rule base still loads under WithRuleCheck.
+func TestRuleCheckReportsTerminationAndDeadRules(t *testing.T) {
+	rw, err := New(catalog.New(), WithRuleCheck(), WithRules(`
 rule grower: TINYF(x) --> BIGF(x, x);
 block(growers, {grower}, inf);
 rule orphan: ORPH(x) --> ORPH2(x);
@@ -130,11 +132,16 @@ rule orphan: ORPH(x) --> ORPH2(x);
 	if err != nil {
 		t.Fatal(err)
 	}
-	warns := strings.Join(rw.Lint(), "\n")
-	if !strings.Contains(warns, `"grower"`) {
-		t.Errorf("grower should warn: %s", warns)
-	}
-	if !strings.Contains(warns, `"orphan"`) {
-		t.Errorf("orphan should be reported dead: %s", warns)
+	for _, want := range []struct{ code, rule string }{
+		{rulecheck.CodeNonDecreasing, "grower"},
+		{rulecheck.CodeDeadRule, "orphan"},
+	} {
+		found := false
+		for _, d := range rulecheck.Filter(rw.CheckDiagnostics(), want.code) {
+			found = found || (d.Rule == want.rule && d.Severity == rulecheck.SevInfo)
+		}
+		if !found {
+			t.Errorf("no info-level %s for rule %q in %v", want.code, want.rule, rw.CheckDiagnostics())
+		}
 	}
 }

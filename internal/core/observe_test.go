@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestRewriteStatsContract(t *testing.T) {
 		if r.Stats != nil {
 			t.Errorf("%v result has non-nil Stats; DDL/INSERT never rewrite", r.Kind)
 		}
-		if st := r.RewriteStats(); st != (rewrite.Stats{}) {
+		if st := r.RewriteStats(); !reflect.DeepEqual(st, rewrite.Stats{}) {
 			t.Errorf("%v RewriteStats = %+v, want zero", r.Kind, st)
 		}
 	}
@@ -45,7 +46,7 @@ func TestRewriteStatsContract(t *testing.T) {
 		t.Fatal("Rewrite=false query must have nil Stats")
 	}
 	var nilRes *Result
-	if nilRes.RewriteStats() != (rewrite.Stats{}) {
+	if !reflect.DeepEqual(nilRes.RewriteStats(), rewrite.Stats{}) {
 		t.Fatal("RewriteStats on a nil Result must be zero, not panic")
 	}
 }

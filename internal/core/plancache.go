@@ -66,16 +66,6 @@ func planCacheOf(opts []Option) (*plancache.Cache, int) {
 	return plancache.New(cfg.planCache), cfg.planCacheVal
 }
 
-// Fingerprint returns the rule-base fingerprint (rules.RuleSet
-// Fingerprint), memoized per rewriter build — any rule change rebuilds
-// the rewriter and therefore re-derives it.
-func (r *Rewriter) Fingerprint() string {
-	if r.fingerprint == "" {
-		r.fingerprint = r.RS.Fingerprint()
-	}
-	return r.fingerprint
-}
-
 // knobs returns the signature of every construction-time option that
 // can change rewrite output without changing the rule-base fingerprint:
 // block budgets and disabled blocks, the master sequence, the dynamic
@@ -83,38 +73,34 @@ func (r *Rewriter) Fingerprint() string {
 // is excluded on purpose — the indexed and full-scan rewriters produce
 // identical rewrites, which is exactly what index_regression_test.go
 // pins.)
-func (r *Rewriter) knobs() string {
-	if r.knobSig != "" {
-		return r.knobSig
-	}
-	parts := []string{fmt.Sprintf("conslim=%d", r.cfg.constraintLim)}
-	if r.cfg.dynamicLimits {
+func knobs(cfg *config) string {
+	parts := []string{fmt.Sprintf("conslim=%d", cfg.constraintLim)}
+	if cfg.dynamicLimits {
 		parts = append(parts, "dyn")
 	}
-	if r.cfg.maxChecks != 0 {
-		parts = append(parts, fmt.Sprintf("checks=%d", r.cfg.maxChecks))
+	if cfg.maxChecks != 0 {
+		parts = append(parts, fmt.Sprintf("checks=%d", cfg.maxChecks))
 	}
-	if r.cfg.sequence != "" {
-		parts = append(parts, "seq="+r.cfg.sequence)
+	if cfg.sequence != "" {
+		parts = append(parts, "seq="+cfg.sequence)
 	}
 	var keys []string
-	for k := range r.cfg.blockLimits {
+	for k := range cfg.blockLimits {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("bl:%s=%d", k, r.cfg.blockLimits[k]))
+		parts = append(parts, fmt.Sprintf("bl:%s=%d", k, cfg.blockLimits[k]))
 	}
 	keys = keys[:0]
-	for k := range r.cfg.disableBlocks {
+	for k := range cfg.disableBlocks {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
 		parts = append(parts, "off:"+k)
 	}
-	r.knobSig = strings.Join(parts, "|")
-	return r.knobSig
+	return strings.Join(parts, "|")
 }
 
 // usesPlanning reports whether the rule base carries the §7 planning
@@ -131,9 +117,7 @@ func (r *Rewriter) usesPlanning() bool {
 // entries die on their next lookup (observable as invalidations).
 func (s *Session) cacheEnv(rw *Rewriter) string {
 	var sb strings.Builder
-	sb.WriteString(rw.Fingerprint())
-	sb.WriteByte('|')
-	sb.WriteString(rw.knobs())
+	sb.WriteString(rw.env)
 	fmt.Fprintf(&sb, "|steps=%d|size=%d|schema=%d", s.Limits.MaxSteps, s.Limits.MaxTermSize, s.Cat.SchemaVersion())
 	if rw.usesPlanning() {
 		fmt.Fprintf(&sb, "|data=%d", s.Cat.DataVersion())
@@ -247,8 +231,8 @@ func (s *Session) rewriteTemplate(ctx context.Context, rw *Rewriter, tmpl *term.
 		rwCtx, cancel = context.WithTimeout(rwCtx, s.Limits.Timeout)
 	}
 	defer cancel()
-	tplan, st, err := rw.RewriteCtx(rwCtx, tmpl, s.Limits)
-	if err != nil || st == nil || st.Degraded {
+	tplan, _, err := rw.RewriteCtx(rwCtx, tmpl, s.Limits)
+	if err != nil {
 		return nil, false
 	}
 	return tplan, true

@@ -58,7 +58,8 @@ type config struct {
 	planCacheVal  int
 }
 
-// WithTrace records a rule-application trace for Explain.
+// WithTrace records every rule application of a rewrite on its
+// Stats.Trace (Result.Stats.Trace for a session query).
 func WithTrace() Option { return func(c *config) { c.trace = true } }
 
 // WithDynamicLimits enables the §7 extension: block limits are scaled by
@@ -126,22 +127,28 @@ func WithInjector(inj *guard.Injector) Option {
 // from silently corrupting every query it matches.
 func WithRuleCheck() Option { return func(c *config) { c.ruleCheck = true } }
 
-// Rewriter is the assembled query rewriter.
+// Rewriter is the assembled query rewriter: one rule base, parsed,
+// validated and compiled by New and never written afterwards, so a
+// session and all its forks rewrite through the same *Rewriter at once.
+// Everything a rewrite produces — plan, statistics, trace, the fallback
+// term of a failed run — is returned by the call that ran it.
 type Rewriter struct {
-	Cat    *catalog.Catalog
-	RS     *rules.RuleSet
-	Ext    *rewrite.Externals
-	cfg    config
-	engine *rewrite.Engine
+	Cat *catalog.Catalog
+	RS  *rules.RuleSet
+	Ext *rewrite.Externals
+	cfg config
+	eng *rewrite.Engine
+
+	// schemaVersion is Cat.SchemaVersion() as New read the catalog's
+	// constraints: a session rebuilds its rewriter when the two differ.
+	schemaVersion uint64
 
 	// checkDiags are the non-fatal findings of the WithRuleCheck lint.
 	checkDiags []rulecheck.Diagnostic
 
-	// fingerprint / knobSig memoize the plan-cache environment pieces
-	// derived from the (immutable after construction) rule set and
-	// config; see cacheEnv in plancache.go.
-	fingerprint string
-	knobSig     string
+	// env is the rewriter's share of the plan-cache environment (see
+	// cacheEnv in plancache.go): the rule-base fingerprint and the knobs.
+	env string
 }
 
 // New builds a rewriter over a catalog.
@@ -150,6 +157,7 @@ func New(cat *catalog.Catalog, opts ...Option) (*Rewriter, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	schemaVersion := cat.SchemaVersion()
 
 	ext := lopt.Externals()
 	magic.RegisterExternals(ext)
@@ -213,7 +221,8 @@ func New(cat *catalog.Catalog, opts ...Option) (*Rewriter, error) {
 		return nil, err
 	}
 
-	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, cfg: cfg}
+	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, cfg: cfg, schemaVersion: schemaVersion,
+		env: rs.Fingerprint() + "|" + knobs(&cfg)}
 	if cfg.ruleCheck {
 		diags := rulecheck.Lint(rs, ext, cat)
 		var errs []string
@@ -228,6 +237,24 @@ func New(cat *catalog.Catalog, opts ...Option) (*Rewriter, error) {
 			return nil, fmt.Errorf("core: rule base failed verification:\n  %s", strings.Join(errs, "\n  "))
 		}
 	}
+	engOpts := rewrite.Options{
+		CollectTrace: cfg.trace,
+		MaxChecks:    cfg.maxChecks,
+		FullScan:     cfg.fullScan,
+		Injector:     cfg.injector,
+	}
+	if len(cfg.blockLimits)+len(cfg.disableBlocks) > 0 {
+		engOpts.BlockLimitOverride = func(block string, declared int) int {
+			if cfg.disableBlocks[block] {
+				return 0
+			}
+			if v, ok := cfg.blockLimits[block]; ok {
+				return v
+			}
+			return declared
+		}
+	}
+	rw.eng = rewrite.New(rs, ext, cat, engOpts)
 	return rw, nil
 }
 
@@ -267,34 +294,9 @@ func complexity(q *term.Term) int {
 // search on a key" and gets zero budgets (§7).
 const simpleThreshold = 3
 
-func (r *Rewriter) newEngine(q *term.Term, lim guard.Limits) *rewrite.Engine {
-	opts := rewrite.Options{
-		CollectTrace: r.cfg.trace,
-		MaxChecks:    r.cfg.maxChecks,
-		Limits:       lim,
-		FullScan:     r.cfg.fullScan,
-		Injector:     r.cfg.injector,
-	}
-	limits := map[string]int{}
-	for k, v := range r.cfg.blockLimits {
-		limits[k] = v
-	}
-	for k := range r.cfg.disableBlocks {
-		limits[k] = 0
-	}
-	dynamicZero := r.cfg.dynamicLimits && complexity(q) <= simpleThreshold
-	if len(limits) > 0 || dynamicZero {
-		opts.BlockLimitOverride = func(block string, declared int) int {
-			if v, ok := limits[block]; ok {
-				return v
-			}
-			if dynamicZero {
-				return 0
-			}
-			return declared
-		}
-	}
-	return rewrite.New(r.RS, r.Ext, r.Cat, opts)
+// simple is the §7 dynamic-limit verdict on one query.
+func (r *Rewriter) simple(q *term.Term) bool {
+	return r.cfg.dynamicLimits && complexity(q) <= simpleThreshold
 }
 
 // Rewrite runs the full optimizer sequence on a LERA term with no
@@ -304,79 +306,39 @@ func (r *Rewriter) Rewrite(q *term.Term) (*term.Term, *rewrite.Stats, error) {
 }
 
 // RewriteCtx runs the full optimizer sequence under a cancellation
-// context and a guard budget. On error the returned Stats (if non-nil)
-// reflect the work done before the failure, and LastGood holds the best
-// safe intermediate term to fall back to.
+// context and a guard budget. On error the returned Stats reflect the
+// work done before the failure and the returned term is the best safe
+// intermediate to fall back to: the query as of the last committed rule
+// application (q itself when none committed).
 func (r *Rewriter) RewriteCtx(ctx context.Context, q *term.Term, lim guard.Limits) (*term.Term, *rewrite.Stats, error) {
-	e := r.newEngine(q, lim)
-	out, st, err := e.RunCtx(ctx, q)
-	r.engine = e
-	return out, st, err
-}
-
-// LastGood returns the query term as of the last committed rule
-// application of the most recent Rewrite — the fallback plan when the
-// rewrite failed partway (nil before any run).
-func (r *Rewriter) LastGood() *term.Term {
-	if r.engine == nil {
-		return nil
-	}
-	return r.engine.LastGood()
+	return r.eng.RunCtx(ctx, q, lim, r.simple(q))
 }
 
 // RewriteBlock runs a single block (for tests and experiments).
 func (r *Rewriter) RewriteBlock(q *term.Term, block string) (*term.Term, *rewrite.Stats, error) {
-	e := r.newEngine(q, guard.Limits{})
-	out, st, err := e.RunBlock(q, block)
-	r.engine = e
-	return out, st, err
-}
-
-// Trace returns the rule applications of the most recent Rewrite (empty
-// unless WithTrace was given).
-func (r *Rewriter) Trace() []rewrite.TraceEntry {
-	if r.engine == nil {
-		return nil
-	}
-	return r.engine.Trace
+	return r.eng.RunBlockCtx(context.Background(), q, block, guard.Limits{}, r.simple(q))
 }
 
 // Explain renders a human-readable account of a rewrite: the query before
 // and after, every rule application, and the statistics.
 func (r *Rewriter) Explain(q *term.Term) (string, error) {
-	cfgTrace := r.cfg.trace
-	r.cfg.trace = true
-	out, st, err := r.Rewrite(q)
-	r.cfg.trace = cfgTrace
+	eng := r.eng
+	if !eng.Opts.CollectTrace {
+		opts := eng.Opts
+		opts.CollectTrace = true
+		eng = rewrite.New(r.RS, r.Ext, r.Cat, opts)
+	}
+	out, st, err := eng.RunCtx(context.Background(), q, guard.Limits{}, r.simple(q))
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "before: %s\n", lera.Format(q))
-	for i, tr := range r.Trace() {
+	for i, tr := range st.Trace {
 		fmt.Fprintf(&sb, "%3d. [%s/%s] %s\n     ==> %s\n", i+1, tr.Block, tr.Rule, tr.Before, tr.After)
 	}
 	fmt.Fprintf(&sb, "after:  %s\n", lera.Format(out))
 	fmt.Fprintf(&sb, "stats:  %d condition checks, %d applications, %d rounds\n",
 		st.ConditionChecks, st.Applications, st.Rounds)
 	return sb.String(), nil
-}
-
-// Lint returns advisory findings about the assembled rule base: the §4.2
-// termination analysis (non-decreasing rules in saturating blocks) plus
-// dead rules not referenced by any block.
-func (r *Rewriter) Lint() []string {
-	out := r.RS.TerminationWarnings()
-	inBlocks := map[string]bool{}
-	for _, b := range r.RS.Blocks {
-		for _, rn := range b.Rules {
-			inBlocks[rn] = true
-		}
-	}
-	for _, rn := range r.RS.RuleOrder {
-		if !inBlocks[rn] {
-			out = append(out, fmt.Sprintf("rule %q is not referenced by any block", rn))
-		}
-	}
-	return out
 }

@@ -30,7 +30,6 @@ type Session struct {
 
 	opts    []Option
 	rw      *Rewriter
-	stale   bool
 	Rewrite bool // rewriting enabled (true by default)
 
 	// Limits is the per-query guard budget (see internal/guard and
@@ -98,7 +97,6 @@ func NewSession(opts ...Option) *Session {
 		Cat:     cat,
 		DB:      engine.New(cat),
 		opts:    opts,
-		stale:   true,
 		Rewrite: true,
 	}
 	// A WithInjector option arms the executor too: the rewriter reads it
@@ -119,12 +117,15 @@ func injectorOf(opts []Option) *guard.Injector {
 	return cfg.injector
 }
 
-// Fork returns a session sharing this one's catalog, rule base options
+// Fork returns a session sharing this one's catalog, compiled rule base
 // and stored data as an immutable snapshot, with private execution state
-// — the session-pool primitive. The fork owns its engine DB fork (shared
-// relations/objects, private counters, guard state and stats), its own
-// rewriter (built eagerly here, so a broken rule base fails at fork time
-// rather than on the first query) and copies of Limits, Parallelism,
+// — the session-pool primitive. The fork shares the parent's *Rewriter:
+// one rule base, parsed, validated and compiled once (here, if the parent
+// has not run a query yet, so a broken rule base fails at fork time rather
+// than on the first query) and immutable afterwards, so no fork lexes,
+// parses or validates rule text. Private to the fork are its engine DB
+// fork (shared relations/objects, private counters, guard state and
+// stats), its prepared statements, and copies of Limits, Parallelism,
 // Rewrite and Obs. Forks are safe to use concurrently with each other
 // and with the parent PROVIDED the shared state stays immutable: no
 // DDL, INSERT or SetObject on any of them after forking. leraserver
@@ -135,18 +136,22 @@ func injectorOf(opts []Option) *guard.Injector {
 // cache, including entries stored before the fork. This is safe because
 // every entry is guarded by its cache environment: the rule-base
 // fingerprint, rewrite knobs and catalog schema version are part of the
-// key, so a fork whose effective rule base differs (e.g. a DDL-induced
-// rebuild) can never be served a plan derived under the parent's rules
-// — it observes an invalidation and re-derives. Cached templates and
+// key, so a session whose effective rule base differs (e.g. after a
+// DDL-induced rebuild) can never be served a plan derived under the old
+// rules — it observes an invalidation and re-derives. Cached templates and
 // plans are immutable structural terms holding no row data or bindings.
 // The prepared-statement registry, by contrast, is copied: a snapshot
 // at fork time, with later PREPAREs private to each side.
 func (s *Session) Fork() (*Session, error) {
+	rw, err := s.Rewriter()
+	if err != nil {
+		return nil, err
+	}
 	ns := &Session{
 		Cat:           s.Cat,
 		DB:            s.DB.Fork(),
 		opts:          s.opts,
-		stale:         true,
+		rw:            rw,
 		Rewrite:       s.Rewrite,
 		Limits:        s.Limits,
 		Parallelism:   s.Parallelism,
@@ -162,22 +167,20 @@ func (s *Session) Fork() (*Session, error) {
 			ns.prepared[k] = v
 		}
 	}
-	if _, err := ns.Rewriter(); err != nil {
-		return nil, err
-	}
 	return ns, nil
 }
 
-// Rewriter returns the session's rewriter, rebuilding it after catalog
-// changes (new constraints become rules).
+// Rewriter returns the session's rewriter, building a new one when the
+// catalog's schema has moved since the current one read it (declared
+// constraints are compiled into rules, by DDL or by Catalog.AddConstraint
+// alike).
 func (s *Session) Rewriter() (*Rewriter, error) {
-	if s.rw == nil || s.stale {
+	if s.rw == nil || s.rw.schemaVersion != s.Cat.SchemaVersion() {
 		rw, err := New(s.Cat, s.opts...)
 		if err != nil {
 			return nil, err
 		}
 		s.rw = rw
-		s.stale = false
 	}
 	return s.rw, nil
 }
@@ -318,14 +321,12 @@ func (s *Session) ExecStmtCtx(ctx context.Context, st esql.Stmt) (*Result, error
 		if err := translate.DeclareType(s.Cat, d); err != nil {
 			return nil, err
 		}
-		s.stale = true
 		s.obsCatalog()
 		return &Result{Kind: ResultDDL, Message: fmt.Sprintf("type %s declared", d.Name)}, nil
 	case *esql.TableDecl:
 		if err := translate.DeclareTable(s.Cat, d); err != nil {
 			return nil, err
 		}
-		s.stale = true
 		s.obsCatalog()
 		return &Result{Kind: ResultDDL, Message: fmt.Sprintf("table %s declared", d.Name)}, nil
 	case *esql.ViewDecl:
@@ -333,7 +334,6 @@ func (s *Session) ExecStmtCtx(ctx context.Context, st esql.Stmt) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		s.stale = true
 		s.obsCatalog()
 		kind := "view"
 		if v.Recursive {
@@ -580,19 +580,13 @@ func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term,
 	if err == nil {
 		return rq, st
 	}
-	if st == nil {
-		st = &rewrite.Stats{}
-	}
 	st.Degraded = true
 	st.DegradationReason = err.Error()
 	st.DegradationCode = string(guard.CodeOf(err))
 	if rec := obs.FromContext(ctx); rec != nil {
 		rec.Event("rewrite.degraded", obs.Str("reason", st.DegradationReason))
 	}
-	if lg := rw.LastGood(); lg != nil {
-		return lg, st
-	}
-	return q, st
+	return rq, st
 }
 
 // SetObject registers an object in the session's object store (the ESQL

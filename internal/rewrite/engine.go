@@ -8,6 +8,20 @@
 // right-hand-side builtins are registered in an Externals table, which is
 // how the database implementor extends the optimizer without touching the
 // engine (the paper's central extensibility claim).
+//
+// Compile once, run many: New compiles a rule base against its options —
+// each block's rules with their LHS head filters (index.go), its resolved
+// condition-check budgets, the sequence to drive — after which an Engine
+// is never written again and any number of goroutines may run queries
+// through it at once. Everything one rewrite writes lives in a per-call
+// run value: the cancellation context and trace recorder, the guard
+// limits of the request, the site index and scratch bindings, the last
+// committed term, the Stats (trace included) and the Fresh counter. The
+// counter has to be per run: externals name the relations they introduce
+// with it, and a plan must be a function of the query and the rule base,
+// never of how many queries the engine served before (plan-cache keys,
+// EXPLAIN goldens and the serial/concurrent differential all lean on
+// that).
 package rewrite
 
 import (
@@ -35,54 +49,65 @@ type Ctx struct {
 	Bind *term.Bindings
 	Rule string // name of the rule being applied, if any
 
-	engine *Engine
+	run *runState
 }
 
 // Context returns the cancellation context of the current engine run, so
-// long-running externals can abort cooperatively (context.Background when
-// the run is unguarded).
+// long-running externals can abort cooperatively (context.Background
+// outside a run).
 func (c *Ctx) Context() context.Context {
-	if c.engine != nil && c.engine.ctx != nil {
-		return c.engine.ctx
+	if c.run != nil {
+		return c.run.ctx
 	}
 	return context.Background()
 }
 
 // Fresh returns a fresh relation name with the given prefix, unique within
-// the engine's lifetime (used by the Alexander transformation to name
-// magic relations).
+// the current run — for externals that introduce relations, as an
+// Alexander-style transformation names its magic relations. The n'th name
+// a rewrite asks for is the same on the engine's first query and on its
+// millionth.
 func (c *Ctx) Fresh(prefix string) string {
-	c.engine.fresh++
-	return fmt.Sprintf("%s_%d", strings.ToUpper(prefix), c.engine.fresh)
+	c.run.fresh++
+	return fmt.Sprintf("%s_%d", strings.ToUpper(prefix), c.run.fresh)
 }
 
-// EnvAtSite reconstructs the FIX/LET binder environment in scope at the
-// match site, so externals can run schema inference on subterms that
-// reference fixpoint-bound relation names.
-func (c *Ctx) EnvAtSite() lera.Env {
+// walkToSite descends from the root to the match site, reconstructing the
+// FIX/LET binder environment on the way. visit sees the root and then
+// every node stepped into, each with the environment in scope at it; the
+// environment at the site is returned.
+func (c *Ctx) walkToSite(visit func(n *term.Term, env lera.Env)) lera.Env {
 	env := lera.Env{}
 	node := c.Root
+	visit(node, env)
 	for _, i := range c.Site {
+		var bound *term.Term // what the binder crossed at this step names
 		switch {
 		case lera.IsOp(node, lera.OpFix) && i == 1:
-			name := strings.ToUpper(node.Args[0].Val.S)
-			if s, err := lera.Infer(node, c.Cat, env); err == nil {
-				env = cloneEnv(env)
-				env[name] = s
-			}
+			bound = node
 		case lera.IsOp(node, lera.OpLet) && i == 2:
-			name := strings.ToUpper(node.Args[0].Val.S)
-			if s, err := lera.Infer(node.Args[1], c.Cat, env); err == nil {
+			bound = node.Args[1]
+		}
+		if bound != nil {
+			if s, err := lera.Infer(bound, c.Cat, env); err == nil {
 				env = cloneEnv(env)
-				env[name] = s
+				env[strings.ToUpper(node.Args[0].Val.S)] = s
 			}
 		}
 		if node.Kind != term.Fun || i >= len(node.Args) {
 			break
 		}
 		node = node.Args[i]
+		visit(node, env)
 	}
 	return env
+}
+
+// EnvAtSite reconstructs the FIX/LET binder environment in scope at the
+// match site, so externals can run schema inference on subterms that
+// reference fixpoint-bound relation names.
+func (c *Ctx) EnvAtSite() lera.Env {
+	return c.walkToSite(func(*term.Term, lera.Env) {})
 }
 
 // InferAt runs schema inference on a subterm using the binder environment
@@ -97,47 +122,16 @@ func (c *Ctx) InferAt(t *term.Term) (*lera.Schema, error) {
 // references. The environment of FIX/LET binders crossed on the way down
 // is respected.
 func (c *Ctx) EnclosingRels() ([]*lera.Schema, error) {
-	env := lera.Env{}
-	node := c.Root
 	var best *term.Term
-	record := func(n *term.Term) {
+	var bestEnv lera.Env
+	c.walkToSite(func(n *term.Term, env lera.Env) {
 		switch {
 		case lera.IsOp(n, lera.OpSearch), lera.IsOp(n, lera.OpFilter),
 			lera.IsOp(n, lera.OpJoin), lera.IsOp(n, lera.OpNest),
 			lera.IsOp(n, lera.OpUnnest):
-			best = n
+			best, bestEnv = n, env
 		}
-	}
-	record(node)
-	bestEnv := env
-	for _, i := range c.Site {
-		switch {
-		case lera.IsOp(node, lera.OpFix) && i == 1:
-			name := strings.ToUpper(node.Args[0].Val.S)
-			if s, err := lera.Infer(node, c.Cat, env); err == nil {
-				env = cloneEnv(env)
-				env[name] = s
-			}
-		case lera.IsOp(node, lera.OpLet) && i == 2:
-			name := strings.ToUpper(node.Args[0].Val.S)
-			if s, err := lera.Infer(node.Args[1], c.Cat, env); err == nil {
-				env = cloneEnv(env)
-				env[name] = s
-			}
-		}
-		if node.Kind != term.Fun || i >= len(node.Args) {
-			break
-		}
-		node = node.Args[i]
-		if n := node; n.Kind == term.Fun {
-			if lera.IsOp(n, lera.OpSearch) || lera.IsOp(n, lera.OpFilter) ||
-				lera.IsOp(n, lera.OpJoin) || lera.IsOp(n, lera.OpNest) ||
-				lera.IsOp(n, lera.OpUnnest) {
-				best = n
-				bestEnv = env
-			}
-		}
-	}
+	})
 	if best == nil {
 		return nil, fmt.Errorf("rewrite: no enclosing relational operator at %v", c.Site)
 	}
@@ -283,24 +277,23 @@ type Stats struct {
 	// never ran, so the work counters above are genuinely zero (the
 	// point of the cache). See internal/plancache and docs/PLANCACHE.md.
 	CacheHit bool
+
+	// Trace is the run's rule applications in commit order, for EXPLAIN
+	// output; nil unless the engine was built with Options.CollectTrace.
+	Trace []TraceEntry
 }
 
-// Options configure a run.
+// Options configure an engine; New resolves them once.
 type Options struct {
 	// MaxChecks caps total condition checks across all blocks, guarding
 	// against non-terminating rule sets with infinite block limits
 	// (termination is undecidable, §4.2). 0 means the default.
 	MaxChecks int
-	// CollectTrace records a TraceEntry per application.
+	// CollectTrace records a TraceEntry per application on Stats.Trace.
 	CollectTrace bool
 	// BlockLimitOverride, if non-nil, replaces every block's limit —
-	// the §7 dynamic-limit hook.
+	// the §7 dynamic-limit hook. New calls it once per block.
 	BlockLimitOverride func(block string, declared int) int
-	// Limits is the guard budget enforced during the run: MaxSteps caps
-	// successful applications across all blocks, MaxTermSize caps the
-	// query term's node count. (The wall-clock deadline arrives through
-	// the RunCtx context instead.)
-	Limits guard.Limits
 	// FullScan disables the rule/site index and walks the whole term once
 	// per rule per iteration, as the engine did before indexing. The two
 	// paths produce identical rewrites and identical ConditionChecks (the
@@ -319,177 +312,216 @@ type Options struct {
 // DefaultMaxChecks bounds runaway rule systems.
 const DefaultMaxChecks = 1_000_000
 
-// Engine applies a rule set to query terms.
+// Engine is a rule set compiled against its options. It is immutable
+// after New and safe for concurrent use (provided nobody registers
+// externals or edits the rule set meanwhile); what a rewrite writes lives
+// in its run.
 type Engine struct {
-	RS    *rules.RuleSet
-	Ext   *Externals
-	Cat   *catalog.Catalog
-	Opts  Options
-	Trace []TraceEntry
-	fresh int
+	RS   *rules.RuleSet
+	Ext  *Externals
+	Cat  *catalog.Catalog
+	Opts Options
 
-	ctx      context.Context // cancellation context of the current run
-	rec      *obs.Recorder   // trace recorder carried by the run context (nil = off)
-	lastGood *term.Term      // term after the last committed application
-
-	// Hot-path state (docs/PERF.md): the per-rule LHS head filters, the
-	// per-pass site index and a scratch binding set reused across match
-	// attempts. All rebuilt or reset in place, so a steady-state pass
-	// allocates almost nothing per visited site.
-	filters map[string]lhsFilter
-	ix      siteIndex
-	scratch *term.Bindings
+	blocks map[string]*block // every declared block, by name
+	seq    []*block          // the blocks one round applies, in order
+	rounds int               // the sequence meta-rule's round limit
 }
 
-// New creates an engine.
+// block is a rules.Block compiled for the match loop: its rules resolved
+// and classified (index.go), its §4.2 condition-check budget resolved
+// against Options.BlockLimitOverride.
+type block struct {
+	name  string
+	rules []blockRule
+	// budget is the block's allowance per visit; simpleBudget is what a §7
+	// "simple" query gets instead — the declared limit taken as zero, so
+	// only an explicit override still grants anything.
+	budget, simpleBudget int
+}
+
+type blockRule struct {
+	*rules.Rule
+	filter lhsFilter
+}
+
+// New compiles a rule set. If no sequence is declared, all blocks run once
+// in declaration order; if no blocks are declared, all rules form one
+// implicit saturating block.
 func New(rs *rules.RuleSet, ext *Externals, cat *catalog.Catalog, opts Options) *Engine {
 	if opts.MaxChecks <= 0 {
 		opts.MaxChecks = DefaultMaxChecks
 	}
-	return &Engine{RS: rs, Ext: ext, Cat: cat, Opts: opts}
+	e := &Engine{RS: rs, Ext: ext, Cat: cat, Opts: opts, blocks: make(map[string]*block, len(rs.Blocks)), rounds: 1}
+	for name, b := range rs.Blocks {
+		e.blocks[name] = e.compile(b)
+	}
+	order := rs.BlockOrder
+	switch seq := rs.Sequence; {
+	case seq != nil:
+		order = seq.Blocks
+		e.rounds = seq.Limit
+		if e.rounds == rules.Infinite {
+			e.rounds = math.MaxInt32
+		}
+	case len(order) == 0:
+		e.seq = []*block{e.compile(&rules.Block{Name: "(all)", Rules: rs.RuleOrder, Limit: rules.Infinite})}
+	}
+	for _, n := range order {
+		e.seq = append(e.seq, e.blocks[n])
+	}
+	return e
 }
 
-// Run rewrites q under the rule set's sequence meta-rule with no
-// cancellation (see RunCtx).
-func (e *Engine) Run(q *term.Term) (*term.Term, *Stats, error) {
-	return e.RunCtx(context.Background(), q)
+func (e *Engine) compile(b *rules.Block) *block {
+	resolve := func(declared int) int {
+		if e.Opts.BlockLimitOverride != nil {
+			declared = e.Opts.BlockLimitOverride(b.Name, declared)
+		}
+		if declared == rules.Infinite {
+			return math.MaxInt
+		}
+		return declared
+	}
+	cb := &block{name: b.Name, budget: resolve(b.Limit), simpleBudget: resolve(0), rules: make([]blockRule, len(b.Rules))}
+	for i, rn := range b.Rules {
+		r := e.RS.Rules[rn]
+		cb.rules[i] = blockRule{Rule: r, filter: filterFor(r.LHS)}
+	}
+	return cb
 }
 
-// LastGood returns the query term as of the last committed rule
-// application of the most recent run — the best safe plan to fall back to
-// when the run failed partway (nil before any run).
-func (e *Engine) LastGood() *term.Term { return e.lastGood }
+// runState is one rewrite in flight: everything RunCtx or RunBlockCtx writes.
+type runState struct {
+	e      *Engine
+	ctx    context.Context // cancellation context of the run
+	rec    *obs.Recorder   // trace recorder carried by ctx (nil = off)
+	lim    guard.Limits    // MaxSteps and MaxTermSize of the request
+	simple bool            // §7: blocks get their simpleBudget
+	st     *Stats
+	fresh  int        // Ctx.Fresh counter
+	last   *term.Term // term after the last committed application
 
-// RunCtx rewrites q under the rule set's sequence meta-rule. If no
-// sequence is declared, all blocks run once in declaration order; if no
-// blocks are declared, all rules form one implicit saturating block.
-// Cancellation is checked on every condition check; the Options.Limits
-// budget is enforced on every application.
-func (e *Engine) RunCtx(ctx context.Context, q *term.Term) (*term.Term, *Stats, error) {
+	// Hot-path state (docs/PERF.md): the per-pass site index and a scratch
+	// binding set reused across match attempts, both reset in place, so a
+	// steady-state pass allocates almost nothing per visited site.
+	ix      siteIndex
+	scratch *term.Bindings
+}
+
+func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) *runState {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.ctx = ctx
-	e.rec = obs.FromContext(ctx)
-	e.lastGood = q
-	st := &Stats{StepsLimit: e.Opts.Limits.MaxSteps}
-	seq := e.RS.Sequence
-	if seq == nil {
-		blocks := e.RS.BlockOrder
-		if len(blocks) == 0 {
-			all := &rules.Block{Name: "(all)", Rules: e.RS.RuleOrder, Limit: rules.Infinite}
-			return e.runWithSeq(q, []*rules.Block{all}, 1, st)
+	return &runState{e: e, ctx: ctx, rec: obs.FromContext(ctx), lim: lim, simple: simple,
+		st: &Stats{StepsLimit: lim.MaxSteps}, last: q, scratch: term.NewBindings()}
+}
+
+// Run rewrites q under the rule set's sequence meta-rule with no
+// cancellation and no budget (see RunCtx).
+func (e *Engine) Run(q *term.Term) (*term.Term, *Stats, error) {
+	return e.RunCtx(context.Background(), q, guard.Limits{}, false)
+}
+
+// RunCtx rewrites q under the rule set's sequence meta-rule. Cancellation
+// is checked on every condition check; of lim, MaxSteps caps successful
+// applications across all blocks and MaxTermSize the query term's node
+// count (the wall-clock deadline arrives through ctx). simple is the §7
+// verdict that q is not worth optimizing: every block gets a zero budget
+// unless an override names it.
+//
+// On error the returned term is the query as of the last committed rule
+// application — the best safe plan to fall back to (q itself when nothing
+// committed) — and the Stats hold the work done up to the failure.
+func (e *Engine) RunCtx(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) (*term.Term, *Stats, error) {
+	r := e.newRun(ctx, q, lim, simple)
+	for i := 0; i < e.rounds; i++ {
+		r.st.Rounds++
+		var roundSpan *obs.Span
+		if r.rec != nil {
+			roundSpan = r.rec.Begin("rewrite.round", obs.Int("round", r.st.Rounds))
 		}
-		bs := make([]*rules.Block, len(blocks))
-		for i, n := range blocks {
-			bs[i] = e.RS.Blocks[n]
+		before := q
+		for _, b := range e.seq {
+			var err error
+			q, err = r.runBlock(q, b)
+			if err != nil {
+				r.rec.End(roundSpan)
+				return r.last, r.st, err
+			}
 		}
-		return e.runWithSeq(q, bs, 1, st)
+		r.rec.End(roundSpan)
+		if term.Equal(before, q) {
+			break // fixpoint of the whole sequence
+		}
 	}
-	bs := make([]*rules.Block, len(seq.Blocks))
-	for i, n := range seq.Blocks {
-		bs[i] = e.RS.Blocks[n]
-	}
-	limit := seq.Limit
-	if limit == rules.Infinite {
-		limit = math.MaxInt32
-	}
-	return e.runWithSeq(q, bs, limit, st)
+	return q, r.st, nil
 }
 
 // RunBlock applies a single named block to q (used by tests and the §7
 // per-phase experiments).
 func (e *Engine) RunBlock(q *term.Term, blockName string) (*term.Term, *Stats, error) {
-	return e.RunBlockCtx(context.Background(), q, blockName)
+	return e.RunBlockCtx(context.Background(), q, blockName, guard.Limits{}, false)
 }
 
-// RunBlockCtx is RunBlock under a cancellation context.
-func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string) (*term.Term, *Stats, error) {
-	b, ok := e.RS.Blocks[blockName]
+// RunBlockCtx is RunBlock under RunCtx's per-request inputs, with the same
+// contract on error.
+func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string, lim guard.Limits, simple bool) (*term.Term, *Stats, error) {
+	b, ok := e.blocks[blockName]
 	if !ok {
 		return nil, nil, fmt.Errorf("rewrite: unknown block %q", blockName)
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	r := e.newRun(ctx, q, lim, simple)
+	out, err := r.runBlock(q, b)
+	if err != nil {
+		return r.last, r.st, err
 	}
-	e.ctx = ctx
-	e.rec = obs.FromContext(ctx)
-	e.lastGood = q
-	st := &Stats{StepsLimit: e.Opts.Limits.MaxSteps}
-	out, err := e.runBlock(q, b, st)
-	return out, st, err
+	return out, r.st, nil
 }
 
-func (e *Engine) runWithSeq(q *term.Term, blocks []*rules.Block, rounds int, st *Stats) (*term.Term, *Stats, error) {
-	for r := 0; r < rounds; r++ {
-		st.Rounds++
-		var roundSpan *obs.Span
-		if e.rec != nil {
-			roundSpan = e.rec.Begin("rewrite.round", obs.Int("round", st.Rounds))
-		}
-		before := q
-		for _, b := range blocks {
-			var err error
-			q, err = e.runBlock(q, b, st)
-			if err != nil {
-				e.rec.End(roundSpan)
-				return nil, st, err
-			}
-		}
-		e.rec.End(roundSpan)
-		if term.Equal(before, q) {
-			break // fixpoint of the whole sequence
-		}
-	}
-	return q, st, nil
-}
-
-func (e *Engine) runBlock(q *term.Term, b *rules.Block, st *Stats) (*term.Term, error) {
-	budget := b.Limit
-	if e.Opts.BlockLimitOverride != nil {
-		budget = e.Opts.BlockLimitOverride(b.Name, budget)
-	}
-	if budget == rules.Infinite {
-		budget = math.MaxInt
+func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
+	st := r.st
+	budget := b.budget
+	if r.simple {
+		budget = b.simpleBudget
 	}
 	var blockSpan *obs.Span
-	if e.rec != nil {
-		blockSpan = e.rec.Begin("rewrite.block", obs.Str("block", b.Name))
+	if r.rec != nil {
+		blockSpan = r.rec.Begin("rewrite.block", obs.Str("block", b.name))
 		checks0, apps0 := st.ConditionChecks, st.Applications
 		defer func() {
 			blockSpan.SetAttrs(
 				obs.Int("checks", st.ConditionChecks-checks0),
 				obs.Int("applications", st.Applications-apps0))
-			e.rec.End(blockSpan)
+			r.rec.End(blockSpan)
 		}()
 	}
-	indexed := !e.Opts.FullScan
+	indexed := !r.e.Opts.FullScan
 	if indexed && budget > 0 {
 		// One walk per pass: the site index stays valid for every rule of
 		// the pass, since the term only changes on a committed application.
-		e.ix.rebuild(q)
+		r.ix.rebuild(q)
 	}
 	for budget > 0 {
 		applied := false
-		for _, rn := range b.Rules {
-			rule := e.RS.Rules[rn]
+		for i := range b.rules {
+			rule := &b.rules[i]
 			var nq *term.Term
 			var ok bool
 			var err error
 			if indexed {
-				nq, ok, err = e.applyOnceIndexed(q, rule, b.Name, &budget, st)
+				nq, ok, err = r.applyOnceIndexed(q, rule, b.name, &budget)
 			} else {
-				nq, ok, err = e.applyOnce(q, rule, b.Name, &budget, st)
+				nq, ok, err = r.applyOnce(q, rule.Rule, b.name, &budget)
 			}
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				q = nq
-				e.lastGood = q
+				r.last = q
 				applied = true
 				if indexed {
-					e.ix.rebuild(q)
+					r.ix.rebuild(q)
 				}
 				break // restart from the first rule of the block
 			}
@@ -503,10 +535,10 @@ func (e *Engine) runBlock(q *term.Term, b *rules.Block, st *Stats) (*term.Term, 
 	}
 	if budget <= 0 {
 		st.BudgetExhausted = true
-		if e.rec != nil {
+		if r.rec != nil {
 			// §4.2 budget consumption: the block spent its whole
 			// condition-check allowance.
-			e.rec.Event("budget.exhausted", obs.Str("block", b.Name))
+			r.rec.Event("budget.exhausted", obs.Str("block", b.name))
 		}
 	}
 	return q, nil
@@ -533,7 +565,7 @@ const (
 // applyOnce tries to apply rule at the topmost-leftmost applicable site by
 // walking the whole term — the pre-index control strategy, kept behind
 // Options.FullScan as the differential-testing oracle.
-func (e *Engine) applyOnce(q *term.Term, rule *rules.Rule, blockName string, budget *int, st *Stats) (*term.Term, bool, error) {
+func (r *runState) applyOnce(q *term.Term, rule *rules.Rule, blockName string, budget *int) (*term.Term, bool, error) {
 	var result *term.Term
 	var applyErr error
 	found := false
@@ -541,7 +573,7 @@ func (e *Engine) applyOnce(q *term.Term, rule *rules.Rule, blockName string, bud
 		if sub.Kind != term.Fun || *budget <= 0 {
 			return *budget > 0
 		}
-		res, outcome, err := e.tryRuleAtSite(q, rule, blockName, sub, path.Clone, budget, st)
+		res, outcome, err := r.tryRuleAtSite(q, rule, blockName, sub, path.Clone, budget)
 		if err != nil {
 			applyErr = err
 			return false
@@ -569,14 +601,12 @@ func (e *Engine) applyOnce(q *term.Term, rule *rules.Rule, blockName string, bud
 // methods, replacement and traces) — sites that never match never pay for
 // a path allocation, and no Bindings or Ctx is allocated before the head
 // has already passed the caller's pre-filter.
-func (e *Engine) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, lazyPath func() term.Path, budget *int, st *Stats) (*term.Term, siteOutcome, error) {
+func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, lazyPath func() term.Path, budget *int) (*term.Term, siteOutcome, error) {
+	e, st := r.e, r.st
 	st.MatchAttempts++
-	if e.scratch == nil {
-		e.scratch = term.NewBindings()
-	}
-	b := e.scratch
+	b := r.scratch
 	b.Reset()
-	ctx := &Ctx{Cat: e.Cat, Root: q, Bind: b, Rule: rule.Name, engine: e}
+	ctx := &Ctx{Cat: e.Cat, Root: q, Bind: b, Rule: rule.Name, run: r}
 	haveSite := false
 	var applyErr error
 	matched := term.Match(rule.LHS, sub, b, func() bool {
@@ -584,7 +614,7 @@ func (e *Engine) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string,
 		// are evaluated (§4.2 budget semantics).
 		*budget--
 		st.ConditionChecks++
-		if err := guard.CheckCtx(e.ctx); err != nil {
+		if err := guard.CheckCtx(r.ctx); err != nil {
 			applyErr = err
 			return true // stop the search; error reported below
 		}
@@ -634,23 +664,23 @@ func (e *Engine) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string,
 		// idempotent semantic rules from looping).
 		return nil, siteNoMatch, nil
 	}
-	if max := e.Opts.Limits.MaxSteps; max > 0 && st.Applications >= max {
+	if max := r.lim.MaxSteps; max > 0 && st.Applications >= max {
 		return nil, siteStop, fmt.Errorf("rewrite: %w: %d rule applications reached (cap %d)",
 			guard.ErrStepBudget, st.Applications, max)
 	}
 	result := term.ReplaceAt(q, ctx.Site, rhs)
-	if max := e.Opts.Limits.MaxTermSize; max > 0 {
+	if max := r.lim.MaxTermSize; max > 0 {
 		if sz := result.Size(); sz > max {
 			return nil, siteStop, fmt.Errorf("rewrite: rule %s: %w: term grew to %d nodes (cap %d)",
 				rule.Name, guard.ErrTermSize, sz, max)
 		}
 	}
 	st.Applications++
-	if e.rec != nil {
+	if r.rec != nil {
 		// The per-rule provenance record: which rule fired, where, and
 		// what it cost (cumulative §4.2 checks at commit time; term size
 		// reads are O(1) via the memoized size).
-		e.rec.Event("rule.apply",
+		r.rec.Event("rule.apply",
 			obs.Str("rule", rule.Name), obs.Str("block", blockName),
 			obs.Str("site", sitePath(ctx.Site)),
 			obs.Int("checks", st.ConditionChecks), obs.Int("size", result.Size()))
@@ -658,7 +688,7 @@ func (e *Engine) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string,
 	if e.Opts.CollectTrace {
 		// All trace-only work — the path clone and the Before/After
 		// renderings — happens only when a trace is actually collected.
-		e.Trace = append(e.Trace, TraceEntry{
+		st.Trace = append(st.Trace, TraceEntry{
 			Block: blockName, Rule: rule.Name, Site: ctx.Site.Clone(),
 			Before: sub.String(), After: rhs.String(),
 		})

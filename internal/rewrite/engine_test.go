@@ -360,11 +360,11 @@ block(b, {r}, inf);
 seq({b}, 1);
 `
 	e := newEngine(t, src, Options{CollectTrace: true})
-	run(t, e, term.F("HH", term.F("FF", term.Num(1))))
-	if len(e.Trace) != 1 {
-		t.Fatalf("trace = %v", e.Trace)
+	_, st := run(t, e, term.F("HH", term.F("FF", term.Num(1))))
+	if len(st.Trace) != 1 {
+		t.Fatalf("trace = %v", st.Trace)
 	}
-	tr := e.Trace[0]
+	tr := st.Trace[0]
 	if tr.Rule != "r" || tr.Block != "b" || tr.Before != "FF(1)" || tr.After != "GG(1)" {
 		t.Errorf("trace entry = %+v", tr)
 	}
@@ -408,12 +408,24 @@ rule trans: ANDS(SET(w*, EQT(x, y), EQT(y, z))) / DISTINCT(x, z), NOTMEMBER(EQT(
 	}
 }
 
-func TestFreshNames(t *testing.T) {
-	e := newEngine(t, "rule r: F(x) --> G(x);", Options{})
-	ctx := &Ctx{engine: e}
-	a, b := ctx.Fresh("magic"), ctx.Fresh("magic")
-	if a == b || !strings.HasPrefix(a, "MAGIC_") {
-		t.Errorf("fresh names: %s, %s", a, b)
+// Fresh names are numbered within the run: the plan a rule base derives
+// for a query is the same term on the engine's first run and on its
+// hundredth, whatever it served in between.
+func TestFreshNamesArePerRun(t *testing.T) {
+	e := newEngine(t, "rule focus: FOCUS(x, y) --> FOCUSED(x, y, a, b) / NAMEIT(a), NAMEIT(b);", Options{})
+	e.Ext.RegisterMethod("NAMEIT", func(ctx *Ctx, args []*term.Term) (bool, error) {
+		ctx.Bind.BindVar(args[0].Name, term.Str(ctx.Fresh("magic")))
+		return true, nil
+	})
+	q := term.F("FOCUS", term.Num(1), term.Num(2))
+	first, _ := run(t, e, q)
+	if first.String() != "FOCUSED(1, 2, 'MAGIC_1', 'MAGIC_2')" {
+		t.Fatalf("first run = %s", first)
+	}
+	for i := 2; i <= 100; i++ {
+		if again, _ := run(t, e, q); !term.Equal(again, first) {
+			t.Fatalf("run %d = %s, run 1 = %s", i, again, first)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func TestRewriteDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)))
+	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)), guard.Limits{}, false)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline did not interrupt the rewrite (took %v)", elapsed)
 	}
@@ -101,16 +101,15 @@ func TestRewriteCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)))
+	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)), guard.Limits{}, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 func TestStepBudget(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));",
-		Options{Limits: guard.Limits{MaxSteps: 5}})
-	_, st, err := e.Run(term.F("FF", term.Num(1)))
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
+	_, st, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxSteps: 5}, false)
 	if !errors.Is(err, guard.ErrStepBudget) {
 		t.Fatalf("got %v, want ErrStepBudget", err)
 	}
@@ -123,9 +122,8 @@ func TestStepBudget(t *testing.T) {
 }
 
 func TestTermSizeBudget(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));",
-		Options{Limits: guard.Limits{MaxTermSize: 10}})
-	_, _, err := e.Run(term.F("FF", term.Num(1)))
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxTermSize: 10}, false)
 	if !errors.Is(err, guard.ErrTermSize) {
 		t.Fatalf("got %v, want ErrTermSize", err)
 	}
@@ -135,8 +133,9 @@ func TestTermSizeBudget(t *testing.T) {
 }
 
 func TestLastGoodAfterPanic(t *testing.T) {
-	// The safe rule commits once before the panicking rule fires; LastGood
-	// must hold the committed intermediate, not the original query.
+	// The safe rule commits once before the panicking rule fires; the term
+	// returned with the error must be the committed intermediate, not the
+	// original query.
 	e := newEngine(t, `
 rule ok: AA(x) --> BB(x);
 rule boom: BB(x) / BOOMC(x) --> CC(x);
@@ -144,24 +143,22 @@ rule boom: BB(x) / BOOMC(x) --> CC(x);
 	e.Ext.RegisterConstraint("BOOMC", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		panic("late kaboom")
 	})
-	_, _, err := e.Run(term.F("AA", term.Num(1)))
+	lg, _, err := e.Run(term.F("AA", term.Num(1)))
 	if err == nil {
 		t.Fatal("want error from panicking constraint")
 	}
-	lg := e.LastGood()
 	if lg == nil || lg.String() != "BB(1)" {
-		t.Fatalf("LastGood = %v, want BB(1)", lg)
+		t.Fatalf("last good = %v, want BB(1)", lg)
 	}
 }
 
 func TestLastGoodAfterStepBudget(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));",
-		Options{Limits: guard.Limits{MaxSteps: 2}})
-	_, _, err := e.Run(term.F("FF", term.Num(1)))
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
+	lg, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxSteps: 2}, false)
 	if !errors.Is(err, guard.ErrStepBudget) {
 		t.Fatalf("got %v", err)
 	}
-	if lg := e.LastGood(); lg == nil || lg.String() != "FF(SS(SS(1)))" {
-		t.Fatalf("LastGood = %v, want FF(SS(SS(1)))", lg)
+	if lg == nil || lg.String() != "FF(SS(SS(1)))" {
+		t.Fatalf("last good = %v, want FF(SS(SS(1)))", lg)
 	}
 }

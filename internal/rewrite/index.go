@@ -7,17 +7,14 @@
 // compatible with the rule's LHS head — a property computable once per
 // rule and once per node. The engine therefore discriminates on the head,
 // Starburst/Volcano style: each rule's LHS is classified into an lhsFilter
-// at engine construction, and each pass walks the term once, bucketing
+// when New compiles its block, and each pass walks the term once, bucketing
 // Fun nodes by functor into a siteIndex. A rule then visits only its
 // candidate sites, in the same preorder the naive walk would have used, so
 // the sequence of complete matches — and with it every rewrite result and
 // every §4.2 budget decrement — is bit-for-bit identical to the full scan.
 package rewrite
 
-import (
-	"lera/internal/rules"
-	"lera/internal/term"
-)
+import "lera/internal/term"
 
 // headKind classifies how a rule's LHS constrains a match site's head.
 type headKind int
@@ -95,18 +92,6 @@ func (f lhsFilter) admits(site *term.Term) bool {
 	return len(site.Args) >= f.minArity
 }
 
-// ruleFilters computes (and memoizes) the lhsFilter of every rule in the
-// engine's rule set.
-func (e *Engine) ruleFilters() map[string]lhsFilter {
-	if e.filters == nil {
-		e.filters = make(map[string]lhsFilter, len(e.RS.Rules))
-		for name, r := range e.RS.Rules {
-			e.filters[name] = filterFor(r.LHS)
-		}
-	}
-	return e.filters
-}
-
 // siteEntry is one Fun node of the current query term, with enough parent
 // linkage to materialize its Path lazily — the path is only built when a
 // match actually completes, never for the nodes the walk merely passes.
@@ -173,19 +158,19 @@ func (ix *siteIndex) path(id int32) term.Path {
 // topmost-leftmost site order, same budget accounting, but only candidate
 // sites are attempted. The shared tryRuleAtSite keeps the two paths'
 // behavior identical by construction.
-func (e *Engine) applyOnceIndexed(q *term.Term, rule *rules.Rule, blockName string, budget *int, st *Stats) (*term.Term, bool, error) {
-	f := e.ruleFilters()[rule.Name]
+func (r *runState) applyOnceIndexed(q *term.Term, rule *blockRule, blockName string, budget *int) (*term.Term, bool, error) {
+	f := rule.filter
 	if f.kind == headNone {
 		return nil, false, nil
 	}
-	ix := &e.ix
+	ix := &r.ix
 	try := func(id int32) (*term.Term, siteOutcome, error) {
 		site := ix.sites[id].node
 		if !f.admits(site) {
 			return nil, siteSkip, nil
 		}
-		return e.tryRuleAtSite(q, rule, blockName, site,
-			func() term.Path { return ix.path(id) }, budget, st)
+		return r.tryRuleAtSite(q, rule.Rule, blockName, site,
+			func() term.Path { return ix.path(id) }, budget)
 	}
 	var ids []int32
 	switch f.kind {

@@ -77,12 +77,13 @@ func Diff(ctx context.Context, rs *rules.RuleSet, ext *rewrite.Externals, cat *c
 			return ds, err
 		}
 		r := rs.Rules[rn]
+		eng := rewrite.New(singleRuleSet(r, opt.BlockBudget), ext, cat, rewrite.Options{})
 		found, exercised := 0, false
 		for _, q := range corpus {
 			if found >= opt.MaxCounterexamples {
 				break
 			}
-			d, fired, err := diffOne(ctx, db, r, ext, cat, q, opt)
+			d, fired, err := diffOne(ctx, db, eng, r, q, opt)
 			if err != nil {
 				return ds, err
 			}
@@ -108,7 +109,7 @@ func Diff(ctx context.Context, rs *rules.RuleSet, ext *rewrite.Externals, cat *c
 				Msg: fmt.Sprintf("end-to-end differential testing skipped: %v", err)})
 			return ds, nil
 		}
-		eng := rewrite.New(rs, ext, cat, rewrite.Options{Limits: opt.Limits})
+		eng := rewrite.New(rs, ext, cat, rewrite.Options{})
 		for _, q := range corpus {
 			if err := ctx.Err(); err != nil {
 				return ds, err
@@ -137,14 +138,11 @@ func singleRuleSet(r *rules.Rule, budget int) *rules.RuleSet {
 	return rs
 }
 
-// diffOne tests one rule against one corpus term. Returns a diagnostic
-// (or nil), whether the rule fired, and a hard error only on context
-// cancellation.
-func diffOne(ctx context.Context, db *engine.DB, r *rules.Rule, ext *rewrite.Externals, cat *catalog.Catalog, q Query, opt DiffOptions) (*Diagnostic, bool, error) {
-	eng := rewrite.New(singleRuleSet(r, opt.BlockBudget), ext, cat, rewrite.Options{Limits: opt.Limits})
-	rewritten, st, err := runPhase(ctx, opt.Limits, func(c context.Context) (*term.Term, *rewrite.Stats, error) {
-		return eng.RunCtx(c, q.Term)
-	})
+// diffOne tests one rule — eng is its singleRuleSet compiled — against one
+// corpus term. Returns a diagnostic (or nil), whether the rule fired, and
+// a hard error only on context cancellation.
+func diffOne(ctx context.Context, db *engine.DB, eng *rewrite.Engine, r *rules.Rule, q Query, opt DiffOptions) (*Diagnostic, bool, error) {
+	rewritten, st, err := runPhase(ctx, eng, opt.Limits, q.Term)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, false, ctx.Err()
@@ -195,9 +193,7 @@ func diffOne(ctx context.Context, db *engine.DB, r *rules.Rule, ext *rewrite.Ext
 
 // diffWhole runs one corpus term through the full rule base.
 func diffWhole(ctx context.Context, db *engine.DB, eng *rewrite.Engine, q Query, opt DiffOptions) (*Diagnostic, error) {
-	rewritten, _, err := runPhase(ctx, opt.Limits, func(c context.Context) (*term.Term, *rewrite.Stats, error) {
-		return eng.RunCtx(c, q.Term)
-	})
+	rewritten, _, err := runPhase(ctx, eng, opt.Limits, q.Term)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -239,15 +235,15 @@ func diffWhole(ctx context.Context, db *engine.DB, eng *rewrite.Engine, q Query,
 	return nil, nil
 }
 
-// runPhase applies the per-phase wall-clock budget, mirroring
-// Session.rewriteGuarded.
-func runPhase(ctx context.Context, lim guard.Limits, fn func(context.Context) (*term.Term, *rewrite.Stats, error)) (*term.Term, *rewrite.Stats, error) {
+// runPhase rewrites q under lim, the wall-clock budget applied to this
+// phase alone, mirroring Session.rewriteGuarded.
+func runPhase(ctx context.Context, eng *rewrite.Engine, lim guard.Limits, q *term.Term) (*term.Term, *rewrite.Stats, error) {
 	if lim.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	return fn(ctx)
+	return eng.RunCtx(ctx, q, lim, false)
 }
 
 // evalPhase is runPhase for execution: eval is an engine.DB's EvalCtx, or

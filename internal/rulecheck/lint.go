@@ -47,12 +47,14 @@ func Lint(rs *rules.RuleSet, ext *rewrite.Externals, cat *catalog.Catalog) []Dia
 	var ds []Diagnostic
 
 	// Block structure: dangling rule references, duplicate listings,
-	// shadowed rules (RC007/RC009).
+	// shadowed rules, non-decreasing rules under an infinite limit
+	// (RC007/RC009/RC011).
 	for _, bn := range rs.BlockOrder {
 		b := rs.Blocks[bn]
 		seen := map[string]bool{}
 		for _, rn := range b.Rules {
-			if _, ok := rs.Rules[rn]; !ok {
+			r, ok := rs.Rules[rn]
+			if !ok {
 				ds = append(ds, Diagnostic{Rule: bn, Severity: SevError, Code: CodeUnknownRule,
 					Site: blockSite(b), Msg: fmt.Sprintf("block %q references unknown rule %q", bn, rn)})
 				continue
@@ -60,8 +62,15 @@ func Lint(rs *rules.RuleSet, ext *rewrite.Externals, cat *catalog.Catalog) []Dia
 			if seen[rn] {
 				ds = append(ds, Diagnostic{Rule: bn, Severity: SevWarn, Code: CodeShadowed,
 					Site: blockSite(b), Msg: fmt.Sprintf("block %q lists rule %q more than once", bn, rn)})
+				continue
 			}
 			seen[rn] = true
+			if b.Limit == rules.Infinite && !r.Decreasing() {
+				ds = append(ds, Diagnostic{Rule: rn, Severity: SevInfo, Code: CodeNonDecreasing,
+					Site: ruleSite(r, "block "+bn),
+					Msg: fmt.Sprintf("rule in saturating block %q does not decrease term count (lhs %d, rhs %d nodes); termination relies on no-change detection",
+						bn, r.LHS.Size(), r.RHS.Size())})
+			}
 		}
 		for i := 1; i < len(b.Rules); i++ {
 			ri, ok := rs.Rules[b.Rules[i]]

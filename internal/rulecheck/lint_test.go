@@ -199,6 +199,28 @@ block(b, {used}, 1);
 	wantNone(t, Lint(free, testExt(), catalog.New()), CodeDeadRule)
 }
 
+// §4.2 termination analysis: a rule that does not shrink the term, in a
+// block that saturates, is reported with its rule and block; decreasing
+// rules and bounded blocks are not.
+func TestLintNonDecreasingInSaturatingBlock(t *testing.T) {
+	rs := mustParse(t, `
+rule shrink: BIG(x, y) --> SMALL(x);
+rule grow: SMALL(x) --> BIG(x, WRAP(x));
+rule same: MID(x) --> MID2(x);
+block(saturate, {shrink, grow, same}, inf);
+block(bounded, {grow}, 10);
+`)
+	ds := Lint(rs, testExt(), catalog.New())
+	if got := Filter(ds, CodeNonDecreasing); len(got) != 2 {
+		t.Fatalf("want 2 %s diagnostics, got:\n%s", CodeNonDecreasing, renderAll(got))
+	}
+	d := want(t, ds, CodeNonDecreasing, "grow", SevInfo, `saturating block "saturate"`)
+	if d.Site != "3:1 block saturate" {
+		t.Errorf("site = %q, want the rule position and the block", d.Site)
+	}
+	want(t, ds, CodeNonDecreasing, "same", SevInfo, "lhs 2, rhs 2 nodes")
+}
+
 func TestLintNilExternalsAndCatalogDegrade(t *testing.T) {
 	// With no externals/catalog the lint must not panic and must not
 	// invent RC002/RC003 errors it cannot substantiate... except RC003,

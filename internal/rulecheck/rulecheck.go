@@ -8,8 +8,9 @@
 //     unbound right-hand-side variables, constraints and methods that name
 //     externals not registered in rewrite.Externals, function symbols with
 //     inconsistent arity or unknown to the LERA/catalog vocabulary,
-//     non-size-decreasing self-cycles (possible divergence), duplicate or
-//     shadowed rules within a block, and dangling block/rule references.
+//     non-size-decreasing self-cycles (possible divergence) and the §4.2
+//     termination analysis of saturating blocks, duplicate or shadowed
+//     rules within a block, and dangling block/rule references.
 //
 //   - Differential semantic testing (Diff): generate a small deterministic
 //     database from the catalog schemas, synthesize LERA terms the rules
@@ -94,6 +95,14 @@ const (
 	// CodeDeadRule: a rule is declared but referenced by no block, so the
 	// sequenced optimizer can never apply it.
 	CodeDeadRule = "RC010"
+	// CodeNonDecreasing is the §4.2 termination analysis ("subsets of
+	// rewriting rules can be isolated that either increase or decrease the
+	// number of terms in a query"): a rule whose right-hand side is not
+	// smaller than its left-hand side sits in a block with an infinite
+	// limit, so budgets alone cannot guarantee termination; the engine's
+	// no-change detection and MaxChecks guard still apply. Advisory —
+	// right-hand sides calling optimizer builtins are sized syntactically.
+	CodeNonDecreasing = "RC011"
 
 	// CodeCounterexample: the original and the rewritten term produced
 	// different results on a generated database.

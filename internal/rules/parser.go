@@ -677,31 +677,3 @@ func (p *parser) parseArgs() ([]*term.Term, error) {
 	}
 	return args, nil
 }
-
-// TerminationWarnings implements the §4.2 analysis: "subsets of rewriting
-// rules can be isolated that either increase or decrease the number of
-// terms in a query". A rule whose right-hand side is not smaller than its
-// left-hand side, placed in a block with an infinite limit, cannot be
-// guaranteed to terminate by budgets alone; the engine's no-change
-// detection and MaxChecks guard still apply, but the database implementor
-// should see the warning. Right-hand sides calling optimizer builtins are
-// sized syntactically (an approximation, noted in the message).
-func (rs *RuleSet) TerminationWarnings() []string {
-	var out []string
-	for _, bn := range rs.BlockOrder {
-		b := rs.Blocks[bn]
-		if b.Limit != Infinite {
-			continue
-		}
-		for _, rn := range b.Rules {
-			r, ok := rs.Rules[rn]
-			if !ok || r.Decreasing() {
-				continue
-			}
-			out = append(out, fmt.Sprintf(
-				"rule %q in saturating block %q does not decrease term count (lhs %d, rhs %d nodes); termination relies on no-change detection",
-				rn, bn, r.LHS.Size(), r.RHS.Size()))
-		}
-	}
-	return out
-}

@@ -355,27 +355,6 @@ func TestSeqVarVsMultiplication(t *testing.T) {
 	}
 }
 
-func TestTerminationWarnings(t *testing.T) {
-	rs := MustParse(`
-rule shrink: BIG(x, y) --> SMALL(x);
-rule grow: SMALL(x) --> BIG(x, WRAP(x));
-rule same: MID(x) --> MID2(x);
-block(saturate, {shrink, grow, same}, inf);
-block(bounded, {grow}, 10);
-`)
-	warns := rs.TerminationWarnings()
-	if len(warns) != 2 {
-		t.Fatalf("warnings = %v", warns)
-	}
-	joined := strings.Join(warns, "\n")
-	if !strings.Contains(joined, `"grow"`) || !strings.Contains(joined, `"same"`) {
-		t.Errorf("warnings should name grow and same: %v", warns)
-	}
-	if strings.Contains(joined, `"shrink"`) || strings.Contains(joined, `"bounded"`) {
-		t.Errorf("decreasing rules and bounded blocks must not warn: %v", warns)
-	}
-}
-
 // Arbitrary input must produce an error or a rule set — never a panic.
 func TestParserRobustness(t *testing.T) {
 	r := rand.New(rand.NewSource(3))

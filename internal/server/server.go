@@ -263,6 +263,9 @@ func New(cfg Config) (*Server, error) {
 	// collection is on for every session forked from base: the pool here
 	// and the replacements in handleQuery.
 	base.DB.CollectStats = s.slow != nil
+	// The first Fork compiles base's rule base (a broken one fails the
+	// boot here); every fork, and every replacement later, shares that one
+	// immutable *core.Rewriter.
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		fork, err := base.Fork()
 		if err != nil {
@@ -446,7 +449,9 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 		} else {
 			// The session panicked mid-query; its internal state is
 			// suspect. Replace it with a fresh fork of the immutable
-			// boot snapshot so the pool never shrinks.
+			// boot snapshot so the pool never shrinks. The fork reads
+			// base (its compiled rule base included) and writes nothing
+			// of it, so concurrent replacements need no lock.
 			fork, ferr := s.base.Fork()
 			if ferr != nil {
 				s.logf("session replacement failed, recycling suspect session: %v", ferr)
@@ -470,7 +475,16 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 		return err
 	}()
 	if err != nil {
-		return s.errResponse(tenantName, err)
+		resp = s.errResponse(tenantName, err)
+		// QueryCtx returns no Result exactly when parsing or translating
+		// the text failed: the request never reached the guarded
+		// pipeline, so an otherwise unclassified failure is in the
+		// request, not the server. (An isolated panic also leaves res
+		// nil, and stays INTERNAL.)
+		if res == nil && healthy && resp.Code == string(guard.CodeInternal) {
+			resp.Code = string(guard.CodeParse)
+		}
+		return resp
 	}
 
 	resp.Code = string(guard.CodeOK)
@@ -495,24 +509,9 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 	return resp
 }
 
-// errResponse builds the typed failure response for an error. A nil
-// result (parse/translate failure) that classifies as INTERNAL is
-// reported as PARSE: the request never reached the guarded pipeline, so
-// the failure is in the request text, not the server.
+// errResponse builds the typed failure response for an error.
 func (s *Server) errResponse(tenant string, err error) Response {
-	code := guard.CodeOf(err)
-	if code == guard.CodeInternal && isRequestError(err) {
-		code = guard.CodeParse
-	}
-	return Response{Code: string(code), Tenant: tenant, Error: err.Error()}
-}
-
-// isRequestError reports whether the error came from parsing/translating
-// the request text rather than from executing it.
-func isRequestError(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "parse") || strings.Contains(msg, "esql") ||
-		strings.Contains(msg, "translate") || strings.Contains(msg, "unknown")
+	return Response{Code: string(guard.CodeOf(err)), Tenant: tenant, Error: err.Error()}
 }
 
 // handleHTTPQuery serves POST /query {"tenant": "...", "query": "..."}

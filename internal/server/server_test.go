@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -20,6 +21,7 @@ import (
 	"lera/internal/core"
 	"lera/internal/guard"
 	"lera/internal/obs"
+	"lera/internal/value"
 )
 
 const filmQuery = "SELECT Title FROM FILM WHERE Numf > 0"
@@ -326,6 +328,25 @@ func TestServerHTTPStatuses(t *testing.T) {
 	}
 	if st, r := post("tiny", filmQuery); st != http.StatusUnprocessableEntity || r.Code != "ROW_BUDGET" {
 		t.Errorf("row budget: %d %s", st, r.Code)
+	}
+}
+
+// TestServerExecutionErrorIsNotParse: PARSE (HTTP 400) says the request
+// text never reached the guarded pipeline. That is decided by where the
+// request failed, never by what the error message happens to say: an ADT
+// function failing mid-execution with "unknown ..." is the server's 500.
+func TestServerExecutionErrorIsNotParse(t *testing.T) {
+	srv, base := startServer(t, Config{})
+	srv.base.Cat.ADTs.Register("CCYRATE", 1, false, func([]value.Value) (value.Value, error) {
+		return value.Null, errors.New("unknown currency code")
+	})
+	c := NewClient(base)
+	out := c.Query(context.Background(), "SELECT Title FROM FILM WHERE CCYRATE(Numf) > 0")
+	if out.Code != guard.CodeInternal || !strings.Contains(out.Resp.Error, "unknown currency code") {
+		t.Errorf("execution failure: code %s (%s), want INTERNAL", out.Code, out.Resp.Error)
+	}
+	if out := c.Query(context.Background(), "SELECT Title FROM NOSUCHTABLE"); out.Code != guard.CodeParse {
+		t.Errorf("translate failure: code %s (%s), want PARSE", out.Code, out.Resp.Error)
 	}
 }
 

@@ -165,7 +165,7 @@ func NewCatalog() *Catalog { return catalog.New() }
 
 // Rewriter options (see the paper's §4.2 and §7).
 var (
-	// WithTrace records a rule-application trace for Explain.
+	// WithTrace records every rule application on Stats.Trace.
 	WithTrace = core.WithTrace
 	// WithDynamicLimits scales block budgets by query complexity, with
 	// zero budgets for key-lookup-simple queries (§7).
