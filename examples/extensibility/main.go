@@ -42,6 +42,9 @@ func main() {
 	s.Cat.ADTs.Register("DURATION", 1, true, func(args []value.Value) (value.Value, error) {
 		lo, _ := args[0].Field("lo")
 		hi, _ := args[0].Field("hi")
+		if lo.K != value.KInt || hi.K != value.KInt {
+			return value.Null, fmt.Errorf("DURATION: bounds must be integers, got %s and %s", lo.K, hi.K)
+		}
 		return value.Int(hi.I - lo.I + 1), nil
 	})
 

@@ -220,7 +220,7 @@ func (r *Registry) registerBuiltins() {
 			if v.K != value.KBool {
 				return value.Null, fmt.Errorf("adt: AND requires booleans, got %s", v.K)
 			}
-			if !v.B {
+			if !v.B() {
 				return value.False, nil
 			}
 		}
@@ -231,7 +231,7 @@ func (r *Registry) registerBuiltins() {
 			if v.K != value.KBool {
 				return value.Null, fmt.Errorf("adt: OR requires booleans, got %s", v.K)
 			}
-			if v.B {
+			if v.B() {
 				return value.True, nil
 			}
 		}
@@ -241,7 +241,7 @@ func (r *Registry) registerBuiltins() {
 		if a[0].K != value.KBool {
 			return value.Null, fmt.Errorf("adt: NOT requires a boolean, got %s", a[0].K)
 		}
-		return value.Bool(!a[0].B), nil
+		return value.Bool(!a[0].B()), nil
 	})
 
 	// --- arithmetic ---
@@ -275,7 +275,7 @@ func (r *Registry) registerBuiltins() {
 		case value.KInt:
 			return value.Int(-a[0].I), nil
 		case value.KReal:
-			return value.Real(-a[0].F), nil
+			return value.Real(-a[0].F()), nil
 		}
 		return value.Null, fmt.Errorf("adt: NEG requires a numeric argument, got %s", a[0].K)
 	})
@@ -303,10 +303,10 @@ func quantify(coll value.Value, all bool) (value.Value, error) {
 		if e.K != value.KBool {
 			return value.Null, fmt.Errorf("adt: quantifier over non-boolean element %s", e.K)
 		}
-		if all && !e.B {
+		if all && !e.B() {
 			return value.False, nil
 		}
-		if !all && e.B {
+		if !all && e.B() {
 			return value.True, nil
 		}
 	}

@@ -47,13 +47,13 @@ func TestFigure1(t *testing.T) {
 	if got := call(t, r, "TOARRAY", l); got.K != value.KArray {
 		t.Errorf("Convert list->array = %v", got)
 	}
-	if !call(t, r, "ISEMPTY", value.NewSet()).B {
+	if !call(t, r, "ISEMPTY", value.NewSet()).B() {
 		t.Error("IsEmpty({}) = false")
 	}
-	if call(t, r, "ISEMPTY", s).B {
+	if call(t, r, "ISEMPTY", s).B() {
 		t.Error("IsEmpty({1,2}) = true")
 	}
-	if !call(t, r, "EQUAL", s, value.NewSet(value.Int(2), value.Int(1))).B {
+	if !call(t, r, "EQUAL", s, value.NewSet(value.Int(2), value.Int(1))).B() {
 		t.Error("Equal on reordered sets")
 	}
 	if got := call(t, r, "INSERT", s, value.Int(3)); got.Len() != 3 {
@@ -65,7 +65,7 @@ func TestFigure1(t *testing.T) {
 
 	// Set/bag level: Member, Union, Intersection, Difference, Include,
 	// Choice, MakeSet, Exist/All.
-	if !call(t, r, "MEMBER", value.Int(2), s).B {
+	if !call(t, r, "MEMBER", value.Int(2), s).B() {
 		t.Error("Member(2, {1,2})")
 	}
 	if got := call(t, r, "UNION", s, value.NewSet(value.Int(3))); got.Len() != 3 {
@@ -77,7 +77,7 @@ func TestFigure1(t *testing.T) {
 	if got := call(t, r, "DIFFERENCE", s, value.NewSet(value.Int(2))); got.Len() != 1 {
 		t.Errorf("Difference = %v", got)
 	}
-	if !call(t, r, "INCLUDE", value.NewSet(value.Int(1)), s).B {
+	if !call(t, r, "INCLUDE", value.NewSet(value.Int(1)), s).B() {
 		t.Error("Include({1}, {1,2})")
 	}
 	if got := call(t, r, "CHOICE", s); got.I != 1 {
@@ -116,19 +116,19 @@ func TestQuantifiers(t *testing.T) {
 	allTrue := value.NewList(value.Bool(true), value.Bool(true))
 	mixed := value.NewList(value.Bool(true), value.Bool(false))
 	empty := value.NewSet()
-	if !call(t, r, "ALL", allTrue).B {
+	if !call(t, r, "ALL", allTrue).B() {
 		t.Error("ALL(true,true)")
 	}
-	if call(t, r, "ALL", mixed).B {
+	if call(t, r, "ALL", mixed).B() {
 		t.Error("ALL(true,false)")
 	}
-	if !call(t, r, "ALL", empty).B {
+	if !call(t, r, "ALL", empty).B() {
 		t.Error("ALL({}) is vacuously true")
 	}
-	if !call(t, r, "EXIST", mixed).B {
+	if !call(t, r, "EXIST", mixed).B() {
 		t.Error("EXIST(true,false)")
 	}
-	if call(t, r, "EXIST", empty).B {
+	if call(t, r, "EXIST", empty).B() {
 		t.Error("EXIST({}) is false")
 	}
 	mustErr(t, r, "ALL", value.Int(1))
@@ -150,27 +150,27 @@ func TestComparisons(t *testing.T) {
 		{">=", value.Int(4), value.Int(5), false},
 	}
 	for _, c := range cases {
-		if got := call(t, r, c.op, c.a, c.b); got.B != c.want {
-			t.Errorf("%v %s %v = %v, want %v", c.a, c.op, c.b, got.B, c.want)
+		if got := call(t, r, c.op, c.a, c.b); got.B() != c.want {
+			t.Errorf("%v %s %v = %v, want %v", c.a, c.op, c.b, got.B(), c.want)
 		}
 	}
 }
 
 func TestBooleans(t *testing.T) {
 	r := NewRegistry()
-	if call(t, r, "AND", value.True, value.False).B {
+	if call(t, r, "AND", value.True, value.False).B() {
 		t.Error("AND(T,F)")
 	}
-	if !call(t, r, "AND").B {
+	if !call(t, r, "AND").B() {
 		t.Error("AND() = true")
 	}
-	if !call(t, r, "OR", value.False, value.True).B {
+	if !call(t, r, "OR", value.False, value.True).B() {
 		t.Error("OR(F,T)")
 	}
-	if call(t, r, "OR").B {
+	if call(t, r, "OR").B() {
 		t.Error("OR() = false")
 	}
-	if call(t, r, "NOT", value.True).B {
+	if call(t, r, "NOT", value.True).B() {
 		t.Error("NOT(T)")
 	}
 	mustErr(t, r, "AND", value.Int(1))
@@ -183,19 +183,19 @@ func TestArithmetic(t *testing.T) {
 	if got := call(t, r, "+", value.Int(2), value.Int(3)); got.K != value.KInt || got.I != 5 {
 		t.Errorf("2+3 = %v", got)
 	}
-	if got := call(t, r, "-", value.Int(2), value.Real(0.5)); got.K != value.KReal || got.F != 1.5 {
+	if got := call(t, r, "-", value.Int(2), value.Real(0.5)); got.K != value.KReal || got.F() != 1.5 {
 		t.Errorf("2-0.5 = %v", got)
 	}
 	if got := call(t, r, "*", value.Int(4), value.Int(5)); got.I != 20 {
 		t.Errorf("4*5 = %v", got)
 	}
-	if got := call(t, r, "/", value.Int(5), value.Int(2)); got.F != 2.5 {
+	if got := call(t, r, "/", value.Int(5), value.Int(2)); got.F() != 2.5 {
 		t.Errorf("5/2 = %v", got)
 	}
 	if got := call(t, r, "NEG", value.Int(3)); got.I != -3 {
 		t.Errorf("NEG 3 = %v", got)
 	}
-	if got := call(t, r, "NEG", value.Real(1.5)); got.F != -1.5 {
+	if got := call(t, r, "NEG", value.Real(1.5)); got.F() != -1.5 {
 		t.Errorf("NEG 1.5 = %v", got)
 	}
 	mustErr(t, r, "/", value.Int(1), value.Int(0))
@@ -242,10 +242,10 @@ func TestRegisterExtension(t *testing.T) {
 	iv := func(lo, hi int64) value.Value {
 		return value.NewTuple([]string{"lo", "hi"}, []value.Value{value.Int(lo), value.Int(hi)})
 	}
-	if !call(t, r, "overlaps", iv(1, 5), iv(4, 9)).B {
+	if !call(t, r, "overlaps", iv(1, 5), iv(4, 9)).B() {
 		t.Error("overlap expected")
 	}
-	if call(t, r, "OVERLAPS", iv(1, 2), iv(3, 4)).B {
+	if call(t, r, "OVERLAPS", iv(1, 2), iv(3, 4)).B() {
 		t.Error("no overlap expected")
 	}
 	if !r.IsPure("OVERLAPS") {
@@ -304,7 +304,7 @@ func TestPropIncludeDifference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return inc.B == (d.Len() == 0)
+		return inc.B() == (d.Len() == 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -343,7 +343,7 @@ func TestPropMemberUnion(t *testing.T) {
 		mu, _ := r.Call("MEMBER", []value.Value{e, u})
 		ma, _ := r.Call("MEMBER", []value.Value{e, a.v})
 		mb, _ := r.Call("MEMBER", []value.Value{e, b.v})
-		return mu.B == (ma.B || mb.B)
+		return mu.B() == (ma.B() || mb.B())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

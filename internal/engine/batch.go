@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"lera/internal/guard"
+	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/value"
 )
@@ -383,17 +384,43 @@ func (db *DB) evalDiffBatch(t *term.Term, e env) (*Relation, error) {
 	return out, nil
 }
 
+// nestIndices reads NEST's column list, 1-based integer constants, and
+// returns it with its largest entry (0 for an empty list).
+func nestIndices(t *term.Term) ([]int, int, error) {
+	idx := make([]int, len(t.Args[1].Args))
+	hi := 0
+	for i, ix := range t.Args[1].Args {
+		j, ok := lera.IntConst(ix)
+		if !ok || j < 1 {
+			return nil, 0, fmt.Errorf("engine: NEST index %s is not a column number", ix)
+		}
+		idx[i] = j
+		hi = max(hi, j)
+	}
+	return idx, hi, nil
+}
+
 func (db *DB) evalNestBatch(t *term.Term, e env) (*Relation, error) {
 	in, err := db.eval(t.Args[0], e)
 	if err != nil {
 		return nil, err
 	}
+	nestedIdx, maxIdx, err := nestIndices(t)
+	if err != nil {
+		return nil, err
+	}
 	nested := map[int]bool{}
-	var nestedIdx []int
-	for _, ix := range t.Args[1].Args {
-		j := int(ix.Val.I)
+	for _, j := range nestedIdx {
 		nested[j] = true
-		nestedIdx = append(nestedIdx, j)
+	}
+	// A multi-column NEST collects tuples whose field names depend only on
+	// the column list: build them once and share them across every row.
+	var names []string
+	if len(nestedIdx) > 1 {
+		names = make([]string, len(nestedIdx))
+		for i, j := range nestedIdx {
+			names[i] = fmt.Sprintf("a%d", j)
+		}
 	}
 	type nestGroup struct {
 		key   []value.Value
@@ -403,7 +430,7 @@ func (db *DB) evalNestBatch(t *term.Term, e env) (*Relation, error) {
 	buckets := map[uint64][]*nestGroup{}
 	var keyScratch []value.Value
 	for _, row := range in.Rows {
-		if len(nestedIdx) > 0 && nestedIdx[len(nestedIdx)-1] > len(row) {
+		if maxIdx > len(row) {
 			return nil, fmt.Errorf("engine: NEST index out of range for row of width %d", len(row))
 		}
 		keyScratch = keyScratch[:0]
@@ -416,13 +443,11 @@ func (db *DB) evalNestBatch(t *term.Term, e env) (*Relation, error) {
 		if len(nestedIdx) == 1 {
 			elem = row[nestedIdx[0]-1]
 		} else {
-			names := make([]string, len(nestedIdx))
 			vals := make([]value.Value, len(nestedIdx))
 			for i, j := range nestedIdx {
-				names[i] = fmt.Sprintf("a%d", j)
 				vals[i] = row[j-1]
 			}
-			elem = value.NewTuple(names, vals)
+			elem = value.NewTupleNamed(names, vals)
 		}
 		h := hashRowFn(keyScratch)
 		var g *nestGroup
@@ -458,7 +483,10 @@ func (db *DB) evalUnnestBatch(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := int(t.Args[1].Val.I)
+	j, ok := lera.IntConst(t.Args[1])
+	if !ok {
+		return nil, fmt.Errorf("engine: UNNEST index %s is not an integer", t.Args[1])
+	}
 	out := &Relation{Width: in.Arity()}
 	bs := db.batchSize()
 	rows := in.Rows

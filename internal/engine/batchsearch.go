@@ -96,7 +96,7 @@ func (db *DB) searchInputs(t *term.Term, e env) (rels []*Relation, short *Relati
 	// rules (§6.2): zero tuples scanned. The empty result still declares
 	// the projection arity.
 	for _, c := range lera.Conjuncts(t.Args[1]) {
-		if c.Kind == term.Const && c.Val.K == value.KBool && !c.Val.B {
+		if c.Kind == term.Const && c.Val.K == value.KBool && !c.Val.B() {
 			return nil, &Relation{Width: len(t.Args[2].Args)}, nil
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -373,10 +374,19 @@ func TestEvalErrors(t *testing.T) {
 		lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Attr(1, 1)), []*term.Term{lera.Attr(1, 1)}), // non-boolean qual
 		lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(), []*term.Term{term.V("x")}),
 		term.F("FROBNICATE", lera.Rel("FILM")),
+		// Index positions hold integers: a real there is an error, never a
+		// row index read from its float bits.
+		lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(), []*term.Term{term.F(lera.EAttr, term.Flt(1.5), term.Num(2))}),
+		term.F(lera.OpNest, lera.Rel("DOMINATE"), term.List(term.Flt(2), term.Num(3)), term.Str("Pairs")),
+		term.F(lera.OpNest, lera.Rel("DOMINATE"), term.List(term.Num(0)), term.Str("Pairs")),
+		term.F(lera.OpUnnest, lera.Nest(lera.Rel("APPEARS_IN"), []int{2}, "Actors"), term.Flt(2)),
 	}
 	for _, q := range bad {
 		if _, err := db.Eval(q); err == nil {
 			t.Errorf("Eval(%s) should fail", q)
+		}
+		if _, err := ReferenceEval(context.Background(), db, q); err == nil {
+			t.Errorf("ReferenceEval(%s) should fail", q)
 		}
 	}
 	// Dangling OID.

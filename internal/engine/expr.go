@@ -171,9 +171,9 @@ func (db *DB) deref(v value.Value) (value.Value, error) {
 	if v.K != value.KOID {
 		return v, nil
 	}
-	obj, ok := db.Objects[v.OID]
+	obj, ok := db.Objects[v.OID()]
 	if !ok {
-		return value.Null, fmt.Errorf("engine: dangling object identifier @%d", v.OID)
+		return value.Null, fmt.Errorf("engine: dangling object identifier @%d", v.OID())
 	}
 	return obj, nil
 }
@@ -276,5 +276,5 @@ func (db *DB) evalBool(e *term.Term, rows [][]value.Value) (bool, error) {
 	if v.K != value.KBool {
 		return false, fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(e), v.K)
 	}
-	return v.B, nil
+	return v.B(), nil
 }

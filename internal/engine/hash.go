@@ -72,13 +72,8 @@ func valueKeyEq(a, b *value.Value) bool {
 		if !aNum || !bNum {
 			return false
 		}
-		af, bf := a.F, b.F
-		if a.K == value.KInt {
-			af = float64(a.I)
-		}
-		if b.K == value.KInt {
-			bf = float64(b.I)
-		}
+		af, _ := a.AsFloat()
+		bf, _ := b.AsFloat()
 		if math.Float64bits(af) == math.Float64bits(bf) {
 			return true
 		}
@@ -91,11 +86,11 @@ func valueKeyEq(a, b *value.Value) bool {
 	case value.KNull:
 		return true
 	case value.KBool:
-		return a.B == b.B
+		return a.B() == b.B()
+	case value.KOID:
+		return a.OID() == b.OID()
 	case value.KString:
 		return a.S == b.S
-	case value.KOID:
-		return a.OID == b.OID
 	}
 	// Tuples and collections: element-wise, then tuple field names.
 	if len(a.Elems) != len(b.Elems) {
@@ -107,17 +102,22 @@ func valueKeyEq(a, b *value.Value) bool {
 		}
 	}
 	if a.K == value.KTuple {
-		return tupleNamesKeyEq(a.Names, b.Names)
+		return tupleNamesKeyEq(a.Names(), b.Names())
 	}
 	return true
 }
 
 // tupleNamesKeyEq compares tuple field-name lists the way Key encodes
-// them: as their ","-joined concatenation. The element-wise fast path
-// covers every realistic schema; the join fallback keeps the comparison
-// exactly Key-faithful for names that themselves contain commas.
+// them: as their ","-joined concatenation. Tuples of one schema built by
+// one operator share their names, which the pointer test settles at once;
+// the element-wise path covers every other realistic schema; the join
+// fallback keeps the comparison exactly Key-faithful for names that
+// themselves contain commas.
 func tupleNamesKeyEq(a, b []string) bool {
 	if len(a) == len(b) {
+		if len(a) == 0 || &a[0] == &b[0] {
+			return true
+		}
 		same := true
 		for i := range a {
 			if a[i] != b[i] {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/value"
 )
@@ -282,11 +283,13 @@ func (db *DB) refNest(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	nestedIdx, maxIdx, err := nestIndices(t)
+	if err != nil {
+		return nil, err
+	}
 	nested := map[int]bool{}
-	var nestedIdx []int
-	for _, ix := range t.Args[1].Args {
-		nested[int(ix.Val.I)] = true
-		nestedIdx = append(nestedIdx, int(ix.Val.I))
+	for _, j := range nestedIdx {
+		nested[j] = true
 	}
 	out := &Relation{}
 	if w := in.Arity(); w > 0 {
@@ -295,7 +298,7 @@ func (db *DB) refNest(t *term.Term, e env) (*Relation, error) {
 	group := map[string]int{} // key → index into out.Rows and elems
 	var elems [][]value.Value
 	for _, row := range in.Rows {
-		if len(nestedIdx) > 0 && nestedIdx[len(nestedIdx)-1] > len(row) {
+		if maxIdx > len(row) {
 			return nil, fmt.Errorf("engine: NEST index out of range for row of width %d", len(row))
 		}
 		var key []value.Value
@@ -337,7 +340,10 @@ func (db *DB) refUnnest(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := int(t.Args[1].Val.I)
+	j, ok := lera.IntConst(t.Args[1])
+	if !ok {
+		return nil, fmt.Errorf("engine: UNNEST index %s is not an integer", t.Args[1])
+	}
 	out := &Relation{Width: in.Arity()}
 	for _, row := range in.Rows {
 		if j < 1 || j > len(row) {

@@ -95,6 +95,8 @@ func cornerRows() [][]value.Value {
 		value.NewSet(value.Int(1), value.Int(2)), value.NewBag(value.Int(1), value.Int(2)),
 		value.NewList(value.Int(1), value.Int(2)), value.NewList(value.Int(2), value.Int(1)),
 		value.NewList(), value.NewSet(),
+		// Four kinds, one payload word: only the kind tells them apart.
+		value.Int(1), value.True, value.OID(1), value.Real(math.Float64frombits(1)),
 	}
 	var rows [][]value.Value
 	for i := range cells {
@@ -186,6 +188,7 @@ func TestRowSetDifferential(t *testing.T) {
 		{value.NewTuple([]string{"a,b", "c"}, []value.Value{value.Int(1), value.Int(2)}), true},
 		{value.NewTuple([]string{"a", "b,c"}, []value.Value{value.Int(1), value.Int(2)}), false},
 		{value.NewTuple([]string{"a", "b", "c"}, []value.Value{value.Int(1), value.Int(2), value.Int(3)}), true},
+		{value.Int(1), true}, {value.True, true}, {value.OID(1), true}, {value.Real(math.Float64frombits(1)), true},
 	} {
 		if got := s.add(one(step.v)); got != step.fresh {
 			t.Errorf("add(%s) = %v, want %v", step.v, got, step.fresh)

@@ -41,7 +41,6 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 
@@ -96,7 +95,10 @@ func spillNibble(h uint64, d int) int {
 // and slots, a join index less — but it is the unit every spill decision,
 // every golden and every bench/expected counter was cut in, so it stays.
 const (
-	valueSelfBytes = 96 // one value.Value struct
+	// One value.Value struct. The struct is 64 B since the scalar kinds
+	// share one payload word; the unit is deliberately not its Sizeof, so
+	// that a layout change moves no admit decision and no spill counter.
+	valueSelfBytes = 96
 	rowSliceBytes  = 24 // one row slice header
 	setEntryBytes  = 48 // per-row bookkeeping charged for a hashed (or spilled) set
 )
@@ -104,7 +106,7 @@ const (
 // valueMemBytes estimates the resident bytes of one value.
 func valueMemBytes(v *value.Value) int64 {
 	n := int64(valueSelfBytes) + int64(len(v.S))
-	for _, name := range v.Names {
+	for _, name := range v.Names() {
 		n += 16 + int64(len(name))
 	}
 	for i := range v.Elems {
@@ -268,23 +270,20 @@ func appendValue(buf []byte, v value.Value) []byte {
 	switch v.K {
 	case value.KNull:
 	case value.KBool:
-		if v.B {
+		if v.B() {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-	case value.KInt:
+	case value.KInt, value.KReal, value.KOID:
+		// The payload word: a real's is already its Float64bits.
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-	case value.KReal:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
 	case value.KString:
 		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
 		buf = append(buf, v.S...)
-	case value.KOID:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.OID))
 	case value.KTuple:
 		buf = binary.AppendUvarint(buf, uint64(len(v.Elems)))
-		for _, name := range v.Names {
+		for _, name := range v.Names() {
 			buf = binary.AppendUvarint(buf, uint64(len(name)))
 			buf = append(buf, name...)
 		}
@@ -343,22 +342,14 @@ func decodeValue(buf []byte, pos int) (value.Value, int, error) {
 		if pos >= len(buf) {
 			return v, pos, errSpillCorrupt
 		}
-		v.B = buf[pos] == 1
+		v = value.Bool(buf[pos] == 1) // any other byte is FALSE, payload word 0
 		pos++
 	case value.KInt, value.KReal, value.KOID:
 		if len(buf)-pos < 8 {
 			return v, pos, errSpillCorrupt
 		}
-		bits := binary.LittleEndian.Uint64(buf[pos:])
+		v.I = int64(binary.LittleEndian.Uint64(buf[pos:]))
 		pos += 8
-		switch v.K {
-		case value.KInt:
-			v.I = int64(bits)
-		case value.KReal:
-			v.F = math.Float64frombits(bits)
-		default:
-			v.OID = int64(bits)
-		}
 	case value.KString:
 		if n, pos, err = decodeLen(buf, pos); err != nil {
 			return v, pos, err
@@ -369,14 +360,15 @@ func decodeValue(buf []byte, pos int) (value.Value, int, error) {
 		if n, pos, err = decodeLen(buf, pos); err != nil {
 			return v, pos, err
 		}
+		var names []string
 		if v.K == value.KTuple {
-			v.Names = make([]string, n)
-			for i := range v.Names {
+			names = make([]string, n)
+			for i := range names {
 				var ln int
 				if ln, pos, err = decodeLen(buf, pos); err != nil {
 					return v, pos, err
 				}
-				v.Names[i] = string(buf[pos : pos+ln])
+				names[i] = string(buf[pos : pos+ln])
 				pos += ln
 			}
 		}
@@ -385,6 +377,9 @@ func decodeValue(buf []byte, pos int) (value.Value, int, error) {
 			if v.Elems[i], pos, err = decodeValue(buf[:len(buf)-(n-1-i)], pos); err != nil {
 				return v, pos, err
 			}
+		}
+		if v.K == value.KTuple {
+			v = value.NewTupleNamed(names, v.Elems)
 		}
 	default:
 		return v, pos, errSpillCorrupt

@@ -238,7 +238,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 		value.String(""),
 		value.String("Ω multi–byte \x00 bytes"),
 		value.OID(7),
-		{K: value.KTuple, Names: []string{"A", "B"}, Elems: []value.Value{value.Int(1), value.String("x")}},
+		value.NewTuple([]string{"A", "B"}, []value.Value{value.Int(1), value.String("x")}),
 		{K: value.KSet, Elems: []value.Value{value.Int(1), value.Int(2)}},
 		{K: value.KBag, Elems: []value.Value{value.String("a"), value.String("a")}},
 		{K: value.KList, Elems: []value.Value{value.Real(1.5)}},
@@ -256,11 +256,16 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the row:\n%s\nvs\n%s", rowKey(got), rowKey(row))
 	}
 	// Bit-level real checks rowKey may not distinguish.
-	if !math.Signbit(got[5].F) {
+	if !math.Signbit(got[5].F()) {
 		t.Error("negative zero lost its sign")
 	}
-	if !math.IsNaN(got[6].F) {
+	if !math.IsNaN(got[6].F()) {
 		t.Error("NaN did not survive")
+	}
+	// A bool byte other than 1 is FALSE, with the canonical payload word 0
+	// that valueKeyEq and Compare rely on.
+	if b, _, err := decodeValue([]byte{byte(value.KBool), 2}, 0); err != nil || b.I != 0 || b.B() {
+		t.Errorf("bool byte 2 decoded to %s (word %d), %v; want FALSE (word 0)", b, b.I, err)
 	}
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := decodeRow(buf[:cut]); !errors.Is(err, errSpillCorrupt) {
@@ -452,13 +457,24 @@ func sameKinds(a, b []value.Value) bool {
 	return true
 }
 
+// canonicalBools reports whether every bool in vals, at any nesting level,
+// holds the payload word 0 or 1.
+func canonicalBools(vals []value.Value) bool {
+	for _, v := range vals {
+		if (v.K == value.KBool && v.I != 0 && v.I != 1) || !canonicalBools(v.Elems) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzSpillCodec feeds arbitrary bytes to the spill decoders, as a row
 // payload and as a run of framed partition records. Whatever a spill file
 // holds must decode or yield errSpillCorrupt — never panic, and never
 // size an allocation from an unchecked length; any row that does decode
-// must survive re-encoding under rowKeyEq with its Kinds, and every
-// strict prefix of that re-encoding must be corrupt. Seeds:
-// testdata/fuzz/FuzzSpillCodec.
+// must hold canonical bools and survive re-encoding under rowKeyEq with
+// its Kinds, and every strict prefix of that re-encoding must be corrupt.
+// Seeds: testdata/fuzz/FuzzSpillCodec.
 func FuzzSpillCodec(f *testing.F) {
 	f.Add(appendRow(nil, []value.Value{value.Int(1), value.Int(2)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -481,6 +497,9 @@ func FuzzSpillCodec(f *testing.F) {
 				t.Fatalf("decodeRow: %v, want errSpillCorrupt", err)
 			}
 			return
+		}
+		if !canonicalBools(row) {
+			t.Fatalf("a decoded bool's payload word is not 0 or 1: %s", rowKey(row))
 		}
 		enc := appendRow(nil, row)
 		back, err := decodeRow(enc)

@@ -635,7 +635,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			case value.KInt:
 				return &Lit{Val: value.Int(-lit.Val.I)}, nil
 			case value.KReal:
-				return &Lit{Val: value.Real(-lit.Val.F)}, nil
+				return &Lit{Val: value.Real(-lit.Val.F())}, nil
 			}
 		}
 		return &App{Fn: "NEG", Args: []Expr{a}}, nil

@@ -133,11 +133,25 @@ func Attr(i, j int) *term.Term { return term.F(EAttr, term.Num(int64(i)), term.N
 
 // AttrIdx extracts (i, j) from an ATTR term.
 func AttrIdx(t *term.Term) (int, int, bool) {
-	if t.Kind == term.Fun && t.Functor == EAttr && len(t.Args) == 2 &&
-		t.Args[0].Kind == term.Const && t.Args[1].Kind == term.Const {
-		return int(t.Args[0].Val.I), int(t.Args[1].Val.I), true
+	if t.Kind == term.Fun && t.Functor == EAttr && len(t.Args) == 2 {
+		i, iok := IntConst(t.Args[0])
+		j, jok := IntConst(t.Args[1])
+		if iok && jok {
+			return i, j, true
+		}
 	}
 	return 0, 0, false
+}
+
+// IntConst returns the value of an integer constant, the only term a
+// relation or column index position (ATTR, NEST, UNNEST, REFERONLY) may
+// hold. Any other constant is not an index: a real's payload word is its
+// float bits, so ATTR(1.5, 2) must not read as relation 4609434218613702656.
+func IntConst(t *term.Term) (int, bool) {
+	if t.Kind != term.Const || t.Val.K != value.KInt {
+		return 0, false
+	}
+	return int(t.Val.I), true
 }
 
 // Call constructs a raw ESQL function application CALL('name', args...).
@@ -186,7 +200,7 @@ func Ors(disjuncts ...*term.Term) *term.Term {
 		switch {
 		case d.Kind == term.Fun && d.Functor == EOrs && len(d.Args) == 1:
 			flat = append(flat, d.Args[0].Args...)
-		case d.Kind == term.Const && d.Val.K == value.KBool && !d.Val.B: // FALSE
+		case d.Kind == term.Const && d.Val.K == value.KBool && !d.Val.B(): // FALSE
 			// drop
 		default:
 			flat = append(flat, d)

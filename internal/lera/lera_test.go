@@ -136,6 +136,12 @@ func TestRelNameCallNameAttrIdx(t *testing.T) {
 	if _, _, ok := AttrIdx(term.Num(1)); ok {
 		t.Error("AttrIdx of const")
 	}
+	// A real is not an index, whatever its payload word holds.
+	for _, a := range []*term.Term{term.F(EAttr, term.Flt(1.5), term.Num(2)), term.F(EAttr, term.Num(1), term.Flt(2))} {
+		if i, j, ok := AttrIdx(a); ok {
+			t.Errorf("AttrIdx(%s) = %d, %d, true; want false", a, i, j)
+		}
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -325,6 +331,8 @@ func TestInferErrors(t *testing.T) {
 		term.F(OpUnion, term.Set()), // empty union
 		Nest(Rel("FILM"), []int{9}, "x"),
 		Unnest(Rel("FILM"), 9),
+		term.F(OpNest, Rel("FILM"), term.List(term.Flt(1)), term.Str("x")), // real index
+		term.F(OpUnnest, Rel("FILM"), term.Flt(1)),                         // real index
 		Diff(Rel("FILM"), Rel("APPEARS_IN")),
 		term.Num(1),
 	}

@@ -192,7 +192,10 @@ func Infer(t *term.Term, cat *catalog.Catalog, env Env) (*Schema, error) {
 		nested := map[int]bool{}
 		var nestedCols []catalog.Column
 		for _, ix := range t.Args[1].Args {
-			j := int(ix.Val.I)
+			j, ok := IntConst(ix)
+			if !ok {
+				return nil, fmt.Errorf("lera: NEST index %s is not an integer", ix)
+			}
 			c, ok := in.Col(j)
 			if !ok {
 				return nil, fmt.Errorf("lera: NEST index %d out of range", j)
@@ -227,7 +230,10 @@ func Infer(t *term.Term, cat *catalog.Catalog, env Env) (*Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := int(t.Args[1].Val.I)
+		j, ok := IntConst(t.Args[1])
+		if !ok {
+			return nil, fmt.Errorf("lera: UNNEST index %s is not an integer", t.Args[1])
+		}
 		c, ok := in.Col(j)
 		if !ok {
 			return nil, fmt.Errorf("lera: UNNEST index %d out of range", j)

@@ -178,10 +178,13 @@ func isIDProj(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 // REFERONLY(q, n) is true when every attribute reference in q addresses
 // relation n (a positive integer constant).
 func referOnly(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
-	if len(args) != 2 || args[1].Kind != term.Const {
+	if len(args) != 2 {
 		return false, fmt.Errorf("REFERONLY takes (qual, relIndex)")
 	}
-	n := int(args[1].Val.I)
+	n, ok := lera.IntConst(args[1])
+	if !ok {
+		return false, fmt.Errorf("REFERONLY: relation index must be an integer, got %s", args[1])
+	}
 	return lera.RefersOnly(args[0], func(i, j int) bool { return i == n }), nil
 }
 
@@ -235,7 +238,11 @@ func pushNest(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 	// to nest-input column index.
 	nested := map[int]bool{}
 	for _, ix := range aIdxs {
-		nested[int(ix.Val.I)] = true
+		j, ok := lera.IntConst(ix)
+		if !ok {
+			return false, nil // not a NEST this rule understands
+		}
+		nested[j] = true
 	}
 	var outToIn []int
 	for j := 1; j <= zSchema.Arity(); j++ {

@@ -297,6 +297,13 @@ func TestPushNestVetoed(t *testing.T) {
 	if st.Applications != 0 {
 		t.Error("push through nest must be vetoed when nothing is pushable")
 	}
+	// A nest whose index is a real is not one PUSHNEST understands, though
+	// the conjunct on Numf would push through a well-formed one.
+	realIdx := term.F(lera.OpNest, lera.Rel("APPEARS_IN"), term.List(term.Flt(2)), term.Str("Actors"))
+	q = lera.Search([]*term.Term{realIdx}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1))), []*term.Term{lera.Attr(1, 1)})
+	if _, st, err = e.RunBlock(q, "push"); err != nil || st.Applications != 0 {
+		t.Errorf("push through a real-indexed nest: %d applications, %v; want vetoed", st.Applications, err)
+	}
 }
 
 // E1 shape check at the unit level: a k-level view stack's operator count
@@ -348,6 +355,11 @@ block(extra, {mark}, inf);
 	}
 	if out.Functor != "MARKED" {
 		t.Errorf("REFERONLY rule did not fire: %s", out)
+	}
+	// The relation index is an integer: REFERONLY(q, 2.0) is an error, not a
+	// relation numbered by the real's float bits.
+	if ok, err := referOnly(nil, []*term.Term{q.Args[1], term.Flt(2)}); ok || err == nil {
+		t.Errorf("REFERONLY(q, 2.0) = %v, %v; want an error", ok, err)
 	}
 }
 

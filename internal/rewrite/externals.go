@@ -59,10 +59,10 @@ func EvalGround(ctx *Ctx, t *term.Term) (value.Value, bool) {
 					if e.K != value.KBool {
 						return value.Null, false
 					}
-					if all && !e.B {
+					if all && !e.B() {
 						return value.False, true
 					}
-					if !all && e.B {
+					if !all && e.B() {
 						return value.True, true
 					}
 				}
@@ -87,7 +87,7 @@ func (e *Engine) evalConstraint(ctx *Ctx, c *term.Term) (bool, error) {
 	switch inst.Kind {
 	case term.Const:
 		if inst.Val.K == value.KBool {
-			return inst.Val.B, nil
+			return inst.Val.B(), nil
 		}
 		return false, fmt.Errorf("non-boolean constraint %s", inst)
 	case term.Var, term.SeqVar:
@@ -128,7 +128,7 @@ func (e *Engine) evalConstraint(ctx *Ctx, c *term.Term) (bool, error) {
 	// Fallback: ground evaluation (comparisons, MEMBER on literal
 	// collections, f = TRUE, ...).
 	if v, ok := EvalGround(ctx, inst); ok && v.K == value.KBool {
-		return v.B, nil
+		return v.B(), nil
 	}
 	return false, fmt.Errorf("unknown or non-ground constraint %s", inst)
 }

@@ -563,7 +563,7 @@ func (p *parser) parseUnary() (*term.Term, error) {
 				return term.Num(-arg.Val.I), nil
 			}
 			if arg.Val.K == value.KReal {
-				return term.Flt(-arg.Val.F), nil
+				return term.Flt(-arg.Val.F()), nil
 			}
 		}
 		return term.F("NEG", arg), nil

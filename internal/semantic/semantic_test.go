@@ -113,7 +113,7 @@ func TestFigure12Inconsistencies(t *testing.T) {
 	}
 	for _, q := range cases {
 		out := runBlock(t, e, q, "simplify")
-		if out.Kind != term.Const || out.Val.B {
+		if out.Kind != term.Const || out.Val.B() {
 			t.Errorf("inconsistency not detected: %s -> %s", lera.Format(q), lera.Format(out))
 		}
 	}
@@ -142,7 +142,7 @@ func TestFigure12ConstantFolding(t *testing.T) {
 	q2 := lera.Ands(term.F("MEMBER", term.Str("Cartoon"),
 		term.Set(term.Str("Comedy"), term.Str("Adventure"))))
 	out2 := runBlock(t, e, q2, "simplify")
-	if out2.Kind != term.Const || out2.Val.B {
+	if out2.Kind != term.Const || out2.Val.B() {
 		t.Errorf("member fold = %s", lera.Format(out2))
 	}
 	// Arithmetic folding inside a comparison.

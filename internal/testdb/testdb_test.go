@@ -45,8 +45,8 @@ func TestDataConsistency(t *testing.T) {
 				if v.K != value.KOID {
 					t.Fatalf("%s col %d is %s, not an OID", rel, c, v.K)
 				}
-				if _, ok := inst.Objects[v.OID]; !ok {
-					t.Fatalf("%s references dangling OID %d", rel, v.OID)
+				if _, ok := inst.Objects[v.OID()]; !ok {
+					t.Fatalf("%s references dangling OID %d", rel, v.OID())
 				}
 			}
 		}

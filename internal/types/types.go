@@ -304,8 +304,9 @@ func (r *Registry) TypeOfValue(v value.Value) *Type {
 		}
 		return r.Collection(v.K, elem)
 	case value.KTuple:
-		fields := make([]Field, len(v.Names))
-		for i, n := range v.Names {
+		names := v.Names()
+		fields := make([]Field, len(names))
+		for i, n := range names {
 			fields[i] = Field{Name: n, Type: r.TypeOfValue(v.Elems[i])}
 		}
 		return &Type{Name: "_tuple", Kind: Tuple, Fields: fields}

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates the runtime representation of a Value.
@@ -70,42 +71,53 @@ func (k Kind) IsCollection() bool {
 }
 
 // Value is a runtime ESQL value. The zero Value is NULL.
+//
+// It is 64 bytes: every cell of every relation is one, so the scalar
+// kinds share a single payload word rather than each having a field.
 type Value struct {
 	K Kind
 
-	B bool
+	// I is the one scalar payload word: an int's value, a real's
+	// math.Float64bits, a bool as 0 or 1, an OID. Read it directly only
+	// after checking K == KInt; the other kinds read it through F, B and
+	// OID.
 	I int64
-	F float64
 	S string
 
 	// Elems holds collection elements (sorted and deduplicated for sets,
 	// sorted for bags, in order for lists/arrays) and tuple field values.
 	Elems []Value
-	// Names holds tuple field names, parallel to Elems. Nil for
-	// non-tuples.
-	Names []string
 
-	// OID is the object identifier for KOID values.
-	OID int64
+	// names points at the first of a tuple's len(Elems) field names; nil
+	// for non-tuples and for the empty tuple. Every tuple built with
+	// NewTupleNamed from one name slice shares it. It is a pointer to the
+	// first name and not a *[]string so that NewTuple, which copies its
+	// names, allocates the copy alone and no slice header beside it.
+	names *string
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // Bool constructs a boolean value.
-func Bool(b bool) Value { return Value{K: KBool, B: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{K: KBool, I: 1}
+	}
+	return Value{K: KBool}
+}
 
 // Int constructs an integer value.
 func Int(i int64) Value { return Value{K: KInt, I: i} }
 
 // Real constructs a real (float) value.
-func Real(f float64) Value { return Value{K: KReal, F: f} }
+func Real(f float64) Value { return Value{K: KReal, I: int64(math.Float64bits(f))} }
 
 // String constructs a string value.
 func String(s string) Value { return Value{K: KString, S: s} }
 
 // OID constructs an object identifier value.
-func OID(id int64) Value { return Value{K: KOID, OID: id} }
+func OID(id int64) Value { return Value{K: KOID, I: id} }
 
 // True and False are the boolean constants.
 var (
@@ -113,13 +125,54 @@ var (
 	False = Bool(false)
 )
 
-// NewTuple constructs a tuple value with the given field names and values.
-// The two slices must have equal length.
+// B returns a bool's truth value; false for every other kind.
+func (v Value) B() bool { return v.K == KBool && v.I != 0 }
+
+// F returns a real's value, bit-exact (-0.0 and NaN payloads included);
+// 0 for every other kind.
+func (v Value) F() float64 {
+	if v.K != KReal {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
+
+// OID returns an object identifier's id; 0 for every other kind.
+func (v Value) OID() int64 {
+	if v.K != KOID {
+		return 0
+	}
+	return v.I
+}
+
+// Names returns a tuple's field names, parallel to Elems; nil for
+// non-tuples. The slice is shared and must not be modified.
+func (v Value) Names() []string {
+	if v.names == nil {
+		return nil
+	}
+	return unsafe.Slice(v.names, len(v.Elems))
+}
+
+// NewTuple constructs a tuple value with the given field names and values,
+// copying both. The two slices must have equal length.
 func NewTuple(names []string, vals []Value) Value {
+	return NewTupleNamed(append([]string(nil), names...), append([]Value(nil), vals...))
+}
+
+// NewTupleNamed is NewTuple without the copies, for a builder that makes
+// many tuples of one schema: every tuple shares names, and vals becomes
+// the tuple's Elems. The caller modifies neither afterwards. The two
+// slices must have equal length.
+func NewTupleNamed(names []string, vals []Value) Value {
 	if len(names) != len(vals) {
 		panic(fmt.Sprintf("value: tuple arity mismatch: %d names, %d values", len(names), len(vals)))
 	}
-	return Value{K: KTuple, Names: append([]string(nil), names...), Elems: append([]Value(nil), vals...)}
+	v := Value{K: KTuple, Elems: vals}
+	if len(names) > 0 {
+		v.names = &names[0]
+	}
+	return v
 }
 
 // NewSet constructs a set, deduplicating and sorting the elements into
@@ -158,14 +211,14 @@ func NewArray(elems ...Value) Value {
 func (v Value) IsNull() bool { return v.K == KNull }
 
 // IsTrue reports whether v is the boolean true.
-func (v Value) IsTrue() bool { return v.K == KBool && v.B }
+func (v Value) IsTrue() bool { return v.B() }
 
 // Field returns the named tuple field and whether it exists.
 func (v Value) Field(name string) (Value, bool) {
 	if v.K != KTuple {
 		return Null, false
 	}
-	for i, n := range v.Names {
+	for i, n := range v.Names() {
 		if strings.EqualFold(n, name) {
 			return v.Elems[i], true
 		}
@@ -184,7 +237,7 @@ func (v *Value) AsFloat() (float64, bool) {
 	case KInt:
 		return float64(v.I), true
 	case KReal:
-		return v.F, true
+		return math.Float64frombits(uint64(v.I)), true
 	}
 	return 0, false
 }
@@ -223,10 +276,11 @@ func CompareRef(a, b *Value) int {
 	case KNull:
 		return 0
 	case KBool:
+		ab, bb := a.I != 0, b.I != 0
 		switch {
-		case a.B == b.B:
+		case ab == bb:
 			return 0
-		case !a.B:
+		case !ab:
 			return -1
 		}
 		return 1
@@ -234,9 +288,9 @@ func CompareRef(a, b *Value) int {
 		return strings.Compare(a.S, b.S)
 	case KOID:
 		switch {
-		case a.OID < b.OID:
+		case a.I < b.I:
 			return -1
-		case a.OID > b.OID:
+		case a.I > b.I:
 			return 1
 		}
 		return 0
@@ -258,9 +312,10 @@ func CompareRef(a, b *Value) int {
 		}
 		// Tuples additionally compare field names so that tuples with
 		// different schemas are not spuriously equal.
-		if a.K == KTuple {
-			for i := range a.Names {
-				if c := strings.Compare(a.Names[i], b.Names[i]); c != 0 {
+		if a.K == KTuple && a.names != b.names {
+			an, bn := a.Names(), b.Names()
+			for i := range an {
+				if c := strings.Compare(an[i], bn[i]); c != 0 {
 					return c
 				}
 			}
@@ -320,13 +375,13 @@ func (v *Value) Hash() uint64 {
 	switch v.K {
 	case KNull:
 	case KBool:
-		if v.B {
+		if v.I != 0 {
 			h = HashUint(h, 1)
 		}
 	case KString:
 		h = HashString(h, v.S)
 	case KOID:
-		h = HashUint(h, uint64(v.OID))
+		h = HashUint(h, uint64(v.I))
 	case KTuple, KSet, KBag, KList, KArray:
 		h = HashUint(h, uint64(len(v.Elems)))
 		for i := range v.Elems {
@@ -336,7 +391,7 @@ func (v *Value) Hash() uint64 {
 			// Field names hash as Key renders them, joined by ",": name
 			// lists Key cannot tell apart ("a,b","c" and "a","b,c") must
 			// not hash apart either.
-			for i, n := range v.Names {
+			for i, n := range v.Names() {
 				if i > 0 {
 					h = HashString(h, ",")
 				}
@@ -360,7 +415,7 @@ func (v Value) encode(sb *strings.Builder) {
 	case KNull:
 		sb.WriteString("N")
 	case KBool:
-		if v.B {
+		if v.I != 0 {
 			sb.WriteString("b1")
 		} else {
 			sb.WriteString("b0")
@@ -372,7 +427,7 @@ func (v Value) encode(sb *strings.Builder) {
 		sb.WriteString(strconv.FormatFloat(float64(v.I), 'g', -1, 64))
 	case KReal:
 		sb.WriteString("f")
-		sb.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(v.F(), 'g', -1, 64))
 	case KString:
 		sb.WriteString("s")
 		sb.WriteString(strconv.Itoa(len(v.S)))
@@ -380,7 +435,7 @@ func (v Value) encode(sb *strings.Builder) {
 		sb.WriteString(v.S)
 	case KOID:
 		sb.WriteString("o")
-		sb.WriteString(strconv.FormatInt(v.OID, 10))
+		sb.WriteString(strconv.FormatInt(v.I, 10))
 	default:
 		sb.WriteString(v.K.String()[:2])
 		sb.WriteString(strconv.Itoa(len(v.Elems)))
@@ -391,7 +446,7 @@ func (v Value) encode(sb *strings.Builder) {
 		}
 		sb.WriteString("]")
 		if v.K == KTuple {
-			sb.WriteString(strings.Join(v.Names, ","))
+			sb.WriteString(strings.Join(v.Names(), ","))
 		}
 	}
 }
@@ -410,17 +465,18 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KNull:
 		return append(dst, "NULL"...)
 	case KBool:
-		if v.B {
+		if v.I != 0 {
 			return append(dst, "TRUE"...)
 		}
 		return append(dst, "FALSE"...)
 	case KInt:
 		return strconv.AppendInt(dst, v.I, 10)
 	case KReal:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.AppendFloat(dst, v.F, 'f', 1, 64)
+		f := v.F()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.AppendFloat(dst, f, 'f', 1, 64)
 		}
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	case KString:
 		dst = append(dst, '\'')
 		s := v.S
@@ -430,14 +486,15 @@ func (v Value) AppendText(dst []byte) []byte {
 		}
 		return append(append(dst, s...), '\'')
 	case KOID:
-		return strconv.AppendInt(append(dst, '@'), v.OID, 10)
+		return strconv.AppendInt(append(dst, '@'), v.I, 10)
 	case KTuple:
 		dst = append(dst, "TUPLE("...)
+		names := v.Names()
 		for i, e := range v.Elems {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
-			dst = append(append(dst, v.Names[i]...), ": "...)
+			dst = append(append(dst, names[i]...), ": "...)
 			dst = e.AppendText(dst)
 		}
 		return append(dst, ')')

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -161,6 +162,80 @@ func TestKeyDistinguishes(t *testing.T) {
 		t.Error("5 and 5.0 must share a key")
 	}
 }
+
+// TestValueSize pins the compact layout: the kind, one payload word, a
+// string, the elements and the tuple-names pointer. Every cell of every
+// relation is one of these.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 64 {
+		t.Errorf("value.Value is %d bytes, want 64", got)
+	}
+}
+
+// TestPayloadWordKinds: Int(1), True, OID(1) and the real whose bits are 1
+// hold the same payload word, and the kind alone keeps them apart — under
+// Compare, Key and Hash alike. Each accessor reads its own kind only, and a
+// real keeps its bits through F exactly.
+func TestPayloadWordKinds(t *testing.T) {
+	vals := []Value{Int(1), True, OID(1), Real(math.Float64frombits(1))}
+	for i, a := range vals {
+		if a.I != 1 {
+			t.Fatalf("%s holds payload word %d, want 1", a, a.I)
+		}
+		for j, b := range vals {
+			if (Compare(a, b) == 0) != (i == j) || (a.Key() == b.Key()) != (i == j) {
+				t.Errorf("%s and %s: Compare %d, keys %q and %q", a, b, Compare(a, b), a.Key(), b.Key())
+			}
+			if a.Key() == b.Key() && a.Hash() != b.Hash() {
+				t.Errorf("%s and %s: equal keys, different hashes", a, b)
+			}
+		}
+	}
+	if Int(1).B() || OID(1).F() != 0 || True.OID() != 0 || Int(1).Names() != nil {
+		t.Error("an accessor read another kind's payload word")
+	}
+	for _, bits := range []uint64{math.Float64bits(math.Copysign(0, -1)), 0x7ff8000000000001, 0xfff8000000000777} {
+		if got := math.Float64bits(Real(math.Float64frombits(bits)).F()); got != bits {
+			t.Errorf("Real(%#x).F() has bits %#x", bits, got)
+		}
+	}
+}
+
+// TestTupleNames: NewTuple copies its names and NewTupleNamed shares them,
+// and the two build the same value as far as Compare, Key and Hash can
+// tell. NewTuple allocates its two copies and nothing beside them, as
+// before the names moved behind a pointer; NewTupleNamed allocates nothing.
+func TestTupleNames(t *testing.T) {
+	names, vals := []string{"a", "b"}, []Value{Int(1), String("x")}
+	copied := NewTuple(names, vals)
+	names[0] = "z"
+	if got := copied.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("NewTuple names = %q, want its own copy of [a b]", got)
+	}
+	schema := []string{"a", "b"}
+	s1 := NewTupleNamed(schema, []Value{Int(1), String("x")})
+	s2 := NewTupleNamed(schema, []Value{Int(2), String("y")})
+	if &s1.Names()[0] != &s2.Names()[0] {
+		t.Error("tuples built from one name slice do not share it")
+	}
+	if Compare(copied, s1) != 0 || copied.Key() != s1.Key() || copied.Hash() != s1.Hash() {
+		t.Errorf("copied and shared names build different tuples: %s vs %s", copied, s1)
+	}
+	if Compare(s1, s2) >= 0 || s1.String() != "TUPLE(a: 1, b: 'x')" {
+		t.Errorf("shared-name tuples %s, %s", s1, s2)
+	}
+	if e := NewTuple(nil, nil); e.Names() != nil || e.String() != "TUPLE()" {
+		t.Errorf("empty tuple = %s with names %q", e, e.Names())
+	}
+	if n := testing.AllocsPerRun(20, func() { tupleSink = NewTuple(schema, vals) }); n > 2 {
+		t.Errorf("NewTuple allocates %.0f times, want 2 (its names and its values)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { tupleSink = NewTupleNamed(schema, vals) }); n != 0 {
+		t.Errorf("NewTupleNamed allocates %.0f times, want 0", n)
+	}
+}
+
+var tupleSink Value
 
 func TestString(t *testing.T) {
 	cases := []struct {
