@@ -32,8 +32,6 @@
 //	                 results are bit-identical at every setting, see docs/PERF.md)
 //	--plan-cache N   arm a plan cache of N entries (docs/PLANCACHE.md);
 //	                 each query then prints its cache outcome (hit/miss)
-//	--batch-size N   rows per engine batch (0 = default; results never
-//	                 depend on it)
 //	--slow-threshold D  slow-query capture latency bound for \slowlog
 //	                 (0 = default 500ms; degraded/failed queries are
 //	                 captured regardless)
@@ -66,7 +64,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "intra-query worker pool size (0 = all cores, 1 = serial)")
 	planCache := flag.Int("plan-cache", 0, "plan-cache entries (0 = off; see docs/PLANCACHE.md)")
 	planCacheVal := flag.Int("plan-cache-validate", 0, "re-validate every n'th plan-cache hit against a cold rewrite (0 = off)")
-	batchSize := flag.Int("batch-size", 0, "rows per engine batch (0 = default; results never depend on it)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "slow-query capture latency threshold for \\slowlog (0 = default 500ms)")
 	flag.Parse()
 
@@ -81,7 +78,6 @@ func main() {
 	if err := errors.Join(
 		limits.Validate(""),
 		guard.NonNegative("", "-parallelism", int64(*parallelism)),
-		guard.NonNegative("", "-batch-size", int64(*batchSize)),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "edsql:", err)
 		os.Exit(2)
@@ -90,7 +86,6 @@ func main() {
 	s.Limits = limits
 	s.SpillDir = *spillDir
 	s.Parallelism = *parallelism
-	s.BatchSize = *batchSize
 	s.Obs = lera.NewObserver()
 	// Stats collection stays on so \slowlog entries retain the full
 	// EXPLAIN ANALYZE operator tree (rendered output is unchanged:

@@ -49,7 +49,6 @@ type options struct {
 	parallelism  int
 	planCache    int
 	planCacheVal int
-	batchSize    int
 	maxMem       int64
 	spillDir     string
 
@@ -76,7 +75,6 @@ func main() {
 	flag.IntVar(&o.parallelism, "parallelism", 1, "intra-query parallelism per session (0 = GOMAXPROCS)")
 	flag.IntVar(&o.planCache, "plancache", 0, "plan-cache entries shared by the session pool (0 = off)")
 	flag.IntVar(&o.planCacheVal, "plancache-validate", 0, "re-validate every n'th plan-cache hit against a cold rewrite (0 = off)")
-	flag.IntVar(&o.batchSize, "batch-size", 0, "rows per engine batch (0 = default; responses never depend on it)")
 	flag.Int64Var(&o.maxMem, "max-mem", 0, "per-operator memory grant in bytes for tenants without their own maxMemBytes (0 = ungoverned)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "directory for spill files when an operator outgrows its memory grant (empty = fail with MEM_BUDGET)")
 	flag.StringVar(&o.queryLog, "query-log", "", "structured query log: JSON-lines file, one wide event per request ('-' = stderr)")
@@ -109,7 +107,6 @@ func run(o options) error {
 		Parallelism:         o.parallelism,
 		PlanCache:           o.planCache,
 		PlanCacheValidation: o.planCacheVal,
-		BatchSize:           o.batchSize,
 		MaxMemBytes:         o.maxMem,
 		SpillDir:            o.spillDir,
 		Observer:            ob,

@@ -55,7 +55,6 @@ func TestSessionCheckRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cat = cat
 	s.DB = engine.New(cat)
 	s.Limits = guard.Limits{Timeout: 5 * time.Second, MaxRows: 10000}
 	ds, err := s.CheckRules(context.Background())

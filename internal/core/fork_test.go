@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"lera/internal/engine"
 	"lera/internal/guard"
 	"lera/internal/obs"
 	"lera/internal/rewrite"
@@ -55,19 +56,27 @@ func TestForkBitIdenticalAndIsolated(t *testing.T) {
 	}
 }
 
-// TestForkCarriesCollectStats: a session pool sets stats collection once,
-// on the session it forks from, and every fork's reports carry the
-// EXPLAIN ANALYZE operator tree.
+// TestForkCarriesCollectStats: a session pool sets stats collection, like
+// every execution setting, once on the session it forks from, and every
+// fork's reports carry the EXPLAIN ANALYZE operator tree.
 func TestForkCarriesCollectStats(t *testing.T) {
 	parent := filmsSession(t)
 	parent.Obs = obs.NewObserver() // reports come from the observing path
 	parent.DB.CollectStats = true
+	parent.Limits = guard.Limits{MaxRows: 1000}
+	parent.Parallelism = 3
+	parent.SpillDir = t.TempDir()
+	parent.Mode = engine.Naive
 	fork, err := parent.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fork.DB.CollectStats {
 		t.Fatal("Fork dropped CollectStats")
+	}
+	if fork.Limits != parent.Limits || fork.Parallelism != 3 || fork.SpillDir != parent.SpillDir || fork.Mode != engine.Naive {
+		t.Fatalf("Fork dropped a setting: limits %+v, parallelism %d, spill dir %q, mode %v",
+			fork.Limits, fork.Parallelism, fork.SpillDir, fork.Mode)
 	}
 	res, err := fork.Query(guardQuery)
 	if err != nil {

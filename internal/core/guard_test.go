@@ -145,6 +145,20 @@ func TestExecutionRowBudgetIsHardError(t *testing.T) {
 	}
 }
 
+// TestLimitsLiveOnTheDB: a session's budget is its database's, one
+// variable — a budget set through s.DB binds the next s.Query instead of
+// being overwritten by a session-side copy.
+func TestLimitsLiveOnTheDB(t *testing.T) {
+	s := filmsSession(t)
+	if &s.Limits != &s.DB.Limits {
+		t.Fatal("s.Limits and s.DB.Limits are two variables")
+	}
+	s.DB.Limits = guard.Limits{MaxRows: 1}
+	if _, err := s.Query(guardQuery); guard.CodeOf(err) != guard.CodeRowBudget {
+		t.Fatalf("s.DB.Limits = {MaxRows: 1} on a multi-row query: err = %v, want ROW_BUDGET", err)
+	}
+}
+
 // TestQueryCtxCancellation: a caller-cancelled context stops the pipeline.
 func TestQueryCtxCancellation(t *testing.T) {
 	s := filmsSession(t, spinOpts()...)

@@ -1,33 +1,37 @@
 package core
 
-// The pipeline-level half of the parallel differential gate: every golden
-// query (the Figure 3–12 corpus plus the derived views) must render
-// byte-identical results — rows, column order, counters, EXPLAIN ANALYZE
-// stats — whether the engine runs serially or on a 4-worker pool.
+// The pipeline-level half of the parallel and batch differential gates:
+// every golden query (the Figure 3–12 corpus plus the derived views) must
+// render byte-identical results — rows, column order, counters, EXPLAIN
+// ANALYZE stats — whether the engine runs serially or on a 4-worker pool,
+// and at any row-batch size.
 
 import (
+	"fmt"
 	"testing"
 
 	"lera/internal/engine"
 )
 
 // runCorpus executes every golden query at the given parallelism and
-// returns the rendered result bytes, the counter deltas and the
-// deterministic stats renderings, query by query.
-func runCorpus(t *testing.T, parallelism int) (rendered, stats []string, counts []engine.Counters) {
+// batch size (0 = engine.DefaultBatchSize) and returns the rendered result
+// bytes, the counter deltas and the deterministic stats renderings, query
+// by query.
+func runCorpus(t *testing.T, parallelism, batchSize int) (rendered, stats []string, counts []engine.Counters) {
 	t.Helper()
 	s := goldenSession(t)
 	s.Parallelism = parallelism
-	s.DB.CollectStats = true
+	s.BatchSize = batchSize
+	s.CollectStats = true
 	for _, c := range goldenCases {
-		before := s.DB.Count
+		before := s.Count
 		res, err := s.Query(c.query)
 		if err != nil {
-			t.Fatalf("parallelism %d: %s: %v", parallelism, c.query, err)
+			t.Fatalf("parallelism %d, batch size %d: %s: %v", parallelism, batchSize, c.query, err)
 		}
 		rendered = append(rendered, FormatResult(res))
-		stats = append(stats, s.DB.LastExecStats().Format(false))
-		d := s.DB.Count
+		stats = append(stats, s.LastExecStats().Format(false))
+		d := s.Count
 		d.Scanned -= before.Scanned
 		d.JoinPairs -= before.JoinPairs
 		d.Emitted -= before.Emitted
@@ -39,17 +43,20 @@ func runCorpus(t *testing.T, parallelism int) (rendered, stats []string, counts 
 }
 
 func TestParallelSerialEquivalenceCorpus(t *testing.T) {
-	serialOut, serialStats, serialCounts := runCorpus(t, 1)
-	parOut, parStats, parCounts := runCorpus(t, 4)
-	for i, c := range goldenCases {
-		if serialOut[i] != parOut[i] {
-			t.Errorf("%s: rendered result differs\n--- serial ---\n%s\n--- parallel ---\n%s", c.query, serialOut[i], parOut[i])
-		}
-		if serialStats[i] != parStats[i] {
-			t.Errorf("%s: stats tree differs\n--- serial ---\n%s\n--- parallel ---\n%s", c.query, serialStats[i], parStats[i])
-		}
-		if serialCounts[i] != parCounts[i] {
-			t.Errorf("%s: counters differ: serial %+v, parallel %+v", c.query, serialCounts[i], parCounts[i])
+	serialOut, serialStats, serialCounts := runCorpus(t, 1, 0)
+	for _, v := range []struct{ par, batch int }{{4, 0}, {1, 1}, {1, 1024}} {
+		name := fmt.Sprintf("pool %d, batch %d", v.par, v.batch)
+		out, stats, counts := runCorpus(t, v.par, v.batch)
+		for i, c := range goldenCases {
+			if serialOut[i] != out[i] {
+				t.Errorf("%s: %s: rendered result differs\n--- serial ---\n%s\n--- %s ---\n%s", name, c.query, serialOut[i], name, out[i])
+			}
+			if serialStats[i] != stats[i] {
+				t.Errorf("%s: %s: stats tree differs\n--- serial ---\n%s\n--- %s ---\n%s", name, c.query, serialStats[i], name, stats[i])
+			}
+			if serialCounts[i] != counts[i] {
+				t.Errorf("%s: %s: counters differ: serial %+v, %s %+v", name, c.query, serialCounts[i], name, counts[i])
+			}
 		}
 	}
 }

@@ -53,19 +53,6 @@ func WithPlanCache(n int) Option { return func(c *config) { c.planCache = n } }
 // default) trusts the store-time round-trip check.
 func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCacheVal = n } }
 
-// planCacheOf builds the cache described by an option list (nil when
-// the option is absent) plus the validation cadence.
-func planCacheOf(opts []Option) (*plancache.Cache, int) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.planCache <= 0 {
-		return nil, 0
-	}
-	return plancache.New(cfg.planCache), cfg.planCacheVal
-}
-
 // knobs returns the signature of every construction-time option that
 // can change rewrite output without changing the rule-base fingerprint:
 // block budgets and disabled blocks, the master sequence, the dynamic
@@ -157,7 +144,7 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 	case plancache.Hit:
 		bound, serr := plancache.Substitute(plan, params)
 		if serr == nil {
-			if s.validateEvery > 0 && nparams > 0 && ordinal%uint64(s.validateEvery) == 0 {
+			if every := s.cfg.planCacheVal; every > 0 && nparams > 0 && ordinal%uint64(every) == 0 {
 				return s.validateHit(ctx, q, key, bound, out)
 			}
 			out.Hit = true
@@ -225,11 +212,7 @@ func (s *Session) validateHit(ctx context.Context, q, key, bound *term.Term, out
 // not query work. Failure (error or degradation) just means the shape
 // is not template-cacheable right now.
 func (s *Session) rewriteTemplate(ctx context.Context, rw *Rewriter, tmpl *term.Term) (*term.Term, bool) {
-	rwCtx := obs.NewContext(ctx, nil)
-	cancel := func() {}
-	if s.Limits.Timeout > 0 {
-		rwCtx, cancel = context.WithTimeout(rwCtx, s.Limits.Timeout)
-	}
+	rwCtx, cancel := s.phaseCtx(obs.NewContext(ctx, nil))
 	defer cancel()
 	tplan, _, err := rw.RewriteCtx(rwCtx, tmpl, s.Limits)
 	if err != nil {

@@ -153,10 +153,21 @@ type Rewriter struct {
 
 // New builds a rewriter over a catalog.
 func New(cat *catalog.Catalog, opts ...Option) (*Rewriter, error) {
+	return build(cat, newConfig(opts))
+}
+
+// newConfig applies an option list to the defaults — once per session,
+// which keeps the result and rebuilds its rewriter from it.
+func newConfig(opts []Option) config {
 	cfg := config{constraintLim: 100}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return cfg
+}
+
+// build assembles and compiles the rule base New describes.
+func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 	schemaVersion := cat.SchemaVersion()
 
 	ext := lopt.Externals()

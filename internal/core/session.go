@@ -24,38 +24,21 @@ import (
 // Session ties the whole pipeline together: ESQL text -> catalog
 // declarations / stored data / translated, rewritten and executed
 // queries. It is what cmd/edsql and the examples drive.
+//
+// The session embeds its database, and the database holds every
+// execution setting: s.Limits, s.Parallelism, s.BatchSize, s.SpillDir,
+// s.Mode, s.CollectStats and s.Injector are the DB's own fields (as are
+// s.Cat and s.SetObject), so setting one on s or on s.DB is the same
+// assignment and no query copies anything down. Limits also bounds the
+// rewrite phase: its Timeout applies to rewrite and execute separately,
+// so a rewrite that burns its whole budget still leaves the fallback plan
+// time to run (docs/GUARDRAILS.md).
 type Session struct {
-	Cat *catalog.Catalog
-	DB  *engine.DB
+	*engine.DB
 
-	opts    []Option
+	cfg     config
 	rw      *Rewriter
 	Rewrite bool // rewriting enabled (true by default)
-
-	// Limits is the per-query guard budget (see internal/guard and
-	// docs/GUARDRAILS.md). The zero value means no limits. The Timeout is
-	// applied to the rewrite and execute phases separately, so a rewrite
-	// that burns its whole budget still leaves the fallback plan time to
-	// run.
-	Limits guard.Limits
-
-	// Parallelism sizes the engine's intra-query worker pool: 0 means
-	// runtime.GOMAXPROCS(0), 1 the serial path, n > 1 a pool of n workers.
-	// Results are bit-identical at every setting (docs/PERF.md, "Parallel
-	// execution").
-	Parallelism int
-
-	// BatchSize is the batched engine's row-batch granularity: 0 means
-	// engine.DefaultBatchSize. Results never depend on it (docs/PERF.md,
-	// "Batched execution & relation indexes").
-	BatchSize int
-
-	// SpillDir is the directory the engine's memory governor spills
-	// over-grant operator state into (docs/PERF.md, "Memory governor &
-	// spill"). Empty disables spilling: a query whose operators exceed
-	// Limits.MaxMemBytes then fails with guard.ErrMemBudget (protocol
-	// code MEM_BUDGET). Results never depend on whether a query spilled.
-	SpillDir string
 
 	// Obs is the session's observability sink (see internal/obs and
 	// docs/OBSERVABILITY.md): nil disables the layer entirely; with an
@@ -71,10 +54,6 @@ type Session struct {
 	// version), so sessions with different rule bases can share one
 	// cache without ever serving each other's plans.
 	Plans *plancache.Cache
-
-	// validateEvery is the sampled hit-validation cadence
-	// (WithPlanCacheValidation); 0 disables re-validation.
-	validateEvery int
 
 	// prepared is the PREPARE/EXECUTE registry: statement ASTs with
 	// their validated parameter counts, keyed by uppercased name. Fork
@@ -92,29 +71,19 @@ type preparedStmt struct {
 
 // NewSession creates a session with an empty catalog and database.
 func NewSession(opts ...Option) *Session {
-	cat := catalog.New()
 	s := &Session{
-		Cat:     cat,
-		DB:      engine.New(cat),
-		opts:    opts,
+		DB:      engine.New(catalog.New()),
+		cfg:     newConfig(opts),
 		Rewrite: true,
 	}
 	// A WithInjector option arms the executor too: the rewriter reads it
 	// from its config, the engine from DB.Injector, so one injector
 	// covers constraints, methods, builtins and ADT calls alike.
-	s.DB.Injector = injectorOf(opts)
-	s.Plans, s.validateEvery = planCacheOf(opts)
-	return s
-}
-
-// injectorOf extracts the WithInjector value from an option list (nil
-// when absent).
-func injectorOf(opts []Option) *guard.Injector {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
+	s.Injector = s.cfg.injector
+	if s.cfg.planCache > 0 {
+		s.Plans = plancache.New(s.cfg.planCache)
 	}
-	return cfg.injector
+	return s
 }
 
 // Fork returns a session sharing this one's catalog, compiled rule base
@@ -124,12 +93,14 @@ func injectorOf(opts []Option) *guard.Injector {
 // has not run a query yet, so a broken rule base fails at fork time rather
 // than on the first query) and immutable afterwards, so no fork lexes,
 // parses or validates rule text. Private to the fork are its engine DB
-// fork (shared relations/objects, private counters, guard state and
-// stats), its prepared statements, and copies of Limits, Parallelism,
-// Rewrite and Obs. Forks are safe to use concurrently with each other
-// and with the parent PROVIDED the shared state stays immutable: no
-// DDL, INSERT or SetObject on any of them after forking. leraserver
-// enforces this by admitting only SELECT statements.
+// fork (shared relations/objects; private counters, guard state, stats
+// and a copy of every execution setting the DB holds — Limits,
+// Parallelism, BatchSize, SpillDir, Mode, CollectStats, Injector), its
+// prepared statements, and copies of Rewrite and Obs. Forks are safe to
+// use concurrently with each other and with the parent PROVIDED the
+// shared state stays immutable: no DDL, INSERT or SetObject on any of
+// them after forking. leraserver enforces this by admitting only SELECT
+// statements.
 //
 // Plan-cache semantics (docs/PLANCACHE.md): the fork shares the
 // parent's Plans pointer, so it sees — and contributes to — the same
@@ -148,18 +119,12 @@ func (s *Session) Fork() (*Session, error) {
 		return nil, err
 	}
 	ns := &Session{
-		Cat:           s.Cat,
-		DB:            s.DB.Fork(),
-		opts:          s.opts,
-		rw:            rw,
-		Rewrite:       s.Rewrite,
-		Limits:        s.Limits,
-		Parallelism:   s.Parallelism,
-		BatchSize:     s.BatchSize,
-		SpillDir:      s.SpillDir,
-		Obs:           s.Obs,
-		Plans:         s.Plans,
-		validateEvery: s.validateEvery,
+		DB:      s.DB.Fork(),
+		cfg:     s.cfg,
+		rw:      rw,
+		Rewrite: s.Rewrite,
+		Obs:     s.Obs,
+		Plans:   s.Plans,
 	}
 	if len(s.prepared) > 0 {
 		ns.prepared = make(map[string]*preparedStmt, len(s.prepared))
@@ -176,7 +141,7 @@ func (s *Session) Fork() (*Session, error) {
 // alike).
 func (s *Session) Rewriter() (*Rewriter, error) {
 	if s.rw == nil || s.rw.schemaVersion != s.Cat.SchemaVersion() {
-		rw, err := New(s.Cat, s.opts...)
+		rw, err := build(s.Cat, s.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -496,16 +461,8 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 			res.Columns = append(res.Columns, c.Name)
 		}
 	}
-	execCtx := ctx
-	cancel := func() {}
-	if s.Limits.Timeout > 0 {
-		execCtx, cancel = context.WithTimeout(ctx, s.Limits.Timeout)
-	}
+	execCtx, cancel := s.phaseCtx(ctx)
 	defer cancel()
-	s.DB.Limits = s.Limits
-	s.DB.Parallelism = s.Parallelism
-	s.DB.BatchSize = s.BatchSize
-	s.DB.SpillDir = s.SpillDir
 
 	collect := analyze || rec.Enabled() || s.DB.CollectStats
 	savedCollect := s.DB.CollectStats
@@ -570,11 +527,7 @@ func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term,
 			DegradationCode:   string(guard.CodeOf(err)),
 		}
 	}
-	rwCtx := ctx
-	cancel := func() {}
-	if s.Limits.Timeout > 0 {
-		rwCtx, cancel = context.WithTimeout(ctx, s.Limits.Timeout)
-	}
+	rwCtx, cancel := s.phaseCtx(ctx)
 	defer cancel()
 	rq, st, err := rw.RewriteCtx(rwCtx, q, s.Limits)
 	if err == nil {
@@ -589,10 +542,14 @@ func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term,
 	return rq, st
 }
 
-// SetObject registers an object in the session's object store (the ESQL
-// subset has no object-creation statement; examples and tools load
-// objects through this call).
-func (s *Session) SetObject(oid int64, v value.Value) { s.DB.SetObject(oid, v) }
+// phaseCtx bounds one pipeline phase — a rewrite or an execution — by
+// Limits.Timeout; each phase gets the whole budget (see Session).
+func (s *Session) phaseCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.Limits.Timeout > 0 {
+		return context.WithTimeout(ctx, s.Limits.Timeout)
+	}
+	return ctx, func() {}
+}
 
 // LoadFilms loads the paper's running example into the session: the
 // Figure 2 schema, the Figure 4 and Figure 5 views, and the sample

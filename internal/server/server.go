@@ -64,9 +64,6 @@ type Config struct {
 	// Parallelism is each pooled session's intra-query worker pool size
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// BatchSize is the engine's rows-per-batch granularity
-	// (0 = engine default). Responses never depend on it.
-	BatchSize int
 	// PlanCache, when > 0, arms a plan cache of that many entries,
 	// shared read-mostly by every pooled session (core.WithPlanCache;
 	// docs/PLANCACHE.md). Repeated query shapes then skip the rewriter,
@@ -183,7 +180,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Tenants.Validate(),
 		guard.NonNegative("", "MaxMemBytes", cfg.MaxMemBytes),
 		guard.NonNegative("", "Parallelism", int64(cfg.Parallelism)),
-		guard.NonNegative("", "BatchSize", int64(cfg.BatchSize)),
 	); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -227,7 +223,6 @@ func New(cfg Config) (*Server, error) {
 	base := core.NewSession(opts...)
 	base.Obs = ob
 	base.Parallelism = cfg.Parallelism
-	base.BatchSize = cfg.BatchSize
 	base.SpillDir = cfg.SpillDir
 	if cfg.LoadFilms {
 		if err := base.LoadFilms(); err != nil {
@@ -460,7 +455,6 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 			s.pool <- fork
 		}
 	}()
-	sess.Limits = limits
 
 	err = func() (err error) {
 		defer func() {
@@ -471,6 +465,9 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 				err = fmt.Errorf("internal panic (isolated): %v", p)
 			}
 		}()
+		// Inside the isolation: the limits live on the session's DB, so a
+		// session broken badly enough to panic here is replaced, not pooled.
+		sess.Limits = limits
 		res, err = sess.QueryCtx(ctx, query)
 		return err
 	}()

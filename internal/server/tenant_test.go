@@ -65,7 +65,6 @@ func TestNegativeLimitsRejected(t *testing.T) {
 		{Config{Tenants: Tenants{"mem": {MaxMemBytes: -1}}}, "mem", "MaxMemBytes"},
 		{Config{MaxMemBytes: -1}, "", "MaxMemBytes"},
 		{Config{Parallelism: -1}, "", "Parallelism"},
-		{Config{BatchSize: -1}, "", "BatchSize"},
 	} {
 		srv, err := New(c.cfg)
 		var ce *guard.ConfigError
