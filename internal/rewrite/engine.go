@@ -42,6 +42,11 @@ import (
 // Ctx is the evaluation context handed to constraints, methods and
 // builtins: "a rule has a context, which is the query and the database on
 // which it is applied" (Section 4.1).
+//
+// A run owns one Ctx, one Bindings and one site-path buffer and resets
+// them for every match attempt, so an external must not retain the *Ctx,
+// ctx.Bind or ctx.Site past its call: all three describe the next attempt
+// by then. Terms are immutable and may be kept.
 type Ctx struct {
 	Cat  *catalog.Catalog
 	Root *term.Term // the whole query term being rewritten
@@ -401,19 +406,40 @@ type runState struct {
 	fresh  int        // Ctx.Fresh counter
 	last   *term.Term // term after the last committed application
 
-	// Hot-path state (docs/PERF.md): the per-pass site index and a scratch
-	// binding set reused across match attempts, both reset in place, so a
-	// steady-state pass allocates almost nothing per visited site.
-	ix      siteIndex
-	scratch *term.Bindings
+	// Hot-path state (docs/PERF.md "Match attempts without allocation"):
+	// the per-pass site index, and the bindings (with the matcher's goal
+	// stack), Ctx, site-path buffer and match continuation every attempt
+	// reuses, each reset in place — so an attempt that fails to match
+	// allocates nothing, and none of it outlives the run.
+	ix     siteIndex
+	bind   term.Bindings
+	cx     Ctx
+	site   term.Path
+	accept func() bool // r.acceptMatch, bound once
+	at     attempt
+}
+
+// attempt is what the match continuation needs of the attempt in flight.
+// The site is an index entry (id >= 0) or, on the full-scan path, the
+// walk's path; either is copied into runState.site only once a match
+// completes.
+type attempt struct {
+	rule     *rules.Rule
+	budget   *int
+	id       int32
+	walkPath term.Path
+	haveSite bool
+	err      error
 }
 
 func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) *runState {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &runState{e: e, ctx: ctx, rec: obs.FromContext(ctx), lim: lim, simple: simple,
-		st: &Stats{StepsLimit: lim.MaxSteps}, last: q, scratch: term.NewBindings()}
+	r := &runState{e: e, ctx: ctx, rec: obs.FromContext(ctx), lim: lim, simple: simple,
+		st: &Stats{StepsLimit: lim.MaxSteps}, last: q}
+	r.accept = r.acceptMatch
+	return r
 }
 
 // Run rewrites q under the rule set's sequence meta-rule with no
@@ -548,12 +574,9 @@ func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 type siteOutcome int
 
 const (
-	// siteSkip: the site failed the LHS head pre-filter; no match was
-	// attempted.
-	siteSkip siteOutcome = iota
 	// siteNoMatch: the LHS did not match (or every binding was rejected by
 	// constraints, or the methods vetoed); keep trying later sites.
-	siteNoMatch
+	siteNoMatch siteOutcome = iota
 	// siteApplied: the rule was applied; the returned term is the rewritten
 	// query.
 	siteApplied
@@ -573,7 +596,7 @@ func (r *runState) applyOnce(q *term.Term, rule *rules.Rule, blockName string, b
 		if sub.Kind != term.Fun || *budget <= 0 {
 			return *budget > 0
 		}
-		res, outcome, err := r.tryRuleAtSite(q, rule, blockName, sub, path.Clone, budget)
+		res, outcome, err := r.tryRuleAtSite(q, rule, blockName, sub, -1, path, budget)
 		if err != nil {
 			applyErr = err
 			return false
@@ -594,57 +617,28 @@ func (r *runState) applyOnce(q *term.Term, rule *rules.Rule, blockName string, b
 	return result, found, nil
 }
 
-// tryRuleAtSite attempts one rule at one Fun site. It is the single match
+// tryRuleAtSite attempts one rule at one Fun site, given as site index
+// entry id or (id < 0) as the full-scan walk's path. It is the single match
 // loop shared by the indexed and the full-scan paths, so the two cannot
-// drift apart semantically. lazyPath materializes the site's root path and
-// is only invoked once a complete LHS match needs it (for constraints,
-// methods, replacement and traces) — sites that never match never pay for
-// a path allocation, and no Bindings or Ctx is allocated before the head
-// has already passed the caller's pre-filter.
-func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, lazyPath func() term.Path, budget *int) (*term.Term, siteOutcome, error) {
+// drift apart semantically. Nothing is allocated until a match completes:
+// the attempt reuses the run's bindings, Ctx and continuation, and the
+// site's root path is only materialized (into the run's buffer) once a
+// complete LHS match needs it for constraints, methods, replacement and
+// traces.
+func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, id int32, walkPath term.Path, budget *int) (*term.Term, siteOutcome, error) {
 	e, st := r.e, r.st
 	st.MatchAttempts++
-	b := r.scratch
-	b.Reset()
-	ctx := &Ctx{Cat: e.Cat, Root: q, Bind: b, Rule: rule.Name, run: r}
-	haveSite := false
-	var applyErr error
-	matched := term.Match(rule.LHS, sub, b, func() bool {
-		// One condition check: the LHS matched and the constraints
-		// are evaluated (§4.2 budget semantics).
-		*budget--
-		st.ConditionChecks++
-		if err := guard.CheckCtx(r.ctx); err != nil {
-			applyErr = err
-			return true // stop the search; error reported below
-		}
-		if st.ConditionChecks > e.Opts.MaxChecks {
-			applyErr = fmt.Errorf("rewrite: rule system exceeded %d condition checks (non-terminating rule set?)", e.Opts.MaxChecks)
-			return true
-		}
-		if !haveSite {
-			ctx.Site = lazyPath()
-			haveSite = true
-		}
-		ok, err := e.checkConstraints(ctx, rule)
-		if err != nil {
-			applyErr = fmt.Errorf("rewrite: rule %s: %w", rule.Name, err)
-			return true
-		}
-		if !ok {
-			return false
-		}
-		if *budget < 0 {
-			return false
-		}
-		return true
-	})
-	if applyErr != nil {
-		return nil, siteStop, applyErr
+	r.bind.Reset()
+	r.cx = Ctx{Cat: e.Cat, Root: q, Bind: &r.bind, Rule: rule.Name, run: r}
+	r.at = attempt{rule: rule, budget: budget, id: id, walkPath: walkPath}
+	matched := term.Match(rule.LHS, sub, &r.bind, r.accept)
+	if err := r.at.err; err != nil {
+		return nil, siteStop, err
 	}
 	if !matched {
 		return nil, siteNoMatch, nil
 	}
+	ctx := &r.cx
 	// Run methods; a method may veto.
 	for _, m := range rule.Methods {
 		ok, err := e.runMethod(ctx, m)
@@ -694,6 +688,39 @@ func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName strin
 		})
 	}
 	return result, siteApplied, nil
+}
+
+// acceptMatch is the match continuation of every attempt: one condition
+// check (the LHS matched and the constraints are evaluated — §4.2 budget
+// semantics). It returns true to stop the search, either accepting the
+// match or recording an error in r.at.err.
+func (r *runState) acceptMatch() bool {
+	e, st, at := r.e, r.st, &r.at
+	*at.budget--
+	st.ConditionChecks++
+	if err := guard.CheckCtx(r.ctx); err != nil {
+		at.err = err
+		return true
+	}
+	if st.ConditionChecks > e.Opts.MaxChecks {
+		at.err = fmt.Errorf("rewrite: rule system exceeded %d condition checks (non-terminating rule set?)", e.Opts.MaxChecks)
+		return true
+	}
+	if !at.haveSite {
+		if at.id >= 0 {
+			r.site = r.ix.path(r.site, at.id)
+		} else {
+			r.site = append(r.site[:0], at.walkPath...)
+		}
+		r.cx.Site = r.site
+		at.haveSite = true
+	}
+	ok, err := e.checkConstraints(&r.cx, at.rule)
+	if err != nil {
+		at.err = fmt.Errorf("rewrite: rule %s: %w", at.rule.Name, err)
+		return true
+	}
+	return ok && *at.budget >= 0
 }
 
 func (e *Engine) checkConstraints(ctx *Ctx, rule *rules.Rule) (bool, error) {
@@ -788,26 +815,27 @@ func sitePath(p term.Path) string {
 // instArg instantiates a constraint/method argument: bound variables are
 // replaced, bound sequence variables become LIST terms, unbound variables
 // are passed through (method outputs), and compound terms are instantiated
-// recursively.
+// recursively. A compound argument nothing in which changes — a ground
+// one, say — is returned as it is, and argument lists are only copied once
+// an argument changed.
 func (e *Engine) instArg(ctx *Ctx, a *term.Term) *term.Term {
 	switch a.Kind {
-	case term.Const:
-		return a
 	case term.Var:
 		if t, ok := ctx.Bind.Var(a.Name); ok {
 			return t
 		}
-		return a
 	case term.SeqVar:
 		if seq, ok := ctx.Bind.Seq(a.Name); ok {
 			return term.List(seq...)
 		}
-		return a
 	case term.Fun:
-		args := make([]*term.Term, 0, len(a.Args))
-		for _, sub := range a.Args {
+		var args []*term.Term // nil until an argument changes
+		for i, sub := range a.Args {
 			if sub.Kind == term.SeqVar {
 				if seq, ok := ctx.Bind.Seq(sub.Name); ok {
+					if args == nil {
+						args = append(make([]*term.Term, 0, len(a.Args)+len(seq)), a.Args[:i]...)
+					}
 					// Splice into constructors (SET(x*, ...) keeps
 					// constructor semantics); elsewhere a collection
 					// variable denotes the collection itself, so wrap
@@ -820,16 +848,29 @@ func (e *Engine) instArg(ctx *Ctx, a *term.Term) *term.Term {
 					continue
 				}
 			}
-			args = append(args, e.instArg(ctx, sub))
+			na := e.instArg(ctx, sub)
+			if na != sub && args == nil {
+				args = append(make([]*term.Term, 0, len(a.Args)), a.Args[:i]...)
+			}
+			if args != nil {
+				args = append(args, na)
+			}
 		}
-		functor := a.Functor
 		if a.VarHead {
 			if f, ok := ctx.Bind.Fun(a.Functor); ok {
+				if args == nil {
+					args = a.Args
+				}
 				return term.F(f, args...)
 			}
+		}
+		if args == nil {
+			return a
+		}
+		if a.VarHead {
 			return term.FV(a.Functor, args...)
 		}
-		return term.F(functor, args...)
+		return term.F(a.Functor, args...)
 	}
 	return a
 }

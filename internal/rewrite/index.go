@@ -93,7 +93,7 @@ func (f lhsFilter) admits(site *term.Term) bool {
 }
 
 // siteEntry is one Fun node of the current query term, with enough parent
-// linkage to materialize its Path lazily — the path is only built when a
+// linkage to materialize its Path on demand — the path is only built when a
 // match actually completes, never for the nodes the walk merely passes.
 type siteEntry struct {
 	node   *term.Term
@@ -143,10 +143,15 @@ func (ix *siteIndex) rebuild(root *term.Term) {
 	rec(root, -1, -1, 0)
 }
 
-// path materializes the root path of site id by chasing parent links.
-func (ix *siteIndex) path(id int32) term.Path {
+// path materializes the root path of site id by chasing parent links,
+// reusing p's storage.
+func (ix *siteIndex) path(p term.Path, id int32) term.Path {
 	e := ix.sites[id]
-	p := make(term.Path, e.depth)
+	if n := int(e.depth); cap(p) < n {
+		p = make(term.Path, n)
+	} else {
+		p = p[:n]
+	}
 	for i := int(e.depth) - 1; i >= 0; i-- {
 		p[i] = int(e.arg)
 		e = ix.sites[e.parent]
@@ -160,48 +165,33 @@ func (ix *siteIndex) path(id int32) term.Path {
 // behavior identical by construction.
 func (r *runState) applyOnceIndexed(q *term.Term, rule *blockRule, blockName string, budget *int) (*term.Term, bool, error) {
 	f := rule.filter
-	if f.kind == headNone {
-		return nil, false, nil
-	}
-	ix := &r.ix
-	try := func(id int32) (*term.Term, siteOutcome, error) {
-		site := ix.sites[id].node
-		if !f.admits(site) {
-			return nil, siteSkip, nil
-		}
-		return r.tryRuleAtSite(q, rule.Rule, blockName, site,
-			func() term.Path { return ix.path(id) }, budget)
-	}
 	var ids []int32
 	switch f.kind {
-	case headExact:
-		ids = ix.byHead[f.functor]
-	case headCollection:
-		ids = ix.coll
-	case headAny:
-		// No discrimination possible: every site in preorder.
-		for id := int32(0); id < int32(len(ix.sites)); id++ {
-			if *budget <= 0 {
-				return nil, false, nil
-			}
-			res, outcome, err := try(id)
-			if err != nil {
-				return nil, false, err
-			}
-			if outcome == siteApplied {
-				return res, true, nil
-			}
-			if outcome == siteStop {
-				return nil, false, nil
-			}
-		}
+	case headNone:
 		return nil, false, nil
+	case headExact:
+		ids = r.ix.byHead[f.functor]
+	case headCollection:
+		ids = r.ix.coll
 	}
-	for _, id := range ids {
+	// headAny: no discrimination possible, every site in preorder.
+	n := len(ids)
+	if f.kind == headAny {
+		n = len(r.ix.sites)
+	}
+	for i := 0; i < n; i++ {
 		if *budget <= 0 {
 			return nil, false, nil
 		}
-		res, outcome, err := try(id)
+		id := int32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		site := r.ix.sites[id].node
+		if !f.admits(site) {
+			continue
+		}
+		res, outcome, err := r.tryRuleAtSite(q, rule.Rule, blockName, site, id, nil, budget)
 		if err != nil {
 			return nil, false, err
 		}

@@ -1,10 +1,13 @@
 package rewrite
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"lera/internal/guard"
 	"lera/internal/term"
 )
 
@@ -54,7 +57,7 @@ func TestSiteIndexPreorderAndPaths(t *testing.T) {
 	// Fun nodes in preorder: A, B(1,C), C, B().
 	var got []string
 	for id := range ix.sites {
-		got = append(got, ix.sites[id].node.Functor+fmt.Sprint([]int(ix.path(int32(id)))))
+		got = append(got, ix.sites[id].node.Functor+fmt.Sprint([]int(ix.path(nil, int32(id)))))
 	}
 	want := []string{"A[]", "B[0]", "C[0 1]", "B[1]"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
@@ -191,5 +194,58 @@ func TestFullScanOptionStillWorks(t *testing.T) {
 	out, st := run(t, e, term.F("WRAP", term.F("FOO", term.Num(1))))
 	if out.String() != "WRAP(BAR(1))" || st.Applications != 1 {
 		t.Errorf("out = %s, applications = %d", out, st.Applications)
+	}
+}
+
+// TestFailedMatchAttemptAllocs: an attempt whose LHS head passes the site
+// filter but fails deeper — after ordered splits, multiset picks that
+// leave a scattered remainder, a partition over two collection variables,
+// a function-variable head — allocates nothing, on the indexed and on the
+// full-scan path: the run's bindings, goal stack, Ctx and continuation are
+// reused and the site path is never built.
+func TestFailedMatchAttemptAllocs(t *testing.T) {
+	const src = `
+rule merge: SEARCH(LIST(x*, SEARCH(ll, ff, pp), z*), f, p) --> SEARCH(APPENDL(x*, ll, z*), ANDMERGE(f, ff), p);
+rule pick: PAIR(SET(c, w*), NOMATCH()) --> c;
+rule split: PAIR(SET(u*, v*), SET(u*)) --> u;
+rule fv: F(GUARDED(x), NOMATCH()) --> F(x);
+`
+	rel := func(n string) *term.Term { return term.F("REL", term.Str(n)) }
+	cases := []struct {
+		rule string
+		site *term.Term
+	}{
+		{"merge", term.F("SEARCH", term.List(rel("A"), rel("B"), rel("C")), term.TrueT(), term.List())},
+		{"pick", term.F("PAIR", term.Set(term.Num(1), term.Num(2), term.Num(3)), term.F("OTHER"))},
+		{"split", term.F("PAIR", term.Set(term.Num(1), term.Num(2), term.Num(3)), term.Set(term.Num(4)))},
+		{"fv", term.F("WRAP", term.F("GUARDED", term.Num(1)), term.F("OTHER"))},
+	}
+	e := newEngine(t, src, Options{})
+	for _, c := range cases {
+		rule := e.RS.Rules[c.rule]
+		if !filterFor(rule.LHS).admits(c.site) {
+			t.Fatalf("%s: the site must pass the head filter", c.rule)
+		}
+		q := c.site
+		r := e.newRun(context.Background(), q, guard.Limits{}, false)
+		r.ix.rebuild(q)
+		budget := math.MaxInt
+		for _, path := range []struct {
+			name string
+			id   int32
+		}{{"indexed", 0}, {"full-scan", -1}} {
+			attempt := func() {
+				if _, out, err := r.tryRuleAtSite(q, rule, "b", q, path.id, term.Path{}, &budget); err != nil || out != siteNoMatch {
+					t.Fatalf("%s: outcome %v, err %v; want no match", c.rule, out, err)
+				}
+			}
+			attempt() // size the run's scratch
+			if n := testing.AllocsPerRun(100, attempt); n != 0 {
+				t.Errorf("%s (%s): a failed attempt allocates %.0f times, want 0", c.rule, path.name, n)
+			}
+		}
+		if r.st.ConditionChecks != 0 {
+			t.Errorf("%s: %d condition checks, want 0 (the match must fail before k)", c.rule, r.st.ConditionChecks)
+		}
 	}
 }

@@ -346,88 +346,101 @@ func (t *Term) String() string {
 
 // Bindings maps variables to terms, collection variables to term
 // sequences, and function variables to function symbols. A single Bindings
-// is threaded through a backtracking match; Snapshot/Restore implement the
-// undo trail.
+// is threaded through a backtracking match, and its store is its trail:
+// a bind appends an entry, a lookup scans newest-first (so a rebinding
+// shadows the binding before it), and Restore truncates — uncovering
+// whatever an undone rebinding shadowed. Binding sets stay a handful of
+// entries long, where the scan beats hashing. The matcher's scratch rides
+// along (match.go), so one Bindings reused across attempts lets a failed
+// match allocate nothing.
 type Bindings struct {
-	vars map[string]*Term
-	seqs map[string][]*Term
-	funs map[string]string
-	// trail records bound names for backtracking.
-	trail []trailEntry
+	trail []entry
+	ms    matchStack
 }
 
-type trailEntry struct {
+// entry is one binding on the trail; kind selects which value is set.
+type entry struct {
 	kind Kind // Var, SeqVar or Fun (function variable)
 	name string
+	term *Term   // Var
+	seq  []*Term // SeqVar
+	fun  string  // Fun
+	// scratch: seq is matcher arena storage, valid only while the match
+	// that bound it is still open (match.go copies it out on completion).
+	scratch bool
 }
 
 // NewBindings returns an empty binding set.
-func NewBindings() *Bindings {
-	return &Bindings{vars: map[string]*Term{}, seqs: map[string][]*Term{}, funs: map[string]string{}}
+func NewBindings() *Bindings { return &Bindings{} }
+
+// lookup returns the newest binding of name in kind's namespace.
+func (b *Bindings) lookup(kind Kind, name string) *entry {
+	for i := len(b.trail) - 1; i >= 0; i-- {
+		if e := &b.trail[i]; e.kind == kind && e.name == name {
+			return e
+		}
+	}
+	return nil
 }
 
 // Var returns the binding of an ordinary variable.
-func (b *Bindings) Var(name string) (*Term, bool) { t, ok := b.vars[name]; return t, ok }
+func (b *Bindings) Var(name string) (*Term, bool) {
+	if e := b.lookup(Var, name); e != nil {
+		return e.term, true
+	}
+	return nil, false
+}
 
 // Seq returns the binding of a collection variable.
-func (b *Bindings) Seq(name string) ([]*Term, bool) { s, ok := b.seqs[name]; return s, ok }
+func (b *Bindings) Seq(name string) ([]*Term, bool) {
+	if e := b.lookup(SeqVar, name); e != nil {
+		return e.seq, true
+	}
+	return nil, false
+}
 
 // Fun returns the binding of a function variable.
-func (b *Bindings) Fun(name string) (string, bool) { f, ok := b.funs[name]; return f, ok }
+func (b *Bindings) Fun(name string) (string, bool) {
+	if e := b.lookup(Fun, name); e != nil {
+		return e.fun, true
+	}
+	return "", false
+}
 
 // BindVar binds an ordinary variable (recording it on the trail).
 func (b *Bindings) BindVar(name string, t *Term) {
-	b.vars[name] = t
-	b.trail = append(b.trail, trailEntry{Var, name})
+	b.trail = append(b.trail, entry{kind: Var, name: name, term: t})
 }
 
 // BindSeq binds a collection variable.
 func (b *Bindings) BindSeq(name string, ts []*Term) {
-	b.seqs[name] = ts
-	b.trail = append(b.trail, trailEntry{SeqVar, name})
+	b.trail = append(b.trail, entry{kind: SeqVar, name: name, seq: ts})
 }
 
 // BindFun binds a function variable to a symbol.
 func (b *Bindings) BindFun(name, functor string) {
-	b.funs[name] = functor
-	b.trail = append(b.trail, trailEntry{Fun, name})
+	b.trail = append(b.trail, entry{kind: Fun, name: name, fun: functor})
 }
 
 // Mark returns the current trail position for later Restore.
 func (b *Bindings) Mark() int { return len(b.trail) }
 
-// Reset empties the binding set in place, retaining the allocated maps and
-// trail so one Bindings can be reused across many match attempts (the
-// rewrite engine's scratch pool). Equivalent to Restore(0).
+// Reset empties the binding set in place, retaining the allocated trail
+// and matcher scratch so one Bindings can be reused across many match
+// attempts (the rewrite engine's per-run bindings). Equivalent to
+// Restore(0).
 func (b *Bindings) Reset() { b.Restore(0) }
 
 // Restore undoes all bindings made after the given mark.
-func (b *Bindings) Restore(mark int) {
-	for i := len(b.trail) - 1; i >= mark; i-- {
-		e := b.trail[i]
-		switch e.kind {
-		case Var:
-			delete(b.vars, e.name)
-		case SeqVar:
-			delete(b.seqs, e.name)
-		case Fun:
-			delete(b.funs, e.name)
-		}
-	}
-	b.trail = b.trail[:mark]
-}
+func (b *Bindings) Restore(mark int) { b.trail = b.trail[:mark] }
 
-// Clone deep-copies the binding maps (the trail is not copied).
+// Clone deep-copies the bindings.
 func (b *Bindings) Clone() *Bindings {
-	nb := NewBindings()
-	for k, v := range b.vars {
-		nb.vars[k] = v
-	}
-	for k, v := range b.seqs {
-		nb.seqs[k] = append([]*Term(nil), v...)
-	}
-	for k, v := range b.funs {
-		nb.funs[k] = v
+	nb := &Bindings{trail: append([]entry(nil), b.trail...)}
+	for i := range nb.trail {
+		if e := &nb.trail[i]; e.kind == SeqVar {
+			e.seq, e.scratch = append([]*Term(nil), e.seq...), false
+		}
 	}
 	return nb
 }
@@ -435,18 +448,22 @@ func (b *Bindings) Clone() *Bindings {
 // String renders the bindings deterministically, for traces and tests.
 func (b *Bindings) String() string {
 	var parts []string
-	for k, v := range b.vars {
-		parts = append(parts, k+"="+v.String())
-	}
-	for k, v := range b.seqs {
-		ss := make([]string, len(v))
-		for i, t := range v {
-			ss[i] = t.String()
+	for i, e := range b.trail {
+		if b.lookup(e.kind, e.name) != &b.trail[i] {
+			continue // shadowed by a later rebinding
 		}
-		parts = append(parts, k+"*=["+strings.Join(ss, ", ")+"]")
-	}
-	for k, v := range b.funs {
-		parts = append(parts, k+"()="+v)
+		switch e.kind {
+		case Var:
+			parts = append(parts, e.name+"="+e.term.String())
+		case SeqVar:
+			ss := make([]string, len(e.seq))
+			for i, t := range e.seq {
+				ss[i] = t.String()
+			}
+			parts = append(parts, e.name+"*=["+strings.Join(ss, ", ")+"]")
+		case Fun:
+			parts = append(parts, e.name+"()="+e.fun)
+		}
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ", ") + "}"
@@ -462,7 +479,7 @@ func (b *Bindings) Apply(t *Term) (*Term, error) {
 	case Const:
 		return t, nil
 	case Var:
-		if v, ok := b.vars[t.Name]; ok {
+		if v, ok := b.Var(t.Name); ok {
 			return v, nil
 		}
 		return nil, fmt.Errorf("term: unbound variable %s", t.Name)
@@ -471,7 +488,7 @@ func (b *Bindings) Apply(t *Term) (*Term, error) {
 	case Fun:
 		functor := t.Functor
 		if t.VarHead {
-			f, ok := b.funs[t.Functor]
+			f, ok := b.Fun(t.Functor)
 			if !ok {
 				return nil, fmt.Errorf("term: unbound function variable %s", t.Functor)
 			}
@@ -480,7 +497,7 @@ func (b *Bindings) Apply(t *Term) (*Term, error) {
 		args := make([]*Term, 0, len(t.Args))
 		for _, a := range t.Args {
 			if a.Kind == SeqVar {
-				seq, ok := b.seqs[a.Name]
+				seq, ok := b.Seq(a.Name)
 				if !ok {
 					return nil, fmt.Errorf("term: unbound collection variable %s*", a.Name)
 				}

@@ -183,6 +183,39 @@ func TestBindingsTrail(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsOuterBinding: undoing a rebinding uncovers the binding
+// it shadowed, in all three namespaces. (Map-backed bindings deleted the
+// name on Restore and left the variable unbound.)
+func TestRestoreKeepsOuterBinding(t *testing.T) {
+	b := NewBindings()
+	b.BindVar("x", Str("a"))
+	b.BindSeq("s", []*Term{Num(1)})
+	b.BindFun("F", "G")
+	m := b.Mark()
+	b.BindVar("x", Str("c"))
+	b.BindSeq("s", []*Term{Num(2), Num(3)})
+	b.BindFun("F", "H")
+	if x, _ := b.Var("x"); !Equal(x, Str("c")) {
+		t.Fatalf("inner x = %v, want 'c'", x)
+	}
+	if got := b.String(); got != "{F()=H, s*=[2, 3], x='c'}" {
+		t.Errorf("inner String() = %s", got)
+	}
+	b.Restore(m)
+	if x, ok := b.Var("x"); !ok || !Equal(x, Str("a")) {
+		t.Errorf("after Restore x = %v (bound %v), want 'a'", x, ok)
+	}
+	if s, ok := b.Seq("s"); !ok || len(s) != 1 || !Equal(s[0], Num(1)) {
+		t.Errorf("after Restore s* = %v (bound %v), want [1]", s, ok)
+	}
+	if f, ok := b.Fun("F"); !ok || f != "G" {
+		t.Errorf("after Restore F = %q (bound %v), want G", f, ok)
+	}
+	if got := b.String(); got != "{F()=G, s*=[1], x='a'}" {
+		t.Errorf("outer String() = %s", got)
+	}
+}
+
 func TestBindingsCloneAndString(t *testing.T) {
 	b := NewBindings()
 	b.BindVar("x", Num(1))

@@ -109,18 +109,23 @@ func Contains(t *Term, pred func(*Term) bool) bool {
 
 // Rewrite applies fn bottom-up to every subterm, replacing each subterm
 // with fn's result. fn must return its argument unchanged when it does not
-// rewrite. Structural sharing is preserved where nothing changes.
+// rewrite. Structural sharing is preserved where nothing changes, and the
+// argument slice is only copied once an argument actually changed: a
+// rewrite that changes nothing allocates nothing.
 func Rewrite(t *Term, fn func(*Term) *Term) *Term {
 	if t.Kind == Fun {
-		changed := false
-		args := make([]*Term, len(t.Args))
+		var args []*Term
 		for i, a := range t.Args {
-			args[i] = Rewrite(a, fn)
-			if args[i] != a {
-				changed = true
+			na := Rewrite(a, fn)
+			if na != a && args == nil {
+				args = make([]*Term, len(t.Args))
+				copy(args, t.Args[:i])
+			}
+			if args != nil {
+				args[i] = na
 			}
 		}
-		if changed {
+		if args != nil {
 			t = rebuildFun(t, args)
 		}
 	}

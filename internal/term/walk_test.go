@@ -209,3 +209,30 @@ func TestPropGeneralizationMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestRewriteUnchangedAllocs: a rewrite whose fn changes nothing returns
+// the very term it was given and allocates nothing.
+func TestRewriteUnchangedAllocs(t *testing.T) {
+	tr := sampleTree()
+	id := func(s *Term) *Term { return s }
+	if got := Rewrite(tr, id); got != tr {
+		t.Fatal("identity rewrite must return the same pointer")
+	}
+	if n := testing.AllocsPerRun(100, func() { Rewrite(tr, id) }); n != 0 {
+		t.Fatalf("identity rewrite allocates %.0f times, want 0", n)
+	}
+	// A change deep down rebuilds only the spine above it.
+	five := Num(5)
+	got := Rewrite(tr, func(s *Term) *Term {
+		if Equal(s, five) {
+			return Num(6)
+		}
+		return s
+	})
+	if got == tr || got.Args[0] != tr.Args[0] || got.Args[2] != tr.Args[2] {
+		t.Fatalf("rewrite of one leaf must share the untouched arguments: %s", got)
+	}
+	if want := "=(ATTR(1, 1), 6)"; got.Args[1].String() != want {
+		t.Fatalf("rewritten argument %s, want %s", got.Args[1], want)
+	}
+}

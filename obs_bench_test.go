@@ -14,8 +14,10 @@ const figure3Bench = "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN
 
 // TestRewriteDisabledPathAllocs is the allocation regression gate: with
 // instrumentation off (no recorder in the context), a full Figure 3
-// rewrite must not allocate more than it did before the observability
-// layer existed. Baseline measured at the PR 3 tree: 1222 allocs/op.
+// rewrite must not allocate more than its measured baseline. The baseline
+// is 322 allocs/op, measured once failed match attempts stopped allocating
+// (docs/PERF.md "Match attempts without allocation"); the closure matcher
+// before it, and the engine before the observability layer, took 1222.
 func TestRewriteDisabledPathAllocs(t *testing.T) {
 	s := paperSession(t)
 	rw, err := s.Rewriter()
@@ -35,10 +37,10 @@ func TestRewriteDisabledPathAllocs(t *testing.T) {
 		}
 	})
 	// 2% slack absorbs Go-runtime version noise without letting a real
-	// per-site instrumentation cost (hundreds of sites) slip through.
-	const baseline = 1222.0
+	// per-site or per-attempt cost (hundreds of sites) slip through.
+	const baseline = 322.0
 	if allocs > baseline*1.02 {
-		t.Fatalf("disabled-path rewrite allocates %.0f allocs/op, baseline %0.f — instrumentation is no longer free when off", allocs, baseline)
+		t.Fatalf("disabled-path rewrite allocates %.0f allocs/op, baseline %0.f — instrumentation is no longer free when off, or match attempts allocate again", allocs, baseline)
 	}
 }
 
