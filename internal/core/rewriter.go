@@ -112,9 +112,12 @@ func WithBlockLimit(name string, limit int) Option {
 // every execution-side ADT function hits the injector by uppercase name
 // before it runs, so armed faults — panics, errors, stalls — fire inside
 // live queries exactly as they do in unit tests (the determinism contract
-// is documented in internal/guard/faultinject.go). This is the one path
-// leraserver's chaos mode and the guard test suite share. A nil injector
-// is ignored.
+// is documented in internal/guard/faultinject.go). The engine's compiled
+// comparisons hit it where the generic evaluator would call the comparison
+// ADT, so an armed run executes the same kernel as an unarmed one. This is
+// the one path leraserver's chaos mode and the guard test suite share;
+// leraserver applies it only when an injector exists (-chaos, or one its
+// embedder supplied). A nil injector is ignored: nothing is hit or counted.
 func WithInjector(inj *guard.Injector) Option {
 	return func(c *config) { c.injector = inj }
 }

@@ -110,9 +110,9 @@ func TestBatchEngineBitIdentityUnderLimits(t *testing.T) {
 
 // TestBatchEngineFaultParity arms deterministic ADT faults and checks the
 // engine fails identically at every batch size: with an injector present
-// it must disable its compiled comparisons, so every ADT hit — and
-// therefore the fault call index, the error and the counters at the
-// point of failure — matches the golden exactly.
+// its compiled comparisons hit it where the generic evaluator would, so
+// every ADT hit — and therefore the fault call index, the error and the
+// counters at the point of failure — matches the golden exactly.
 func TestBatchEngineFaultParity(t *testing.T) {
 	g := loadGolden(t)
 	q := diffCorpus()["fig3-hash-join"]

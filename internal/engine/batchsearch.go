@@ -177,20 +177,19 @@ func equiJoinKeys(plan *searchPlan, ri int, offset []int) (leftKeys, rightKeys [
 
 // searchProgram is everything of a SEARCH evaluation that its inputs'
 // rows do not change: per stage the equi-join keys, the compiled conjuncts
-// and, in the last, the compiled projection. It depends on the term, on
-// the relations' widths and on whether a fault injector is armed (which
-// disables compiled comparisons), is immutable once compiled, and is
-// shared by the workers of every evaluation that uses it.
+// and, in the last, the compiled projection. It depends on the term and on
+// the relations' widths only — a fault injector is consulted per call, not
+// compiled in — is immutable once compiled, and is shared by the workers
+// of every evaluation that uses it.
 type searchProgram struct {
-	injected bool
-	stages   []searchStage // stages[ri-1] pairs the prefix with relation ri
+	stages []searchStage // stages[ri-1] pairs the prefix with relation ri
 }
 
 func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 	plan := newSearchPlan(t)
 	widths, offset := relOffsets(rels)
 	n := len(rels)
-	prog := &searchProgram{injected: db.Injector != nil, stages: make([]searchStage, n)}
+	prog := &searchProgram{stages: make([]searchStage, n)}
 	for ri := 1; ri <= n; ri++ {
 		st := &prog.stages[ri-1]
 		st.widths, st.final = widths[:ri], ri == n
@@ -208,10 +207,9 @@ func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 }
 
 // valid reports whether the program still fits an evaluation: compiled
-// slots assume the relations' widths, compiled comparisons that no
-// injector is armed.
-func (p *searchProgram) valid(db *DB, rels []*Relation) bool {
-	if p.injected != (db.Injector != nil) || len(p.stages) != len(rels) {
+// slots assume the relations' widths.
+func (p *searchProgram) valid(rels []*Relation) bool {
+	if len(p.stages) != len(rels) {
 		return false
 	}
 	widths := p.stages[len(rels)-1].widths // the last stage's cover every relation
@@ -247,7 +245,7 @@ func (db *DB) programFor(t *term.Term, rels []*Relation) *searchProgram {
 	c.mu.Lock()
 	prog := c.m[t]
 	c.mu.Unlock()
-	if prog != nil && prog.valid(db, rels) {
+	if prog != nil && prog.valid(rels) {
 		return prog
 	}
 	prog = db.compileSearch(t, rels)
@@ -655,9 +653,10 @@ func (o *operand) fetch(w *DB, l, r []value.Value, tmp *value.Value) (*value.Val
 
 // cmpPred is a compiled built-in comparison. It reproduces the generic
 // path — PredEvals accounting, operand evaluation order, the Figure 4
-// broadcast error for a collection-vs-scalar comparison, and the
-// value.Compare semantics of the built-in comparison ADTs — without the
-// expression-tree walk or the per-row ADT dispatch.
+// broadcast error for a collection-vs-scalar comparison, the value.Compare
+// semantics of the built-in comparison ADTs and, with a fault injector
+// present, the injector hit the comparison ADT call would make — without
+// the expression-tree walk or the per-row ADT dispatch.
 type cmpPred struct {
 	expr *term.Term
 	op   string
@@ -676,15 +675,32 @@ func (p *cmpPred) eval(w *DB, l, r []value.Value, _ *splitScratch) (bool, error)
 		return false, err
 	}
 	if av.K.IsCollection() != bv.K.IsCollection() {
-		// The generic path broadcasts the comparison over the collection and
-		// then fails to coerce the resulting collection to a boolean.
-		k := av.K
-		if !k.IsCollection() {
-			k = bv.K
+		return false, p.broadcastErr(w, av, bv)
+	}
+	if w.Injector != nil {
+		if err := w.hitADT(p.op); err != nil {
+			return false, err
 		}
-		return false, fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(p.expr), k)
 	}
 	return cmpHolds(p.op, value.CompareRef(av, bv)), nil
+}
+
+// broadcastErr is the generic path's outcome for a collection compared
+// with a scalar: it broadcasts the comparison over the collection and then
+// fails to coerce the resulting collection to a boolean. Only an injector
+// can tell the two apart — the broadcast hits it once per element — so
+// with one present the generic broadcast runs for its hits and faults.
+func (p *cmpPred) broadcastErr(w *DB, av, bv *value.Value) error {
+	coll, scalar, scalarLeft := av, bv, false
+	if !coll.K.IsCollection() {
+		coll, scalar, scalarLeft = bv, av, true
+	}
+	if w.Injector != nil {
+		if _, err := w.broadcastCmp(p.op, *coll, *scalar, scalarLeft); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(p.expr), coll.K)
 }
 
 // cmpHolds mirrors the built-in comparison registrations (internal/adt):
@@ -706,10 +722,10 @@ func cmpHolds(op string, c int) bool {
 }
 
 // compilePreds compiles conjuncts against the flat row layout described
-// by widths. A conjunct compiles to a cmpPred only when it is a built-in
-// (never overridden) comparison with both operands compilable and no
-// fault injector armed; everything else falls back to the generic
-// evaluator.
+// by widths. A conjunct compiles to a cmpPred when it is a built-in (never
+// overridden) comparison with both operands compilable, armed injector or
+// not — the kernel hits it where the generic path would; everything else
+// falls back to the generic evaluator.
 func (db *DB) compilePreds(conjs []*conjunct, widths []int) []searchPred {
 	preds := make([]searchPred, len(conjs))
 	for i, c := range conjs {
@@ -719,7 +735,7 @@ func (db *DB) compilePreds(conjs []*conjunct, widths []int) []searchPred {
 }
 
 func (db *DB) compilePred(e *term.Term, widths []int) searchPred {
-	if db.Injector == nil && e.Kind == term.Fun && len(e.Args) == 2 && db.Cat.ADTs.IsBuiltinComparison(e.Functor) {
+	if e.Kind == term.Fun && len(e.Args) == 2 && db.Cat.ADTs.IsBuiltinComparison(e.Functor) {
 		if a, ok := compileOperand(e.Args[0], widths); ok {
 			if b, ok2 := compileOperand(e.Args[1], widths); ok2 {
 				return &cmpPred{expr: e, op: e.Functor, a: a, b: b}
@@ -769,8 +785,8 @@ func flatSlot(i, j int, widths []int) (int, bool) {
 }
 
 // projOp is one compiled projection: a flat slot copy for a pure in-range
-// attribute reference, the generic evaluator otherwise. The slot path is
-// safe under fault injection — attribute access never calls an ADT.
+// attribute reference, the generic evaluator otherwise. The slot path
+// needs no injector hit — attribute access never calls an ADT.
 type projOp struct {
 	slot int // >= 0: copy that slot of the flat row
 	expr *term.Term

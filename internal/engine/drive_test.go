@@ -11,6 +11,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ type driveCase struct {
 	big, small int
 	nkeys      int
 	twoCols    bool // join on (k1, k2), not k1 alone
-	filter     bool // a final-stage conjunct 1.id < 2.id: an ADT call per pair when an injector is armed
+	filter     bool // a final-stage conjunct 1.id < 2.id: an injector hit per pair when one is armed
 }
 
 func (c driveCase) String() string {
@@ -230,9 +231,9 @@ func TestJoinDirectionUnderCollisions(t *testing.T) {
 }
 
 // TestJoinDirectionFaultParity arms a fault on the n-th "<" call. With an
-// injector armed the comparison is an ADT call per pair, so the n-th hit
-// must land on the same pair — same error, same counters at the point of
-// failure — whichever side drives and at every batch size.
+// injector armed the compiled comparison hits it once per pair, so the n-th
+// hit must land on the same pair — same error, same counters at the point
+// of failure — whichever side drives and at every batch size.
 func TestJoinDirectionFaultParity(t *testing.T) {
 	c := driveCases()[2] // edge-keys, filtered
 	clean, _ := runDriven(t, c, runCfg{par: 1}, true, nil)
@@ -257,7 +258,7 @@ func TestJoinDirectionFaultParity(t *testing.T) {
 		}
 	}
 	// One call beyond the last pair: the armed run completes, on the
-	// generic comparison path, with the clean run's rows and counters.
+	// compiled comparison path, with the clean run's rows and counters.
 	arm := func(db *DB) {
 		db.Injector = guard.NewInjector()
 		db.Injector.Set("<", guard.Fault{OnCall: pairs + 1, Mode: guard.FaultError})
@@ -265,6 +266,53 @@ func TestJoinDirectionFaultParity(t *testing.T) {
 	got, _ := runDriven(t, c, runCfg{par: 1}, false, arm)
 	if d := diffRuns(clean, got); d != "" {
 		t.Errorf("armed but never fired: %s", d)
+	}
+}
+
+// TestCompiledComparisonFaults: a panic injected on the third "<" call
+// comes out of the compiled kernel as the typed ADT external panic the
+// generic evaluator raised for it when an injector switched compilation
+// off — the same message, code and counters at the point of failure. And a
+// collection compared with a scalar hits the injector per element before
+// failing, as the generic broadcast does.
+func TestCompiledComparisonFaults(t *testing.T) {
+	c := driveCases()[2] // edge-keys, filtered
+	db := c.db(t, 7)
+	db.Parallelism = 1
+	db.Injector = guard.NewInjector()
+	db.Injector.Set("<", guard.Fault{OnCall: 3, Mode: guard.FaultPanic, PanicValue: "boom"})
+	q := c.query()
+	prog := db.compileSearch(q, []*Relation{db.Stored("BIG"), db.Stored("SMALL")})
+	preds := prog.stages[1].preds
+	if _, ok := preds[len(preds)-1].(*cmpPred); !ok {
+		t.Fatalf("the armed %q conjunct compiled to %T, not the kernel", "<", preds[len(preds)-1])
+	}
+
+	_, err := db.Eval(q)
+	var ext *guard.ExternalError
+	if !errors.As(err, &ext) || ext.Kind != guard.ExtADT || ext.External != "<" || ext.Panic != "boom" || ext.Err != nil {
+		t.Fatalf("injected panic on <: %#v, want an ADT external panic", err)
+	}
+	if got, want := err.Error(), "guard: adt function < panicked: boom"; got != want {
+		t.Errorf("error %q, want %q", got, want)
+	}
+	if code := guard.CodeOf(err); code != guard.CodeExternalPanic {
+		t.Errorf("code %s, want %s", code, guard.CodeExternalPanic)
+	}
+	if want := (Counters{Scanned: 120, JoinPairs: 311, PredEvals: 3}); db.Count != want {
+		t.Errorf("counters at the failure %+v, want %+v", db.Count, want)
+	}
+
+	// FILM's first row holds a one-element category set: its broadcast
+	// makes the first "=" call, which fires.
+	db = loadedDB(t)
+	db.Parallelism = 1
+	db.Injector = guard.NewInjector()
+	db.Injector.Set("=", guard.Fault{OnCall: 1, Mode: guard.FaultError})
+	_, err = db.Eval(lera.Search([]*term.Term{lera.Rel("FILM")},
+		lera.Ands(lera.Cmp("=", lera.Attr(1, 3), term.Str("Western"))), []*term.Term{lera.Attr(1, 1)}))
+	if guard.CodeOf(err) != guard.CodeInjected || db.Injector.Calls("=") != 1 {
+		t.Errorf("set = scalar with the first = call armed: %v after %d calls, want the injected fault after 1", err, db.Injector.Calls("="))
 	}
 }
 
@@ -434,8 +482,10 @@ func TestDeltaDrivenClosureIsLinear(t *testing.T) {
 }
 
 // TestSearchProgramCompiledOncePerFix: under a FIX the rounds share one
-// compilation per SEARCH term, revalidated — not trusted — when an injector
-// appears or a relation's width changes; outside a FIX nothing is cached.
+// compilation per SEARCH term, revalidated — not trusted — when a
+// relation's width changes; an injector appearing changes nothing, the
+// compiled comparisons consult it per call. Outside a FIX nothing is
+// cached.
 func TestSearchProgramCompiledOncePerFix(t *testing.T) {
 	db := chainDB(t, 50)
 	db.Parallelism = 1
@@ -454,13 +504,12 @@ func TestSearchProgramCompiledOncePerFix(t *testing.T) {
 		t.Error("second round recompiled")
 	}
 	db.Injector = guard.NewInjector()
-	armed := db.programFor(q, rels)
-	if armed == first || !armed.injected {
-		t.Error("program compiled without an injector reused with one armed")
+	if db.programFor(q, rels) != first {
+		t.Error("an armed injector invalidated the program")
 	}
 	db.Injector = nil
 	wide := []*Relation{edge, {Rows: [][]value.Value{{value.Int(1), value.Int(2), value.Int(3)}}}}
-	if p := db.programFor(q, wide); p == armed || p.stages[1].widths[1] != 3 {
+	if p := db.programFor(q, wide); p == first || p.stages[1].widths[1] != 3 {
 		t.Error("program reused over a relation of another width")
 	}
 }

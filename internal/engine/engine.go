@@ -101,10 +101,12 @@ type knobs struct {
 	// exceeding Limits.MaxMemBytes then fails with guard.ErrMemBudget.
 	SpillDir string
 	// Injector, when non-nil, is hit (by uppercase function name) before
-	// every ADT-function invocation during evaluation, so chaos tests can
-	// fire deterministic faults inside live executions (see
-	// guard/faultinject.go for the determinism contract). Injected
-	// faults surface as typed ExternalErrors, like real ADT failures.
+	// every ADT-function invocation during evaluation — a compiled
+	// comparison hits it where the generic evaluator would call the
+	// comparison ADT — so chaos tests can fire deterministic faults inside
+	// live executions (see guard/faultinject.go for the determinism
+	// contract). Injected faults surface as typed ExternalErrors, like
+	// real ADT failures.
 	Injector *guard.Injector
 	// CollectStats enables per-operator execution statistics (stats.go):
 	// each EvalCtx builds an OpStats tree retrievable with LastExecStats.

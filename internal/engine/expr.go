@@ -255,15 +255,33 @@ func (db *DB) adtCall(name string, args []value.Value) (v value.Value, err error
 		}
 	}()
 	if db.Injector != nil {
-		var ctx context.Context
-		if db.g != nil {
-			ctx = db.g.ctx
-		}
-		if ierr := db.Injector.Hit(ctx, strings.ToUpper(name)); ierr != nil {
-			return value.Null, &guard.ExternalError{Kind: guard.ExtADT, External: name, Err: ierr}
+		if err := db.hitADT(name); err != nil {
+			return value.Null, err
 		}
 	}
 	return db.Cat.ADTs.Call(name, args)
+}
+
+// hitADT reports one call of the ADT function name to the injector, which
+// the caller has checked is non-nil — adtCall before the registry call,
+// and the compiled comparison (batchsearch.go) where the generic path
+// would call the comparison ADT — so the n'th hit lands on the same call
+// either way. A fired fault comes back typed: an injected error wrapped as
+// an ADT ExternalError, an injected panic as an external panic.
+func (db *DB) hitADT(name string) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = guard.NewExternalPanic(guard.ExtADT, "", name, "", p)
+		}
+	}()
+	var ctx context.Context
+	if db.g != nil {
+		ctx = db.g.ctx
+	}
+	if ierr := db.Injector.Hit(ctx, strings.ToUpper(name)); ierr != nil {
+		return &guard.ExternalError{Kind: guard.ExtADT, External: name, Err: ierr}
+	}
+	return nil
 }
 
 // evalBool evaluates a qualification expression to a boolean.

@@ -111,13 +111,16 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 }
 
 // releaseFunc returns the one-shot slot release. Callers hold no lock.
+// The holder is uncounted before its slot frees, so a waiter that takes
+// the slot is never counted beside it: InFlight stays within the bound.
+// The receive cannot block — the holder's own token is in the channel.
 func (g *Gate) releaseFunc() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			<-g.slots
 			g.mu.Lock()
 			g.inFlight--
+			<-g.slots
 			g.idle.Broadcast()
 			g.mu.Unlock()
 		})

@@ -23,6 +23,11 @@ package guard
 //     pipeline (rewrite constraints/methods/builtins, engine ADT calls,
 //     server request hooks): names are a flat namespace, so arming
 //     "MEMBER" trips the rewriter's and the executor's MEMBER alike.
+//   - nil = nothing armed, nothing counted: Hit on a nil *Injector is a
+//     no-op, and a pipeline with no injector pays nothing per call. An
+//     injector exists only where something can fire (leraserver creates
+//     one only under -chaos), so a served query with chaos off runs the
+//     engine's compiled comparisons with no lock between sessions.
 //
 // This is the one path chaos testing and unit tests share: leraserver's
 // chaos mode arms the very same Fault values on the very same injector
@@ -115,8 +120,11 @@ func (in *Injector) Reset() {
 
 // Hit records one call to the named external and fires its armed fault if
 // the call index matches. ctx may be nil; it is only consulted by
-// FaultStall.
+// FaultStall. A nil injector fires nothing and counts nothing.
 func (in *Injector) Hit(ctx context.Context, name string) error {
+	if in == nil {
+		return nil
+	}
 	in.mu.Lock()
 	in.calls[name]++
 	n := in.calls[name]

@@ -109,6 +109,12 @@ func TestInjectorDeterminism(t *testing.T) {
 			t.Fatalf("after Reset, call %d: err=%v", i, err)
 		}
 	}
+	// A nil injector is the chaos-off pipeline: nothing armed, nothing
+	// counted, never a nil dereference.
+	var none *Injector
+	if err := none.Hit(nil, "f"); err != nil {
+		t.Fatalf("nil injector fired: %v", err)
+	}
 }
 
 func TestInjectorPanic(t *testing.T) {

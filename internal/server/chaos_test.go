@@ -49,6 +49,48 @@ func TestParseChaos(t *testing.T) {
 	}
 }
 
+// TestChaosOffServerHasNoInjector: an injector exists only where something
+// can fire. With chaos off and none supplied, neither the server nor any
+// pooled session carries one; with a chaos schedule or a supplied injector,
+// every session shares that one pointer.
+func TestChaosOffServerHasNoInjector(t *testing.T) {
+	chaos, err := ParseChaos("count:error:every=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	supplied := guard.NewInjector()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		none bool
+	}{
+		{"chaos off", Config{}, true},
+		{"chaos", Config{Chaos: chaos}, false},
+		{"supplied", Config{Injector: supplied}, false},
+		{"chaos on the supplied one", Config{Chaos: chaos, Injector: supplied}, false},
+	} {
+		c.cfg.MaxInFlight = 3
+		srv, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := srv.Injector()
+		switch {
+		case c.none && inj != nil:
+			t.Errorf("%s: the server holds an injector", c.name)
+		case !c.none && inj == nil:
+			t.Errorf("%s: the server holds no injector", c.name)
+		case c.cfg.Injector != nil && inj != c.cfg.Injector:
+			t.Errorf("%s: the server replaced the supplied injector", c.name)
+		}
+		for i := 0; i < c.cfg.MaxInFlight; i++ {
+			if sess := <-srv.pool; sess.Injector != inj {
+				t.Errorf("%s: pooled session %d carries injector %p, the server %p", c.name, i, sess.Injector, inj)
+			}
+		}
+	}
+}
+
 // TestChaosEveryRequestTyped drives a concurrent mixed workload against a
 // small server with chaos armed at every layer — request-level stalls and
 // panics, execution-level ADT faults — and checks the robustness
@@ -185,7 +227,7 @@ func TestChaosEveryRequestTyped(t *testing.T) {
 // the suspect pooled session is replaced — the pool never shrinks and
 // later queries still answer.
 func TestChaosPanicReplacesSession(t *testing.T) {
-	srv, base := startServer(t, Config{MaxInFlight: 1})
+	srv, base := startServer(t, Config{MaxInFlight: 1, Injector: guard.NewInjector()})
 	// ADT panics are isolated inside adtCall and come back as
 	// EXTERNAL_PANIC without poisoning the session.
 	srv.Injector().Set("COUNT", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})

@@ -41,7 +41,7 @@ func drainServer(t *testing.T, cfg Config) (*Server, string, chan error) {
 // completion; drain returns clean; Serve unblocks; the port refuses new
 // connections.
 func TestDrainWaitsForInFlight(t *testing.T) {
-	srv, addr, done := drainServer(t, Config{DrainTimeout: 10 * time.Second})
+	srv, addr, done := drainServer(t, Config{DrainTimeout: 10 * time.Second, Injector: guard.NewInjector()})
 	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 150 * time.Millisecond})
 
 	slow := make(chan Outcome, 1)
@@ -88,6 +88,7 @@ func TestDrainCancelsAtDeadline(t *testing.T) {
 	srv, addr, done := drainServer(t, Config{
 		DrainTimeout: 200 * time.Millisecond,
 		DrainGrace:   2 * time.Second,
+		Injector:     guard.NewInjector(),
 	})
 	// One stall far beyond the drain deadline: only cancellation can end
 	// the query.
@@ -128,7 +129,7 @@ func TestDrainCancelsAtDeadline(t *testing.T) {
 // TestDrainRefusesNewWork: a connection opened before drain still gets
 // typed DRAINING answers for queries sent while the server drains.
 func TestDrainRefusesNewWork(t *testing.T) {
-	srv, addr, done := drainServer(t, Config{DrainTimeout: 5 * time.Second})
+	srv, addr, done := drainServer(t, Config{DrainTimeout: 5 * time.Second, Injector: guard.NewInjector()})
 	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 100 * time.Millisecond})
 
 	// Pre-drain line connection.

@@ -88,8 +88,11 @@ type Config struct {
 	Tenants Tenants
 	// Chaos is the armed fault schedule (see chaos.go). Empty = off.
 	Chaos []ChaosFault
-	// Injector, when non-nil, is used instead of a fresh one — tests arm
-	// and inspect it directly. Chaos faults are armed on it either way.
+	// Injector, when non-nil, is the server's fault injector, threaded
+	// through every pooled session; Chaos faults are armed on it. Supply
+	// one to arm faults after New (tests arm and inspect it directly).
+	// When nil, the server creates one only if Chaos is non-empty:
+	// otherwise there is none, and no fault can be armed later.
 	Injector *guard.Injector
 	// Observer, when non-nil, supplies the metrics registry; default a
 	// fresh observer (metrics only, no tracing).
@@ -198,8 +201,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 2 * time.Second
 	}
+	// An injector exists only where something can fire: the supplied one,
+	// or a fresh one for the chaos schedule. With neither, no session
+	// carries one, and execution runs the compiled comparisons without a
+	// lock every pooled session would share.
 	inj := cfg.Injector
-	if inj == nil {
+	if inj == nil && len(cfg.Chaos) > 0 {
 		inj = guard.NewInjector()
 	}
 	Arm(inj, cfg.Chaos)
@@ -213,7 +220,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Rules != "" {
 		opts = append(opts, core.WithRules(cfg.Rules))
 	}
-	opts = append(opts, core.WithInjector(inj))
+	if inj != nil {
+		opts = append(opts, core.WithInjector(inj))
+	}
 	if cfg.PlanCache > 0 {
 		opts = append(opts, core.WithPlanCache(cfg.PlanCache))
 		if cfg.PlanCacheValidation > 0 {
@@ -282,8 +291,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Injector returns the server's fault injector (chaos faults are armed on
-// it; tests arm more and read call counts).
+// Injector returns the server's fault injector: the one Config.Injector
+// supplied, else the one created for Config.Chaos, else nil — with chaos
+// off and none supplied there is nothing to arm or count.
 func (s *Server) Injector() *guard.Injector { return s.inj }
 
 // Metrics returns the server's metrics registry.

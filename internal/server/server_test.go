@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -59,10 +60,10 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 
 // TestServerBitIdenticalToEmbedded: the served rows and engine counters
 // for an admitted query match an embedded session over the same snapshot
-// exactly.
+// exactly — with chaos off, and on a server whose injector is armed on a
+// call that never comes (it runs the same compiled comparisons, hitting
+// the injector on each).
 func TestServerBitIdenticalToEmbedded(t *testing.T) {
-	_, base := startServer(t, Config{})
-
 	embedded := core.NewSession()
 	embedded.Obs = obs.NewObserver()
 	if err := embedded.LoadFilms(); err != nil {
@@ -73,30 +74,81 @@ func TestServerBitIdenticalToEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := NewClient(base)
-	out := c.Query(context.Background(), filmQuery)
-	if out.Code != guard.CodeOK {
-		t.Fatalf("code = %s (%v)", out.Code, out.Err)
-	}
-	resp := out.Resp
-	if resp.RowsN != len(want.Rows) {
-		t.Fatalf("rows = %d, want %d", resp.RowsN, len(want.Rows))
-	}
-	if strings.Join(resp.Columns, ",") != strings.Join(want.Columns, ",") {
-		t.Fatalf("columns = %v, want %v", resp.Columns, want.Columns)
-	}
-	for i, row := range resp.Rows {
-		for j, v := range row {
-			if v != want.Rows[i][j].String() {
-				t.Fatalf("row %d col %d = %q, want %q", i, j, v, want.Rows[i][j].String())
+	armed := guard.NewInjector()
+	armed.Set(">", guard.Fault{OnCall: math.MaxInt32, Mode: guard.FaultError})
+	for _, leg := range []struct {
+		name string
+		cfg  Config
+	}{{"chaos off", Config{}}, {"armed, never firing", Config{Injector: armed}}} {
+		_, base := startServer(t, leg.cfg)
+		out := NewClient(base).Query(context.Background(), filmQuery)
+		if out.Code != guard.CodeOK {
+			t.Fatalf("%s: code = %s (%v)", leg.name, out.Code, out.Err)
+		}
+		resp := out.Resp
+		if resp.RowsN != len(want.Rows) {
+			t.Fatalf("%s: rows = %d, want %d", leg.name, resp.RowsN, len(want.Rows))
+		}
+		if strings.Join(resp.Columns, ",") != strings.Join(want.Columns, ",") {
+			t.Fatalf("%s: columns = %v, want %v", leg.name, resp.Columns, want.Columns)
+		}
+		for i, row := range resp.Rows {
+			for j, v := range row {
+				if v != want.Rows[i][j].String() {
+					t.Fatalf("%s: row %d col %d = %q, want %q", leg.name, i, j, v, want.Rows[i][j].String())
+				}
 			}
 		}
+		if resp.Counters == nil {
+			t.Fatalf("%s: response carries no engine counters", leg.name)
+		}
+		if *resp.Counters != want.Report.ExecCounters {
+			t.Errorf("%s: served counters %+v differ from embedded %+v", leg.name, *resp.Counters, want.Report.ExecCounters)
+		}
 	}
-	if resp.Counters == nil {
-		t.Fatal("response carries no engine counters")
+	if armed.Calls(">") == 0 {
+		t.Error("the armed server's comparisons never hit its injector")
 	}
-	if *resp.Counters != want.Report.ExecCounters {
-		t.Errorf("served counters %+v differ from embedded %+v", *resp.Counters, want.Report.ExecCounters)
+}
+
+// TestServedPointQueryAllocs: a served point query over FILM at 2 000 rows,
+// a plan-cache hit, allocates per request, not per scanned row. With chaos
+// off no injector exists, so the comparison runs the compiled kernel; when
+// every server carried an injector it ran the generic evaluator, which
+// allocates at least once per row (measured 2 130 objects a request then,
+// 129 now; the limit leaves room for the second without admitting the
+// first).
+func TestServedPointQueryAllocs(t *testing.T) {
+	const films = 2000
+	var sb strings.Builder
+	sb.WriteString(`TYPE Category ENUMERATION OF ('Comedy', 'Adventure', 'Science Fiction', 'Western');
+TYPE SetCategory SET OF Category;
+TABLE FILM (Numf : NUMERIC, Title : CHAR, Categories : SetCategory);
+INSERT INTO FILM VALUES`)
+	for i := 1; i <= films; i++ {
+		if i > 1 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, " (%d, 'film-%d', SET('Western'))", i, i)
+	}
+	sb.WriteString(";\n")
+	srv, err := New(Config{InitESQL: sb.String(), MaxInFlight: 1, Parallelism: 1, PlanCache: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q, limit = "SELECT Title FROM FILM WHERE Numf = 1000", 300
+	ctx := context.Background()
+	if resp := srv.handleQuery(ctx, "", q); resp.Code != string(guard.CodeOK) || resp.RowsN != 1 {
+		t.Fatalf("warm-up: %+v", resp)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if resp := srv.handleQuery(ctx, "", q); resp.Code != string(guard.CodeOK) || resp.Counters.Scanned != films {
+			t.Fatalf("point query: %+v", resp)
+		}
+	})
+	t.Logf("served point query over %d rows: %.0f objects a request", films, allocs)
+	if allocs > limit {
+		t.Errorf("served point query allocates %.0f objects a request over %d rows — per row again? limit %d", allocs, films, limit)
 	}
 }
 
@@ -157,7 +209,7 @@ func TestServerLineProtocol(t *testing.T) {
 // stalled in-flight query makes concurrent arrivals shed with OVERLOADED
 // (HTTP 429) — typed, immediate, no hang.
 func TestServerShedsWhenOverloaded(t *testing.T) {
-	srv, base := startServer(t, Config{MaxInFlight: 1, MaxQueue: -1})
+	srv, base := startServer(t, Config{MaxInFlight: 1, MaxQueue: -1, Injector: guard.NewInjector()})
 	// Every COUNT ADT call stalls; the query below hits it once per film
 	// row, so the request holds its execution slot for ~1.2s.
 	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 300 * time.Millisecond})
