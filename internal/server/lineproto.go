@@ -16,15 +16,21 @@ package server
 //
 // Every query answers exactly one JSON line — the same Response shape the
 // HTTP API returns, same code vocabulary, so a client speaking either
-// protocol sees identical outcomes.
+// protocol sees identical outcomes. A line longer than maxRequestBytes
+// is answered with one PARSE line naming the limit, and the connection
+// closes.
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"time"
+
+	"lera/internal/guard"
 )
 
 // serveLine runs the line protocol on one sniffed connection until EOF,
@@ -34,7 +40,7 @@ func (s *Server) serveLine(conn net.Conn, br *bufio.Reader) {
 	w := bufio.NewWriter(conn)
 	tenant := ""
 	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxRequestBytes)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -55,12 +61,7 @@ func (s *Server) serveLine(conn net.Conn, br *bufio.Reader) {
 			fmt.Fprintf(w, "ok %s\n", name)
 		case "query", "q":
 			resp := s.handleQuery(s.requestCtx(conn), tenant, rest)
-			b, err := json.Marshal(resp)
-			if err != nil {
-				b, _ = json.Marshal(Response{Code: "INTERNAL", Error: "response encoding failed"})
-			}
-			w.Write(b)
-			w.WriteByte('\n')
+			s.writeLine(w, &resp)
 		default:
 			fmt.Fprintf(w, "error unknown verb %q (tenant|query|ping|quit)\n", verb)
 		}
@@ -68,6 +69,27 @@ func (s *Server) serveLine(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 	}
+	// A line past the limit stops the scanner mid-line: nothing after it
+	// can be framed, so answer the request typed and close. Closing with
+	// the rest of the line unread would reset the connection, which can
+	// destroy the answer before the client reads it; so first discard
+	// what the client is still sending, for a bounded time.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		s.writeLine(w, &Response{Code: string(guard.CodeParse),
+			Error: fmt.Sprintf("request line exceeds the %d-byte limit", maxRequestBytes)})
+		if w.Flush() == nil {
+			_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+			_, _ = io.Copy(io.Discard, io.LimitReader(br, maxRequestBytes))
+		}
+	}
+}
+
+// writeLine writes resp as its one JSON line (the rendering ends with the
+// newline).
+func (s *Server) writeLine(w *bufio.Writer, resp *Response) {
+	e := s.render(resp)
+	_, _ = w.Write(e.buf) // a failed write surfaces at the caller's Flush
+	s.release(e)
 }
 
 // requestCtx derives the per-request context for a line-protocol query:

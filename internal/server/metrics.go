@@ -38,6 +38,7 @@ type metrics struct {
 	drainState  *obs.Gauge // 0 serving, 1 draining
 
 	latency *obs.HistogramVec // request wall-clock seconds by tenant
+	encode  *obs.Histogram    // response rendering seconds, both protocols
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -57,6 +58,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		sessions:    reg.Gauge("lera_server_sessions", "pooled sessions"),
 		drainState:  reg.Gauge("lera_server_draining", "1 while the server is draining"),
 		latency:     reg.HistogramVec("lera_server_request_seconds", "request wall-clock latency in seconds, by tenant", nil, "tenant"),
+		encode:      reg.Histogram("lera_server_encode_seconds", "seconds spent rendering a response's JSON, both protocols", nil),
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"lera/internal/engine"
 	"lera/internal/guard"
 	"lera/internal/obs"
+	"lera/internal/value"
 )
 
 // Config configures a Server. The zero value is usable for tests: an
@@ -125,6 +126,11 @@ const DefaultSlowLogSize = 64
 // every failure carries the typed code and message. Rows are rendered
 // values (value.Value.String), bit-identical to what FormatResult prints
 // for the embedded session.
+//
+// On the wire a Response is exactly what encoding/json's Encoder.Encode
+// writes for it, but the server never builds Rows or calls encoding/json:
+// it writes the bytes straight from the result's values (response.go).
+// Rows is the form a client decodes the answer into.
 type Response struct {
 	Code    string     `json:"code"`
 	Error   string     `json:"error,omitempty"`
@@ -141,8 +147,14 @@ type Response struct {
 	// the bit-identity witness against the embedded session.
 	Counters *engine.Counters `json:"counters,omitempty"`
 	// ElapsedNs is the server-side wall clock for the whole request,
-	// admission wait included.
+	// admission wait included and rendering the response excluded.
 	ElapsedNs int64 `json:"elapsedNs"`
+
+	// result is what the server renders as "rows": the query's own result
+	// rows. They outlive the session's return to the pool, since the
+	// engine allocates every result row afresh and never reuses its
+	// blocks (TestRenderedRowsOutliveSession).
+	result [][]value.Value
 }
 
 // Server is one running instance. Build with New, run with Serve (or
@@ -158,6 +170,10 @@ type Server struct {
 
 	base *core.Session
 	pool chan *core.Session
+	// encoders holds idle response encoders (response.go). It is sized to
+	// the pool: that many answers are rendered at once under full load;
+	// beyond it an encoder is made for one response and dropped.
+	encoders chan *encoder
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -249,17 +265,18 @@ func New(cfg Config) (*Server, error) {
 		slowSize = DefaultSlowLogSize
 	}
 	s := &Server{
-		cfg:     cfg,
-		obs:     ob,
-		m:       newMetrics(ob.Metrics),
-		gate:    guard.NewGate(cfg.MaxInFlight, cfg.MaxQueue),
-		inj:     inj,
-		qlog:    cfg.QueryLog,
-		slow:    core.NewSlowLog(slowSize, cfg.SlowThreshold),
-		base:    base,
-		pool:    make(chan *core.Session, cfg.MaxInFlight),
-		conns:   map[net.Conn]struct{}{},
-		drained: make(chan struct{}),
+		cfg:      cfg,
+		obs:      ob,
+		m:        newMetrics(ob.Metrics),
+		gate:     guard.NewGate(cfg.MaxInFlight, cfg.MaxQueue),
+		inj:      inj,
+		qlog:     cfg.QueryLog,
+		slow:     core.NewSlowLog(slowSize, cfg.SlowThreshold),
+		base:     base,
+		pool:     make(chan *core.Session, cfg.MaxInFlight),
+		encoders: make(chan *encoder, cfg.MaxInFlight),
+		conns:    map[net.Conn]struct{}{},
+		drained:  make(chan struct{}),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	// The slow-query ring needs the full EXPLAIN ANALYZE operator tree for
@@ -495,13 +512,7 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 	}
 
 	resp.Code = string(guard.CodeOK)
-	for _, row := range res.Rows {
-		out := make([]string, len(row))
-		for i, v := range row {
-			out[i] = v.String()
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
+	resp.result = res.Rows
 	resp.RowsN = len(res.Rows)
 	resp.Columns = res.Columns
 	if st := res.RewriteStats(); st.Degraded {
@@ -532,27 +543,33 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 			Tenant string `json:"tenant"`
 			Query  string `json:"query"`
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeResponse(w, http.StatusBadRequest, &Response{Code: string(guard.CodeParse),
+				Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)})
+			return
+		}
 		if err == nil {
 			err = json.Unmarshal(body, &req)
 		}
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, Response{Code: string(guard.CodeParse), Error: "bad request body: " + err.Error()})
+			s.writeResponse(w, http.StatusBadRequest, &Response{Code: string(guard.CodeParse), Error: "bad request body: " + err.Error()})
 			return
 		}
 		tenant, query = req.Tenant, req.Query
 	case http.MethodGet:
 		tenant, query = r.URL.Query().Get("tenant"), r.URL.Query().Get("q")
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, Response{Code: string(guard.CodeParse), Error: "use GET or POST"})
+		s.writeResponse(w, http.StatusMethodNotAllowed, &Response{Code: string(guard.CodeParse), Error: "use GET or POST"})
 		return
 	}
 	if strings.TrimSpace(query) == "" {
-		writeJSON(w, http.StatusBadRequest, Response{Code: string(guard.CodeParse), Error: "empty query"})
+		s.writeResponse(w, http.StatusBadRequest, &Response{Code: string(guard.CodeParse), Error: "empty query"})
 		return
 	}
 	resp := s.handleQuery(r.Context(), tenant, query)
-	writeJSON(w, httpStatus(guard.Code(resp.Code)), resp)
+	s.writeResponse(w, httpStatus(guard.Code(resp.Code)), &resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -591,6 +608,8 @@ func httpStatus(c guard.Code) int {
 	}
 }
 
+// writeJSON answers the endpoints that are not queries (/healthz, a
+// disabled /debug/slowlog); query responses go through writeResponse.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -120,6 +120,28 @@ func TestServerBitIdenticalToEmbedded(t *testing.T) {
 // first).
 func TestServedPointQueryAllocs(t *testing.T) {
 	const films = 2000
+	srv := filmServer(t, films)
+	const q, limit = "SELECT Title FROM FILM WHERE Numf = 1000", 300
+	ctx := context.Background()
+	if resp := srv.handleQuery(ctx, "", q); resp.Code != string(guard.CodeOK) || resp.RowsN != 1 {
+		t.Fatalf("warm-up: %+v", resp)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if resp := srv.handleQuery(ctx, "", q); resp.Code != string(guard.CodeOK) || resp.Counters.Scanned != films {
+			t.Fatalf("point query: %+v", resp)
+		}
+	})
+	t.Logf("served point query over %d rows: %.0f objects a request", films, allocs)
+	if allocs > limit {
+		t.Errorf("served point query allocates %.0f objects a request over %d rows — per row again? limit %d", allocs, films, limit)
+	}
+}
+
+// filmServer boots an unlistened server over FILM(Numf, Title,
+// Categories) with films rows numbered 1..films: one pooled session,
+// serial execution, a plan cache.
+func filmServer(t *testing.T, films int) *Server {
+	t.Helper()
 	var sb strings.Builder
 	sb.WriteString(`TYPE Category ENUMERATION OF ('Comedy', 'Adventure', 'Science Fiction', 'Western');
 TYPE SetCategory SET OF Category;
@@ -136,20 +158,7 @@ INSERT INTO FILM VALUES`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q, limit = "SELECT Title FROM FILM WHERE Numf = 1000", 300
-	ctx := context.Background()
-	if resp := srv.handleQuery(ctx, "", q); resp.Code != string(guard.CodeOK) || resp.RowsN != 1 {
-		t.Fatalf("warm-up: %+v", resp)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if resp := srv.handleQuery(ctx, "", q); resp.Code != string(guard.CodeOK) || resp.Counters.Scanned != films {
-			t.Fatalf("point query: %+v", resp)
-		}
-	})
-	t.Logf("served point query over %d rows: %.0f objects a request", films, allocs)
-	if allocs > limit {
-		t.Errorf("served point query allocates %.0f objects a request over %d rows — per row again? limit %d", allocs, films, limit)
-	}
+	return srv
 }
 
 // TestServerLineProtocol: the lowercase line protocol shares the listener
