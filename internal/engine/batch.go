@@ -250,8 +250,8 @@ func (db *DB) evalJoinBatch(t *term.Term, e env) (*Relation, error) {
 }
 
 func (db *DB) evalUnionBatch(t *term.Term, e env) (*Relation, error) {
-	rels, err := db.evalMembers(t.Args[0].Args, e)
-	if err != nil {
+	rels := make([]*Relation, len(t.Args[0].Args))
+	if err := db.evalMembers(t.Args[0].Args, e, rels); err != nil {
 		return nil, err
 	}
 	out := &Relation{}
@@ -266,6 +266,7 @@ func (db *DB) evalUnionBatch(t *term.Term, e env) (*Relation, error) {
 		}
 		rows = append(rows, r.Rows...)
 	}
+	var err error
 	out.Rows, err = db.dedupRows(rows)
 	if err != nil {
 		return nil, err

@@ -12,8 +12,10 @@ package engine
 // stages consume conjuncts in — is searchPlan/equiJoinKeys/takeConjuncts.
 // The reference evaluator shares both, so the two make identical
 // decisions. The engine compiles the second kind into a searchProgram,
-// once per SEARCH evaluation or, under a FIX, once per FIX (searchCache).
-// The evaluation is one stage per relation, and a stage never stores the
+// once per SEARCH evaluation or, under a FIX, once per FIX (searchCache),
+// where the buffers an evaluation fills — relation list, pair words, stage
+// kernels — also outlive the round (searchScratch). The evaluation is one
+// stage per relation, and a stage never stores the
 // pairs it considers (docs/PERF.md, "SEARCH pipeline: late
 // materialisation"):
 //
@@ -31,16 +33,17 @@ package engine
 //     Built-in comparisons over attribute slots, constants and
 //     single-attribute function calls evaluate without term-tree walks or
 //     row splitting, falling back to the generic evaluator (bit-identical
-//     by construction) for everything else. Compilation of comparisons is
-//     disabled when a fault injector is armed, since the compiled path
-//     would skip the injector hit the generic evaluator's ADT call
-//     performs.
+//     by construction) for everything else. They compile whether or not a
+//     fault injector is armed: a compiled comparison hits the injector
+//     itself, where the generic evaluator's comparison ADT call would
+//     (cmpPred, compilePreds).
 
 import (
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"lera/internal/lera"
 	"lera/internal/term"
@@ -82,11 +85,12 @@ func maxRelIndex(e *term.Term) int {
 	return max
 }
 
-// searchInputs evaluates the relation list of a SEARCH, in order. It
-// returns a non-nil short relation when the search short-circuits
-// (statically false qualification, or an empty input relation) — both
-// cases preserve the declared projection arity.
-func (db *DB) searchInputs(t *term.Term, e env) (rels []*Relation, short *Relation, err error) {
+// searchInputs evaluates the relation list of a SEARCH, in order, into
+// rels — a buffer to refill, or nil. It returns a non-nil short relation
+// when the search short-circuits (statically false qualification, or an
+// empty input relation) — both cases preserve the declared projection
+// arity.
+func (db *DB) searchInputs(t *term.Term, e env, rels []*Relation) ([]*Relation, *Relation, error) {
 	relTerms := t.Args[0].Args
 	if len(relTerms) == 0 {
 		return nil, nil, fmt.Errorf("engine: SEARCH with empty relation list")
@@ -100,11 +104,16 @@ func (db *DB) searchInputs(t *term.Term, e env) (rels []*Relation, short *Relati
 			return nil, &Relation{Width: len(t.Args[2].Args)}, nil
 		}
 	}
-	rels = make([]*Relation, len(relTerms))
-	for i, rt := range relTerms {
-		if rels[i], err = db.eval(rt, e); err != nil {
+	if cap(rels) < len(relTerms) {
+		rels = make([]*Relation, 0, len(relTerms))
+	}
+	rels = rels[:0]
+	for _, rt := range relTerms {
+		r, err := db.eval(rt, e)
+		if err != nil {
 			return nil, nil, err
 		}
+		rels = append(rels, r)
 	}
 	for _, r := range rels {
 		if len(r.Rows) == 0 {
@@ -221,41 +230,156 @@ func (p *searchProgram) valid(rels []*Relation) bool {
 	return true
 }
 
-// searchCache holds the programs of the SEARCH terms evaluated under one
-// FIX evaluation, by term identity: a fixpoint evaluates the same terms
-// round after round (fixSemiNaive hoists the variants), so each compiles
-// once per FIX instead of once per round. evalFix installs a fresh cache
-// in the evaluation's guard and removes it when the FIX returns — it never
-// outlives the FIX, let alone the query — and the round's workers share it.
+// searchCache holds the SEARCH terms evaluated under one FIX evaluation,
+// by term identity: a fixpoint evaluates the same terms round after round
+// (fixSemiNaive hoists the variants), so each compiles once per FIX instead
+// of once per round, and each round refills the buffers the round before
+// filled. evalFix installs a fresh cache in the evaluation's guard and
+// removes it when the FIX returns — it never outlives the FIX, let alone the
+// query, and its scratch dies with it — and the round's workers share it.
 type searchCache struct {
 	mu sync.Mutex
-	m  map[*term.Term]*searchProgram
+	m  map[*term.Term]*searchEntry
 }
 
-// programFor returns the program of SEARCH term t over rels: the open
-// FIX's cached one while it is still valid, a fresh compilation otherwise.
-func (db *DB) programFor(t *term.Term, rels []*Relation) *searchProgram {
+// searchEntry is one SEARCH term's place in a searchCache: its program,
+// immutable and shared by every evaluator, and beside it — never inside it
+// — the mutable scratch that one evaluation at a time holds.
+type searchEntry struct {
+	prog    atomic.Pointer[searchProgram]
+	scratch atomic.Pointer[searchScratch] // nil while an evaluation holds it
+}
+
+// searchEntry returns t's entry in the open FIX's cache, creating it on
+// first use; nil outside a FIX.
+func (db *DB) searchEntry(t *term.Term) *searchEntry {
 	var c *searchCache
 	if db.g != nil {
 		c = db.g.progs
 	}
 	if c == nil {
-		return db.compileSearch(t, rels)
+		return nil
 	}
 	c.mu.Lock()
-	prog := c.m[t]
-	c.mu.Unlock()
-	if prog != nil && prog.valid(rels) {
-		return prog
+	defer c.mu.Unlock()
+	ent := c.m[t]
+	if ent == nil {
+		if c.m == nil {
+			c.m = map[*term.Term]*searchEntry{}
+		}
+		ent = &searchEntry{}
+		ent.scratch.Store(&searchScratch{})
+		c.m[t] = ent
 	}
-	prog = db.compileSearch(t, rels)
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[*term.Term]*searchProgram{}
+	return ent
+}
+
+// claim takes the entry's scratch for the caller's evaluation. It returns
+// nil — no scratch — outside a FIX (ent nil) and when another evaluation
+// holds it: a pooled worker evaluating the same term, or an evaluation
+// re-entering its own term. Such an evaluation runs the same code with
+// fresh buffers that die with it.
+func (ent *searchEntry) claim() *searchScratch {
+	if ent == nil {
+		return nil
 	}
-	c.m[t] = prog
-	c.mu.Unlock()
+	return ent.scratch.Swap(nil)
+}
+
+// release gives a claimed scratch back to its entry.
+func (ent *searchEntry) release(s *searchScratch) {
+	if s != nil {
+		ent.scratch.Store(s)
+	}
+}
+
+// programFor returns the program of SEARCH term t over rels: ent's cached
+// one while it is still valid, a fresh compilation otherwise (cached in ent
+// under a FIX).
+func (db *DB) programFor(ent *searchEntry, t *term.Term, rels []*Relation) *searchProgram {
+	if ent != nil {
+		if prog := ent.prog.Load(); prog != nil && prog.valid(rels) {
+			return prog
+		}
+	}
+	prog := db.compileSearch(t, rels)
+	if ent != nil {
+		ent.prog.Store(prog)
+	}
 	return prog
+}
+
+// searchScratch is what an evaluation of a SEARCH fills and the next
+// evaluation of the same term under the same FIX refills: the relation
+// list and, per stage, the holder's kernel and the pair words. A nil
+// *searchScratch is none: every buffer is then made for the evaluation.
+type searchScratch struct {
+	rels   []*Relation
+	prog   *searchProgram // the program stages is laid out for
+	stages []stageScratch
+}
+
+// relBuf returns the relation list for searchInputs to refill.
+func (s *searchScratch) relBuf() []*Relation {
+	if s == nil {
+		return nil
+	}
+	return s.rels
+}
+
+// fit keeps the relation list rels for the next evaluation and lays the
+// stages out for prog. A stage's kernel is built on the program's stage, so
+// a recompiled program starts the stages afresh.
+func (s *searchScratch) fit(prog *searchProgram, rels []*Relation) {
+	if s == nil {
+		return
+	}
+	s.rels = rels
+	if s.prog != prog {
+		s.prog, s.stages = prog, make([]stageScratch, len(prog.stages))
+	}
+}
+
+// stage returns the scratch of stage ri, program stage st, held by the
+// evaluator db: the scratch's own, or a fresh one without a scratch.
+func (s *searchScratch) stage(ri int, st *searchStage, db *DB) *stageScratch {
+	var ss *stageScratch
+	if s != nil {
+		ss = &s.stages[ri-1]
+	} else {
+		ss = &stageScratch{}
+	}
+	ss.st, ss.holder = st, db
+	return ss
+}
+
+// stageScratch is one stage's part of a searchScratch. Its kernel belongs
+// to the evaluator holding the scratch — a worker the stage's pairs fan
+// out to gets a kernel of its own — so from round to round the arena goes
+// on filling and doubling its blocks instead of opening a new one.
+type stageScratch struct {
+	st     *searchStage
+	holder *DB
+	k      searchKernel // the holder's; set up on first use
+	pairs  []uint64     // hashJoinFromRight's pair words
+	// left and right are the rows the pair words index, for judge — the
+	// pair judge bound once, so that a round hands mapChunks no new closure.
+	left, right [][]value.Value
+	judge       func(w *DB, chunk []uint64) ([][]value.Value, error)
+}
+
+// kernel returns worker w's kernel of the stage: the holder's own, reset,
+// or a fresh one sized by est (see searchStage.kernel).
+func (ss *stageScratch) kernel(w *DB, est int) *searchKernel {
+	if w != ss.holder {
+		k := ss.st.kernel(w, est)
+		return &k
+	}
+	if ss.k.searchStage == nil {
+		ss.k = ss.st.kernel(w, est)
+	}
+	ss.k.w, ss.k.ar.db, ss.k.err = w, w, nil
+	return &ss.k
 }
 
 // acquireJoinIndex returns the join index over rows: the shared persistent
@@ -268,11 +392,15 @@ func (db *DB) acquireJoinIndex(name string, rows [][]value.Value, keyIdx []int) 
 }
 
 func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
-	rels, short, err := db.searchInputs(t, e)
+	ent := db.searchEntry(t)
+	scr := ent.claim()
+	defer ent.release(scr)
+	rels, short, err := db.searchInputs(t, e, scr.relBuf())
 	if err != nil || short != nil {
 		return short, err
 	}
-	prog := db.programFor(t, rels)
+	prog := db.programFor(ent, t, rels)
+	scr.fit(prog, rels)
 	relTerms := t.Args[0].Args
 	bs := db.batchSize()
 
@@ -283,16 +411,17 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	scanned := false // stage 1 ran: current is no longer relation 1 itself
 	for ri := 1; ri <= len(rels); ri++ {
 		st := &prog.stages[ri-1]
+		if ri == 1 && !st.final && len(st.preds) == 0 {
+			continue
+		}
+		ss := scr.stage(ri, st, db)
 		switch {
 		case ri == 1:
-			if !st.final && len(st.preds) == 0 {
-				continue
-			}
 			scanned = true
 			current, err = mapChunks(db, current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-				k := st.kernel(w, len(chunk))
+				k := ss.kernel(w, len(chunk))
 				var out [][]value.Value
-				if len(st.preds) == 0 {
+				if len(k.preds) == 0 {
 					out = make([][]value.Value, 0, len(chunk))
 				}
 				for len(chunk) > 0 && k.err == nil {
@@ -321,7 +450,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 			case aerr != nil:
 				return nil, aerr
 			case grace:
-				current, err = db.graceJoin(current, next, st.leftKeys, st.rightKeys, st.kernel(db, 1))
+				current, err = db.graceJoin(current, next, st.leftKeys, st.rightKeys, ss.kernel(db, 1))
 			default:
 				// Relation 1 straight from storage has a persistent index to
 				// offer, so the smaller side drives: a semi-naive round joins
@@ -331,16 +460,16 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 					leftName = db.storedRelName(relTerms[0], e)
 				}
 				if leftName != "" {
-					current, err = db.hashJoinFromRight(st, db.acquireJoinIndex(leftName, current, st.leftKeys), next)
+					current, err = db.hashJoinFromRight(ss, db.acquireJoinIndex(leftName, current, st.leftKeys), next)
 				} else {
-					current, err = db.hashJoin(st, current, db.acquireJoinIndex(db.storedRelName(relTerms[ri-1], e), next, st.rightKeys))
+					current, err = db.hashJoin(ss, current, db.acquireJoinIndex(db.storedRelName(relTerms[ri-1], e), next, st.rightKeys))
 				}
 				db.releaseMem(charged)
 			}
 		default:
 			next := rels[ri-1].Rows
 			current, err = mapChunks(db, current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-				k := st.kernel(w, 1)
+				k := ss.kernel(w, 1)
 				var out [][]value.Value
 				for _, prow := range chunk {
 					for ni := 0; ni < len(next); {
@@ -413,11 +542,11 @@ func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit f
 // probes ix, the index of the stage's relation on its key columns, and
 // pairs with its matches in index insertion order — the reference's
 // nested-loop sequence.
-func (db *DB) hashJoin(st *searchStage, left [][]value.Value, ix *joinIndex) ([][]value.Value, error) {
+func (db *DB) hashJoin(ss *stageScratch, left [][]value.Value, ix *joinIndex) ([][]value.Value, error) {
 	return mapChunks(db, left, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-		k := st.kernel(w, 1)
+		k := ss.kernel(w, 1)
 		var out [][]value.Value
-		err := w.probeEach(ix, chunk, st.leftKeys, func(d int, o int32) {
+		err := w.probeEach(ix, chunk, k.leftKeys, func(d int, o int32) {
 			out = k.pair(out, chunk[d], ix.rows[o])
 		})
 		if err != nil {
@@ -434,27 +563,36 @@ func (db *DB) hashJoin(st *searchStage, left [][]value.Value, ix *joinIndex) ([]
 // sorted by (prefix ordinal, relation ordinal) they are exactly hashJoin's
 // sequence, and the kernel sees them in that order — rows, counters, the
 // n-th injector hit and the first evaluation error are the same pair's
-// either way.
-func (db *DB) hashJoinFromRight(st *searchStage, ix *joinIndex, right [][]value.Value) ([][]value.Value, error) {
-	var pairs []uint64 // prefix ordinal<<32 | relation ordinal
-	err := db.probeEach(ix, right, st.rightKeys, func(d int, o int32) {
+// either way. The pair words and the judge are the stage scratch's.
+func (db *DB) hashJoinFromRight(ss *stageScratch, ix *joinIndex, right [][]value.Value) ([][]value.Value, error) {
+	pairs := ss.pairs[:0] // prefix ordinal<<32 | relation ordinal
+	err := db.probeEach(ix, right, ss.st.rightKeys, func(d int, o int32) {
 		pairs = append(pairs, uint64(o)<<32|uint64(d))
 	})
+	ss.pairs = pairs
 	if err != nil {
 		return nil, err
 	}
 	slices.Sort(pairs)
-	return mapChunks(db, pairs, func(w *DB, chunk []uint64) ([][]value.Value, error) {
-		k := st.kernel(w, len(chunk))
-		var out [][]value.Value
-		if len(st.preds) == 0 {
-			out = make([][]value.Value, 0, len(chunk))
-		}
-		for _, p := range chunk {
-			out = k.pair(out, ix.rows[p>>32], right[uint32(p)])
-		}
-		return out, k.err
-	})
+	ss.left, ss.right = ix.rows, right
+	if ss.judge == nil {
+		ss.judge = ss.judgePairs
+	}
+	return mapChunks(db, pairs, ss.judge)
+}
+
+// judgePairs is hashJoinFromRight's chunk step: the kernel meets the pair
+// words of chunk in order.
+func (ss *stageScratch) judgePairs(w *DB, chunk []uint64) ([][]value.Value, error) {
+	k := ss.kernel(w, len(chunk))
+	var out [][]value.Value
+	if len(k.preds) == 0 {
+		out = make([][]value.Value, 0, len(chunk))
+	}
+	for _, p := range chunk {
+		out = k.pair(out, ss.left[p>>32], ss.right[uint32(p)])
+	}
+	return out, k.err
 }
 
 // searchStage is the compiled program of one SEARCH stage: the equi-join
@@ -495,14 +633,14 @@ type searchKernel struct {
 // chunk length and a join driven from its relation the pairs it found; a
 // join driven from the prefix cannot tell before it has probed, and passes
 // 1, leaving it to the arena's doubling.
-func (st *searchStage) kernel(w *DB, est int) *searchKernel {
+func (st *searchStage) kernel(w *DB, est int) searchKernel {
 	width := len(st.projs) // of the rows the stage allocates
 	if !st.final {
 		for _, rw := range st.widths {
 			width += rw
 		}
 	}
-	return &searchKernel{
+	return searchKernel{
 		searchStage: st, w: w,
 		sc: splitScratch{widths: st.widths},
 		ar: sizedArena(w, est*width),

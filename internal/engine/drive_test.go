@@ -481,11 +481,41 @@ func TestDeltaDrivenClosureIsLinear(t *testing.T) {
 	}
 }
 
+// TestSemiNaiveRoundAllocs is the allocation gate of docs/PERF.md "Rounds
+// that allocate only their rows": a semi-naive round of the focused closure
+// keeps its member results, row buffers, delta, pair words, stage kernels
+// and relation list from the round before, so what it allocates is its share
+// of the rows it adds — amortized arena blocks and set growth — and the
+// SEARCH's own output. Measured as the extra objects of chain(400) over
+// chain(200): 200 more rounds, the same query otherwise.
+func TestSemiNaiveRoundAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		db := chainDB(t, n)
+		db.Parallelism = 1
+		q := chainClosure(n + 1)
+		if _, err := db.Eval(q); err != nil { // builds EDGE's index
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if rel, err := db.Eval(q); err != nil || len(rel.Rows) != n {
+				t.Fatalf("chain(%d): %v", n, err)
+			}
+		})
+	}
+	a200, a400 := allocs(200), allocs(400)
+	perRound := (a400 - a200) / 200
+	t.Logf("objects per query: chain(200) %.0f, chain(400) %.0f — %.2f per extra round", a200, a400, perRound)
+	if perRound > 3 {
+		t.Errorf("%.2f objects per semi-naive round, want at most 3: a round allocates buffers again instead of only its rows", perRound)
+	}
+}
+
 // TestSearchProgramCompiledOncePerFix: under a FIX the rounds share one
 // compilation per SEARCH term, revalidated — not trusted — when a
 // relation's width changes; an injector appearing changes nothing, the
 // compiled comparisons consult it per call. Outside a FIX nothing is
-// cached.
+// cached. Beside the program, the entry's scratch goes to one evaluation
+// at a time: a second claim while it is held gets none.
 func TestSearchProgramCompiledOncePerFix(t *testing.T) {
 	db := chainDB(t, 50)
 	db.Parallelism = 1
@@ -494,22 +524,58 @@ func TestSearchProgramCompiledOncePerFix(t *testing.T) {
 	q := chainStep()
 	edge := db.Stored("EDGE")
 	rels := []*Relation{edge, {Rows: edge.Rows[:1]}}
+	programFor := func(rels []*Relation) *searchProgram { return db.programFor(db.searchEntry(q), q, rels) }
 
-	if a, b := db.programFor(q, rels), db.programFor(q, rels); a == b {
+	if a, b := programFor(rels), programFor(rels); a == b {
 		t.Error("a program was cached outside a FIX")
 	}
+	if db.searchEntry(q).claim() != nil {
+		t.Error("a scratch was handed out outside a FIX")
+	}
 	db.g.progs = &searchCache{}
-	first := db.programFor(q, rels)
-	if db.programFor(q, rels) != first {
+	first := programFor(rels)
+	if programFor(rels) != first {
 		t.Error("second round recompiled")
 	}
 	db.Injector = guard.NewInjector()
-	if db.programFor(q, rels) != first {
+	if programFor(rels) != first {
 		t.Error("an armed injector invalidated the program")
 	}
 	db.Injector = nil
 	wide := []*Relation{edge, {Rows: [][]value.Value{{value.Int(1), value.Int(2), value.Int(3)}}}}
-	if p := db.programFor(q, wide); p == first || p.stages[1].widths[1] != 3 {
+	if p := programFor(wide); p == first || p.stages[1].widths[1] != 3 {
 		t.Error("program reused over a relation of another width")
+	}
+
+	// The round's delta is TC: three rows, so the join is driven from them
+	// through EDGE's index and judged by the stage scratch's pair judge.
+	e := env{"TC": {Rows: edge.Rows[:3]}}
+	eval := func() []string {
+		t.Helper()
+		r, err := db.evalSearchBatch(q, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, row := range r.Rows {
+			keys = append(keys, rowKey(row))
+		}
+		return keys
+	}
+	claimed := eval()
+	ent := db.searchEntry(q)
+	held := ent.claim()
+	if held == nil || ent.claim() != nil {
+		t.Fatal("the scratch is not handed to exactly one evaluation")
+	}
+	if held.stages[1].judge == nil {
+		t.Error("the claimed evaluation did not keep its pair judge")
+	}
+	if unclaimed := eval(); strings.Join(unclaimed, " ") != strings.Join(claimed, " ") || len(claimed) != 2 {
+		t.Errorf("without the scratch %v, with it %v", unclaimed, claimed)
+	}
+	ent.release(held)
+	if again := ent.claim(); again != held {
+		t.Error("a released scratch did not go back to its entry")
 	}
 }

@@ -48,34 +48,35 @@ func (db *DB) fixNaive(name string, body *term.Term, e env) (*Relation, error) {
 	total := &Relation{}
 	seen := db.newMemSet("fixpoint seen-set")
 	defer seen.close()
+	// A round reads total only while it evaluates the body, before any row
+	// is added: total is extended in place and the environment, which
+	// differs from e only in this binding, is cloned once per FIX.
+	inner := e.clone()
+	inner[name] = total
 	cap := db.fixIterCap()
 	for iters := 1; ; iters++ {
 		db.Count.FixIterations++
 		if err := db.checkCtx(); err != nil {
 			return nil, err
 		}
-		inner := e.clone()
-		inner[name] = total
 		r, err := db.eval(body, inner)
 		if err != nil {
 			return nil, err
 		}
-		added := 0
-		next := &Relation{Rows: append([][]value.Value(nil), total.Rows...), Width: total.Width}
-		if next.Width == 0 {
-			next.Width = r.Arity()
+		if total.Width == 0 {
+			total.Width = r.Arity()
 		}
+		added := 0
 		for _, row := range r.Rows {
 			fresh, err := seen.add(row)
 			if err != nil {
 				return nil, err
 			}
 			if fresh {
-				next.Rows = append(next.Rows, row)
+				total.Rows = append(total.Rows, row)
 				added++
 			}
 		}
-		total = next
 		db.recordFixRound(iters, added, len(total.Rows))
 		if added == 0 {
 			return total, nil
@@ -115,19 +116,34 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 	total := &Relation{}
 	seen := db.newMemSet("fixpoint seen-set")
 	defer seen.close()
-	add := func(rows [][]value.Value) (*Relation, error) {
-		delta := &Relation{Width: total.Width}
+	// The round state lives as long as the FIX, so that a round allocates
+	// only the rows it adds (docs/PERF.md, "Rounds that allocate only their
+	// rows"): the members' results, the round's new rows and the delta are
+	// buffers refilled every round. The delta is double-buffered: add fills
+	// the buffer the bound delta is not, so round k+1 reads round k's delta
+	// and refills round k-1's, which nothing reads any more — a member that
+	// returns the delta itself (a bare REL of the name) has been copied into
+	// newRows by then.
+	var deltas [2]Relation
+	delta := &deltas[0]
+	add := func(rows [][]value.Value) error {
+		next := &deltas[0]
+		if next == delta {
+			next = &deltas[1]
+		}
+		next.Rows, next.Width = next.Rows[:0], total.Width
 		for _, row := range rows {
 			fresh, err := seen.add(row)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if fresh {
 				total.Rows = append(total.Rows, row)
-				delta.Rows = append(delta.Rows, row)
+				next.Rows = append(next.Rows, row)
 			}
 		}
-		return delta, nil
+		delta = next
+		return nil
 	}
 
 	// The per-round body of each recursive member is loop-invariant: one
@@ -147,19 +163,18 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 	if err := db.checkCtx(); err != nil {
 		return nil, err
 	}
-	baseRels, err := db.evalMembers(base, e)
-	if err != nil {
+	baseRels := make([]*Relation, len(base))
+	if err := db.evalMembers(base, e, baseRels); err != nil {
 		return nil, err
 	}
-	var firstRows [][]value.Value
+	var newRows [][]value.Value
 	for _, r := range baseRels {
 		if total.Width == 0 {
 			total.Width = r.Arity()
 		}
-		firstRows = append(firstRows, r.Rows...)
+		newRows = append(newRows, r.Rows...)
 	}
-	delta, err := add(firstRows)
-	if err != nil {
+	if err := add(newRows); err != nil {
 		return nil, err
 	}
 	db.recordFixRound(1, len(delta.Rows), len(total.Rows))
@@ -168,6 +183,7 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 	// in place.
 	inner := e.clone()
 	inner[name] = total
+	recRels := make([]*Relation, len(variants))
 	cap := db.fixIterCap()
 	for iters := 1; len(delta.Rows) > 0; iters++ {
 		db.Count.FixIterations++
@@ -180,16 +196,14 @@ func (db *DB) fixSemiNaive(name string, body *term.Term, e env) (*Relation, erro
 			return nil, fmt.Errorf("engine: semi-naive fixpoint %s still growing after %d iterations (cap %d)", name, iters, cap)
 		}
 		inner[deltaName] = delta
-		recRels, err := db.evalMembers(variants, inner)
-		if err != nil {
+		if err := db.evalMembers(variants, inner, recRels); err != nil {
 			return nil, err
 		}
-		var newRows [][]value.Value
+		newRows = newRows[:0]
 		for _, r := range recRels {
 			newRows = append(newRows, r.Rows...)
 		}
-		delta, err = add(newRows)
-		if err != nil {
+		if err := add(newRows); err != nil {
 			return nil, err
 		}
 		db.recordFixRound(iters+1, len(delta.Rows), len(total.Rows))

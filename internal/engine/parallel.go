@@ -187,19 +187,27 @@ func (db *DB) runTasks(n int, task func(w *DB, i int) error) error {
 	return first
 }
 
-// evalMembers evaluates n independent member terms and returns their
-// results in member order, fanning out to the worker pool when available.
-func (db *DB) evalMembers(members []*term.Term, e env) ([]*Relation, error) {
-	out := make([]*Relation, len(members))
-	err := db.runTasks(len(members), func(w *DB, i int) error {
+// evalMembers evaluates independent member terms into out, which the
+// caller owns and sizes to len(members), in member order, fanning out to
+// the worker pool when available. The serial path is runTasks' own loop
+// written out, so that a fixpoint round — which evaluates its members into
+// the same slice every round — allocates no task closure.
+func (db *DB) evalMembers(members []*term.Term, e env, out []*Relation) error {
+	if !db.canParallel(len(members)) {
+		for i, m := range members {
+			r, err := db.eval(m, e)
+			if err != nil {
+				return err
+			}
+			out[i] = r
+		}
+		return nil
+	}
+	return db.runTasks(len(members), func(w *DB, i int) error {
 		r, err := w.eval(members[i], e)
 		out[i] = r
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // chunkRanges splits n items into at most p near-equal contiguous

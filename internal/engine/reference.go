@@ -158,7 +158,7 @@ rowLoop:
 // otherwise — applies each conjunct as soon as its relations are joined,
 // then projects.
 func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
-	rels, short, err := db.searchInputs(t, e)
+	rels, short, err := db.searchInputs(t, e, nil)
 	if err != nil || short != nil {
 		return short, err
 	}
