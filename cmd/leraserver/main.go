@@ -1,6 +1,5 @@
 // Command leraserver serves the LERA pipeline to network clients: an
-// HTTP/JSON API and a newline-delimited line protocol multiplexed on one
-// listener, multi-tenant guard budgets, admission control with typed
+// HTTP/JSON API, multi-tenant guard budgets, admission control with typed
 // shedding, graceful drain on SIGTERM/SIGINT, and an optional
 // deterministic chaos mode for robustness testing. See docs/SERVER.md.
 //
@@ -10,8 +9,7 @@
 //
 // Endpoints: POST/GET /query, GET /metrics (Prometheus text), GET
 // /healthz (503 while draining), GET /debug/slowlog (the slow-query
-// capture ring; docs/OBSERVABILITY.md). The line protocol speaks
-// lowercase verbs: tenant, query, ping, quit. With -pprof-addr a
+// capture ring; docs/OBSERVABILITY.md). With -pprof-addr a
 // net/http/pprof server runs on a separate listener (off by default —
 // profiling endpoints never share the query port).
 package main
@@ -62,7 +60,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:7457", "listen address for both protocols")
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:7457", "HTTP listen address")
 	flag.BoolVar(&o.films, "films", false, "load the paper's Figure 2-5 example database")
 	flag.StringVar(&o.initFile, "init", "", "ESQL file executed at boot (DDL, views, INSERTs)")
 	flag.StringVar(&o.rulesFile, "rules", "", "extra rule-language source merged into the rule base")
@@ -198,6 +196,6 @@ func run(o options) error {
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "leraserver: listening on %s (HTTP + line protocol)\n", o.addr)
+	fmt.Fprintf(os.Stderr, "leraserver: listening on %s (HTTP)\n", o.addr)
 	return srv.ListenAndServe(o.addr)
 }

@@ -22,12 +22,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -230,30 +227,39 @@ func run(url string, n, c int, tenant, queryList string, withBad bool, retries i
 	return nil
 }
 
-// audit scrapes /metrics, checks the exposition parses, and balances the
-// server's request ledger. With assertCache it also balances the plan
-// cache's ledger — every query that reached the rewrite phase is exactly
-// one hit or one miss — and enforces the minimum hit rate (the CI gate
-// for repeated-shape workloads; needs a workload with no translate
+// ledger is what audit reads of the JSON exposition: a counter is a
+// number; a labeled counter maps each series to its value
+// (obs.Registry.WriteJSON).
+type ledger struct {
+	Requests map[string]int64 `json:"lera_server_requests_total"`
+	OK       int64            `json:"lera_server_queries_ok_total"`
+	Errors   int64            `json:"lera_server_query_errors_total"`
+	Hits     int64            `json:"lera_plancache_hits_total"`
+	Misses   int64            `json:"lera_plancache_misses_total"`
+	Queries  int64            `json:"lera_queries_total"`
+}
+
+// audit scrapes /metrics?format=json, the registry's JSON exposition, and
+// balances the server's request ledger. With assertCache it also balances
+// the plan cache's ledger — every query that reached the rewrite phase is
+// exactly one hit or one miss — and enforces the minimum hit rate (the CI
+// gate for repeated-shape workloads; needs a workload with no translate
 // failures, which never reach the cache).
 func audit(url string, rep *report, assertCache bool, minHitRate float64) error {
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/metrics?format=json")
 	if err != nil {
 		return fmt.Errorf("metrics scrape: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
-	}
-	vals, err := parseMetrics(string(data))
-	if err != nil {
+	var vals ledger
+	if err := json.NewDecoder(resp.Body).Decode(&vals); err != nil {
 		return fmt.Errorf("metrics scrape: %w", err)
 	}
 	rep.ScrapeOK = true
-	rep.ServerSeen = counterVal(vals, "lera_server_requests_total")
-	answered := counterVal(vals, "lera_server_queries_ok_total") + counterVal(vals, "lera_server_query_errors_total")
-	if answered != rep.ServerSeen {
+	for _, n := range vals.Requests {
+		rep.ServerSeen += n
+	}
+	if answered := vals.OK + vals.Errors; answered != rep.ServerSeen {
 		return fmt.Errorf("server ledger unbalanced: %d requests, %d answered (dropped-but-unreported)",
 			rep.ServerSeen, answered)
 	}
@@ -261,105 +267,23 @@ func audit(url string, rep *report, assertCache bool, minHitRate float64) error 
 		fmt.Fprintln(os.Stderr, "loadgen: warning: no OK responses at all")
 	}
 
-	rep.CacheHits = counterVal(vals, "lera_plancache_hits_total")
-	rep.CacheMisses = counterVal(vals, "lera_plancache_misses_total")
+	rep.CacheHits, rep.CacheMisses = vals.Hits, vals.Misses
 	if total := rep.CacheHits + rep.CacheMisses; total > 0 {
 		rep.CacheHitRate = float64(rep.CacheHits) / float64(total)
 	}
 	if assertCache {
-		queries := counterVal(vals, "lera_queries_total")
 		if rep.CacheHits+rep.CacheMisses == 0 {
 			return fmt.Errorf("plan-cache audit: no hits or misses recorded (is the server running with -plancache?)")
 		}
-		if rep.CacheHits+rep.CacheMisses != queries {
+		if rep.CacheHits+rep.CacheMisses != vals.Queries {
 			return fmt.Errorf("plan-cache ledger unbalanced: %d hits + %d misses != %d queries",
-				rep.CacheHits, rep.CacheMisses, queries)
+				rep.CacheHits, rep.CacheMisses, vals.Queries)
 		}
 		if rep.CacheHitRate < minHitRate {
 			return fmt.Errorf("plan-cache hit rate %.3f below required %.3f", rep.CacheHitRate, minHitRate)
 		}
 	}
 	return nil
-}
-
-// parseMetrics sums a Prometheus text exposition into base metric names:
-// every series of name{k="v",...} accumulates into vals[name], so
-// vals["lera_server_requests_total"] is the total over the {tenant,code}
-// breakdown — the same ledger as before labels existed. Label values are
-// scanned as the quoted strings they are (escapes honoured), so values
-// containing '}', '{', spaces or escaped quotes cannot derail the line
-// split; accumulation stays float64 — integer comparisons round at the
-// comparison site (counterVal), never per series.
-func parseMetrics(data string) (map[string]float64, error) {
-	vals := map[string]float64{}
-	for _, line := range strings.Split(data, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, rest, err := splitSeries(line)
-		if err != nil {
-			return nil, err
-		}
-		// rest is "value" or "value timestamp"; only the value matters.
-		if f := strings.Fields(rest); len(f) > 0 {
-			rest = f[0]
-		}
-		v, err := strconv.ParseFloat(rest, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value in %q", line)
-		}
-		vals[name] += v
-	}
-	return vals, nil
-}
-
-// splitSeries splits one exposition line into its base metric name and
-// the text after the series (value and optional timestamp), scanning the
-// label block with quote and backslash awareness.
-func splitSeries(line string) (name, rest string, _ error) {
-	i := 0
-	for i < len(line) && line[i] != '{' && line[i] != ' ' {
-		i++
-	}
-	if i == 0 || i == len(line) {
-		return "", "", fmt.Errorf("unparseable line %q", line)
-	}
-	name = line[:i]
-	if line[i] == '{' {
-		inQuote, escaped, closed := false, false, false
-		for i++; i < len(line); i++ {
-			c := line[i]
-			switch {
-			case escaped:
-				escaped = false
-			case c == '\\':
-				escaped = true
-			case c == '"':
-				inQuote = !inQuote
-			case c == '}' && !inQuote:
-				closed = true
-			}
-			if closed {
-				i++
-				break
-			}
-		}
-		if !closed {
-			return "", "", fmt.Errorf("unterminated label block in %q", line)
-		}
-	}
-	rest = strings.TrimSpace(line[i:])
-	if rest == "" {
-		return "", "", fmt.Errorf("series without value in %q", line)
-	}
-	return name, rest, nil
-}
-
-// counterVal reads a summed counter as an integer, rounding once at the
-// comparison boundary (summing first keeps fractional series — float
-// counters, partial increments — from truncating to zero one by one).
-func counterVal(vals map[string]float64, name string) int64 {
-	return int64(math.Round(vals[name]))
 }
 
 // quantile reads the q-quantile from sorted data (nearest-rank).

@@ -11,7 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"strings"
+	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
@@ -72,10 +73,10 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		// A TCP dial may still connect before the OS reaps the socket,
 		// but no request may be answered on it.
-		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-		fmt.Fprintln(conn, "ping")
-		if resp, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
-			t.Fatalf("drained listener answered %q", strings.TrimSpace(resp))
+		_ = conn.SetDeadline(time.Now().Add(time.Second))
+		fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: lera\r\n\r\n")
+		if resp, err := http.ReadResponse(bufio.NewReader(conn), nil); err == nil {
+			t.Fatalf("drained listener answered %s", resp.Status)
 		}
 		conn.Close()
 	}
@@ -126,22 +127,33 @@ func TestDrainCancelsAtDeadline(t *testing.T) {
 	}
 }
 
-// TestDrainRefusesNewWork: a connection opened before drain still gets
-// typed DRAINING answers for queries sent while the server drains.
+// TestDrainRefusesNewWork: a keep-alive connection opened before drain
+// still gets typed DRAINING answers for queries sent while the server
+// drains. Both requests are written by hand on one raw connection, so
+// the second provably reuses it.
 func TestDrainRefusesNewWork(t *testing.T) {
 	srv, addr, done := drainServer(t, Config{DrainTimeout: 5 * time.Second, Injector: guard.NewInjector()})
 	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 100 * time.Millisecond})
 
-	// Pre-drain line connection.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	fmt.Fprintln(conn, "ping")
-	if resp, _ := br.ReadString('\n'); strings.TrimSpace(resp) != "pong" {
-		t.Fatalf("pre-drain ping failed: %q", resp)
+	target := "/query?" + url.Values{"q": {filmQuery}}.Encode()
+	query := func() (int, Response) {
+		t.Helper()
+		hresp := rawRequest(t, conn, br, target)
+		defer hresp.Body.Close()
+		var resp Response
+		if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return hresp.StatusCode, resp
+	}
+	if st, resp := query(); st != http.StatusOK || resp.Code != string(guard.CodeOK) {
+		t.Fatalf("pre-drain query: %d %s", st, resp.Code)
 	}
 
 	// Hold a slot so drain stays in its waiting phase.
@@ -160,17 +172,8 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return srv.gate.Draining() }, "gate never started draining")
 
-	fmt.Fprintln(conn, "query "+filmQuery)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("draining server must answer, not drop: %v", err)
-	}
-	var resp Response
-	if err := json.Unmarshal([]byte(line), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != string(guard.CodeDraining) {
-		t.Fatalf("query during drain: code=%s, want DRAINING", resp.Code)
+	if st, resp := query(); st != http.StatusServiceUnavailable || resp.Code != string(guard.CodeDraining) {
+		t.Fatalf("query during drain: %d %s, want 503 DRAINING", st, resp.Code)
 	}
 
 	if out := <-slow; out.Code != guard.CodeOK {

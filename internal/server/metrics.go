@@ -33,12 +33,12 @@ type metrics struct {
 
 	inFlight    *obs.Gauge // queries currently executing
 	queued      *obs.Gauge // queries waiting for an execution slot
-	connections *obs.Gauge // open client connections (both protocols)
+	connections *obs.Gauge // open HTTP connections, kept by http.Server's ConnState hook
 	sessions    *obs.Gauge // pooled sessions (constant after boot)
 	drainState  *obs.Gauge // 0 serving, 1 draining
 
 	latency *obs.HistogramVec // request wall-clock seconds by tenant
-	encode  *obs.Histogram    // response rendering seconds, both protocols
+	encode  *obs.Histogram    // response rendering seconds
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -58,7 +58,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		sessions:    reg.Gauge("lera_server_sessions", "pooled sessions"),
 		drainState:  reg.Gauge("lera_server_draining", "1 while the server is draining"),
 		latency:     reg.HistogramVec("lera_server_request_seconds", "request wall-clock latency in seconds, by tenant", nil, "tenant"),
-		encode:      reg.Histogram("lera_server_encode_seconds", "seconds spent rendering a response's JSON, both protocols", nil),
+		encode:      reg.Histogram("lera_server_encode_seconds", "seconds spent rendering a response's JSON", nil),
 	}
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// Response rendering. Both protocols answer with the bytes
+// Response rendering. Every query is answered with the bytes
 // encoding/json's Encoder.Encode would write for a Response, trailing
 // newline included, but the writer here renders them straight from the
 // result's rows: each cell goes through value.Value.AppendText into one
@@ -17,8 +17,8 @@ import (
 	"lera/internal/value"
 )
 
-// maxRequestBytes bounds one request: a line-protocol line or an HTTP
-// request body. A larger request is answered PARSE, naming the limit.
+// maxRequestBytes bounds one POST /query body. A larger body is answered
+// PARSE, naming the limit.
 const maxRequestBytes = 1 << 20
 
 // maxPooledEncoder is the largest buffer an encoder keeps between

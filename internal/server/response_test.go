@@ -2,24 +2,20 @@ package server
 
 // The response writer: its bytes against encoding/json's, its allocations
 // against the answer's size, the lifetime of the rows it reads, the
-// request-size limits, and the two protocols answering byte for byte the
-// same.
+// request-size limit, and GET and POST answering byte for byte the same.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/url"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"lera/internal/engine"
 	"lera/internal/guard"
@@ -121,38 +117,6 @@ func TestRenderedRowsOutliveSession(t *testing.T) {
 	}
 }
 
-// TestOversizedLineRequest: a line-protocol request past the size limit
-// gets one typed PARSE line naming the limit, then the connection closes.
-func TestOversizedLineRequest(t *testing.T) {
-	_, base := startServer(t, Config{})
-	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	go func() {
-		// The server answers before reading the whole line; the write
-		// outcome is not the test's concern.
-		_, _ = io.WriteString(conn, "query "+strings.Repeat("x", maxRequestBytes)+"\n")
-	}()
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("no answer to an oversized line: %v", err)
-	}
-	var resp Response
-	if err := json.Unmarshal([]byte(line), &resp); err != nil {
-		t.Fatalf("answer %q: %v", line, err)
-	}
-	if resp.Code != string(guard.CodeParse) || !strings.Contains(resp.Error, fmt.Sprint(maxRequestBytes)) {
-		t.Fatalf("oversized line answered %s %q, want PARSE naming the %d-byte limit", resp.Code, resp.Error, maxRequestBytes)
-	}
-	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
-		t.Fatalf("after the answer: %q, %v; want the connection closed", rest, err)
-	}
-}
-
 // TestOversizedHTTPBody: a POST body past the size limit is answered
 // PARSE (400) naming the limit, not as a truncated JSON document.
 func TestOversizedHTTPBody(t *testing.T) {
@@ -174,28 +138,23 @@ func TestOversizedHTTPBody(t *testing.T) {
 	}
 }
 
-// TestProtocolParity: one query over HTTP and over the line protocol
-// answers the same bytes, the elapsed time aside: for answers with rows,
-// for a budget failure and for a parse failure. Each rendering, on either
-// protocol, is timed into lera_server_encode_seconds.
+// TestProtocolParity: one query as GET /query?q= and as POST /query
+// answers the same status and bytes, the elapsed time aside: for answers
+// with rows, for a budget failure and for a parse failure. Each rendering,
+// GET or POST, is timed into lera_server_encode_seconds.
 func TestProtocolParity(t *testing.T) {
 	srv, base := startServer(t, Config{Tenants: Tenants{"free": {MaxRows: 1000}, "tiny": {MaxRows: 1}}})
-	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	line := func(req string) []byte {
+	read := func(hresp *http.Response, err error) (int, []byte) {
 		t.Helper()
-		if _, err := fmt.Fprintln(conn, req); err != nil {
-			t.Fatal(err)
-		}
-		b, err := br.ReadBytes('\n')
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		defer hresp.Body.Close()
+		b, err := io.ReadAll(hresp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hresp.StatusCode, b
 	}
 	elapsed := regexp.MustCompile(`"elapsedNs":[0-9]+`)
 	mask := func(b []byte) string { return elapsed.ReplaceAllString(string(b), `"elapsedNs":N`) }
@@ -207,27 +166,17 @@ func TestProtocolParity(t *testing.T) {
 		{"free", "nonsense !!"},
 	}
 	for _, c := range cases {
-		hresp, err := http.Get(base + "/query?" + url.Values{"tenant": {c.tenant}, "q": {c.query}}.Encode())
-		if err != nil {
-			t.Fatal(err)
+		getStatus, overGET := read(http.Get(base + "/query?" + url.Values{"tenant": {c.tenant}, "q": {c.query}}.Encode()))
+		body, _ := json.Marshal(map[string]string{"tenant": c.tenant, "query": c.query})
+		postStatus, overPOST := read(http.Post(base+"/query", "application/json", bytes.NewReader(body)))
+		if getStatus != postStatus || mask(overGET) != mask(overPOST) {
+			t.Errorf("%s / %q: GET and POST differ:\nGET  %d %s\nPOST %d %s", c.tenant, c.query, getStatus, overGET, postStatus, overPOST)
 		}
-		overHTTP, err := io.ReadAll(hresp.Body)
-		hresp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := line("tenant " + c.tenant); !bytes.HasPrefix(got, []byte("ok ")) {
-			t.Fatalf("tenant: %q", got)
-		}
-		overLine := line("query " + c.query)
-		if mask(overHTTP) != mask(overLine) {
-			t.Errorf("%s / %q: protocols differ:\nHTTP %s\nline %s", c.tenant, c.query, overHTTP, overLine)
-		}
-		if !elapsed.Match(overHTTP) {
-			t.Errorf("%q: no elapsedNs in %s", c.query, overHTTP)
+		if !elapsed.Match(overGET) {
+			t.Errorf("%q: no elapsedNs in %s", c.query, overGET)
 		}
 	}
-	// Every response either protocol rendered was timed.
+	// Every response, GET or POST, was timed.
 	if n, want := srv.m.encode.Count(), uint64(2*len(cases)); n != want {
 		t.Errorf("lera_server_encode_seconds count = %d, want %d", n, want)
 	}

@@ -1,8 +1,8 @@
 // Package server is the multi-tenant network front end over the LERA
-// pipeline: an HTTP/JSON API and a newline-delimited line protocol on
-// one listener, a bounded pool of forked core.Sessions over a shared
-// immutable catalog + rule base + data snapshot, per-tenant guard
-// budgets, admission control with typed shedding (guard.Gate), graceful
+// pipeline: an HTTP/JSON API served by net/http, a bounded pool of
+// forked core.Sessions over a shared immutable catalog + rule base +
+// data snapshot, per-tenant guard budgets, admission control with
+// typed shedding (guard.Gate), graceful
 // drain, per-request panic isolation, and a deterministic chaos mode
 // (guard.Injector) so every overload and fault path is testable rather
 // than asserted. See docs/SERVER.md.
@@ -16,7 +16,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -120,8 +119,8 @@ type Config struct {
 // DefaultSlowLogSize is the slow-query ring capacity unless configured.
 const DefaultSlowLogSize = 64
 
-// Response is the JSON answer to one query, and the single vocabulary
-// both protocols speak: Code is always set; OK responses carry columns
+// Response is the JSON answer to one query, whether it came as POST or
+// GET: Code is always set; OK responses carry columns
 // and rows (plus the degradation record when the rewriter fell back);
 // every failure carries the typed code and message. Rows are rendered
 // values (value.Value.String), bit-identical to what FormatResult prints
@@ -178,12 +177,10 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	httpLn  *chanListener
 	httpSrv *http.Server
 
 	mu        sync.Mutex
 	ln        net.Listener
-	conns     map[net.Conn]struct{}
 	draining  bool
 	drained   chan struct{}
 	drainErr  error
@@ -275,7 +272,6 @@ func New(cfg Config) (*Server, error) {
 		base:     base,
 		pool:     make(chan *core.Session, cfg.MaxInFlight),
 		encoders: make(chan *encoder, cfg.MaxInFlight),
-		conns:    map[net.Conn]struct{}{},
 		drained:  make(chan struct{}),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
@@ -304,6 +300,19 @@ func New(cfg Config) (*Server, error) {
 	s.httpSrv = &http.Server{
 		Handler:     mux,
 		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
+		// A connection that sends no request header within this bound is
+		// closed, so an idle dialer cannot hold a connection open forever.
+		ReadHeaderTimeout: 30 * time.Second,
+		// net/http reports every connection New exactly once and then
+		// Closed or Hijacked exactly once, so the gauge counts open ones.
+		ConnState: func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				s.m.connections.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				s.m.connections.Add(-1)
+			}
+		},
 	}
 	return s, nil
 }
@@ -326,36 +335,23 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve accepts connections on ln, sniffing each connection's first byte
-// to route it: HTTP methods are uppercase ASCII, line-protocol verbs are
-// lowercase, so one port serves both. Serve blocks until Drain finishes
-// (returning the drain result) or the listener fails.
+// Serve serves HTTP on ln. It blocks until Drain finishes, returning the
+// drain result, or until the listener fails, returning that error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-
-	s.httpLn = newChanListener(ln.Addr())
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- s.httpSrv.Serve(s.httpLn) }()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				<-s.drained
-				<-httpDone // http.Server exits once its chan listener closes
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return s.drainErr
-			}
-			return err
-		}
-		go s.dispatch(conn)
+	err := s.httpSrv.Serve(ln)
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if !draining {
+		return err
 	}
+	<-s.drained
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.drainErr
 }
 
 // Addr returns the bound listener address (nil before Serve).
@@ -368,46 +364,9 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// dispatch sniffs one connection and hands it to the right protocol.
-func (s *Server) dispatch(conn net.Conn) {
-	s.trackConn(conn, true)
-	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	first, err := br.Peek(1)
-	_ = conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		s.trackConn(conn, false)
-		_ = conn.Close()
-		return
-	}
-	pc := &peekedConn{Conn: conn, r: br}
-	if first[0] >= 'A' && first[0] <= 'Z' {
-		// HTTP request line ("GET ", "POST ", ...): the HTTP server owns
-		// the connection from here; its lifecycle untracks it.
-		s.httpLn.deliver(pc, func() { s.trackConn(conn, false) })
-		return
-	}
-	defer s.trackConn(conn, false)
-	s.serveLine(pc, br)
-}
-
-// trackConn maintains the connection set (for drain-time close) and the
-// connections gauge.
-func (s *Server) trackConn(c net.Conn, add bool) {
-	s.mu.Lock()
-	if add {
-		s.conns[c] = struct{}{}
-	} else {
-		delete(s.conns, c)
-	}
-	n := len(s.conns)
-	s.mu.Unlock()
-	s.m.connections.Set(int64(n))
-}
-
-// handleQuery is the one request path both protocols share: chaos hook,
-// admission, session checkout, guarded execution, typed response. It
-// never panics — a panic anywhere inside is isolated per request,
+// handleQuery is the request path behind POST and GET /query: chaos
+// hook, admission, session checkout, guarded execution, typed response.
+// It never panics — a panic anywhere inside is isolated per request,
 // counted, and answered as INTERNAL.
 func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Response) {
 	t0 := time.Now()
@@ -639,7 +598,9 @@ func (s *Server) drain(ctx context.Context) {
 	s.mu.Unlock()
 	s.m.drainState.Set(1)
 	if ln != nil {
-		_ = ln.Close() // stop accepting; Serve's accept loop sees draining
+		// Stop accepting, but leave open connections to http.Server until
+		// Shutdown below: a keep-alive client still gets DRAINING answers.
+		_ = ln.Close()
 	}
 
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
@@ -660,20 +621,12 @@ func (s *Server) drain(ctx context.Context) {
 	}
 	s.cancel() // idle pool sessions need no context beyond this point
 
-	// Close the HTTP side and any line connections still open.
+	// Close idle connections, give busy ones a second to finish writing
+	// their answers, then close whatever is still open.
 	sctx, scancel := context.WithTimeout(context.Background(), time.Second)
 	_ = s.httpSrv.Shutdown(sctx)
 	scancel()
-	if s.httpLn != nil {
-		_ = s.httpLn.Close()
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.conns = map[net.Conn]struct{}{}
-	s.mu.Unlock()
-	s.m.connections.Set(0)
+	_ = s.httpSrv.Close()
 	s.m.drainState.Set(0)
 
 	// Flush and close the query log first so its final accounting lands
@@ -703,67 +656,3 @@ func (s *Server) logf(format string, args ...any) {
 		fmt.Fprintf(s.cfg.ErrorLog, "leraserver: "+format+"\n", args...)
 	}
 }
-
-// --- listener plumbing -------------------------------------------------
-
-// peekedConn is a net.Conn whose first bytes were consumed into a
-// bufio.Reader by protocol sniffing; reads drain the buffer first.
-type peekedConn struct {
-	net.Conn
-	r         *bufio.Reader
-	onClose   func()
-	closeOnce sync.Once
-}
-
-func (c *peekedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-func (c *peekedConn) Close() error {
-	err := c.Conn.Close()
-	c.closeOnce.Do(func() {
-		if c.onClose != nil {
-			c.onClose()
-		}
-	})
-	return err
-}
-
-// chanListener adapts sniffed connections into a net.Listener for
-// http.Server.
-type chanListener struct {
-	ch   chan net.Conn
-	addr net.Addr
-	done chan struct{}
-	once sync.Once
-}
-
-func newChanListener(addr net.Addr) *chanListener {
-	return &chanListener{ch: make(chan net.Conn), addr: addr, done: make(chan struct{})}
-}
-
-// deliver hands a sniffed connection to the HTTP server; onClose fires
-// when the HTTP side closes it (or immediately when the listener is
-// already closed).
-func (l *chanListener) deliver(c *peekedConn, onClose func()) {
-	c.onClose = onClose
-	select {
-	case l.ch <- c:
-	case <-l.done:
-		_ = c.Close()
-	}
-}
-
-func (l *chanListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *chanListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *chanListener) Addr() net.Addr { return l.addr }

@@ -1,11 +1,13 @@
 package server
 
 // Server behavior under normal load: bit-identity with the embedded
-// session, both protocols on one listener, typed shedding, per-tenant
-// budgets, typed parse errors, and a clean /metrics scrape.
+// session, HTTP as the one protocol, the connections gauge, typed
+// shedding, per-tenant budgets, typed parse errors, and a clean /metrics
+// scrape.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +16,8 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"strings"
 	"testing"
@@ -161,57 +165,72 @@ INSERT INTO FILM VALUES`)
 	return srv
 }
 
-// TestServerLineProtocol: the lowercase line protocol shares the listener
-// with HTTP and answers the same JSON Response per query.
-func TestServerLineProtocol(t *testing.T) {
-	srv, base := startServer(t, Config{
-		Tenants: Tenants{"free": {MaxRows: 1000}},
-	})
-	_ = srv
+// rawRequest writes one HTTP/1.1 request by hand on conn, keeping the
+// connection alive, and reads the response.
+func rawRequest(t *testing.T, conn net.Conn, br *bufio.Reader, target string) *http.Response {
+	t.Helper()
+	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: lera\r\n\r\n", target); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("GET %s: %v", target, err)
+	}
+	return resp
+}
 
+// TestNonHTTPBytesGetBadRequest: the server speaks HTTP only. What used
+// to be a line-protocol verb is a malformed request line, answered with
+// net/http's 400 and never with "pong".
+func TestNonHTTPBytesGetBadRequest(t *testing.T) {
+	_, base := startServer(t, Config{})
 	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	send := func(line string) string {
-		t.Helper()
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := br.ReadString('\n')
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.WriteString(conn, "ping\n"); err != nil {
+		t.Fatal(err)
+	}
+	answer, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading the answer: %v", err)
+	}
+	if !strings.HasPrefix(string(answer), "HTTP/1.1 400 ") || strings.Contains(string(answer), "pong") {
+		t.Fatalf("ping answered %q, want net/http's 400", answer)
+	}
+}
+
+// TestConnectionsGauge: lera_server_connections counts open connections.
+// k connections that each completed a keep-alive request read k; once the
+// clients close them, it reads 0 — however their close notifications
+// interleave.
+func TestConnectionsGauge(t *testing.T) {
+	srv, base := startServer(t, Config{})
+	gauge := srv.Metrics().Gauge("lera_server_connections", "")
+	const k = 16
+	conns := make([]net.Conn, k)
+	for i := range conns {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return strings.TrimSpace(resp)
+		defer conn.Close()
+		resp := rawRequest(t, conn, bufio.NewReader(conn), "/healthz")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz on connection %d: %d", i, resp.StatusCode)
+		}
+		conns[i] = conn
 	}
-
-	if got := send("ping"); got != "pong" {
-		t.Fatalf("ping = %q", got)
+	if n := gauge.Value(); n != k {
+		t.Fatalf("with %d connections open the gauge reads %d", k, n)
 	}
-	if got := send("tenant free"); got != "ok free" {
-		t.Fatalf("tenant = %q", got)
+	for _, conn := range conns {
+		go conn.Close()
 	}
-	var resp Response
-	if err := json.Unmarshal([]byte(send("query "+filmQuery)), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != string(guard.CodeOK) || resp.RowsN == 0 {
-		t.Fatalf("line query: %+v", resp)
-	}
-	if resp.Tenant != "free" {
-		t.Fatalf("tenant echoed %q, want free", resp.Tenant)
-	}
-	if err := json.Unmarshal([]byte(send("q nonsense !!")), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != string(guard.CodeParse) {
-		t.Fatalf("bad query code = %s", resp.Code)
-	}
-	if got := send("quit"); got != "bye" {
-		t.Fatalf("quit = %q", got)
-	}
+	waitFor(t, func() bool { return gauge.Value() == 0 }, "the gauge never returned to 0 after every connection closed")
 }
 
 // TestServerShedsWhenOverloaded: with one execution slot and no queue, a
@@ -390,6 +409,50 @@ func TestServerHTTPStatuses(t *testing.T) {
 	if st, r := post("tiny", filmQuery); st != http.StatusUnprocessableEntity || r.Code != "ROW_BUDGET" {
 		t.Errorf("row budget: %d %s", st, r.Code)
 	}
+}
+
+// FuzzHTTPQuery: whatever bytes arrive as a POST /query body or as the q
+// of GET /query, the server's own mux answers with a Response that
+// decodes, carries a code of the guard vocabulary, and has that code's
+// HTTP status; and no request panics, not even into the per-request
+// recover. The tenant's short timeout bounds what a generated recursive
+// query can cost. Seeds in testdata/fuzz/FuzzHTTPQuery.
+func FuzzHTTPQuery(f *testing.F) {
+	srv, err := New(Config{LoadFilms: true, MaxInFlight: 1, Parallelism: 1,
+		Tenants: Tenants{DefaultTenant: {TimeoutMs: 50}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	codes := map[string]bool{}
+	for _, c := range []guard.Code{guard.CodeOK, guard.CodeDeadline, guard.CodeStepBudget, guard.CodeTermSize,
+		guard.CodeRowBudget, guard.CodeMemBudget, guard.CodeCanceled, guard.CodeExternalPanic,
+		guard.CodeExternalError, guard.CodeInjected, guard.CodeOverloaded, guard.CodeDraining,
+		guard.CodeParse, guard.CodeInternal} {
+		codes[string(c)] = true
+	}
+	mux := srv.httpSrv.Handler
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(data)),
+			httptest.NewRequest(http.MethodGet, "/query?"+url.Values{"q": {string(data)}}.Encode(), nil),
+		} {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			var resp Response
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s: answer %.200q does not decode: %v", req.Method, rec.Body.Bytes(), err)
+			}
+			if !codes[resp.Code] {
+				t.Fatalf("%s: code %q is not in the guard vocabulary", req.Method, resp.Code)
+			}
+			if want := httpStatus(guard.Code(resp.Code)); rec.Code != want {
+				t.Fatalf("%s: %s answered with status %d, want %d", req.Method, resp.Code, rec.Code, want)
+			}
+		}
+		if n := srv.m.panics.Value(); n != 0 {
+			t.Fatalf("%d panics isolated", n)
+		}
+	})
 }
 
 // TestServerExecutionErrorIsNotParse: PARSE (HTTP 400) says the request
