@@ -306,6 +306,14 @@ func run(s *lera.Session, showPlan bool, src string) {
 				code, st.DegradationReason, r.Budget)
 		}
 		if r.Kind == lera.ResultRows && r.Report != nil && r.Report.Trace != nil {
+			// The operators are the execution tree; the span tree stops at
+			// the execute span, as in EXPLAIN ANALYZE.
+			if ex := r.Report.Exec; ex != nil {
+				fmt.Print("execution:\n")
+				for _, c := range ex.Children {
+					fmt.Print(c.Format(true))
+				}
+			}
 			fmt.Print("trace:\n", lera.FormatTrace(r.Report.Trace, true))
 		}
 		fmt.Println(lera.FormatResult(r))

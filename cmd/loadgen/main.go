@@ -1,7 +1,7 @@
 // Command loadgen drives a leraserver with a concurrent mixed workload
 // and audits the robustness contract from the client side: every request
-// must end in exactly one typed outcome, the server-side ledger must
-// account for every request it received, and /metrics must scrape
+// must end in a server answer, the server's request ledger must grow by
+// exactly the answers the clients received, and /metrics must scrape
 // cleanly. It exits non-zero if any request goes unreported or the audit
 // fails, which makes it the CI chaos gate (see docs/SERVER.md).
 //
@@ -43,8 +43,12 @@ var defaultQueries = []string{
 	"SELECT Title, Categories FROM FILM",
 }
 
+// result is one request's client-side outcome. Answered says its last
+// attempt carried a server Response; an outcome without one is a
+// transport error, which server.Client reports as INTERNAL.
 type result struct {
 	Code     string
+	Answered bool
 	Degraded bool
 	Attempts int
 	Total    time.Duration
@@ -67,12 +71,16 @@ type report struct {
 		P99 float64 `json:"p99"`
 		Max float64 `json:"max"`
 	} `json:"latencyMs"`
-	Unreported int   `json:"unreported"`
+	Unreported int `json:"unreported"`
+	// Answers counts the server answers the clients received: every
+	// attempt before an outcome's last (each an OVERLOADED answer that
+	// was retried), plus the last when it carried a Response.
+	Answers    int64 `json:"answersReceived"`
 	ScrapeOK   bool  `json:"metricsScrapeOk"`
-	ServerSeen int64 `json:"serverRequestsTotal"`
+	ServerSeen int64 `json:"serverRequestsTotal"` // the ledger's growth over the run
 
-	// Plan-cache audit (populated from the scrape; meaningful when the
-	// server was started with -plancache).
+	// Plan-cache audit (the run's growth of the scraped counters;
+	// meaningful when the server was started with -plancache).
 	CacheHits    int64   `json:"planCacheHits"`
 	CacheMisses  int64   `json:"planCacheMisses"`
 	CacheHitRate float64 `json:"planCacheHitRate"`
@@ -127,6 +135,10 @@ func run(url string, n, c int, tenant, queryList string, withBad bool, retries i
 		c = 1
 	}
 
+	before, err := scrape(url)
+	if err != nil {
+		return err
+	}
 	results := make([]result, n)
 	var next int
 	var mu sync.Mutex
@@ -151,8 +163,8 @@ func run(url string, n, c int, tenant, queryList string, withBad bool, retries i
 				ctx, cancel := context.WithTimeout(context.Background(), timeout)
 				out := cl.Query(ctx, queries[i%len(queries)])
 				cancel()
-				results[i] = result{Code: string(out.Code), Attempts: out.Attempts, Total: out.Total,
-					Degraded: out.Resp != nil && out.Resp.Degraded}
+				results[i] = result{Code: string(out.Code), Answered: out.Resp != nil, Attempts: out.Attempts,
+					Total: out.Total, Degraded: out.Resp != nil && out.Resp.Degraded}
 			}
 		}(w)
 	}
@@ -164,32 +176,15 @@ func run(url string, n, c int, tenant, queryList string, withBad bool, retries i
 		Throughput: float64(n) / elapsed.Seconds(),
 		ByCode:     map[string]int{},
 	}
-	lats := make([]float64, 0, n)
-	for _, r := range results {
-		if r.Code == "" {
-			rep.Unreported++ // a request with no typed outcome: the gate
-			continue
-		}
-		rep.ByCode[r.Code]++
-		if r.Degraded {
-			rep.Degraded++
-		}
-		if r.Attempts > 1 {
-			rep.Retried++
-		}
-		lats = append(lats, float64(r.Total.Nanoseconds())/1e6)
-	}
-	sort.Float64s(lats)
-	rep.LatencyMs.P50 = quantile(lats, 0.50)
-	rep.LatencyMs.P95 = quantile(lats, 0.95)
-	rep.LatencyMs.P99 = quantile(lats, 0.99)
-	if len(lats) > 0 {
-		rep.LatencyMs.Max = lats[len(lats)-1]
-	}
+	tally(results, &rep)
 
 	// Server-side audit: /metrics must scrape cleanly, and the server's
-	// own ledger must balance — every request it counted was answered.
-	scrapeErr := audit(url, &rep, assertCache, minHitRate)
+	// ledger must have grown by exactly the answers the clients received.
+	after, auditErr := scrape(url)
+	if auditErr == nil {
+		rep.ScrapeOK = true
+		auditErr = audit(&rep, before, after, assertCache, minHitRate)
+	}
 
 	fmt.Printf("loadgen: %d requests, %d workers, %.1fs (%.0f req/s)\n", n, c, elapsed.Seconds(), rep.Throughput)
 	codes := make([]string, 0, len(rep.ByCode))
@@ -218,13 +213,36 @@ func run(url string, n, c int, tenant, queryList string, withBad bool, retries i
 		}
 	}
 
-	if rep.Unreported > 0 {
-		return fmt.Errorf("%d requests got no typed outcome", rep.Unreported)
+	return auditErr
+}
+
+// tally folds the clients' outcomes into the report: codes, latency,
+// retries, the answers received and the outcomes that got none.
+func tally(results []result, rep *report) {
+	lats := make([]float64, 0, len(results))
+	for _, r := range results {
+		rep.Answers += int64(r.Attempts - 1)
+		if !r.Answered {
+			rep.Unreported++ // no server answer, only a transport error: the gate
+			continue
+		}
+		rep.Answers++
+		rep.ByCode[r.Code]++
+		if r.Degraded {
+			rep.Degraded++
+		}
+		if r.Attempts > 1 {
+			rep.Retried++
+		}
+		lats = append(lats, float64(r.Total.Nanoseconds())/1e6)
 	}
-	if scrapeErr != nil {
-		return scrapeErr
+	sort.Float64s(lats)
+	rep.LatencyMs.P50 = quantile(lats, 0.50)
+	rep.LatencyMs.P95 = quantile(lats, 0.95)
+	rep.LatencyMs.P99 = quantile(lats, 0.99)
+	if len(lats) > 0 {
+		rep.LatencyMs.Max = lats[len(lats)-1]
 	}
-	return nil
 }
 
 // ledger is what audit reads of the JSON exposition: a counter is a
@@ -232,42 +250,55 @@ func run(url string, n, c int, tenant, queryList string, withBad bool, retries i
 // (obs.Registry.WriteJSON).
 type ledger struct {
 	Requests map[string]int64 `json:"lera_server_requests_total"`
-	OK       int64            `json:"lera_server_queries_ok_total"`
-	Errors   int64            `json:"lera_server_query_errors_total"`
 	Hits     int64            `json:"lera_plancache_hits_total"`
 	Misses   int64            `json:"lera_plancache_misses_total"`
 	Queries  int64            `json:"lera_queries_total"`
 }
 
-// audit scrapes /metrics?format=json, the registry's JSON exposition, and
-// balances the server's request ledger. With assertCache it also balances
-// the plan cache's ledger — every query that reached the rewrite phase is
-// exactly one hit or one miss — and enforces the minimum hit rate (the CI
-// gate for repeated-shape workloads; needs a workload with no translate
-// failures, which never reach the cache).
-func audit(url string, rep *report, assertCache bool, minHitRate float64) error {
+// requests sums the request ledger over its series.
+func (l ledger) requests() int64 {
+	var n int64
+	for _, v := range l.Requests {
+		n += v
+	}
+	return n
+}
+
+// scrape reads /metrics?format=json, the registry's JSON exposition.
+func scrape(url string) (ledger, error) {
+	var l ledger
 	resp, err := http.Get(url + "/metrics?format=json")
 	if err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
+		return l, fmt.Errorf("metrics scrape: %w", err)
 	}
 	defer resp.Body.Close()
-	var vals ledger
-	if err := json.NewDecoder(resp.Body).Decode(&vals); err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
+		return l, fmt.Errorf("metrics scrape: %w", err)
 	}
-	rep.ScrapeOK = true
-	for _, n := range vals.Requests {
-		rep.ServerSeen += n
+	return l, nil
+}
+
+// audit checks the run against the server's ledgers, scraped before and
+// after it. Every outcome must have carried a server answer, and the
+// request ledger must have grown by exactly the answers the clients
+// received. With assertCache it also balances the plan cache's ledger
+// over the run — every query that reached the rewrite phase is exactly
+// one hit or one miss — and enforces the minimum hit rate (the CI gate
+// for repeated-shape workloads; needs a workload with no translate
+// failures, which never reach the cache).
+func audit(rep *report, before, after ledger, assertCache bool, minHitRate float64) error {
+	if rep.Unreported > 0 {
+		return fmt.Errorf("%d requests got no answer from the server", rep.Unreported)
 	}
-	if answered := vals.OK + vals.Errors; answered != rep.ServerSeen {
-		return fmt.Errorf("server ledger unbalanced: %d requests, %d answered (dropped-but-unreported)",
-			rep.ServerSeen, answered)
+	rep.ServerSeen = after.requests() - before.requests()
+	if rep.ServerSeen != rep.Answers {
+		return fmt.Errorf("server ledger grew by %d, clients received %d answers", rep.ServerSeen, rep.Answers)
 	}
-	if got := rep.ByCode[string(guard.CodeOK)]; rep.ServerSeen > 0 && got == 0 && rep.Requests > 0 {
+	if got := rep.ByCode[string(guard.CodeOK)]; got == 0 && rep.Requests > 0 {
 		fmt.Fprintln(os.Stderr, "loadgen: warning: no OK responses at all")
 	}
 
-	rep.CacheHits, rep.CacheMisses = vals.Hits, vals.Misses
+	rep.CacheHits, rep.CacheMisses = after.Hits-before.Hits, after.Misses-before.Misses
 	if total := rep.CacheHits + rep.CacheMisses; total > 0 {
 		rep.CacheHitRate = float64(rep.CacheHits) / float64(total)
 	}
@@ -275,9 +306,9 @@ func audit(url string, rep *report, assertCache bool, minHitRate float64) error 
 		if rep.CacheHits+rep.CacheMisses == 0 {
 			return fmt.Errorf("plan-cache audit: no hits or misses recorded (is the server running with -plancache?)")
 		}
-		if rep.CacheHits+rep.CacheMisses != vals.Queries {
+		if queries := after.Queries - before.Queries; rep.CacheHits+rep.CacheMisses != queries {
 			return fmt.Errorf("plan-cache ledger unbalanced: %d hits + %d misses != %d queries",
-				rep.CacheHits, rep.CacheMisses, vals.Queries)
+				rep.CacheHits, rep.CacheMisses, queries)
 		}
 		if rep.CacheHitRate < minHitRate {
 			return fmt.Errorf("plan-cache hit rate %.3f below required %.3f", rep.CacheHitRate, minHitRate)

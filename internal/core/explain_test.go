@@ -25,6 +25,38 @@ func explainOf(t *testing.T, s *Session, stmt string) *Result {
 	return rs[0]
 }
 
+// section returns the indented lines under a report's header line, up to
+// the next unindented line ("" when the header is absent).
+func section(msg, header string) string {
+	_, rest, ok := strings.Cut(msg, "\n"+header+"\n")
+	if !ok {
+		return ""
+	}
+	var sb strings.Builder
+	for _, line := range strings.Split(rest, "\n") {
+		if !strings.HasPrefix(line, " ") {
+			break
+		}
+		sb.WriteString(line + "\n")
+	}
+	return sb.String()
+}
+
+// assertNoOpSpans: the operator tree is printed once, under execution:,
+// and never copied into the trace as op.* spans or fix.round events.
+func assertNoOpSpans(t *testing.T, msg string) {
+	t.Helper()
+	trace := section(msg, "trace:")
+	if trace == "" {
+		t.Fatalf("no trace section:\n%s", msg)
+	}
+	for _, line := range strings.Split(trace, "\n") {
+		if f := strings.TrimLeft(line, " ·"); strings.HasPrefix(f, "op.") || strings.HasPrefix(f, "fix.round") {
+			t.Errorf("trace repeats the operator tree: %q\n%s", line, msg)
+		}
+	}
+}
+
 func TestExplainWithoutAnalyze(t *testing.T) {
 	s := filmsSession(t)
 	res := explainOf(t, s, "EXPLAIN "+strings.TrimSpace(strings.TrimRight(strings.TrimSpace(esql.Figure3Query), ";"))+";")
@@ -72,7 +104,6 @@ func TestExplainAnalyzeCorpus(t *testing.T) {
 			"execution:",
 			"rewrite.block block=merge",
 			"rule.apply",
-			"op.SEARCH",
 			"timings:",
 			"result: 1 rows",
 			"rows=",
@@ -81,6 +112,10 @@ func TestExplainAnalyzeCorpus(t *testing.T) {
 				t.Errorf("missing %q:\n%s", want, msg)
 			}
 		}
+		if !strings.Contains(section(msg, "execution:"), "SEARCH rows=") {
+			t.Errorf("execution section missing the SEARCH operator:\n%s", msg)
+		}
+		assertNoOpSpans(t, msg)
 		if res.Report == nil || res.Report.Exec == nil || len(res.Report.Exec.Children) == 0 {
 			t.Fatal("empty ExecStats on EXPLAIN ANALYZE")
 		}
@@ -103,14 +138,16 @@ func TestExplainAnalyzeCorpus(t *testing.T) {
 				"execution:",
 				"FIX",
 				mode.tag,
-				"· round 1:",
-				"fix.round",
 				"rows (total",
 			} {
 				if !strings.Contains(msg, want) {
 					t.Errorf("missing %q:\n%s", want, msg)
 				}
 			}
+			if !strings.Contains(section(msg, "execution:"), "· round 1:") {
+				t.Errorf("execution section missing the FIX rounds:\n%s", msg)
+			}
+			assertNoOpSpans(t, msg)
 			fix := findStats(res.Report.Exec, "FIX")
 			if fix == nil || len(fix.Rounds) == 0 {
 				t.Fatal("FIX node missing per-round deltas")

@@ -1,8 +1,7 @@
 package core
 
 // Session-level observability (docs/OBSERVABILITY.md): per-query phase
-// timings, the span/event trace, metric updates, and the mirror of the
-// engine's per-operator ExecStats into the span tree. Everything here is
+// timings, the span/event trace and metric updates. Everything here is
 // gated on Session.Obs — a session without an observer runs the exact
 // pre-observability code path.
 
@@ -32,7 +31,8 @@ type PhaseTimings struct {
 type QueryReport struct {
 	Phases PhaseTimings
 	// Trace is the completed span tree: parse -> translate ->
-	// rewrite.round/rewrite.block -> execute -> op.* (nil unless traced).
+	// rewrite.round/rewrite.block -> execute (nil unless traced). The
+	// operators under execute are in Exec, not in the span tree.
 	Trace *obs.Span
 	// Exec is the engine's per-operator statistics tree (nil unless
 	// collected). The root is the synthetic "eval" node.
@@ -184,38 +184,6 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		m.Histogram(hTransSeconds, "Translate wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Translate.Seconds())
 		m.Histogram(hRewSeconds, "Rewrite wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Rewrite.Seconds())
 		m.Histogram(hExecSeconds, "Execute wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Execute.Seconds())
-	}
-}
-
-// execSpan mirrors one ExecStats node as a span, so the trace carries the
-// full parse -> translate -> rewrite-per-block -> execute-per-operator
-// hierarchy. Fixpoint rounds become events on the FIX span.
-func execSpan(op *engine.OpStats) *obs.Span {
-	sp := &obs.Span{Name: "op." + op.Op, Duration: op.Duration}
-	if op.Detail != "" {
-		sp.Attrs = append(sp.Attrs, obs.Str("detail", op.Detail))
-	}
-	sp.Attrs = append(sp.Attrs, obs.Int("rows", op.Rows))
-	for _, r := range op.Rounds {
-		sp.Events = append(sp.Events, obs.Event{Kind: "fix.round", Attrs: []obs.KV{
-			obs.Int("round", r.Round), obs.Int("delta", r.Delta), obs.Int("total", r.Total),
-		}})
-	}
-	for _, c := range op.Children {
-		sp.AddChild(execSpan(c))
-	}
-	sp.TruncatedChildren += op.Truncated
-	return sp
-}
-
-// attachExecSpans hangs the operator spans of an ExecStats tree under the
-// execute span (skipping the synthetic "eval" root).
-func attachExecSpans(execute *obs.Span, root *engine.OpStats) {
-	if execute == nil || root == nil {
-		return
-	}
-	for _, c := range root.Children {
-		execute.AddChild(execSpan(c))
 	}
 }
 

@@ -103,10 +103,16 @@ func TestObserverReportAndTrace(t *testing.T) {
 		t.Error("ExecCounters.Scanned = 0")
 	}
 	tree := obs.FormatTree(rep.Trace, false)
-	for _, want := range []string{"query", "parse", "translate", "rewrite", "rewrite.block block=merge", "execute", "op.SEARCH"} {
+	for _, want := range []string{"query", "parse", "translate", "rewrite", "rewrite.block block=merge", "execute rows=1"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("trace missing %q:\n%s", want, tree)
 		}
+	}
+	if strings.Contains(tree, "op.") {
+		t.Errorf("trace copies the operator tree:\n%s", tree)
+	}
+	if findStats(rep.Exec, "SEARCH") == nil {
+		t.Error("exec stats missing the SEARCH operator")
 	}
 	if !strings.Contains(tree, "rule.apply") {
 		t.Errorf("Figure 3 rewrite applied no rules in trace:\n%s", tree)

@@ -492,7 +492,6 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 		rep.Spill = spillDelta(spillBefore, s.DB.Spill)
 		if collect {
 			rep.Exec = s.DB.LastExecStats()
-			attachExecSpans(eSpan, rep.Exec)
 		}
 	}
 	if evalErr != nil {

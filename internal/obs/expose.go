@@ -6,8 +6,8 @@ package obs
 // never blocks the hot path for longer than one bucket copy.
 
 import (
+	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,45 +23,39 @@ type HistogramSummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// Snapshot returns the registry as a flat name->value map: counters and
-// gauges as int64, histograms as HistogramSummary.
+// summary is the JSON shape of one histogram series.
+func summary(h *Histogram) HistogramSummary {
+	return HistogramSummary{Count: h.Count(), Sum: h.Sum(),
+		P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99)}
+}
+
+// familyValue is a family's JSON value: its one series' value when it has
+// no labels, else a map from each series' label string to its value.
+func familyValue[T any](f *labelVec, series []*labelSeries, value func(*labelSeries) T) any {
+	if f.one != nil {
+		return value(f.one)
+	}
+	m := make(map[string]T, len(series))
+	for _, s := range series {
+		m[labelString(f.labels, s.values, "")] = value(s)
+	}
+	return m
+}
+
+// Snapshot returns the registry as a name->value map: a counter or gauge
+// as int64, a histogram as HistogramSummary, and a labeled family as a
+// map from each series' label string to that value.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
-	if r == nil {
-		return out
-	}
-	for _, m := range r.sorted() {
-		switch m.kind {
+	for _, f := range r.sorted() {
+		series := f.sortedSeries()
+		switch f.kind {
 		case kindCounter:
-			out[m.name] = m.c.Value()
+			out[f.name] = familyValue(f, series, func(s *labelSeries) int64 { return s.c.Value() })
 		case kindGauge:
-			out[m.name] = m.g.Value()
+			out[f.name] = familyValue(f, series, func(s *labelSeries) int64 { return s.g.Value() })
 		case kindHistogram:
-			out[m.name] = HistogramSummary{
-				Count: m.h.Count(), Sum: m.h.Sum(),
-				P50: m.h.Quantile(0.50), P95: m.h.Quantile(0.95), P99: m.h.Quantile(0.99),
-			}
-		case kindCounterVec:
-			series := map[string]int64{}
-			for _, s := range m.cv.vec.sortedSeries() {
-				series[labelString(m.cv.vec.labels, s.values)] = s.c.Value()
-			}
-			out[m.name] = series
-		case kindGaugeVec:
-			series := map[string]int64{}
-			for _, s := range m.gv.vec.sortedSeries() {
-				series[labelString(m.gv.vec.labels, s.values)] = s.g.Value()
-			}
-			out[m.name] = series
-		case kindHistogramVec:
-			series := map[string]HistogramSummary{}
-			for _, s := range m.hv.vec.sortedSeries() {
-				series[labelString(m.hv.vec.labels, s.values)] = HistogramSummary{
-					Count: s.h.Count(), Sum: s.h.Sum(),
-					P50: s.h.Quantile(0.50), P95: s.h.Quantile(0.95), P99: s.h.Quantile(0.99),
-				}
-			}
-			out[m.name] = series
+			out[f.name] = familyValue(f, series, func(s *labelSeries) HistogramSummary { return summary(s.h) })
 		}
 	}
 	return out
@@ -75,14 +69,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// ExpvarFunc adapts the registry to an expvar.Func, for callers that want
-// the standard /debug/vars page to carry these metrics:
-//
-//	expvar.Publish("lera", reg.ExpvarFunc())
-func (r *Registry) ExpvarFunc() expvar.Func {
-	return func() any { return r.Snapshot() }
-}
-
 // promEscape escapes a help string for the Prometheus text format.
 func promEscape(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
@@ -90,108 +76,38 @@ func promEscape(s string) string {
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition
-// format: counters and gauges as single samples, histograms as
-// cumulative _bucket{le=...} series plus _sum and _count.
+// format: one # TYPE line per family, counters and gauges as one sample
+// per series, histograms as cumulative _bucket{...,le=...} series plus
+// _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	for _, m := range r.sorted() {
-		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, promEscape(m.help)); err != nil {
-				return err
-			}
+	var b bytes.Buffer
+	for _, f := range r.sorted() {
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, promEscape(f.help))
 		}
-		switch m.kind {
-		case kindCounter:
-			fmt.Fprintf(w, "# TYPE %s counter\n", m.name)
-			if _, err := fmt.Fprintf(w, "%s %d\n", m.name, m.c.Value()); err != nil {
-				return err
-			}
-		case kindGauge:
-			fmt.Fprintf(w, "# TYPE %s gauge\n", m.name)
-			if _, err := fmt.Fprintf(w, "%s %d\n", m.name, m.g.Value()); err != nil {
-				return err
-			}
-		case kindHistogram:
-			fmt.Fprintf(w, "# TYPE %s histogram\n", m.name)
-			bounds, counts, count, sum := m.h.snapshot()
-			var cum uint64
-			for i, b := range bounds {
-				cum += counts[i]
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.name, formatFloat(b), cum); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", m.name, count)
-			fmt.Fprintf(w, "%s_sum %v\n", m.name, sum)
-			if _, err := fmt.Fprintf(w, "%s_count %d\n", m.name, count); err != nil {
-				return err
-			}
-		case kindCounterVec:
-			fmt.Fprintf(w, "# TYPE %s counter\n", m.name)
-			for _, s := range m.cv.vec.sortedSeries() {
-				ls := labelString(m.cv.vec.labels, s.values)
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", m.name, ls, s.c.Value()); err != nil {
-					return err
-				}
-			}
-		case kindGaugeVec:
-			fmt.Fprintf(w, "# TYPE %s gauge\n", m.name)
-			for _, s := range m.gv.vec.sortedSeries() {
-				ls := labelString(m.gv.vec.labels, s.values)
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", m.name, ls, s.g.Value()); err != nil {
-					return err
-				}
-			}
-		case kindHistogramVec:
-			fmt.Fprintf(w, "# TYPE %s histogram\n", m.name)
-			labels := m.hv.vec.labels
-			for _, s := range m.hv.vec.sortedSeries() {
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range f.sortedSeries() {
+			ls := labelString(f.labels, s.values, "")
+			switch f.kind {
+			case kindCounter:
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, s.c.Value())
+			case kindGauge:
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, s.g.Value())
+			case kindHistogram:
 				bounds, counts, count, sum := s.h.snapshot()
 				var cum uint64
-				for i, b := range bounds {
+				for i, bound := range bounds {
 					cum += counts[i]
-					// _bucket carries the series labels plus le, in
-					// that order, matching client_golang's rendering.
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name,
-						labelStringWith(labels, s.values, "le", formatFloat(b)), cum); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelString(f.labels, s.values, formatFloat(bound)), cum)
 				}
-				fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, labelStringWith(labels, s.values, "le", "+Inf"), count)
-				fmt.Fprintf(w, "%s_sum%s %v\n", m.name, labelString(labels, s.values), sum)
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, labelString(labels, s.values), count); err != nil {
-					return err
-				}
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelString(f.labels, s.values, "+Inf"), count)
+				fmt.Fprintf(&b, "%s_sum%s %v\n", f.name, ls, sum)
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, ls, count)
 			}
 		}
 	}
-	return nil
-}
-
-// labelStringWith renders {k="v",...,extraK="extraV"} — the histogram
-// bucket form where le joins the series labels.
-func labelStringWith(labels, values []string, extraK, extraV string) string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(values[i]))
-		sb.WriteByte('"')
-	}
-	if len(labels) > 0 {
-		sb.WriteByte(',')
-	}
-	sb.WriteString(extraK)
-	sb.WriteString(`="`)
-	sb.WriteString(escapeLabelValue(extraV))
-	sb.WriteString(`"}`)
-	return sb.String()
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // formatFloat renders a bucket bound the way Prometheus clients expect

@@ -8,44 +8,51 @@ import (
 	"sync/atomic"
 )
 
-// Labeled metrics: CounterVec, GaugeVec and HistogramVec — families of
-// child metrics keyed by a fixed label vector, the per-tenant /
-// per-code dimension the flat registry (metrics.go) cannot express.
+// A metric family: every registered metric is one labelVec of one kind,
+// keyed by a fixed label vector. A plain Counter, Gauge or Histogram is the
+// family with no labels, whose one series the family holds directly;
+// CounterVec, GaugeVec and HistogramVec are the same family seen through
+// its kind's handle type.
 //
 // Design constraints, matching the rest of the package:
 //
-//  1. Bounded cardinality. A vector accepts at most maxSeries distinct
-//     label-value combinations (DefaultMaxSeries unless overridden with
-//     SetMaxSeries). Past the cap, new combinations collapse into an
-//     overflow series whose FIRST label value is OverflowLabel ("_other")
-//     — by convention the first label is the high-cardinality one
-//     (tenant), the rest a closed vocabulary (codes). Nothing is ever
-//     dropped: an overflowed observation still counts, so the sum over
-//     all series of a vector remains exact. Collapses are counted
-//     (Overflowed) so operators can see the cap is too small.
-//  2. Exact sums. Children are ordinary *Counter/*Gauge/*Histogram
-//     handles backed by atomics; With() is a read-locked map hit on the
-//     steady state, and callers on hot paths may cache the child handle.
+//  1. Bounded cardinality. A family accepts at most max distinct
+//     label-value combinations (DefaultMaxSeries). Past the cap, new
+//     combinations collapse into an overflow series whose FIRST label
+//     value is OverflowLabel ("_other") — by convention the first label is
+//     the high-cardinality one (tenant), the rest a closed vocabulary
+//     (codes). Nothing is ever dropped: an overflowed observation still
+//     counts, so the sum over all series of a family remains exact.
+//     Collapses are counted (Overflowed), which only a process that holds
+//     the vector can read: no exposition carries the count.
+//  2. Exact sums. Series are ordinary *Counter/*Gauge/*Histogram handles
+//     backed by atomics; With() is a read-locked map hit on the steady
+//     state, and callers on hot paths may cache the series handle.
 //  3. Prometheus-faithful exposition. Label values are escaped per the
 //     text exposition format (backslash, quote, newline), label names
 //     render in their declared order, and series render in sorted key
 //     order so scrapes are deterministic (expose.go).
-//  4. Nil is off. A nil vector returns nil children, and nil children
-//     no-op — the disabled path stays allocation-free.
+//  4. Nil is off. A nil vector returns nil series, and nil series no-op —
+//     the disabled path stays allocation-free.
 type labelVec struct {
-	mu     sync.RWMutex
 	name   string
+	help   string
+	kind   metricKind
 	labels []string
+	bounds []float64 // histogram bucket bounds, shared by every series
+	// one is the only series of a family with no labels.
+	one *labelSeries
+
+	mu     sync.RWMutex
 	max    int
 	series map[string]*labelSeries
 	// overflowed counts label-value combinations collapsed into the
-	// _other overflow series because the vector was at capacity.
+	// _other overflow series because the family was at capacity.
 	overflowed atomic.Int64
 }
 
-// labelSeries is one child of a vector: its escaped, render-ready label
-// values plus the child metric (exactly one of c/g/h is set, matching
-// the owning vector's kind).
+// labelSeries is one series of a family: its label values plus the
+// metric (exactly one of c/g/h is set, matching the family's kind).
 type labelSeries struct {
 	values []string
 	c      *Counter
@@ -53,42 +60,54 @@ type labelSeries struct {
 	h      *Histogram
 }
 
-// DefaultMaxSeries bounds the label-set cardinality of one vector unless
-// SetMaxSeries raises it: high enough for a realistic tenant roster times
-// a closed code vocabulary, low enough that a tenant-name-per-request bug
-// cannot grow a scrape without bound.
+// DefaultMaxSeries bounds the label-set cardinality of one family: high
+// enough for a realistic tenant roster times a closed code vocabulary, low
+// enough that a tenant-name-per-request bug cannot grow a scrape without
+// bound.
 const DefaultMaxSeries = 256
 
 // OverflowLabel is the value substituted for the first (high-cardinality)
 // label of combinations created past the cardinality cap.
 const OverflowLabel = "_other"
 
-func newLabelVec(name string, labels []string) *labelVec {
+func newLabelVec(name, help string, kind metricKind, bounds []float64, labels []string) *labelVec {
+	v := &labelVec{name: name, help: help, kind: kind, labels: append([]string(nil), labels...),
+		bounds: bounds, max: DefaultMaxSeries, series: map[string]*labelSeries{}}
 	if len(labels) == 0 {
-		panic("obs: labeled metric " + name + " needs at least one label")
+		v.one = v.newSeries(nil)
+		v.series[""] = v.one
 	}
-	return &labelVec{name: name, labels: append([]string(nil), labels...),
-		max: DefaultMaxSeries, series: map[string]*labelSeries{}}
+	return v
+}
+
+// newSeries builds a series of the family's kind.
+func (v *labelVec) newSeries(values []string) *labelSeries {
+	s := &labelSeries{values: values}
+	switch v.kind {
+	case kindCounter:
+		s.c = &Counter{}
+	case kindGauge:
+		s.g = &Gauge{}
+	default:
+		s.h = NewHistogram(v.bounds)
+	}
+	return s
 }
 
 // seriesKey joins label values into a map key. Values are joined with an
-// unlikely separator; the escaped render form is stored on the series.
+// unlikely separator; label values are escaped only when rendered.
 func seriesKey(values []string) string {
-	var sb strings.Builder
-	for i, v := range values {
-		if i > 0 {
-			sb.WriteByte('\x1f')
-		}
-		sb.WriteString(v)
-	}
-	return sb.String()
+	return strings.Join(values, "\x1f")
 }
 
-// lookup returns the series for values, creating it under the cardinality
-// policy. make constructs the child metric for a fresh series.
-func (v *labelVec) lookup(values []string, make func() *labelSeries) *labelSeries {
+// with returns the series for values, creating it under the cardinality
+// policy.
+func (v *labelVec) with(values []string) *labelSeries {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: metric %s expects %d label value(s), got %d", v.name, len(v.labels), len(values)))
+	}
+	if v.one != nil {
+		return v.one
 	}
 	key := seriesKey(values)
 	v.mu.RLock()
@@ -102,40 +121,21 @@ func (v *labelVec) lookup(values []string, make func() *labelSeries) *labelSerie
 	if s, ok := v.series[key]; ok {
 		return s
 	}
-	if len(v.series) >= v.max {
+	kept := append([]string(nil), values...)
+	if len(v.series) >= v.max && kept[0] != OverflowLabel {
 		// At capacity: collapse the high-cardinality first label into the
 		// overflow series and count the collapse. The overflow series
 		// itself is created past the cap (its remaining labels come from
 		// closed vocabularies, so the set stays bounded).
-		if values[0] != OverflowLabel {
-			v.overflowed.Add(1)
-			over := append([]string(nil), values...)
-			over[0] = OverflowLabel
-			okey := seriesKey(over)
-			if s, ok := v.series[okey]; ok {
-				return s
-			}
-			s := make()
-			s.values = over
-			v.series[okey] = s
-			return s
+		v.overflowed.Add(1)
+		kept[0] = OverflowLabel
+		if key = seriesKey(kept); v.series[key] != nil {
+			return v.series[key]
 		}
 	}
-	s = make()
-	s.values = append([]string(nil), values...)
+	s = v.newSeries(kept)
 	v.series[key] = s
 	return s
-}
-
-// setMax adjusts the cardinality cap (existing series are kept even if
-// they exceed a lowered cap; only new combinations overflow).
-func (v *labelVec) setMax(n int) {
-	if v == nil || n <= 0 {
-		return
-	}
-	v.mu.Lock()
-	v.max = n
-	v.mu.Unlock()
 }
 
 // sortedSeries snapshots the series in deterministic (sorted-key) order
@@ -157,9 +157,7 @@ func (v *labelVec) sortedSeries() []*labelSeries {
 
 // CounterVec is a family of counters keyed by a label vector, e.g.
 // lera_server_requests_total{tenant,code}.
-type CounterVec struct {
-	vec *labelVec
-}
+type CounterVec labelVec
 
 // With returns the counter for the given label values (in declared label
 // order), creating it on first use under the cardinality policy. A nil
@@ -168,15 +166,7 @@ func (cv *CounterVec) With(values ...string) *Counter {
 	if cv == nil {
 		return nil
 	}
-	return cv.vec.lookup(values, func() *labelSeries { return &labelSeries{c: &Counter{}} }).c
-}
-
-// SetMaxSeries adjusts the vector's cardinality cap (nil-safe).
-func (cv *CounterVec) SetMaxSeries(n int) {
-	if cv == nil {
-		return
-	}
-	cv.vec.setMax(n)
+	return (*labelVec)(cv).with(values).c
 }
 
 // Overflowed reports label-value combinations collapsed into the
@@ -185,17 +175,16 @@ func (cv *CounterVec) Overflowed() int64 {
 	if cv == nil {
 		return 0
 	}
-	return cv.vec.overflowed.Load()
+	return cv.overflowed.Load()
 }
 
-// Sum returns the total over every series of the vector — the exactness
-// witness against an unlabeled ledger.
+// Sum returns the total over every series of the vector.
 func (cv *CounterVec) Sum() int64 {
 	if cv == nil {
 		return 0
 	}
 	var total int64
-	for _, s := range cv.vec.sortedSeries() {
+	for _, s := range (*labelVec)(cv).sortedSeries() {
 		total += s.c.Value()
 	}
 	return total
@@ -203,48 +192,27 @@ func (cv *CounterVec) Sum() int64 {
 
 // GaugeVec is a family of gauges keyed by a label vector, e.g.
 // lera_build_info{commit,go_version}.
-type GaugeVec struct {
-	vec *labelVec
-}
+type GaugeVec labelVec
 
 // With returns the gauge for the given label values (nil-safe).
 func (gv *GaugeVec) With(values ...string) *Gauge {
 	if gv == nil {
 		return nil
 	}
-	return gv.vec.lookup(values, func() *labelSeries { return &labelSeries{g: &Gauge{}} }).g
-}
-
-// SetMaxSeries adjusts the vector's cardinality cap (nil-safe).
-func (gv *GaugeVec) SetMaxSeries(n int) {
-	if gv == nil {
-		return
-	}
-	gv.vec.setMax(n)
+	return (*labelVec)(gv).with(values).g
 }
 
 // HistogramVec is a family of histograms keyed by a label vector, e.g.
-// lera_server_request_seconds{tenant}. All children share one bucket
+// lera_server_request_seconds{tenant}. All series share one bucket
 // layout, so the per-label series merge cleanly on the scrape side.
-type HistogramVec struct {
-	vec    *labelVec
-	bounds []float64
-}
+type HistogramVec labelVec
 
 // With returns the histogram for the given label values (nil-safe).
 func (hv *HistogramVec) With(values ...string) *Histogram {
 	if hv == nil {
 		return nil
 	}
-	return hv.vec.lookup(values, func() *labelSeries { return &labelSeries{h: NewHistogram(hv.bounds)} }).h
-}
-
-// SetMaxSeries adjusts the vector's cardinality cap (nil-safe).
-func (hv *HistogramVec) SetMaxSeries(n int) {
-	if hv == nil {
-		return
-	}
-	hv.vec.setMax(n)
+	return (*labelVec)(hv).with(values).h
 }
 
 // Overflowed reports label-value combinations collapsed into the
@@ -253,7 +221,7 @@ func (hv *HistogramVec) Overflowed() int64 {
 	if hv == nil {
 		return 0
 	}
-	return hv.vec.overflowed.Load()
+	return hv.overflowed.Load()
 }
 
 // escapeLabelValue escapes a label value per the Prometheus text
@@ -279,9 +247,14 @@ func escapeLabelValue(s string) string {
 	return sb.String()
 }
 
-// labelString renders a full {k="v",...} label set in declared label
-// order, values escaped.
-func labelString(labels, values []string) string {
+// labelString renders a {k="v",...} label set in declared label order,
+// values escaped, with le="bound" appended when le is non-empty (the
+// histogram bucket form, matching client_golang's rendering). With no
+// labels and no le it renders nothing.
+func labelString(labels, values []string, le string) string {
+	if len(labels) == 0 && le == "" {
+		return ""
+	}
 	var sb strings.Builder
 	sb.WriteByte('{')
 	for i, l := range labels {
@@ -291,6 +264,14 @@ func labelString(labels, values []string) string {
 		sb.WriteString(l)
 		sb.WriteString(`="`)
 		sb.WriteString(escapeLabelValue(values[i]))
+		sb.WriteByte('"')
+	}
+	if le != "" {
+		if len(labels) > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(`le="`)
+		sb.WriteString(le)
 		sb.WriteByte('"')
 	}
 	sb.WriteByte('}')

@@ -10,16 +10,13 @@ import (
 func TestLabelVecNilSafe(t *testing.T) {
 	var cv *CounterVec
 	cv.With("a", "b").Inc()
-	cv.SetMaxSeries(10)
 	if cv.Sum() != 0 || cv.Overflowed() != 0 {
 		t.Fatal("nil CounterVec must report zeros")
 	}
 	var gv *GaugeVec
 	gv.With("x").Set(3)
-	gv.SetMaxSeries(10)
 	var hv *HistogramVec
 	hv.With("x").Observe(1)
-	hv.SetMaxSeries(10)
 	if hv.Overflowed() != 0 {
 		t.Fatal("nil HistogramVec must report zero overflow")
 	}
@@ -111,7 +108,7 @@ func TestLabelValueEscaping(t *testing.T) {
 func TestCounterVecOverflow(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("cap_total", "h", "tenant", "code")
-	cv.SetMaxSeries(3)
+	capSeries(cv, 3)
 	cv.With("t1", "OK").Inc()
 	cv.With("t2", "OK").Inc()
 	cv.With("t3", "OK").Inc()
@@ -155,7 +152,7 @@ func TestCounterVecOverflow(t *testing.T) {
 func TestCounterVecConcurrentSumExact(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("con_total", "h", "tenant", "code")
-	cv.SetMaxSeries(4) // force overflow under contention
+	capSeries(cv, 4) // force overflow under contention
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup

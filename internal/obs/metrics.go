@@ -24,6 +24,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -204,204 +205,110 @@ func (h *Histogram) snapshot() (bounds []float64, counts []uint64, count uint64,
 	return h.bounds, append([]uint64(nil), h.counts...), h.count, h.sum
 }
 
-// metricKind discriminates registry entries for exposition.
+// metricKind is what every series of a family is.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindCounterVec
-	kindGaugeVec
-	kindHistogramVec
 )
 
-// metric is one registered metric with its exposition metadata.
-type metric struct {
-	name string
-	help string
-	kind metricKind
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-	cv   *CounterVec
-	gv   *GaugeVec
-	hv   *HistogramVec
+// String is the kind's name on a Prometheus # TYPE line.
+func (k metricKind) String() string {
+	return [...]string{"counter", "gauge", "histogram"}[k]
 }
 
-// Registry is a named collection of metrics. Get-or-create accessors are
-// safe for concurrent use and idempotent: the first registration of a
-// name wins, later calls return the same instance (a kind mismatch
-// panics — it is a programming error, like a duplicate expvar name).
+// Registry is a named collection of metric families. Every registered
+// metric is one family (labelVec, labels.go) of one kind with zero or
+// more labels; a plain Counter, Gauge or Histogram is the family with no
+// labels. Get-or-create accessors are safe for concurrent use and
+// idempotent: the first registration of a name wins, later calls return
+// the same instance, and a kind or label mismatch panics — it is a
+// programming error, like a duplicate expvar name.
 type Registry struct {
 	mu      sync.RWMutex
-	metrics map[string]*metric
-	order   []string // registration order; exposition sorts by name
+	metrics map[string]*labelVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: map[string]*metric{}}
+	return &Registry{metrics: map[string]*labelVec{}}
 }
 
-func (r *Registry) lookup(name string, kind metricKind) (*metric, bool) {
+// family returns the named family, creating it on first use. Whichever
+// path found it, a kind or label mismatch panics, so racing registrations
+// of one name with different kinds never hand out a nil handle.
+func (r *Registry) family(name, help string, kind metricKind, bounds []float64, labels []string) *labelVec {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
-	m, ok := r.metrics[name]
+	f, ok := r.metrics[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, false
+		r.mu.Lock()
+		if f, ok = r.metrics[name]; !ok {
+			f = newLabelVec(name, help, kind, bounds, labels)
+			r.metrics[name] = f
+		}
+		r.mu.Unlock()
 	}
-	if m.kind != kind {
+	if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
 	}
-	return m, true
+	if !slices.Equal(f.labels, labels) {
+		panic(fmt.Sprintf("obs: metric %q re-registered with different labels", name))
+	}
+	return f
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	if m, ok := r.lookup(name, kindCounter); ok {
-		return m.c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m.c
-	}
-	m := &metric{name: name, help: help, kind: kindCounter, c: &Counter{}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m.c
+	return r.CounterVec(name, help).With()
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if m, ok := r.lookup(name, kindGauge); ok {
-		return m.g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m.g
-	}
-	m := &metric{name: name, help: help, kind: kindGauge, g: &Gauge{}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m.g
+	return r.GaugeVec(name, help).With()
 }
 
 // Histogram returns the named histogram, creating it on first use with
 // the given bucket bounds (nil = DefaultDurationBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if m, ok := r.lookup(name, kindHistogram); ok {
-		return m.h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m.h
-	}
-	m := &metric{name: name, help: help, kind: kindHistogram, h: NewHistogram(bounds)}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m.h
+	return r.HistogramVec(name, help, bounds).With()
 }
 
-// CounterVec returns the named labeled counter family, creating it on
-// first use with the given label names. Later calls must pass the same
-// labels (a mismatch panics, like a kind mismatch).
+// CounterVec returns the named counter family, creating it on first use
+// with the given label names. Later calls must pass the same labels.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	if m, ok := r.lookup(name, kindCounterVec); ok {
-		checkLabels(name, m.cv.vec.labels, labels)
-		return m.cv
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m.cv
-	}
-	m := &metric{name: name, help: help, kind: kindCounterVec,
-		cv: &CounterVec{vec: newLabelVec(name, labels)}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m.cv
+	return (*CounterVec)(r.family(name, help, kindCounter, nil, labels))
 }
 
-// GaugeVec returns the named labeled gauge family, creating it on first
-// use with the given label names.
+// GaugeVec returns the named gauge family, creating it on first use with
+// the given label names.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	if m, ok := r.lookup(name, kindGaugeVec); ok {
-		checkLabels(name, m.gv.vec.labels, labels)
-		return m.gv
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m.gv
-	}
-	m := &metric{name: name, help: help, kind: kindGaugeVec,
-		gv: &GaugeVec{vec: newLabelVec(name, labels)}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m.gv
+	return (*GaugeVec)(r.family(name, help, kindGauge, nil, labels))
 }
 
-// HistogramVec returns the named labeled histogram family, creating it
-// on first use with the given bucket bounds (nil = duration defaults)
-// and label names. Every child shares the bound layout.
+// HistogramVec returns the named histogram family, creating it on first
+// use with the given bucket bounds (nil = duration defaults) and label
+// names. Every series shares the bound layout.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+	return (*HistogramVec)(r.family(name, help, kindHistogram, bounds, labels))
+}
+
+// sorted returns the families in name order for deterministic exposition.
+func (r *Registry) sorted() []*labelVec {
 	if r == nil {
 		return nil
 	}
-	if m, ok := r.lookup(name, kindHistogramVec); ok {
-		checkLabels(name, m.hv.vec.labels, labels)
-		return m.hv
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m.hv
-	}
-	m := &metric{name: name, help: help, kind: kindHistogramVec,
-		hv: &HistogramVec{vec: newLabelVec(name, labels), bounds: bounds}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
-	return m.hv
-}
-
-func checkLabels(name string, have, want []string) {
-	if len(have) != len(want) {
-		panic(fmt.Sprintf("obs: metric %q re-registered with different labels", name))
-	}
-	for i := range have {
-		if have[i] != want[i] {
-			panic(fmt.Sprintf("obs: metric %q re-registered with different labels", name))
-		}
-	}
-}
-
-// sorted returns the metrics in name order for deterministic exposition.
-func (r *Registry) sorted() []*metric {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*metric, 0, len(r.metrics))
-	for _, name := range r.order {
-		out = append(out, r.metrics[name])
+	out := make([]*labelVec, 0, len(r.metrics))
+	for _, f := range r.metrics {
+		out = append(out, f)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

@@ -3,8 +3,11 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -41,6 +44,53 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "help")
+}
+
+// TestRacingRegistrationNeverNil: when registrations of one name with
+// different kinds race, each caller gets a live handle or the documented
+// kind-mismatch panic — never a nil handle that silently drops updates.
+func TestRacingRegistrationNeverNil(t *testing.T) {
+	const registries, goroutines = 5000, 16
+	var nils atomic.Int64
+	for i := 0; i < registries; i++ {
+		r := NewRegistry()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(counter bool) {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil && !strings.Contains(fmt.Sprint(p), "different kind") {
+						t.Errorf("unexpected panic: %v", p)
+					}
+				}()
+				<-start
+				if counter && r.Counter("x", "") == nil || !counter && r.Gauge("x", "") == nil {
+					nils.Add(1)
+				}
+			}(g%2 == 0)
+		}
+		close(start)
+		wg.Wait()
+	}
+	if n := nils.Load(); n != 0 {
+		t.Fatalf("%d racing registrations got a nil handle", n)
+	}
+}
+
+// TestRegisteredAccessorAllocs: looking up an already-registered plain
+// metric allocates nothing, so hot paths may call the accessors per query.
+func TestRegisteredAccessorAllocs(t *testing.T) {
+	r := NewRegistry()
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("c_total", "c").Inc()
+		r.Gauge("g", "g").Set(1)
+		r.Histogram("h_seconds", "h", nil).Observe(0.1)
+	})
+	if allocs != 0 {
+		t.Fatalf("registered accessors allocate %v per call set, want 0", allocs)
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {

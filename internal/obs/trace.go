@@ -2,9 +2,10 @@ package obs
 
 // Hierarchical spans and structured events. A Recorder collects one tree
 // per observed query: parse -> translate -> rewrite (one child span per
-// block run) -> execute (one child span per operator). Events — rule
-// applications, budget exhaustion, degradation — attach to the span that
-// was open when they happened, in order.
+// block run) -> execute. Events — rule applications, budget exhaustion,
+// degradation — attach to the span that was open when they happened, in
+// order. The operators under execute are the engine's OpStats tree, which
+// reports render beside the spans rather than copying into them.
 //
 // Everything is nil-safe: a nil *Recorder no-ops on every method, so
 // instrumented code calls straight through without its own guards (call
@@ -14,7 +15,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -72,19 +72,6 @@ func (s *Span) SetAttrs(attrs ...KV) {
 		return
 	}
 	s.Attrs = append(s.Attrs, attrs...)
-}
-
-// AddChild attaches a pre-built child span (used to mirror the engine's
-// per-operator ExecStats into the trace). Nil-safe, bounded.
-func (s *Span) AddChild(c *Span) {
-	if s == nil || c == nil {
-		return
-	}
-	if len(s.Children) >= MaxSpanChildren {
-		s.TruncatedChildren++
-		return
-	}
-	s.Children = append(s.Children, c)
 }
 
 // Recorder collects one span tree and its events. It is single-goroutine
@@ -159,14 +146,6 @@ func (r *Recorder) Finish() *Span {
 	}
 	r.root.Duration = r.now().Sub(r.root.Start)
 	r.cur = r.root
-	return r.root
-}
-
-// Root returns the root span (nil on a nil recorder).
-func (r *Recorder) Root() *Span {
-	if r == nil {
-		return nil
-	}
 	return r.root
 }
 
@@ -252,10 +231,4 @@ func FormatTree(root *Span, withTimings bool) string {
 	}
 	walk(root, 0)
 	return sb.String()
-}
-
-// WriteTree writes FormatTree output to w.
-func WriteTree(w io.Writer, root *Span, withTimings bool) error {
-	_, err := io.WriteString(w, FormatTree(root, withTimings))
-	return err
 }

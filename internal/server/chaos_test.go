@@ -7,6 +7,7 @@ package server
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -175,19 +176,22 @@ func TestChaosEveryRequestTyped(t *testing.T) {
 		t.Fatalf("accounted %d outcomes, want %d", total, workers*perWorker)
 	}
 
-	// The server-side ledger covers every request: received = answered.
-	// requests_total is labeled {tenant,code}; the sum over every series
-	// must equal the unlabeled ok/error ledger exactly — the acceptance
-	// invariant of the per-tenant breakdown.
+	// The server-side ledger agrees with the clients: one count per answer
+	// they received, under the code they received. requests_total is
+	// labeled {tenant,code}; summed over tenants, each code's count must
+	// equal the clients' count of that code.
 	m := srv.Metrics()
-	requests := m.CounterVec("lera_server_requests_total", "", "tenant", "code").Sum()
-	answered := m.Counter("lera_server_queries_ok_total", "").Value() +
-		m.Counter("lera_server_query_errors_total", "").Value()
-	if requests != int64(total) {
-		t.Errorf("server saw %d requests, clients sent %d", requests, total)
+	if requests := m.CounterVec("lera_server_requests_total", "", "tenant", "code").Sum(); requests != int64(total) {
+		t.Errorf("server counted %d answers, clients received %d", requests, total)
 	}
-	if answered != requests {
-		t.Errorf("dropped-but-unreported requests: received %d, answered %d", requests, answered)
+	series, _ := m.Snapshot()["lera_server_requests_total"].(map[string]int64)
+	ledger := map[guard.Code]int{}
+	for labels, n := range series {
+		_, code, _ := strings.Cut(labels, `code="`)
+		ledger[guard.Code(strings.TrimSuffix(code, `"}`))] += int(n)
+	}
+	if !maps.Equal(ledger, byCode) {
+		t.Errorf("server ledger by code %v, clients received %v", ledger, byCode)
 	}
 	// The breakdown really is per tenant: each configured tenant owns at
 	// least one series (the unknown tenant collapsed into default).

@@ -111,6 +111,62 @@ func TestQueryLogOneEventPerRequest(t *testing.T) {
 	}
 }
 
+// TestRejectedRequestsEnterLedger: the answers the HTTP handler gives
+// before a query runs — a body that does not decode, a blank query, a
+// method other than GET or POST — are counted and logged like any other
+// answer, under the tenant the request named if its body decoded.
+func TestRejectedRequestsEnterLedger(t *testing.T) {
+	sink := &memSink{}
+	qlog := obs.NewQueryLog(sink, 64, 1)
+	srv, base := startServer(t, Config{QueryLog: qlog,
+		Tenants: Tenants{"default": {}, "alpha": {}}})
+	send := func(method, body string) Response {
+		req, err := http.NewRequest(method, base+"/query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r Response
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Code != string(guard.CodeParse) {
+			t.Fatalf("%s %q: code %s, want PARSE", method, body, r.Code)
+		}
+		return r
+	}
+	for _, c := range []struct{ method, body, tenant string }{
+		{http.MethodPost, `{"tenant": "alpha", "query": `, "default"},
+		{http.MethodPost, `{"tenant": "alpha", "query": "  "}`, "alpha"},
+		{http.MethodPut, `{"tenant": "alpha", "query": "SELECT Title FROM FILM"}`, "default"},
+		{http.MethodPost, `{"tenant": "alpha", "query": "SELECT Title FROM NOSUCH"}`, "alpha"},
+	} {
+		if r := send(c.method, c.body); r.Tenant != c.tenant {
+			t.Errorf("%s %q: answered under tenant %q, want %q", c.method, c.body, r.Tenant, c.tenant)
+		}
+	}
+	m := srv.Metrics()
+	if n := m.CounterVec("lera_server_requests_total", "", "tenant", "code").Sum(); n != 4 {
+		t.Errorf("ledger counted %d of 4 answers", n)
+	}
+	lat := m.HistogramVec("lera_server_request_seconds", "", nil, "tenant")
+	if n := lat.With("default").Count() + lat.With("alpha").Count(); n != 4 {
+		t.Errorf("latency histogram counted %d of 4 answers", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sink.snapshot()); n != 4 {
+		t.Errorf("query log holds %d events for 4 answers", n)
+	}
+}
+
 // TestQueryLogSampledServer: with sample=2 half the events are skipped
 // but still counted — the ledger stays balanced.
 func TestQueryLogSampledServer(t *testing.T) {

@@ -15,18 +15,16 @@ import (
 // metrics bundles the server's registry handles. All underlying types are
 // atomic; the bundle is shared freely across connection goroutines.
 type metrics struct {
-	// requests is labeled {tenant, code}: the per-tenant breakdown of
-	// every finished query. It is incremented exactly once per request,
-	// in observe, so the sum over all series equals ok+errors exactly —
-	// the ledger invariant loadgen audits. Tenant cardinality is bounded
-	// upstream (Tenants.Resolve collapses unknown tenants to "default")
-	// and by the vector's own _other overflow cap.
+	// requests is the request ledger, labeled {tenant, code}: it is
+	// incremented exactly once per answer, in observe, so its growth over
+	// a run equals the answers the clients received — what loadgen
+	// audits. Tenant cardinality is bounded upstream (Tenants.Resolve
+	// collapses unknown tenants to "default") and by the vector's own
+	// _other overflow cap.
 	requests    *obs.CounterVec
 	admitted    *obs.Counter // passed admission control
 	shed        *obs.Counter // refused with OVERLOADED
 	drainReject *obs.Counter // refused with DRAINING
-	ok          *obs.Counter // answered with code OK
-	errors      *obs.Counter // answered with a non-OK code (shed included)
 	degraded    *obs.Counter // answered OK from the fallback plan
 	panics      *obs.Counter // per-request panic isolation fired
 	chaos       *obs.Counter // chaos faults that fired at the request hook
@@ -47,8 +45,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		admitted:    reg.Counter("lera_server_admitted_total", "queries that passed admission control"),
 		shed:        reg.Counter("lera_server_shed_total", "queries shed with OVERLOADED at admission"),
 		drainReject: reg.Counter("lera_server_draining_rejected_total", "queries refused with DRAINING"),
-		ok:          reg.Counter("lera_server_queries_ok_total", "queries answered with code OK"),
-		errors:      reg.Counter("lera_server_query_errors_total", "queries answered with a non-OK code"),
 		degraded:    reg.Counter("lera_server_degraded_total", "queries answered from the rewrite fallback plan"),
 		panics:      reg.Counter("lera_server_panics_total", "request panics isolated by the per-request recover"),
 		chaos:       reg.Counter("lera_server_chaos_faults_total", "chaos faults fired at the server.request hook"),
@@ -66,12 +62,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 func (m *metrics) observe(tenant string, c guard.Code, degraded bool, d time.Duration) {
 	m.requests.With(tenant, string(c)).Inc()
 	m.latency.With(tenant).Observe(d.Seconds())
-	if c == guard.CodeOK {
-		m.ok.Inc()
-		if degraded {
-			m.degraded.Inc()
-		}
-	} else {
-		m.errors.Inc()
+	if c == guard.CodeOK && degraded {
+		m.degraded.Inc()
 	}
 }

@@ -390,14 +390,7 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 			resp = Response{Code: string(guard.CodeInternal), Tenant: tenantName,
 				Error: fmt.Sprintf("internal panic (isolated): %v", p)}
 		}
-		elapsed := time.Since(t0)
-		resp.ElapsedNs = elapsed.Nanoseconds()
-		// The per-tenant request counter ticks here, once per finished
-		// request, so sum-over-series always equals ok+errors.
-		s.m.observe(tenantName, guard.Code(resp.Code), resp.Degraded, elapsed)
-		s.m.inFlight.Set(int64(s.gate.InFlight()))
-		s.m.queued.Set(int64(s.gate.Queued()))
-		s.recordDiagnostics(t0, elapsed, tenantName, query, resp, res)
+		s.account(t0, tenantName, query, &resp, res)
 	}()
 
 	// Chaos hook: deterministic latency/error/panic injection at the
@@ -486,6 +479,19 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 	return resp
 }
 
+// account closes the books on one answered request: its elapsed time,
+// the request ledger (lera_server_requests_total and
+// lera_server_request_seconds, ticked here once per answer), the
+// admission gauges, the query log and the slow-query ring.
+func (s *Server) account(t0 time.Time, tenant, query string, resp *Response, res *core.Result) {
+	elapsed := time.Since(t0)
+	resp.ElapsedNs = elapsed.Nanoseconds()
+	s.m.observe(tenant, guard.Code(resp.Code), resp.Degraded, elapsed)
+	s.m.inFlight.Set(int64(s.gate.InFlight()))
+	s.m.queued.Set(int64(s.gate.Queued()))
+	s.recordDiagnostics(t0, elapsed, tenant, query, *resp, res)
+}
+
 // errResponse builds the typed failure response for an error.
 func (s *Server) errResponse(tenant string, err error) Response {
 	return Response{Code: string(guard.CodeOf(err)), Tenant: tenant, Error: err.Error()}
@@ -495,7 +501,17 @@ func (s *Server) errResponse(tenant string, err error) Response {
 // (or GET /query?q=...&tenant=...) with a Response body and the HTTP
 // status mapped from the code.
 func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
+	t0 := time.Now()
 	var tenant, query string
+	// reject answers a request that never reaches handleQuery with PARSE,
+	// and accounts for it like any other answer: under the tenant the
+	// request named if its body decoded, else the default tenant.
+	reject := func(status int, msg string) {
+		tenantName, _ := s.cfg.Tenants.Resolve(tenant)
+		resp := Response{Code: string(guard.CodeParse), Tenant: tenantName, Error: msg}
+		s.account(t0, tenantName, query, &resp, nil)
+		s.writeResponse(w, status, &resp)
+	}
 	switch r.Method {
 	case http.MethodPost:
 		var req struct {
@@ -505,26 +521,25 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.writeResponse(w, http.StatusBadRequest, &Response{Code: string(guard.CodeParse),
-				Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)})
+			reject(http.StatusBadRequest, fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
 			return
 		}
 		if err == nil {
 			err = json.Unmarshal(body, &req)
 		}
 		if err != nil {
-			s.writeResponse(w, http.StatusBadRequest, &Response{Code: string(guard.CodeParse), Error: "bad request body: " + err.Error()})
+			reject(http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
 		tenant, query = req.Tenant, req.Query
 	case http.MethodGet:
 		tenant, query = r.URL.Query().Get("tenant"), r.URL.Query().Get("q")
 	default:
-		s.writeResponse(w, http.StatusMethodNotAllowed, &Response{Code: string(guard.CodeParse), Error: "use GET or POST"})
+		reject(http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
 	if strings.TrimSpace(query) == "" {
-		s.writeResponse(w, http.StatusBadRequest, &Response{Code: string(guard.CodeParse), Error: "empty query"})
+		reject(http.StatusBadRequest, "empty query")
 		return
 	}
 	resp := s.handleQuery(r.Context(), tenant, query)
