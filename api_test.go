@@ -38,7 +38,7 @@ CREATE VIEW RICH (Id, Name) AS SELECT Id, Name FROM EMP WHERE Salary > 100000;
 // TestPublicAPIPaperPipeline runs the paper's Figures 2-5 through the
 // exported API only.
 func TestPublicAPIPaperPipeline(t *testing.T) {
-	s := NewSession(WithTrace())
+	s := NewSession()
 	if err := s.LoadFilms(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +49,15 @@ func TestPublicAPIPaperPipeline(t *testing.T) {
 	if len(res.Rows) != len(testdb.DominatorsOfQuinn()) {
 		t.Errorf("rows = %d", len(res.Rows))
 	}
-	if len(res.Stats.Trace) == 0 {
-		t.Error("trace expected under WithTrace")
-	}
-	rw, err := s.Rewriter()
+	rs, err := s.Exec("EXPLAIN SELECT Name(Refactor1) FROM BETTER_THAN WHERE Name(Refactor2) = 'Quinn';")
 	if err != nil {
 		t.Fatal(err)
 	}
-	explain, err := rw.Explain(res.Initial)
-	if err != nil {
-		t.Fatal(err)
+	if len(rs) != 1 || rs[0].Kind != ResultExplain {
+		t.Fatalf("EXPLAIN returned %d results", len(rs))
 	}
-	if !strings.Contains(explain, "alexander") {
-		t.Errorf("Explain should mention the alexander rule:\n%s", explain)
+	if !strings.Contains(rs[0].Message, "rule.apply rule=alexander ") {
+		t.Errorf("EXPLAIN should show the alexander rule applied:\n%s", rs[0].Message)
 	}
 }
 
@@ -94,9 +90,8 @@ seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, 
 func TestPublicAPIOptions(t *testing.T) {
 	cat := NewCatalog()
 	opts := []Option{
-		WithTrace(), WithDynamicLimits(), WithMaxChecks(1000),
-		WithConstraintLimit(10), WithoutBlock("push"),
-		WithBlockLimit("merge", 5),
+		WithDynamicLimits(), WithBlockLimit("constraints", 10),
+		WithBlockLimit("push", 0), WithBlockLimit("merge", 5),
 		WithSequence("seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 1);"),
 	}
 	rw, err := NewRewriter(cat, opts...)

@@ -283,7 +283,7 @@ func run(s *lera.Session, showPlan bool, src string) {
 		// protocols speak (guard.CodeOf, docs/SERVER.md).
 		fmt.Printf("error [%s]: %v\n", guard.CodeOf(err), err)
 	}
-	capture(src, elapsed, results, err)
+	capture(t0, src, elapsed, results, err)
 	for _, r := range results {
 		if r.Kind == lera.ResultRows && showPlan {
 			fmt.Println("translated:", lera.Format(r.Initial))
@@ -324,8 +324,9 @@ func run(s *lera.Session, showPlan bool, src string) {
 // degraded or failed query is retained, and when the whole chunk crossed
 // the latency threshold the last row-producing result is retained with
 // its report (the shell times chunks, not statements, so attribution is
-// per ';'-terminated input).
-func capture(src string, elapsed time.Duration, results []*lera.Result, err error) {
+// per ';'-terminated input). Entries carry the chunk's start t0, as the
+// server's carry the request's.
+func capture(t0 time.Time, src string, elapsed time.Duration, results []*lera.Result, err error) {
 	if slowRing == nil {
 		return
 	}
@@ -335,7 +336,7 @@ func capture(src string, elapsed time.Duration, results []*lera.Result, err erro
 		code = string(guard.CodeOf(err))
 	}
 	add := func(r *lera.Result, err error) {
-		slowRing.Add(lera.NewSlowEntry(time.Now(), "", query, code, elapsed, r, err))
+		slowRing.Add(lera.NewSlowEntry(t0, "", query, code, elapsed, r, err))
 	}
 	var last *lera.Result
 	for _, r := range results {

@@ -24,7 +24,6 @@ var extensionRules string
 
 func main() {
 	s := lera.NewSession(
-		lera.WithTrace(),
 		// The implementor rule: OVERLAPS is symmetric, so the mirror test
 		// is redundant and dropped before execution.
 		lera.WithRules(extensionRules),

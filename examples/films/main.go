@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	s := lera.NewSession(lera.WithTrace())
+	s := lera.NewSession()
 	// The Figure 2 schema, the Figure 4/5 views and the sample instance
 	// (actor objects + the three relations).
 	if err := s.LoadFilms(); err != nil {

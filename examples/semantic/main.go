@@ -14,7 +14,6 @@ import (
 
 func main() {
 	s := lera.NewSession(
-		lera.WithTrace(),
 		// Figure 10: the Categories domain constraint, declared by the
 		// database administrator in the rule language itself.
 		lera.WithConstraints(`

@@ -10,6 +10,7 @@ import (
 	"lera/internal/engine"
 	"lera/internal/esql"
 	"lera/internal/lera"
+	"lera/internal/rules"
 	"lera/internal/term"
 	"lera/internal/testdb"
 	"lera/internal/value"
@@ -244,9 +245,10 @@ func TestDynamicLimits(t *testing.T) {
 	}
 }
 
-// TestWithoutBlockAndBlockLimit: §7 knobs.
+// TestWithoutBlockAndBlockLimit: §7's knob — a zero block limit turns
+// the block off.
 func TestWithoutBlockAndBlockLimit(t *testing.T) {
-	s := filmsSession(t, WithoutBlock("fixpoint"))
+	s := filmsSession(t, WithBlockLimit("fixpoint", 0))
 	res, err := s.Query("SELECT Name(Refactor1) FROM BETTER_THAN WHERE Name(Refactor2) = 'Quinn'")
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +272,33 @@ func TestWithoutBlockAndBlockLimit(t *testing.T) {
 	}
 	if len(res2.Rows) != 1 {
 		t.Errorf("rows = %v", res2.Rows)
+	}
+}
+
+// TestBlockLimitRejectsWhatItCannotApply: a block limit must name a
+// block of the assembled rule base — built-in, added by WithRules or by
+// WithPlanning, whatever the option order — and be a budget or
+// rules.Infinite; anything else fails construction, naming the block.
+func TestBlockLimitRejectsWhatItCannotApply(t *testing.T) {
+	const extra = "rule dbl: NEG(NEG(x)) --> x;\nblock(extra, {dbl}, inf);"
+	for _, c := range []struct {
+		opts []Option
+		bad  string
+	}{
+		{[]Option{WithBlockLimit("merg", 0)}, `"merg"`},
+		{[]Option{WithBlockLimit("merge", rules.Infinite-1)}, `"merge"`},
+		{[]Option{WithBlockLimit("extra", 0)}, `"extra"`},
+		{[]Option{WithBlockLimit("merge", rules.Infinite)}, ""},
+		{[]Option{WithBlockLimit("extra", 0), WithRules(extra)}, ""},
+		{[]Option{WithBlockLimit("planning", 2), WithPlanning()}, ""},
+	} {
+		_, err := NewSession(c.opts...).Rewriter()
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("valid block limit refused: %v", err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), c.bad)):
+			t.Errorf("block limit on %s: err = %v, want an error naming it", c.bad, err)
+		}
 	}
 }
 
@@ -327,25 +356,26 @@ func TestConstraintsViaOption(t *testing.T) {
 	}
 }
 
-// TestExplain produces a readable trace.
+// TestExplain: EXPLAIN prints both plans, the rewrite stats and one
+// rule.apply line per application, naming the rule that fired.
 func TestExplain(t *testing.T) {
-	s := filmsSession(t, WithTrace())
-	rw, err := s.Rewriter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := lera.Search(
-		[]*term.Term{lera.Rel("FILM")},
-		lera.Ands(lera.Call("Member", term.Str("Cartoon"), lera.Attr(1, 3))),
-		[]*term.Term{lera.Attr(1, 2)},
-	)
-	out, err := rw.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"before:", "after:", "stats:", "member_enum_incons"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Explain missing %q:\n%s", want, out)
+	s := filmsSession(t)
+	for _, c := range []struct{ query, rule string }{
+		{"SELECT Title FROM FILM WHERE MEMBER('Cartoon', Categories)", "member_enum_incons"},
+		{esql.Figure5Query, "alexander"},
+	} {
+		msg := explainOf(t, s, "EXPLAIN "+strings.TrimRight(strings.TrimSpace(c.query), ";")+";").Message
+		for _, want := range []string{"plan (translated):", "plan (rewritten):", "rewrite: applications=", "rule.apply rule=" + c.rule + " "} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("EXPLAIN missing %q:\n%s", want, msg)
+			}
+		}
+		var apps int
+		if _, err := fmt.Sscanf(msg[strings.Index(msg, "rewrite: applications="):], "rewrite: applications=%d", &apps); err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(msg, "· rule.apply "); n != apps || n == 0 {
+			t.Errorf("%d rule.apply lines for %d applications:\n%s", n, apps, msg)
 		}
 	}
 }

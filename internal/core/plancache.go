@@ -55,18 +55,14 @@ func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCach
 
 // knobs returns the signature of every construction-time option that
 // can change rewrite output without changing the rule-base fingerprint:
-// block budgets and disabled blocks, the master sequence, the dynamic
-// limit policy and the check budget. (The test-only full-scan match loop
-// is excluded on purpose — the indexed and full-scan rewriters produce
-// identical rewrites, which is exactly what index_regression_test.go
-// pins.)
+// block budgets, the master sequence and the dynamic limit policy. (The
+// test-only full-scan match loop is excluded on purpose — the indexed and
+// full-scan rewriters produce identical rewrites, which is exactly what
+// index_regression_test.go pins.)
 func knobs(cfg *config) string {
-	parts := []string{fmt.Sprintf("conslim=%d", cfg.constraintLim)}
+	var parts []string
 	if cfg.dynamicLimits {
 		parts = append(parts, "dyn")
-	}
-	if cfg.maxChecks != 0 {
-		parts = append(parts, fmt.Sprintf("checks=%d", cfg.maxChecks))
 	}
 	if cfg.sequence != "" {
 		parts = append(parts, "seq="+cfg.sequence)
@@ -78,14 +74,6 @@ func knobs(cfg *config) string {
 	sort.Strings(keys)
 	for _, k := range keys {
 		parts = append(parts, fmt.Sprintf("bl:%s=%d", k, cfg.blockLimits[k]))
-	}
-	keys = keys[:0]
-	for k := range cfg.disableBlocks {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, "off:"+k)
 	}
 	return strings.Join(parts, "|")
 }

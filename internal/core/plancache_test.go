@@ -161,7 +161,7 @@ func TestPlanCacheForkSharing(t *testing.T) {
 // folds to FALSE; without it, the predicate survives.
 func TestPlanCacheRuleBaseIsolation(t *testing.T) {
 	full := filmsSession(t, WithPlanCache(64))
-	bare := filmsSession(t, WithPlanCache(64), WithoutBlock("simplify"))
+	bare := filmsSession(t, WithPlanCache(64), WithBlockLimit("simplify", 0))
 	bare.Plans = full.Plans // simulate a shared pool with divergent rule bases
 
 	const q = "SELECT Title FROM FILM WHERE MEMBER('Cartoon', Categories)"

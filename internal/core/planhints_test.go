@@ -69,7 +69,7 @@ func TestPlanningReordersJoins(t *testing.T) {
 
 // Identity orders veto: a query already smallest-first is untouched.
 func TestPlanningIdentityVetoes(t *testing.T) {
-	s := planSession(t, WithPlanning(), WithTrace())
+	s := planSession(t, WithPlanning())
 	res, err := s.Query("SELECT TINY.K FROM TINY, BIG WHERE TINY.K = 3")
 	if err != nil {
 		t.Fatal(err)

@@ -38,18 +38,18 @@ const DefaultSequence = `
 seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 2);
 `
 
+// constraintLimit is the constraints block's declared budget; override it
+// with WithBlockLimit("constraints", n).
+const constraintLimit = 100
+
 // Option configures a Rewriter.
 type Option func(*config)
 
 type config struct {
-	trace         bool
 	dynamicLimits bool
-	maxChecks     int
 	extraRules    []string
 	constraintSrc []string
-	constraintLim int
 	sequence      string
-	disableBlocks map[string]bool
 	blockLimits   map[string]int
 	ruleCheck     bool
 	fullScan      bool // in-package tests only: rewrite.Options.FullScan, the match-loop oracle
@@ -58,17 +58,9 @@ type config struct {
 	planCacheVal  int
 }
 
-// WithTrace records every rule application of a rewrite on its
-// Stats.Trace (Result.Stats.Trace for a session query).
-func WithTrace() Option { return func(c *config) { c.trace = true } }
-
 // WithDynamicLimits enables the §7 extension: block limits are scaled by
 // query complexity, with 0 for key-lookup-simple queries.
 func WithDynamicLimits() Option { return func(c *config) { c.dynamicLimits = true } }
-
-// WithMaxChecks caps total condition checks (guard against runaway rule
-// sets).
-func WithMaxChecks(n int) Option { return func(c *config) { c.maxChecks = n } }
 
 // WithRules adds implementor-written rules (and blocks/sequence) in the
 // rule language; same-named rules override built-ins.
@@ -81,23 +73,13 @@ func WithConstraints(src string) Option {
 	return func(c *config) { c.constraintSrc = append(c.constraintSrc, src) }
 }
 
-// WithConstraintLimit sets the constraints block budget (default 100).
-func WithConstraintLimit(n int) Option { return func(c *config) { c.constraintLim = n } }
-
 // WithSequence replaces the master sequence (rule-language "seq" syntax).
 func WithSequence(src string) Option { return func(c *config) { c.sequence = src } }
 
-// WithoutBlock gives the named block a zero budget — the §7 knob.
-func WithoutBlock(name string) Option {
-	return func(c *config) {
-		if c.disableBlocks == nil {
-			c.disableBlocks = map[string]bool{}
-		}
-		c.disableBlocks[name] = true
-	}
-}
-
-// WithBlockLimit overrides a single block's budget.
+// WithBlockLimit overrides a single block's budget: a non-negative
+// number of condition checks, or rules.Infinite. A zero limit turns the
+// block off — the §7 knob. New fails when the assembled rule base has no
+// block of that name.
 func WithBlockLimit(name string, limit int) Option {
 	return func(c *config) {
 		if c.blockLimits == nil {
@@ -133,8 +115,10 @@ func WithRuleCheck() Option { return func(c *config) { c.ruleCheck = true } }
 // Rewriter is the assembled query rewriter: one rule base, parsed,
 // validated and compiled by New and never written afterwards, so a
 // session and all its forks rewrite through the same *Rewriter at once.
-// Everything a rewrite produces — plan, statistics, trace, the fallback
-// term of a failed run — is returned by the call that ran it.
+// Everything a rewrite produces — plan, statistics, the fallback term of
+// a failed run — is returned by the call that ran it; its rule
+// applications are recorded as rule.apply events on the recorder its
+// context carries.
 type Rewriter struct {
 	Cat *catalog.Catalog
 	RS  *rules.RuleSet
@@ -162,7 +146,7 @@ func New(cat *catalog.Catalog, opts ...Option) (*Rewriter, error) {
 // newConfig applies an option list to the defaults — once per session,
 // which keeps the result and rebuilds its rewriter from it.
 func newConfig(opts []Option) config {
-	cfg := config{constraintLim: 100}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -191,7 +175,7 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 	consRS := rules.NewRuleSet()
 	var consNames []string
 	for _, src := range constraintRules {
-		parsed, err := semantic.ParseConstraints(src, cfg.constraintLim)
+		parsed, err := semantic.ParseConstraints(src, constraintLimit)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +194,7 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 		consRS.RuleOrder = append(consRS.RuleOrder, compiled.Name)
 		consNames = append(consNames, compiled.Name)
 	}
-	consRS.Blocks["constraints"] = &rules.Block{Name: "constraints", Rules: consNames, Limit: cfg.constraintLim}
+	consRS.Blocks["constraints"] = &rules.Block{Name: "constraints", Rules: consNames, Limit: constraintLimit}
 	consRS.BlockOrder = []string{"constraints"}
 	rs.Merge(consRS)
 
@@ -234,6 +218,14 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 	if err := rs.Validate(); err != nil {
 		return nil, err
 	}
+	for name, limit := range cfg.blockLimits {
+		if _, ok := rs.Blocks[name]; !ok {
+			return nil, fmt.Errorf("core: block limit for unknown block %q", name)
+		}
+		if limit < rules.Infinite {
+			return nil, fmt.Errorf("core: block %q: limit %d is below %d (infinite)", name, limit, rules.Infinite)
+		}
+	}
 
 	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, cfg: cfg, schemaVersion: schemaVersion,
 		env: rs.Fingerprint() + "|" + knobs(&cfg)}
@@ -252,16 +244,11 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 		}
 	}
 	engOpts := rewrite.Options{
-		CollectTrace: cfg.trace,
-		MaxChecks:    cfg.maxChecks,
-		FullScan:     cfg.fullScan,
-		Injector:     cfg.injector,
+		FullScan: cfg.fullScan,
+		Injector: cfg.injector,
 	}
-	if len(cfg.blockLimits)+len(cfg.disableBlocks) > 0 {
+	if len(cfg.blockLimits) > 0 {
 		engOpts.BlockLimitOverride = func(block string, declared int) int {
-			if cfg.disableBlocks[block] {
-				return 0
-			}
 			if v, ok := cfg.blockLimits[block]; ok {
 				return v
 			}
@@ -331,28 +318,4 @@ func (r *Rewriter) RewriteCtx(ctx context.Context, q *term.Term, lim guard.Limit
 // RewriteBlock runs a single block (for tests and experiments).
 func (r *Rewriter) RewriteBlock(q *term.Term, block string) (*term.Term, *rewrite.Stats, error) {
 	return r.eng.RunBlockCtx(context.Background(), q, block, guard.Limits{}, r.simple(q))
-}
-
-// Explain renders a human-readable account of a rewrite: the query before
-// and after, every rule application, and the statistics.
-func (r *Rewriter) Explain(q *term.Term) (string, error) {
-	eng := r.eng
-	if !eng.Opts.CollectTrace {
-		opts := eng.Opts
-		opts.CollectTrace = true
-		eng = rewrite.New(r.RS, r.Ext, r.Cat, opts)
-	}
-	out, st, err := eng.RunCtx(context.Background(), q, guard.Limits{}, r.simple(q))
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "before: %s\n", lera.Format(q))
-	for i, tr := range st.Trace {
-		fmt.Fprintf(&sb, "%3d. [%s/%s] %s\n     ==> %s\n", i+1, tr.Block, tr.Rule, tr.Before, tr.After)
-	}
-	fmt.Fprintf(&sb, "after:  %s\n", lera.Format(out))
-	fmt.Fprintf(&sb, "stats:  %d condition checks, %d applications, %d rounds\n",
-		st.ConditionChecks, st.Applications, st.Rounds)
-	return sb.String(), nil
 }

@@ -2,8 +2,9 @@ package core
 
 // The compile-once contract (DESIGN.md S6): a Rewriter is immutable after
 // New, shared by a session and all its forks, and every rewrite returns
-// what it produced — plan, statistics, trace and, with an error, the last
-// committed term.
+// what it produced — plan, statistics and, with an error, the last
+// committed term — and records its rule applications on the recorder its
+// own context carries.
 
 import (
 	"context"
@@ -16,6 +17,7 @@ import (
 	"lera/internal/esql"
 	"lera/internal/guard"
 	"lera/internal/lera"
+	"lera/internal/obs"
 	"lera/internal/rewrite"
 	"lera/internal/rules"
 	"lera/internal/term"
@@ -35,31 +37,41 @@ func figureCorpus(t *testing.T, s *Session) []*term.Term {
 	return out
 }
 
+// tracedRewrite runs one rewrite under a recorder of its own and returns
+// the finished span tree beside the rewrite's results.
+func tracedRewrite(rw *Rewriter, q *term.Term, lim guard.Limits) (*term.Term, *rewrite.Stats, *obs.Span, error) {
+	rec := obs.NewRecorder("rewrite")
+	plan, st, err := rw.RewriteCtx(obs.NewContext(context.Background(), rec), q, lim)
+	return plan, st, rec.Finish(), err
+}
+
 // TestSharedRewriterConcurrent: 8 goroutines x the figure corpus x 50
-// rounds through ONE tracing rewriter; every plan, every Stats field and
-// every trace must equal a serial run's. CI runs it under -race, where a
-// single write to the Rewriter or its Engine during a rewrite fails it.
+// rounds through ONE rewriter, each rewrite traced by its own recorder;
+// every plan, every Stats field and every trace must equal a serial
+// run's. CI runs it under -race, where a single write to the Rewriter or
+// its Engine during a rewrite fails it.
 func TestSharedRewriterConcurrent(t *testing.T) {
-	s := filmsSession(t, WithTrace())
+	s := filmsSession(t)
 	corpus := figureCorpus(t, s)
 	rw, err := s.Rewriter()
 	if err != nil {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		plan *term.Term
-		st   rewrite.Stats
+		plan  *term.Term
+		st    rewrite.Stats
+		trace string
 	}
 	want := make([]outcome, len(corpus))
 	for i, q := range corpus {
-		plan, st, err := rw.Rewrite(q)
+		plan, st, root, err := tracedRewrite(rw, q, guard.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Trace) != st.Applications || st.Applications == 0 {
-			t.Fatalf("query %d: %d trace entries for %d applications", i, len(st.Trace), st.Applications)
+		if n := len(ruleApplies(t, root)); n != st.Applications || n == 0 {
+			t.Fatalf("query %d: %d rule.apply events for %d applications", i, n, st.Applications)
 		}
-		want[i] = outcome{plan, *st}
+		want[i] = outcome{plan, *st, obs.FormatTree(root, false)}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -68,7 +80,7 @@ func TestSharedRewriterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
 				for i, q := range corpus {
-					plan, st, err := rw.Rewrite(q)
+					plan, st, root, err := tracedRewrite(rw, q, guard.Limits{})
 					if err != nil {
 						t.Errorf("goroutine %d round %d query %d: %v", g, round, i, err)
 						return
@@ -78,6 +90,9 @@ func TestSharedRewriterConcurrent(t *testing.T) {
 					}
 					if !reflect.DeepEqual(*st, want[i].st) {
 						t.Errorf("goroutine %d round %d query %d: stats %+v, serial %+v", g, round, i, *st, want[i].st)
+					}
+					if tree := obs.FormatTree(root, false); tree != want[i].trace {
+						t.Errorf("goroutine %d round %d query %d: trace\n%s\nserial\n%s", g, round, i, tree, want[i].trace)
 					}
 				}
 			}
@@ -120,7 +135,7 @@ func TestForkSharesRewriter(t *testing.T) {
 // mid-way hands back the term as of its last committed application with
 // the error, and that is exactly the plan the session degrades to.
 func TestRewriteErrorReturnsLastCommitted(t *testing.T) {
-	s := filmsSession(t, WithTrace())
+	s := filmsSession(t)
 	q := figureCorpus(t, s)[2] // Figure 5: seven applications
 	rw, err := s.Rewriter()
 	if err != nil {
@@ -131,21 +146,23 @@ func TestRewriteErrorReturnsLastCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	lim := guard.Limits{MaxSteps: 3}
-	last, st, err := rw.RewriteCtx(context.Background(), q, lim)
+	last, st, root, err := tracedRewrite(rw, q, lim)
 	if !errors.Is(err, guard.ErrStepBudget) {
 		t.Fatalf("err = %v, want ErrStepBudget", err)
 	}
-	if st.Applications != 3 || len(st.Trace) != 3 {
-		t.Fatalf("stats = %+v, want the 3 applications before the trip", st)
+	if n := len(ruleApplies(t, root)); st.Applications != 3 || n != 3 {
+		t.Fatalf("stats = %+v and %d rule.apply events, want the 3 applications before the trip", st, n)
 	}
 	if last == nil || term.Equal(last, q) || term.Equal(last, full) {
 		t.Fatalf("returned term must be the third intermediate, got %v", last)
 	}
-	// It is the term the fourth application then rewrites: at the fourth
-	// step's site it still reads as that step's "before".
-	_, st4, _ := rw.RewriteCtx(context.Background(), q, guard.Limits{MaxSteps: 4})
-	if step := st4.Trace[3]; term.At(last, step.Site).String() != step.Before {
-		t.Errorf("at %v the returned term reads %s, step 4 rewrote %s", step.Site, term.At(last, step.Site), step.Before)
+	// It is the term the fourth application then rewrites: the fourth
+	// intermediate differs from it at that application's site and
+	// nowhere else.
+	last4, _, root4, _ := tracedRewrite(rw, q, guard.Limits{MaxSteps: 4})
+	site := sitePathOf(t, ruleApplies(t, root4)[3])
+	if term.Equal(term.At(last, site), term.At(last4, site)) || !term.Equal(term.ReplaceAt(last, site, term.At(last4, site)), last4) {
+		t.Errorf("step 4 at %v did not rewrite the returned term %v into %v", site, last, last4)
 	}
 	s.Limits = lim
 	res, err := s.Query(esql.Figure5Query)

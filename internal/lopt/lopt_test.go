@@ -17,7 +17,7 @@ func engine(t *testing.T) *rewrite.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Engine(cat, rewrite.Options{CollectTrace: true})
+	return Engine(cat, rewrite.Options{})
 }
 
 // TestFigure7SearchMerging: two stacked searches merge into one, with the

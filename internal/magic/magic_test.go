@@ -22,7 +22,7 @@ func fixEngine(t *testing.T) *rewrite.Engine {
 	ext := rewrite.NewExternals()
 	RegisterExternals(ext)
 	rs := rules.MustParse(FixpointRules)
-	return rewrite.New(rs, ext, cat, rewrite.Options{CollectTrace: true})
+	return rewrite.New(rs, ext, cat, rewrite.Options{})
 }
 
 func betterThanFix() *term.Term {

@@ -259,6 +259,9 @@ func TestContextCarriage(t *testing.T) {
 	if FromContext(NewContext(ctx, rec)) != rec {
 		t.Fatal("recorder not carried")
 	}
+	if FromContext(NewContext(NewContext(ctx, rec), nil)) != nil {
+		t.Fatal("nil recorder must detach the carried one")
+	}
 }
 
 // TestNilRecorderAllocs pins the disabled path: every hook on a nil

@@ -153,10 +153,13 @@ func (r *Recorder) Finish() *Span {
 
 type ctxKey struct{}
 
-// NewContext returns ctx carrying the recorder. Passing nil r returns ctx
-// unchanged, so disabled observation adds no context wrapper at all.
+// NewContext returns ctx carrying the recorder. Passing nil r detaches
+// the recorder ctx carries, so work run under the result — a plan-cache
+// template rewrite, say — stays out of the request's trace; on a ctx
+// that carries none it returns ctx unchanged, so disabled observation
+// adds no context wrapper at all.
 func NewContext(ctx context.Context, r *Recorder) context.Context {
-	if r == nil {
+	if r == nil && FromContext(ctx) == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, r)

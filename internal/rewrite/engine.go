@@ -16,7 +16,7 @@
 // through it at once. Everything one rewrite writes lives in a per-call
 // run value: the cancellation context and trace recorder, the guard
 // limits of the request, the site index and scratch bindings, the last
-// committed term, the Stats (trace included) and the Fresh counter. The
+// committed term, the Stats and the Fresh counter. The
 // counter has to be per run: externals name the relations they introduce
 // with it, and a plan must be a function of the query and the rule base,
 // never of how many queries the engine served before (plan-cache keys,
@@ -237,15 +237,6 @@ func (e *Externals) HasBuiltin(name string) bool {
 	return ok
 }
 
-// TraceEntry records one rule application for EXPLAIN output.
-type TraceEntry struct {
-	Block  string
-	Rule   string
-	Site   term.Path
-	Before string
-	After  string
-}
-
 // Stats aggregates engine work, the measurable currency of the paper's
 // §4.2/§7 budget discussion.
 type Stats struct {
@@ -282,10 +273,6 @@ type Stats struct {
 	// never ran, so the work counters above are genuinely zero (the
 	// point of the cache). See internal/plancache and docs/PLANCACHE.md.
 	CacheHit bool
-
-	// Trace is the run's rule applications in commit order, for EXPLAIN
-	// output; nil unless the engine was built with Options.CollectTrace.
-	Trace []TraceEntry
 }
 
 // Options configure an engine; New resolves them once.
@@ -294,8 +281,6 @@ type Options struct {
 	// against non-terminating rule sets with infinite block limits
 	// (termination is undecidable, §4.2). 0 means the default.
 	MaxChecks int
-	// CollectTrace records a TraceEntry per application on Stats.Trace.
-	CollectTrace bool
 	// BlockLimitOverride, if non-nil, replaces every block's limit —
 	// the §7 dynamic-limit hook. New calls it once per block.
 	BlockLimitOverride func(block string, declared int) int
@@ -671,21 +656,13 @@ func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName strin
 	}
 	st.Applications++
 	if r.rec != nil {
-		// The per-rule provenance record: which rule fired, where, and
-		// what it cost (cumulative §4.2 checks at commit time; term size
-		// reads are O(1) via the memoized size).
+		// The one record of a rule application: which rule fired, where,
+		// and what it cost (cumulative §4.2 checks at commit time; term
+		// size reads are O(1) via the memoized size).
 		r.rec.Event("rule.apply",
 			obs.Str("rule", rule.Name), obs.Str("block", blockName),
 			obs.Str("site", sitePath(ctx.Site)),
 			obs.Int("checks", st.ConditionChecks), obs.Int("size", result.Size()))
-	}
-	if e.Opts.CollectTrace {
-		// All trace-only work — the path clone and the Before/After
-		// renderings — happens only when a trace is actually collected.
-		st.Trace = append(st.Trace, TraceEntry{
-			Block: blockName, Rule: rule.Name, Site: ctx.Site.Clone(),
-			Before: sub.String(), After: rhs.String(),
-		})
 	}
 	return result, siteApplied, nil
 }

@@ -1,10 +1,13 @@
 package rewrite
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"lera/internal/guard"
 	"lera/internal/lera"
+	"lera/internal/obs"
 	"lera/internal/rules"
 	"lera/internal/term"
 	"lera/internal/testdb"
@@ -353,23 +356,23 @@ seq({b}, 1);
 	}
 }
 
+// TestTraceCollection: a rewrite run under a recorder records each rule
+// application once, as a rule.apply event on its block's span.
 func TestTraceCollection(t *testing.T) {
 	src := `
 rule r: FF(x) --> GG(x);
 block(b, {r}, inf);
 seq({b}, 1);
 `
-	e := newEngine(t, src, Options{CollectTrace: true})
-	_, st := run(t, e, term.F("HH", term.F("FF", term.Num(1))))
-	if len(st.Trace) != 1 {
-		t.Fatalf("trace = %v", st.Trace)
+	e := newEngine(t, src, Options{})
+	rec := obs.NewRecorder("rewrite")
+	_, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), term.F("HH", term.F("FF", term.Num(1))), guard.Limits{}, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := st.Trace[0]
-	if tr.Rule != "r" || tr.Block != "b" || tr.Before != "FF(1)" || tr.After != "GG(1)" {
-		t.Errorf("trace entry = %+v", tr)
-	}
-	if len(tr.Site) != 1 || tr.Site[0] != 0 {
-		t.Errorf("site = %v", tr.Site)
+	got := obs.FormatTree(rec.Finish(), false)
+	if want := "· rule.apply rule=r block=b site=[0] checks=1 size=3\n"; st.Applications != 1 || strings.Count(got, "rule.apply") != 1 || !strings.Contains(got, want) {
+		t.Errorf("trace for %d applications:\n%s\nwant one %q", st.Applications, got, want)
 	}
 }
 

@@ -72,9 +72,6 @@ type Term = term.Term
 // Stats aggregates rewrite work (condition checks, applications, rounds).
 type Stats = rewrite.Stats
 
-// TraceEntry records one rule application (see Rewriter.Explain).
-type TraceEntry = rewrite.TraceEntry
-
 // Limits is the per-query guard budget: wall-clock timeout (applied to
 // the rewrite and execute phases separately), rule-application cap, term
 // growth cap, materialized-row cap and fixpoint-iteration cap. The zero
@@ -165,24 +162,17 @@ func NewCatalog() *Catalog { return catalog.New() }
 
 // Rewriter options (see the paper's §4.2 and §7).
 var (
-	// WithTrace records every rule application on Stats.Trace.
-	WithTrace = core.WithTrace
 	// WithDynamicLimits scales block budgets by query complexity, with
 	// zero budgets for key-lookup-simple queries (§7).
 	WithDynamicLimits = core.WithDynamicLimits
-	// WithMaxChecks caps total condition checks.
-	WithMaxChecks = core.WithMaxChecks
 	// WithRules adds implementor-written rules in the rule language.
 	WithRules = core.WithRules
 	// WithConstraints adds Figure 10-style integrity constraints.
 	WithConstraints = core.WithConstraints
-	// WithConstraintLimit bounds the constraints block budget.
-	WithConstraintLimit = core.WithConstraintLimit
 	// WithSequence replaces the master block sequence.
 	WithSequence = core.WithSequence
-	// WithoutBlock disables one optimizer block (§7's zero limit).
-	WithoutBlock = core.WithoutBlock
-	// WithBlockLimit overrides one block's budget.
+	// WithBlockLimit overrides one block's budget; a zero limit turns the
+	// block off (§7).
 	WithBlockLimit = core.WithBlockLimit
 	// WithPlanning enables the §7 planning-hint extension: join operands
 	// reorder by estimated cardinality, smallest first.
