@@ -41,7 +41,7 @@ type QueryReport struct {
 	// (the flat totals, present whenever the report is).
 	ExecCounters engine.Counters
 	// Spill is the out-of-core activity delta for this query alone: spill
-	// partition files written, bytes spilled, records read back. All zero
+	// partitions written, bytes spilled, records read back. All zero
 	// unless the memory governor moved an operator out of core
 	// (docs/PERF.md, "Memory governor & spill").
 	Spill engine.SpillStats
@@ -169,8 +169,8 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		m.Counter(mPredEvals, "Qualification conjuncts evaluated against rows.").Add(int64(c.PredEvals))
 		m.Counter(mFixIters, "Fixpoint rounds executed.").Add(int64(c.FixIterations))
 		if sp := rep.Spill; sp.Partitions > 0 || sp.Bytes > 0 || sp.Reads > 0 {
-			m.Counter(mSpillParts, "Spill partition files written by the memory governor.").Add(sp.Partitions)
-			m.Counter(mSpillBytes, "Bytes written to spill files.").Add(sp.Bytes)
+			m.Counter(mSpillParts, "Spill partitions written by the memory governor.").Add(sp.Partitions)
+			m.Counter(mSpillBytes, "Bytes spilled by the memory governor.").Add(sp.Bytes)
 			m.Counter(mSpillReads, "Spill records read back during out-of-core processing.").Add(sp.Reads)
 		}
 		if mp := rep.Budget.MemPeakBytes; mp > 0 {

@@ -204,7 +204,7 @@ func TestRowSetDifferential(t *testing.T) {
 func fuzzRows(data []byte) [][]value.Value {
 	var decoded [][]value.Value
 	for pos := 0; pos < len(data) && len(decoded) < 64; {
-		rec, next, err := decodeRecord(data, pos)
+		rec, _, next, err := decodeRecord(data, pos, nil)
 		if err != nil {
 			break
 		}

@@ -41,7 +41,9 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"lera/internal/guard"
@@ -54,10 +56,11 @@ import (
 // activity is exactly what distinguishes them. Surfaced as the
 // lera_engine_spill_* metrics through core/obs.
 type SpillStats struct {
-	// Partitions counts spill files created (grace partitions at every
-	// recursion depth, plus one per migrated membership set).
+	// Partitions counts spill partitions created (grace partitions at
+	// every recursion depth, plus one per migrated membership set).
 	Partitions int64
-	// Bytes counts bytes written to spill files.
+	// Bytes counts the bytes of the records spilled, as each is added to
+	// its partition — whether or not its block is ever written.
 	Bytes int64
 	// Reads counts spill records read back (partition scans and
 	// collision-candidate reads).
@@ -389,63 +392,78 @@ func decodeValue(buf []byte, pos int) (value.Value, int, error) {
 
 // decodeRow decodes one encoded row (the payload appendRow produced).
 func decodeRow(buf []byte) ([]value.Value, error) {
+	return appendDecodedRow(nil, buf)
+}
+
+// appendDecodedRow decodes one encoded row, appending its values to dst.
+func appendDecodedRow(dst []value.Value, buf []byte) ([]value.Value, error) {
 	n, pos, err := decodeLen(buf, 0)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	row := make([]value.Value, n)
-	for i := range row {
-		if row[i], pos, err = decodeValue(buf[:len(buf)-(n-1-i)], pos); err != nil {
-			return nil, err
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		var v value.Value
+		if v, pos, err = decodeValue(buf[:len(buf)-(n-1-i)], pos); err != nil {
+			return dst, err
 		}
+		dst = append(dst, v)
 	}
 	if pos != len(buf) {
-		return nil, errSpillCorrupt
+		return dst, errSpillCorrupt
 	}
-	return row, nil
+	return dst, nil
 }
 
 // ---- The partition store ----
 //
-// Everything out-of-core sits on three small types: a spillFile owns one
-// temp file, a spillPart is a file of hash-routed records plus what the
-// walk must know of it, and a partSet is one fan-out level of the grace
-// partition tree. Grace dedup and grace join fill a partSet and hand it to
-// graceWalk with their leaf; the spilled membership set uses the file
-// owner and the row codec directly.
+// Everything out-of-core sits on four small types: a spillFile owns one
+// temp file, a spillStream is a run of records written into a file by the
+// block, a spillPart is a stream of hash-routed records plus what the walk
+// must know of it, and a partSet is one fan-out level of the grace
+// partition tree, its partitions sharing one file. Grace dedup and grace
+// join fill a partSet and hand it to graceWalk with their leaf; the spilled
+// membership set keeps its rows in a stream of its own file.
 
-// spillFile owns one temp file of the evaluation's spill directory.
-// newSpillFile is the only creator and close the only remover; the files
-// are single-pass scratch, so nothing is ever synced or kept.
+// spillBlockSize is the unit of spill writes: a stream gathers its records
+// in one block of this many bytes and writes the block whole when the next
+// record would not fit. It is a constant, not an option: 1 KiB takes
+// the write calls out of the profile, and a larger block buys no more speed
+// but costs memory, 16 blocks a partition level.
+const spillBlockSize = 1 << 10
+
+// spillFile owns one temp file of the evaluation's spill directory: one per
+// partSet and one per migrated membership set. newSpillFile is the only
+// creator, write the only writer and close the only remover; the files are
+// single-pass scratch, so nothing is ever synced or kept.
 type spillFile struct {
 	db   *DB
 	f    *os.File
 	size int64 // bytes written
 }
 
-// newSpillFile creates a spill file, counted as one SpillStats.Partitions.
-func (db *DB) newSpillFile() (spillFile, error) {
+// newSpillFile creates a spill file.
+func (db *DB) newSpillFile() (*spillFile, error) {
 	f, err := db.g.spill.tempFile()
 	if err != nil {
-		return spillFile{}, err
+		return nil, err
 	}
-	db.noteSpill(1, 0)
-	return spillFile{db: db, f: f}, nil
+	return &spillFile{db: db, f: f}, nil
 }
 
-// write appends b in one Write and accounts its bytes.
-func (s *spillFile) write(b []byte) error {
+// write appends b in one Write, returning the offset it starts at.
+func (s *spillFile) write(b []byte) (int64, error) {
+	off := s.size
 	if _, err := s.f.Write(b); err != nil {
-		return fmt.Errorf("engine: spill write: %w", err)
+		return 0, fmt.Errorf("engine: spill write: %w", err)
 	}
 	s.size += int64(len(b))
-	s.db.noteSpill(0, int64(len(b)))
-	return nil
+	return off, nil
 }
 
-// close closes and removes the file. Idempotent.
+// close closes and removes the file. Nil-safe and idempotent.
 func (s *spillFile) close() {
-	if s.f != nil {
+	if s != nil && s.f != nil {
 		name := s.f.Name()
 		_ = s.f.Close()
 		_ = os.Remove(name)
@@ -453,40 +471,150 @@ func (s *spillFile) close() {
 	}
 }
 
-// spillRecord is one partition record. On disk it is framed as [uvarint
-// payload length] [payload], the payload being [8-byte hash] [8-byte
-// original row index] [encoded row]: the hash rides along so that
-// re-partitioning never re-hashes, and the index is what the
-// index-ordered output merge keys on.
+// spillExtent is a run of a stream's bytes in its file.
+type spillExtent struct {
+	off, n int64
+}
+
+// spillStream is an append-only run of records in a spill file it may share
+// with other streams. Records gather in the stream's block, written whole
+// when the next record would not fit; what is written lies in extents of
+// the file, in write order, adjacent ones coalesced.
+type spillStream struct {
+	file  *spillFile
+	block []byte
+	ext   []spillExtent
+}
+
+// append adds rec to the stream and accounts its bytes as SpillStats.Bytes.
+// A record larger than a block is written as an extent of its own.
+func (s *spillStream) append(rec []byte) error {
+	if len(s.block)+len(rec) > spillBlockSize {
+		if err := s.flush(s.block); err != nil {
+			return err
+		}
+		s.block = s.block[:0]
+	}
+	if len(rec) > spillBlockSize {
+		if err := s.flush(rec); err != nil {
+			return err
+		}
+	} else {
+		if s.block == nil {
+			s.block = make([]byte, 0, spillBlockSize)
+		}
+		s.block = append(s.block, rec...)
+	}
+	s.file.db.noteSpill(0, int64(len(rec)))
+	return nil
+}
+
+// flush writes b at the end of the file as the stream's next extent.
+func (s *spillStream) flush(b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
+	off, err := s.file.write(b)
+	if err != nil {
+		return err
+	}
+	if n := len(s.ext); n > 0 && s.ext[n-1].off+s.ext[n-1].n == off {
+		s.ext[n-1].n += int64(len(b))
+	} else {
+		s.ext = append(s.ext, spillExtent{off: off, n: int64(len(b))})
+	}
+	return nil
+}
+
+// len returns the bytes appended to the stream.
+func (s *spillStream) len() int64 {
+	n := int64(len(s.block))
+	for _, e := range s.ext {
+		n += e.n
+	}
+	return n
+}
+
+// ReadAt reads len(b) bytes of the stream starting off bytes into it: from
+// the file where they are written, from the block where they are not yet.
+func (s *spillStream) ReadAt(b []byte, off int64) (int, error) {
+	n := 0
+	for _, e := range s.ext {
+		if n == len(b) {
+			return n, nil
+		}
+		if off >= e.n {
+			off -= e.n
+			continue
+		}
+		m, err := s.file.f.ReadAt(b[n:min(len(b), n+int(e.n-off))], e.off+off)
+		n += m
+		if err != nil {
+			return n, fmt.Errorf("engine: spill read: %w", err)
+		}
+		off = 0
+	}
+	if off < int64(len(s.block)) {
+		n += copy(b[n:], s.block[off:])
+	}
+	if n < len(b) {
+		return n, fmt.Errorf("engine: spill read: %w", io.ErrUnexpectedEOF)
+	}
+	return n, nil
+}
+
+// spillRecord is one partition record. It is framed as [uvarint payload
+// length] [payload], the payload being [8-byte hash] [8-byte original row
+// index] [encoded row]: the hash rides along so that re-partitioning never
+// re-hashes, and the index is what the index-ordered output merge keys on.
 type spillRecord struct {
 	hash uint64
 	idx  uint64
 	row  []value.Value
 }
 
-// decodeRecord decodes the record framed at data[pos:], returning it and
-// the position after it.
-func decodeRecord(data []byte, pos int) (spillRecord, int, error) {
+// appendRecord appends the framed record of row to buf[:0] and returns it:
+// the payload is encoded behind a gap wide enough for any length header,
+// which is then laid right-aligned against it. buf keeps the capacity.
+func appendRecord(buf []byte, h, idx uint64, row []value.Value) (rec, grown []byte) {
+	var hdr [binary.MaxVarintLen64]byte
+	buf = append(buf[:0], hdr[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, h)
+	buf = binary.LittleEndian.AppendUint64(buf, idx)
+	buf = appendRow(buf, row)
+	n := binary.PutUvarint(hdr[:], uint64(len(buf)-len(hdr)))
+	rec = buf[len(hdr)-n:]
+	copy(rec, hdr[:n])
+	return rec, buf
+}
+
+// decodeRecord decodes the record framed at data[pos:], its row appended to
+// vals as a full slice of it, returning the record, vals and the position
+// after the record.
+func decodeRecord(data []byte, pos int, vals []value.Value) (spillRecord, []value.Value, int, error) {
 	n, pos, err := decodeLen(data, pos)
 	if err != nil || n < 16 {
-		return spillRecord{}, pos, errSpillCorrupt
+		return spillRecord{}, vals, pos, errSpillCorrupt
 	}
 	payload := data[pos : pos+n]
-	row, err := decodeRow(payload[16:])
+	start := len(vals)
+	if vals, err = appendDecodedRow(vals, payload[16:]); err != nil {
+		return spillRecord{}, vals, pos, err
+	}
 	return spillRecord{
 		hash: binary.LittleEndian.Uint64(payload),
 		idx:  binary.LittleEndian.Uint64(payload[8:]),
-		row:  row,
-	}, pos + n, err
+		row:  vals[start:len(vals):len(vals)],
+	}, vals, pos + n, nil
 }
 
-// spillPart is one partition file, with what graceWalk must know of it
-// recorded as it fills, so that "over the grant and still splittable" is
-// decided without reading the file back.
+// spillPart is one partition: a stream of records, with what graceWalk
+// must know of it recorded as it fills, so that "over the grant and still
+// splittable" is decided without reading it back.
 type spillPart struct {
-	spillFile
-	buf  []byte // record scratch
+	spillStream
 	rows int
+	vals int // values in the rows, the slab a load decodes them into
 	// resident is what loading the partition would charge: Σ rowMemBytes +
 	// setEntryBytes, the unit of the grant and of the initial spill
 	// decision — not the encoded size, which is ~13x smaller for int rows.
@@ -497,20 +625,9 @@ type spillPart struct {
 	mixed bool
 }
 
-// add appends one record in a single Write: the payload is encoded behind
-// a gap wide enough for any length header, which is then laid
-// right-aligned against it.
-func (p *spillPart) add(h, idx uint64, row []value.Value) error {
-	var hdr [binary.MaxVarintLen64]byte
-	buf := append(p.buf[:0], hdr[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, h)
-	buf = binary.LittleEndian.AppendUint64(buf, idx)
-	buf = appendRow(buf, row)
-	p.buf = buf
-	n := binary.PutUvarint(hdr[:], uint64(len(buf)-len(hdr)))
-	rec := buf[len(hdr)-n:]
-	copy(rec, hdr[:n])
-	if err := p.write(rec); err != nil {
+// add appends rec, the framed record of row under hash h.
+func (p *spillPart) add(h uint64, row []value.Value, rec []byte) error {
+	if err := p.append(rec); err != nil {
 		return err
 	}
 	if p.rows == 0 {
@@ -519,79 +636,96 @@ func (p *spillPart) add(h, idx uint64, row []value.Value) error {
 		p.mixed = true
 	}
 	p.rows++
+	p.vals += len(row)
 	p.resident += rowMemBytes(row) + setEntryBytes
 	return nil
 }
 
-// scan reads the partition back in write order, invoking fn per record
-// and counting each as one SpillStats.Reads.
-func (p *spillPart) scan(fn func(spillRecord) error) error {
-	data := make([]byte, p.size)
-	if _, err := p.f.ReadAt(data, 0); err != nil {
-		return fmt.Errorf("engine: spill read: %w", err)
+// scan reads the partition back in write order into buf, invoking fn per
+// record and counting each as one SpillStats.Reads; it returns buf, grown
+// to the partition if it had to be. With keep, the rows are decoded into
+// one slab sized for the partition and outlive the scan (no value aliases
+// buf: strings are copied); without it they share one scratch row, valid
+// only during fn — all the walk needs to stream a partition one level down.
+func (p *spillPart) scan(keep bool, buf []byte, fn func(spillRecord) error) ([]byte, error) {
+	n := int(p.len())
+	data := slices.Grow(buf[:0], n)[:n]
+	if _, err := p.ReadAt(data, 0); err != nil {
+		return data, err
+	}
+	var vals []value.Value
+	if keep {
+		vals = make([]value.Value, 0, p.vals)
 	}
 	for pos := 0; pos < len(data); {
-		rec, next, err := decodeRecord(data, pos)
-		if err != nil {
-			return err
+		if !keep {
+			vals = vals[:0]
 		}
-		pos = next
-		p.db.Spill.Reads++
+		var rec spillRecord
+		var err error
+		if rec, vals, pos, err = decodeRecord(data, pos, vals); err != nil {
+			return data, err
+		}
+		p.file.db.Spill.Reads++
 		if err := fn(rec); err != nil {
-			return err
+			return data, err
 		}
 	}
-	return nil
+	return data, nil
 }
 
 // partSet is one level of a grace partition tree: up to spillFanout
-// partitions, selected by the hash nibble at depth. Whoever creates a set
-// closes it.
+// partitions, selected by the hash nibble at depth, sharing one spill
+// file. Whoever creates a set closes it.
 type partSet struct {
 	db    *DB
 	depth int
+	file  *spillFile // created with the first partition
+	buf   []byte     // record scratch
 	parts [spillFanout]*spillPart
 }
 
 // route appends a row to the partition its hash selects, creating the
-// partition's file on first use. It serves the initial partitioning of an
-// operator's rows and the re-partitioning of an over-grant partition
-// alike. idx is the original row index, carried unchanged through every
-// level.
+// partition on first use (one SpillStats.Partitions). It serves the
+// initial partitioning of an operator's rows and the re-partitioning of an
+// over-grant partition alike. idx is the original row index, carried
+// unchanged through every level.
 func (ps *partSet) route(h, idx uint64, row []value.Value) error {
 	if err := ps.db.tickRow(); err != nil {
 		return err
 	}
 	pi := spillNibble(h, ps.depth)
 	if ps.parts[pi] == nil {
-		f, err := ps.db.newSpillFile()
-		if err != nil {
-			return err
+		if ps.file == nil {
+			f, err := ps.db.newSpillFile()
+			if err != nil {
+				return err
+			}
+			ps.file = f
 		}
-		ps.parts[pi] = &spillPart{spillFile: f}
+		ps.parts[pi] = &spillPart{spillStream: spillStream{file: ps.file}}
+		ps.db.noteSpill(1, 0)
 	}
-	return ps.parts[pi].add(h, idx, row)
+	var rec []byte
+	rec, ps.buf = appendRecord(ps.buf, h, idx, row)
+	return ps.parts[pi].add(h, row, rec)
 }
 
-// close removes every partition file of the set.
-func (ps *partSet) close() {
-	for _, p := range ps.parts {
-		if p != nil {
-			p.close()
-		}
-	}
-}
+// close removes the set's file.
+func (ps *partSet) close() { ps.file.close() }
 
 // graceWalk is the one recursion of the out-of-core operators, over the
 // partitions of ps in nibble order. A partition whose resident estimate
 // exceeds the grant, and whose rows deeper nibbles can still separate, is
-// streamed from its file into a set one level down — never decoded into
+// streamed from disk into a set one level down — never decoded into
 // memory first, so a spilled row is read once per level it lives at — and
 // that set is walked in turn. Any other partition is loaded and handed to
 // leaf; that includes an over-grant one whose records all share one hash
 // (forced collisions), so termination never depends on hash quality, only
 // the memory bound does. Partitioning preserves relative row order at
-// every level, so leaf sees records in original order.
+// every level, so leaf sees records in original order. A re-partitioned
+// partition stays on disk until its set closes: the files of the levels
+// on the path being walked are what the walk holds on disk.
 //
 // ride lists the in-memory rows travelling with the walk — a join's probe
 // side, by index, with their key hashes in rideHash. They are routed by
@@ -601,6 +735,7 @@ func (ps *partSet) close() {
 // visited.
 func (db *DB) graceWalk(ps *partSet, ride []int, rideHash []uint64, leaf func(recs []spillRecord, ride []int) error) error {
 	var rides [spillFanout][]int
+	var buf []byte // the partitions' bytes, one at a time
 	for _, i := range ride {
 		pi := spillNibble(rideHash[i], ps.depth)
 		rides[pi] = append(rides[pi], i)
@@ -611,8 +746,8 @@ func (db *DB) graceWalk(ps *partSet, ride []int, rideHash []uint64, leaf func(re
 		}
 		if p.resident > db.memGrant() && p.mixed && ps.depth+1 < maxSpillDepth {
 			sub := &partSet{db: db, depth: ps.depth + 1}
-			err := p.scan(func(rec spillRecord) error { return sub.route(rec.hash, rec.idx, rec.row) })
-			p.close()
+			var err error
+			buf, err = p.scan(false, buf, func(rec spillRecord) error { return sub.route(rec.hash, rec.idx, rec.row) })
 			if err == nil {
 				err = db.graceWalk(sub, rides[pi], rideHash, leaf)
 			}
@@ -623,7 +758,8 @@ func (db *DB) graceWalk(ps *partSet, ride []int, rideHash []uint64, leaf func(re
 			continue
 		}
 		recs := make([]spillRecord, 0, p.rows)
-		if err := p.scan(func(rec spillRecord) error {
+		var err error
+		if buf, err = p.scan(true, buf, func(rec spillRecord) error {
 			recs = append(recs, rec)
 			return nil
 		}); err != nil {
@@ -715,9 +851,10 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 // graceJoin is the out-of-core SEARCH equi-join: build rows spill to
 // hash partitions, probe rows stay in memory and ride the walk by the
 // same key hash, and each leaf partition builds its (bounded) joinIndex
-// and probes the probe rows that reached it, in original order. Per-probe
-// match lists collect into an array indexed by probe position, so the
-// final flatten reproduces the in-memory probe-order output exactly. Like
+// and probes the probe rows that reached it, in original order. Survivors
+// collect, tagged with their probe row, in one list grouped by partition;
+// all of a probe row's matches lie in its one partition, so a stable sort
+// by probe row reproduces the in-memory probe-order output exactly. Like
 // the in-memory producers it only enumerates pairs: k judges each one and
 // yields the stage's output row for the survivors.
 func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int, k *searchKernel) ([][]value.Value, error) {
@@ -736,27 +873,43 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int,
 			return nil, err
 		}
 	}
-	out := make([][][]value.Value, len(probe))
+	surv := make([]joinSurvivor, 0, len(probe))
 	if err := db.graceWalk(ps, ride, rideHash, func(recs []spillRecord, idxs []int) error {
-		return db.joinPart(recs, idxs, probe, leftKeys, rightKeys, k, out)
+		return db.joinPart(recs, idxs, probe, leftKeys, rightKeys, k, &surv)
 	}); err != nil {
 		return nil, err
 	}
 	if k.err != nil {
 		return nil, k.err
 	}
-	joined := make([][]value.Value, 0, len(probe))
-	for _, matches := range out {
-		joined = append(joined, matches...)
+	// A counting sort by probe row: at[i] is where probe row i's matches go.
+	at := make([]int, len(probe)+1)
+	for _, s := range surv {
+		at[s.probe+1]++
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	joined := make([][]value.Value, len(surv))
+	for _, s := range surv {
+		joined[at[s.probe]] = s.row
+		at[s.probe]++
 	}
 	return joined, nil
+}
+
+// joinSurvivor is one output row of a grace join and the probe row it
+// joined.
+type joinSurvivor struct {
+	probe int
+	row   []value.Value
 }
 
 // joinPart, grace join's leaf, indexes one loaded build partition and
 // probes it with the probe rows idxs — through the in-memory join's own
 // probe loop, so JoinPairs and ticks account per probe row exactly as
-// there.
-func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, out [][][]value.Value) error {
+// there — appending the survivors to surv.
+func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, surv *[]joinSurvivor) error {
 	rows := make([][]value.Value, len(recs))
 	charged := int64(0)
 	for i, rec := range recs {
@@ -766,8 +919,13 @@ func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, le
 	db.chargeMem(charged)
 	defer db.releaseMem(charged)
 	ix := buildJoinIndex(rows, rightKeys)
-	var i int // the probe row the loop below is on; emit is built once
-	emit := func(_ int, o int32) { out[i] = k.pair(out[i], probe[i], ix.rows[o]) }
+	var i int               // the probe row the loop below is on; emit is built once
+	var one [][]value.Value // k.pair's output: at most the one survivor
+	emit := func(_ int, o int32) {
+		if one = k.pair(one[:0], probe[i], ix.rows[o]); len(one) > 0 {
+			*surv = append(*surv, joinSurvivor{probe: i, row: one[0]})
+		}
+	}
 	for _, i = range idxs {
 		if err := db.probeEach(ix, probe[i:i+1], leftKeys, emit); err != nil {
 			return err
@@ -779,13 +937,16 @@ func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, le
 // ---- Spilled membership sets ----
 
 // spillSet is the out-of-core online membership set: row payloads live
-// in an append-only spill file, memory holds only hash→(offset,length)
-// buckets, and the collision-checked equality fallback re-reads
-// candidate rows from disk. Membership semantics are exactly rowSet's,
-// so first-seen behavior — and with it every downstream row — is
-// untouched by the migration.
+// in a spill stream of the set's own file, memory holds only
+// hash→(offset,length) buckets into it, and the collision-checked
+// equality fallback re-reads candidate rows — from disk, or from the
+// stream's block while they are not yet written. Membership semantics are
+// exactly rowSet's, so first-seen behavior — and with it every downstream
+// row — is untouched by the migration.
 type spillSet struct {
-	spillFile
+	db      *DB
+	f       spillStream // the stored payloads, in insertion order
+	size    int64       // bytes stored: where the next payload starts
 	buckets map[uint64][]spillRef
 	mem     int64 // charged bookkeeping bytes
 	scratch []byte
@@ -805,7 +966,7 @@ func (s *spillSet) find(h uint64, row []value.Value) (bool, error) {
 		}
 		buf := s.scratch[:ref.n]
 		if _, err := s.f.ReadAt(buf, ref.off); err != nil {
-			return false, fmt.Errorf("engine: spill read: %w", err)
+			return false, err
 		}
 		s.db.Spill.Reads++
 		stored, err := decodeRow(buf)
@@ -823,11 +984,11 @@ func (s *spillSet) find(h uint64, row []value.Value) (bool, error) {
 func (s *spillSet) insert(h uint64, row []value.Value) error {
 	payload := appendRow(s.scratch[:0], row)
 	s.scratch = payload[:0]
-	ref := spillRef{off: s.size, n: int32(len(payload))}
-	if err := s.write(payload); err != nil {
+	if err := s.f.append(payload); err != nil {
 		return err
 	}
-	s.buckets[h] = append(s.buckets[h], ref)
+	s.buckets[h] = append(s.buckets[h], spillRef{off: s.size, n: int32(len(payload))})
+	s.size += int64(len(payload))
 	s.db.chargeMem(setEntryBytes)
 	s.mem += setEntryBytes
 	return nil
@@ -849,7 +1010,7 @@ func (s *spillSet) has(row []value.Value) (bool, error) {
 
 // close releases the set's file and charged bookkeeping.
 func (s *spillSet) close() {
-	s.spillFile.close()
+	s.f.file.close()
 	s.db.releaseMem(s.mem)
 	s.mem = 0
 }
@@ -914,7 +1075,8 @@ func (m *memSet) migrate() error {
 	if err != nil {
 		return err
 	}
-	sp := &spillSet{spillFile: f, buckets: map[uint64][]spillRef{}}
+	m.db.noteSpill(1, 0)
+	sp := &spillSet{db: m.db, f: spillStream{file: f}, buckets: map[uint64][]spillRef{}}
 	for o, row := range m.set.rows {
 		if err := m.db.tickRow(); err != nil {
 			sp.close()

@@ -15,11 +15,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -117,6 +120,147 @@ func TestSpillRepartitionsOnResidentBytes(t *testing.T) {
 	dirEmpty(t, dir, "after the re-partitioned join")
 }
 
+// TestSpillCountersPinned pins the SpillStats of a grace join and dedup
+// re-partitioned to two levels, and of a fixpoint whose seen-set migrates,
+// to the values the store reported when it wrote every record on its own
+// and every partition to a file of its own: writing by the block moves no
+// counter. Partitions counts partitions, not files; Bytes counts records
+// as they are added, whether or not their block is ever written.
+func TestSpillCountersPinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		db    *DB
+		q     *term.Term
+		grant int64
+		want  SpillStats
+	}{
+		{"join+dedup", chainDB(t, 4000), bigJoinQuery(), 32 << 10, SpillStats{Partitions: 544, Bytes: 575928, Reads: 15998}},
+		{"fixpoint", chainDB(t, 60), tcFix("TC"), 4 << 10, SpillStats{Partitions: 1566, Bytes: 224094, Reads: 4662}},
+	} {
+		dir := t.TempDir()
+		if run := runOn(c.db, c.q, runCfg{par: 1, lim: guard.Limits{MaxMemBytes: c.grant}, spillDir: dir}); run.Err != "" {
+			t.Fatalf("%s: %s", c.name, run.Err)
+		}
+		if c.db.Spill != c.want {
+			t.Errorf("%s: Spill = %+v, want %+v", c.name, c.db.Spill, c.want)
+		}
+		dirEmpty(t, dir, c.name)
+	}
+}
+
+// TestSpillPartitionBlocks: records of random sizes routed into 16
+// interleaved partitions of one file come back byte for byte, in write
+// order — among them a record larger than a block, which is an extent of
+// its own, and records that end exactly on a block boundary. The level
+// lives in one temp file. End to end, a grace join and a grace dedup each
+// re-partitioned to two levels hold one file per live level: counted from
+// inside the walk, through the context the engine consults every few
+// hundred rows, never more than two part files at once.
+func TestSpillPartitionBlocks(t *testing.T) {
+	db := chainDB(t, 1)
+	base := t.TempDir()
+	db.g = &evalGuard{ctx: context.Background(), lim: guard.Limits{MaxMemBytes: 1},
+		rows: &guard.Budget{}, spill: &spillState{base: base}}
+	defer db.g.spill.cleanup()
+	ps := &partSet{db: db}
+	defer ps.close()
+
+	rng := rand.New(rand.NewPCG(1, 31))
+	// A record whose row is one string of n bytes.
+	record := func(pi, idx, n int) (uint64, []value.Value, []byte) {
+		h := uint64(pi) | uint64(idx)<<spillHashBits
+		row := []value.Value{value.String(strings.Repeat(string(rune('a'+pi)), n))}
+		rec, _ := appendRecord(nil, h, uint64(idx), row)
+		return h, row, rec
+	}
+	var want [spillFanout][]byte
+	var wantIdx [spillFanout][]uint64
+	exact, huge := 0, 0
+	for idx := 0; idx < 2000; idx++ {
+		pi := rng.IntN(spillFanout)
+		n := rng.IntN(200)
+		switch p := ps.parts[pi]; {
+		case idx == 1000:
+			n = 3 * spillBlockSize
+			huge++
+		case p != nil && rng.IntN(4) == 0:
+			// Fill the partition's block to the byte, if a record can.
+			free := spillBlockSize - len(p.block)
+			for n = free; n > 0; n-- {
+				if _, _, rec := record(pi, idx, n); len(rec) <= free {
+					if len(rec) == free {
+						exact++
+					}
+					break
+				}
+			}
+		}
+		h, row, rec := record(pi, idx, n)
+		if err := ps.route(h, uint64(idx), row); err != nil {
+			t.Fatal(err)
+		}
+		want[pi] = append(want[pi], rec...)
+		wantIdx[pi] = append(wantIdx[pi], uint64(idx))
+	}
+	if exact == 0 || huge == 0 {
+		t.Fatalf("%d records ended on a block boundary, %d outgrew a block; the test needs both", exact, huge)
+	}
+	files, _ := filepath.Glob(filepath.Join(base, "lera-spill-*", "part-*"))
+	if len(files) != 1 {
+		t.Errorf("one partition level holds %d temp files, want 1", len(files))
+	}
+	for pi, p := range ps.parts {
+		got := make([]byte, p.len())
+		if _, err := p.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[pi]) {
+			t.Errorf("partition %d: %d bytes read back differ from the %d written", pi, len(got), len(want[pi]))
+		}
+		var idxs []uint64
+		if _, err := p.scan(true, nil, func(rec spillRecord) error {
+			idxs = append(idxs, rec.idx)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(idxs, wantIdx[pi]) {
+			t.Errorf("partition %d scans back records %v, want %v", pi, idxs, wantIdx[pi])
+		}
+	}
+
+	// End to end: the join build and the output dedup of a 16 000-row
+	// chain under a 128 KiB grant both live at two levels.
+	dir := t.TempDir()
+	jdb := chainDB(t, 16000)
+	jdb.Parallelism = 1
+	jdb.Limits = guard.Limits{MaxMemBytes: 128 << 10}
+	jdb.SpillDir = dir
+	w := &partFileWatch{Context: context.Background(), dir: dir}
+	if _, err := jdb.EvalCtx(w, bigJoinQuery()); err != nil {
+		t.Fatal(err)
+	}
+	if w.most != 2 {
+		t.Errorf("at most %d part files at once over %d looks, want 2: one per live partition level", w.most, w.looks)
+	}
+	dirEmpty(t, dir, "after the two-level join")
+}
+
+// partFileWatch is a context whose Err, which the engine consults every
+// few hundred rows, counts the part files under a spill directory.
+type partFileWatch struct {
+	context.Context
+	dir         string
+	most, looks int
+}
+
+func (w *partFileWatch) Err() error {
+	files, _ := filepath.Glob(filepath.Join(w.dir, "lera-spill-*", "part-*"))
+	w.most = max(w.most, len(files))
+	w.looks++
+	return w.Context.Err()
+}
+
 // TestSpillTempFilesCleanedOnSuccess: after every successful spill-forced
 // query the spill directory is empty again.
 func TestSpillTempFilesCleanedOnSuccess(t *testing.T) {
@@ -131,7 +275,10 @@ func TestSpillTempFilesCleanedOnSuccess(t *testing.T) {
 }
 
 // TestSpillTempFilesCleanedOnError: a guard budget tripping mid-query
-// (row budget, here, with spilling active) still removes every temp file.
+// (row budget, here, with spilling active) still removes every temp file,
+// and so does a failing write. Spill writes happen only when a block is
+// full, so the write error arrives at a block flush, records after the
+// ones that filled it: it must surface as the query's error all the same.
 func TestSpillTempFilesCleanedOnError(t *testing.T) {
 	dir := t.TempDir()
 	db := chainDB(t, 50)
@@ -142,6 +289,22 @@ func TestSpillTempFilesCleanedOnError(t *testing.T) {
 		t.Fatalf("got %v, want ErrRowBudget", err)
 	}
 	dirEmpty(t, dir, "after row-budget trip")
+
+	t.Run("block-flush-write-error", func(t *testing.T) {
+		db := chainDB(t, 50)
+		db.Limits = guard.Limits{MaxMemBytes: 1}
+		db.SpillDir = dir
+		// Half a block: the first flush of any spill file fails part-way.
+		defer limitFileSize(t, spillBlockSize/2)()
+		_, err := db.EvalCtx(context.Background(), tcFix("TC"))
+		if err == nil || !strings.Contains(err.Error(), "spill write") || !errors.Is(err, syscall.EFBIG) {
+			t.Fatalf("got %v, want the spill write's EFBIG", err)
+		}
+		if db.Spill.Bytes < spillBlockSize {
+			t.Errorf("Spill.Bytes = %d: the write failed before a block had filled", db.Spill.Bytes)
+		}
+		dirEmpty(t, dir, "after a failed block write")
+	})
 }
 
 // TestSpillTempFilesCleanedOnCancel: a context deadline interrupting a
@@ -479,7 +642,7 @@ func FuzzSpillCodec(f *testing.F) {
 	f.Add(appendRow(nil, []value.Value{value.Int(1), value.Int(2)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for pos := 0; pos < len(data); {
-			_, next, err := decodeRecord(data, pos)
+			_, _, next, err := decodeRecord(data, pos, nil)
 			if err != nil {
 				if !errors.Is(err, errSpillCorrupt) {
 					t.Fatalf("decodeRecord: %v, want errSpillCorrupt", err)

@@ -70,7 +70,7 @@ type QueryEvent struct {
 	FixIterations int64 `json:"fix_iterations,omitempty"`
 
 	// Out-of-core activity for this query (spill-to-disk under the
-	// memory governor): partition files written, bytes spilled, records
+	// memory governor): partitions written, bytes spilled, records
 	// read back. All zero for queries that never spilled.
 	SpillPartitions int64 `json:"spill_partitions,omitempty"`
 	SpillBytes      int64 `json:"spill_bytes,omitempty"`

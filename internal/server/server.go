@@ -78,7 +78,7 @@ type Config struct {
 	// MEM_BUDGET when no spill directory is configured
 	// (docs/GUARDRAILS.md).
 	MaxMemBytes int64
-	// SpillDir is where governed operators spill partition files; ""
+	// SpillDir is where governed operators spill partitions; ""
 	// disables spilling (over-grant operators then fail with MEM_BUDGET).
 	// Spill files live in a per-query subdirectory and are removed when
 	// the query finishes, including on error, cancel and drain.
