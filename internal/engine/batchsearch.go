@@ -29,7 +29,10 @@ package engine
 //     row;
 //   - searchKernel.pair judges each pair in place over compiled predicate
 //     programs and materialises only what survives: the joined row in a
-//     non-final stage, the projected output row in the final one.
+//     non-final stage, the projected output row in the final one, laid end
+//     to end in the kernel's arena slabs. The producer hands the stage's
+//     output on in one exactly sized header slice built after its last
+//     pair (searchKernel.rows), never in a slice grown pair by pair.
 //     Built-in comparisons over attribute slots, constants and
 //     single-attribute function calls evaluate without term-tree walks or
 //     row splitting, falling back to the generic evaluator (bit-identical
@@ -356,7 +359,8 @@ func (s *searchScratch) stage(ri int, st *searchStage, db *DB) *stageScratch {
 // stageScratch is one stage's part of a searchScratch. Its kernel belongs
 // to the evaluator holding the scratch — a worker the stage's pairs fan
 // out to gets a kernel of its own — so from round to round the arena goes
-// on filling and doubling its blocks instead of opening a new one.
+// on filling and doubling its blocks instead of opening a new one, and the
+// kernel's run and ordinal lists are refilled, not made again.
 type stageScratch struct {
 	st     *searchStage
 	holder *DB
@@ -371,15 +375,16 @@ type stageScratch struct {
 // kernel returns worker w's kernel of the stage: the holder's own, reset,
 // or a fresh one sized by est (see searchStage.kernel).
 func (ss *stageScratch) kernel(w *DB, est int) *searchKernel {
+	k := &ss.k
 	if w != ss.holder {
-		k := ss.st.kernel(w, est)
-		return &k
+		k = new(searchKernel)
 	}
-	if ss.k.searchStage == nil {
-		ss.k = ss.st.kernel(w, est)
+	if k.searchStage == nil {
+		*k = ss.st.kernel(w, est)
 	}
-	ss.k.w, ss.k.ar.db, ss.k.err = w, w, nil
-	return &ss.k
+	k.w, k.ar.db, k.err = w, w, nil
+	k.dropOutput()
+	return k
 }
 
 // acquireJoinIndex returns the join index over rows: the shared persistent
@@ -402,11 +407,12 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	prog := db.programFor(ent, t, rels)
 	scr.fit(prog, rels)
 	relTerms := t.Args[0].Args
-	bs := db.batchSize()
 
 	// One stage per relation: stage 1 scans the first relation, stage ri
 	// pairs every surviving prefix row with its matches in relation ri. The
-	// producers below only enumerate pairs; searchKernel.pair does the rest.
+	// producers below only enumerate pairs; searchKernel.pair does the rest,
+	// and each producer takes its output from the kernel in one exactly
+	// sized slice after its last pair.
 	current := rels[0].Rows
 	scanned := false // stage 1 ran: current is no longer relation 1 itself
 	for ri := 1; ri <= len(rels); ri++ {
@@ -418,27 +424,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 		switch {
 		case ri == 1:
 			scanned = true
-			current, err = mapChunks(db, current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-				k := ss.kernel(w, len(chunk))
-				var out [][]value.Value
-				if len(k.preds) == 0 {
-					out = make([][]value.Value, 0, len(chunk))
-				}
-				for len(chunk) > 0 && k.err == nil {
-					batch := chunk
-					if len(batch) > bs {
-						batch = batch[:bs]
-					}
-					chunk = chunk[len(batch):]
-					if err := w.tickRows(len(batch)); err != nil {
-						return nil, err
-					}
-					for _, row := range batch {
-						out = k.pair(out, nil, row)
-					}
-				}
-				return out, k.err
-			})
+			current, err = db.scanStage(ss, current)
 		case len(st.leftKeys) > 0:
 			next := rels[ri-1].Rows
 			// The governor sizes the build side with the deterministic
@@ -467,28 +453,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 				db.releaseMem(charged)
 			}
 		default:
-			next := rels[ri-1].Rows
-			current, err = mapChunks(db, current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-				k := ss.kernel(w, 1)
-				var out [][]value.Value
-				for _, prow := range chunk {
-					for ni := 0; ni < len(next); {
-						m := len(next) - ni
-						if m > bs {
-							m = bs
-						}
-						if err := w.tickRows(m); err != nil {
-							return nil, err
-						}
-						w.Count.JoinPairs += m
-						for _, rrow := range next[ni : ni+m] {
-							out = k.pair(out, prow, rrow)
-						}
-						ni += m
-					}
-				}
-				return out, k.err
-			})
+			current, err = db.cartesian(ss, current, rels[ri-1].Rows)
 		}
 		if err != nil {
 			return nil, err
@@ -514,6 +479,58 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 // set it, to pin the two directions against each other; no option, flag or
 // DB field reaches it.
 var forceLeftDrive bool
+
+// scanStage is stage 1: each row of rows, the first relation, meets the
+// stage's conjuncts alone, with one amortized tick per BatchSize slice. In
+// the final stage a survivor is projected; otherwise it moves on as the
+// stored row itself, collected by its ordinal.
+func (db *DB) scanStage(ss *stageScratch, rows [][]value.Value) ([][]value.Value, error) {
+	bs := db.batchSize()
+	return mapChunks(db, rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+		k := ss.kernel(w, len(chunk))
+		for start := 0; start < len(chunk) && k.err == nil; start += bs {
+			batch := chunk[start:min(start+bs, len(chunk))]
+			if err := w.tickRows(len(batch)); err != nil {
+				return nil, err
+			}
+			for i, row := range batch {
+				if k.final {
+					k.pair(nil, row)
+				} else if k.judge(nil, row) {
+					k.ords = append(k.ords, int32(start+i))
+				}
+			}
+		}
+		if k.err != nil || k.final {
+			return k.output()
+		}
+		return k.picked(chunk), nil
+	})
+}
+
+// cartesian is the nested-loop stage, for a relation no equi-join conjunct
+// connects to the prefix: every row of left pairs with every row of right,
+// in order, with one amortized tick and JoinPairs update per BatchSize
+// slice of right.
+func (db *DB) cartesian(ss *stageScratch, left, right [][]value.Value) ([][]value.Value, error) {
+	bs := db.batchSize()
+	return mapChunks(db, left, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+		k := ss.kernel(w, 1)
+		for _, prow := range chunk {
+			for ni := 0; ni < len(right); ni += bs {
+				batch := right[ni:min(ni+bs, len(right))]
+				if err := w.tickRows(len(batch)); err != nil {
+					return nil, err
+				}
+				w.Count.JoinPairs += len(batch)
+				for _, rrow := range batch {
+					k.pair(prow, rrow)
+				}
+			}
+		}
+		return k.output()
+	})
+}
 
 // probeEach is the one probe loop of the hash joins, in memory and in a
 // grace partition alike: every row of drive is looked up in ix by its
@@ -545,14 +562,13 @@ func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit f
 func (db *DB) hashJoin(ss *stageScratch, left [][]value.Value, ix *joinIndex) ([][]value.Value, error) {
 	return mapChunks(db, left, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		k := ss.kernel(w, 1)
-		var out [][]value.Value
 		err := w.probeEach(ix, chunk, k.leftKeys, func(d int, o int32) {
-			out = k.pair(out, chunk[d], ix.rows[o])
+			k.pair(chunk[d], ix.rows[o])
 		})
 		if err != nil {
 			return nil, err
 		}
-		return out, k.err
+		return k.output()
 	})
 }
 
@@ -585,14 +601,10 @@ func (db *DB) hashJoinFromRight(ss *stageScratch, ix *joinIndex, right [][]value
 // words of chunk in order.
 func (ss *stageScratch) judgePairs(w *DB, chunk []uint64) ([][]value.Value, error) {
 	k := ss.kernel(w, len(chunk))
-	var out [][]value.Value
-	if len(k.preds) == 0 {
-		out = make([][]value.Value, 0, len(chunk))
-	}
 	for _, p := range chunk {
-		out = k.pair(out, ss.left[p>>32], ss.right[uint32(p)])
+		k.pair(ss.left[p>>32], ss.right[uint32(p)])
 	}
-	return out, k.err
+	return k.output()
 }
 
 // searchStage is the compiled program of one SEARCH stage: the equi-join
@@ -615,17 +627,40 @@ type searchStage struct {
 // cartesian and grace-join producers alike. A pair is judged in place, its
 // two rows addressed as one flat row; nothing is allocated for a pair a
 // conjunct rejects, a joined row only for a survivor of a non-final stage,
-// and in the final stage only the projected output row.
+// and in the final stage only the projected output row. The rows it
+// emits lie end to end in its arena's blocks; runs records where, and the
+// producer takes them all at once, in one exactly sized header slice
+// (rows), after its last pair.
 type searchKernel struct {
 	*searchStage
 	w  *DB
 	sc splitScratch
 	ar rowArena
+	// runs are the rows emitted since the last handover, in order; n counts
+	// them, and open says the last run may take the next arena row. The
+	// first few runs live in runs0, so a small output allocates no run list.
+	runs  []rowRun
+	runs0 [4]rowRun
+	n     int
+	open  bool
+	// ords are the scan stage's survivor ordinals when the stage is not
+	// final: they pass on as the stored rows themselves (picked).
+	ords  []int32
+	ords0 [8]int32
 	// err is the first evaluation error. It is sticky rather than returned
 	// per pair: the producer goes on enumerating (and accounting JoinPairs
 	// for) the remaining pairs, which pair then skips, so the counters at
 	// the point of failure stay those of "join, then filter".
 	err error
+}
+
+// rowRun is a stretch of a kernel's output: n rows of width values each,
+// laid end to end from the start of cells (a slice into an arena block,
+// its capacity the block's rest) — or one row of a zero-width prefix's
+// join stage, which is the relation's own row passed on as it is.
+type rowRun struct {
+	cells    []value.Value
+	width, n int
 }
 
 // kernel returns a worker's kernel. est is the producer's estimate of the
@@ -647,41 +682,135 @@ func (st *searchStage) kernel(w *DB, est int) searchKernel {
 	}
 }
 
-// pair evaluates the stage over prefix row l (nil in the scan stage) and
-// relation row r, appending the surviving joined row — or, in the final
-// stage, the projected row — to dst. Conjuncts run in order and
-// short-circuit, exactly as a filter over the materialised pair would.
-func (k *searchKernel) pair(dst [][]value.Value, l, r []value.Value) [][]value.Value {
+// judge evaluates the stage's conjuncts over prefix row l (nil in the
+// scan stage) and relation row r, in order and short-circuiting, exactly
+// as a filter over the materialised pair would, and reports whether the
+// pair survives. An evaluation error is recorded in err.
+func (k *searchKernel) judge(l, r []value.Value) bool {
 	if k.err != nil {
-		return dst
+		return false
 	}
 	k.sc.valid = false
 	for i := range k.preds {
 		ok, err := k.preds[i].eval(k.w, l, r, &k.sc)
 		if err != nil {
 			k.err = err
-			return dst
+			return false
 		}
 		if !ok {
-			return dst
+			return false
 		}
+	}
+	return true
+}
+
+// pair judges the pair (l, r) and emits the survivor: the joined row in a
+// non-final stage, the projected row in the final one.
+func (k *searchKernel) pair(l, r []value.Value) {
+	if !k.judge(l, r) {
+		return
 	}
 	if !k.final {
 		if len(l) == 0 {
-			return append(dst, r)
+			k.pass(r)
+			return
 		}
-		row := k.ar.alloc(len(l) + len(r))
+		row := k.emit(len(l) + len(r))
 		copy(row, l)
 		copy(row[len(l):], r)
-		return append(dst, row)
+		return
 	}
-	row := k.ar.alloc(len(k.projs))
+	row := k.emit(len(k.projs))
 	for i := range k.projs {
 		if k.err = k.projs[i].eval(k.w, l, r, &k.sc, &row[i]); k.err != nil {
-			return dst
+			return
 		}
 	}
-	return append(dst, row)
+}
+
+// emit returns the next output row, width zeroed values from the arena,
+// and records it: in the last run when it continues it — same width, same
+// block — in a new run otherwise. A zero-width row is nil and has no cells.
+func (k *searchKernel) emit(width int) []value.Value {
+	row := k.ar.alloc(width)
+	k.n++
+	// The arena opens a block only to carve a row from its start.
+	fresh := width > 0 && len(k.ar.buf) == width
+	if last := len(k.runs) - 1; k.open && !fresh && k.runs[last].width == width {
+		k.runs[last].n++
+		return row
+	}
+	cells := row
+	if width > 0 {
+		cells = k.ar.buf[len(k.ar.buf)-width:]
+	}
+	k.runs = append(k.runs, rowRun{cells: cells, width: width, n: 1})
+	k.open = true
+	return row
+}
+
+// pass emits r itself as the next output row.
+func (k *searchKernel) pass(r []value.Value) {
+	k.n++
+	k.runs = append(k.runs, rowRun{cells: r, width: len(r), n: 1})
+	k.open = false
+}
+
+// rows hands over the rows emitted since the last handover in one slice
+// of exactly their number: in emission order, or with to set, the j-th
+// emitted row at index to[j].
+func (k *searchKernel) rows(to []int32) [][]value.Value {
+	var out [][]value.Value
+	if k.n > 0 {
+		out = make([][]value.Value, k.n)
+	}
+	j := 0
+	for _, run := range k.runs {
+		w := run.width
+		for i := 0; i < run.n; i++ {
+			row := run.cells[i*w : (i+1)*w : (i+1)*w]
+			if to != nil {
+				out[to[j]] = row
+			} else {
+				out[j] = row
+			}
+			j++
+		}
+	}
+	k.dropOutput()
+	return out
+}
+
+// output is a producer's result: the stage's rows, or the kernel's error.
+func (k *searchKernel) output() ([][]value.Value, error) {
+	if k.err != nil {
+		return nil, k.err
+	}
+	return k.rows(nil), nil
+}
+
+// picked hands over the non-final scan's survivors: the rows of chunk at
+// ords, in one slice of exactly their number.
+func (k *searchKernel) picked(chunk [][]value.Value) [][]value.Value {
+	var out [][]value.Value
+	if len(k.ords) > 0 {
+		out = make([][]value.Value, len(k.ords))
+	}
+	for i, o := range k.ords {
+		out[i] = chunk[o]
+	}
+	k.dropOutput()
+	return out
+}
+
+// dropOutput forgets what the kernel has emitted and keeps its buffers for
+// the next output.
+func (k *searchKernel) dropOutput() {
+	if k.runs == nil {
+		k.runs, k.ords = k.runs0[:0], k.ords0[:0]
+	}
+	clear(k.runs)
+	k.runs, k.ords, k.n, k.open = k.runs[:0], k.ords[:0], 0, false
 }
 
 // takeConjuncts returns (and marks used) the unused conjuncts that

@@ -6,10 +6,12 @@ package engine
 // that scales with the join.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"unsafe"
 
+	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/testdb"
@@ -91,24 +93,123 @@ func TestSearchPipelineAllocs(t *testing.T) {
 		t.Errorf("rejected pairs allocate: %d B at fan-out 1, %d B at fan-out 8", at1, at8)
 	}
 
-	// (b) Every pair kept: the output rows, plus per output row a header in
-	// a slice grown by appending (measured ~90 B) and its share of the dedup
-	// set's hash store and slot table (8 B + 8 to 16 B) — measured 112 B a
-	// row in all. Nothing of the joined width (7 values a pair before the
-	// fused pipeline), and no object per row: the bucket map the set used to
-	// be cost ~195 B a row (282 B in all), which fails this limit.
+	// (b) Every pair kept: the output rows, plus per output row its header
+	// in the one exactly sized slice the stage hands over (24 B) and its
+	// share of the dedup set's hash store and slot table (8 B + 8 to 16 B)
+	// — measured 46 B a row over the projected cells. Nothing of the joined
+	// width (7 values a pair before the fused pipeline), no object per row,
+	// and no header slice grown by appending: that cost ~90 B a row (109 B
+	// over the cells in all), and the bucket map the set used to be ~195 B,
+	// each of which fails this limit.
 	const fanout, projs = 8, 2
 	keepAll := join(lera.Cmp(">", lera.Attr(2, 2), term.Num(0)))
 	got, rows := evalAllocBytes(t, fanoutDB(t, keys, fanout, rwidth), keepAll)
 	if rows != keys*fanout {
 		t.Fatalf("keep-all join returned %d rows, want %d", rows, keys*fanout)
 	}
-	const perRowOverhead, slack = 128, 64 << 10
+	const perRowOverhead, slack = 64, 64 << 10
 	limit := uint64(rows)*(projs*uint64(unsafe.Sizeof(value.Value{}))+perRowOverhead) + slack
 	t.Logf("final-stage join: %d B for %d rows (limit %d, joined rows alone would be %d)",
 		got, rows, limit, uint64(rows)*(1+rwidth)*uint64(unsafe.Sizeof(value.Value{})))
 	if got > limit {
 		t.Errorf("final-stage join allocated %d B for %d rows of %d values, limit %d", got, rows, projs, limit)
+	}
+
+	// (c) No header slice grown by appending, in any producer.
+	checkStageOutputsExact(t)
+}
+
+// checkStageOutputsExact: every SEARCH producer hands its stage's output
+// over in one slice of exactly the stage's rows (len == cap), built after
+// its last pair — the scan (final, and passing stored rows on), the
+// cartesian step (a non-final stage: joined rows, or after a zero-width
+// prefix the relation's rows themselves), the join driven from
+// the prefix and from the relation, the grace join under a 1-byte grant,
+// and a zero-width projection, whose rows are nil.
+func checkStageOutputsExact(t *testing.T) {
+	t.Helper()
+	const keys, fanout, rwidth = 60, 3, 4
+	db := fanoutDB(t, keys, fanout, rwidth)
+	db.g = &evalGuard{ctx: context.Background(), rows: &guard.Budget{}}
+	defer func() { db.g = nil }()
+	l, r := db.Stored("L"), db.Stored("R")
+	eq := lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))
+	some := lera.Cmp(">", lera.Attr(1, 1), term.Num(keys/2))
+	projs := []*term.Term{lera.Attr(1, 1), lera.Attr(2, 2)}
+	// stage compiles q over rels and returns its stage ri, held by db.
+	stage := func(q *term.Term, ri int, rels ...*Relation) *stageScratch {
+		prog := db.compileSearch(q, rels)
+		return (*searchScratch)(nil).stage(ri, &prog.stages[ri-1], db)
+	}
+	join := stage(lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R")}, eq, projs), 2, l, r)
+	cases := []struct {
+		name  string
+		width int // of every row
+		want  int
+		run   func() ([][]value.Value, error)
+	}{
+		{"scan, final", 1, keys / 2, func() ([][]value.Value, error) {
+			q := lera.Search([]*term.Term{lera.Rel("L")}, some, []*term.Term{lera.Attr(1, 1)})
+			return db.scanStage(stage(q, 1, l), l.Rows)
+		}},
+		{"scan, stored rows on", 1, keys / 2, func() ([][]value.Value, error) {
+			q := lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R")}, lera.Ands(eq, some), projs)
+			return db.scanStage(stage(q, 1, l, r), l.Rows)
+		}},
+		{"cartesian, non-final", 1 + rwidth, keys * keys * fanout, func() ([][]value.Value, error) {
+			q := lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R"), lera.Rel("L")},
+				lera.Cmp("=", lera.Attr(3, 1), lera.Attr(2, 1)), projs)
+			return db.cartesian(stage(q, 2, l, r, l), l.Rows, r.Rows)
+		}},
+		{"cartesian, zero-width prefix", rwidth, 2 * keys * fanout, func() ([][]value.Value, error) {
+			// The joined row is the relation's row itself, passed on.
+			z := &Relation{Rows: [][]value.Value{{}, {}}}
+			q := lera.Search([]*term.Term{lera.Rel("Z"), lera.Rel("R"), lera.Rel("L")},
+				lera.Cmp("=", lera.Attr(3, 1), lera.Attr(2, 1)), projs)
+			rows, err := db.cartesian(stage(q, 2, z, r, l), z.Rows, r.Rows)
+			for i, row := range rows {
+				if &row[0] != &r.Rows[i%len(r.Rows)][0] {
+					t.Fatalf("zero-width prefix: row %d is not R's row %d", i, i%len(r.Rows))
+				}
+			}
+			return rows, err
+		}},
+		{"join from the prefix", 2, keys * fanout, func() ([][]value.Value, error) {
+			return db.hashJoin(join, l.Rows, buildJoinIndex(r.Rows, join.st.rightKeys))
+		}},
+		{"join from the relation", 2, keys * fanout, func() ([][]value.Value, error) {
+			return db.hashJoinFromRight(join, buildJoinIndex(l.Rows, join.st.leftKeys), r.Rows)
+		}},
+		{"grace join, 1-byte grant", 2, keys * fanout, func() ([][]value.Value, error) {
+			g := db.g
+			db.g = &evalGuard{ctx: context.Background(), lim: guard.Limits{MaxMemBytes: 1},
+				rows: &guard.Budget{}, spill: &spillState{base: t.TempDir()}}
+			defer func() { db.g.spill.cleanup(); db.g = g }()
+			before := db.Spill.Partitions
+			rows, err := db.graceJoin(l.Rows, r.Rows, join.st.leftKeys, join.st.rightKeys, join.kernel(db, 1))
+			if db.Spill.Partitions == before {
+				t.Error("grace join did not partition")
+			}
+			return rows, err
+		}},
+		{"zero-width projection", 0, keys * fanout, func() ([][]value.Value, error) {
+			q := lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R")}, eq, nil)
+			return db.hashJoin(stage(q, 2, l, r), l.Rows, buildJoinIndex(r.Rows, []int{0}))
+		}},
+	}
+	for _, c := range cases {
+		rows, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(rows) != c.want || cap(rows) != len(rows) {
+			t.Errorf("%s: len %d cap %d, want len == cap == %d", c.name, len(rows), cap(rows), c.want)
+		}
+		for i, row := range rows {
+			if len(row) != c.width || (c.width == 0) != (row == nil) {
+				t.Fatalf("%s: row %d is %v, want %d values (nil when none)", c.name, i, row, c.width)
+			}
+		}
 	}
 }
 

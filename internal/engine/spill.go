@@ -851,12 +851,13 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 // graceJoin is the out-of-core SEARCH equi-join: build rows spill to
 // hash partitions, probe rows stay in memory and ride the walk by the
 // same key hash, and each leaf partition builds its (bounded) joinIndex
-// and probes the probe rows that reached it, in original order. Survivors
-// collect, tagged with their probe row, in one list grouped by partition;
-// all of a probe row's matches lie in its one partition, so a stable sort
-// by probe row reproduces the in-memory probe-order output exactly. Like
-// the in-memory producers it only enumerates pairs: k judges each one and
-// yields the stage's output row for the survivors.
+// and probes the probe rows that reached it, in original order. Like the
+// in-memory producers it only enumerates pairs: k judges each one and
+// emits the stage's output row for the survivors, partition by partition.
+// Beside each emitted row one word records its probe row; all of a probe
+// row's matches lie in its one partition, so a stable counting sort by
+// probe row places every row where the in-memory probe-order output has
+// it, and k hands them over straight into those places.
 func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int, k *searchKernel) ([][]value.Value, error) {
 	ride := make([]int, len(probe))
 	rideHash := make([]uint64, len(probe))
@@ -873,7 +874,7 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int,
 			return nil, err
 		}
 	}
-	surv := make([]joinSurvivor, 0, len(probe))
+	surv := make([]int32, 0, len(probe)) // per emitted row, its probe row
 	if err := db.graceWalk(ps, ride, rideHash, func(recs []spillRecord, idxs []int) error {
 		return db.joinPart(recs, idxs, probe, leftKeys, rightKeys, k, &surv)
 	}); err != nil {
@@ -882,34 +883,27 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int,
 	if k.err != nil {
 		return nil, k.err
 	}
-	// A counting sort by probe row: at[i] is where probe row i's matches go.
-	at := make([]int, len(probe)+1)
-	for _, s := range surv {
-		at[s.probe+1]++
+	// A counting sort by probe row: at[i] is where probe row i's matches go,
+	// and each word becomes its row's place in the output.
+	at := make([]int32, len(probe)+1)
+	for _, p := range surv {
+		at[p+1]++
 	}
 	for i := 1; i < len(at); i++ {
 		at[i] += at[i-1]
 	}
-	joined := make([][]value.Value, len(surv))
-	for _, s := range surv {
-		joined[at[s.probe]] = s.row
-		at[s.probe]++
+	for j, p := range surv {
+		surv[j] = at[p]
+		at[p]++
 	}
-	return joined, nil
-}
-
-// joinSurvivor is one output row of a grace join and the probe row it
-// joined.
-type joinSurvivor struct {
-	probe int
-	row   []value.Value
+	return k.rows(surv), nil
 }
 
 // joinPart, grace join's leaf, indexes one loaded build partition and
 // probes it with the probe rows idxs — through the in-memory join's own
 // probe loop, so JoinPairs and ticks account per probe row exactly as
-// there — appending the survivors to surv.
-func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, surv *[]joinSurvivor) error {
+// there — noting in surv the probe row of each row k emits.
+func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, surv *[]int32) error {
 	rows := make([][]value.Value, len(recs))
 	charged := int64(0)
 	for i, rec := range recs {
@@ -919,11 +913,11 @@ func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, le
 	db.chargeMem(charged)
 	defer db.releaseMem(charged)
 	ix := buildJoinIndex(rows, rightKeys)
-	var i int               // the probe row the loop below is on; emit is built once
-	var one [][]value.Value // k.pair's output: at most the one survivor
+	var i int // the probe row the loop below is on; emit is built once
 	emit := func(_ int, o int32) {
-		if one = k.pair(one[:0], probe[i], ix.rows[o]); len(one) > 0 {
-			*surv = append(*surv, joinSurvivor{probe: i, row: one[0]})
+		n := k.n
+		if k.pair(probe[i], ix.rows[o]); k.n > n {
+			*surv = append(*surv, int32(i))
 		}
 	}
 	for _, i = range idxs {

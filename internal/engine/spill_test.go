@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -291,6 +292,13 @@ func TestSpillTempFilesCleanedOnError(t *testing.T) {
 	dirEmpty(t, dir, "after row-budget trip")
 
 	t.Run("block-flush-write-error", func(t *testing.T) {
+		// The file-size limit is the whole process's: lowered here, it would
+		// also fail the writes of the test binary's own test log. So the
+		// limited part runs in a child process of the test binary.
+		if os.Getenv(fsizeChildEnv) == "" {
+			runInChild(t, fsizeChildEnv)
+			return
+		}
 		db := chainDB(t, 50)
 		db.Limits = guard.Limits{MaxMemBytes: 1}
 		db.SpillDir = dir
@@ -305,6 +313,29 @@ func TestSpillTempFilesCleanedOnError(t *testing.T) {
 		}
 		dirEmpty(t, dir, "after a failed block write")
 	})
+}
+
+// fsizeChildEnv marks the child process that runs a subtest under a
+// lowered file-size limit.
+const fsizeChildEnv = "LERA_TEST_FSIZE_CHILD"
+
+// runInChild runs test t alone again in a child process of the test
+// binary, with env set to "1" there, and passes, skips or fails t as the
+// child's run of it does.
+func runInChild(t *testing.T, env string) {
+	t.Helper()
+	pattern := "^" + strings.ReplaceAll(t.Name(), "/", "$/^") + "$"
+	cmd := exec.Command(os.Args[0], "-test.run="+pattern, "-test.v")
+	cmd.Env = append(os.Environ(), env+"=1")
+	out, err := cmd.CombinedOutput()
+	switch {
+	case err != nil:
+		t.Fatalf("child process: %v\n%s", err, out)
+	case bytes.Contains(out, []byte("--- SKIP: "+t.Name())):
+		t.Skipf("child process skipped:\n%s", out)
+	case !bytes.Contains(out, []byte("--- PASS: "+t.Name())):
+		t.Fatalf("child process did not run %s:\n%s", t.Name(), out)
+	}
 }
 
 // TestSpillTempFilesCleanedOnCancel: a context deadline interrupting a
