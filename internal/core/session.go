@@ -273,11 +273,6 @@ func (s *Session) QueryCtx(ctx context.Context, src string) (*Result, error) {
 	return res, err
 }
 
-// ExecStmt executes one parsed statement with no cancellation.
-func (s *Session) ExecStmt(st esql.Stmt) (*Result, error) {
-	return s.ExecStmtCtx(context.Background(), st)
-}
-
 // ExecStmtCtx executes one parsed statement under a cancellation context.
 func (s *Session) ExecStmtCtx(ctx context.Context, st esql.Stmt) (*Result, error) {
 	s.obsStatement()

@@ -11,7 +11,7 @@ package engine
 //
 // The contract (docs/PERF.md, "Batched execution & relation indexes"):
 // rows, order included, equal the semantics-only reference evaluator's
-// (reference.go); every Counters field and the EXPLAIN ANALYZE OpStats
+// (reference_test.go); every Counters field and the EXPLAIN ANALYZE OpStats
 // tree are indistinguishable at every BatchSize, Parallelism and memory
 // budget, under guard budgets and fault injection alike, and equal the
 // goldens in testdata/engine_corpus.golden. Counters therefore keep a

@@ -127,11 +127,6 @@ type DB struct {
 	// bit-identity contract between spilled and in-memory runs.
 	Spill SpillStats
 
-	// reference routes the data-moving operators to the semantics-only
-	// reference evaluator (reference.go). Only ReferenceEval sets it, on a
-	// private fork; no option, flag or config field reaches it.
-	reference bool
-
 	rels      map[string]*Relation
 	idx       *indexSet  // persistent per-relation join indexes, shared across forks
 	g         *evalGuard // per-EvalCtx guard state (nil outside a call)
@@ -375,10 +370,15 @@ func (db *DB) eval(t *term.Term, e env) (*Relation, error) {
 	return db.evalOp(t, e)
 }
 
+// evalOpHook, when set, may claim a DB's data-moving operators: it
+// reports false for a DB it leaves to the engine. It is nil in the
+// product; the engine's tests set it to run the semantics-only reference
+// evaluator (reference_test.go) on the forks they register.
+var evalOpHook func(db *DB, t *term.Term, e env) (*Relation, bool, error)
+
 // evalOp dispatches one operator. REL, LET and FIX are pure control flow
 // (their recursive eval calls re-dispatch); the data-moving operators
-// route to the batched implementations (batch.go, batchsearch.go) — or,
-// under ReferenceEval only, to the reference ones (reference.go).
+// route to the batched implementations (batch.go, batchsearch.go).
 func (db *DB) evalOp(t *term.Term, e env) (*Relation, error) {
 	if t.Kind != term.Fun {
 		return nil, fmt.Errorf("engine: cannot evaluate %s", t)
@@ -415,8 +415,10 @@ func (db *DB) evalOp(t *term.Term, e env) (*Relation, error) {
 	case "FIX":
 		return db.evalFix(t, e)
 	}
-	if db.reference {
-		return db.evalOpReference(t, e)
+	if evalOpHook != nil {
+		if out, ok, err := evalOpHook(db, t, e); ok {
+			return out, err
+		}
 	}
 	return db.evalOpBatch(t, e)
 }

@@ -1,10 +1,10 @@
 package engine
 
 // 64-bit hashed row keys — the engine's replacement for the reference
-// evaluator's rowKey strings (reference.go). A row hashes to one uint64
-// (FNV-1a over the per-value structural hashes); equality is decided by a
-// collision-checked structural comparison that reproduces rowKey-string
-// equality exactly without materializing the key:
+// evaluator's rowKey strings (reference_test.go). A row hashes to one
+// uint64 (FNV-1a over the per-value structural hashes); equality is
+// decided by a collision-checked structural comparison that reproduces
+// rowKey-string equality exactly without materializing the key:
 //
 //   - ints and reals compare by their float64 bit pattern (Key encodes
 //     both through strconv.FormatFloat of the float64 value, so 5 and 5.0
@@ -254,10 +254,11 @@ func (s *rowSet) has(row []value.Value) bool {
 }
 
 // dedupRows removes duplicate rows in place (first occurrence wins),
-// matching Relation.Dedup's output order exactly. The caller must own the
-// slice: it is the set's row store — a row is only ever written at or
-// before the position it was read from — and the table beside it is sized
-// once, so the pass allocates twice however many rows there are.
+// matching the reference evaluator's Relation.Dedup (reference_test.go)
+// exactly. The caller must own the slice: it is the set's row store — a
+// row is only ever written at or before the position it was read from —
+// and the table beside it is sized once, so the pass allocates twice
+// however many rows there are.
 func dedupRows(rows [][]value.Value) [][]value.Value {
 	if len(rows) < 2 {
 		return rows

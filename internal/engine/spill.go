@@ -35,7 +35,7 @@ package engine
 // The size estimates are pure functions of row content, so the
 // spill/fail decision is identical at every BatchSize and Parallelism
 // setting — the governor never consults the (racy) shared account to
-// decide, only to report. The reference evaluator (reference.go) runs
+// decide, only to report. The reference evaluator (reference_test.go) runs
 // with the governor off, exactly as it ignores the persistent index set.
 
 import (

@@ -11,13 +11,16 @@ import (
 	"lera/internal/testdb"
 )
 
+// engine builds a rewrite engine over the syntactic rules with the
+// syntactic externals registered; internal/core assembles the full
+// optimizer.
 func engine(t *testing.T) *rewrite.Engine {
 	t.Helper()
 	cat, err := testdb.Catalog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Engine(cat, rewrite.Options{})
+	return rewrite.New(RuleSet(), Externals(), cat, rewrite.Options{})
 }
 
 // TestFigure7SearchMerging: two stacked searches merge into one, with the

@@ -3,7 +3,6 @@ package lopt
 import (
 	"fmt"
 
-	"lera/internal/catalog"
 	"lera/internal/rewrite"
 	"lera/internal/rules"
 	"lera/internal/term"
@@ -105,11 +104,4 @@ func Externals() *rewrite.Externals {
 	RegisterExternals(ext)
 	registerIDProj2(ext)
 	return ext
-}
-
-// Engine builds a rewrite engine over the syntactic rules with the
-// syntactic externals registered — convenient for tests; internal/core
-// assembles the full optimizer.
-func Engine(cat *catalog.Catalog, opts rewrite.Options) *rewrite.Engine {
-	return rewrite.New(RuleSet(), Externals(), cat, opts)
 }

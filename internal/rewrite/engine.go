@@ -277,10 +277,6 @@ type Stats struct {
 
 // Options configure an engine; New resolves them once.
 type Options struct {
-	// MaxChecks caps total condition checks across all blocks, guarding
-	// against non-terminating rule sets with infinite block limits
-	// (termination is undecidable, §4.2). 0 means the default.
-	MaxChecks int
 	// BlockLimitOverride, if non-nil, replaces every block's limit —
 	// the §7 dynamic-limit hook. New calls it once per block.
 	BlockLimitOverride func(block string, declared int) int
@@ -301,6 +297,11 @@ type Options struct {
 
 // DefaultMaxChecks bounds runaway rule systems.
 const DefaultMaxChecks = 1_000_000
+
+// maxChecks caps total condition checks across all blocks, guarding
+// against non-terminating rule sets with infinite block limits
+// (termination is undecidable, §4.2). Tests lower it.
+var maxChecks = DefaultMaxChecks
 
 // Engine is a rule set compiled against its options. It is immutable
 // after New and safe for concurrent use (provided nobody registers
@@ -338,9 +339,6 @@ type blockRule struct {
 // in declaration order; if no blocks are declared, all rules form one
 // implicit saturating block.
 func New(rs *rules.RuleSet, ext *Externals, cat *catalog.Catalog, opts Options) *Engine {
-	if opts.MaxChecks <= 0 {
-		opts.MaxChecks = DefaultMaxChecks
-	}
 	e := &Engine{RS: rs, Ext: ext, Cat: cat, Opts: opts, blocks: make(map[string]*block, len(rs.Blocks)), rounds: 1}
 	for name, b := range rs.Blocks {
 		e.blocks[name] = e.compile(b)
@@ -679,8 +677,8 @@ func (r *runState) acceptMatch() bool {
 		at.err = err
 		return true
 	}
-	if st.ConditionChecks > e.Opts.MaxChecks {
-		at.err = fmt.Errorf("rewrite: rule system exceeded %d condition checks (non-terminating rule set?)", e.Opts.MaxChecks)
+	if st.ConditionChecks > maxChecks {
+		at.err = fmt.Errorf("rewrite: rule system exceeded %d condition checks (non-terminating rule set?)", maxChecks)
 		return true
 	}
 	if !at.haveSite {

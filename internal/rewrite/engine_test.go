@@ -233,9 +233,11 @@ func TestNoChangeApplicationsDoNotLoop(t *testing.T) {
 func TestMaxChecksGuard(t *testing.T) {
 	// A growing rule under an infinite block must hit the guard, not
 	// hang: F(x) --> F(S(x)).
-	e := newEngine(t, "rule grow: F(x) --> F(S(x));", Options{MaxChecks: 500})
+	defer func(saved int) { maxChecks = saved }(maxChecks)
+	maxChecks = 500
+	e := newEngine(t, "rule grow: F(x) --> F(S(x));", Options{})
 	if _, _, err := e.Run(term.F("F", term.Num(1))); err == nil {
-		t.Error("non-terminating rule set must be cut by MaxChecks")
+		t.Error("non-terminating rule set must be cut by maxChecks")
 	}
 }
 

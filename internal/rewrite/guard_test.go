@@ -79,8 +79,8 @@ func TestBuiltinPanicIsolated(t *testing.T) {
 }
 
 func TestRewriteDeadline(t *testing.T) {
-	// The grow rule never terminates; without MaxChecks only the context
-	// deadline can cut it.
+	// The grow rule never terminates; below the condition-check cap only
+	// the context deadline can cut it.
 	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()

@@ -159,7 +159,7 @@ func diffOne(ctx context.Context, db *engine.DB, eng *rewrite.Engine, r *rules.R
 		return nil, false, nil
 	}
 
-	base, errBase := evalPhase(ctx, db.EvalCtx, opt.Limits, q.Term)
+	base, errBase := evalPhase(ctx, db, opt.Limits, q.Term)
 	if errBase != nil {
 		// The corpus term itself is not executable here (or busted a
 		// budget); nothing to compare, but the rule did fire.
@@ -168,7 +168,7 @@ func diffOne(ctx context.Context, db *engine.DB, eng *rewrite.Engine, r *rules.R
 		}
 		return nil, true, nil
 	}
-	out, errOut := evalPhase(ctx, db.EvalCtx, opt.Limits, rewritten)
+	out, errOut := evalPhase(ctx, db, opt.Limits, rewritten)
 	if errOut != nil {
 		if ctx.Err() != nil {
 			return nil, true, ctx.Err()
@@ -205,14 +205,14 @@ func diffWhole(ctx context.Context, db *engine.DB, eng *rewrite.Engine, q Query,
 		return &Diagnostic{Rule: "(all)", Severity: sev, Code: CodeRewriteError,
 			Site: q.Name, Msg: fmt.Sprintf("full-sequence rewrite failed on %s: %v", lera.Format(q.Term), err)}, nil
 	}
-	base, errBase := evalPhase(ctx, db.EvalCtx, opt.Limits, q.Term)
+	base, errBase := evalPhase(ctx, db, opt.Limits, q.Term)
 	if errBase != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, nil
 	}
-	out, errOut := evalPhase(ctx, db.EvalCtx, opt.Limits, rewritten)
+	out, errOut := evalPhase(ctx, db, opt.Limits, rewritten)
 	if errOut != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -246,15 +246,14 @@ func runPhase(ctx context.Context, eng *rewrite.Engine, lim guard.Limits, q *ter
 	return eng.RunCtx(ctx, q, lim, false)
 }
 
-// evalPhase is runPhase for execution: eval is an engine.DB's EvalCtx, or
-// the reference evaluator bound to one.
-func evalPhase(ctx context.Context, eval func(context.Context, *term.Term) (*engine.Relation, error), lim guard.Limits, t *term.Term) (*engine.Relation, error) {
+// evalPhase is runPhase for execution.
+func evalPhase(ctx context.Context, db *engine.DB, lim guard.Limits, t *term.Term) (*engine.Relation, error) {
 	if lim.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	return eval(ctx, t)
+	return db.EvalCtx(ctx, t)
 }
 
 // isBudget reports whether an error is a guard budget trip rather than a

@@ -100,7 +100,7 @@ const (
 	// number of terms in a query"): a rule whose right-hand side is not
 	// smaller than its left-hand side sits in a block with an infinite
 	// limit, so budgets alone cannot guarantee termination; the engine's
-	// no-change detection and MaxChecks guard still apply. Advisory —
+	// no-change detection and DefaultMaxChecks cap still apply. Advisory —
 	// right-hand sides calling optimizer builtins are sized syntactically.
 	CodeNonDecreasing = "RC011"
 
@@ -116,11 +116,6 @@ const (
 	// CodeRewriteError: the rewrite engine itself errored while applying
 	// the rule (an external panicked or a budget tripped mid-rewrite).
 	CodeRewriteError = "RC103"
-	// CodeEngineDivergence: the engine disagreed with itself — two
-	// evaluation variants (naive/semi-naive fixpoint mode, serial/parallel
-	// worker pool) produced different results for the same term on the
-	// same generated database (enginediff.go).
-	CodeEngineDivergence = "RC104"
 )
 
 // Diagnostic is one finding about one rule (or about the rule-base

@@ -514,13 +514,3 @@ func (b *Bindings) Apply(t *Term) (*Term, error) {
 	}
 	return nil, fmt.Errorf("term: cannot apply bindings to kind %d", t.Kind)
 }
-
-// MustApply is Apply for tests and internal call sites that guarantee all
-// variables are bound.
-func (b *Bindings) MustApply(t *Term) *Term {
-	r, err := b.Apply(t)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

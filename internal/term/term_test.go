@@ -153,15 +153,6 @@ func TestApply(t *testing.T) {
 	}
 }
 
-func TestMustApplyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustApply must panic on unbound var")
-		}
-	}()
-	NewBindings().MustApply(V("x"))
-}
-
 func TestBindingsTrail(t *testing.T) {
 	b := NewBindings()
 	mark := b.Mark()

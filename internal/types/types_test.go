@@ -240,7 +240,7 @@ func TestZeroValue(t *testing.T) {
 	if actor.Len() != 4 {
 		t.Errorf("Actor zero tuple must include inherited fields: %v", actor)
 	}
-	if !(*Type)(nil).ZeroValue().IsNull() {
+	if (*Type)(nil).ZeroValue().K != value.KNull {
 		t.Error("nil type zero is NULL")
 	}
 	if (*Type)(nil).String() != "<nil>" {

@@ -207,9 +207,6 @@ func NewArray(elems ...Value) Value {
 	return Value{K: KArray, Elems: append([]Value(nil), elems...)}
 }
 
-// IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.K == KNull }
-
 // IsTrue reports whether v is the boolean true.
 func (v Value) IsTrue() bool { return v.B() }
 
