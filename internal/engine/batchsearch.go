@@ -536,11 +536,11 @@ func (db *DB) cartesian(ss *stageScratch, left, right [][]value.Value) ([][]valu
 // grace partition alike: every row of drive is looked up in ix by its
 // columns at keys, in order, with one amortized tick and one JoinPairs
 // update per driving row, and emit receives each match as (the driving
-// row's ordinal in drive, the matching row's ordinal in ix.rows), a
-// driving row's matches in index insertion order.
-func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit func(d int, o int32)) error {
+// row's ordinal in drive, the matching row's position in ix.rows) — a
+// driving row's matches are one run, read in index insertion order.
+func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit func(d, c int)) error {
 	for d, row := range drive {
-		o, n := ix.probe(row, keys)
+		start, n := ix.probe(row, keys)
 		if n == 0 {
 			continue
 		}
@@ -548,8 +548,8 @@ func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit f
 			return err
 		}
 		db.Count.JoinPairs += n
-		for ; o >= 0; o = ix.next[o] {
-			emit(d, o)
+		for c := start; c < start+n; c++ {
+			emit(d, c)
 		}
 	}
 	return nil
@@ -562,8 +562,8 @@ func (db *DB) probeEach(ix *joinIndex, drive [][]value.Value, keys []int, emit f
 func (db *DB) hashJoin(ss *stageScratch, left [][]value.Value, ix *joinIndex) ([][]value.Value, error) {
 	return mapChunks(db, left, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		k := ss.kernel(w, 1)
-		err := w.probeEach(ix, chunk, k.leftKeys, func(d int, o int32) {
-			k.pair(chunk[d], ix.rows[o])
+		err := w.probeEach(ix, chunk, k.leftKeys, func(d, c int) {
+			k.pair(chunk[d], ix.rows[c])
 		})
 		if err != nil {
 			return nil, err
@@ -582,15 +582,15 @@ func (db *DB) hashJoin(ss *stageScratch, left [][]value.Value, ix *joinIndex) ([
 // either way. The pair words and the judge are the stage scratch's.
 func (db *DB) hashJoinFromRight(ss *stageScratch, ix *joinIndex, right [][]value.Value) ([][]value.Value, error) {
 	pairs := ss.pairs[:0] // prefix ordinal<<32 | relation ordinal
-	err := db.probeEach(ix, right, ss.st.rightKeys, func(d int, o int32) {
-		pairs = append(pairs, uint64(o)<<32|uint64(d))
+	err := db.probeEach(ix, right, ss.st.rightKeys, func(d, c int) {
+		pairs = append(pairs, uint64(ix.ord[c])<<32|uint64(d))
 	})
 	ss.pairs = pairs
 	if err != nil {
 		return nil, err
 	}
 	slices.Sort(pairs)
-	ss.left, ss.right = ix.rows, right
+	ss.left, ss.right = ix.src, right
 	if ss.judge == nil {
 		ss.judge = ss.judgePairs
 	}

@@ -52,9 +52,9 @@ func hashKey(row []value.Value, keyIdx []int) uint64 {
 // structure routes through — rowSet, joinIndex, the grace-hash
 // partitioner and the spilled membership sets. Production code always
 // runs the FNV hashers above; the collision-audit tests swap in a
-// constant hasher to force every row into one probe chain, one index
-// bucket and one spill partition, proving the collision-checked equality
-// fallback carries correctness on its own.
+// constant hasher to force every row into one probe chain of a row set or
+// join index and one spill partition, proving the collision-checked
+// equality fallback carries correctness on its own.
 var (
 	hashRowFn = rowHash
 	hashKeyFn = hashKey
@@ -179,35 +179,42 @@ type rowSet struct {
 // many few-row seen-sets of a fixpoint workload pay next to nothing.
 const rowSetMinRows = 4
 
-// reserve sizes the set to hold n rows in all without growing again: the
-// slot table at the power of two that keeps the load at or under ½, the row
-// and hash stores at capacity n. Rows already held are re-seated from their
-// stored hashes, in insertion order.
+// reserve sizes the set to hold n rows in all without growing again: the slot
+// table at load ≤ ½, the row and hash stores at capacity n. Rows already
+// held are re-seated from their stored hashes, in insertion order.
 func (s *rowSet) reserve(n int) {
-	size := 2 * rowSetMinRows
-	for size < 2*n {
-		size *= 2
-	}
 	if cap(s.rows) < n {
 		s.rows = append(make([][]value.Value, 0, n), s.rows...)
 	}
 	if cap(s.hashes) < n {
 		s.hashes = append(make([]uint64, 0, n), s.hashes...)
 	}
-	s.slots = make([]int32, size)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.slots, s.shift = newSlots(n, rowSetMinRows)
+	mask := len(s.slots) - 1
 	for o, h := range s.hashes {
-		i := s.home(h)
+		i := homeSlot(h, s.shift)
 		for s.slots[i] != 0 {
-			i = (i + 1) & (size - 1)
+			i = (i + 1) & mask
 		}
 		s.slots[i] = int32(o) + 1
 	}
 }
 
-// home returns the slot a probe for hash h starts at: the top bits of a
-// Fibonacci multiply, so the table does not lean on the low bits of FNV.
-func (s *rowSet) home(h uint64) int { return int((h * slotMul) >> s.shift) }
+// newSlots makes an empty slot table for n entries, and at least least, at
+// load ≤ ½: the smallest power of two of at least twice that many slots,
+// and its shift, 64 − log2 of its size.
+func newSlots(n, least int) ([]int32, uint) {
+	size := 2 * least
+	for size < 2*n {
+		size *= 2
+	}
+	return make([]int32, size), uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// homeSlot returns the slot a probe for hash h starts at in a table whose
+// shift newSlots returned: the top bits of a Fibonacci multiply, so the
+// table does not lean on the low bits of FNV.
+func homeSlot(h uint64, shift uint) int { return int((h * slotMul) >> shift) }
 
 const slotMul = 0x9E3779B97F4A7C15 // 2^64 / the golden ratio, odd
 
@@ -216,7 +223,7 @@ const slotMul = 0x9E3779B97F4A7C15 // 2^64 / the golden ratio, odd
 // must exist.
 func (s *rowSet) find(h uint64, row []value.Value) (int, bool) {
 	mask := len(s.slots) - 1
-	i := s.home(h)
+	i := homeSlot(h, s.shift)
 	for ; s.slots[i] != 0; i = (i + 1) & mask {
 		if o := s.slots[i] - 1; s.hashes[o] == h && rowKeyEq(s.rows[o], row) {
 			return i, true
@@ -271,80 +278,135 @@ func dedupRows(rows [][]value.Value) [][]value.Value {
 	return s.rows
 }
 
-// joinGroup is one distinct join key of a joinIndex: the chain of its rows'
-// ordinals. The key itself is not stored — it is the key columns of the
-// head row.
+// joinGroup is one distinct join key of a joinIndex: the run of its rows in
+// the index's rows. The key itself is not stored — it is the key columns of
+// the run's first row.
 type joinGroup struct {
-	head, tail int32 // first and last row of the chain
-	n          int32 // rows in the chain
-	link       int32 // next group under the same hash (a collision); -1 = none
+	hash     uint64 // the key's hash
+	start, n int32  // the run: rows[start : start+n]
 }
 
 // joinIndex is the hashed side of a batch hash join (and the persistent
-// per-relation index): the ordinals of rows grouped by their key columns
-// under a 64-bit hash with collision-checked key groups. It answers a probe
-// with row ordinals, so one index serves both join directions: the rows of
-// a build side for a driving prefix row, and the prefix rows a driving
-// relation row pairs with (batchsearch.go). A group's rows are chained
-// through next in insertion order, matching the reference's string-keyed
-// map, so probes emit matches in the same sequence. Nothing is allocated
-// per key or per row: the index is the map, one ordinal per row and one
-// 16-byte group per distinct key. Ordinals are int32 — far beyond what an
-// in-memory relation of row slices can hold.
+// per-relation index, index.go): the rows of src grouped by their key
+// columns, and one open-addressed table over the groups — linear probing
+// at load ≤ ½, a group's stored hash compared before the collision-checked
+// key equality. A group's rows lie in rows as one contiguous run in
+// insertion order, so a probe reads one slot, one group and one run, and
+// emits the matches in the sequence the reference's string-keyed map
+// gives. ord maps a run position back to the row's ordinal in src, so one
+// index serves both join directions: the rows of a build side for a
+// driving prefix row, and the prefix rows a driving relation row pairs
+// with (batchsearch.go). Nothing is allocated per key or per row: a header
+// and an ordinal per row, a 16-byte group per distinct key and the slot
+// table. Positions are int32 — far beyond what an in-memory relation of
+// row slices can hold.
 type joinIndex struct {
 	keyIdx []int
-	rows   [][]value.Value  // the indexed slice; ordinals index it
-	byHash map[uint64]int32 // key hash → first group under it
+	src    [][]value.Value // the indexed slice, as given; nil in a grace partition's index
+	rows   [][]value.Value // the indexed rows, group by group
+	ord    []int32         // ord[c] is the ordinal in src of rows[c]; nil with src
 	groups []joinGroup
-	next   []int32 // next[o] = the row after o in its group's chain; -1 at the end
+	slots  []int32 // group+1 of the key seated there; 0 = empty
+	shift  uint    // 64 − log2(len(slots))
 }
 
-// buildJoinIndex indexes rows by the columns in keyIdx.
-func buildJoinIndex(rows [][]value.Value, keyIdx []int) *joinIndex {
-	ix := &joinIndex{
-		keyIdx: append([]int(nil), keyIdx...),
-		rows:   rows,
-		byHash: make(map[uint64]int32, len(rows)),
-		next:   make([]int32, len(rows)),
+// newJoinIndex returns an empty index on keyIdx for n rows: the slot table
+// at load ≤ ½ however many keys they hold, and the run store.
+func newJoinIndex(keyIdx []int, n int) *joinIndex {
+	ix := &joinIndex{keyIdx: append([]int(nil), keyIdx...), rows: make([][]value.Value, n)}
+	ix.slots, ix.shift = newSlots(n, 1)
+	return ix
+}
+
+// buildJoinIndex indexes src by the columns in keyIdx: one hashing pass
+// that seats each row in its key's group, then a counting sort into runs.
+func buildJoinIndex(src [][]value.Value, keyIdx []int) *joinIndex {
+	ix := newJoinIndex(keyIdx, len(src))
+	group := make([]int32, len(src))
+	for i, row := range src {
+		group[i] = ix.seat(hashKeyFn(row, keyIdx), row)
 	}
-	for i, row := range rows {
-		o := int32(i)
-		ix.next[o] = -1
-		h := hashKeyFn(row, keyIdx)
-		first, ok := ix.byHash[h]
-		if !ok {
-			first = -1
-		}
-		g := first
-		for g >= 0 && !keyColsEq(rows[ix.groups[g].head], keyIdx, row, keyIdx) {
-			g = ix.groups[g].link
-		}
-		if g < 0 {
-			ix.byHash[h] = int32(len(ix.groups))
-			ix.groups = append(ix.groups, joinGroup{head: o, tail: o, n: 1, link: first})
-			continue
-		}
-		grp := &ix.groups[g]
-		ix.next[grp.tail] = o
-		grp.tail = o
-		grp.n++
+	ix.runs()
+	ix.src, ix.ord = src, make([]int32, len(src))
+	for i, g := range group {
+		c := ix.place(g)
+		ix.rows[c], ix.ord[c] = src[i], int32(i)
 	}
 	return ix
 }
 
-// probe looks up the group whose key equals row's columns at slots. It
-// returns the ordinal of the group's first row and its row count — (-1, 0)
-// when no key matches; ix.next chains the rest in insertion order.
-func (ix *joinIndex) probe(row []value.Value, slots []int) (first int32, n int) {
-	g, ok := ix.byHash[hashKeyFn(row, slots)]
-	if !ok {
-		return -1, 0
+// indexRecords indexes a loaded grace partition by the columns in keyIdx,
+// under the key hashes its records were routed by: no row is hashed again,
+// and the rows go straight into the runs, the partition's one header
+// slice. The index has no src and no ord.
+func indexRecords(recs []spillRecord, keyIdx []int) *joinIndex {
+	ix := newJoinIndex(keyIdx, len(recs))
+	group := make([]int32, len(recs))
+	for i, rec := range recs {
+		group[i] = ix.seat(rec.hash, rec.row)
 	}
-	for ; g >= 0; g = ix.groups[g].link {
+	ix.runs()
+	for i, g := range group {
+		ix.rows[ix.place(g)] = recs[i].row
+	}
+	return ix
+}
+
+// seat is the build's first pass for one row of key hash h: it counts the
+// row in its key's group, opening the group when the key is new, and
+// returns the group. Until runs, a group's start is its own number and
+// rows[g] holds group g's first row, which stands for its key.
+func (ix *joinIndex) seat(h uint64, row []value.Value) int32 {
+	s, g := ix.find(h, row, ix.keyIdx)
+	if g < 0 {
+		g = int32(len(ix.groups))
+		ix.slots[s] = g + 1
+		ix.rows[g] = row
+		ix.groups = append(ix.groups, joinGroup{hash: h, start: g})
+	}
+	ix.groups[g].n++
+	return g
+}
+
+// runs lays the groups' runs end to end, in the order their keys were
+// first seen, and empties them for place to fill.
+func (ix *joinIndex) runs() {
+	at := int32(0)
+	for g := range ix.groups {
 		grp := &ix.groups[g]
-		if keyColsEq(ix.rows[grp.head], ix.keyIdx, row, slots) {
-			return grp.head, int(grp.n)
+		grp.start, at, grp.n = at, at+grp.n, 0
+	}
+}
+
+// place returns the run position of group g's next row. Rows placed in
+// insertion order fill each run in insertion order.
+func (ix *joinIndex) place(g int32) int {
+	grp := &ix.groups[g]
+	grp.n++
+	return int(grp.start + grp.n - 1)
+}
+
+// find probes for the group whose key equals row's columns at cols under
+// hash h. It returns the group's slot and the group, or the empty slot that
+// ended the probe and -1.
+func (ix *joinIndex) find(h uint64, row []value.Value, cols []int) (int, int32) {
+	mask := len(ix.slots) - 1
+	i := homeSlot(h, ix.shift)
+	for ; ix.slots[i] != 0; i = (i + 1) & mask {
+		g := ix.slots[i] - 1
+		if grp := &ix.groups[g]; grp.hash == h && keyColsEq(ix.rows[grp.start], ix.keyIdx, row, cols) {
+			return i, g
 		}
 	}
-	return -1, 0
+	return i, -1
+}
+
+// probe looks up the group whose key equals row's columns at cols and
+// returns its run, the matches ix.rows[start : start+n] in insertion
+// order; n is 0 when no key matches.
+func (ix *joinIndex) probe(row []value.Value, cols []int) (start, n int) {
+	if _, g := ix.find(hashKeyFn(row, cols), row, cols); g >= 0 {
+		return int(ix.groups[g].start), int(ix.groups[g].n)
+	}
+	return 0, 0
 }

@@ -7,8 +7,9 @@ package engine
 // of the database, so repeated evaluations (plan-cache hits, fixpoint
 // rounds joining against a stored relation, a server fork pool running the
 // same shapes) stop rebuilding the hash table per query. An index answers
-// with row ordinals, so it serves either side of a join: as the build side
-// a prefix row probes, and — when the stored relation is the unfiltered
+// a probe with one run of rows and, beside each, its ordinal in the
+// relation, so it serves either side of a join: as the build side a
+// prefix row probes, and — when the stored relation is the unfiltered
 // first relation of a SEARCH and the other input is smaller — as the side
 // the other input's rows drive through (docs/PERF.md, "Delta-driven
 // rounds"): a semi-naive round then costs its delta, not the relation.

@@ -213,12 +213,15 @@ func checkStageOutputsExact(t *testing.T) {
 	}
 }
 
-// TestJoinIndexAllocs: a join index is its map, one ordinal per row and
-// one 16-byte group per distinct key — no per-key or per-row objects. At
-// the parent commit a distinct key cost four objects (key copy, group,
-// bucket slice, row-header slice) and six at fan-out 3; exec_spill builds
-// a bounded index per partition per query, so objects per key are its
-// allocs_per_query.
+// TestJoinIndexAllocs: a join index is a fixed set of arrays — the slot
+// table, the runs of row headers, an ordinal per row, the build's group of
+// each row — plus one 16-byte group per distinct key, grown by appending:
+// no per-key or per-row objects and no map. When a key cost objects of its
+// own it cost four (key copy, group, bucket slice, row-header slice), six
+// at fan-out 3; exec_spill builds a bounded index per partition per query,
+// so objects per key are its allocs_per_query. The chained index over a
+// map took 22 objects for 1 000 keys at fan-out 1 and 26 at fan-out 3; the
+// clustered one takes 19 at both.
 func TestJoinIndexAllocs(t *testing.T) {
 	const parentPerKey = 4
 	for _, fanout := range []int{1, 3} {
@@ -239,8 +242,8 @@ func TestJoinIndexAllocs(t *testing.T) {
 			t.Errorf("fan-out %d: %.0f objects for %d keys — more per key than the parent's %d", fanout, allocs, keys, parentPerKey)
 		}
 		// Stronger, and what the layout promises: nothing per key at all
-		// (the map's and the group slice's growth steps only).
-		if allocs > 64 {
+		// (the fixed arrays and the group slice's growth steps only).
+		if allocs > 24 {
 			t.Errorf("fan-out %d: %.0f objects for %d keys — the index allocates per key again", fanout, allocs, keys)
 		}
 	}

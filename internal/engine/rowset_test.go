@@ -4,7 +4,9 @@ package engine
 // values") against its definition: a map[string]bool over rowKey strings,
 // which is what the reference evaluator deduplicates with. A table-driven
 // differential test, a fuzzer over rows decoded by the spill codec, and the
-// allocation gates that keep the set from allocating per row again.
+// allocation gates that keep the set from allocating per row again. Beside
+// it the join index's fuzzer, over the same rows, against a map from key
+// strings to ordinals.
 
 import (
 	"bytes"
@@ -14,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -137,8 +140,8 @@ var homeLast = func() uint64 {
 }()
 
 func TestRowSetDifferential(t *testing.T) {
-	if s := (&rowSet{shift: 64 - 4}); s.home(homeLast) != 15 {
-		t.Fatalf("homeLast is at home in slot %d of 16", s.home(homeLast))
+	if i := homeSlot(homeLast, 64-4); i != 15 {
+		t.Fatalf("homeLast is at home in slot %d of 16", i)
 	}
 	constant := func([]value.Value) uint64 { return 0xDEAD }
 	cases := []struct {
@@ -231,9 +234,23 @@ func fuzzRows(data []byte) [][]value.Value {
 // FuzzRowSet: whatever rows the spill codec can decode, the flat set agrees
 // with a map over rowKey strings on every answer and on first-occurrence
 // order — under the production hasher and with every row forced into one
-// probe chain. Seeded from the committed FuzzSpillCodec corpus (read here,
-// not copied) and from the corner-case rows, framed as partition records.
+// probe chain.
 func FuzzRowSet(f *testing.F) {
+	addRowSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows := fuzzRows(data)
+		checkRowSet(t, rows)
+		saved := hashRowFn
+		hashRowFn = func([]value.Value) uint64 { return 0xDEAD }
+		defer func() { hashRowFn = saved }()
+		checkRowSet(t, rows)
+	})
+}
+
+// addRowSeeds seeds a fuzzer of fuzzRows from the committed FuzzSpillCodec
+// corpus (read here, not copied) and from the corner-case rows, framed as
+// partition records.
+func addRowSeeds(f *testing.F) {
 	seeds, _ := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSpillCodec", "*"))
 	if len(seeds) == 0 {
 		f.Fatal("no FuzzSpillCodec corpus to seed from")
@@ -257,14 +274,82 @@ func FuzzRowSet(f *testing.F) {
 		framed = append(binary.AppendUvarint(framed, uint64(len(payload))), payload...)
 	}
 	f.Add(framed)
+}
+
+// FuzzJoinIndex: whatever rows the spill codec can decode, the clustered
+// join index answers a probe with exactly the rows a map from the key
+// columns' rowKey strings to ordinals lists, in insertion order, as one
+// run — on key column 0 and, over the rows wide enough, on columns 0 and
+// 1; under the production hasher, with every key in one probe chain, and
+// with that chain wrapping past the table's last slot. Seeded like
+// FuzzRowSet.
+func FuzzJoinIndex(f *testing.F) {
+	addRowSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows := fuzzRows(data)
-		checkRowSet(t, rows)
-		saved := hashRowFn
-		hashRowFn = func([]value.Value) uint64 { return 0xDEAD }
-		defer func() { hashRowFn = saved }()
-		checkRowSet(t, rows)
+		saved := hashKeyFn
+		defer func() { hashKeyFn = saved }()
+		constant := func(h uint64) func([]value.Value, []int) uint64 {
+			return func([]value.Value, []int) uint64 { return h }
+		}
+		for _, hashKeyFn = range []func([]value.Value, []int) uint64{saved, constant(0xDEAD), constant(homeLast)} {
+			for _, keys := range [][]int{{0}, {0, 1}} {
+				var src [][]value.Value
+				for _, row := range rows {
+					if len(row) > keys[len(keys)-1] {
+						src = append(src, row)
+					}
+				}
+				// Half the rows indexed, all of them probing: the other
+				// half brings keys the index does not hold.
+				checkJoinIndex(t, src[:len(src)/2], src, keys)
+				checkJoinIndex(t, src, src, keys)
+			}
+		}
 	})
+}
+
+// checkJoinIndex indexes src on keys and probes it with every row of
+// drive, against a map from the key columns' rowKey to src ordinals. The
+// grace join's index of the same rows as partition records must lay out
+// the same groups and runs.
+func checkJoinIndex(t *testing.T, src, drive [][]value.Value, keys []int) {
+	t.Helper()
+	key := func(row []value.Value) string {
+		cols := make([]value.Value, len(keys))
+		for i, k := range keys {
+			cols[i] = row[k]
+		}
+		return rowKey(cols)
+	}
+	want := map[string][]int32{}
+	for o, row := range src {
+		want[key(row)] = append(want[key(row)], int32(o))
+	}
+	ix := buildJoinIndex(src, keys)
+	if len(ix.groups) != len(want) || len(ix.rows) != len(src) || len(ix.ord) != len(src) {
+		t.Fatalf("keys %v: %d groups over %d rows (%d ordinals), want %d over %d",
+			keys, len(ix.groups), len(ix.rows), len(ix.ord), len(want), len(src))
+	}
+	recs := make([]spillRecord, len(src))
+	for o, row := range src {
+		recs[o] = spillRecord{hash: hashKeyFn(row, keys), row: row}
+	}
+	if rx := indexRecords(recs, keys); !slices.Equal(rx.groups, ix.groups) || !slices.EqualFunc(rx.rows, ix.rows, sameRow) {
+		t.Fatalf("keys %v: the index of the rows as records lays out other runs", keys)
+	}
+	for d, row := range drive {
+		start, n := ix.probe(row, keys)
+		ords := want[key(row)]
+		if n != len(ords) || !slices.Equal(ix.ord[start:start+n], ords) {
+			t.Fatalf("keys %v, probe row %d (%s): run ordinals %v, want %v", keys, d, key(row), ix.ord[start:start+n], ords)
+		}
+		for c := start; c < start+n; c++ {
+			if !sameRow(ix.rows[c], src[ix.ord[c]]) {
+				t.Fatalf("keys %v: run position %d holds a row other than src[%d]", keys, c, ix.ord[c])
+			}
+		}
+	}
 }
 
 // TestRowSetAllocs: the set allocates when its table is sized, never per

@@ -904,19 +904,17 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int,
 // probe loop, so JoinPairs and ticks account per probe row exactly as
 // there — noting in surv the probe row of each row k emits.
 func (db *DB) joinPart(recs []spillRecord, idxs []int, probe [][]value.Value, leftKeys, rightKeys []int, k *searchKernel, surv *[]int32) error {
-	rows := make([][]value.Value, len(recs))
 	charged := int64(0)
-	for i, rec := range recs {
-		rows[i] = rec.row
+	for _, rec := range recs {
 		charged += rowMemBytes(rec.row) + setEntryBytes
 	}
 	db.chargeMem(charged)
 	defer db.releaseMem(charged)
-	ix := buildJoinIndex(rows, rightKeys)
+	ix := indexRecords(recs, rightKeys)
 	var i int // the probe row the loop below is on; emit is built once
-	emit := func(_ int, o int32) {
+	emit := func(_, c int) {
 		n := k.n
-		if k.pair(probe[i], ix.rows[o]); k.n > n {
+		if k.pair(probe[i], ix.rows[c]); k.n > n {
 			*surv = append(*surv, int32(i))
 		}
 	}

@@ -20,7 +20,8 @@ package server
 //
 // Modes: error, panic, stall. Names are case-insensitive except
 // "server.request", the per-request hook hit after admission and before
-// the session runs.
+// the session runs. A name is not empty, and a fault gives each option
+// at most once.
 
 import (
 	"fmt"
@@ -53,6 +54,9 @@ func ParseChaos(spec string) ([]ChaosFault, error) {
 			return nil, fmt.Errorf("server: chaos fault %q: want name:mode[:opts]", item)
 		}
 		cf := ChaosFault{Name: normalizeChaosName(parts[0])}
+		if cf.Name == "" {
+			return nil, fmt.Errorf("server: chaos fault %q: empty name", item)
+		}
 		switch strings.ToLower(parts[1]) {
 		case "error":
 			cf.Fault.Mode = guard.FaultError
@@ -63,12 +67,18 @@ func ParseChaos(spec string) ([]ChaosFault, error) {
 		default:
 			return nil, fmt.Errorf("server: chaos fault %q: unknown mode %q (error|panic|stall)", item, parts[1])
 		}
+		seen := map[string]bool{}
 		for _, opt := range parts[2:] {
 			k, v, ok := strings.Cut(opt, "=")
 			if !ok {
 				return nil, fmt.Errorf("server: chaos fault %q: malformed option %q", item, opt)
 			}
-			switch strings.ToLower(k) {
+			k = strings.ToLower(k)
+			if seen[k] {
+				return nil, fmt.Errorf("server: chaos fault %q: option %q given twice", item, k)
+			}
+			seen[k] = true
+			switch k {
 			case "on":
 				n, err := strconv.Atoi(v)
 				if err != nil || n < 1 {

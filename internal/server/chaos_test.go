@@ -8,6 +8,8 @@ package server
 import (
 	"context"
 	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +45,10 @@ func TestParseChaos(t *testing.T) {
 		"member:stall",          // stall without duration
 		"member:error:what=3",   // unknown option
 		"member:error:every=-1", // negative
+		"x:error:on=1:on=2",     // repeated option: the last one would win
+		"x:stall:stall=1s:STALL=2s",
+		":error", // empty name
+		" :panic:on=1",
 	} {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("ParseChaos(%q) accepted", bad)
@@ -281,4 +287,69 @@ func TestReplacedSessionFeedsSlowRing(t *testing.T) {
 	if e.Code != string(guard.CodeOK) || e.Report == nil || e.Report.Exec == nil {
 		t.Errorf("the replacement's capture holds no exec tree: code=%s report=%+v", e.Code, e.Report)
 	}
+}
+
+// FuzzParseChaos: whatever the spec, ParseChaos does not panic, an error
+// comes with a nil result, and a success is a list of well-formed faults
+// that re-encodes to a spec parsing back to the same list. Seeds in
+// testdata/fuzz/FuzzParseChaos.
+func FuzzParseChaos(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		faults, err := ParseChaos(spec)
+		if err != nil {
+			if faults != nil {
+				t.Fatalf("ParseChaos(%q) = %v with error %v", spec, faults, err)
+			}
+			if !strings.HasPrefix(err.Error(), "server: chaos fault ") {
+				t.Fatalf("ParseChaos(%q): error %q lacks the package prefix", spec, err)
+			}
+			return
+		}
+		for _, cf := range faults {
+			if err := checkChaosFault(cf); err != "" {
+				t.Fatalf("ParseChaos(%q): fault %+v: %s", spec, cf, err)
+			}
+		}
+		again, err := ParseChaos(chaosSpec(faults))
+		if err != nil || !slices.Equal(again, faults) {
+			t.Fatalf("ParseChaos(%q) = %+v, re-encoded as %q parses to %+v, %v", spec, faults, chaosSpec(faults), again, err)
+		}
+	})
+}
+
+// checkChaosFault says what is wrong with a parsed fault, or "".
+func checkChaosFault(cf ChaosFault) string {
+	switch {
+	case cf.Name == "" || cf.Name != normalizeChaosName(cf.Name):
+		return "name not normalized"
+	case chaosModes[cf.Fault.Mode] == "":
+		return "unknown mode"
+	case cf.Fault.OnCall < 0 || cf.Fault.Every < 0:
+		return "negative call schedule"
+	case cf.Fault.Mode == guard.FaultStall && cf.Fault.Stall <= 0:
+		return "stall mode without a stall"
+	}
+	return ""
+}
+
+var chaosModes = map[guard.FaultMode]string{guard.FaultError: "error", guard.FaultPanic: "panic", guard.FaultStall: "stall"}
+
+// chaosSpec writes faults back in the spec grammar, each option that is
+// set once.
+func chaosSpec(faults []ChaosFault) string {
+	items := make([]string, len(faults))
+	for i, cf := range faults {
+		item := cf.Name + ":" + chaosModes[cf.Fault.Mode]
+		if cf.Fault.OnCall != 0 {
+			item += ":on=" + strconv.Itoa(cf.Fault.OnCall)
+		}
+		if cf.Fault.Every != 0 {
+			item += ":every=" + strconv.Itoa(cf.Fault.Every)
+		}
+		if cf.Fault.Stall != 0 {
+			item += ":stall=" + cf.Fault.Stall.String()
+		}
+		items[i] = item
+	}
+	return strings.Join(items, ",")
 }

@@ -11,6 +11,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -65,12 +66,18 @@ type Tenants map[string]TenantLimits
 //
 //	{"default": {"timeoutMs": 2000, "maxRows": 100000},
 //	 "free":    {"timeoutMs": 250,  "maxRows": 10000, "maxSteps": 500}}
+//
+// Only white space may follow the object: a second value would otherwise
+// be dropped unread, limits and all.
 func ParseTenants(r io.Reader) (Tenants, error) {
 	var t Tenants
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("server: tenant config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("server: tenant config: data after the top-level object")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("server: tenant config: %w", err)

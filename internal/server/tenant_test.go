@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -79,4 +82,58 @@ func TestNegativeLimitsRejected(t *testing.T) {
 			t.Errorf("New(%s=-1): error blames %q/%q", c.field, ce.Tenant, ce.Field)
 		}
 	}
+}
+
+// TestParseTenantsTrailingData: the config is one JSON object. A second
+// value after it was once dropped unread — tenant "b" and its negative
+// limit, which Validate would refuse, vanished without an error.
+func TestParseTenantsTrailingData(t *testing.T) {
+	for _, in := range []string{
+		`{"a":{"maxRows":5}} {"b":{"maxRows":-1}}`,
+		`{"a":{}} garbage`,
+		`{"a":{}} }`,
+		`{"a":{}} null`,
+	} {
+		ten, err := ParseTenants(strings.NewReader(in))
+		if err == nil || ten != nil {
+			t.Errorf("ParseTenants(%s) = %v, %v; want a nil result and an error", in, ten, err)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "server: tenant config: ") {
+			t.Errorf("ParseTenants(%s): error %q lacks the package prefix", in, err)
+		}
+	}
+	if ten, err := ParseTenants(strings.NewReader("{\"a\":{\"maxRows\":5}} \n\t")); err != nil || ten["a"].MaxRows != 5 {
+		t.Errorf("trailing white space: %v, %v", ten, err)
+	}
+}
+
+// FuzzParseTenants: whatever the bytes, ParseTenants does not panic, an
+// error comes with a nil result, and a success passes Validate and
+// re-encodes to JSON that parses back to the same tenants. Seeds in
+// testdata/fuzz/FuzzParseTenants.
+func FuzzParseTenants(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ten, err := ParseTenants(bytes.NewReader(data))
+		if err != nil {
+			if ten != nil {
+				t.Fatalf("ParseTenants(%q) = %v with error %v", data, ten, err)
+			}
+			if !strings.HasPrefix(err.Error(), "server: tenant config: ") {
+				t.Fatalf("ParseTenants(%q): error %q lacks the package prefix", data, err)
+			}
+			return
+		}
+		if err := ten.Validate(); err != nil {
+			t.Fatalf("ParseTenants(%q) accepted tenants Validate refuses: %v", data, err)
+		}
+		enc, err := json.Marshal(ten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseTenants(bytes.NewReader(enc))
+		if err != nil || !maps.Equal(again, ten) || (again == nil) != (ten == nil) {
+			t.Fatalf("ParseTenants(%q) = %v, re-encoded as %s parses to %v, %v", data, ten, enc, again, err)
+		}
+	})
 }
