@@ -128,8 +128,34 @@ func Unnest(rel *term.Term, idx int) *term.Term {
 }
 
 // Attr constructs an attribute reference ATTR(i, j) — relation i (1-based
-// within the enclosing operator's relation list), column j.
-func Attr(i, j int) *term.Term { return term.F(EAttr, term.Num(int64(i)), term.Num(int64(j))) }
+// within the enclosing operator's relation list), column j. Small indices
+// answer with a node shared from attrTable; terms are immutable, so no
+// holder can tell it from a fresh one.
+func Attr(i, j int) *term.Term {
+	if uint(i) < attrRels && uint(j) < attrCols {
+		return attrTable[i][j]
+	}
+	return term.F(EAttr, term.Num(int64(i)), term.Num(int64(j)))
+}
+
+// attrRels x attrCols bounds the shared ATTR nodes: every translated query
+// and most rewrites stay inside it, and the table costs about 47 KB.
+const attrRels, attrCols = 8, 32
+
+// attrTable holds ATTR(i, j) for i < attrRels and j < attrCols, built once
+// over shared index constants.
+var attrTable = func() (t [attrRels][attrCols]*term.Term) {
+	var nums [attrCols]*term.Term
+	for k := range nums {
+		nums[k] = term.Num(int64(k))
+	}
+	for i := range t {
+		for j := range t[i] {
+			t[i][j] = term.F(EAttr, nums[i], nums[j])
+		}
+	}
+	return t
+}()
 
 // AttrIdx extracts (i, j) from an ATTR term.
 func AttrIdx(t *term.Term) (int, int, bool) {

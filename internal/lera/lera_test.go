@@ -3,6 +3,7 @@ package lera
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lera/internal/catalog"
 	"lera/internal/term"
@@ -359,5 +360,36 @@ func TestInferViewSchema(t *testing.T) {
 	}
 	if s.Arity() != 1 || s.Cols[0].Name != "Title" {
 		t.Errorf("view schema = %s", s)
+	}
+}
+
+// TestAttrShared: ATTR(i, j) inside the shared table is one node per
+// (i, j), indistinguishable from a fresh build; outside it Attr still
+// builds one; and the table stays within 64 KB of heap.
+func TestAttrShared(t *testing.T) {
+	for _, ij := range [][2]int{{0, 0}, {1, 1}, {2, 3}, {7, 31}, {8, 1}, {1, 32}, {-1, 2}, {100, 100}} {
+		i, j := ij[0], ij[1]
+		got := Attr(i, j)
+		fresh := term.F(EAttr, term.Num(int64(i)), term.Num(int64(j)))
+		if !term.Equal(got, fresh) || got.Hash() != fresh.Hash() || got.Size() != fresh.Size() || got.String() != fresh.String() {
+			t.Errorf("Attr(%d, %d) = %s (hash %x, size %d), fresh build %s (hash %x, size %d)",
+				i, j, got, got.Hash(), got.Size(), fresh, fresh.Hash(), fresh.Size())
+		}
+		if gi, gj, ok := AttrIdx(got); !ok || gi != i || gj != j {
+			t.Errorf("AttrIdx(Attr(%d, %d)) = %d, %d, %v", i, j, gi, gj, ok)
+		}
+		shared := i >= 0 && i < attrRels && j >= 0 && j < attrCols
+		if again := Attr(i, j); (again == got) != shared {
+			t.Errorf("Attr(%d, %d) twice: same pointer %v, want %v", i, j, again == got, shared)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Attr(2, 3) }); n != 0 {
+		t.Errorf("a shared Attr allocates %.0f times", n)
+	}
+	// Each table node, its two-pointer argument array, and one index
+	// constant per column.
+	node := int(unsafe.Sizeof(term.Term{}))
+	if heap := attrRels*attrCols*(node+2*int(unsafe.Sizeof(&term.Term{}))) + attrCols*node; heap > 64<<10 {
+		t.Errorf("the ATTR table takes %d B of heap, want <= 64 KB", heap)
 	}
 }

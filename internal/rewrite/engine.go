@@ -12,16 +12,18 @@
 // Compile once, run many: New compiles a rule base against its options —
 // each block's rules with their LHS head filters (index.go), its resolved
 // condition-check budgets, the sequence to drive — after which an Engine
-// is never written again and any number of goroutines may run queries
-// through it at once. Everything one rewrite writes lives in a per-call
-// run value: the cancellation context and trace recorder, the guard
-// limits of the request, the site index and scratch bindings, the last
-// committed term, the Stats and the Fresh counter. The
-// counter has to be per run: externals name the relations they introduce
-// with it, and a plan must be a function of the query and the rule base,
-// never of how many queries the engine served before (plan-cache keys,
-// EXPLAIN goldens and the serial/concurrent differential all lean on
-// that).
+// is never written again, save for its pool of finished runs' scratch
+// (a sync.Pool), and any number of goroutines may run queries through it
+// at once. Everything one rewrite writes lives in a per-call run value:
+// the cancellation context and trace recorder, the guard limits of the
+// request, the site index and scratch bindings, the last committed term,
+// the Stats and the Fresh counter. A run takes its value from the pool and
+// puts it back scrubbed of every term, so the next run reuses its storage
+// but sees nothing of the query before. The counter has to be per run:
+// externals name the relations they introduce with it, and a plan must be
+// a function of the query and the rule base, never of how many queries
+// the engine served before (plan-cache keys, EXPLAIN goldens and the
+// serial/concurrent differential all lean on that).
 package rewrite
 
 import (
@@ -30,6 +32,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"lera/internal/catalog"
 	"lera/internal/guard"
@@ -169,7 +172,10 @@ func cloneEnv(e lera.Env) lera.Env {
 }
 
 // ConstraintFn evaluates a rule constraint; args are instantiated under
-// the current bindings (sequence variables arrive as LIST terms).
+// the current bindings (sequence variables arrive as LIST terms). args is
+// valid only during the call: the slice is the run's scratch and is
+// cleared when the call returns, so a constraint must not retain it (the
+// terms in it are immutable and may be kept).
 type ConstraintFn func(ctx *Ctx, args []*term.Term) (bool, error)
 
 // MethodFn runs a rule method. Args are instantiated except for output
@@ -304,9 +310,9 @@ const DefaultMaxChecks = 1_000_000
 var maxChecks = DefaultMaxChecks
 
 // Engine is a rule set compiled against its options. It is immutable
-// after New and safe for concurrent use (provided nobody registers
-// externals or edits the rule set meanwhile); what a rewrite writes lives
-// in its run.
+// after New, but for its pool of run scratch, and safe for concurrent use
+// (provided nobody registers externals or edits the rule set meanwhile);
+// what a rewrite writes lives in its run.
 type Engine struct {
 	RS   *rules.RuleSet
 	Ext  *Externals
@@ -316,6 +322,10 @@ type Engine struct {
 	blocks map[string]*block // every declared block, by name
 	seq    []*block          // the blocks one round applies, in order
 	rounds int               // the sequence meta-rule's round limit
+
+	// pool holds finished runs' *runState, scrubbed of terms (release):
+	// the Engine's only mutable field.
+	pool sync.Pool
 }
 
 // block is a rules.Block compiled for the match loop: its rules resolved
@@ -391,15 +401,20 @@ type runState struct {
 
 	// Hot-path state (docs/PERF.md "Match attempts without allocation"):
 	// the per-pass site index, and the bindings (with the matcher's goal
-	// stack), Ctx, site-path buffer and match continuation every attempt
-	// reuses, each reset in place — so an attempt that fails to match
-	// allocates nothing, and none of it outlives the run.
+	// stack), Ctx, site-path buffer, match continuation and constraint
+	// argument stack every attempt reuses, each reset in place — so an
+	// attempt that fails to match allocates nothing. The storage outlives
+	// the run in the Engine's pool; no term it referred to does.
 	ix     siteIndex
 	bind   term.Bindings
 	cx     Ctx
 	site   term.Path
 	accept func() bool // r.acceptMatch, bound once
 	at     attempt
+	// args is the stack constraint arguments are instantiated into: one
+	// frame per registered-constraint or ISA call, popped and cleared when
+	// the call returns (evalConstraint).
+	args []*term.Term
 }
 
 // attempt is what the match continuation needs of the attempt in flight.
@@ -415,14 +430,32 @@ type attempt struct {
 	err      error
 }
 
+// newRun starts a rewrite of q on a pooled state, or a new one.
 func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) *runState {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &runState{e: e, ctx: ctx, rec: obs.FromContext(ctx), lim: lim, simple: simple,
-		st: &Stats{StepsLimit: lim.MaxSteps}, last: q}
-	r.accept = r.acceptMatch
+	r, _ := e.pool.Get().(*runState)
+	if r == nil {
+		r = &runState{e: e}
+		r.accept = r.acceptMatch
+	}
+	r.ctx, r.rec, r.lim, r.simple = ctx, obs.FromContext(ctx), lim, simple
+	r.st, r.fresh, r.last = &Stats{StepsLimit: lim.MaxSteps}, 0, q
 	return r
+}
+
+// release ends a run: it clears every term pointer the state holds — site
+// entries, the bindings trail and the matcher's arenas, the Ctx; the
+// argument stack is empty and cleared already, each frame by popArgs —
+// and puts the state back in the pool. A run that panics is not
+// released; its state is left to the collector.
+func (e *Engine) release(r *runState) {
+	r.ix.release()
+	r.bind.Release()
+	r.cx, r.at = Ctx{}, attempt{}
+	r.ctx, r.rec, r.st, r.last = nil, nil, nil, nil
+	e.pool.Put(r)
 }
 
 // Run rewrites q under the rule set's sequence meta-rule with no
@@ -443,19 +476,28 @@ func (e *Engine) Run(q *term.Term) (*term.Term, *Stats, error) {
 // committed) — and the Stats hold the work done up to the failure.
 func (e *Engine) RunCtx(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) (*term.Term, *Stats, error) {
 	r := e.newRun(ctx, q, lim, simple)
-	for i := 0; i < e.rounds; i++ {
+	out, err := r.runSequence(q)
+	st := r.st
+	e.release(r)
+	return out, st, err
+}
+
+// runSequence drives the sequence meta-rule; on error it returns the last
+// committed term.
+func (r *runState) runSequence(q *term.Term) (*term.Term, error) {
+	for i := 0; i < r.e.rounds; i++ {
 		r.st.Rounds++
 		var roundSpan *obs.Span
 		if r.rec != nil {
 			roundSpan = r.rec.Begin("rewrite.round", obs.Int("round", r.st.Rounds))
 		}
 		before := q
-		for _, b := range e.seq {
+		for _, b := range r.e.seq {
 			var err error
 			q, err = r.runBlock(q, b)
 			if err != nil {
 				r.rec.End(roundSpan)
-				return r.last, r.st, err
+				return r.last, err
 			}
 		}
 		r.rec.End(roundSpan)
@@ -463,7 +505,7 @@ func (e *Engine) RunCtx(ctx context.Context, q *term.Term, lim guard.Limits, sim
 			break // fixpoint of the whole sequence
 		}
 	}
-	return q, r.st, nil
+	return q, nil
 }
 
 // RunBlock applies a single named block to q (used by tests and the §7
@@ -482,9 +524,11 @@ func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string
 	r := e.newRun(ctx, q, lim, simple)
 	out, err := r.runBlock(q, b)
 	if err != nil {
-		return r.last, r.st, err
+		out = r.last
 	}
-	return out, r.st, nil
+	st := r.st
+	e.release(r)
+	return out, st, err
 }
 
 func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
@@ -718,8 +762,10 @@ func (e *Engine) checkConstraints(ctx *Ctx, rule *rules.Rule) (bool, error) {
 // injected panic or error is indistinguishable in shape from a real
 // implementor fault.
 func (e *Engine) evalConstraintSafe(ctx *Ctx, c *term.Term) (ok bool, err error) {
+	base := len(ctx.run.args)
 	defer func() {
 		if p := recover(); p != nil {
+			ctx.run.popArgs(base)
 			ok = false
 			err = guard.NewExternalPanic(guard.ExtConstraint, ctx.Rule, externalName(c), sitePath(ctx.Site), p)
 		}

@@ -1,0 +1,85 @@
+package rewrite
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"lera/internal/guard"
+	"lera/internal/term"
+	"lera/internal/value"
+)
+
+// evalConstraintOracle is the constraint evaluator as it was before checks
+// stopped building terms: instantiate the whole constraint, then dispatch
+// on the instantiated head. TestConstraintChecksMatchOracle pins
+// evalConstraint to it.
+func (e *Engine) evalConstraintOracle(ctx *Ctx, c *term.Term) (bool, error) {
+	inst := e.instArg(ctx, c)
+	switch inst.Kind {
+	case term.Const:
+		if inst.Val.K == value.KBool {
+			return inst.Val.B(), nil
+		}
+		return false, fmt.Errorf("non-boolean constraint %s", inst)
+	case term.Var, term.SeqVar:
+		return false, fmt.Errorf("unbound constraint %s", inst)
+	}
+	switch strings.ToUpper(inst.Functor) {
+	case "AND":
+		for _, a := range inst.Args {
+			ok, err := e.evalConstraintOracle(ctx, a)
+			if err != nil || !ok {
+				return false, err
+			}
+		}
+		return true, nil
+	case "OR":
+		for _, a := range inst.Args {
+			ok, err := e.evalConstraintOracle(ctx, a)
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				return true, nil
+			}
+		}
+		return false, nil
+	case "NOT":
+		if len(inst.Args) != 1 {
+			return false, fmt.Errorf("NOT takes one constraint")
+		}
+		ok, err := e.evalConstraintOracle(ctx, inst.Args[0])
+		return !ok, err
+	case "ISA":
+		return evalISA(ctx, inst.Args)
+	}
+	if fn, ok := e.Ext.constraints[strings.ToUpper(inst.Functor)]; ok {
+		return fn(ctx, inst.Args)
+	}
+	if v, ok := EvalGround(ctx, inst); ok && v.K == value.KBool {
+		return v.B(), nil
+	}
+	return false, fmt.Errorf("unknown or non-ground constraint %s", inst)
+}
+
+// CheckBothWays evaluates constraint c of rule at site of root under the
+// bindings b with the engine's evaluator and with the oracle, and renders
+// each verdict as "ok=<bool> err=<text>".
+func CheckBothWays(e *Engine, root *term.Term, site term.Path, b *term.Bindings, rule string, c *term.Term) (got, want string) {
+	r := e.newRun(context.Background(), root, guard.Limits{}, false)
+	defer e.release(r)
+	r.cx = Ctx{Cat: e.Cat, Root: root, Site: site, Bind: b, Rule: rule, run: r}
+	verdict := func(ok bool, err error) string {
+		if err != nil {
+			return fmt.Sprintf("ok=%v err=%s", ok, err)
+		}
+		return fmt.Sprintf("ok=%v err=<nil>", ok)
+	}
+	got = verdict(e.evalConstraint(&r.cx, c))
+	if len(r.args) != 0 {
+		got += fmt.Sprintf(" (argument stack left %d deep)", len(r.args))
+	}
+	want = verdict(e.evalConstraintOracle(&r.cx, c))
+	return got, want
+}

@@ -81,21 +81,31 @@ func EvalGround(ctx *Ctx, t *term.Term) (value.Value, bool) {
 	return value.Null, false
 }
 
-// evalConstraint evaluates one rule constraint under the context.
+// evalConstraint evaluates one rule constraint under the context. It
+// dispatches on the constraint pattern's head, so a check builds no term
+// it does not keep: AND, OR and NOT recurse on the pattern's arguments,
+// and ISA and the registered constraints get only their arguments
+// instantiated, into a frame of the run's argument stack. Only a bare
+// variable or a function-variable head — whose head the bindings decide —
+// and the ground-evaluation fallback instantiate the whole constraint.
 func (e *Engine) evalConstraint(ctx *Ctx, c *term.Term) (bool, error) {
-	inst := e.instArg(ctx, c)
-	switch inst.Kind {
-	case term.Const:
-		if inst.Val.K == value.KBool {
-			return inst.Val.B(), nil
+	if c.Kind != term.Fun || c.VarHead {
+		inst := e.instArg(ctx, c)
+		switch inst.Kind {
+		case term.Const:
+			if inst.Val.K == value.KBool {
+				return inst.Val.B(), nil
+			}
+			return false, fmt.Errorf("non-boolean constraint %s", inst)
+		case term.Var, term.SeqVar:
+			return false, fmt.Errorf("unbound constraint %s", inst)
 		}
-		return false, fmt.Errorf("non-boolean constraint %s", inst)
-	case term.Var, term.SeqVar:
-		return false, fmt.Errorf("unbound constraint %s", inst)
+		c = inst
 	}
-	switch strings.ToUpper(inst.Functor) {
+	name := strings.ToUpper(c.Functor)
+	switch name {
 	case "AND":
-		for _, a := range inst.Args {
+		for _, a := range c.Args {
 			ok, err := e.evalConstraint(ctx, a)
 			if err != nil || !ok {
 				return false, err
@@ -103,7 +113,7 @@ func (e *Engine) evalConstraint(ctx *Ctx, c *term.Term) (bool, error) {
 		}
 		return true, nil
 	case "OR":
-		for _, a := range inst.Args {
+		for _, a := range c.Args {
 			ok, err := e.evalConstraint(ctx, a)
 			if err != nil {
 				return false, err
@@ -114,23 +124,52 @@ func (e *Engine) evalConstraint(ctx *Ctx, c *term.Term) (bool, error) {
 		}
 		return false, nil
 	case "NOT":
-		if len(inst.Args) != 1 {
+		if len(c.Args) != 1 {
 			return false, fmt.Errorf("NOT takes one constraint")
 		}
-		ok, err := e.evalConstraint(ctx, inst.Args[0])
+		ok, err := e.evalConstraint(ctx, c.Args[0])
 		return !ok, err
 	case "ISA":
-		return evalISA(ctx, inst.Args)
+		return e.callConstraint(ctx, c.Args, evalISA)
 	}
-	if fn, ok := e.Ext.constraints[strings.ToUpper(inst.Functor)]; ok {
-		return fn(ctx, inst.Args)
+	if fn, ok := e.Ext.constraints[name]; ok {
+		return e.callConstraint(ctx, c.Args, fn)
 	}
 	// Fallback: ground evaluation (comparisons, MEMBER on literal
 	// collections, f = TRUE, ...).
+	inst := e.instArg(ctx, c)
 	if v, ok := EvalGround(ctx, inst); ok && v.K == value.KBool {
 		return v.B(), nil
 	}
 	return false, fmt.Errorf("unknown or non-ground constraint %s", inst)
+}
+
+// callConstraint calls fn on the constraint arguments pats, instantiated
+// as instArg would inside the constraint term (a bound collection
+// variable arrives as one LIST), in a frame of the run's argument stack
+// that is cleared when fn returns.
+func (e *Engine) callConstraint(ctx *Ctx, pats []*term.Term, fn ConstraintFn) (bool, error) {
+	r := ctx.run
+	base := len(r.args)
+	for _, a := range pats {
+		if a.Kind == term.SeqVar {
+			if seq, ok := ctx.Bind.Seq(a.Name); ok {
+				r.args = append(r.args, term.List(seq...))
+				continue
+			}
+		}
+		r.args = append(r.args, e.instArg(ctx, a))
+	}
+	n := len(r.args)
+	ok, err := fn(ctx, r.args[base:n:n])
+	r.popArgs(base)
+	return ok, err
+}
+
+// popArgs clears the argument stack down to base.
+func (r *runState) popArgs(base int) {
+	clear(r.args[base:])
+	r.args = r.args[:base]
 }
 
 // evalISA implements the ISA predicate of Section 4.1 over three argument

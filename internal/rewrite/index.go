@@ -108,13 +108,20 @@ type siteEntry struct {
 // stays valid across all rules of a pass because no term changes between
 // applications.
 type siteIndex struct {
+	root   *term.Term // the term indexed, nil before the first rebuild
 	sites  []siteEntry
 	byHead map[string][]int32
 	coll   []int32 // sites matching the COLLECTION pattern head
 }
 
-// rebuild walks root once and refills the index in place.
+// rebuild walks root once and refills the index in place. Terms are
+// immutable, so the index of the very term it already holds is current:
+// a block visit that follows one which changed nothing walks nothing.
 func (ix *siteIndex) rebuild(root *term.Term) {
+	if root == ix.root {
+		return
+	}
+	ix.root = root
 	ix.sites = ix.sites[:0]
 	ix.coll = ix.coll[:0]
 	if ix.byHead == nil {
@@ -124,23 +131,31 @@ func (ix *siteIndex) rebuild(root *term.Term) {
 			ix.byHead[k] = v[:0]
 		}
 	}
-	var rec func(t *term.Term, parent, arg, depth int32)
-	rec = func(t *term.Term, parent, arg, depth int32) {
-		if t.Kind != term.Fun {
-			return
-		}
-		id := int32(len(ix.sites))
-		ix.sites = append(ix.sites, siteEntry{node: t, parent: parent, arg: arg, depth: depth})
-		ix.byHead[t.Functor] = append(ix.byHead[t.Functor], id)
-		switch t.Functor {
-		case term.FSet, term.FBag, term.FList, term.FArray, term.FCollection:
-			ix.coll = append(ix.coll, id)
-		}
-		for i, a := range t.Args {
-			rec(a, id, int32(i), depth+1)
-		}
+	ix.add(root, -1, -1, 0)
+}
+
+// add indexes the Fun nodes of t in preorder.
+func (ix *siteIndex) add(t *term.Term, parent, arg, depth int32) {
+	if t.Kind != term.Fun {
+		return
 	}
-	rec(root, -1, -1, 0)
+	id := int32(len(ix.sites))
+	ix.sites = append(ix.sites, siteEntry{node: t, parent: parent, arg: arg, depth: depth})
+	ix.byHead[t.Functor] = append(ix.byHead[t.Functor], id)
+	switch t.Functor {
+	case term.FSet, term.FBag, term.FList, term.FArray, term.FCollection:
+		ix.coll = append(ix.coll, id)
+	}
+	for i, a := range t.Args {
+		ix.add(a, id, int32(i), depth+1)
+	}
+}
+
+// release forgets the indexed term and zeroes every site entry up to the
+// capacity, keeping the storage for the next run.
+func (ix *siteIndex) release() {
+	clear(ix.sites[:cap(ix.sites)])
+	ix.root, ix.sites = nil, ix.sites[:0]
 }
 
 // path materializes the root path of site id by chasing parent links,

@@ -10,13 +10,16 @@ package server
 // instead of failing closed).
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
+	"unicode"
 
 	"lera/internal/guard"
 )
@@ -68,10 +71,17 @@ type Tenants map[string]TenantLimits
 //	 "free":    {"timeoutMs": 250,  "maxRows": 10000, "maxSteps": 500}}
 //
 // Only white space may follow the object: a second value would otherwise
-// be dropped unread, limits and all.
+// be dropped unread, limits and all. Nor may a tenant be named twice, or a
+// field be given twice within one tenant (fields compared the way
+// encoding/json matches them, case-insensitively): the last would win and
+// the first, a negative limit Validate refuses perhaps, vanish unread.
 func ParseTenants(r io.Reader) (Tenants, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("server: tenant config: %w", err)
+	}
 	var t Tenants
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("server: tenant config: %w", err)
@@ -79,10 +89,67 @@ func ParseTenants(r io.Reader) (Tenants, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("server: tenant config: data after the top-level object")
 	}
+	if err := repeatedKey(data); err != nil {
+		return nil, fmt.Errorf("server: tenant config: %w", err)
+	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("server: tenant config: %w", err)
 	}
 	return t, nil
+}
+
+// repeatedKey reports the first tenant named twice in a config that
+// decoded, or the first field given twice within one tenant. It walks the
+// tokens of data, whose shape the decode has already checked: one object
+// of tenants, each an object of numbers or null.
+func repeatedKey(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil // null: no tenants
+	}
+	tenants := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		name := tok.(string)
+		if tenants[name] {
+			return fmt.Errorf("tenant %q given twice", name)
+		}
+		tenants[name] = true
+		if tok, err = dec.Token(); err != nil {
+			return err
+		}
+		if tok != json.Delim('{') {
+			continue // null
+		}
+		fields := map[string]string{} // folded name -> name as given
+		for dec.More() {
+			if tok, err = dec.Token(); err != nil {
+				return err
+			}
+			field := tok.(string)
+			key := foldField(field)
+			if first, ok := fields[key]; ok {
+				return fmt.Errorf("tenant %q: field %q given twice (again as %q)", name, first, field)
+			}
+			fields[key] = field
+			if _, err = dec.Token(); err != nil { // the value: a number or null
+				return err
+			}
+		}
+		if _, err = dec.Token(); err != nil { // '}'
+			return err
+		}
+	}
+	return nil
+}
+
+// foldField folds a JSON object key the way encoding/json folds one to
+// match it to a struct field: each rune to upper(lower(r)).
+func foldField(s string) string {
+	return strings.Map(func(r rune) rune { return unicode.ToUpper(unicode.ToLower(r)) }, s)
 }
 
 // Validate rejects a tenant with a negative limit (a *guard.ConfigError

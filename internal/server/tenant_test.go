@@ -108,6 +108,35 @@ func TestParseTenantsTrailingData(t *testing.T) {
 	}
 }
 
+// TestParseTenantsRepeatedKey: a tenant named twice, or a field given
+// twice within one tenant — compared as encoding/json matches fields, so
+// "maxRows" and "MAXROWS" are one field — once parsed with the last value
+// winning, and a negative limit Validate would refuse dropped unread.
+func TestParseTenantsRepeatedKey(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{`{"a":{"maxRows":-1},"a":{"maxRows":2}}`, `tenant "a" given twice`},
+		{`{"a": {"maxRows": -1}, "a": {"maxRows": 2}}`, `tenant "a" given twice`},
+		{`{"a":{"maxRows":-1,"MAXROWS":2}}`, `tenant "a": field "maxRows" given twice (again as "MAXROWS")`},
+		{`{"a":{},"b":{"timeoutMs":1,"maxSteps":2,"TimeoutMS":3}}`, `tenant "b": field "timeoutMs" given twice`},
+		{`{"a":null,"a":{}}`, `tenant "a" given twice`},
+	} {
+		ten, err := ParseTenants(strings.NewReader(c.in))
+		if err == nil || ten != nil {
+			t.Errorf("ParseTenants(%s) = %v, %v; want a nil result and an error", c.in, ten, err)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "server: tenant config: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseTenants(%s): error %q, want the package prefix and %q", c.in, err, c.want)
+		}
+	}
+	// Distinct tenants may differ only in case (names are keys, not
+	// fields), and distinct fields of one tenant are all kept.
+	ten, err := ParseTenants(strings.NewReader(`{"a":{"maxRows":1},"A":{"MAXROWS":2,"maxSteps":3},"n":null}`))
+	if err != nil || ten["a"].MaxRows != 1 || ten["A"].MaxRows != 2 || ten["A"].MaxSteps != 3 || len(ten) != 3 {
+		t.Errorf("distinct keys: %v, %v", ten, err)
+	}
+}
+
 // FuzzParseTenants: whatever the bytes, ParseTenants does not panic, an
 // error comes with a nil result, and a success passes Validate and
 // re-encodes to JSON that parses back to the same tenants. Seeds in

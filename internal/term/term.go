@@ -434,6 +434,20 @@ func (b *Bindings) Reset() { b.Restore(0) }
 // Restore undoes all bindings made after the given mark.
 func (b *Bindings) Restore(mark int) { b.trail = b.trail[:mark] }
 
+// Release empties the binding set like Reset and also zeroes every term
+// reference the trail and the matcher's scratch keep beyond their length,
+// so a Bindings parked for reuse keeps its capacity but pins no term.
+// Call it only between matches.
+func (b *Bindings) Release() {
+	s := &b.ms
+	clear(b.trail[:cap(b.trail)])
+	clear(s.goals[:cap(s.goals)])
+	clear(s.frames[:cap(s.frames)])
+	clear(s.terms[:cap(s.terms)])
+	b.trail, s.goals, s.frames, s.terms = b.trail[:0], s.goals[:0], s.frames[:0], s.terms[:0]
+	s.used, s.labels = s.used[:0], s.labels[:0]
+}
+
 // Clone deep-copies the bindings.
 func (b *Bindings) Clone() *Bindings {
 	nb := &Bindings{trail: append([]entry(nil), b.trail...)}

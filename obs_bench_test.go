@@ -7,6 +7,8 @@ package lera
 // costs, which EXPERIMENTS.md archives.
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -15,9 +17,12 @@ const figure3Bench = "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN
 // TestRewriteDisabledPathAllocs is the allocation regression gate: with
 // instrumentation off (no recorder in the context), a full Figure 3
 // rewrite must not allocate more than its measured baseline. The baseline
-// is 322 allocs/op, measured once failed match attempts stopped allocating
-// (docs/PERF.md "Match attempts without allocation"); the closure matcher
-// before it, and the engine before the observability layer, took 1222.
+// is 121 allocs/op, measured once condition checks stopped building terms
+// and runs reused pooled scratch (docs/PERF.md "Condition checks that
+// build nothing"); it was 322 once failed match attempts stopped
+// allocating (docs/PERF.md "Match attempts without allocation"), and the
+// closure matcher before it, and the engine before the observability
+// layer, took 1222.
 func TestRewriteDisabledPathAllocs(t *testing.T) {
 	s := paperSession(t)
 	rw, err := s.Rewriter()
@@ -31,17 +36,40 @@ func TestRewriteDisabledPathAllocs(t *testing.T) {
 	if _, _, err := rw.Rewrite(q); err != nil { // warm caches
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := medianAllocs(41, func() {
 		if _, _, err := rw.Rewrite(q); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("disabled-path rewrite: %.0f allocs/op", allocs)
 	// 2% slack absorbs Go-runtime version noise without letting a real
 	// per-site or per-attempt cost (hundreds of sites) slip through.
-	const baseline = 322.0
+	const baseline = 121.0
 	if allocs > baseline*1.02 {
 		t.Fatalf("disabled-path rewrite allocates %.0f allocs/op, baseline %0.f — instrumentation is no longer free when off, or match attempts allocate again", allocs, baseline)
 	}
+}
+
+// medianAllocs is testing.AllocsPerRun's count as the median of n single
+// runs of f rather than their mean. A rewrite that finds its engine's pool
+// of run scratch empty — after a GC cleared it, or at random under the
+// race detector, which drops pooled values on purpose — regrows that
+// scratch, and the refill is not the per-rewrite cost a gate pins; every
+// other run of a deterministic f allocates the same.
+func medianAllocs(n int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up, as AllocsPerRun does
+	counts := make([]uint64, n)
+	var ms runtime.MemStats
+	for i := range counts {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		counts[i] = ms.Mallocs - before
+	}
+	slices.Sort(counts)
+	return float64(counts[n/2])
 }
 
 // BenchmarkObservability measures the Figure 3 query end to end at each
