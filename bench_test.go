@@ -8,11 +8,13 @@ package lera
 // and testdata/experiments.golden pins them; timing of record is bench/.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"lera/internal/esql"
+	"lera/internal/guard"
 	"lera/internal/value"
 )
 
@@ -84,7 +86,7 @@ func benchRewrite(b *testing.B, s *Session, query string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rw.Rewrite(q); err != nil {
+		if _, _, err := rw.RewriteCtx(context.Background(), q, guard.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +158,7 @@ func translateBench(s *Session, src string) (*Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.ExecSelect(q)
+	res, err := s.ExecSelectCtx(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}

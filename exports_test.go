@@ -1,22 +1,28 @@
 package lera
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// exportAllowList names the exported functions and methods that no
-// non-test Go file references, each with the reason it stays. A key is the
-// declaring directory, a colon and the name ("internal/core:
-// Session.ExecSelect" for a method).
+// exportAllowList names the exported functions, methods and struct fields
+// that no non-test Go file calls (a function) or writes (a field), each
+// with the reason it stays. A key is the declaring directory, a colon and
+// the name ("internal/core: Session.Prepared" for a method,
+// "internal/server: Config.Addr" for a field).
 var exportAllowList = map[string]string{
 	".: CodeOf":            "facade API: re-exports guard.CodeOf for library users",
 	".: HasCheckErrors":    "facade API: re-exports rulecheck.HasErrors for library users",
@@ -25,13 +31,8 @@ var exportAllowList = map[string]string{
 	".: NewQueryLog":       "facade API: re-exports obs.NewQueryLog for library users",
 	".: RegisterBuildInfo": "facade API: re-exports obs.RegisterBuildInfo for library users",
 
-	"internal/guard: ExternalError.Unwrap":     "interface method: errors.Is/As unwrap through it",
-	"internal/rulecheck: Severity.MarshalJSON": "interface method: json.Marshaler, cmd/rulecheck -json",
+	"internal/guard: ExternalError.Unwrap": "interface method: errors.Is/As unwrap through it",
 
-	"internal/engine: DB.Eval":                 "non-Ctx wrapper of EvalCtx, 48 test callers",
-	"internal/core: Session.ExecSelect":        "non-Ctx wrapper of ExecSelectCtx, 2 test callers",
-	"internal/core: Rewriter.RewriteBlock":     "non-Ctx wrapper of RunBlockCtx, 3 test callers",
-	"internal/rewrite: Engine.RunBlock":        "non-Ctx wrapper of RunBlockCtx, 26 test callers",
 	"internal/testdb: DominatorsOfQuinn":       "test-fixture package: the Figure 5 expected answer",
 	"internal/translate: Query":                "parse-and-translate shorthand for tests of two packages, 9 test callers",
 	"internal/lera: Let":                       "LERA constructor kept beside the ones translate uses, 5 test callers",
@@ -44,6 +45,8 @@ var exportAllowList = map[string]string{
 	"internal/catalog: Relation.Column":        "schema lookup by column name, 2 test callers",
 	"internal/types: Type.ZeroValue":           "ADT API: a type's default value, pinned by TestZeroValue",
 	"internal/rewrite: Ctx.Fresh":              "external-function API: fresh relation names for rule externals",
+	"internal/rewrite: Engine.RunBlockCtx":     "one §4.2 block alone: the unit the rule-library tests of five packages pin, 30 test callers",
+	"internal/obs: CounterVec.Sum":             "ledger total over a vector's series, checked by tests of obs and server, 11 test callers",
 	"internal/rulecheck: Filter":               "diagnostic selection beside HasErrors and Count, 6 test callers",
 	"internal/core: Rewriter.CheckDiagnostics": "accessor for the verified rule base's findings, 3 test callers",
 	"internal/core: Session.Prepared":          "accessor for prepared-statement names, 4 test callers",
@@ -55,52 +58,119 @@ var exportAllowList = map[string]string{
 }
 
 // TestEveryExportHasACaller: product code is what the product runs. Every
-// exported function or method declared in non-test Go must be referenced
-// from non-test Go — its own package, another one, a command, bench/ or
-// examples/ — or carry a reason on exportAllowList, so that code reached
-// only by tests cannot creep back into the product. The scan is syntactic:
-// a package-level function is matched by package and name, a method by
-// name alone.
+// exported function or method declared in non-test Go must be called from
+// non-test Go — its own package, another one, a command, bench/ or
+// examples/ — and every exported struct field must be written there (or
+// carry a json tag, so the decoder writes it), or carry a reason on
+// exportAllowList, so that code and settings only tests reach cannot creep
+// back into the product. Names are resolved with go/types: a method is
+// matched as an object, never by its name alone.
 func TestEveryExportHasACaller(t *testing.T) {
-	decls, used := scanExports(t)
-	var missing []string
-	for key := range decls {
-		if !used[key] && exportAllowList[key] == "" {
-			missing = append(missing, key)
-		}
+	decls, used, err := scanExports(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(missing)
-	for _, key := range missing {
-		t.Errorf("%s is exported but no non-test Go calls it: move it to the tests that use it, delete it, or allow-list it with a reason", key)
+	for _, key := range unused(decls, used) {
+		if exportAllowList[key] == "" {
+			t.Errorf("%s is exported but no non-test Go calls or writes it: move it to the tests that use it, delete it, or allow-list it with a reason", key)
+		}
 	}
 	for key := range exportAllowList {
 		if !decls[key] {
-			t.Errorf("allow-list entry %s names no exported function or method", key)
+			t.Errorf("allow-list entry %s names no exported function, method or field", key)
 		} else if used[key] {
-			t.Errorf("allow-list entry %s has a non-test caller now; drop the entry", key)
+			t.Errorf("allow-list entry %s has a non-test caller or writer now; drop the entry", key)
 		}
 	}
 }
 
-// scanExports parses every non-test Go file under the module root. It
-// returns the exported functions and methods declared outside bench/ and
-// examples/, and which of them some file references other than from
-// inside their own body.
-func scanExports(t *testing.T) (decls, used map[string]bool) {
-	t.Helper()
-	type file struct {
-		dir string
-		f   *ast.File
+// TestExportScanSeesThroughNames runs the scan over a fixture module
+// (testdata/exportgate) built so that a match by name misses both of its
+// test-only exports: a method called only through a same-named method of
+// another type, and a field that nothing writes. A json-tagged field and
+// one written only through a sub-field must pass.
+func TestExportScanSeesThroughNames(t *testing.T) {
+	decls, used, err := scanExports("testdata/exportgate")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var files []file
+	got := strings.Join(unused(decls, used), ", ")
+	if want := "a: Left.Hidden, a: Right.Unset"; got != want {
+		t.Errorf("unused exports = %q, want %q", got, want)
+	}
+	for _, key := range []string{"a: Right.Hidden", "a: Right.Tagged", "a: Report.Phases", "a: Report.Phases.Execute"} {
+		if !decls[key] || !used[key] {
+			t.Errorf("%s: declared %v, used %v; want both", key, decls[key], used[key])
+		}
+	}
+
+	// A source set that does not type-check fails the scan.
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":  "module broken\n",
+		"b/b.go":  "package b\n\nvar X int = \"text\"\n",
+		"main.go": "package main\n\nimport \"broken/b\"\n\nfunc main() { _ = b.X }\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := scanExports(dir); err == nil || !strings.Contains(err.Error(), "cannot use") {
+		t.Errorf("scan of a source set with a type error: err = %v, want the type error", err)
+	}
+}
+
+// unused lists, sorted, the declared keys nothing uses.
+func unused(decls, used map[string]bool) []string {
+	var keys []string
+	for key := range decls {
+		if !used[key] {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// scanExports type-checks every non-test Go file of the module at root, in
+// import order, with the standard library from importer.Default, and fails
+// on any type error. It returns the exported functions, methods and struct
+// fields declared outside bench/ and examples/, and which of them are used:
+// a function called (or referenced) other than from inside its own body,
+// a field written — assigned, incremented, set by a composite-literal key
+// or position, addressed with &, or written through (x.F.G = …, x.F[i] =
+// …) — or tagged for encoding/json. A method also counts as called when a
+// method of an interface its type implements is called, by non-test Go or
+// by the standard library on a value handed to it (stdCallers).
+func scanExports(root string) (decls, used map[string]bool, err error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, nil, err
+	}
+	var modPath string
+	for _, line := range strings.Split(string(mod), "\n") {
+		if p, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			modPath = strings.TrimSpace(p)
+		}
+	}
+
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+	files := map[string][]*ast.File{} // directory → its non-test files
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -112,109 +182,292 @@ func scanExports(t *testing.T) (decls, used map[string]bool) {
 		if err != nil {
 			return err
 		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(rel)
+		files[dir] = append(files[dir], f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
+	}
+	dirOf := func(importPath string) (string, bool) {
+		if importPath == modPath {
+			return ".", true
+		}
+		dir, ok := strings.CutPrefix(importPath, modPath+"/")
+		return dir, ok && files[dir] != nil
+	}
+	product := func(dir string) bool {
+		return dir != "bench" && !strings.HasPrefix(dir, "bench/") && !strings.HasPrefix(dir, "examples/")
+	}
+
+	// Type-check the packages in import order into one Info.
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	pkgs := map[string]*types.Package{}
+	var typeErrs []error
+	std := importer.Default()
+	conf := types.Config{
+		Importer: importerFunc(func(p string) (*types.Package, error) {
+			if pkg := pkgs[p]; pkg != nil {
+				return pkg, nil
+			}
+			if _, ok := dirOf(p); ok {
+				return nil, fmt.Errorf("%s is imported before it is checked (an import cycle?)", p)
+			}
+			return std.Import(p)
+		}),
+		Error: func(err error) { typeErrs = append(typeErrs, err) },
+	}
+	var check func(dir string)
+	check = func(dir string) {
+		path := modPath
+		if dir != "." {
+			path += "/" + dir
+		}
+		if _, seen := pkgs[path]; seen {
+			return
+		}
+		pkgs[path] = nil
+		for _, f := range files[dir] {
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				if dep, ok := dirOf(p); ok {
+					check(dep)
+				}
+			}
+		}
+		pkgs[path], _ = conf.Check(path, fset, files[dir], info)
+	}
+	dirs := make([]string, 0, len(files))
+	for dir := range files {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		check(dir)
+	}
+	if len(typeErrs) > 0 {
+		return nil, nil, fmt.Errorf("the module does not type-check: %w", errors.Join(typeErrs...))
+	}
+
+	// Declarations: exported functions and methods, and exported fields of
+	// every struct type, keyed by the type's name (the field's path from a
+	// named type for a nested struct, the source position for an
+	// anonymous one).
+	keyOf := map[types.Object]string{}
+	written := map[types.Object]bool{}
+	key := func(obj types.Object, name string) string {
+		dir, _ := dirOf(obj.Pkg().Path())
+		return dir + ": " + name
+	}
+	for _, dir := range dirs {
+		if !product(dir) {
+			continue
+		}
+		for _, f := range files[dir] {
+			owner := map[*ast.StructType]string{}
+			var fields func(st *ast.StructType, name string)
+			fields = func(st *ast.StructType, name string) {
+				owner[st] = name
+				for _, fld := range st.Fields.List {
+					var tagged bool
+					if fld.Tag != nil {
+						tag, _ := strconv.Unquote(fld.Tag.Value)
+						js, ok := reflect.StructTag(tag).Lookup("json")
+						tagged = ok && js != "-"
+					}
+					idents := fld.Names
+					if idents == nil {
+						idents = []*ast.Ident{embeddedIdent(fld.Type)}
+					}
+					for _, id := range idents {
+						if v, ok := info.Defs[id].(*types.Var); ok && v.Exported() {
+							keyOf[v] = key(v, name+"."+v.Name())
+							written[v] = written[v] || tagged
+							if sub, ok := fld.Type.(*ast.StructType); ok {
+								fields(sub, name+"."+v.Name())
+							}
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if fn, ok := info.Defs[n.Name].(*types.Func); ok && fn.Exported() {
+						keyOf[fn] = key(fn, funcName(fn))
+					}
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						fields(st, n.Name.Name)
+					}
+				case *ast.StructType:
+					if _, ok := owner[n]; !ok {
+						pos := fset.Position(n.Pos())
+						fields(n, fmt.Sprintf("struct@%s:%d", filepath.Base(pos.Filename), pos.Line))
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// Uses, over every file: calls resolved to objects, and field writes.
+	called := map[types.Object]bool{}
+	var ifaceCalls []*types.Func
+	for _, name := range stdCallers {
+		dot := strings.LastIndex(name, ".")
+		pkg, err := std.Import(name[:dot])
+		if err != nil {
+			return nil, nil, err
+		}
+		iface := pkg.Scope().Lookup(name[dot+1:]).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceCalls = append(ifaceCalls, iface.Method(i))
+		}
+	}
+	var write func(x ast.Expr)
+	write = func(x ast.Expr) {
+		switch x := x.(type) {
+		case *ast.ParenExpr:
+			write(x.X)
+		case *ast.StarExpr:
+			write(x.X)
+		case *ast.IndexExpr:
+			write(x.X)
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+				written[v.Origin()] = true
+			}
+			write(x.X)
+		}
+	}
+	for _, dir := range dirs {
+		for _, f := range files[dir] {
+			for _, d := range f.Decls {
+				// self is the function being walked: a call from inside
+				// its own body is recursion, not a caller.
+				var self types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = info.Defs[fd.Name]
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						fn, ok := info.Uses[n].(*types.Func)
+						if !ok || fn == self {
+							break
+						}
+						fn = fn.Origin()
+						called[fn] = true
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+							ifaceCalls = append(ifaceCalls, fn)
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							write(lhs)
+						}
+					case *ast.IncDecStmt:
+						write(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X)
+						}
+					case *ast.CompositeLit:
+						var st *types.Struct
+						if tv, ok := info.Types[n]; ok {
+							t := tv.Type
+							if p, ok := t.Underlying().(*types.Pointer); ok {
+								t = p.Elem()
+							}
+							st, _ = t.Underlying().(*types.Struct)
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+										written[v.Origin()] = true
+									}
+								}
+							} else if st != nil {
+								written[st.Field(i).Origin()] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
 	}
 
 	decls, used = map[string]bool{}, map[string]bool{}
-	funcKey := func(dir, name string) string { return dir + ": " + name }
-	methods := map[string][]string{} // method name → keys of the methods so named
-	for _, fl := range files {
-		if fl.dir == "bench" || strings.HasPrefix(fl.dir, "bench/") || strings.HasPrefix(fl.dir, "examples/") {
-			continue
-		}
-		for _, d := range fl.f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
-			}
-			if fd.Recv == nil {
-				decls[funcKey(fl.dir, fd.Name.Name)] = true
-				continue
-			}
-			key := funcKey(fl.dir, recvName(fd.Recv.List[0].Type)+"."+fd.Name.Name)
-			decls[key] = true
-			methods[fd.Name.Name] = append(methods[fd.Name.Name], key)
+	for obj, k := range keyOf {
+		decls[k] = true
+		switch obj := obj.(type) {
+		case *types.Var:
+			used[k] = written[obj]
+		case *types.Func:
+			used[k] = called[obj] || implementsCalled(obj, ifaceCalls)
 		}
 	}
-
-	for _, fl := range files {
-		imports := map[string]string{} // local name → declaring directory
-		for _, im := range fl.f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			dir, ok := strings.CutPrefix(p, "lera/")
-			if p == "lera" {
-				dir, ok = ".", true
-			}
-			if !ok {
-				continue
-			}
-			local := path.Base(p)
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = dir
-		}
-		for _, d := range fl.f.Decls {
-			// self names the function being walked: a call from inside its
-			// own body is recursion, not a caller.
-			self, selfMethod := "", ""
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fd.Recv == nil {
-					self = funcKey(fl.dir, fd.Name.Name)
-				} else {
-					selfMethod = fd.Name.Name
-				}
-			}
-			useFunc := func(key string) {
-				if key != self {
-					used[key] = true
-				}
-			}
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					// The declared name is not a reference.
-					if n.Recv != nil {
-						ast.Inspect(n.Recv, visit)
-					}
-					ast.Inspect(n.Type, visit)
-					if n.Body != nil {
-						ast.Inspect(n.Body, visit)
-					}
-					return false
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if dir, ok := imports[x.Name]; ok {
-							useFunc(funcKey(dir, n.Sel.Name))
-							return false
-						}
-					}
-					if n.Sel.Name != selfMethod {
-						for _, key := range methods[n.Sel.Name] {
-							used[key] = true
-						}
-					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Ident:
-					useFunc(funcKey(fl.dir, n.Name))
-				}
-				return true
-			}
-			ast.Inspect(d, visit)
-		}
-	}
-	return decls, used
+	return decls, used, nil
 }
 
-// recvName is the type name of a method receiver: T for T, *T, T[P] and
-// *T[P].
-func recvName(x ast.Expr) string {
+// stdCallers are the interfaces whose methods the standard library calls
+// on the values handed to it: fmt's verbs, the flag parser and the JSON
+// encoder.
+var stdCallers = []string{"fmt.Stringer", "flag.Value", "encoding/json.Marshaler"}
+
+// implementsCalled reports whether method fn implements a method of an
+// interface some non-test code calls, so that a call through the
+// interface may reach it.
+func implementsCalled(fn *types.Func, ifaceCalls []*types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); !ok || named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, m := range ifaceCalls {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// funcName is Name for a function and Recv.Name for a method, Recv being
+// the receiver's type name without pointer or type parameters.
+func funcName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name() + "." + fn.Name()
+	}
+	return "?." + fn.Name()
+}
+
+// embeddedIdent is the identifier an embedded field is named by: T for T,
+// *T, p.T and T[P].
+func embeddedIdent(x ast.Expr) *ast.Ident {
 	for {
 		switch e := x.(type) {
 		case *ast.StarExpr:
@@ -223,10 +476,12 @@ func recvName(x ast.Expr) string {
 			x = e.X
 		case *ast.IndexListExpr:
 			x = e.X
+		case *ast.SelectorExpr:
+			return e.Sel
 		case *ast.Ident:
-			return e.Name
+			return e
 		default:
-			return "?"
+			return nil
 		}
 	}
 }

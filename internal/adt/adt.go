@@ -8,7 +8,6 @@ package adt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lera/internal/value"
@@ -82,16 +81,6 @@ func (r *Registry) Lookup(name string) (Entry, bool) {
 func (r *Registry) IsPure(name string) bool {
 	e, ok := r.Lookup(name)
 	return ok && e.Pure
-}
-
-// Names returns all registered function names, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.fns))
-	for _, e := range r.fns {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Call invokes a registered function with arity checking.

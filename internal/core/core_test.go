@@ -1,14 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
-	"lera/internal/engine"
 	"lera/internal/esql"
+	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/rules"
 	"lera/internal/term"
@@ -49,7 +50,7 @@ func TestTypecheckRules(t *testing.T) {
 		lera.Ands(lera.Cmp(">", lera.Call("Salary", lera.Attr(1, 2)), term.Num(1000))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out, _, err := rw.RewriteBlock(q, "typecheck")
+	out, _, err := rw.eng.RunBlockCtx(context.Background(), q, "typecheck", guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTypecheckRules(t *testing.T) {
 		lera.Ands(lera.Call("Member", term.Str("Adventure"), lera.Attr(1, 3))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out2, _, err := rw.RewriteBlock(q2, "typecheck")
+	out2, _, err := rw.eng.RunBlockCtx(context.Background(), q2, "typecheck", guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,20 +430,6 @@ func TestMustExecPanics(t *testing.T) {
 		}
 	}()
 	NewSession().MustExec("garbage")
-}
-
-// The raw (unrewritten) engine agrees with the rewriter across the films
-// workload even when fixpoint evaluation modes differ.
-func TestRewriteAgreesAcrossFixModes(t *testing.T) {
-	s := filmsSession(t)
-	s.DB.Mode = engine.Naive
-	res, err := s.Query("SELECT Name(Refactor1) FROM BETTER_THAN WHERE Name(Refactor2) = 'Quinn'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(testdb.DominatorsOfQuinn()) {
-		t.Errorf("naive rows = %d", len(res.Rows))
-	}
 }
 
 // TestFormatResultAllocs: rendering allocates a constant number of times

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"lera/internal/engine"
 	"lera/internal/esql"
 )
 
@@ -121,39 +120,28 @@ func TestExplainAnalyzeCorpus(t *testing.T) {
 		}
 	})
 
-	for _, mode := range []struct {
-		name string
-		m    engine.FixMode
-		tag  string
-	}{
-		{"figure5-semi-naive", engine.SemiNaive, "[semi-naive]"},
-		{"figure5-naive", engine.Naive, "[naive]"},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			s := filmsSession(t)
-			s.DB.Mode = mode.m
-			res := explainOf(t, s, fig5)
-			msg := res.Message
-			for _, want := range []string{
-				"execution:",
-				"FIX",
-				mode.tag,
-				"rows (total",
-			} {
-				if !strings.Contains(msg, want) {
-					t.Errorf("missing %q:\n%s", want, msg)
-				}
+	t.Run("figure5-semi-naive", func(t *testing.T) {
+		res := explainOf(t, filmsSession(t), fig5)
+		msg := res.Message
+		for _, want := range []string{
+			"execution:",
+			"FIX",
+			"[semi-naive]",
+			"rows (total",
+		} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("missing %q:\n%s", want, msg)
 			}
-			if !strings.Contains(section(msg, "execution:"), "· round 1:") {
-				t.Errorf("execution section missing the FIX rounds:\n%s", msg)
-			}
-			assertNoOpSpans(t, msg)
-			fix := findStats(res.Report.Exec, "FIX")
-			if fix == nil || len(fix.Rounds) == 0 {
-				t.Fatal("FIX node missing per-round deltas")
-			}
-		})
-	}
+		}
+		if !strings.Contains(section(msg, "execution:"), "· round 1:") {
+			t.Errorf("execution section missing the FIX rounds:\n%s", msg)
+		}
+		assertNoOpSpans(t, msg)
+		fix := findStats(res.Report.Exec, "FIX")
+		if fix == nil || len(fix.Rounds) == 0 {
+			t.Fatal("FIX node missing per-round deltas")
+		}
+	})
 }
 
 func TestExplainParseErrors(t *testing.T) {

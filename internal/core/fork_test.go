@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"lera/internal/engine"
 	"lera/internal/guard"
 	"lera/internal/obs"
 	"lera/internal/rewrite"
@@ -66,7 +65,6 @@ func TestForkCarriesCollectStats(t *testing.T) {
 	parent.Limits = guard.Limits{MaxRows: 1000}
 	parent.Parallelism = 3
 	parent.SpillDir = t.TempDir()
-	parent.Mode = engine.Naive
 	fork, err := parent.Fork()
 	if err != nil {
 		t.Fatal(err)
@@ -74,9 +72,9 @@ func TestForkCarriesCollectStats(t *testing.T) {
 	if !fork.DB.CollectStats {
 		t.Fatal("Fork dropped CollectStats")
 	}
-	if fork.Limits != parent.Limits || fork.Parallelism != 3 || fork.SpillDir != parent.SpillDir || fork.Mode != engine.Naive {
-		t.Fatalf("Fork dropped a setting: limits %+v, parallelism %d, spill dir %q, mode %v",
-			fork.Limits, fork.Parallelism, fork.SpillDir, fork.Mode)
+	if fork.Limits != parent.Limits || fork.Parallelism != 3 || fork.SpillDir != parent.SpillDir {
+		t.Fatalf("Fork dropped a setting: limits %+v, parallelism %d, spill dir %q",
+			fork.Limits, fork.Parallelism, fork.SpillDir)
 	}
 	res, err := fork.Query(guardQuery)
 	if err != nil {
@@ -187,7 +185,6 @@ func TestWithInjectorReachesADTCalls(t *testing.T) {
 	}
 
 	// A fork shares the parent's injector through DB.Fork.
-	inj.Reset()
 	fork, err := s.Fork()
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +213,7 @@ block(boomb, {boomr}, 1);
 	}
 	// The constraint itself is healthy; the injector fires the panic.
 	rw.Ext.RegisterConstraint("BOOMC", func(_ *rewrite.Ctx, _ []*term.Term) (bool, error) { return true, nil })
-	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic, PanicValue: "chaos"})
+	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})
 
 	res, err := s.Query(guardQuery)
 	if err != nil {

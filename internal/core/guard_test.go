@@ -105,7 +105,7 @@ block(boomb, {boomr}, 1);
 		t.Fatal(err)
 	}
 	inj := guard.NewInjector()
-	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic, PanicValue: "implementor bug"})
+	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})
 	rw.Ext.RegisterConstraint("BOOMC", func(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 		if err := inj.Hit(ctx.Context(), "BOOMC"); err != nil {
 			return false, err

@@ -55,10 +55,7 @@ func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCach
 
 // knobs returns the signature of every construction-time option that
 // can change rewrite output without changing the rule-base fingerprint:
-// block budgets, the master sequence and the dynamic limit policy. (The
-// test-only full-scan match loop is excluded on purpose — the indexed and
-// full-scan rewriters produce identical rewrites, which is exactly what
-// index_regression_test.go pins.)
+// block budgets, the master sequence and the dynamic limit policy.
 func knobs(cfg *config) string {
 	var parts []string
 	if cfg.dynamicLimits {

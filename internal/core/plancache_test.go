@@ -395,7 +395,7 @@ func TestExplainPlanCacheReadOnly(t *testing.T) {
 	if !strings.Contains(rs[0].Message, "plan: cold") {
 		t.Fatalf("EXPLAIN before warm-up:\n%s", rs[0].Message)
 	}
-	if s.Plans.Len() != 0 {
+	if s.Plans.Snapshot().Entries != 0 {
 		t.Fatal("plain EXPLAIN must not store entries")
 	}
 
@@ -423,7 +423,7 @@ func TestPlanCacheNeverCachesDegradedPlans(t *testing.T) {
 	if st := r.RewriteStats(); !st.Degraded {
 		t.Skipf("query did not degrade under MaxSteps=1 (stats %+v)", st)
 	}
-	if s.Plans.Len() != 0 {
+	if s.Plans.Snapshot().Entries != 0 {
 		t.Fatal("degraded plan was cached")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"lera/internal/engine"
 	"lera/internal/value"
 )
 
@@ -128,52 +127,6 @@ CREATE VIEW REACH (Src, Dst) AS (
 	}
 }
 
-// TestPropFixModesAgreeViaESQL: naive and semi-naive fixpoint evaluation
-// agree on the recursive view for random graphs, with and without the
-// rewriter.
-func TestPropFixModesAgreeViaESQL(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		var links [][]value.Value
-		n := 12 + r.Intn(10)
-		for i := 0; i < 2*n; i++ {
-			links = append(links, []value.Value{
-				value.Int(int64(r.Intn(n) + 1)),
-				value.Int(int64(r.Intn(n) + 1)),
-			})
-		}
-		q := fmt.Sprintf("SELECT Src FROM REACH WHERE Dst = %d", r.Intn(n)+1)
-		var results []string
-		for _, mode := range []engine.FixMode{engine.SemiNaive, engine.Naive} {
-			for _, rewriteOn := range []bool{true, false} {
-				s := NewSession()
-				s.MustExec(`
-TABLE LINKS (Src : INT, Dst : INT);
-CREATE VIEW REACH (Src, Dst) AS (
-  SELECT Src, Dst FROM LINKS
-  UNION
-  SELECT R1.Src, R2.Dst FROM REACH R1, REACH R2 WHERE R1.Dst = R2.Src );
-`)
-				if err := s.DB.Load("LINKS", links); err != nil {
-					t.Fatal(err)
-				}
-				s.DB.Mode = mode
-				s.Rewrite = rewriteOn
-				res, err := s.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				results = append(results, canon(dedup(res.Rows)))
-			}
-		}
-		for i := 1; i < len(results); i++ {
-			if results[i] != results[0] {
-				t.Fatalf("trial %d: configuration %d disagrees:\n%s\nvs\n%s", trial, i, results[i], results[0])
-			}
-		}
-	}
-}
-
 func canon(rows [][]value.Value) string {
 	var keys []string
 	for _, row := range rows {
@@ -185,17 +138,4 @@ func canon(rows [][]value.Value) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ";")
-}
-
-func dedup(rows [][]value.Value) [][]value.Value {
-	seen := map[string]bool{}
-	var out [][]value.Value
-	for _, row := range rows {
-		k := canon([][]value.Value{row})
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
-	}
-	return out
 }

@@ -52,7 +52,6 @@ type config struct {
 	sequence      string
 	blockLimits   map[string]int
 	ruleCheck     bool
-	fullScan      bool // in-package tests only: rewrite.Options.FullScan, the match-loop oracle
 	injector      *guard.Injector
 	planCache     int
 	planCacheVal  int
@@ -243,10 +242,7 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 			return nil, fmt.Errorf("core: rule base failed verification:\n  %s", strings.Join(errs, "\n  "))
 		}
 	}
-	engOpts := rewrite.Options{
-		FullScan: cfg.fullScan,
-		Injector: cfg.injector,
-	}
+	engOpts := rewrite.Options{Injector: cfg.injector}
 	if len(cfg.blockLimits) > 0 {
 		engOpts.BlockLimitOverride = func(block string, declared int) int {
 			if v, ok := cfg.blockLimits[block]; ok {
@@ -300,12 +296,6 @@ func (r *Rewriter) simple(q *term.Term) bool {
 	return r.cfg.dynamicLimits && complexity(q) <= simpleThreshold
 }
 
-// Rewrite runs the full optimizer sequence on a LERA term with no
-// cancellation and no budget (see RewriteCtx).
-func (r *Rewriter) Rewrite(q *term.Term) (*term.Term, *rewrite.Stats, error) {
-	return r.RewriteCtx(context.Background(), q, guard.Limits{})
-}
-
 // RewriteCtx runs the full optimizer sequence under a cancellation
 // context and a guard budget. On error the returned Stats reflect the
 // work done before the failure and the returned term is the best safe
@@ -313,9 +303,4 @@ func (r *Rewriter) Rewrite(q *term.Term) (*term.Term, *rewrite.Stats, error) {
 // application (q itself when none committed).
 func (r *Rewriter) RewriteCtx(ctx context.Context, q *term.Term, lim guard.Limits) (*term.Term, *rewrite.Stats, error) {
 	return r.eng.RunCtx(ctx, q, lim, r.simple(q))
-}
-
-// RewriteBlock runs a single block (for tests and experiments).
-func (r *Rewriter) RewriteBlock(q *term.Term, block string) (*term.Term, *rewrite.Stats, error) {
-	return r.eng.RunBlockCtx(context.Background(), q, block, guard.Limits{}, r.simple(q))
 }

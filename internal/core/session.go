@@ -383,12 +383,6 @@ func (s *Session) Prepared() map[string]int {
 	return out
 }
 
-// ExecSelect translates, rewrites and executes one SELECT with no
-// cancellation (see ExecSelectCtx).
-func (s *Session) ExecSelect(sel *esql.Select) (*Result, error) {
-	return s.ExecSelectCtx(context.Background(), sel)
-}
-
 // ExecSelectCtx translates, rewrites and executes one SELECT under a
 // cancellation context and the session's guard Limits.
 //

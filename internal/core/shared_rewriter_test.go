@@ -141,7 +141,7 @@ func TestRewriteErrorReturnsLastCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := rw.Rewrite(q)
+	full, _, err := rw.RewriteCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // returns the rows rendered like engineRun.Rows.
 func referenceRows(t *testing.T, db *DB, q *term.Term, mode FixMode) []string {
 	t.Helper()
-	db.Mode = mode
+	SetFixMode(db, mode)
 	rel, err := ReferenceEval(context.Background(), db, q)
 	if err != nil {
 		t.Fatalf("reference failed: %v", err)
@@ -261,14 +261,14 @@ func TestRelationIndexLifecycle(t *testing.T) {
 	if got := db.idx.size(); got != 0 {
 		t.Fatalf("fresh database has %d cached indexes", got)
 	}
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	first := db.idx.lookup("FILM", key)
 	if first == nil {
 		t.Fatal("FILM build-side index not cached after first evaluation")
 	}
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if again := db.idx.lookup("FILM", key); again != first {
@@ -277,7 +277,7 @@ func TestRelationIndexLifecycle(t *testing.T) {
 
 	// Load drops the cached index; the next evaluation rebuilds against
 	// the new rows.
-	films := db.Stored("FILM")
+	films := stored(db, "FILM")
 	newRows := append([][]value.Value{}, films.Rows...)
 	if err := db.Load("FILM", newRows); err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestRelationIndexLifecycle(t *testing.T) {
 	if db.idx.lookup("FILM", key) != nil {
 		t.Error("Load did not invalidate the FILM index")
 	}
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt := db.idx.lookup("FILM", key)
@@ -305,7 +305,7 @@ func TestRelationIndexLifecycle(t *testing.T) {
 	}
 
 	// Post-invalidation results stay reference-identical.
-	batch, err := db.Eval(q)
+	batch, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestIndexInvalidationUndeclaredRelation(t *testing.T) {
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))),
 		[]*term.Term{lera.Attr(1, 2), lera.Attr(2, 2)},
 	)
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if db.idx.lookup("ADHOC", []int{0}) == nil {
@@ -361,7 +361,7 @@ func TestIndexInvalidationUndeclaredRelation(t *testing.T) {
 	if db.idx.lookup("ADHOC", []int{0}) != nil {
 		t.Fatal("Load of undeclared relation did not invalidate its index")
 	}
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,14 +378,14 @@ func TestIndexSharedAcrossForks(t *testing.T) {
 	db := loadedDB(t)
 	q := diffCorpus()["fig3-hash-join"]
 	f := db.Fork()
-	if _, err := f.Eval(q); err != nil {
+	if _, err := f.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	e := db.idx.lookup("FILM", []int{0})
 	if e == nil {
 		t.Fatal("fork's index build not visible in parent set")
 	}
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if db.idx.lookup("FILM", []int{0}) != e {
@@ -418,7 +418,7 @@ func TestWidthPreservation(t *testing.T) {
 		{"unnest-empty", lera.Unnest(lera.Rel("FILM"), 3), 3},
 	}
 	evals := map[string]func(q *term.Term) (*Relation, error){
-		"engine":    db.Eval,
+		"engine":    func(q *term.Term) (*Relation, error) { return db.EvalCtx(context.Background(), q) },
 		"reference": func(q *term.Term) (*Relation, error) { return ReferenceEval(context.Background(), db, q) },
 	}
 	for who, eval := range evals {

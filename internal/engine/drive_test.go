@@ -280,20 +280,20 @@ func TestCompiledComparisonFaults(t *testing.T) {
 	db := c.db(t, 7)
 	db.Parallelism = 1
 	db.Injector = guard.NewInjector()
-	db.Injector.Set("<", guard.Fault{OnCall: 3, Mode: guard.FaultPanic, PanicValue: "boom"})
+	db.Injector.Set("<", guard.Fault{OnCall: 3, Mode: guard.FaultPanic})
 	q := c.query()
-	prog := db.compileSearch(q, []*Relation{db.Stored("BIG"), db.Stored("SMALL")})
+	prog := db.compileSearch(q, []*Relation{stored(db, "BIG"), stored(db, "SMALL")})
 	preds := prog.stages[1].preds
 	if _, ok := preds[len(preds)-1].(*cmpPred); !ok {
 		t.Fatalf("the armed %q conjunct compiled to %T, not the kernel", "<", preds[len(preds)-1])
 	}
 
-	_, err := db.Eval(q)
+	_, err := db.EvalCtx(context.Background(), q)
 	var ext *guard.ExternalError
-	if !errors.As(err, &ext) || ext.Kind != guard.ExtADT || ext.External != "<" || ext.Panic != "boom" || ext.Err != nil {
+	if !errors.As(err, &ext) || ext.Kind != guard.ExtADT || ext.External != "<" || ext.Panic != "injected panic (< call 3)" || ext.Err != nil {
 		t.Fatalf("injected panic on <: %#v, want an ADT external panic", err)
 	}
-	if got, want := err.Error(), "guard: adt function < panicked: boom"; got != want {
+	if got, want := err.Error(), "guard: adt function < panicked: injected panic (< call 3)"; got != want {
 		t.Errorf("error %q, want %q", got, want)
 	}
 	if code := guard.CodeOf(err); code != guard.CodeExternalPanic {
@@ -309,7 +309,7 @@ func TestCompiledComparisonFaults(t *testing.T) {
 	db.Parallelism = 1
 	db.Injector = guard.NewInjector()
 	db.Injector.Set("=", guard.Fault{OnCall: 1, Mode: guard.FaultError})
-	_, err = db.Eval(lera.Search([]*term.Term{lera.Rel("FILM")},
+	_, err = db.EvalCtx(context.Background(), lera.Search([]*term.Term{lera.Rel("FILM")},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 3), term.Str("Western"))), []*term.Term{lera.Attr(1, 1)}))
 	if guard.CodeOf(err) != guard.CodeInjected || db.Injector.Calls("=") != 1 {
 		t.Errorf("set = scalar with the first = call armed: %v after %d calls, want the injected fault after 1", err, db.Injector.Calls("="))
@@ -363,7 +363,7 @@ func TestIndexInvalidationDrivenRelation(t *testing.T) {
 	q, key := c.query(), c.keyCols()
 	check := func(when string) {
 		t.Helper()
-		got, err := db.Eval(q)
+		got, err := db.EvalCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestIndexInvalidationDrivenRelation(t *testing.T) {
 	}
 
 	// Insert a row that pairs with every SMALL row of its key.
-	small := db.Stored("SMALL").Rows
+	small := stored(db, "SMALL").Rows
 	if err := db.Insert("BIG", []value.Value{small[0][0], small[0][1], value.Int(-1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestIndexInvalidationDrivenRelation(t *testing.T) {
 
 	// Load the same number of rows, reversed: BIG is undeclared, so the
 	// data version does not move and only the explicit drop can tell.
-	rows := db.Stored("BIG").Rows
+	rows := stored(db, "BIG").Rows
 	reversed := make([][]value.Value, len(rows))
 	for i, r := range rows {
 		reversed[len(rows)-1-i] = r
@@ -450,7 +450,7 @@ func TestDeltaDrivenClosureIsLinear(t *testing.T) {
 		db := chainDB(t, n)
 		db.Parallelism = 1
 		q := chainClosure(n + 1)
-		if _, err := db.Eval(q); err != nil { // builds EDGE's index
+		if _, err := db.EvalCtx(context.Background(), q); err != nil { // builds EDGE's index
 			t.Fatal(err)
 		}
 		calls := 0
@@ -458,7 +458,7 @@ func TestDeltaDrivenClosureIsLinear(t *testing.T) {
 			calls++
 			return hashKey(row, keyIdx)
 		}
-		rel, err := db.Eval(q)
+		rel, err := db.EvalCtx(context.Background(), q)
 		hashKeyFn = saved
 		if err != nil {
 			t.Fatal(err)
@@ -493,11 +493,11 @@ func TestSemiNaiveRoundAllocs(t *testing.T) {
 		db := chainDB(t, n)
 		db.Parallelism = 1
 		q := chainClosure(n + 1)
-		if _, err := db.Eval(q); err != nil { // builds EDGE's index
+		if _, err := db.EvalCtx(context.Background(), q); err != nil { // builds EDGE's index
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if rel, err := db.Eval(q); err != nil || len(rel.Rows) != n {
+			if rel, err := db.EvalCtx(context.Background(), q); err != nil || len(rel.Rows) != n {
 				t.Fatalf("chain(%d): %v", n, err)
 			}
 		})
@@ -522,7 +522,7 @@ func TestSearchProgramCompiledOncePerFix(t *testing.T) {
 	db.g = &evalGuard{ctx: context.Background(), rows: &guard.Budget{}}
 	defer func() { db.g = nil }()
 	q := chainStep()
-	edge := db.Stored("EDGE")
+	edge := stored(db, "EDGE")
 	rels := []*Relation{edge, {Rows: edge.Rows[:1]}}
 	programFor := func(rels []*Relation) *searchProgram { return db.programFor(db.searchEntry(q), q, rels) }
 

@@ -61,24 +61,17 @@ func (c *Counters) Add(other Counters) {
 	c.FixIterations += other.FixIterations
 }
 
-// FixMode selects the fixpoint evaluation strategy.
-type FixMode int
-
-const (
-	// SemiNaive evaluates recursive members against the delta of the
-	// previous round (per-occurrence for non-linear recursion).
-	SemiNaive FixMode = iota
-	// Naive re-evaluates the whole body against the full accumulated
-	// relation every round.
-	Naive
-)
-
 // knobs groups the evaluation settings a fork or a parallel worker
 // inherits from its parent. Fork copies them by one struct assignment
 // (and worker goes through Fork), so a setting added here can never be
 // forgotten at a copy site.
 type knobs struct {
-	Mode FixMode
+	// naive evaluates every FIX the naive way — the whole body against the
+	// full accumulated relation each round — where semi-naive evaluation
+	// would drive the recursive members from the previous round's delta.
+	// Only tests set it, to check the two strategies against each other;
+	// fixNaive also serves FIX bodies that are not a UNIONN.
+	naive bool
 	// Limits is the guard budget enforced during evaluation: MaxRows caps
 	// cumulative materialized rows per EvalCtx call, MaxFixIterations caps
 	// each fixpoint instance, MaxMemBytes is the per-operator memory grant
@@ -284,9 +277,6 @@ func (db *DB) Insert(name string, row []value.Value) error {
 // SetObject stores an object value under an OID.
 func (db *DB) SetObject(oid int64, v value.Value) { db.Objects[oid] = v }
 
-// Stored returns the stored relation (nil if absent).
-func (db *DB) Stored(name string) *Relation { return db.rels[strings.ToUpper(name)] }
-
 // ResetCounters zeroes the work counters.
 func (db *DB) ResetCounters() { db.Count = Counters{} }
 
@@ -299,12 +289,6 @@ func (e env) clone() env {
 		ne[k] = v
 	}
 	return ne
-}
-
-// Eval evaluates a relational LERA term with no cancellation (see
-// EvalCtx).
-func (db *DB) Eval(t *term.Term) (*Relation, error) {
-	return db.EvalCtx(context.Background(), t)
 }
 
 // EvalCtx evaluates a relational LERA term under a cancellation context

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sort"
+	"strings"
 	"testing"
 
 	"lera/internal/lera"
@@ -34,9 +35,12 @@ func loadedDB(t *testing.T) *DB {
 	return db
 }
 
+// stored returns db's stored relation name (nil if absent).
+func stored(db *DB, name string) *Relation { return db.rels[strings.ToUpper(name)] }
+
 func evalOK(t *testing.T, db *DB, q *term.Term) *Relation {
 	t.Helper()
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("eval %s: %v", lera.Format(q), err)
 	}
@@ -58,7 +62,7 @@ func TestEvalRelAndLoad(t *testing.T) {
 	if len(r.Rows) != 4 {
 		t.Errorf("FILM rows = %d", len(r.Rows))
 	}
-	if _, err := db.Eval(lera.Rel("NOSUCH")); err == nil {
+	if _, err := db.EvalCtx(context.Background(), lera.Rel("NOSUCH")); err == nil {
 		t.Error("unknown relation must error")
 	}
 	// Arity validation on load.
@@ -71,7 +75,7 @@ func TestEvalRelAndLoad(t *testing.T) {
 	if err := db.Insert("SCRATCH", []value.Value{value.Int(9)}); err != nil {
 		t.Errorf("undeclared relation insert: %v", err)
 	}
-	if db.Stored("SCRATCH") == nil {
+	if stored(db, "SCRATCH") == nil {
 		t.Error("Stored must see inserted relation")
 	}
 }
@@ -177,7 +181,7 @@ func fig5Fix() *term.Term {
 func TestFixpointFigure5(t *testing.T) {
 	for _, mode := range []FixMode{SemiNaive, Naive} {
 		db := loadedDB(t)
-		db.Mode = mode
+		SetFixMode(db, mode)
 		q := lera.Search(
 			[]*term.Term{fig5Fix()},
 			lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
@@ -208,11 +212,11 @@ func TestFixpointModesAgree(t *testing.T) {
 		rows := randomGraph(40, 80, seed)
 		run := func(mode FixMode) (*Relation, Counters) {
 			db := New(cat)
-			db.Mode = mode
+			SetFixMode(db, mode)
 			if err := db.Load("DOMINATE", rows); err != nil {
 				t.Fatal(err)
 			}
-			r, err := db.Eval(fig5Fix())
+			r, err := db.EvalCtx(context.Background(), fig5Fix())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +277,7 @@ func TestUnionInterDiff(t *testing.T) {
 	if len(d.Rows) != 0 {
 		t.Errorf("diff rows = %d", len(d.Rows))
 	}
-	if _, err := db.Eval(term.F(lera.OpInter, term.Set())); err == nil {
+	if _, err := db.EvalCtx(context.Background(), term.F(lera.OpInter, term.Set())); err == nil {
 		t.Error("empty intersection must error")
 	}
 }
@@ -319,7 +323,7 @@ func TestNestUnnestRoundTrip(t *testing.T) {
 		}
 	}
 	// Unnest of a non-collection column fails.
-	if _, err := db.Eval(lera.Unnest(lera.Rel("FILM"), 1)); err == nil {
+	if _, err := db.EvalCtx(context.Background(), lera.Unnest(lera.Rel("FILM"), 1)); err == nil {
 		t.Error("unnest scalar must fail")
 	}
 }
@@ -382,7 +386,7 @@ func TestEvalErrors(t *testing.T) {
 		term.F(lera.OpUnnest, lera.Nest(lera.Rel("APPEARS_IN"), []int{2}, "Actors"), term.Flt(2)),
 	}
 	for _, q := range bad {
-		if _, err := db.Eval(q); err == nil {
+		if _, err := db.EvalCtx(context.Background(), q); err == nil {
 			t.Errorf("Eval(%s) should fail", q)
 		}
 		if _, err := ReferenceEval(context.Background(), db, q); err == nil {
@@ -397,7 +401,7 @@ func TestEvalErrors(t *testing.T) {
 		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	if _, err := db2.Eval(q); err == nil {
+	if _, err := db2.EvalCtx(context.Background(), q); err == nil {
 		t.Error("dangling OID must error")
 	}
 }

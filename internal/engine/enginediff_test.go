@@ -110,7 +110,7 @@ func engineDiff(t *testing.T, cat *catalog.Catalog, opt diffOptions) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.Mode = v.mode
+		engine.SetFixMode(db, v.mode)
 		db.Parallelism = v.par
 		db.BatchSize = opt.batchSize
 		if v.spill {

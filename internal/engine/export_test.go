@@ -1,0 +1,13 @@
+package engine
+
+// FixMode names the fixpoint strategy a test selects through DB.naive.
+type FixMode bool
+
+// Fixpoint strategies.
+const (
+	SemiNaive FixMode = false
+	Naive     FixMode = true
+)
+
+// SetFixMode selects db's fixpoint strategy.
+func SetFixMode(db *DB, m FixMode) { db.naive = bool(m) }

@@ -31,7 +31,7 @@ func (db *DB) evalFix(t *term.Term, e env) (*Relation, error) {
 		g.progs = &searchCache{}
 		defer func() { g.progs = outer }()
 	}
-	if db.Mode == Naive {
+	if db.naive {
 		return db.fixNaive(name, body, e)
 	}
 	return db.fixSemiNaive(name, body, e)

@@ -173,7 +173,7 @@ func runOn(db *DB, q *term.Term, c runCfg) engineRun {
 	db.Parallelism = c.par
 	db.Limits = c.lim
 	db.SpillDir = c.spillDir
-	db.Mode = c.mode
+	SetFixMode(db, c.mode)
 	db.CollectStats = true
 	if c.fault > 0 {
 		// MEMBER reaches the ADT registry (Name resolves as a field

@@ -59,10 +59,10 @@ func TestFixIterationCapPerInstance(t *testing.T) {
 	const n = 50
 	for _, mode := range []FixMode{Naive, SemiNaive} {
 		db := chainDB(t, n)
-		db.Mode = mode
+		SetFixMode(db, mode)
 		db.Limits = guard.Limits{MaxFixIterations: n + 10}
 		q := lera.Union(tcFix("TC"), tcFix("TC2"))
-		r, err := db.Eval(q)
+		r, err := db.EvalCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("mode %v: per-instance cap must admit both fixpoints: %v", mode, err)
 		}
@@ -80,9 +80,9 @@ func TestFixIterationCapPerInstance(t *testing.T) {
 func TestFixIterationCapExceeded(t *testing.T) {
 	for _, mode := range []FixMode{Naive, SemiNaive} {
 		db := chainDB(t, 50)
-		db.Mode = mode
+		SetFixMode(db, mode)
 		db.Limits = guard.Limits{MaxFixIterations: 5}
-		_, err := db.Eval(tcFix("TC"))
+		_, err := db.EvalCtx(context.Background(), tcFix("TC"))
 		if err == nil {
 			t.Fatalf("mode %v: cap 5 must fail on a 50-chain closure", mode)
 		}
@@ -109,9 +109,9 @@ func TestFixIterationCapParity(t *testing.T) {
 	}{{n, false}, {n - 1, true}} {
 		for _, mode := range []FixMode{Naive, SemiNaive} {
 			db := chainDB(t, n)
-			db.Mode = mode
+			SetFixMode(db, mode)
 			db.Limits = guard.Limits{MaxFixIterations: tc.cap}
-			r, err := db.Eval(tcFix("TC"))
+			r, err := db.EvalCtx(context.Background(), tcFix("TC"))
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("mode %v cap %d: want iteration-cap error, got %d rows", mode, tc.cap, len(r.Rows))
@@ -135,7 +135,7 @@ func TestFixIterationCapParity(t *testing.T) {
 // interrupts a long-running naive fixpoint promptly.
 func TestCancelLongNaiveFixpoint(t *testing.T) {
 	db := chainDB(t, 600)
-	db.Mode = Naive
+	SetFixMode(db, Naive)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -154,7 +154,7 @@ func TestCancelLongNaiveFixpoint(t *testing.T) {
 // to run to completion before the first context check.
 func TestCancelLongSemiNaiveFixpoint(t *testing.T) {
 	db := chainDB(t, 600)
-	db.Mode = SemiNaive
+	SetFixMode(db, SemiNaive)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -171,14 +171,14 @@ func TestCancelLongSemiNaiveFixpoint(t *testing.T) {
 func TestRowBudget(t *testing.T) {
 	db := chainDB(t, 50)
 	db.Limits = guard.Limits{MaxRows: 100}
-	_, err := db.Eval(tcFix("TC"))
+	_, err := db.EvalCtx(context.Background(), tcFix("TC"))
 	if !errors.Is(err, guard.ErrRowBudget) {
 		t.Fatalf("got %v, want ErrRowBudget", err)
 	}
 	// Within budget the same query succeeds.
 	db2 := chainDB(t, 5)
 	db2.Limits = guard.Limits{MaxRows: 1000}
-	if _, err := db2.Eval(tcFix("TC")); err != nil {
+	if _, err := db2.EvalCtx(context.Background(), tcFix("TC")); err != nil {
 		t.Fatalf("within budget: %v", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestRowBudget(t *testing.T) {
 func TestADTPanicIsolated(t *testing.T) {
 	db := chainDB(t, 3)
 	inj := guard.NewInjector()
-	inj.Set("BOOMADT", guard.Fault{OnCall: 2, Mode: guard.FaultPanic, PanicValue: "adt kaboom"})
+	inj.Set("BOOMADT", guard.Fault{OnCall: 2, Mode: guard.FaultPanic})
 	db.Cat.ADTs.Register("BOOMADT", 1, true, func(args []value.Value) (value.Value, error) {
 		if err := inj.Hit(nil, "BOOMADT"); err != nil {
 			return value.Null, err
@@ -198,12 +198,12 @@ func TestADTPanicIsolated(t *testing.T) {
 		lera.TrueQual(),
 		[]*term.Term{lera.Call("BOOMADT", lera.Attr(1, 1))},
 	)
-	_, err := db.Eval(q)
+	_, err := db.EvalCtx(context.Background(), q)
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
 	}
-	if ee.Kind != guard.ExtADT || ee.External != "BOOMADT" || ee.Panic != "adt kaboom" {
+	if ee.Kind != guard.ExtADT || ee.External != "BOOMADT" || ee.Panic != "injected panic (BOOMADT call 2)" {
 		t.Errorf("fields = %+v", ee)
 	}
 	if got := inj.Calls("BOOMADT"); got != 2 {

@@ -6,6 +6,7 @@ package engine
 // canonical row sets.
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -44,7 +45,7 @@ func lawDB(t *testing.T, r *rand.Rand) *DB {
 
 func canonRel(t *testing.T, db *DB, q *term.Term) string {
 	t.Helper()
-	rel, err := db.Eval(q)
+	rel, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("eval %s: %v", lera.Format(q), err)
 	}

@@ -50,10 +50,10 @@ func unionQuery() *term.Term {
 func evalAt(t *testing.T, n, parallelism int, mode FixMode, q *term.Term) (*Relation, Counters, string) {
 	t.Helper()
 	db := chainDB(t, n)
-	db.Mode = mode
+	SetFixMode(db, mode)
 	db.Parallelism = parallelism
 	db.CollectStats = true
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", parallelism, err)
 	}
@@ -105,7 +105,7 @@ func TestParallelRowBudget(t *testing.T) {
 	db := chainDB(t, 50)
 	db.Parallelism = 4
 	db.Limits = guard.Limits{MaxRows: 100}
-	_, err := db.Eval(tcFix("TC"))
+	_, err := db.EvalCtx(context.Background(), tcFix("TC"))
 	if !errors.Is(err, guard.ErrRowBudget) {
 		t.Fatalf("got %v, want ErrRowBudget", err)
 	}
@@ -149,7 +149,7 @@ func TestEmptyResultPreservesArity(t *testing.T) {
 		lera.TrueQual(),
 		[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)},
 	)
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEmptyResultPreservesArity(t *testing.T) {
 		lera.Ands(term.C(value.Bool(false))),
 		[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2), lera.Attr(1, 1)},
 	)
-	rf, err := db.Eval(qf)
+	rf, err := db.EvalCtx(context.Background(), qf)
 	if err != nil {
 		t.Fatal(err)
 	}

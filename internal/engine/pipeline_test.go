@@ -53,7 +53,7 @@ func fanoutDB(t *testing.T, keys, fanout, rwidth int) *DB {
 // warm-up evaluation (index build, lazy set-up), and its row count.
 func evalAllocBytes(t *testing.T, db *DB, q *term.Term) (uint64, int) {
 	t.Helper()
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 4
@@ -61,7 +61,7 @@ func evalAllocBytes(t *testing.T, db *DB, q *term.Term) (uint64, int) {
 	runtime.ReadMemStats(&before)
 	rows := 0
 	for i := 0; i < runs; i++ {
-		rel, err := db.Eval(q)
+		rel, err := db.EvalCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func checkStageOutputsExact(t *testing.T) {
 	db := fanoutDB(t, keys, fanout, rwidth)
 	db.g = &evalGuard{ctx: context.Background(), rows: &guard.Budget{}}
 	defer func() { db.g = nil }()
-	l, r := db.Stored("L"), db.Stored("R")
+	l, r := stored(db, "L"), stored(db, "R")
 	eq := lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))
 	some := lera.Cmp(">", lera.Attr(1, 1), term.Num(keys/2))
 	projs := []*term.Term{lera.Attr(1, 1), lera.Attr(2, 2)}
@@ -262,7 +262,7 @@ func TestNestTupleAllocs(t *testing.T) {
 	var rel *Relation
 	allocs := testing.AllocsPerRun(5, func() {
 		var err error
-		if rel, err = db.Eval(q); err != nil {
+		if rel, err = db.EvalCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func statsFor(t *testing.T, db *DB, q *term.Term) *OpStats {
 	t.Helper()
 	db.CollectStats = true
 	defer func() { db.CollectStats = false }()
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatalf("eval %s: %v", lera.Format(q), err)
 	}
 	root := db.LastExecStats()
@@ -75,7 +76,7 @@ func TestExecStatsFixRounds(t *testing.T) {
 	for _, mode := range []FixMode{SemiNaive, Naive} {
 		db := chainDB(t, 4) // 5 nodes, 10 transitive-closure pairs
 		q := tcFix("TC")
-		db.Mode = mode
+		SetFixMode(db, mode)
 		root := statsFor(t, db, q)
 		fix := findOp(root, lera.OpFix)
 		if fix == nil {
@@ -155,7 +156,7 @@ func TestExecStatsDisabledCheap(t *testing.T) {
 	db := loadedDB(t)
 	q := lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(),
 		[]*term.Term{lera.Attr(1, 2)})
-	if _, err := db.Eval(q); err != nil {
+	if _, err := db.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if db.LastExecStats() != nil {
@@ -169,13 +170,17 @@ func TestExecStatsDisabledCheap(t *testing.T) {
 func TestForkCarriesCollectStats(t *testing.T) {
 	db := loadedDB(t)
 	db.CollectStats = true
+	SetFixMode(db, Naive)
 	fork := db.Fork()
 	if !fork.CollectStats {
 		t.Fatal("Fork dropped CollectStats")
 	}
+	if !fork.naive {
+		t.Fatal("Fork dropped the naive fixpoint strategy")
+	}
 	q := lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(),
 		[]*term.Term{lera.Attr(1, 2)})
-	if _, err := fork.Eval(q); err != nil {
+	if _, err := fork.EvalCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if fork.LastExecStats() == nil {

@@ -17,8 +17,6 @@ package guard
 //     order. Under concurrency the *assignment* of indices to callers
 //     follows arrival order at the lock; a test that needs call K to be
 //     a specific request must serialize those requests.
-//   - Reset zeroes the counters but keeps faults armed, so a warm-up
-//     phase can be excluded and the armed schedule replayed exactly.
 //   - The same injector instance may be shared by every consumer of a
 //     pipeline (rewrite constraints/methods/builtins, engine ADT calls,
 //     server request hooks): names are a flat namespace, so arming
@@ -47,9 +45,10 @@ type FaultMode int
 const (
 	// FaultNone: fire as a no-op (the call is still counted).
 	FaultNone FaultMode = iota
-	// FaultPanic: panic with PanicValue (default "injected panic").
+	// FaultPanic: panic with "injected panic (<name> call <n>)".
 	FaultPanic
-	// FaultError: return Err (default a generic injected error).
+	// FaultError: return an error wrapping ErrInjected that names the
+	// external and the call.
 	FaultError
 	// FaultStall: block for Stall, or until the supplied context is done,
 	// whichever comes first; a cancelled context returns its (typed)
@@ -70,10 +69,6 @@ type Fault struct {
 	Mode  FaultMode
 	// Stall is the FaultStall duration.
 	Stall time.Duration
-	// Err overrides the FaultError error.
-	Err error
-	// PanicValue overrides the FaultPanic value.
-	PanicValue any
 }
 
 // Injector counts calls per external name and fires armed faults. Safe
@@ -104,20 +99,6 @@ func (in *Injector) Calls(name string) int {
 	return in.calls[name]
 }
 
-// Clear disarms the named external's fault (its call counter is kept).
-func (in *Injector) Clear(name string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.faults, name)
-}
-
-// Reset zeroes all call counters (armed faults stay armed).
-func (in *Injector) Reset() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.calls = map[string]int{}
-}
-
 // Hit records one call to the named external and fires its armed fault if
 // the call index matches. ctx may be nil; it is only consulted by
 // FaultStall. A nil injector fires nothing and counts nothing.
@@ -145,15 +126,8 @@ func (in *Injector) Hit(ctx context.Context, name string) error {
 	}
 	switch f.Mode {
 	case FaultPanic:
-		p := f.PanicValue
-		if p == nil {
-			p = fmt.Sprintf("injected panic (%s call %d)", name, n)
-		}
-		panic(p)
+		panic(fmt.Sprintf("injected panic (%s call %d)", name, n))
 	case FaultError:
-		if f.Err != nil {
-			return f.Err
-		}
 		return fmt.Errorf("%w (%s call %d)", ErrInjected, name, n)
 	case FaultStall:
 		timer := time.NewTimer(f.Stall)

@@ -3,6 +3,7 @@ package guard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -92,21 +93,11 @@ func TestInjectorDeterminism(t *testing.T) {
 		t.Fatalf("Calls: got %d, want 5", got)
 	}
 	// OnCall 0 fires every time.
-	in.Set("g", Fault{Mode: FaultError, Err: errors.New("always")})
-	for i := 0; i < 2; i++ {
-		if err := in.Hit(nil, "g"); err == nil || err.Error() != "always" {
-			t.Fatalf("OnCall=0 should fire every call, got %v", err)
-		}
-	}
-	// Reset zeroes counters but keeps faults armed.
-	in.Reset()
-	if got := in.Calls("f"); got != 0 {
-		t.Fatalf("Reset: Calls=%d, want 0", got)
-	}
-	for i := 1; i <= 3; i++ {
-		err := in.Hit(nil, "f")
-		if (i == 3) != (err != nil) {
-			t.Fatalf("after Reset, call %d: err=%v", i, err)
+	in.Set("g", Fault{Mode: FaultError})
+	for i := 1; i <= 2; i++ {
+		err := in.Hit(nil, "g")
+		if want := fmt.Sprintf("guard: injected fault (g call %d)", i); err == nil || err.Error() != want || !errors.Is(err, ErrInjected) {
+			t.Fatalf("OnCall=0 should fire every call: got %v, want %q wrapping ErrInjected", err, want)
 		}
 	}
 	// A nil injector is the chaos-off pipeline: nothing armed, nothing
@@ -119,10 +110,10 @@ func TestInjectorDeterminism(t *testing.T) {
 
 func TestInjectorPanic(t *testing.T) {
 	in := NewInjector()
-	in.Set("p", Fault{OnCall: 1, Mode: FaultPanic, PanicValue: "boom"})
+	in.Set("p", Fault{OnCall: 1, Mode: FaultPanic})
 	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
+		if r := recover(); r != "injected panic (p call 1)" {
+			t.Fatalf("recovered %v, want injected panic (p call 1)", r)
 		}
 	}()
 	_ = in.Hit(nil, "p")

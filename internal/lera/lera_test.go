@@ -257,12 +257,6 @@ func TestInferFigure3(t *testing.T) {
 	if s.Cols[1].Type.Name != "SetCategory" {
 		t.Errorf("Categories type = %s", s.Cols[1].Type)
 	}
-	if j, ok := s.Index("salary"); !ok || j != 3 {
-		t.Errorf("Index(salary) = %d, %v", j, ok)
-	}
-	if _, ok := s.Index("none"); ok {
-		t.Error("unknown column")
-	}
 	if _, ok := s.Col(0); ok {
 		t.Error("Col(0) out of range")
 	}

@@ -32,16 +32,6 @@ func (s *Schema) Col(j int) (catalog.Column, bool) {
 	return s.Cols[j-1], true
 }
 
-// Index returns the 1-based index of a named column.
-func (s *Schema) Index(name string) (int, bool) {
-	for i, c := range s.Cols {
-		if strings.EqualFold(c.Name, name) {
-			return i + 1, true
-		}
-	}
-	return 0, false
-}
-
 // String renders "name:TYPE, ..." for traces and tests.
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Cols))

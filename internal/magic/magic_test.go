@@ -1,10 +1,12 @@
 package magic
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"lera/internal/engine"
+	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/rewrite"
 	"lera/internal/rules"
@@ -70,7 +72,7 @@ func quinnQuery() *term.Term {
 // into a search over a focused fixpoint with filtered seeds.
 func TestFigure9RuleFires(t *testing.T) {
 	e := fixEngine(t)
-	out, st, err := e.Run(quinnQuery())
+	out, st, err := e.RunCtx(context.Background(), quinnQuery(), guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestFigure9RuleFires(t *testing.T) {
 	// Idempotent: running again does not re-fire endlessly (the rewritten
 	// fix has a filtered seed; adornment still finds the outer binding,
 	// but the result converges because rewriting yields an equal term).
-	out2, _, err := e.Run(out)
+	out2, _, err := e.RunCtx(context.Background(), out, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +122,14 @@ func TestFocusedEqualsUnfocused(t *testing.T) {
 			for oid, o := range objs {
 				db.SetObject(oid, o)
 			}
-			r, err := db.Eval(q)
+			r, err := db.EvalCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return distinct(r), db.Count
 		}
 		orig := quinnQuery()
-		focused, _, err := e.Run(orig)
+		focused, _, err := e.RunCtx(context.Background(), orig, guard.Limits{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +189,7 @@ func TestAdornmentVetoWhenFree(t *testing.T) {
 		lera.TrueQual(),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out, st, err := e.Run(q)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestNonEqualityBindingVetoes(t *testing.T) {
 		lera.Ands(lera.Cmp(">", lera.Attr(1, 2), term.Num(0))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	_, st, err := e.Run(q)
+	_, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestLeftLinearDirection(t *testing.T) {
 		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 1)), term.Str("Quinn"))),
 		[]*term.Term{lera.Attr(1, 2)},
 	)
-	out, st, err := e.Run(q)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestLeftLinearDirection(t *testing.T) {
 	for oid, o := range inst.Objects {
 		db.SetObject(oid, o)
 	}
-	r, err := db.Eval(out)
+	r, err := db.EvalCtx(context.Background(), out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +271,7 @@ func TestUnsupportedShapesVeto(t *testing.T) {
 	q := lera.Search([]*term.Term{fx},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 1)})
-	_, st, err := e.Run(q)
+	_, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestUnsupportedShapesVeto(t *testing.T) {
 	q2 := lera.Search([]*term.Term{fx2},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 1)})
-	_, st2, err := e.Run(q2)
+	_, st2, err := e.RunCtx(context.Background(), q2, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +297,7 @@ func TestUnsupportedShapesVeto(t *testing.T) {
 	q3 := lera.Search([]*term.Term{fx3},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 1)})
-	_, st3, err := e.Run(q3)
+	_, st3, err := e.RunCtx(context.Background(), q3, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestLinearRecursionFocuses(t *testing.T) {
 	q := lera.Search([]*term.Term{fx},
 		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
 		[]*term.Term{lera.Attr(1, 1)})
-	out, st, err := e.Run(q)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +343,11 @@ func TestLinearRecursionFocuses(t *testing.T) {
 		}
 		return db
 	}
-	r1, err := load().Eval(q)
+	r1, err := load().EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := load().Eval(out)
+	r2, err := load().EvalCtx(context.Background(), out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +363,7 @@ func TestLinearRecursionFocuses(t *testing.T) {
 func TestFocusedOnCyclicGraphs(t *testing.T) {
 	cat, _ := testdb.Catalog()
 	e := fixEngine(t)
-	focused, _, err := e.Run(quinnQuery())
+	focused, _, err := e.RunCtx(context.Background(), quinnQuery(), guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestFocusedOnCyclicGraphs(t *testing.T) {
 		for oid, o := range objs {
 			db.SetObject(oid, o)
 		}
-		r, err := db.Eval(q)
+		r, err := db.EvalCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,8 +60,8 @@ func TestStoreReplaceKeepsOneEntry(t *testing.T) {
 	if ev := c.Store(tm(1), tm(201), 1, "e2"); ev != 0 {
 		t.Fatalf("replace evicted %d", ev)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Snapshot().Entries != 1 {
+		t.Fatalf("len = %d", c.Snapshot().Entries)
 	}
 	got, np, _, st := c.Lookup(tm(1), "e2")
 	if st != Hit || !term.Equal(got, tm(201)) || np != 1 {
@@ -108,8 +108,8 @@ func TestPeekIsReadOnly(t *testing.T) {
 		t.Fatal("peek refreshed LRU order; 1 should have been evicted")
 	}
 	// And a stale peek must not drop the entry.
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Snapshot().Entries != 2 {
+		t.Fatalf("len = %d", c.Snapshot().Entries)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestClearPreservesCounters(t *testing.T) {
 	if n := c.Clear(); n != 2 {
 		t.Fatalf("cleared %d entries", n)
 	}
-	if c.Len() != 0 || c.Rejected(7) {
+	if c.Snapshot().Entries != 0 || c.Rejected(7) {
 		t.Fatal("clear must drop entries and the reject set")
 	}
 	s := c.Snapshot()
@@ -197,7 +197,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 8 {
-		t.Fatalf("len %d exceeds capacity", c.Len())
+	if c.Snapshot().Entries > 8 {
+		t.Fatalf("len %d exceeds capacity", c.Snapshot().Entries)
 	}
 }

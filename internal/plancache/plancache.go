@@ -218,13 +218,6 @@ func (c *Cache) Clear() int {
 	return n
 }
 
-// Len returns the current number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Snapshot returns the cumulative counters plus current size/capacity.
 func (c *Cache) Snapshot() Stats {
 	c.mu.Lock()

@@ -1,9 +1,9 @@
 // Package provenance resolves build identity — git commit and Go
-// toolchain version — for the lera_build_info metric and benchmark
-// result stamping. It prefers the vcs stamp the Go linker embeds in
-// module builds (debug.ReadBuildInfo, available even in a deployed
-// binary far from the checkout) and falls back to asking git directly,
-// which covers `go run` from the repo where no stamp is embedded.
+// toolchain version — for the lera_build_info metric leraserver exports.
+// It prefers the vcs stamp the Go linker embeds in module builds
+// (debug.ReadBuildInfo, available even in a deployed binary far from the
+// checkout) and falls back to asking git directly, which covers `go run`
+// from the repo where no stamp is embedded.
 package provenance
 
 import (

@@ -6,11 +6,13 @@ package rewrite_test
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"strings"
 	"testing"
 
 	"lera/internal/core"
+	"lera/internal/guard"
 	"lera/internal/rewrite"
 	"lera/internal/term"
 )
@@ -46,6 +48,7 @@ func corpusRoots(t *testing.T) ([]*term.Term, *core.Rewriter) {
 			out = append(out, q)
 		}
 	}
+	eng := rewrite.New(rw.RS, rw.Ext, rw.Cat, rewrite.Options{})
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -63,7 +66,7 @@ func corpusRoots(t *testing.T) ([]*term.Term, *core.Rewriter) {
 			add(r.Initial)
 			add(r.Rewritten)
 			for _, blk := range rw.RS.Sequence.Blocks {
-				if q, _, err := rw.RewriteBlock(r.Initial, blk); err == nil {
+				if q, _, err := eng.RunBlockCtx(context.Background(), r.Initial, blk, guard.Limits{}, false); err == nil {
 					add(q)
 				}
 			}

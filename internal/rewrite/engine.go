@@ -286,12 +286,6 @@ type Options struct {
 	// BlockLimitOverride, if non-nil, replaces every block's limit —
 	// the §7 dynamic-limit hook. New calls it once per block.
 	BlockLimitOverride func(block string, declared int) int
-	// FullScan disables the rule/site index and walks the whole term once
-	// per rule per iteration, as the engine did before indexing. The two
-	// paths produce identical rewrites and identical ConditionChecks (the
-	// differential regression test pins this); FullScan only exists as
-	// that test's oracle and as an escape hatch.
-	FullScan bool
 	// Injector, when non-nil, is hit (by uppercase external name) before
 	// every constraint, method and builtin invocation, so armed faults
 	// fire deterministically inside live rewrites — the shared chaos/test
@@ -418,14 +412,12 @@ type runState struct {
 }
 
 // attempt is what the match continuation needs of the attempt in flight.
-// The site is an index entry (id >= 0) or, on the full-scan path, the
-// walk's path; either is copied into runState.site only once a match
-// completes.
+// The site is a site index entry, whose path is materialized into
+// runState.site only once a match completes.
 type attempt struct {
 	rule     *rules.Rule
 	budget   *int
 	id       int32
-	walkPath term.Path
 	haveSite bool
 	err      error
 }
@@ -456,12 +448,6 @@ func (e *Engine) release(r *runState) {
 	r.cx, r.at = Ctx{}, attempt{}
 	r.ctx, r.rec, r.st, r.last = nil, nil, nil, nil
 	e.pool.Put(r)
-}
-
-// Run rewrites q under the rule set's sequence meta-rule with no
-// cancellation and no budget (see RunCtx).
-func (e *Engine) Run(q *term.Term) (*term.Term, *Stats, error) {
-	return e.RunCtx(context.Background(), q, guard.Limits{}, false)
 }
 
 // RunCtx rewrites q under the rule set's sequence meta-rule. Cancellation
@@ -508,14 +494,9 @@ func (r *runState) runSequence(q *term.Term) (*term.Term, error) {
 	return q, nil
 }
 
-// RunBlock applies a single named block to q (used by tests and the §7
-// per-phase experiments).
-func (e *Engine) RunBlock(q *term.Term, blockName string) (*term.Term, *Stats, error) {
-	return e.RunBlockCtx(context.Background(), q, blockName, guard.Limits{}, false)
-}
-
-// RunBlockCtx is RunBlock under RunCtx's per-request inputs, with the same
-// contract on error.
+// RunBlockCtx applies a single named block to q — one §4.2 block alone,
+// the unit the rule libraries' tests pin — under RunCtx's per-request
+// inputs, with the same contract on error.
 func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string, lim guard.Limits, simple bool) (*term.Term, *Stats, error) {
 	b, ok := e.blocks[blockName]
 	if !ok {
@@ -548,8 +529,7 @@ func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 			r.rec.End(blockSpan)
 		}()
 	}
-	indexed := !r.e.Opts.FullScan
-	if indexed && budget > 0 {
+	if budget > 0 {
 		// One walk per pass: the site index stays valid for every rule of
 		// the pass, since the term only changes on a committed application.
 		r.ix.rebuild(q)
@@ -557,15 +537,7 @@ func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 	for budget > 0 {
 		applied := false
 		for i := range b.rules {
-			rule := &b.rules[i]
-			var nq *term.Term
-			var ok bool
-			var err error
-			if indexed {
-				nq, ok, err = r.applyOnceIndexed(q, rule, b.name, &budget)
-			} else {
-				nq, ok, err = r.applyOnce(q, rule.Rule, b.name, &budget)
-			}
+			nq, ok, err := r.applyOnce(q, &b.rules[i], b.name, &budget)
 			if err != nil {
 				return nil, err
 			}
@@ -573,9 +545,7 @@ func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 				q = nq
 				r.last = q
 				applied = true
-				if indexed {
-					r.ix.rebuild(q)
-				}
+				r.ix.rebuild(q)
 				break // restart from the first rule of the block
 			}
 			if budget <= 0 {
@@ -612,52 +582,18 @@ const (
 	siteStop
 )
 
-// applyOnce tries to apply rule at the topmost-leftmost applicable site by
-// walking the whole term — the pre-index control strategy, kept behind
-// Options.FullScan as the differential-testing oracle.
-func (r *runState) applyOnce(q *term.Term, rule *rules.Rule, blockName string, budget *int) (*term.Term, bool, error) {
-	var result *term.Term
-	var applyErr error
-	found := false
-	term.Walk(q, func(sub *term.Term, path term.Path) bool {
-		if sub.Kind != term.Fun || *budget <= 0 {
-			return *budget > 0
-		}
-		res, outcome, err := r.tryRuleAtSite(q, rule, blockName, sub, -1, path, budget)
-		if err != nil {
-			applyErr = err
-			return false
-		}
-		switch outcome {
-		case siteApplied:
-			result = res
-			found = true
-			return false
-		case siteStop:
-			return false
-		}
-		return *budget > 0
-	})
-	if applyErr != nil {
-		return nil, false, applyErr
-	}
-	return result, found, nil
-}
-
-// tryRuleAtSite attempts one rule at one Fun site, given as site index
-// entry id or (id < 0) as the full-scan walk's path. It is the single match
-// loop shared by the indexed and the full-scan paths, so the two cannot
-// drift apart semantically. Nothing is allocated until a match completes:
+// tryRuleAtSite attempts one rule at one Fun site, site index entry id.
+// Nothing is allocated until a match completes:
 // the attempt reuses the run's bindings, Ctx and continuation, and the
 // site's root path is only materialized (into the run's buffer) once a
 // complete LHS match needs it for constraints, methods, replacement and
 // traces.
-func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, id int32, walkPath term.Path, budget *int) (*term.Term, siteOutcome, error) {
+func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, id int32, budget *int) (*term.Term, siteOutcome, error) {
 	e, st := r.e, r.st
 	st.MatchAttempts++
 	r.bind.Reset()
 	r.cx = Ctx{Cat: e.Cat, Root: q, Bind: &r.bind, Rule: rule.Name, run: r}
-	r.at = attempt{rule: rule, budget: budget, id: id, walkPath: walkPath}
+	r.at = attempt{rule: rule, budget: budget, id: id}
 	matched := term.Match(rule.LHS, sub, &r.bind, r.accept)
 	if err := r.at.err; err != nil {
 		return nil, siteStop, err
@@ -726,11 +662,7 @@ func (r *runState) acceptMatch() bool {
 		return true
 	}
 	if !at.haveSite {
-		if at.id >= 0 {
-			r.site = r.ix.path(r.site, at.id)
-		} else {
-			r.site = append(r.site[:0], at.walkPath...)
-		}
+		r.site = r.ix.path(r.site, at.id)
 		r.cx.Site = r.site
 		at.haveSite = true
 	}

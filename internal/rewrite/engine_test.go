@@ -29,7 +29,7 @@ func newEngine(t *testing.T, src string, opts Options) *Engine {
 
 func run(t *testing.T, e *Engine, q *term.Term) (*term.Term, *Stats) {
 	t.Helper()
-	out, st, err := e.Run(q)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,25 +195,25 @@ func TestMethodVeto(t *testing.T) {
 
 func TestMethodErrors(t *testing.T) {
 	e := newEngine(t, "rule r: F(x) --> a / NOSUCHMETHOD(x, a);", Options{})
-	if _, _, err := e.Run(term.F("F", term.Num(1))); err == nil {
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
 		t.Error("unknown method must error")
 	}
 	e2 := newEngine(t, "rule r: F(x) --> a / EVALUATE(x);", Options{})
-	if _, _, err := e2.Run(term.F("F", term.Num(1))); err == nil {
+	if _, _, err := e2.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
 		t.Error("bad EVALUATE arity must error")
 	}
 }
 
 func TestUnknownConstraintErrors(t *testing.T) {
 	e := newEngine(t, "rule r: F(x) / MYSTERY(x) --> G(x);", Options{})
-	if _, _, err := e.Run(term.F("F", term.Num(1))); err == nil {
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
 		t.Error("unknown constraint must error")
 	}
 }
 
 func TestUnboundRHSVariableErrors(t *testing.T) {
 	e := newEngine(t, "rule r: F(x) --> G(x, q9);", Options{})
-	if _, _, err := e.Run(term.F("F", term.Num(1))); err == nil {
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
 		t.Error("unbound RHS variable must error")
 	}
 }
@@ -236,7 +236,7 @@ func TestMaxChecksGuard(t *testing.T) {
 	defer func(saved int) { maxChecks = saved }(maxChecks)
 	maxChecks = 500
 	e := newEngine(t, "rule grow: F(x) --> F(S(x));", Options{})
-	if _, _, err := e.Run(term.F("F", term.Num(1))); err == nil {
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
 		t.Error("non-terminating rule set must be cut by maxChecks")
 	}
 }
@@ -334,11 +334,11 @@ rule r: FF(x) --> GG(x);
 block(b, {r}, inf);
 `
 	e := newEngine(t, src, Options{})
-	out, st, err := e.RunBlock(term.F("FF", term.Num(1)), "b")
+	out, st, err := e.RunBlockCtx(context.Background(), term.F("FF", term.Num(1)), "b", guard.Limits{}, false)
 	if err != nil || out.String() != "GG(1)" || st.Applications != 1 {
 		t.Errorf("RunBlock: %s %v %v", out, st, err)
 	}
-	if _, _, err := e.RunBlock(term.Num(1), "nosuch"); err == nil {
+	if _, _, err := e.RunBlockCtx(context.Background(), term.Num(1), "nosuch", guard.Limits{}, false); err == nil {
 		t.Error("unknown block must error")
 	}
 }

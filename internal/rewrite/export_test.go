@@ -10,6 +10,42 @@ import (
 	"lera/internal/value"
 )
 
+// FullScan returns a copy of e whose compiled rules all carry the headAny
+// filter, so every rule is attempted at every Fun site of the term in
+// preorder: the match loop as it was before the rule/site index, kept as
+// the oracle the index is pinned to. A differential against it checks
+// exactly what the filters add.
+func FullScan(e *Engine) *Engine {
+	c := &Engine{RS: e.RS, Ext: e.Ext, Cat: e.Cat, Opts: e.Opts, blocks: make(map[string]*block, len(e.blocks)), rounds: e.rounds}
+	scan := func(b *block) *block {
+		nb := *b
+		nb.rules = make([]blockRule, len(b.rules))
+		for i, r := range b.rules {
+			nb.rules[i] = blockRule{Rule: r.Rule, filter: lhsFilter{kind: headAny}}
+		}
+		return &nb
+	}
+	for name, b := range e.blocks {
+		c.blocks[name] = scan(b)
+	}
+	for _, b := range e.seq {
+		c.seq = append(c.seq, scan(b))
+	}
+	return c
+}
+
+// SitePaths indexes root and returns, for every site index entry in id
+// order, its node and the root path the index materializes for it.
+func SitePaths(root *term.Term) (nodes []*term.Term, paths []term.Path) {
+	var ix siteIndex
+	ix.rebuild(root)
+	for id, e := range ix.sites {
+		nodes = append(nodes, e.node)
+		paths = append(paths, ix.path(nil, int32(id)))
+	}
+	return nodes, paths
+}
+
 // evalConstraintOracle is the constraint evaluator as it was before checks
 // stopped building terms: instantiate the whole constraint, then dispatch
 // on the instantiated head. TestConstraintChecksMatchOracle pins

@@ -19,14 +19,14 @@ import (
 func TestConstraintPanicIsolated(t *testing.T) {
 	e := newEngine(t, "rule rc: FF(x) / BOOMC(x) --> GG(x);", Options{})
 	inj := guard.NewInjector()
-	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic, PanicValue: "constraint kaboom"})
+	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})
 	e.Ext.RegisterConstraint("BOOMC", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		if err := inj.Hit(ctx.Context(), "BOOMC"); err != nil {
 			return false, err
 		}
 		return true, nil
 	})
-	_, _, err := e.Run(term.F("FF", term.Num(1)))
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{}, false)
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
@@ -43,7 +43,7 @@ func TestConstraintPanicIsolated(t *testing.T) {
 	if ee.Site == "" {
 		t.Errorf("site must name the match path")
 	}
-	if ee.Panic != "constraint kaboom" {
+	if ee.Panic != "injected panic (BOOMC call 1)" {
 		t.Errorf("panic = %v", ee.Panic)
 	}
 }
@@ -53,7 +53,7 @@ func TestMethodPanicIsolated(t *testing.T) {
 	e.Ext.RegisterMethod("BOOMM", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		panic("method kaboom")
 	})
-	_, _, err := e.Run(term.F("FF", term.Num(1)))
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{}, false)
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
@@ -68,7 +68,7 @@ func TestBuiltinPanicIsolated(t *testing.T) {
 	e.Ext.RegisterBuiltin("BOOMB", func(ctx *Ctx, args []*term.Term) (*term.Term, error) {
 		panic("builtin kaboom")
 	})
-	_, _, err := e.Run(term.F("FF", term.Num(1)))
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{}, false)
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
@@ -143,7 +143,7 @@ rule boom: BB(x) / BOOMC(x) --> CC(x);
 	e.Ext.RegisterConstraint("BOOMC", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		panic("late kaboom")
 	})
-	lg, _, err := e.Run(term.F("AA", term.Num(1)))
+	lg, _, err := e.RunCtx(context.Background(), term.F("AA", term.Num(1)), guard.Limits{}, false)
 	if err == nil {
 		t.Fatal("want error from panicking constraint")
 	}

@@ -174,11 +174,10 @@ func (ix *siteIndex) path(p term.Path, id int32) term.Path {
 	return p
 }
 
-// applyOnceIndexed is applyOnce over the site index: same rule, same
-// topmost-leftmost site order, same budget accounting, but only candidate
-// sites are attempted. The shared tryRuleAtSite keeps the two paths'
-// behavior identical by construction.
-func (r *runState) applyOnceIndexed(q *term.Term, rule *blockRule, blockName string, budget *int) (*term.Term, bool, error) {
+// applyOnce tries to apply rule at the topmost-leftmost applicable site:
+// the candidate sites its filter admits, in preorder, each attempt counted
+// against the block's budget.
+func (r *runState) applyOnce(q *term.Term, rule *blockRule, blockName string, budget *int) (*term.Term, bool, error) {
 	f := rule.filter
 	var ids []int32
 	switch f.kind {
@@ -206,7 +205,7 @@ func (r *runState) applyOnceIndexed(q *term.Term, rule *blockRule, blockName str
 		if !f.admits(site) {
 			continue
 		}
-		res, outcome, err := r.tryRuleAtSite(q, rule.Rule, blockName, site, id, nil, budget)
+		res, outcome, err := r.tryRuleAtSite(q, rule.Rule, blockName, site, id, budget)
 		if err != nil {
 			return nil, false, err
 		}

@@ -104,12 +104,12 @@ func differentialQueries() []*term.Term {
 func TestIndexedMatchesFullScan(t *testing.T) {
 	for i, q := range differentialQueries() {
 		idx := newEngine(t, differentialRules, Options{})
-		full := newEngine(t, differentialRules, Options{FullScan: true})
-		oi, si, err := idx.Run(q)
+		full := FullScan(newEngine(t, differentialRules, Options{}))
+		oi, si, err := idx.RunCtx(context.Background(), q, guard.Limits{}, false)
 		if err != nil {
 			t.Fatalf("query %d indexed: %v", i, err)
 		}
-		of, sf, err := full.Run(q)
+		of, sf, err := full.RunCtx(context.Background(), q, guard.Limits{}, false)
 		if err != nil {
 			t.Fatalf("query %d full-scan: %v", i, err)
 		}
@@ -140,12 +140,12 @@ func TestIndexSkipsNonCandidateSites(t *testing.T) {
 	q := term.F("BAZ", term.F("BAZ", term.F("BAZ", term.F("FOO", term.Num(1)))))
 
 	idx := newEngine(t, src.String(), Options{})
-	_, si, err := idx.Run(q)
+	_, si, err := idx.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := newEngine(t, src.String(), Options{FullScan: true})
-	_, sf, err := full.Run(q)
+	full := FullScan(newEngine(t, src.String(), Options{}))
+	_, sf, err := full.RunCtx(context.Background(), q, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,20 +189,11 @@ func TestVarHeadRuleStillMatchesEverywhere(t *testing.T) {
 	}
 }
 
-func TestFullScanOptionStillWorks(t *testing.T) {
-	e := newEngine(t, "rule r: FOO(x) --> BAR(x);", Options{FullScan: true})
-	out, st := run(t, e, term.F("WRAP", term.F("FOO", term.Num(1))))
-	if out.String() != "WRAP(BAR(1))" || st.Applications != 1 {
-		t.Errorf("out = %s, applications = %d", out, st.Applications)
-	}
-}
-
 // TestFailedMatchAttemptAllocs: an attempt whose LHS head passes the site
 // filter but fails deeper — after ordered splits, multiset picks that
 // leave a scattered remainder, a partition over two collection variables,
-// a function-variable head — allocates nothing, on the indexed and on the
-// full-scan path: the run's bindings, goal stack, Ctx and continuation are
-// reused and the site path is never built.
+// a function-variable head — allocates nothing: the run's bindings, goal
+// stack, Ctx and continuation are reused and the site path is never built.
 func TestFailedMatchAttemptAllocs(t *testing.T) {
 	const src = `
 rule merge: SEARCH(LIST(x*, SEARCH(ll, ff, pp), z*), f, p) --> SEARCH(APPENDL(x*, ll, z*), ANDMERGE(f, ff), p);
@@ -230,19 +221,14 @@ rule fv: F(GUARDED(x), NOMATCH()) --> F(x);
 		r := e.newRun(context.Background(), q, guard.Limits{}, false)
 		r.ix.rebuild(q)
 		budget := math.MaxInt
-		for _, path := range []struct {
-			name string
-			id   int32
-		}{{"indexed", 0}, {"full-scan", -1}} {
-			attempt := func() {
-				if _, out, err := r.tryRuleAtSite(q, rule, "b", q, path.id, term.Path{}, &budget); err != nil || out != siteNoMatch {
-					t.Fatalf("%s: outcome %v, err %v; want no match", c.rule, out, err)
-				}
+		attempt := func() {
+			if _, out, err := r.tryRuleAtSite(q, rule, "b", q, 0, &budget); err != nil || out != siteNoMatch {
+				t.Fatalf("%s: outcome %v, err %v; want no match", c.rule, out, err)
 			}
-			attempt() // size the run's scratch
-			if n := testing.AllocsPerRun(100, attempt); n != 0 {
-				t.Errorf("%s (%s): a failed attempt allocates %.0f times, want 0", c.rule, path.name, n)
-			}
+		}
+		attempt() // size the run's scratch
+		if n := testing.AllocsPerRun(100, attempt); n != 0 {
+			t.Errorf("%s: a failed attempt allocates %.0f times, want 0", c.rule, n)
 		}
 		if r.st.ConditionChecks != 0 {
 			t.Errorf("%s: %d condition checks, want 0 (the match must fail before k)", c.rule, r.st.ConditionChecks)

@@ -45,12 +45,11 @@ type token struct {
 }
 
 type lexer struct {
-	src    []rune
-	pos    int
-	line   int
-	col    int
-	toks   []token
-	errPos string
+	src  []rune
+	pos  int
+	line int
+	col  int
+	toks []token
 }
 
 func lex(src string) ([]token, error) {

@@ -1,9 +1,11 @@
 package semantic
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/rewrite"
 	"lera/internal/rules"
@@ -32,7 +34,7 @@ func semEngine(t *testing.T, extraSrc string) *rewrite.Engine {
 
 func runBlock(t *testing.T, e *rewrite.Engine, q *term.Term, block string) *term.Term {
 	t.Helper()
-	out, _, err := e.RunBlock(q, block)
+	out, _, err := e.RunBlockCtx(context.Background(), q, block, guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +313,7 @@ func TestSemanticBudgetBounds(t *testing.T) {
 		lera.Cmp("=", lera.Attr(2, 1), lera.Attr(3, 1)),
 		lera.Cmp("=", lera.Attr(3, 1), lera.Attr(4, 1)),
 	)
-	out, st, err := e.RunBlock(q, "semantic")
+	out, st, err := e.RunBlockCtx(context.Background(), q, "semantic", guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@ func TestParseChaos(t *testing.T) {
 }
 
 // TestChaosOffServerHasNoInjector: an injector exists only where something
-// can fire. With chaos off and none supplied, neither the server nor any
-// pooled session carries one; with a chaos schedule or a supplied injector,
-// every session shares that one pointer.
+// can fire. With chaos off, neither the server nor any pooled session
+// carries one; with a chaos schedule, or one supplied to newServer, every
+// session shares that one pointer.
 func TestChaosOffServerHasNoInjector(t *testing.T) {
 	chaos, err := ParseChaos("count:error:every=5")
 	if err != nil {
@@ -67,27 +67,32 @@ func TestChaosOffServerHasNoInjector(t *testing.T) {
 	}
 	supplied := guard.NewInjector()
 	for _, c := range []struct {
-		name string
-		cfg  Config
-		none bool
+		name     string
+		cfg      Config
+		supplied *guard.Injector
+		none     bool
 	}{
-		{"chaos off", Config{}, true},
-		{"chaos", Config{Chaos: chaos}, false},
-		{"supplied", Config{Injector: supplied}, false},
-		{"chaos on the supplied one", Config{Chaos: chaos, Injector: supplied}, false},
+		{"chaos off", Config{}, nil, true},
+		{"chaos", Config{Chaos: chaos}, nil, false},
+		{"supplied", Config{}, supplied, false},
+		{"chaos on the supplied one", Config{Chaos: chaos}, supplied, false},
 	} {
 		c.cfg.MaxInFlight = 3
-		srv, err := New(c.cfg)
+		build := New
+		if c.supplied != nil {
+			build = func(cfg Config) (*Server, error) { return newServer(cfg, c.supplied) }
+		}
+		srv, err := build(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := srv.Injector()
+		inj := srv.inj
 		switch {
 		case c.none && inj != nil:
 			t.Errorf("%s: the server holds an injector", c.name)
 		case !c.none && inj == nil:
 			t.Errorf("%s: the server holds no injector", c.name)
-		case c.cfg.Injector != nil && inj != c.cfg.Injector:
+		case c.supplied != nil && inj != c.supplied:
 			t.Errorf("%s: the server replaced the supplied injector", c.name)
 		}
 		for i := 0; i < c.cfg.MaxInFlight; i++ {
@@ -214,7 +219,7 @@ func TestChaosEveryRequestTyped(t *testing.T) {
 		t.Error("unknown tenant leaked its own label series")
 	}
 	// The armed faults actually fired.
-	if srv.Injector().Calls(RequestHook) == 0 {
+	if srv.inj.Calls(RequestHook) == 0 {
 		t.Error("request hook never hit")
 	}
 	if m.Counter("lera_server_panics_total", "").Value() == 0 {
@@ -237,10 +242,10 @@ func TestChaosEveryRequestTyped(t *testing.T) {
 // the suspect pooled session is replaced — the pool never shrinks and
 // later queries still answer.
 func TestChaosPanicReplacesSession(t *testing.T) {
-	srv, base := startServer(t, Config{MaxInFlight: 1, Injector: guard.NewInjector()})
+	srv, base := startArmed(t, Config{MaxInFlight: 1})
 	// ADT panics are isolated inside adtCall and come back as
 	// EXTERNAL_PANIC without poisoning the session.
-	srv.Injector().Set("COUNT", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})
+	srv.inj.Set("COUNT", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})
 
 	c := NewClient(base)
 	out := c.Query(context.Background(), "SELECT Title FROM FILM WHERE COUNT(Categories) > 0")
@@ -249,7 +254,7 @@ func TestChaosPanicReplacesSession(t *testing.T) {
 	}
 
 	// Request-hook panics hit the outer recover (INTERNAL, isolated).
-	srv.Injector().Set(RequestHook, guard.Fault{OnCall: srv.Injector().Calls(RequestHook) + 1, Mode: guard.FaultPanic})
+	srv.inj.Set(RequestHook, guard.Fault{OnCall: srv.inj.Calls(RequestHook) + 1, Mode: guard.FaultPanic})
 	out = c.Query(context.Background(), filmQuery)
 	if out.Code != guard.CodeInternal {
 		t.Fatalf("request panic code = %s, want INTERNAL", out.Code)

@@ -20,9 +20,11 @@ import (
 	"lera/internal/guard"
 )
 
-// RetryPolicy bounds the client's retry behavior. Jitter is deterministic
-// (a per-client xorshift seeded explicitly), so a load test that shed N
-// requests sheds exactly N on the rerun.
+// RetryPolicy bounds the client's retries of OVERLOADED answers; other
+// answers are final (a query that blew its DEADLINE usually blows it
+// again). Jitter is deterministic (a per-client xorshift seeded
+// explicitly), so a load test that shed N requests sheds exactly N on the
+// rerun.
 type RetryPolicy struct {
 	// MaxAttempts counts the first try too; 0 or 1 means no retries.
 	MaxAttempts int
@@ -30,9 +32,6 @@ type RetryPolicy struct {
 	// it, capped at MaxBackoff. Jitter in [0, backoff/2) is added.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// RetryDeadline also retries DEADLINE responses (off by default:
-	// a query that blew its budget usually blows it again).
-	RetryDeadline bool
 	// Seed seeds the jitter PRNG; the zero value is replaced by 1.
 	Seed uint64
 }
@@ -91,7 +90,7 @@ func (c *Client) Query(ctx context.Context, query string) Outcome {
 	for attempt := 1; ; attempt++ {
 		out = c.once(ctx, query)
 		out.Attempts = attempt
-		if !retryable(out.Code, pol) || attempt >= pol.MaxAttempts || ctx.Err() != nil {
+		if out.Code != guard.CodeOverloaded || attempt >= pol.MaxAttempts || ctx.Err() != nil {
 			break
 		}
 		d := backoff + c.jitter(backoff/2)
@@ -107,16 +106,6 @@ func (c *Client) Query(ctx context.Context, query string) Outcome {
 	}
 	out.Total = time.Since(t0)
 	return out
-}
-
-func retryable(c guard.Code, pol RetryPolicy) bool {
-	switch c {
-	case guard.CodeOverloaded:
-		return true
-	case guard.CodeDeadline:
-		return pol.RetryDeadline
-	}
-	return false
 }
 
 // once performs a single HTTP attempt.

@@ -19,13 +19,14 @@ import (
 	"lera/internal/guard"
 )
 
-// drainServer boots a server (no automatic cleanup drain — the test
-// drives the drain itself) and returns it with its listener address.
+// drainServer boots a server with a fault injector to arm (no automatic
+// cleanup drain — the test drives the drain itself) and returns it with
+// its listener address.
 func drainServer(t *testing.T, cfg Config) (*Server, string, chan error) {
 	t.Helper()
 	cfg.LoadFilms = true
 	cfg.Parallelism = 2 // exercise the intra-query worker pool during drain
-	srv, err := New(cfg)
+	srv, err := newServer(cfg, guard.NewInjector())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,8 @@ func drainServer(t *testing.T, cfg Config) (*Server, string, chan error) {
 // completion; drain returns clean; Serve unblocks; the port refuses new
 // connections.
 func TestDrainWaitsForInFlight(t *testing.T) {
-	srv, addr, done := drainServer(t, Config{DrainTimeout: 10 * time.Second, Injector: guard.NewInjector()})
-	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 150 * time.Millisecond})
+	srv, addr, done := drainServer(t, Config{DrainTimeout: 10 * time.Second})
+	srv.inj.Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 150 * time.Millisecond})
 
 	slow := make(chan Outcome, 1)
 	go func() {
@@ -89,11 +90,10 @@ func TestDrainCancelsAtDeadline(t *testing.T) {
 	srv, addr, done := drainServer(t, Config{
 		DrainTimeout: 200 * time.Millisecond,
 		DrainGrace:   2 * time.Second,
-		Injector:     guard.NewInjector(),
 	})
 	// One stall far beyond the drain deadline: only cancellation can end
 	// the query.
-	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 60 * time.Second})
+	srv.inj.Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 60 * time.Second})
 
 	slow := make(chan Outcome, 1)
 	go func() {
@@ -132,8 +132,8 @@ func TestDrainCancelsAtDeadline(t *testing.T) {
 // drains. Both requests are written by hand on one raw connection, so
 // the second provably reuses it.
 func TestDrainRefusesNewWork(t *testing.T) {
-	srv, addr, done := drainServer(t, Config{DrainTimeout: 5 * time.Second, Injector: guard.NewInjector()})
-	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 100 * time.Millisecond})
+	srv, addr, done := drainServer(t, Config{DrainTimeout: 5 * time.Second})
+	srv.inj.Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 100 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -86,14 +86,9 @@ type Config struct {
 	// Tenants maps tenant names to guard budgets (see tenant.go). Nil
 	// serves every request under unlimited default limits.
 	Tenants Tenants
-	// Chaos is the armed fault schedule (see chaos.go). Empty = off.
+	// Chaos is the armed fault schedule (see chaos.go). Empty = off: the
+	// server then holds no fault injector at all.
 	Chaos []ChaosFault
-	// Injector, when non-nil, is the server's fault injector, threaded
-	// through every pooled session; Chaos faults are armed on it. Supply
-	// one to arm faults after New (tests arm and inspect it directly).
-	// When nil, the server creates one only if Chaos is non-empty:
-	// otherwise there is none, and no fault can be armed later.
-	Injector *guard.Injector
 	// Observer, when non-nil, supplies the metrics registry; default a
 	// fresh observer (metrics only, no tracing).
 	Observer *obs.Observer
@@ -192,6 +187,20 @@ type Server struct {
 // init failure is returned here — a server that starts is a server whose
 // snapshot and rule base are known-good.
 func New(cfg Config) (*Server, error) {
+	// An injector exists only where something can fire: with chaos off
+	// no session carries one, and execution runs the compiled comparisons
+	// without a lock every pooled session would share.
+	var inj *guard.Injector
+	if len(cfg.Chaos) > 0 {
+		inj = guard.NewInjector()
+	}
+	return newServer(cfg, inj)
+}
+
+// newServer is New with the fault injector given: the pooled sessions
+// share inj (nil: none), and cfg.Chaos is armed on it. Tests pass one to
+// arm faults after construction.
+func newServer(cfg Config, inj *guard.Injector) (*Server, error) {
 	if err := errors.Join(
 		cfg.Tenants.Validate(),
 		guard.NonNegative("", "MaxMemBytes", cfg.MaxMemBytes),
@@ -213,14 +222,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 2 * time.Second
-	}
-	// An injector exists only where something can fire: the supplied one,
-	// or a fresh one for the chaos schedule. With neither, no session
-	// carries one, and execution runs the compiled comparisons without a
-	// lock every pooled session would share.
-	inj := cfg.Injector
-	if inj == nil && len(cfg.Chaos) > 0 {
-		inj = guard.NewInjector()
 	}
 	Arm(inj, cfg.Chaos)
 
@@ -317,11 +318,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Injector returns the server's fault injector: the one Config.Injector
-// supplied, else the one created for Config.Chaos, else nil — with chaos
-// off and none supplied there is nothing to arm or count.
-func (s *Server) Injector() *guard.Injector { return s.inj }
-
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *obs.Registry { return s.obs.Metrics }
 
@@ -352,16 +348,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.drainErr
-}
-
-// Addr returns the bound listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // handleQuery is the request path behind POST and GET /query: chaos

@@ -31,15 +31,27 @@ import (
 
 const filmQuery = "SELECT Title FROM FILM WHERE Numf > 0"
 
-// startServer boots a server on a loopback port and returns it plus its
+// startServer boots New(cfg) on a loopback port and returns it plus its
 // base URL. The server drains on test cleanup.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	return startWith(t, cfg, New)
+}
+
+// startArmed is startServer for a server holding a fault injector, which
+// the test arms after construction through srv.inj.
+func startArmed(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	return startWith(t, cfg, func(cfg Config) (*Server, error) { return newServer(cfg, guard.NewInjector()) })
+}
+
+func startWith(t *testing.T, cfg Config, build func(Config) (*Server, error)) (*Server, string) {
 	t.Helper()
 	cfg.LoadFilms = true
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
-	srv, err := New(cfg)
+	srv, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +90,14 @@ func TestServerBitIdenticalToEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	armed := guard.NewInjector()
-	armed.Set(">", guard.Fault{OnCall: math.MaxInt32, Mode: guard.FaultError})
 	for _, leg := range []struct {
-		name string
-		cfg  Config
-	}{{"chaos off", Config{}}, {"armed, never firing", Config{Injector: armed}}} {
-		_, base := startServer(t, leg.cfg)
+		name  string
+		start func(*testing.T, Config) (*Server, string)
+	}{{"chaos off", startServer}, {"armed, never firing", startArmed}} {
+		srv, base := leg.start(t, Config{})
+		if srv.inj != nil {
+			srv.inj.Set(">", guard.Fault{OnCall: math.MaxInt32, Mode: guard.FaultError})
+		}
 		out := NewClient(base).Query(context.Background(), filmQuery)
 		if out.Code != guard.CodeOK {
 			t.Fatalf("%s: code = %s (%v)", leg.name, out.Code, out.Err)
@@ -109,9 +122,9 @@ func TestServerBitIdenticalToEmbedded(t *testing.T) {
 		if *resp.Counters != want.Report.ExecCounters {
 			t.Errorf("%s: served counters %+v differ from embedded %+v", leg.name, *resp.Counters, want.Report.ExecCounters)
 		}
-	}
-	if armed.Calls(">") == 0 {
-		t.Error("the armed server's comparisons never hit its injector")
+		if srv.inj != nil && srv.inj.Calls(">") == 0 {
+			t.Errorf("%s: the server's comparisons never hit its injector", leg.name)
+		}
 	}
 }
 
@@ -237,10 +250,10 @@ func TestConnectionsGauge(t *testing.T) {
 // stalled in-flight query makes concurrent arrivals shed with OVERLOADED
 // (HTTP 429) — typed, immediate, no hang.
 func TestServerShedsWhenOverloaded(t *testing.T) {
-	srv, base := startServer(t, Config{MaxInFlight: 1, MaxQueue: -1, Injector: guard.NewInjector()})
+	srv, base := startArmed(t, Config{MaxInFlight: 1, MaxQueue: -1})
 	// Every COUNT ADT call stalls; the query below hits it once per film
 	// row, so the request holds its execution slot for ~1.2s.
-	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 300 * time.Millisecond})
+	srv.inj.Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 300 * time.Millisecond})
 
 	slow := make(chan Outcome, 1)
 	go func() {
@@ -273,8 +286,7 @@ func TestServerShedsWhenOverloaded(t *testing.T) {
 
 	// With retries enabled the same overload resolves once the slot
 	// frees: the client's backoff absorbs it.
-	srv.Injector().Reset()
-	srv.Injector().Clear("COUNT")
+	srv.inj.Set("COUNT", guard.Fault{Mode: guard.FaultNone})
 	c2 := NewClient(base)
 	out = c2.Query(context.Background(), filmQuery)
 	if out.Code != guard.CodeOK {

@@ -7,11 +7,14 @@ package term_test
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"strings"
 	"testing"
 
 	"lera/internal/core"
+	"lera/internal/guard"
+	"lera/internal/rewrite"
 	"lera/internal/rules"
 	"lera/internal/term"
 )
@@ -80,6 +83,7 @@ func corpusTerms(t *testing.T) ([]*term.Term, *rules.RuleSet) {
 			return true
 		})
 	}
+	eng := rewrite.New(rw.RS, rw.Ext, rw.Cat, rewrite.Options{})
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -97,7 +101,7 @@ func corpusTerms(t *testing.T) ([]*term.Term, *rules.RuleSet) {
 			add(r.Initial)
 			add(r.Rewritten)
 			for _, blk := range rw.RS.Sequence.Blocks {
-				if q, _, err := rw.RewriteBlock(r.Initial, blk); err == nil {
+				if q, _, err := eng.RunBlockCtx(context.Background(), r.Initial, blk, guard.Limits{}, false); err == nil {
 					add(q)
 				}
 			}

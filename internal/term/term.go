@@ -448,17 +448,6 @@ func (b *Bindings) Release() {
 	s.used, s.labels = s.used[:0], s.labels[:0]
 }
 
-// Clone deep-copies the bindings.
-func (b *Bindings) Clone() *Bindings {
-	nb := &Bindings{trail: append([]entry(nil), b.trail...)}
-	for i := range nb.trail {
-		if e := &nb.trail[i]; e.kind == SeqVar {
-			e.seq, e.scratch = append([]*Term(nil), e.seq...), false
-		}
-	}
-	return nb
-}
-
 // String renders the bindings deterministically, for traces and tests.
 func (b *Bindings) String() string {
 	var parts []string

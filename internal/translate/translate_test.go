@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -126,7 +127,7 @@ WHERE MEMBER('Adventure', Categories) AND ALL(Salary(Actors) > 10000)`)
 	}
 	// Execute on the sample instance.
 	db := loadedDB(t, cat)
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ WHERE Name(Refactor2) = 'Quinn'`)
 		t.Fatal(err)
 	}
 	db := loadedDB(t, cat)
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestViewExpansionInQueries(t *testing.T) {
 		t.Errorf("expected nested searches, got %s", lera.Format(q))
 	}
 	db := loadedDB(t, cat)
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestOrTranslation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := loadedDB(t, cat)
-	r, err := db.Eval(q)
+	r, err := db.EvalCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

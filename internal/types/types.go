@@ -10,7 +10,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lera/internal/value"
@@ -312,20 +311,6 @@ func (r *Registry) TypeOfValue(v value.Value) *Type {
 		return &Type{Name: "_tuple", Kind: Tuple, Fields: fields}
 	}
 	return r.AnyT
-}
-
-// Names returns all declared (non-anonymous) type names, sorted; used by
-// the shell's \dt-style introspection and by tests.
-func (r *Registry) Names() []string {
-	var out []string
-	for k, t := range r.byName {
-		if strings.HasPrefix(k, "_") || strings.HasPrefix(t.Name, "_") {
-			continue
-		}
-		out = append(out, t.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ZeroValue returns a reasonable default runtime value for the type.

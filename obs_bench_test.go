@@ -7,9 +7,12 @@ package lera
 // costs, which EXPERIMENTS.md archives.
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"testing"
+
+	"lera/internal/guard"
 )
 
 const figure3Bench = "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN, FILM WHERE FILM.Numf = APPEARS_IN.Numf AND Name(Refactor) = 'Quinn' AND MEMBER('Adventure', Categories)"
@@ -33,11 +36,11 @@ func TestRewriteDisabledPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rw.Rewrite(q); err != nil { // warm caches
+	if _, _, err := rw.RewriteCtx(context.Background(), q, guard.Limits{}); err != nil { // warm caches
 		t.Fatal(err)
 	}
 	allocs := medianAllocs(41, func() {
-		if _, _, err := rw.Rewrite(q); err != nil {
+		if _, _, err := rw.RewriteCtx(context.Background(), q, guard.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	})
