@@ -53,7 +53,7 @@ func TestPublicAPIPaperPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 1 || rs[0].Kind != ResultExplain {
+	if len(rs) != 1 {
 		t.Fatalf("EXPLAIN returned %d results", len(rs))
 	}
 	if !strings.Contains(rs[0].Message, "rule.apply rule=alexander ") {
@@ -88,13 +88,13 @@ seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, 
 
 // TestPublicAPIOptions smoke-tests every exported option constructor.
 func TestPublicAPIOptions(t *testing.T) {
-	cat := NewCatalog()
 	opts := []Option{
-		WithDynamicLimits(), WithBlockLimit("constraints", 10),
-		WithBlockLimit("push", 0), WithBlockLimit("merge", 5),
-		WithSequence("seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 1);"),
+		WithBlockLimit("constraints", 10), WithBlockLimit("push", 0), WithBlockLimit("merge", 5),
+		WithPlanning(), WithRuleCheck(), WithPlanCache(8), WithPlanCacheValidation(2),
+		WithConstraints("rule ic_numf: F(x) / ISA(x, INT) --> F(x) AND x > 0 / ;"),
+		WithRules("seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 1);"),
 	}
-	rw, err := NewRewriter(cat, opts...)
+	rw, err := NewRewriter(NewSession().Cat, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

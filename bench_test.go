@@ -131,7 +131,7 @@ const deadSeq = "seq({typecheck, normalize, merge, push, fixpoint, merge, constr
 // Micro: a realistic rule base padded with 64 dead-head rules — the
 // many-rule regime the head index targets.
 func BenchmarkRewriteManyRules(b *testing.B) {
-	benchRewrite(b, paperSession(b, WithRules(deadRuleSrc(64)), WithSequence(deadSeq)), figure3Query)
+	benchRewrite(b, paperSession(b, WithRules(deadRuleSrc(64)+deadSeq)), figure3Query)
 }
 
 // Micro: rewrite of a deep operand tree (a 12-view stack).
@@ -150,7 +150,7 @@ func BenchmarkRewriteDeepTerm(b *testing.B) {
 // Micro: the no-match worst case — a sequence of nothing but dead rules,
 // so every attempted match fails and the engine's fixed costs dominate.
 func BenchmarkRewriteNoMatch(b *testing.B) {
-	benchRewrite(b, paperSession(b, WithRules(deadRuleSrc(64)), WithSequence("seq({benchdead}, 1);")), figure3Query)
+	benchRewrite(b, paperSession(b, WithRules(deadRuleSrc(64)+"seq({benchdead}, 1);")), figure3Query)
 }
 
 func translateBench(s *Session, src string) (*Term, error) {

@@ -435,7 +435,7 @@ func e8RepeatedBlocks(w io.Writer) {
 		{"merge repeated (default)", "seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 2);"},
 	}
 	for _, sq := range seqs {
-		s := edgeGraph(chain(n), lera.WithSequence(sq.seq))
+		s := edgeGraph(chain(n), lera.WithRules(sq.seq))
 		res, c := measure(s, q)
 		row(w, "%s | %d | %d | %d", sq.name, lera.OperatorCount(res.Rewritten), c.Emitted, c.JoinPairs)
 	}
@@ -490,8 +490,8 @@ func e11Guardrails(w io.Writer) {
 		lera.WithRules(`
 rule spin: SEARCH(rl, f, p) --> FILTER(SEARCH(rl, f, p), TRUE);
 block(spinb, {spin}, inf);
+seq({spinb}, 1);
 `),
-		lera.WithSequence("seq({spinb}, 1);"),
 	}
 	const n = 5000
 	q := "SELECT Title FROM FILM WHERE Numf > 2500"

@@ -22,13 +22,16 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof-addr
 	"os"
+	"os/exec"
 	"os/signal"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"syscall"
 	"time"
 
 	"lera/internal/guard"
 	"lera/internal/obs"
-	"lera/internal/provenance"
 	"lera/internal/server"
 )
 
@@ -95,7 +98,7 @@ func main() {
 
 func run(o options) error {
 	ob := obs.NewObserver()
-	obs.RegisterBuildInfo(ob.Metrics, provenance.Commit(), provenance.GoVersion())
+	obs.RegisterBuildInfo(ob.Metrics, commit(), runtime.Version())
 	cfg := server.Config{
 		LoadFilms:           o.films,
 		MaxInFlight:         o.maxInFlight,
@@ -198,4 +201,34 @@ func run(o options) error {
 
 	fmt.Fprintf(os.Stderr, "leraserver: listening on %s (HTTP)\n", o.addr)
 	return srv.ListenAndServe(o.addr)
+}
+
+// commit returns the git revision the binary was built from, for the
+// lera_build_info metric, with a "-dirty" suffix when the working tree
+// was modified, or "unknown" when neither the vcs stamp the Go linker
+// embeds in module builds (present even in a binary deployed far from
+// the checkout) nor a git checkout (which covers `go run` from the repo)
+// is available.
+func commit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, dirty string
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				if s.Value == "true" {
+					dirty = "-dirty"
+				}
+			}
+		}
+		if rev != "" {
+			return rev + dirty
+		}
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }

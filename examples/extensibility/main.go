@@ -2,11 +2,14 @@
 // implementor extends the DBMS with a new ADT (Interval), registers its
 // methods in the ADT library (the role C++ played in the paper, played by
 // Go here) and adds optimization rules for it in the rule language — all
-// without touching the rewrite engine.
+// without touching the rewrite engine. It ends with the safety nets that
+// implementor code runs under: the rule-base verifier, panic isolation
+// and the per-query budget.
 package main
 
 import (
 	_ "embed"
+	"errors"
 	"fmt"
 	"log"
 
@@ -82,4 +85,33 @@ WHERE M1.Room = M2.Room
 	fmt.Println("\n== constant OVERLAPS folds at rewrite time")
 	fmt.Println("  rewritten:", lera.Format(res2.Rewritten))
 	fmt.Printf("  answers: %d\n", len(res2.Rows))
+
+	// Verify the rule base at build time: error-level findings refuse it,
+	// advisory ones are kept (docs/RULES.md, "Validating your rules").
+	rw, err := lera.NewRewriter(s.Cat, lera.WithRules(extensionRules), lera.WithRuleCheck())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n== rule base verified: %d advisory finding(s)\n", len(rw.CheckDiagnostics()))
+
+	// A panic in implementor code fails the query with a typed error that
+	// names the external (docs/GUARDRAILS.md, "Panic isolation").
+	s.Cat.ADTs.Register("WIDTH", 1, false, func([]value.Value) (value.Value, error) {
+		panic("WIDTH is not implemented")
+	})
+	_, err = s.Query("SELECT Id FROM MEETINGS WHERE WIDTH(Slot) > 1")
+	var ee *lera.ExternalError
+	if !errors.As(err, &ee) {
+		log.Fatalf("want an external error, got %v", err)
+	}
+	fmt.Printf("\n== %s %s panicked: %v\n", ee.Kind, ee.External, ee.Panic)
+
+	// Every query runs under an optional budget; exceeding one is a typed
+	// error with a stable protocol code (docs/GUARDRAILS.md).
+	s.Limits = lera.Limits{MaxRows: 2}
+	_, err = s.Query("SELECT Id FROM MEETINGS")
+	if !errors.Is(err, lera.ErrRowBudget) {
+		log.Fatalf("want the row budget error, got %v", err)
+	}
+	fmt.Printf("\n== a 2-row budget stops a 4-row scan: %s\n", lera.CodeOf(err))
 }

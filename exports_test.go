@@ -18,53 +18,39 @@ import (
 	"testing"
 )
 
-// exportAllowList names the exported functions, methods and struct fields
-// that no non-test Go file calls (a function) or writes (a field), each
-// with the reason it stays. A key is the declaring directory, a colon and
-// the name ("internal/core: Session.Prepared" for a method,
-// "internal/server: Config.Addr" for a field).
+// exportAllowList names the exported declarations that have no non-test
+// user, each with the reason it stays. A reason falls in one of three
+// classes, and its prefix says which: an interface method the standard
+// library calls ("stdlib interface method: "); an extension API the paper
+// names and README.md or docs/ shows ("extension API (§…)"); or a
+// function or method the tests of three or more packages call, with the
+// count ("tests of N packages, M calls: "). A key is the declaring directory, a colon and the name
+// ("internal/core: Session.Fork" for a method, "internal/server:
+// Config.Addr" for a field).
 var exportAllowList = map[string]string{
-	".: CodeOf":            "facade API: re-exports guard.CodeOf for library users",
-	".: HasCheckErrors":    "facade API: re-exports rulecheck.HasErrors for library users",
-	".: NewCatalog":        "facade API: re-exports catalog.New for library users",
-	".: NewInjector":       "facade API: re-exports guard.NewInjector for library users",
-	".: NewQueryLog":       "facade API: re-exports obs.NewQueryLog for library users",
-	".: RegisterBuildInfo": "facade API: re-exports obs.RegisterBuildInfo for library users",
+	"internal/guard: ExternalError.Unwrap": "stdlib interface method: errors.Is and errors.As unwrap through it",
 
-	"internal/guard: ExternalError.Unwrap": "interface method: errors.Is/As unwrap through it",
+	"internal/catalog: Catalog.AddConstraint": "extension API (§6.1 integrity constraints), shown in docs/RULES.md",
+	"internal/core: WithDynamicLimits":        "extension API (§7 dynamic block limits), shown in README.md and DESIGN.md",
 
-	"internal/testdb: DominatorsOfQuinn":       "test-fixture package: the Figure 5 expected answer",
-	"internal/translate: Query":                "parse-and-translate shorthand for tests of two packages, 9 test callers",
-	"internal/lera: Let":                       "LERA constructor kept beside the ones translate uses, 5 test callers",
-	"internal/lera: Project":                   "LERA constructor kept beside the ones translate uses, 8 test callers",
-	"internal/lera: Unnest":                    "LERA constructor kept beside the ones translate uses, 8 test callers",
-	"internal/lera: Value":                     "LERA constructor kept beside the ones translate uses, 3 test callers",
-	"internal/lera: Validate":                  "structural check of LERA terms, 7 test callers in three packages",
-	"internal/term: At":                        "path addressing beside ReplaceAt, 12 test callers in two packages",
-	"internal/catalog: Catalog.AddConstraint":  "extension API: a §6.1 integrity constraint registered as a rule",
-	"internal/catalog: Relation.Column":        "schema lookup by column name, 2 test callers",
-	"internal/types: Type.ZeroValue":           "ADT API: a type's default value, pinned by TestZeroValue",
-	"internal/rewrite: Ctx.Fresh":              "external-function API: fresh relation names for rule externals",
-	"internal/rewrite: Engine.RunBlockCtx":     "one §4.2 block alone: the unit the rule-library tests of five packages pin, 30 test callers",
-	"internal/obs: CounterVec.Sum":             "ledger total over a vector's series, checked by tests of obs and server, 11 test callers",
-	"internal/rulecheck: Filter":               "diagnostic selection beside HasErrors and Count, 6 test callers",
-	"internal/core: Rewriter.CheckDiagnostics": "accessor for the verified rule base's findings, 3 test callers",
-	"internal/core: Session.Prepared":          "accessor for prepared-statement names, 4 test callers",
-	"internal/guard: Gate.Draining":            "accessor for the admission gate's drain state, 2 test callers",
-	"internal/guard: Injector.Calls":           "accessor for fault-injection hit counts, 11 test callers",
-	"internal/obs: CounterVec.Overflowed":      "accessor for label-cardinality collapses, which no exposition carries",
-	"internal/obs: HistogramVec.Overflowed":    "accessor for label-cardinality collapses, which no exposition carries",
-	"internal/server: Server.SlowLog":          "accessor for the slow-query ring, for embedding callers and 4 test callers",
+	"internal/rewrite: Engine.RunBlockCtx": "tests of 5 packages, 31 calls: one §4.2 block alone, the unit the rule-library tests pin",
+	"internal/testdb: DominatorsOfQuinn":   "tests of 5 packages, 9 calls: the Figure 5 expected answer",
+	"internal/guard: Injector.Calls":       "tests of 4 packages, 10 calls: fault-injection hit counts",
+	"internal/term: At":                    "tests of 3 packages, 14 calls: path addressing beside ReplaceAt",
+	"internal/lera: Validate":              "tests of 3 packages, 7 calls: the structural check of LERA terms",
 }
 
 // TestEveryExportHasACaller: product code is what the product runs. Every
-// exported function or method declared in non-test Go must be called from
-// non-test Go — its own package, another one, a command, bench/ or
-// examples/ — and every exported struct field must be written there (or
-// carry a json tag, so the decoder writes it), or carry a reason on
-// exportAllowList, so that code and settings only tests reach cannot creep
-// back into the product. Names are resolved with go/types: a method is
-// matched as an object, never by its name alone.
+// exported name declared in non-test Go must have a user in non-test Go —
+// its own package, another one, a command, bench/ or examples/: a
+// function or method is called, a package-level type, constant or
+// variable is referred to outside its own declaration (a method's
+// receiver does not count), and a struct field is both written and read
+// (a json tag counts as both, as the decoder writes and the encoder reads
+// it, and the encoder reads an embedded field of a json-tagged struct). A name that has no user needs a reason on exportAllowList, so that
+// code, settings and results only tests reach cannot creep back into the
+// product. Names are resolved with go/types: a method is matched as an
+// object, never by its name alone.
 func TestEveryExportHasACaller(t *testing.T) {
 	decls, used, err := scanExports(".")
 	if err != nil {
@@ -72,35 +58,48 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	for _, key := range unused(decls, used) {
 		if exportAllowList[key] == "" {
-			t.Errorf("%s is exported but no non-test Go calls or writes it: move it to the tests that use it, delete it, or allow-list it with a reason", key)
+			t.Errorf("%s (%s) is exported but has no non-test user: move it to the tests that use it, delete it, or allow-list it with a reason", key, decls[key])
 		}
 	}
-	for key := range exportAllowList {
-		if !decls[key] {
-			t.Errorf("allow-list entry %s names no exported function, method or field", key)
+	for key, reason := range exportAllowList {
+		if !strings.HasPrefix(reason, "stdlib interface method: ") && !strings.HasPrefix(reason, "extension API (") && !strings.HasPrefix(reason, "tests of ") {
+			t.Errorf("allow-list entry %s: reason %q names none of the three classes", key, reason)
+		}
+		if decls[key] == "" {
+			t.Errorf("allow-list entry %s names no exported declaration", key)
 		} else if used[key] {
-			t.Errorf("allow-list entry %s has a non-test caller or writer now; drop the entry", key)
+			t.Errorf("allow-list entry %s has a non-test user now; drop the entry", key)
 		}
 	}
+	count := map[string]int{}
+	for _, kind := range decls {
+		count[kind]++
+	}
+	t.Logf("exports scanned: %d functions and methods, %d struct fields, %d types, constants and variables; %d allow-listed",
+		count[kindFunc], count[kindField], count[kindName], len(exportAllowList))
 }
 
 // TestExportScanSeesThroughNames runs the scan over a fixture module
-// (testdata/exportgate) built so that a match by name misses both of its
-// test-only exports: a method called only through a same-named method of
-// another type, and a field that nothing writes. A json-tagged field and
-// one written only through a sub-field must pass.
+// (testdata/exportgate) whose test-only exports a match by name, or a
+// scan of functions and written fields alone, would miss: a method called
+// only through a same-named method of another type, a type named only by
+// its methods' receivers, a type, a constant and a variable only a test
+// file uses, a field that nothing writes, and one that is written (by a
+// composite literal and ++) but never read. A json-tagged field, one
+// written only through a sub-field, one read only through a promoted
+// selector, and one embedded in a json-tagged struct must pass.
 func TestExportScanSeesThroughNames(t *testing.T) {
 	decls, used, err := scanExports("testdata/exportgate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(unused(decls, used), ", ")
-	if want := "a: Left.Hidden, a: Right.Unset"; got != want {
+	if want := "a: Default, a: Left, a: Left.Hidden, a: Limit, a: Right.Stored, a: Right.Unset, a: TestOnly"; got != want {
 		t.Errorf("unused exports = %q, want %q", got, want)
 	}
-	for _, key := range []string{"a: Right.Hidden", "a: Right.Tagged", "a: Report.Phases", "a: Report.Phases.Execute"} {
-		if !decls[key] || !used[key] {
-			t.Errorf("%s: declared %v, used %v; want both", key, decls[key], used[key])
+	for _, key := range []string{"a: Right", "a: Right.Hidden", "a: Right.Tagged", "a: Report.Phases", "a: Report.Phases.Execute", "a: Outer.Inner", "a: Inner.Depth", "a: Wire.Outer"} {
+		if decls[key] == "" || !used[key] {
+			t.Errorf("%s: declared as %q, used %v; want both", key, decls[key], used[key])
 		}
 	}
 
@@ -124,7 +123,7 @@ func TestExportScanSeesThroughNames(t *testing.T) {
 }
 
 // unused lists, sorted, the declared keys nothing uses.
-func unused(decls, used map[string]bool) []string {
+func unused(decls map[string]string, used map[string]bool) []string {
 	var keys []string
 	for key := range decls {
 		if !used[key] {
@@ -142,15 +141,22 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // scanExports type-checks every non-test Go file of the module at root, in
 // import order, with the standard library from importer.Default, and fails
-// on any type error. It returns the exported functions, methods and struct
-// fields declared outside bench/ and examples/, and which of them are used:
-// a function called (or referenced) other than from inside its own body,
-// a field written — assigned, incremented, set by a composite-literal key
-// or position, addressed with &, or written through (x.F.G = …, x.F[i] =
-// …) — or tagged for encoding/json. A method also counts as called when a
-// method of an interface its type implements is called, by non-test Go or
-// by the standard library on a value handed to it (stdCallers).
-func scanExports(root string) (decls, used map[string]bool, err error) {
+// on any type error. It returns the exported declarations outside bench/
+// and examples/, each with its kind, and which of them are used:
+//   - a function called (or referenced) other than from inside its own
+//     body; a method also counts as called when a method of an interface
+//     its type implements is called, by non-test Go or by the standard
+//     library on a value handed to it (stdCallers);
+//   - a package-level type, constant or variable referred to other than
+//     from inside its own declaration or as a method's receiver;
+//   - a field both written and read. A write assigns it, increments it,
+//     sets it by a composite-literal key or position, addresses it with &,
+//     or writes through it (x.F.G = …, x.F[i] = …). A read is any other
+//     selector naming it, including an embedded field a promoted selector
+//     passes through; x.F op= … and x.F++ are writes only. A json tag
+//     counts as both, and an embedded field of a struct with json tags
+//     counts as read.
+func scanExports(root string) (decls map[string]string, used map[string]bool, err error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, nil, err
@@ -205,7 +211,12 @@ func scanExports(root string) (decls, used map[string]bool, err error) {
 	}
 
 	// Type-check the packages in import order into one Info.
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	pkgs := map[string]*types.Package{}
 	var typeErrs []error
 	std := importer.Default()
@@ -253,12 +264,12 @@ func scanExports(root string) (decls, used map[string]bool, err error) {
 		return nil, nil, fmt.Errorf("the module does not type-check: %w", errors.Join(typeErrs...))
 	}
 
-	// Declarations: exported functions and methods, and exported fields of
-	// every struct type, keyed by the type's name (the field's path from a
-	// named type for a nested struct, the source position for an
-	// anonymous one).
+	// Declarations: exported functions and methods, exported package-level
+	// types, constants and variables, and exported fields of every struct
+	// type, keyed by the type's name (the field's path from a named type
+	// for a nested struct, the source position for an anonymous one).
 	keyOf := map[types.Object]string{}
-	written := map[types.Object]bool{}
+	written, read := map[types.Object]bool{}, map[types.Object]bool{}
 	key := func(obj types.Object, name string) string {
 		dir, _ := dirOf(obj.Pkg().Path())
 		return dir + ": " + name
@@ -268,17 +279,34 @@ func scanExports(root string) (decls, used map[string]bool, err error) {
 			continue
 		}
 		for _, f := range files[dir] {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					for _, id := range specNames(spec) {
+						if obj := info.Defs[id]; obj != nil && obj.Exported() {
+							keyOf[obj] = key(obj, id.Name)
+						}
+					}
+				}
+			}
 			owner := map[*ast.StructType]string{}
 			var fields func(st *ast.StructType, name string)
 			fields = func(st *ast.StructType, name string) {
 				owner[st] = name
-				for _, fld := range st.Fields.List {
-					var tagged bool
+				tagged := make([]bool, len(st.Fields.List))
+				var wire bool
+				for i, fld := range st.Fields.List {
 					if fld.Tag != nil {
 						tag, _ := strconv.Unquote(fld.Tag.Value)
 						js, ok := reflect.StructTag(tag).Lookup("json")
-						tagged = ok && js != "-"
+						tagged[i] = ok && js != "-"
+						wire = wire || tagged[i]
 					}
+				}
+				for i, fld := range st.Fields.List {
 					idents := fld.Names
 					if idents == nil {
 						idents = []*ast.Ident{embeddedIdent(fld.Type)}
@@ -286,7 +314,11 @@ func scanExports(root string) (decls, used map[string]bool, err error) {
 					for _, id := range idents {
 						if v, ok := info.Defs[id].(*types.Var); ok && v.Exported() {
 							keyOf[v] = key(v, name+"."+v.Name())
-							written[v] = written[v] || tagged
+							written[v] = written[v] || tagged[i]
+							// The encoder reads a tagged field, and an
+							// embedded one of a json wire shape: it
+							// flattens its fields into the object.
+							read[v] = read[v] || tagged[i] || wire && v.Embedded()
 							if sub, ok := fld.Type.(*ast.StructType); ok {
 								fields(sub, name+"."+v.Name())
 							}
@@ -315,8 +347,9 @@ func scanExports(root string) (decls, used map[string]bool, err error) {
 		}
 	}
 
-	// Uses, over every file: calls resolved to objects, and field writes.
-	called := map[types.Object]bool{}
+	// Uses, over every file: calls and references resolved to objects,
+	// field writes and field reads.
+	called, referred := map[types.Object]bool{}, map[types.Object]bool{}
 	var ifaceCalls []*types.Func
 	for _, name := range stdCallers {
 		dot := strings.LastIndex(name, ".")
@@ -345,75 +378,152 @@ func scanExports(root string) (decls, used map[string]bool, err error) {
 			write(x.X)
 		}
 	}
+	// walk records the uses in one declaration. self is what it declares:
+	// a call from inside a function's own body is recursion, and a name
+	// used inside its own declaration has no user by that.
+	walk := func(root ast.Node, self types.Object) {
+		// stores holds the selectors an assignment or x++ stores to: the
+		// field accesses that are not reads.
+		stores := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				obj := info.Uses[n]
+				if obj == nil || obj == self {
+					break
+				}
+				switch obj := obj.(type) {
+				case *types.Func:
+					fn := obj.Origin()
+					called[fn] = true
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						ifaceCalls = append(ifaceCalls, fn)
+					}
+				case *types.TypeName, *types.Const:
+					referred[obj] = true
+				case *types.Var:
+					if !obj.IsField() {
+						referred[obj] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil {
+					break
+				}
+				// Each embedded field a promoted selector passes
+				// through is read to reach the selected one.
+				t, path := sel.Recv(), sel.Index()
+				for _, i := range path[:len(path)-1] {
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					fld := t.Underlying().(*types.Struct).Field(i)
+					read[fld.Origin()] = true
+					t = fld.Type()
+				}
+				if v, ok := sel.Obj().(*types.Var); ok && !stores[n] {
+					read[v.Origin()] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						stores[sel] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+					stores[sel] = true
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.CompositeLit:
+				var st *types.Struct
+				if tv, ok := info.Types[n]; ok {
+					t := tv.Type
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, _ = t.Underlying().(*types.Struct)
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+								written[v.Origin()] = true
+							}
+						}
+					} else if st != nil {
+						written[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
 	for _, dir := range dirs {
 		for _, f := range files[dir] {
 			for _, d := range f.Decls {
-				// self is the function being walked: a call from inside
-				// its own body is recursion, not a caller.
-				var self types.Object
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					self = info.Defs[fd.Name]
-				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.Ident:
-						fn, ok := info.Uses[n].(*types.Func)
-						if !ok || fn == self {
-							break
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					// A receiver names its type but is not a user of it.
+					walk(&ast.FuncDecl{Doc: d.Doc, Name: d.Name, Type: d.Type, Body: d.Body}, info.Defs[d.Name])
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var self types.Object
+						if names := specNames(spec); len(names) == 1 {
+							self = info.Defs[names[0]]
 						}
-						fn = fn.Origin()
-						called[fn] = true
-						if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-							ifaceCalls = append(ifaceCalls, fn)
-						}
-					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							write(lhs)
-						}
-					case *ast.IncDecStmt:
-						write(n.X)
-					case *ast.UnaryExpr:
-						if n.Op == token.AND {
-							write(n.X)
-						}
-					case *ast.CompositeLit:
-						var st *types.Struct
-						if tv, ok := info.Types[n]; ok {
-							t := tv.Type
-							if p, ok := t.Underlying().(*types.Pointer); ok {
-								t = p.Elem()
-							}
-							st, _ = t.Underlying().(*types.Struct)
-						}
-						for i, elt := range n.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								if id, ok := kv.Key.(*ast.Ident); ok {
-									if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
-										written[v.Origin()] = true
-									}
-								}
-							} else if st != nil {
-								written[st.Field(i).Origin()] = true
-							}
-						}
+						walk(spec, self)
 					}
-					return true
-				})
+				}
 			}
 		}
 	}
 
-	decls, used = map[string]bool{}, map[string]bool{}
+	decls, used = map[string]string{}, map[string]bool{}
 	for obj, k := range keyOf {
-		decls[k] = true
 		switch obj := obj.(type) {
-		case *types.Var:
-			used[k] = written[obj]
 		case *types.Func:
+			decls[k] = kindFunc
 			used[k] = called[obj] || implementsCalled(obj, ifaceCalls)
+		case *types.Var:
+			if obj.IsField() {
+				decls[k] = kindField
+				used[k] = written[obj] && read[obj]
+				break
+			}
+			decls[k] = kindName
+			used[k] = referred[obj]
+		default:
+			decls[k] = kindName
+			used[k] = referred[obj]
 		}
 	}
 	return decls, used, nil
+}
+
+// The kinds of exported declaration the scan judges, with what a user of
+// each does.
+const (
+	kindFunc  = "function or method"         // called
+	kindField = "struct field"               // written and read
+	kindName  = "type, constant or variable" // referred to
+)
+
+// specNames are the names a type or value spec declares.
+func specNames(spec ast.Spec) []*ast.Ident {
+	switch spec := spec.(type) {
+	case *ast.TypeSpec:
+		return []*ast.Ident{spec.Name}
+	case *ast.ValueSpec:
+		return spec.Names
+	}
+	return nil
 }
 
 // stdCallers are the interfaces whose methods the standard library calls

@@ -34,16 +34,6 @@ type Relation struct {
 	EstRows int
 }
 
-// Column returns the 1-based index and type of a named column.
-func (r *Relation) Column(name string) (int, *types.Type, bool) {
-	for i, c := range r.Columns {
-		if strings.EqualFold(c.Name, name) {
-			return i + 1, c.Type, true
-		}
-	}
-	return 0, nil, false
-}
-
 // View describes a (possibly recursive) view. Def is the translated LERA
 // term: for recursive views, a FIX term (Section 3.2); Columns carry the
 // inferred output schema.

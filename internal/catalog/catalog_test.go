@@ -28,13 +28,6 @@ func TestDeclareAndResolveRelation(t *testing.T) {
 	if !ok || r.Name != "FILM" {
 		t.Fatalf("Relation = %v, %v", r, ok)
 	}
-	j, ty, ok := r.Column("title")
-	if !ok || j != 2 || ty != c.Types.Char {
-		t.Errorf("Column = %d %v %v", j, ty, ok)
-	}
-	if _, _, ok := r.Column("nope"); ok {
-		t.Error("unknown column must not resolve")
-	}
 	if _, ok := c.Relation("NOPE"); ok {
 		t.Error("unknown relation must not resolve")
 	}

@@ -414,10 +414,10 @@ func TestSessionErrorsAndDDL(t *testing.T) {
 	if _, err := New(s.Cat, WithConstraints("garbage")); err == nil {
 		t.Error("bad constraints must error")
 	}
-	if _, err := New(s.Cat, WithSequence("block(x, {y}, 1);")); err == nil {
+	if _, err := New(s.Cat, WithRules("seq({typecheck}, 1")); err == nil {
 		t.Error("bad sequence must error")
 	}
-	if _, err := New(s.Cat, WithSequence("seq({nosuchblock}, 1);")); err == nil {
+	if _, err := New(s.Cat, WithRules("seq({nosuchblock}, 1);")); err == nil {
 		t.Error("sequence referencing unknown block must error")
 	}
 }

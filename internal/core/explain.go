@@ -56,7 +56,7 @@ func (s *Session) ExplainCtx(ctx context.Context, ex *esql.Explain) (*Result, er
 		// whether the query would hit (and shows the cached plan when it
 		// would) without counting, reordering or storing anything.
 		if cached, oc := s.peekPlanCache(q); oc != nil && oc.Hit {
-			res.Rewritten, res.Stats, res.Cache = cached, &rewrite.Stats{CacheHit: true}, oc
+			res.Rewritten, res.Stats, res.Cache = cached, &rewrite.Stats{}, oc
 		} else {
 			res.Rewritten, res.Stats = s.rewriteGuarded(ctx, q)
 			res.Cache = oc

@@ -129,8 +129,8 @@ func TestWithInjectorReachesRewriteExternals(t *testing.T) {
 		WithRules(`
 rule boomr: SEARCH(rl, f, p) / BOOMC(f) --> UNIONN(SET(SEARCH(rl, f, p)));
 block(boomb, {boomr}, 1);
+seq({boomb}, 1);
 `),
-		WithSequence("seq({boomb}, 1);"),
 		WithInjector(inj))
 	rw, err := s.Rewriter()
 	if err != nil {
@@ -204,8 +204,8 @@ func TestWithInjectorPanicDegrades(t *testing.T) {
 		WithRules(`
 rule boomr: SEARCH(rl, f, p) / BOOMC(f) --> UNIONN(SET(SEARCH(rl, f, p)));
 block(boomb, {boomr}, 1);
+seq({boomb}, 1);
 `),
-		WithSequence("seq({boomb}, 1);"),
 		WithInjector(inj))
 	rw, err := s.Rewriter()
 	if err != nil {

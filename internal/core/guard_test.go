@@ -27,8 +27,8 @@ func spinOpts() []Option {
 		WithRules(`
 rule spin: SEARCH(rl, f, p) --> FILTER(SEARCH(rl, f, p), TRUE);
 block(spinb, {spin}, inf);
+seq({spinb}, 1);
 `),
-		WithSequence("seq({spinb}, 1);"),
 	}
 }
 
@@ -98,8 +98,8 @@ func TestDegradeOnConstraintPanic(t *testing.T) {
 		WithRules(`
 rule boomr: SEARCH(rl, f, p) / BOOMC(f) --> UNIONN(SET(SEARCH(rl, f, p)));
 block(boomb, {boomr}, 1);
-`),
-		WithSequence("seq({boomb}, 1);"))
+seq({boomb}, 1);
+`))
 	rw, err := s.Rewriter()
 	if err != nil {
 		t.Fatal(err)

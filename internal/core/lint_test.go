@@ -137,8 +137,8 @@ rule orphan: ORPH(x) --> ORPH2(x);
 		{rulecheck.CodeDeadRule, "orphan"},
 	} {
 		found := false
-		for _, d := range rulecheck.Filter(rw.CheckDiagnostics(), want.code) {
-			found = found || (d.Rule == want.rule && d.Severity == rulecheck.SevInfo)
+		for _, d := range rw.CheckDiagnostics() {
+			found = found || (d.Code == want.code && d.Rule == want.rule && d.Severity == rulecheck.SevInfo)
 		}
 		if !found {
 			t.Errorf("no info-level %s for rule %q in %v", want.code, want.rule, rw.CheckDiagnostics())

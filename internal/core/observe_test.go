@@ -213,7 +213,8 @@ func TestDegradedEventInTrace(t *testing.T) {
 	s := filmsSession(t, WithRules(`
 rule spin: SEARCH(rl, f, p) --> FILTER(SEARCH(rl, f, p), TRUE);
 block(spinb, {spin}, inf);
-`), WithSequence("seq({spinb}, 1);"))
+seq({spinb}, 1);
+`))
 	s.Limits.MaxSteps = 3
 	s.Obs = obs.NewObserver()
 	s.Obs.Trace = true

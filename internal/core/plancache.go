@@ -36,6 +36,7 @@ import (
 	"lera/internal/plancache"
 	"lera/internal/rewrite"
 	"lera/internal/term"
+	"lera/internal/value"
 )
 
 // WithPlanCache arms a plan cache of n entries on the session. Forks
@@ -54,15 +55,13 @@ func WithPlanCache(n int) Option { return func(c *config) { c.planCache = n } }
 func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCacheVal = n } }
 
 // knobs returns the signature of every construction-time option that
-// can change rewrite output without changing the rule-base fingerprint:
-// block budgets, the master sequence and the dynamic limit policy.
+// can change rewrite output without changing the rule-base fingerprint
+// (which covers the master sequence): block budgets and the dynamic
+// limit policy.
 func knobs(cfg *config) string {
 	var parts []string
 	if cfg.dynamicLimits {
 		parts = append(parts, "dyn")
-	}
-	if cfg.sequence != "" {
-		parts = append(parts, "seq="+cfg.sequence)
 	}
 	var keys []string
 	for k := range cfg.blockLimits {
@@ -97,6 +96,24 @@ func (s *Session) cacheEnv(rw *Rewriter) string {
 	return sb.String()
 }
 
+// planKey is how the cache files query q: the environment guarding its
+// entries, its template and lifted bindings, the lookup key — the
+// template, or q itself for a parameterized shape whose template failed
+// validation, so substitution is a no-op — and the Outcome header
+// reporting them. rewritePlan and the read-only peekPlanCache both key
+// through it.
+func (s *Session) planKey(rw *Rewriter, q *term.Term) (env string, tmpl, key *term.Term, params []value.Value, out *plancache.Outcome) {
+	env = s.cacheEnv(rw)
+	tmpl, params = plancache.Templatize(q)
+	key = tmpl
+	rejected := len(params) > 0 && s.Plans.Rejected(tmpl.Hash())
+	if rejected {
+		key = q
+	}
+	out = &plancache.Outcome{TemplateHash: key.Hash(), NParams: len(params), Rejected: rejected}
+	return env, tmpl, key, params, out
+}
+
 // rewritePlan is the rewrite phase of execSelect: rewriteGuarded when
 // no cache is armed, else the cache-aware path described at the top of
 // this file. The returned Outcome is nil exactly when the cache did not
@@ -112,17 +129,7 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 		plan, st := s.rewriteGuarded(ctx, q)
 		return plan, st, nil
 	}
-	env := s.cacheEnv(rw)
-	tmpl, params := plancache.Templatize(q)
-
-	// Shapes whose template failed validation use exact-term entries:
-	// the key becomes the concrete term and substitution is a no-op.
-	key := tmpl
-	rejected := false
-	if len(params) > 0 && s.Plans.Rejected(tmpl.Hash()) {
-		key, rejected = q, true
-	}
-	out := &plancache.Outcome{TemplateHash: key.Hash(), NParams: len(params), Rejected: rejected}
+	env, tmpl, key, params, out := s.planKey(rw, q)
 
 	plan, nparams, ordinal, status := s.Plans.Lookup(key, env)
 	switch status {
@@ -133,7 +140,7 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 				return s.validateHit(ctx, q, key, bound, out)
 			}
 			out.Hit = true
-			return bound, &rewrite.Stats{CacheHit: true}, out
+			return bound, &rewrite.Stats{}, out
 		}
 		// A plan referencing bindings we do not have is a corrupt entry;
 		// drop it and treat the query as a miss.
@@ -149,8 +156,7 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 	if stats.Degraded {
 		return plan, stats, out // degraded plans are never cached
 	}
-	if len(params) == 0 || rejected {
-		out.Stored = true
+	if len(params) == 0 || out.Rejected {
 		out.Evicted = s.Plans.Store(key, plan, 0, env)
 		return plan, stats, out
 	}
@@ -160,14 +166,12 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 	// substituting this query's bindings reproduces the concrete plan.
 	if tplan, ok := s.rewriteTemplate(ctx, rw, tmpl); ok {
 		if check, serr := plancache.Substitute(tplan, params); serr == nil && term.Equal(check, plan) {
-			out.Stored = true
 			out.Evicted = s.Plans.Store(tmpl, tplan, len(params), env)
 			return plan, stats, out
 		}
 	}
 	s.Plans.Reject(tmpl.Hash())
 	out.Rejected = true
-	out.Stored = true
 	out.Evicted += s.Plans.Store(q, plan, 0, env)
 	return plan, stats, out
 }
@@ -186,7 +190,6 @@ func (s *Session) validateHit(ctx context.Context, q, key, bound *term.Term, out
 		out.Invalidated = true
 		return cold, coldStats, out
 	}
-	coldStats.CacheHit = true
 	out.Hit = true
 	return bound, coldStats, out
 }
@@ -217,14 +220,7 @@ func (s *Session) peekPlanCache(q *term.Term) (*term.Term, *plancache.Outcome) {
 	if err != nil {
 		return nil, nil
 	}
-	env := s.cacheEnv(rw)
-	tmpl, params := plancache.Templatize(q)
-	key := tmpl
-	rejected := false
-	if len(params) > 0 && s.Plans.Rejected(tmpl.Hash()) {
-		key, rejected = q, true
-	}
-	out := &plancache.Outcome{TemplateHash: key.Hash(), NParams: len(params), Rejected: rejected}
+	env, _, key, params, out := s.planKey(rw, q)
 	plan, _, ok := s.Plans.Peek(key, env)
 	if !ok {
 		return nil, out

@@ -53,8 +53,7 @@ func TestPlanCacheDifferentialGolden(t *testing.T) {
 						t.Errorf("%s (%s): counters diverged: %+v vs %+v", c.query, name, got, want)
 					}
 				}
-				st := w2.RewriteStats()
-				if !st.CacheHit || st.MatchAttempts != 0 || st.Applications != 0 {
+				if st := w2.RewriteStats(); st.MatchAttempts != 0 || st.Applications != 0 {
 					t.Errorf("%s: warm hit should skip the rewriter, stats %+v", c.query, st)
 				}
 			}

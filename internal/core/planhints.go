@@ -16,8 +16,9 @@ import (
 	"lera/internal/term"
 )
 
-// PlanningRules is the planning block: a single rule whose JOINORDER
-// method computes the permutation and remaps attribute references.
+// PlanningRules is the planning block — a single rule whose JOINORDER
+// method computes the permutation and remaps attribute references — and
+// the default sequence with the block appended after simplification.
 const PlanningRules = `
 rule join_order:
   SEARCH(z, q, a)
@@ -26,23 +27,13 @@ rule join_order:
   / JOINORDER(z, q, a, z2, q2, a2) ;
 
 block(planning, {join_order}, inf);
-`
-
-// PlanningSequence is the default sequence with the planning block
-// appended after simplification.
-const PlanningSequence = `
 seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge, planning}, 2);
 `
 
-// WithPlanning enables the planning-hint block.
-func WithPlanning() Option {
-	return func(c *config) {
-		c.extraRules = append(c.extraRules, PlanningRules)
-		if c.sequence == "" {
-			c.sequence = PlanningSequence
-		}
-	}
-}
+// WithPlanning enables the planning-hint block: it adds PlanningRules as
+// one rules source, so a later seq(...) given to WithRules replaces its
+// sequence.
+func WithPlanning() Option { return WithRules(PlanningRules) }
 
 func registerPlanningExternals(ext *rewrite.Externals) {
 	ext.RegisterMethod("JOINORDER", joinOrder)

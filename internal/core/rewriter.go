@@ -49,7 +49,6 @@ type config struct {
 	dynamicLimits bool
 	extraRules    []string
 	constraintSrc []string
-	sequence      string
 	blockLimits   map[string]int
 	ruleCheck     bool
 	injector      *guard.Injector
@@ -61,8 +60,10 @@ type config struct {
 // query complexity, with 0 for key-lookup-simple queries.
 func WithDynamicLimits() Option { return func(c *config) { c.dynamicLimits = true } }
 
-// WithRules adds implementor-written rules (and blocks/sequence) in the
-// rule language; same-named rules override built-ins.
+// WithRules adds implementor-written rules, blocks and a master sequence
+// in the rule language: same-named rules and blocks override built-ins,
+// and a seq(...) declaration replaces the sequence (the last one given
+// wins).
 func WithRules(src string) Option {
 	return func(c *config) { c.extraRules = append(c.extraRules, src) }
 }
@@ -71,9 +72,6 @@ func WithRules(src string) Option {
 func WithConstraints(src string) Option {
 	return func(c *config) { c.constraintSrc = append(c.constraintSrc, src) }
 }
-
-// WithSequence replaces the master sequence (rule-language "seq" syntax).
-func WithSequence(src string) Option { return func(c *config) { c.sequence = src } }
 
 // WithBlockLimit overrides a single block's budget: a non-negative
 // number of condition checks, or rules.Infinite. A zero limit turns the
@@ -197,11 +195,7 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 	consRS.BlockOrder = []string{"constraints"}
 	rs.Merge(consRS)
 
-	seqSrc := DefaultSequence
-	if cfg.sequence != "" {
-		seqSrc = cfg.sequence
-	}
-	seq, err := rules.ParseSequence(seqSrc)
+	seq, err := rules.ParseSequence(DefaultSequence)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ import (
 //
 // The session embeds its database, and the database holds every
 // execution setting: s.Limits, s.Parallelism, s.BatchSize, s.SpillDir,
-// s.Mode, s.CollectStats and s.Injector are the DB's own fields (as are
+// s.CollectStats and s.Injector are the DB's own fields (as are
 // s.Cat and s.SetObject), so setting one on s or on s.DB is the same
 // assignment and no query copies anything down. Limits also bounds the
 // rewrite phase: its Timeout applies to rewrite and execute separately,
@@ -95,7 +95,7 @@ func NewSession(opts ...Option) *Session {
 // parses or validates rule text. Private to the fork are its engine DB
 // fork (shared relations/objects; private counters, guard state, stats
 // and a copy of every execution setting the DB holds — Limits,
-// Parallelism, BatchSize, SpillDir, Mode, CollectStats, Injector), its
+// Parallelism, BatchSize, SpillDir, CollectStats, Injector), its
 // prepared statements, and copies of Rewrite and Obs. Forks are safe to
 // use concurrently with each other and with the parent PROVIDED the
 // shared state stays immutable: no DDL, INSERT or SetObject on any of
@@ -371,16 +371,6 @@ func (s *Session) execExecute(ctx context.Context, d *esql.ExecuteStmt) (*Result
 		return nil, err
 	}
 	return s.ExecSelectCtx(ctx, bound)
-}
-
-// Prepared reports the registered prepared-statement names with their
-// parameter counts (for shells).
-func (s *Session) Prepared() map[string]int {
-	out := make(map[string]int, len(s.prepared))
-	for k, v := range s.prepared {
-		out[k] = v.nparams
-	}
-	return out
 }
 
 // ExecSelectCtx translates, rewrites and executes one SELECT under a

@@ -100,7 +100,7 @@ func TestTraceLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := res.RewriteStats()
-			if st.CacheHit || st.Applications == 0 {
+			if res.Cache.Hit || st.Applications == 0 {
 				t.Fatalf("first run: stats %+v, want a cold rewrite that applied rules", st)
 			}
 			root := res.Report.Trace
@@ -126,7 +126,7 @@ func TestTraceLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !hit.RewriteStats().CacheHit {
+			if !hit.Cache.Hit {
 				t.Fatalf("repeat run missed the plan cache: %+v", hit.Cache)
 			}
 			if n := len(ruleApplies(t, hit.Report.Trace)); n != 0 {

@@ -415,7 +415,7 @@ func TestWidthPreservation(t *testing.T) {
 		{"union-empty", lera.Union(lera.Rel("FILM"), lera.Rel("FILM")), 3},
 		{"inter-empty", lera.Inter(lera.Rel("FILM"), lera.Rel("FILM")), 3},
 		{"diff-full", lera.Diff(lera.Rel("APPEARS_IN"), lera.Rel("APPEARS_IN")), 2},
-		{"unnest-empty", lera.Unnest(lera.Rel("FILM"), 3), 3},
+		{"unnest-empty", term.F(lera.OpUnnest, lera.Rel("FILM"), term.Num(3)), 3},
 	}
 	evals := map[string]func(q *term.Term) (*Relation, error){
 		"engine":    func(q *term.Term) (*Relation, error) { return db.EvalCtx(context.Background(), q) },

@@ -119,10 +119,10 @@ func TestFigure3QueryTypeChecked(t *testing.T) {
 		[]*term.Term{lera.Rel("APPEARS_IN"), lera.Rel("FILM")},
 		lera.Ands(
 			lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
-			lera.Cmp("=", lera.Project(lera.Value(lera.Attr(1, 2)), "Name"), term.Str("Quinn")),
+			lera.Cmp("=", term.F(lera.EProject, term.F(lera.EValue, lera.Attr(1, 2)), term.Str("Name")), term.Str("Quinn")),
 			term.F("MEMBER", term.Str("Adventure"), lera.Attr(2, 3)),
 		),
-		[]*term.Term{lera.Attr(2, 2), lera.Attr(2, 3), lera.Project(lera.Value(lera.Attr(1, 2)), "Salary")},
+		[]*term.Term{lera.Attr(2, 2), lera.Attr(2, 3), term.F(lera.EProject, term.F(lera.EValue, lera.Attr(1, 2)), term.Str("Salary"))},
 	)
 	r := evalOK(t, db, q)
 	if len(r.Rows) != 1 || r.Rows[0][2].I != 12000 {
@@ -311,7 +311,7 @@ func TestNestUnnestRoundTrip(t *testing.T) {
 			t.Errorf("nested col kind = %v", row[1].K)
 		}
 	}
-	un := evalOK(t, db, lera.Unnest(n, 2))
+	un := evalOK(t, db, term.F(lera.OpUnnest, n, term.Num(2)))
 	if len(un.Rows) != 8 {
 		t.Errorf("unnest rows = %d", len(un.Rows))
 	}
@@ -323,14 +323,14 @@ func TestNestUnnestRoundTrip(t *testing.T) {
 		}
 	}
 	// Unnest of a non-collection column fails.
-	if _, err := db.EvalCtx(context.Background(), lera.Unnest(lera.Rel("FILM"), 1)); err == nil {
+	if _, err := db.EvalCtx(context.Background(), term.F(lera.OpUnnest, lera.Rel("FILM"), term.Num(1))); err == nil {
 		t.Error("unnest scalar must fail")
 	}
 }
 
 func TestLet(t *testing.T) {
 	db := loadedDB(t)
-	q := lera.Let("M",
+	q := term.F(lera.OpLet, term.Str("M"),
 		lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(), []*term.Term{lera.Attr(1, 1)}),
 		lera.Search([]*term.Term{lera.Rel("M"), lera.Rel("M")},
 			lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))),
@@ -412,7 +412,7 @@ func TestObjectSemantics(t *testing.T) {
 	q := lera.Search(
 		[]*term.Term{lera.Rel("FILM")},
 		lera.TrueQual(),
-		[]*term.Term{lera.Value(lera.Attr(1, 1))},
+		[]*term.Term{term.F(lera.EValue, lera.Attr(1, 1))},
 	)
 	r := evalOK(t, db, q)
 	if r.Rows[0][0].K != value.KInt {
@@ -423,7 +423,7 @@ func TestObjectSemantics(t *testing.T) {
 	q2 := lera.Search(
 		[]*term.Term{fa},
 		lera.TrueQual(),
-		[]*term.Term{lera.Project(lera.Attr(1, 2), "Name")},
+		[]*term.Term{term.F(lera.EProject, lera.Attr(1, 2), term.Str("Name"))},
 	)
 	r2 := evalOK(t, db, q2)
 	for _, row := range r2.Rows {

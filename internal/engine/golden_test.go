@@ -80,8 +80,8 @@ func diffCorpus() map[string]*term.Term {
 		"filter-member":    lera.Filter(lera.Rel("FILM"), lera.Ands(term.F("MEMBER", term.Str("Western"), lera.Attr(1, 3)))),
 		"join-op":          lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)))),
 		"nest-multi":       lera.Nest(lera.Rel("DOMINATE"), []int{2, 3}, "Pairs"),
-		"unnest":           lera.Unnest(lera.Nest(lera.Rel("APPEARS_IN"), []int{2}, "Actors"), 2),
-		"let-self-join":    lera.Let("M", filmIDs("FILM"), lera.Search([]*term.Term{lera.Rel("M"), lera.Rel("M")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1)})),
+		"unnest":           term.F(lera.OpUnnest, lera.Nest(lera.Rel("APPEARS_IN"), []int{2}, "Actors"), term.Num(2)),
+		"let-self-join":    term.F(lera.OpLet, term.Str("M"), filmIDs("FILM"), lera.Search([]*term.Term{lera.Rel("M"), lera.Rel("M")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1)})),
 		"cartesian-filter": lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)}),
 		"leftover-conj":    lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Cmp("=", term.Str("x"), term.Str("x")), lera.Cmp(">=", lera.Attr(1, 1), term.Num(2))), []*term.Term{lera.Attr(1, 2)}),
 		"static-false":     lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(term.FalseT()), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}),

@@ -153,7 +153,7 @@ func TestLawNestUnnestInverse(t *testing.T) {
 		db := lawDB(t, r)
 		// unnest(nest(R, (2), s), 2) = R, under set semantics.
 		n := lera.Nest(lera.Rel("R"), []int{2}, "s")
-		un := lera.Unnest(n, 2)
+		un := term.F(lera.OpUnnest, n, term.Num(2))
 		if canonRel(t, db, un) != canonRel(t, db, sigma(lera.Rel("R"), term.TrueT(), 2)) {
 			t.Fatalf("trial %d: unnest∘nest ≠ id", trial)
 		}

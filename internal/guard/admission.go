@@ -141,13 +141,6 @@ func (g *Gate) Queued() int {
 	return g.queued
 }
 
-// Draining reports whether the gate has started draining.
-func (g *Gate) Draining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
-}
-
 // Drain switches the gate into drain mode — every subsequent or queued
 // Acquire fails with ErrDraining — and blocks until all in-flight work
 // has released or ctx is done. It returns nil when the gate emptied and

@@ -41,10 +41,10 @@ import (
 // FaultMode selects what an armed fault does when it fires.
 type FaultMode int
 
-// Fault modes.
+// Fault modes. The zero mode fires as a no-op (the call is still
+// counted).
 const (
-	// FaultNone: fire as a no-op (the call is still counted).
-	FaultNone FaultMode = iota
+	_ FaultMode = iota
 	// FaultPanic: panic with "injected panic (<name> call <n>)".
 	FaultPanic
 	// FaultError: return an error wrapping ErrInjected that names the

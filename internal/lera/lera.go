@@ -108,11 +108,6 @@ func Fix(name string, expr *term.Term, cols []string) *term.Term {
 	return term.F(OpFix, term.Str(name), expr, term.List(cs...))
 }
 
-// Let constructs LET(name, def, body).
-func Let(name string, def, body *term.Term) *term.Term {
-	return term.F(OpLet, term.Str(name), def, body)
-}
-
 // Nest constructs NEST(rel, LIST(idx...), newcol).
 func Nest(rel *term.Term, idxs []int, newcol string) *term.Term {
 	is := make([]*term.Term, len(idxs))
@@ -120,11 +115,6 @@ func Nest(rel *term.Term, idxs []int, newcol string) *term.Term {
 		is[i] = term.Num(int64(j))
 	}
 	return term.F(OpNest, rel, term.List(is...), term.Str(newcol))
-}
-
-// Unnest constructs UNNEST(rel, idx).
-func Unnest(rel *term.Term, idx int) *term.Term {
-	return term.F(OpUnnest, rel, term.Num(int64(idx)))
 }
 
 // Attr constructs an attribute reference ATTR(i, j) — relation i (1-based
@@ -191,14 +181,6 @@ func CallName(t *term.Term) (string, bool) {
 		return t.Args[0].Val.S, true
 	}
 	return "", false
-}
-
-// Value constructs VALUE(x).
-func Value(x *term.Term) *term.Term { return term.F(EValue, x) }
-
-// Project constructs PROJECT(x, 'field').
-func Project(x *term.Term, field string) *term.Term {
-	return term.F(EProject, x, term.Str(field))
 }
 
 // Ands constructs the canonical conjunction ANDS(SET(conjuncts...));

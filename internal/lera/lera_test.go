@@ -67,13 +67,13 @@ func TestFormatOtherOps(t *testing.T) {
 		{Diff(Rel("A"), Rel("B")), "diff(A, B)"},
 		{Inter(Rel("A"), Rel("B")), "inter({A, B})"},
 		{Nest(Rel("R"), []int{3}, "Actors"), "nest(R, (3), Actors)"},
-		{Unnest(Rel("R"), 2), "unnest(R, 2)"},
-		{Let("M", Rel("A"), Rel("M")), "let(M = A in M)"},
+		{term.F(OpUnnest, Rel("R"), term.Num(2)), "unnest(R, 2)"},
+		{term.F(OpLet, term.Str("M"), Rel("A"), Rel("M")), "let(M = A in M)"},
 		{Not(Call("IsEmpty", Attr(1, 1))), "¬(isempty(1.1))"},
 		{Ors(Cmp("=", Attr(1, 1), term.Num(1)), Cmp("=", Attr(1, 1), term.Num(2))), "1.1=1 ∨ 1.1=2"},
 		{Ors(), "false"},
 		{TrueQual(), "true"},
-		{Project(Value(Attr(1, 2)), "Salary"), "PROJECT(VALUE(1.2), Salary)"},
+		{term.F(EProject, term.F(EValue, Attr(1, 2)), term.Str("Salary")), "PROJECT(VALUE(1.2), Salary)"},
 		{Cmp("=", term.F("-", V1(), V2()), term.Num(0)), "(x - y)=0"},
 	}
 	for _, c := range cases {
@@ -280,7 +280,7 @@ func TestInferFixAndLet(t *testing.T) {
 		t.Errorf("fix col type = %s (want Actor, refined from seed)", s.Cols[0].Type)
 	}
 	// LET binds a name visible in the body.
-	let := Let("M", seed, Search([]*term.Term{Rel("M")}, TrueQual(), []*term.Term{Attr(1, 1)}))
+	let := term.F(OpLet, term.Str("M"), seed, Search([]*term.Term{Rel("M")}, TrueQual(), []*term.Term{Attr(1, 1)}))
 	s2, err := Infer(let, cat, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestInferNestUnnest(t *testing.T) {
 		t.Errorf("nested col type = %s", s.Cols[1].Type)
 	}
 	// UNNEST inverts.
-	u := Unnest(n, 2)
+	u := term.F(OpUnnest, n, term.Num(2))
 	s2, err := Infer(u, cat, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestInferErrors(t *testing.T) {
 			Search([]*term.Term{Rel("FILM")}, TrueQual(), []*term.Term{Attr(1, 1), Attr(1, 2)})), // arity mismatch
 		term.F(OpUnion, term.Set()), // empty union
 		Nest(Rel("FILM"), []int{9}, "x"),
-		Unnest(Rel("FILM"), 9),
+		term.F(OpUnnest, Rel("FILM"), term.Num(9)),
 		term.F(OpNest, Rel("FILM"), term.List(term.Flt(1)), term.Str("x")), // real index
 		term.F(OpUnnest, Rel("FILM"), term.Flt(1)),                         // real index
 		Diff(Rel("FILM"), Rel("APPEARS_IN")),

@@ -41,10 +41,10 @@ func TestTypeOfExpressions(t *testing.T) {
 		{"attr", Attr(2, 3), rels, "SetCategory"},
 		{"const int", term.Num(5), rels, "INT"},
 		{"const string", term.Str("x"), rels, "CHAR"},
-		{"value deref", Value(Attr(1, 2)), rels, "Actor"},
-		{"project field", Project(Value(Attr(1, 2)), "Salary"), rels, "NUMERIC"},
-		{"project missing field", Project(Value(Attr(1, 2)), "Nope"), rels, "ANY"},
-		{"project broadcast", Project(Attr(1, 2), "Salary"), nrels, "SET OF NUMERIC"},
+		{"value deref", term.F(EValue, Attr(1, 2)), rels, "Actor"},
+		{"project field", term.F(EProject, term.F(EValue, Attr(1, 2)), term.Str("Salary")), rels, "NUMERIC"},
+		{"project missing field", term.F(EProject, term.F(EValue, Attr(1, 2)), term.Str("Nope")), rels, "ANY"},
+		{"project broadcast", term.F(EProject, Attr(1, 2), term.Str("Salary")), nrels, "SET OF NUMERIC"},
 		{"call attr-as-function", Call("Name", Attr(1, 2)), rels, "CHAR"},
 		{"call broadcast", Call("Salary", Attr(1, 2)), nrels, "SET OF NUMERIC"},
 		{"call unknown", Call("Frobnicate", Attr(1, 1)), rels, "ANY"},
@@ -80,8 +80,8 @@ func TestTypeOfErrors(t *testing.T) {
 	bad := []*term.Term{
 		Attr(2, 1),  // relation index out of range
 		Attr(1, 99), // column index out of range
-		Value(Attr(9, 9)),
-		Project(Attr(9, 9), "x"),
+		term.F(EValue, Attr(9, 9)),
+		term.F(EProject, Attr(9, 9), term.Str("x")),
 	}
 	for _, e := range bad {
 		if _, err := TypeOf(e, rels, cat); err == nil {

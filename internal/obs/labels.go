@@ -23,8 +23,8 @@ import (
 //     the high-cardinality one (tenant), the rest a closed vocabulary
 //     (codes). Nothing is ever dropped: an overflowed observation still
 //     counts, so the sum over all series of a family remains exact.
-//     Collapses are counted (Overflowed), which only a process that holds
-//     the vector can read: no exposition carries the count.
+//     Collapses are counted (overflowed), for the tests that pin the
+//     policy: no exposition carries the count.
 //  2. Exact sums. Series are ordinary *Counter/*Gauge/*Histogram handles
 //     backed by atomics; With() is a read-locked map hit on the steady
 //     state, and callers on hot paths may cache the series handle.
@@ -169,27 +169,6 @@ func (cv *CounterVec) With(values ...string) *Counter {
 	return (*labelVec)(cv).with(values).c
 }
 
-// Overflowed reports label-value combinations collapsed into the
-// overflow series.
-func (cv *CounterVec) Overflowed() int64 {
-	if cv == nil {
-		return 0
-	}
-	return cv.overflowed.Load()
-}
-
-// Sum returns the total over every series of the vector.
-func (cv *CounterVec) Sum() int64 {
-	if cv == nil {
-		return 0
-	}
-	var total int64
-	for _, s := range (*labelVec)(cv).sortedSeries() {
-		total += s.c.Value()
-	}
-	return total
-}
-
 // GaugeVec is a family of gauges keyed by a label vector, e.g.
 // lera_build_info{commit,go_version}.
 type GaugeVec labelVec
@@ -213,15 +192,6 @@ func (hv *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	return (*labelVec)(hv).with(values).h
-}
-
-// Overflowed reports label-value combinations collapsed into the
-// overflow series.
-func (hv *HistogramVec) Overflowed() int64 {
-	if hv == nil {
-		return 0
-	}
-	return hv.overflowed.Load()
 }
 
 // escapeLabelValue escapes a label value per the Prometheus text

@@ -48,7 +48,6 @@ const (
 // lera_plancache_* metrics and EXPLAIN renders it.
 type Outcome struct {
 	Hit              bool   // plan served from cache
-	Stored           bool   // a new entry was stored
 	Rejected         bool   // template failed validation; exact entry used
 	Invalidated      bool   // a stale or failing entry was dropped
 	Evicted          int    // entries evicted by this store

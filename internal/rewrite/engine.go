@@ -16,14 +16,13 @@
 // (a sync.Pool), and any number of goroutines may run queries through it
 // at once. Everything one rewrite writes lives in a per-call run value:
 // the cancellation context and trace recorder, the guard limits of the
-// request, the site index and scratch bindings, the last committed term,
-// the Stats and the Fresh counter. A run takes its value from the pool and
-// puts it back scrubbed of every term, so the next run reuses its storage
-// but sees nothing of the query before. The counter has to be per run:
-// externals name the relations they introduce with it, and a plan must be
-// a function of the query and the rule base, never of how many queries
-// the engine served before (plan-cache keys, EXPLAIN goldens and the
-// serial/concurrent differential all lean on that).
+// request, the site index and scratch bindings, the last committed term
+// and the Stats. A run takes its value from the pool and puts it back
+// scrubbed of every term, so the next run reuses its storage but sees
+// nothing of the query before: a plan must be a function of the query and
+// the rule base, never of how many queries the engine served before
+// (plan-cache keys, EXPLAIN goldens and the serial/concurrent
+// differential all lean on that).
 package rewrite
 
 import (
@@ -68,16 +67,6 @@ func (c *Ctx) Context() context.Context {
 		return c.run.ctx
 	}
 	return context.Background()
-}
-
-// Fresh returns a fresh relation name with the given prefix, unique within
-// the current run — for externals that introduce relations, as an
-// Alexander-style transformation names its magic relations. The n'th name
-// a rewrite asks for is the same on the engine's first query and on its
-// millionth.
-func (c *Ctx) Fresh(prefix string) string {
-	c.run.fresh++
-	return fmt.Sprintf("%s_%d", strings.ToUpper(prefix), c.run.fresh)
 }
 
 // walkToSite descends from the root to the match site, reconstructing the
@@ -253,10 +242,9 @@ type Stats struct {
 	// indexed and the full-scan engine), this is the work counter the rule
 	// index actually shrinks: sites whose head functor or arity cannot
 	// match a rule's LHS are never attempted.
-	MatchAttempts   int
-	Applications    int // successful rewrites
-	Rounds          int // sequence iterations executed
-	BudgetExhausted bool
+	MatchAttempts int
+	Applications  int // successful rewrites
+	Rounds        int // sequence iterations executed
 	// StepsLimit echoes the MaxSteps cap the run was budgeted with
 	// (0 = unlimited), so consumers can report Applications against it
 	// without holding the Options that produced the run.
@@ -274,11 +262,6 @@ type Stats struct {
 	// "STEP_BUDGET" in a leraserver response and in an edsql notice name
 	// the same event. Empty when not degraded.
 	DegradationCode string
-
-	// CacheHit marks a plan served by the session plan cache: the engine
-	// never ran, so the work counters above are genuinely zero (the
-	// point of the cache). See internal/plancache and docs/PLANCACHE.md.
-	CacheHit bool
 }
 
 // Options configure an engine; New resolves them once.
@@ -390,7 +373,6 @@ type runState struct {
 	lim    guard.Limits    // MaxSteps and MaxTermSize of the request
 	simple bool            // §7: blocks get their simpleBudget
 	st     *Stats
-	fresh  int        // Ctx.Fresh counter
 	last   *term.Term // term after the last committed application
 
 	// Hot-path state (docs/PERF.md "Match attempts without allocation"):
@@ -433,7 +415,7 @@ func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits, sim
 		r.accept = r.acceptMatch
 	}
 	r.ctx, r.rec, r.lim, r.simple = ctx, obs.FromContext(ctx), lim, simple
-	r.st, r.fresh, r.last = &Stats{StepsLimit: lim.MaxSteps}, 0, q
+	r.st, r.last = &Stats{StepsLimit: lim.MaxSteps}, q
 	return r
 }
 
@@ -556,13 +538,10 @@ func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 			break
 		}
 	}
-	if budget <= 0 {
-		st.BudgetExhausted = true
-		if r.rec != nil {
-			// §4.2 budget consumption: the block spent its whole
-			// condition-check allowance.
-			r.rec.Event("budget.exhausted", obs.Str("block", b.name))
-		}
+	if budget <= 0 && r.rec != nil {
+		// §4.2 budget consumption: the block spent its whole
+		// condition-check allowance.
+		r.rec.Event("budget.exhausted", obs.Str("block", b.name))
 	}
 	return q, nil
 }

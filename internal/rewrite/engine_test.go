@@ -251,7 +251,11 @@ seq({b}, 1);
 `
 	e := newEngine(t, src, Options{})
 	q := term.F("TT", term.F("FF", term.Num(1)), term.F("FF", term.Num(20)))
-	out, st := run(t, e, q)
+	rec := obs.NewRecorder("rewrite")
+	out, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), q, guard.Limits{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The first check is FF(1), which fails x>10 and exhausts the
 	// budget; FF(20) is never tried.
 	if st.ConditionChecks != 1 {
@@ -260,8 +264,8 @@ seq({b}, 1);
 	if st.Applications != 0 {
 		t.Errorf("applications = %d, want 0 (budget spent on failing check)", st.Applications)
 	}
-	if !st.BudgetExhausted {
-		t.Error("budget must be flagged exhausted")
+	if trace := obs.FormatTree(rec.Finish(), false); !strings.Contains(trace, "budget.exhausted block=b") {
+		t.Errorf("budget must be recorded exhausted:\n%s", trace)
 	}
 	if out.String() != q.String() {
 		t.Errorf("out = %s", out)
@@ -413,27 +417,6 @@ rule trans: ANDS(SET(w*, EQT(x, y), EQT(y, z))) / DISTINCT(x, z), NOTMEMBER(EQT(
 	}
 }
 
-// Fresh names are numbered within the run: the plan a rule base derives
-// for a query is the same term on the engine's first run and on its
-// hundredth, whatever it served in between.
-func TestFreshNamesArePerRun(t *testing.T) {
-	e := newEngine(t, "rule focus: FOCUS(x, y) --> FOCUSED(x, y, a, b) / NAMEIT(a), NAMEIT(b);", Options{})
-	e.Ext.RegisterMethod("NAMEIT", func(ctx *Ctx, args []*term.Term) (bool, error) {
-		ctx.Bind.BindVar(args[0].Name, term.Str(ctx.Fresh("magic")))
-		return true, nil
-	})
-	q := term.F("FOCUS", term.Num(1), term.Num(2))
-	first, _ := run(t, e, q)
-	if first.String() != "FOCUSED(1, 2, 'MAGIC_1', 'MAGIC_2')" {
-		t.Fatalf("first run = %s", first)
-	}
-	for i := 2; i <= 100; i++ {
-		if again, _ := run(t, e, q); !term.Equal(again, first) {
-			t.Fatalf("run %d = %s, run 1 = %s", i, again, first)
-		}
-	}
-}
-
 // Context helpers: EnclosingRels and InferAt must respect FIX/LET binders
 // crossed on the way to the match site.
 func TestCtxEnclosingRelsThroughBinders(t *testing.T) {
@@ -457,7 +440,7 @@ func TestCtxEnclosingRelsThroughBinders(t *testing.T) {
 		t.Fatalf("applications = %d: %s", st.Applications, lera.Format(out))
 	}
 	// LET binders work the same way.
-	q2 := lera.Let("M", seed,
+	q2 := term.F(lera.OpLet, term.Str("M"), seed,
 		lera.Search([]*term.Term{lera.Rel("M"), lera.Rel("FILM")},
 			lera.Ands(term.F("MEMBER", term.Str("Western"), lera.Attr(2, 3))),
 			[]*term.Term{lera.Attr(1, 1)}))

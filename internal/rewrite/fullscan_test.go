@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"lera/internal/core"
+	"lera/internal/esql"
 	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/rewrite"
@@ -134,7 +135,11 @@ func rewriteBoth(t *testing.T, s *core.Session, query string) (indexed, full *te
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := translate.Query(s.Cat, query)
+	sel, err := esql.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := translate.Select(s.Cat, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +216,7 @@ func TestIndexedExecutionMatchesFullScan(t *testing.T) {
 // on the many-rule regime specifically: with 64 dead-head rules added, the
 // indexed engine must do less than half the full-scan's match attempts.
 func TestManyRuleBlockTwoFold(t *testing.T) {
-	s := filmsBench(t, 8, core.WithRules(deadRuleSrc(64)), core.WithSequence(deadSeq))
+	s := filmsBench(t, 8, core.WithRules(deadRuleSrc(64)+deadSeq))
 	_, _, si, sf := rewriteBoth(t, s, "SELECT Title FROM FILM WHERE MEMBER('Comedy', Categories) AND Numf > 2")
 	if 2*si.MatchAttempts > sf.MatchAttempts {
 		t.Errorf("many-rule block: indexed attempts %d not 2x under full-scan %d",

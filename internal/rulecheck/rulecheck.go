@@ -145,16 +145,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s %s %s%s: %s", d.Severity, d.Code, who, site, d.Msg)
 }
 
-// HasErrors reports whether any diagnostic is SevError.
-func HasErrors(ds []Diagnostic) bool {
-	for _, d := range ds {
-		if d.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns how many diagnostics have the given severity.
 func Count(ds []Diagnostic, sev Severity) int {
 	n := 0
@@ -164,15 +154,4 @@ func Count(ds []Diagnostic, sev Severity) int {
 		}
 	}
 	return n
-}
-
-// Filter returns the diagnostics with the given code.
-func Filter(ds []Diagnostic, code string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range ds {
-		if d.Code == code {
-			out = append(out, d)
-		}
-	}
-	return out
 }

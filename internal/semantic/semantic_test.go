@@ -7,6 +7,7 @@ import (
 
 	"lera/internal/guard"
 	"lera/internal/lera"
+	"lera/internal/obs"
 	"lera/internal/rewrite"
 	"lera/internal/rules"
 	"lera/internal/term"
@@ -313,12 +314,13 @@ func TestSemanticBudgetBounds(t *testing.T) {
 		lera.Cmp("=", lera.Attr(2, 1), lera.Attr(3, 1)),
 		lera.Cmp("=", lera.Attr(3, 1), lera.Attr(4, 1)),
 	)
-	out, st, err := e.RunBlockCtx(context.Background(), q, "semantic", guard.Limits{}, false)
+	rec := obs.NewRecorder("rewrite")
+	out, _, err := e.RunBlockCtx(obs.NewContext(context.Background(), rec), q, "semantic", guard.Limits{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.BudgetExhausted {
-		t.Error("budget should be exhausted")
+	if trace := obs.FormatTree(rec.Finish(), false); !strings.Contains(trace, "budget.exhausted block=semantic") {
+		t.Errorf("budget should be recorded exhausted:\n%s", trace)
 	}
 	if len(lera.Conjuncts(out)) >= 6 {
 		t.Errorf("limit 1 must not reach full closure: %s", lera.Format(out))

@@ -192,7 +192,7 @@ func TestChaosEveryRequestTyped(t *testing.T) {
 	// labeled {tenant,code}; summed over tenants, each code's count must
 	// equal the clients' count of that code.
 	m := srv.Metrics()
-	if requests := m.CounterVec("lera_server_requests_total", "", "tenant", "code").Sum(); requests != int64(total) {
+	if requests := requestsTotal(m); requests != int64(total) {
 		t.Errorf("server counted %d answers, clients received %d", requests, total)
 	}
 	series, _ := m.Snapshot()["lera_server_requests_total"].(map[string]int64)

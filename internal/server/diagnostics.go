@@ -144,6 +144,3 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(out)
 }
-
-// SlowLog exposes the ring for tests and embedding callers.
-func (s *Server) SlowLog() *core.SlowLog { return s.slow }

@@ -170,11 +170,18 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		defer cancel()
 		drainDone <- srv.Drain(ctx)
 	}()
-	waitFor(t, func() bool { return srv.gate.Draining() }, "gate never started draining")
-
-	if st, resp := query(); st != http.StatusServiceUnavailable || resp.Code != string(guard.CodeDraining) {
-		t.Fatalf("query during drain: %d %s, want 503 DRAINING", st, resp.Code)
-	}
+	// Queries answer OK until the gate starts draining; the first that
+	// does not must be refused with DRAINING.
+	waitFor(t, func() bool {
+		st, resp := query()
+		if st == http.StatusOK {
+			return false
+		}
+		if st != http.StatusServiceUnavailable || resp.Code != string(guard.CodeDraining) {
+			t.Fatalf("query during drain: %d %s, want 503 DRAINING", st, resp.Code)
+		}
+		return true
+	}, "no query was refused with DRAINING")
 
 	if out := <-slow; out.Code != guard.CodeOK {
 		t.Fatalf("in-flight query: %s", out.Code)

@@ -286,7 +286,7 @@ func TestServerShedsWhenOverloaded(t *testing.T) {
 
 	// With retries enabled the same overload resolves once the slot
 	// frees: the client's backoff absorbs it.
-	srv.inj.Set("COUNT", guard.Fault{Mode: guard.FaultNone})
+	srv.inj.Set("COUNT", guard.Fault{}) // the zero mode: a counted no-op
 	c2 := NewClient(base)
 	out = c2.Query(context.Background(), filmQuery)
 	if out.Code != guard.CodeOK {
@@ -449,9 +449,9 @@ func FuzzHTTPQuery(f *testing.F) {
 			httptest.NewRequest(http.MethodGet, "/query?"+url.Values{"q": {string(data)}}.Encode(), nil),
 		} {
 			rec := httptest.NewRecorder()
-			before := srv.m.requests.Sum()
+			before := requestsTotal(srv.Metrics())
 			mux.ServeHTTP(rec, req)
-			if grew := srv.m.requests.Sum() - before; grew != 1 {
+			if grew := requestsTotal(srv.Metrics()) - before; grew != 1 {
 				t.Fatalf("%s: one answer grew the request ledger by %d", req.Method, grew)
 			}
 			var resp Response

@@ -165,15 +165,6 @@ func Select(cat *catalog.Catalog, s *esql.Select) (*term.Term, error) {
 	return tr.translateSelect(s, nil)
 }
 
-// Query parses and translates a single SELECT.
-func Query(cat *catalog.Catalog, src string) (*term.Term, error) {
-	s, err := esql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return Select(cat, s)
-}
-
 // Insert evaluates an INSERT statement's literal rows.
 func Insert(cat *catalog.Catalog, ins *esql.InsertStmt) (string, [][]value.Value, error) {
 	rows := make([][]value.Value, len(ins.Rows))

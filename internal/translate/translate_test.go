@@ -10,9 +10,19 @@ import (
 	"lera/internal/engine"
 	"lera/internal/esql"
 	"lera/internal/lera"
+	"lera/internal/term"
 	"lera/internal/testdb"
 	"lera/internal/value"
 )
+
+// query parses and translates a single SELECT.
+func query(cat *catalog.Catalog, src string) (*term.Term, error) {
+	s, err := esql.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	return Select(cat, s)
+}
 
 // figure2Catalog builds the catalog by *parsing and translating* the
 // Figure 2 DDL, exercising the whole declaration pipeline.
@@ -75,7 +85,7 @@ func TestFigure2Declarations(t *testing.T) {
 // the paper's translation, (APPEARS_IN, FILM), is used in the query).
 func TestFigure3(t *testing.T) {
 	cat := figure2Catalog(t)
-	q, err := Query(cat, `
+	q, err := query(cat, `
 SELECT Title, Categories, Salary(Refactor)
 FROM APPEARS_IN, FILM
 WHERE FILM.Numf = APPEARS_IN.Numf
@@ -118,7 +128,7 @@ func TestFigure4(t *testing.T) {
 	if view.Columns[2].Name != "Actors" {
 		t.Errorf("view columns = %v", view.Columns)
 	}
-	q, err := Query(cat, `
+	q, err := query(cat, `
 SELECT Title
 FROM FilmActors
 WHERE MEMBER('Adventure', Categories) AND ALL(Salary(Actors) > 10000)`)
@@ -157,7 +167,7 @@ func TestFixpointFigure5(t *testing.T) {
 	if got != want {
 		t.Errorf("fix translation:\n got %s\nwant %s", got, want)
 	}
-	q, err := Query(cat, `
+	q, err := query(cat, `
 SELECT Name(Refactor1)
 FROM BETTER_THAN
 WHERE Name(Refactor2) = 'Quinn'`)
@@ -182,7 +192,7 @@ WHERE Name(Refactor2) = 'Quinn'`)
 func TestViewExpansionInQueries(t *testing.T) {
 	cat := figure2Catalog(t)
 	mustDeclare(t, cat, "CREATE VIEW AdventureFilms (Numf, Title) AS SELECT Numf, Title FROM FILM WHERE MEMBER('Adventure', Categories);")
-	q, err := Query(cat, "SELECT Title FROM AdventureFilms WHERE Numf = 1")
+	q, err := query(cat, "SELECT Title FROM AdventureFilms WHERE Numf = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +261,7 @@ func TestTranslationErrors(t *testing.T) {
 		"SELECT Title, MakeSet(Numf), MakeSet(Categories) FROM FILM GROUP BY Title", // two MakeSets
 	}
 	for _, src := range bad {
-		if _, err := Query(cat, src); err == nil {
+		if _, err := query(cat, src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
 	}
@@ -269,7 +279,7 @@ func TestTranslationErrors(t *testing.T) {
 
 func TestAliasesAndQualifiers(t *testing.T) {
 	cat := figure2Catalog(t)
-	q, err := Query(cat, `
+	q, err := query(cat, `
 SELECT D1.Numf FROM DOMINATE D1, DOMINATE D2
 WHERE D1.Refactor2 = D2.Refactor1`)
 	if err != nil {
@@ -283,7 +293,7 @@ WHERE D1.Refactor2 = D2.Refactor1`)
 
 func TestOrTranslation(t *testing.T) {
 	cat := figure2Catalog(t)
-	q, err := Query(cat, "SELECT Title FROM FILM WHERE Numf = 1 OR Numf = 2")
+	q, err := query(cat, "SELECT Title FROM FILM WHERE Numf = 1 OR Numf = 2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,49 +312,3 @@ func (r *Registry) TypeOfValue(v value.Value) *Type {
 	}
 	return r.AnyT
 }
-
-// ZeroValue returns a reasonable default runtime value for the type.
-func (t *Type) ZeroValue() value.Value {
-	if t == nil {
-		return value.Null
-	}
-	switch t.Kind {
-	case Basic:
-		switch strings.ToUpper(t.Name) {
-		case "INT", "NUMERIC":
-			return value.Int(0)
-		case "REAL":
-			return value.Real(0)
-		case "BOOLEAN":
-			return value.Bool(false)
-		default:
-			return value.String("")
-		}
-	case Enum:
-		if len(t.EnumVals) > 0 {
-			return value.String(t.EnumVals[0])
-		}
-		return value.String("")
-	case Tuple:
-		fs := t.AllFields()
-		names := make([]string, len(fs))
-		vals := make([]value.Value, len(fs))
-		for i, f := range fs {
-			names[i] = f.Name
-			vals[i] = f.Type.ZeroValue()
-		}
-		return value.NewTuple(names, vals)
-	case Collection:
-		switch t.CollKind {
-		case value.KSet:
-			return value.NewSet()
-		case value.KBag:
-			return value.NewBag()
-		case value.KList:
-			return value.NewList()
-		case value.KArray:
-			return value.NewArray()
-		}
-	}
-	return value.Null
-}

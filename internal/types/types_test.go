@@ -156,6 +156,9 @@ func TestCollectionInterning(t *testing.T) {
 	if got := a.String(); got != "SET OF INT" {
 		t.Errorf("anon collection String = %q", got)
 	}
+	if (*Type)(nil).String() != "<nil>" {
+		t.Error("nil type String")
+	}
 }
 
 func TestDeclareDuplicate(t *testing.T) {
@@ -217,39 +220,6 @@ func TestNames(t *testing.T) {
 		if strings.HasPrefix(n, "_") {
 			t.Errorf("anonymous type leaked into Names(): %s", n)
 		}
-	}
-}
-
-func TestZeroValue(t *testing.T) {
-	r := figure2(t)
-	cases := []struct {
-		tn   string
-		want value.Kind
-	}{
-		{"INT", value.KInt}, {"REAL", value.KReal}, {"CHAR", value.KString},
-		{"BOOLEAN", value.KBool}, {"Category", value.KString},
-		{"SetCategory", value.KSet}, {"Pairs", value.KList},
-		{"Point", value.KTuple}, {"Actor", value.KTuple},
-	}
-	for _, c := range cases {
-		z := r.MustLookup(c.tn).ZeroValue()
-		if z.K != c.want {
-			t.Errorf("ZeroValue(%s).K = %v, want %v", c.tn, z.K, c.want)
-		}
-	}
-	actor := r.MustLookup("Actor").ZeroValue()
-	if actor.Len() != 4 {
-		t.Errorf("Actor zero tuple must include inherited fields: %v", actor)
-	}
-	if (*Type)(nil).ZeroValue().K != value.KNull {
-		t.Error("nil type zero is NULL")
-	}
-	if (*Type)(nil).String() != "<nil>" {
-		t.Error("nil type String")
-	}
-	cat := r.MustLookup("Category").ZeroValue()
-	if cat.S != "Comedy" {
-		t.Errorf("enum zero = %v", cat)
 	}
 }
 
