@@ -135,22 +135,6 @@ var lastCache *lera.PlanCacheOutcome
 // sized at startup, threshold from --slow-threshold.
 var slowRing *lera.SlowLog
 
-// cacheLine renders a one-line cache outcome for a query.
-func cacheLine(oc *lera.PlanCacheOutcome) string {
-	state := "miss"
-	if oc.Hit {
-		state = "hit"
-	}
-	line := fmt.Sprintf("cache %s (template 0x%016x, %d params", state, oc.TemplateHash, oc.NParams)
-	if oc.Rejected {
-		line += ", exact-key fallback"
-	}
-	if oc.Validated {
-		line += ", validated"
-	}
-	return line + ")"
-}
-
 func meta(s *lera.Session, showPlan *bool, cmd string) bool {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
@@ -176,7 +160,7 @@ func meta(s *lera.Session, showPlan *bool, cmd string) bool {
 			fmt.Println("error:", err)
 		}
 		if lastCache != nil {
-			fmt.Printf("# last query: %s\n", cacheLine(lastCache))
+			fmt.Printf("# last query: cache %s\n", lastCache.Describe("hit", "miss"))
 		}
 	case "\\counters":
 		c := s.DB.Count
@@ -294,7 +278,7 @@ func run(s *lera.Session, showPlan bool, src string) {
 		if r.Cache != nil {
 			lastCache = r.Cache
 			if r.Kind == lera.ResultRows {
-				fmt.Println(cacheLine(r.Cache))
+				fmt.Println("cache", r.Cache.Describe("hit", "miss"))
 			}
 		}
 		if st := r.RewriteStats(); st.Degraded {

@@ -45,7 +45,9 @@ func (s *Session) ExplainCtx(ctx context.Context, ex *esql.Explain) (*Result, er
 	rec.End(tSpan)
 	rep.Phases.Translate = time.Since(t0)
 	if err != nil {
-		s.obsQueryDone(nil, err)
+		// A plain EXPLAIN executes nothing, so it is never a query in
+		// lera_queries_total, failed or not; only the error is counted.
+		s.obsError()
 		return nil, err
 	}
 	res := &Result{Kind: ResultExplain, Initial: q, Rewritten: q, Report: rep}
@@ -79,17 +81,10 @@ func (s *Session) ExplainCtx(ctx context.Context, ex *esql.Explain) (*Result, er
 // and rule base.
 func renderExplain(res *Result, analyze bool) string {
 	var sb strings.Builder
-	indented := func(text string) {
-		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-			sb.WriteString("  ")
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-	}
 	sb.WriteString("plan (translated):\n")
-	indented(lera.Format(res.Initial))
+	writeIndented(&sb, lera.Format(res.Initial))
 	sb.WriteString("plan (rewritten):\n")
-	indented(lera.Format(res.Rewritten))
+	writeIndented(&sb, lera.Format(res.Rewritten))
 	st := res.RewriteStats()
 	fmt.Fprintf(&sb, "rewrite: applications=%d condition_checks=%d match_attempts=%d rounds=%d\n",
 		st.Applications, st.ConditionChecks, st.MatchAttempts, st.Rounds)
@@ -97,37 +92,47 @@ func renderExplain(res *Result, analyze bool) string {
 		fmt.Fprintf(&sb, "rewrite degraded: %s\n", st.DegradationReason)
 	}
 	if oc := res.Cache; oc != nil {
-		state := "cold"
-		if oc.Hit {
-			state = "cached"
-		}
-		fmt.Fprintf(&sb, "plan: %s (template 0x%016x, %d params", state, oc.TemplateHash, oc.NParams)
-		if oc.Rejected {
-			sb.WriteString(", exact-key fallback")
-		}
-		if oc.Validated {
-			sb.WriteString(", validated")
-		}
-		sb.WriteString(")\n")
+		fmt.Fprintf(&sb, "plan: %s\n", oc.Describe("cached", "cold"))
 	}
-	rep := res.Report
-	if rep != nil && rep.Exec != nil {
+	writeReport(&sb, res.Report, analyze)
+	if analyze {
+		fmt.Fprintf(&sb, "result: %d rows", len(res.Rows))
+	}
+	return strings.TrimRight(sb.String(), "\n")
+}
+
+// writeReport appends a query report's execution, trace and timings
+// blocks — what EXPLAIN ANALYZE and a slow-ring entry both print. With
+// analyze false the blocks carry no durations and the timings line is
+// left out. A nil report writes nothing.
+func writeReport(sb *strings.Builder, rep *QueryReport, analyze bool) {
+	if rep == nil {
+		return
+	}
+	if rep.Exec != nil {
 		sb.WriteString("execution:\n")
 		for _, c := range rep.Exec.Children {
-			indented(c.Format(analyze))
+			writeIndented(sb, c.Format(analyze))
 		}
 	}
-	if rep != nil && rep.Trace != nil {
+	if rep.Trace != nil {
 		sb.WriteString("trace:\n")
-		indented(obs.FormatTree(rep.Trace, analyze))
+		writeIndented(sb, obs.FormatTree(rep.Trace, analyze))
 	}
-	if analyze && rep != nil {
-		fmt.Fprintf(&sb, "timings: parse=%s translate=%s rewrite=%s execute=%s\n",
+	if analyze {
+		fmt.Fprintf(sb, "timings: parse=%s translate=%s rewrite=%s execute=%s\n",
 			rep.Phases.Parse.Round(time.Microsecond),
 			rep.Phases.Translate.Round(time.Microsecond),
 			rep.Phases.Rewrite.Round(time.Microsecond),
 			rep.Phases.Execute.Round(time.Microsecond))
-		fmt.Fprintf(&sb, "result: %d rows", len(res.Rows))
 	}
-	return strings.TrimRight(sb.String(), "\n")
+}
+
+// writeIndented appends text line by line, each indented two spaces.
+func writeIndented(sb *strings.Builder, text string) {
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		sb.WriteString("  ")
+		sb.WriteString(line)
+		sb.WriteByte('\n')
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lera/internal/esql"
+	"lera/internal/obs"
 )
 
 // explainOf runs one EXPLAIN statement through the full Exec path (so the
@@ -151,5 +152,35 @@ func TestExplainParseErrors(t *testing.T) {
 	}
 	if _, err := s.Exec("EXPLAIN ANALYZE SELECT NoSuchCol FROM FILM;"); err == nil {
 		t.Fatal("EXPLAIN ANALYZE of an untranslatable query must fail")
+	}
+}
+
+// TestPlainExplainIsNotAQuery: a plain EXPLAIN executes nothing, so it
+// never moves lera_queries_total — whether it succeeds or its translation
+// fails; the failure counts only as an error. EXPLAIN ANALYZE executes,
+// and counts.
+func TestPlainExplainIsNotAQuery(t *testing.T) {
+	s := filmsSession(t)
+	s.Obs = obs.NewObserver()
+	m := s.Obs.Metrics
+	queries := func() int64 { return m.Counter("lera_queries_total", "").Value() }
+	errs := func() int64 { return m.Counter("lera_query_errors_total", "").Value() }
+
+	explainOf(t, s, "EXPLAIN SELECT Title FROM FILM WHERE Numf = 3;")
+	if got := queries(); got != 0 {
+		t.Errorf("after a plain EXPLAIN: lera_queries_total = %d, want 0", got)
+	}
+	if _, err := s.Exec("EXPLAIN SELECT NoSuchCol FROM FILM;"); err == nil {
+		t.Fatal("EXPLAIN of an untranslatable query must fail")
+	}
+	if got := queries(); got != 0 {
+		t.Errorf("after a failed plain EXPLAIN: lera_queries_total = %d, want 0", got)
+	}
+	if got := errs(); got != 1 {
+		t.Errorf("after a failed plain EXPLAIN: lera_query_errors_total = %d, want 1", got)
+	}
+	explainOf(t, s, "EXPLAIN ANALYZE SELECT Title FROM FILM WHERE Numf = 3;")
+	if got := queries(); got != 1 {
+		t.Errorf("after EXPLAIN ANALYZE: lera_queries_total = %d, want 1", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"lera/internal/engine"
-	"lera/internal/guard"
 	"lera/internal/obs"
 )
 
@@ -45,9 +44,6 @@ type QueryReport struct {
 	// unless the memory governor moved an operator out of core
 	// (docs/PERF.md, "Memory governor & spill").
 	Spill engine.SpillStats
-	// Budget mirrors Result.Budget so a retained report (the slow-query
-	// ring keeps reports after the Result is gone) stays self-contained.
-	Budget guard.Consumption
 }
 
 // Metric names (see docs/OBSERVABILITY.md for the full inventory).
@@ -64,7 +60,6 @@ const (
 	mEmitted       = "lera_exec_rows_emitted_total"
 	mPredEvals     = "lera_exec_pred_evals_total"
 	mFixIters      = "lera_exec_fixpoint_iterations_total"
-	mRowsReturned  = "lera_rows_returned_total"
 	mSpillParts    = "lera_engine_spill_partitions_total"
 	mSpillBytes    = "lera_engine_spill_bytes_total"
 	mSpillReads    = "lera_engine_spill_reads_total"
@@ -90,10 +85,16 @@ func (s *Session) obsParse(d time.Duration, err error) {
 	if s.Obs == nil {
 		return
 	}
-	m := s.Obs.Metrics
-	m.Histogram(hParseSeconds, "ESQL parse wall time per Parse call.", obs.DefaultDurationBuckets).Observe(d.Seconds())
+	s.Obs.Metrics.Histogram(hParseSeconds, "ESQL parse wall time per Parse call.", obs.DefaultDurationBuckets).Observe(d.Seconds())
 	if err != nil {
-		m.Counter(mErrors, "Queries and statements that returned an error.").Inc()
+		s.obsError()
+	}
+}
+
+// obsError counts one query or statement that returned an error.
+func (s *Session) obsError() {
+	if s.Obs != nil {
+		s.Obs.Metrics.Counter(mErrors, "Queries and statements that returned an error.").Inc()
 	}
 }
 
@@ -123,7 +124,7 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 	m := s.Obs.Metrics
 	m.Counter(mQueries, "SELECT queries executed.").Inc()
 	if execErr != nil {
-		m.Counter(mErrors, "Queries and statements that returned an error.").Inc()
+		s.obsError()
 	}
 	if res == nil {
 		return
@@ -159,7 +160,6 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 			m.Counter(mPlanValFail, "Sampled hit validations that disagreed with a cold rewrite.").Inc()
 		}
 	}
-	m.Counter(mRowsReturned, "Rows returned to clients.").Add(int64(len(res.Rows)))
 	m.Histogram(hQueryRows, "Rows returned per query.", obs.DefaultCountBuckets).Observe(float64(len(res.Rows)))
 	if rep := res.Report; rep != nil {
 		c := rep.ExecCounters
@@ -173,7 +173,7 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 			m.Counter(mSpillBytes, "Bytes spilled by the memory governor.").Add(sp.Bytes)
 			m.Counter(mSpillReads, "Spill records read back during out-of-core processing.").Add(sp.Reads)
 		}
-		if mp := rep.Budget.MemPeakBytes; mp > 0 {
+		if mp := res.Budget.MemPeakBytes; mp > 0 {
 			// A gauge of the largest tracked-memory peak seen, so operators
 			// can tell how close governed queries run to their grant.
 			g := m.Gauge(mMemPeak, "High-water mark of engine tracked memory over observed queries.")

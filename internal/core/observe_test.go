@@ -77,8 +77,8 @@ func TestObserverMetrics(t *testing.T) {
 	if got := m.Counter("lera_exec_rows_scanned_total", "").Value(); got == 0 {
 		t.Error("lera_exec_rows_scanned_total = 0, want > 0")
 	}
-	if got := m.Counter("lera_rows_returned_total", "").Value(); got != 1 {
-		t.Errorf("lera_rows_returned_total = %d, want 1", got)
+	if got := m.Histogram("lera_query_rows", "", obs.DefaultCountBuckets).Sum(); got != 1 {
+		t.Errorf("lera_query_rows sum = %v, want 1", got)
 	}
 	if got := m.Histogram("lera_rewrite_seconds", "", obs.DefaultDurationBuckets).Count(); got != 1 {
 		t.Errorf("lera_rewrite_seconds count = %d, want 1", got)

@@ -465,7 +465,6 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 		MemLimit:     s.Limits.MaxMemBytes,
 	}
 	if rep != nil {
-		rep.Budget = res.Budget
 		rep.Phases.Execute = time.Since(t0)
 		rep.ExecCounters = counterDelta(before, s.DB.Count)
 		rep.Spill = spillDelta(spillBefore, s.DB.Spill)

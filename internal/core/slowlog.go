@@ -34,23 +34,12 @@ const MaxSlowQueryLen = 4096
 // does not choose one.
 const DefaultSlowThreshold = 500 * time.Millisecond
 
-// SlowEntry is one captured slow query.
+// SlowEntry is one captured slow query: the query-log event of the
+// request plus what only the ring keeps. Its JSON form is the event's
+// flat fields, query_truncated, and (on /debug/slowlog) the rendered
+// report.
 type SlowEntry struct {
-	Time    time.Time     `json:"time"`
-	Tenant  string        `json:"tenant,omitempty"`
-	Query   string        `json:"query"`
-	Code    string        `json:"code"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Rows    int64         `json:"rows"`
-
-	Degraded bool   `json:"degraded,omitempty"`
-	Reason   string `json:"degraded_reason,omitempty"`
-	Error    string `json:"error,omitempty"`
-
-	// TemplateHash is the plan-cache template identity (hex), empty when
-	// the query never reached templatization.
-	TemplateHash string            `json:"template_hash,omitempty"`
-	Budget       guard.Consumption `json:"budget"`
+	obs.QueryEvent
 
 	// Report is the full per-query observability record: phase timings,
 	// EXPLAIN ANALYZE operator tree, engine counter deltas. May be nil
@@ -61,26 +50,49 @@ type SlowEntry struct {
 	Truncated bool `json:"query_truncated,omitempty"`
 }
 
-// NewSlowEntry assembles the entry for one finished query from its
-// outcome. r is nil for a query that never executed (shed, parse failure,
-// panic); the entry then carries only the outcome fields.
+// NewSlowEntry assembles the record of one finished query: every event
+// field is read from its Result. r is nil for a query that never executed
+// (shed, parse failure, panic); the entry then carries only the outcome
+// fields.
 func NewSlowEntry(t time.Time, tenant, query, code string, elapsed time.Duration, r *Result, err error) SlowEntry {
-	e := SlowEntry{Time: t, Tenant: tenant, Query: query, Code: code, Elapsed: elapsed}
+	e := SlowEntry{QueryEvent: obs.QueryEvent{Time: t, Tenant: tenant, Query: query, Code: code, ElapsedNs: elapsed.Nanoseconds()}}
 	if err != nil {
 		e.Error = err.Error()
 	}
 	if r == nil {
 		return e
 	}
-	e.Rows = int64(len(r.Rows))
-	e.Budget = r.Budget
 	e.Report = r.Report
-	if st := r.RewriteStats(); st.Degraded {
-		e.Degraded = true
-		e.Reason = st.DegradationReason
+	e.Rows = int64(len(r.Rows))
+	b := r.Budget
+	e.RowsUsed, e.RowsLimit = b.RowsUsed, b.RowsLimit
+	e.StepsUsed, e.StepsLimit = b.StepsUsed, b.StepsLimit
+	e.MemPeakBytes, e.MemLimit = b.MemPeakBytes, b.MemLimit
+	st := r.RewriteStats()
+	e.MatchAttempts = int64(st.MatchAttempts)
+	e.Applications = int64(st.Applications)
+	e.Degraded, e.Reason = st.Degraded, st.DegradationReason
+	if oc := r.Cache; oc != nil {
+		e.TemplateHash = fmt.Sprintf("%016x", oc.TemplateHash)
+		e.Cache = "miss"
+		if oc.Hit {
+			e.Cache = "hit"
+		}
 	}
-	if r.Cache != nil {
-		e.TemplateHash = fmt.Sprintf("%016x", r.Cache.TemplateHash)
+	if rep := r.Report; rep != nil {
+		e.ParseNs = rep.Phases.Parse.Nanoseconds()
+		e.TranslateNs = rep.Phases.Translate.Nanoseconds()
+		e.RewriteNs = rep.Phases.Rewrite.Nanoseconds()
+		e.ExecNs = rep.Phases.Execute.Nanoseconds()
+		c := rep.ExecCounters
+		e.Scanned = int64(c.Scanned)
+		e.JoinPairs = int64(c.JoinPairs)
+		e.Emitted = int64(c.Emitted)
+		e.PredEvals = int64(c.PredEvals)
+		e.FixIterations = int64(c.FixIterations)
+		e.SpillPartitions = rep.Spill.Partitions
+		e.SpillBytes = rep.Spill.Bytes
+		e.SpillReads = rep.Spill.Reads
 	}
 	return e
 }
@@ -200,12 +212,16 @@ func FormatSlowEntry(e SlowEntry) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "[%s] tenant=%s code=%s elapsed=%s rows=%d",
 		e.Time.Format(time.RFC3339Nano), orDefault(e.Tenant, "-"), e.Code,
-		e.Elapsed.Round(time.Microsecond), e.Rows)
+		time.Duration(e.ElapsedNs).Round(time.Microsecond), e.Rows)
 	if e.TemplateHash != "" {
 		fmt.Fprintf(&sb, " template=0x%s", e.TemplateHash)
 	}
 	sb.WriteByte('\n')
-	fmt.Fprintf(&sb, "budget: %s\n", e.Budget)
+	fmt.Fprintf(&sb, "budget: %s\n", guard.Consumption{
+		RowsUsed: e.RowsUsed, RowsLimit: e.RowsLimit,
+		StepsUsed: e.StepsUsed, StepsLimit: e.StepsLimit,
+		MemPeakBytes: e.MemPeakBytes, MemLimit: e.MemLimit,
+	})
 	if e.Degraded {
 		fmt.Fprintf(&sb, "degraded: %s\n", e.Reason)
 	}
@@ -217,30 +233,7 @@ func FormatSlowEntry(e SlowEntry) string {
 		q += " …(truncated)"
 	}
 	fmt.Fprintf(&sb, "query: %s\n", q)
-	if rep := e.Report; rep != nil {
-		indented := func(text string) {
-			for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-				sb.WriteString("  ")
-				sb.WriteString(line)
-				sb.WriteByte('\n')
-			}
-		}
-		if rep.Exec != nil {
-			sb.WriteString("execution:\n")
-			for _, c := range rep.Exec.Children {
-				indented(c.Format(true))
-			}
-		}
-		if rep.Trace != nil {
-			sb.WriteString("trace:\n")
-			indented(obs.FormatTree(rep.Trace, true))
-		}
-		fmt.Fprintf(&sb, "timings: parse=%s translate=%s rewrite=%s execute=%s\n",
-			rep.Phases.Parse.Round(time.Microsecond),
-			rep.Phases.Translate.Round(time.Microsecond),
-			rep.Phases.Rewrite.Round(time.Microsecond),
-			rep.Phases.Execute.Round(time.Microsecond))
-	}
+	writeReport(&sb, e.Report, true)
 	return strings.TrimRight(sb.String(), "\n")
 }
 

@@ -12,7 +12,7 @@ import (
 
 func TestSlowLogNilSafe(t *testing.T) {
 	var l *SlowLog
-	l.Add(SlowEntry{Query: "q"})
+	l.Add(SlowEntry{QueryEvent: obs.QueryEvent{Query: "q"}})
 	if l.ShouldCapture(time.Hour, true, "ERROR") {
 		t.Fatal("nil ring must never capture")
 	}
@@ -53,7 +53,7 @@ func TestSlowLogShouldCapture(t *testing.T) {
 func TestSlowLogRingEviction(t *testing.T) {
 	l := NewSlowLog(3, time.Second)
 	for i := 0; i < 5; i++ {
-		l.Add(SlowEntry{Query: strings.Repeat("q", i+1), Rows: int64(i)})
+		l.Add(SlowEntry{QueryEvent: obs.QueryEvent{Query: strings.Repeat("q", i+1), Rows: int64(i)}})
 	}
 	if got := l.Captured(); got != 5 {
 		t.Fatalf("Captured = %d, want 5", got)
@@ -79,7 +79,7 @@ func TestSlowLogRingEviction(t *testing.T) {
 func TestSlowLogQueryTruncation(t *testing.T) {
 	l := NewSlowLog(2, time.Second)
 	long := strings.Repeat("x", MaxSlowQueryLen+100)
-	l.Add(SlowEntry{Query: long})
+	l.Add(SlowEntry{QueryEvent: obs.QueryEvent{Query: long}})
 	e := l.Snapshot()[0]
 	if !e.Truncated {
 		t.Fatal("oversized query not marked Truncated")
@@ -100,7 +100,7 @@ func TestSlowLogTruncationRuneBoundary(t *testing.T) {
 	for pad := MaxSlowQueryLen - 4; pad < MaxSlowQueryLen; pad++ {
 		l := NewSlowLog(2, time.Second)
 		long := strings.Repeat("x", pad) + strings.Repeat("世", 4)
-		l.Add(SlowEntry{Query: long})
+		l.Add(SlowEntry{QueryEvent: obs.QueryEvent{Query: long}})
 		e := l.Snapshot()[0]
 		if !e.Truncated {
 			t.Fatalf("pad %d: not marked Truncated", pad)
@@ -130,7 +130,7 @@ func TestSlowLogConcurrentAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				l.Add(SlowEntry{Query: "q"})
+				l.Add(SlowEntry{QueryEvent: obs.QueryEvent{Query: "q"}})
 			}
 		}()
 	}
@@ -161,16 +161,8 @@ func TestSlowLogFormatWithReport(t *testing.T) {
 		t.Fatal("CollectStats session must produce an exec report")
 	}
 	l := NewSlowLog(4, time.Nanosecond)
-	l.Add(SlowEntry{
-		Time:    time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
-		Tenant:  "acme",
-		Query:   "SELECT Title FROM FILM WHERE Numf = 3",
-		Code:    "OK",
-		Elapsed: 750 * time.Millisecond,
-		Rows:    int64(len(res.Rows)),
-		Budget:  res.Budget,
-		Report:  res.Report,
-	})
+	l.Add(NewSlowEntry(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC), "acme",
+		"SELECT Title FROM FILM WHERE Numf = 3", "OK", 750*time.Millisecond, res, nil))
 	out := FormatSlowEntry(l.Snapshot()[0])
 	for _, want := range []string{
 		"tenant=acme",
@@ -215,8 +207,5 @@ func TestBudgetConsumptionSurfaced(t *testing.T) {
 		if !strings.Contains(str, want) {
 			t.Errorf("Consumption.String() %q missing %q", str, want)
 		}
-	}
-	if res.Report != nil && res.Report.Budget != b {
-		t.Error("QueryReport.Budget must mirror Result.Budget")
 	}
 }

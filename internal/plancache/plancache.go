@@ -21,6 +21,7 @@ package plancache
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"lera/internal/term"
@@ -55,6 +56,25 @@ type Outcome struct {
 	ValidationFailed bool   // the re-check disagreed (entry dropped)
 	TemplateHash     uint64 // structural hash of the template
 	NParams          int    // lifted constants in the binding vector
+}
+
+// Describe renders the outcome as "state (template 0x…, N params)",
+// state being the word hit for a hit and miss otherwise; the clause also
+// names an exact-key fallback and a validated hit. EXPLAIN's plan: line
+// and edsql's cache line both print it.
+func (o *Outcome) Describe(hit, miss string) string {
+	state := miss
+	if o.Hit {
+		state = hit
+	}
+	s := fmt.Sprintf("%s (template 0x%016x, %d params", state, o.TemplateHash, o.NParams)
+	if o.Rejected {
+		s += ", exact-key fallback"
+	}
+	if o.Validated {
+		s += ", validated"
+	}
+	return s + ")"
 }
 
 // Stats is a point-in-time snapshot of cache counters (see \cache).

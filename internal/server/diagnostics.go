@@ -16,71 +16,25 @@ import (
 	"lera/internal/obs"
 )
 
-// recordDiagnostics runs once per finished request: it offers the wide
-// event to the query log and decides slow-ring capture. res is nil for
-// requests that never executed (shed, parse failure, panic); the event
-// then carries only the outcome code and elapsed time, keeping the 1:1
-// events-to-requests invariant.
+// recordDiagnostics runs once per finished request: it decides slow-ring
+// capture and, when the query log or the ring will keep it, builds the
+// request's one record — the log gets its event, the ring the whole
+// entry. res is nil for requests that never executed (shed, parse
+// failure, panic); the event then carries only the outcome code and
+// elapsed time, keeping the 1:1 events-to-requests invariant.
 func (s *Server) recordDiagnostics(t0 time.Time, elapsed time.Duration, tenant, query string, resp Response, res *core.Result) {
-	if s.qlog == nil && s.slow == nil {
+	capture := s.slow.ShouldCapture(elapsed, resp.Degraded, resp.Code)
+	if s.qlog == nil && !capture {
 		return
 	}
 	var err error
 	if resp.Error != "" {
 		err = errors.New(resp.Error)
 	}
-	entry := core.NewSlowEntry(t0, tenant, query, resp.Code, elapsed, res, err)
-
-	if s.qlog != nil {
-		ev := obs.QueryEvent{
-			Time:         t0,
-			Tenant:       tenant,
-			Query:        query,
-			Code:         resp.Code,
-			Error:        resp.Error,
-			TemplateHash: entry.TemplateHash,
-			ElapsedNs:    elapsed.Nanoseconds(),
-			Rows:         int64(resp.RowsN),
-			Degraded:     resp.Degraded,
-			Reason:       resp.DegradedReason,
-		}
-		if res != nil {
-			if oc := res.Cache; oc != nil {
-				ev.Cache = "miss"
-				if oc.Hit {
-					ev.Cache = "hit"
-				}
-			}
-			ev.RowsUsed = res.Budget.RowsUsed
-			ev.RowsLimit = res.Budget.RowsLimit
-			ev.StepsUsed = res.Budget.StepsUsed
-			ev.StepsLimit = res.Budget.StepsLimit
-			ev.MemPeakBytes = res.Budget.MemPeakBytes
-			ev.MemLimit = res.Budget.MemLimit
-			st := res.RewriteStats()
-			ev.MatchAttempts = int64(st.MatchAttempts)
-			ev.Applications = int64(st.Applications)
-		}
-		if rep := entry.Report; rep != nil {
-			ev.ParseNs = rep.Phases.Parse.Nanoseconds()
-			ev.TranslateNs = rep.Phases.Translate.Nanoseconds()
-			ev.RewriteNs = rep.Phases.Rewrite.Nanoseconds()
-			ev.ExecNs = rep.Phases.Execute.Nanoseconds()
-			c := rep.ExecCounters
-			ev.Scanned = int64(c.Scanned)
-			ev.JoinPairs = int64(c.JoinPairs)
-			ev.Emitted = int64(c.Emitted)
-			ev.PredEvals = int64(c.PredEvals)
-			ev.FixIterations = int64(c.FixIterations)
-			ev.SpillPartitions = rep.Spill.Partitions
-			ev.SpillBytes = rep.Spill.Bytes
-			ev.SpillReads = rep.Spill.Reads
-		}
-		s.qlog.Record(ev)
-	}
-
-	if s.slow.ShouldCapture(elapsed, resp.Degraded, resp.Code) {
-		s.slow.Add(entry)
+	e := core.NewSlowEntry(t0, tenant, query, resp.Code, elapsed, res, err)
+	s.qlog.Record(e.QueryEvent)
+	if capture {
+		s.slow.Add(e)
 	}
 }
 
@@ -107,10 +61,11 @@ func (s *Server) syncDiagnosticsMetrics(reg *obs.Registry) {
 	}
 }
 
-// slowEntryJSON is the /debug/slowlog wire shape: the entry's scalar
-// fields plus the rendered EXPLAIN ANALYZE report (the structured
-// report tree is an internal type; the rendering is what edsql and
-// EXPLAIN ANALYZE print, so operators read one format everywhere).
+// slowEntryJSON is the /debug/slowlog wire shape: the entry's query-log
+// event fields and query_truncated, plus the rendered EXPLAIN ANALYZE
+// report (the structured report tree is an internal type; the rendering
+// is what edsql and EXPLAIN ANALYZE print, so operators read one format
+// everywhere).
 type slowEntryJSON struct {
 	core.SlowEntry
 	Report string `json:"report,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lera/internal/esql"
 	"lera/internal/guard"
 	"lera/internal/obs"
 )
@@ -234,12 +235,11 @@ func TestSlowlogEndpoint(t *testing.T) {
 		Size        int   `json:"size"`
 		Captured    int64 `json:"captured"`
 		Entries     []struct {
-			Query  string `json:"query"`
-			Code   string `json:"code"`
-			Report string `json:"report"`
-			Budget struct {
-				RowsUsed int64 `json:"rows_used"`
-			} `json:"budget"`
+			Query    string `json:"query"`
+			Code     string `json:"code"`
+			Report   string `json:"report"`
+			RowsUsed int64  `json:"rows_used"`
+			Scanned  int64  `json:"scanned"`
 		} `json:"entries"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -258,8 +258,8 @@ func TestSlowlogEndpoint(t *testing.T) {
 	if e.Query != filmQuery || e.Code != "OK" {
 		t.Errorf("entry %q code %q", e.Query, e.Code)
 	}
-	if e.Budget.RowsUsed <= 0 {
-		t.Errorf("entry budget rows_used = %d, want > 0", e.Budget.RowsUsed)
+	if e.RowsUsed <= 0 || e.Scanned <= 0 {
+		t.Errorf("entry rows_used = %d, scanned = %d, want both > 0 (the event's flat fields)", e.RowsUsed, e.Scanned)
 	}
 	// The full EXPLAIN ANALYZE operator tree came along.
 	for _, want := range []string{"execution:", "budget:", "timings:"} {
@@ -339,5 +339,64 @@ func TestMetricsScrapeDiagnostics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+}
+
+// TestSlowEntryIsTheLoggedEvent: a finished request is described once.
+// With every request captured (1 ns threshold), the event the query log
+// emits equals the QueryEvent of the ring's entry for the same request —
+// for an OK answer, a parse failure, a budget trip, and a rewrite that
+// degraded whose fallback plan then failed to execute.
+func TestSlowEntryIsTheLoggedEvent(t *testing.T) {
+	sink := &memSink{}
+	qlog := obs.NewQueryLog(sink, 64, 1)
+	srv, base := startServer(t, Config{
+		QueryLog:      qlog,
+		SlowThreshold: time.Nanosecond,
+		PlanCache:     16,
+		Tenants: Tenants{
+			"default": {MaxRows: 100000},
+			"tiny":    {MaxRows: 1},
+			"spent":   {MaxRows: 1, MaxSteps: 1},
+		},
+	})
+	requests := []struct {
+		tenant, query string
+		code          guard.Code
+		degraded      bool
+	}{
+		{"default", filmQuery, guard.CodeOK, false},
+		{"default", "not esql at all", guard.CodeParse, false},
+		{"tiny", filmQuery, guard.CodeRowBudget, false},
+		{"spent", esql.Figure5Query, guard.CodeRowBudget, true},
+	}
+	for _, r := range requests {
+		c := NewClient(base)
+		c.Tenant = r.tenant
+		if out := c.Query(context.Background(), r.query); out.Code != r.code {
+			t.Fatalf("%s %q: code %s, want %s", r.tenant, r.query, out.Code, r.code)
+		}
+	}
+	entries := srv.SlowLog().Snapshot() // newest first
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	events := sink.snapshot() // in request order
+	if len(events) != len(requests) || len(entries) != len(requests) {
+		t.Fatalf("%d events, %d ring entries, want %d of each", len(events), len(entries), len(requests))
+	}
+	for i, r := range requests {
+		ev, e := events[i], entries[len(entries)-1-i]
+		if ev != e.QueryEvent {
+			t.Errorf("request %d (%s): logged event\n  %+v\nring entry's event\n  %+v", i, r.code, ev, e.QueryEvent)
+		}
+		if ev.Code != string(r.code) || ev.Degraded != r.degraded {
+			t.Errorf("request %d: event code %s degraded %v, want %s degraded %v", i, ev.Code, ev.Degraded, r.code, r.degraded)
+		}
+	}
+	if ok := events[0]; ok.Cache == "" || ok.TemplateHash == "" || ok.Scanned <= 0 || ok.ExecNs <= 0 {
+		t.Errorf("OK event lacks the Result's fields: %+v", ok)
 	}
 }
