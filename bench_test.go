@@ -189,6 +189,24 @@ func BenchmarkExecJoin(b *testing.B) {
 	})
 }
 
+// BenchmarkQualifications runs served_mixed's FILM templates in process
+// over 2 000 films with the plan cache on: a point query, a disjunction of
+// comparisons, and an ADT call over every row beside the plain comparison
+// that selects the same 2 000 rows — the qualification evaluator's cost
+// per row (docs/PERF.md "One evaluator").
+func BenchmarkQualifications(b *testing.B) {
+	s := filmsBench(b, 2000, WithPlanCache(64))
+	s.Parallelism = 1
+	for _, q := range []struct{ name, query string }{
+		{"point", "SELECT Title FROM FILM WHERE Numf = 24"},
+		{"or", "SELECT Title FROM FILM WHERE Numf = 42 OR Numf = 43"},
+		{"not_isempty", "SELECT Title FROM FILM WHERE NOT ISEMPTY(Categories) AND Numf > 0"},
+		{"cmp", "SELECT Title FROM FILM WHERE Numf > 0"},
+	} {
+		b.Run(q.name, func(b *testing.B) { benchQuery(b, s, q.query) })
+	}
+}
+
 // BenchmarkExecClosure is exec_closure: the focused closure over chain(70)
 // at 15 positions along the chain.
 func BenchmarkExecClosure(b *testing.B) {

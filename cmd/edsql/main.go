@@ -308,19 +308,17 @@ func run(s *lera.Session, showPlan bool, src string) {
 // degraded or failed query is retained, and when the whole chunk crossed
 // the latency threshold the last row-producing result is retained with
 // its report (the shell times chunks, not statements, so attribution is
-// per ';'-terminated input). Entries carry the chunk's start t0, as the
-// server's carry the request's.
+// per ';'-terminated input). A failed statement has no result — results
+// hold the statements before it — so its entry carries the error and
+// nothing of another statement's. Entries carry the chunk's start t0, as
+// the server's carry the request's.
 func capture(t0 time.Time, src string, elapsed time.Duration, results []*lera.Result, err error) {
 	if slowRing == nil {
 		return
 	}
 	query := strings.TrimSpace(src)
-	code := string(guard.CodeOK)
-	if err != nil {
-		code = string(guard.CodeOf(err))
-	}
 	add := func(r *lera.Result, err error) {
-		slowRing.Add(lera.NewSlowEntry(t0, "", query, code, elapsed, r, err))
+		slowRing.Add(lera.NewSlowEntry(t0, "", query, string(guard.CodeOf(err)), elapsed, r, err))
 	}
 	var last *lera.Result
 	for _, r := range results {
@@ -329,13 +327,13 @@ func capture(t0 time.Time, src string, elapsed time.Duration, results []*lera.Re
 		}
 		last = r
 		if st := r.RewriteStats(); st.Degraded {
-			add(r, err)
+			add(r, nil)
 		}
 	}
 	switch {
 	case err != nil:
-		add(last, err)
-	case last != nil && !last.RewriteStats().Degraded && slowRing.ShouldCapture(elapsed, false, code):
+		add(nil, err)
+	case last != nil && !last.RewriteStats().Degraded && slowRing.ShouldCapture(elapsed, false, string(guard.CodeOK)):
 		add(last, nil)
 	}
 }

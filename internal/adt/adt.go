@@ -14,7 +14,13 @@ import (
 )
 
 // Func is a registered ADT function: it receives fully evaluated argument
-// values and returns a value or an error.
+// values and returns a value or an error. args is valid only during the
+// call — the engine evaluates arguments onto a worker's value stack and
+// reuses it for the next call — so a function reads args (and may return
+// one of them, an element or a field: values are immutable) but neither
+// keeps, writes nor appends to the slice; one that needs the arguments
+// later copies them, as the builtin constructors do (value.NewSet and
+// friends copy their elements).
 type Func func(args []value.Value) (value.Value, error)
 
 // Entry describes a registered function.

@@ -154,10 +154,13 @@ func (db *DB) evalFilterBatch(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The row is the pair's r; its width is checked per row.
+	c := compiler{db: db, widths: []int{-1}}
+	qual := c.pred(t.Args[1], 0)
 	kept, err := mapChunks(db, in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		var out [][]value.Value
 		bs := w.batchSize()
-		ctxRows := make([][]value.Value, 1) // reused single-relation row context
+		x := &frame{w: w, stack: make([]value.Value, c.top)}
 		for len(chunk) > 0 {
 			batch := chunk
 			if len(batch) > bs {
@@ -168,8 +171,7 @@ func (db *DB) evalFilterBatch(t *term.Term, e env) (*Relation, error) {
 				return nil, err
 			}
 			for _, row := range batch {
-				ctxRows[0] = row
-				ok, err := w.evalBool(t.Args[1], ctxRows)
+				ok, err := x.test(qual, nil, row)
 				if err != nil {
 					return nil, err
 				}
@@ -209,10 +211,11 @@ func (db *DB) evalJoinBatch(t *term.Term, e env) (*Relation, error) {
 	// would change the work model (SEARCH is where join planning lives).
 	out := &Relation{Width: left.Arity() + right.Arity()}
 	ar := &rowArena{db: db}
-	ctxRows := make([][]value.Value, 2)
+	c := compiler{db: db, widths: []int{-1, -1}}
+	qual := c.pred(t.Args[2], 0)
+	x := &frame{w: db, stack: make([]value.Value, c.top)}
 	bs := db.batchSize()
 	for _, l := range left.Rows {
-		ctxRows[0] = l
 		for ri := 0; ri < len(right.Rows); {
 			n := len(right.Rows) - ri
 			if n > bs {
@@ -226,8 +229,7 @@ func (db *DB) evalJoinBatch(t *term.Term, e env) (*Relation, error) {
 				// state is the same at every batch size when a
 				// qualification faults mid-batch.
 				db.Count.JoinPairs++
-				ctxRows[1] = r
-				ok, err := db.evalBool(t.Args[2], ctxRows)
+				ok, err := x.test(qual, l, r)
 				if err != nil {
 					return nil, err
 				}

@@ -33,13 +33,11 @@ package engine
 //     to end in the kernel's arena slabs. The producer hands the stage's
 //     output on in one exactly sized header slice built after its last
 //     pair (searchKernel.rows), never in a slice grown pair by pair.
-//     Built-in comparisons over attribute slots, constants and
-//     single-attribute function calls evaluate without term-tree walks or
-//     row splitting, falling back to the generic evaluator (bit-identical
-//     by construction) for everything else. They compile whether or not a
-//     fault injector is armed: a compiled comparison hits the injector
-//     itself, where the generic evaluator's comparison ADT call would
-//     (cmpPred, compilePreds).
+//     Conjuncts and projections are compiled expressions (expr.go) read
+//     over the pair where its cells lie, with no term-tree walk, row
+//     splitting or per-call allocation. They compile whether or not a
+//     fault injector is armed: a builtin comparison hits the injector
+//     itself, where its ADT call would.
 
 import (
 	"fmt"
@@ -189,8 +187,9 @@ func equiJoinKeys(plan *searchPlan, ri int, offset []int) (leftKeys, rightKeys [
 
 // searchProgram is everything of a SEARCH evaluation that its inputs'
 // rows do not change: per stage the equi-join keys, the compiled conjuncts
-// and, in the last, the compiled projection. It depends on the term and on
-// the relations' widths only — a fault injector is consulted per call, not
+// and, in the last, the compiled projection. It depends on the term, the
+// relations' widths and the ADT registry it resolved functions in, which
+// no evaluation changes — a fault injector is consulted per call, not
 // compiled in — is immutable once compiled, and is shared by the workers
 // of every evaluation that uses it.
 type searchProgram struct {
@@ -209,11 +208,19 @@ func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 			st.leftKeys, st.rightKeys = equiJoinKeys(plan, ri, offset)
 		}
 		conjs := takeConjuncts(plan, ri)
+		c := compiler{db: db, widths: st.widths}
 		if st.final {
 			conjs = append(conjs, leftoverConjuncts(plan)...)
-			st.projs = compileProjs(plan.projs, widths)
+			st.projs = make([]operand, len(plan.projs))
+			for i, p := range plan.projs {
+				st.projs[i] = c.operand(p, 0)
+			}
 		}
-		st.preds = db.compilePreds(conjs, st.widths)
+		st.preds = make([]pred, len(conjs))
+		for i, cj := range conjs {
+			st.preds[i] = c.pred(cj.expr, 0)
+		}
+		st.stack = c.top
 	}
 	return prog
 }
@@ -382,7 +389,7 @@ func (ss *stageScratch) kernel(w *DB, est int) *searchKernel {
 	if k.searchStage == nil {
 		*k = ss.st.kernel(w, est)
 	}
-	k.w, k.ar.db, k.err = w, w, nil
+	k.x.w, k.ar.db, k.err = w, w, nil
 	k.dropOutput()
 	return k
 }
@@ -616,10 +623,11 @@ func (ss *stageScratch) judgePairs(w *DB, chunk []uint64) ([][]value.Value, erro
 type searchStage struct {
 	leftKeys  []int // flat prefix slots
 	rightKeys []int // 0-based columns of the stage's relation
-	preds     []searchPred
-	projs     []projOp // final stage only
+	preds     []pred
+	projs     []operand // final stage only
 	final     bool
 	widths    []int // per-relation widths of the prefix plus this stage's relation
+	stack     int   // the value stack a worker's frame needs
 }
 
 // searchKernel is one worker's late-materialising evaluator of a stage,
@@ -633,8 +641,7 @@ type searchStage struct {
 // (rows), after its last pair.
 type searchKernel struct {
 	*searchStage
-	w  *DB
-	sc splitScratch
+	x  frame
 	ar rowArena
 	// runs are the rows emitted since the last handover, in order; n counts
 	// them, and open says the last run may take the next arena row. The
@@ -676,9 +683,9 @@ func (st *searchStage) kernel(w *DB, est int) searchKernel {
 		}
 	}
 	return searchKernel{
-		searchStage: st, w: w,
-		sc: splitScratch{widths: st.widths},
-		ar: sizedArena(w, est*width),
+		searchStage: st,
+		x:           frame{w: w, stack: make([]value.Value, st.stack)},
+		ar:          sizedArena(w, est*width),
 	}
 }
 
@@ -690,9 +697,8 @@ func (k *searchKernel) judge(l, r []value.Value) bool {
 	if k.err != nil {
 		return false
 	}
-	k.sc.valid = false
-	for i := range k.preds {
-		ok, err := k.preds[i].eval(k.w, l, r, &k.sc)
+	for _, p := range k.preds {
+		ok, err := k.x.test(p, l, r)
 		if err != nil {
 			k.err = err
 			return false
@@ -722,7 +728,9 @@ func (k *searchKernel) pair(l, r []value.Value) {
 	}
 	row := k.emit(len(k.projs))
 	for i := range k.projs {
-		if k.err = k.projs[i].eval(k.w, l, r, &k.sc, &row[i]); k.err != nil {
+		if p := &k.projs[i]; p.kind == opSlot {
+			row[i] = *pairAt(l, r, p.slot)
+		} else if k.err = p.eval(&k.x, l, r, &row[i]); k.err != nil {
 			return
 		}
 	}
@@ -839,33 +847,6 @@ func leftoverConjuncts(plan *searchPlan) []*conjunct {
 	return out
 }
 
-// splitScratch lazily presents a pair — flat prefix row l, relation row r
-// — as per-relation segments for the generic evaluator, computed at most
-// once per pair across every generic predicate and projection. widths has
-// one entry per prefix relation plus r's.
-type splitScratch struct {
-	widths []int
-	rows   [][]value.Value
-	valid  bool
-}
-
-func (sc *splitScratch) get(l, r []value.Value) [][]value.Value {
-	if !sc.valid {
-		if sc.rows == nil {
-			sc.rows = make([][]value.Value, len(sc.widths))
-		}
-		last := len(sc.widths) - 1
-		pos := 0
-		for i, w := range sc.widths[:last] {
-			sc.rows[i] = l[pos : pos+w]
-			pos += w
-		}
-		sc.rows[last] = r
-		sc.valid = true
-	}
-	return sc.rows
-}
-
 // pairAt addresses the pair (l, r) as the flat row l ++ r. It answers with
 // the cell where it lies: the kernel reads a handful of cells per pair, and
 // a value.Value is too wide to copy for each.
@@ -874,211 +855,4 @@ func pairAt(l, r []value.Value, slot int) *value.Value {
 		return &l[slot]
 	}
 	return &r[slot-len(l)]
-}
-
-// searchPred is one compiled qualification conjunct.
-type searchPred interface {
-	eval(w *DB, l, r []value.Value, sc *splitScratch) (bool, error)
-}
-
-// genericPred evaluates the conjunct through the ordinary evaluator —
-// the bit-identical fallback for everything the compiler does not cover.
-type genericPred struct{ expr *term.Term }
-
-func (p *genericPred) eval(w *DB, l, r []value.Value, sc *splitScratch) (bool, error) {
-	return w.evalBool(p.expr, sc.get(l, r))
-}
-
-// operand kinds of a compiled comparison.
-const (
-	opSlot  = iota // flat row slot (in-range ATTR)
-	opConst        // constant
-	opField        // single-attribute function call CALL(name, ATTR)
-)
-
-type operand struct {
-	kind  int
-	slot  int
-	cval  value.Value
-	field string
-}
-
-// fetch returns the operand's value by reference: the cell of the pair, the
-// operand's own constant, or — for a function call, the one kind that
-// computes a value — tmp, which the caller owns and fetch fills.
-func (o *operand) fetch(w *DB, l, r []value.Value, tmp *value.Value) (*value.Value, error) {
-	switch o.kind {
-	case opSlot:
-		return pairAt(l, r, o.slot), nil
-	case opConst:
-		return &o.cval, nil
-	}
-	var err error
-	*tmp, err = w.callField(o.field, *pairAt(l, r, o.slot))
-	return tmp, err
-}
-
-// cmpPred is a compiled built-in comparison. It reproduces the generic
-// path — PredEvals accounting, operand evaluation order, the Figure 4
-// broadcast error for a collection-vs-scalar comparison, the value.Compare
-// semantics of the built-in comparison ADTs and, with a fault injector
-// present, the injector hit the comparison ADT call would make — without
-// the expression-tree walk or the per-row ADT dispatch.
-type cmpPred struct {
-	expr *term.Term
-	op   string
-	a, b operand
-}
-
-func (p *cmpPred) eval(w *DB, l, r []value.Value, _ *splitScratch) (bool, error) {
-	w.Count.PredEvals++
-	var at, bt value.Value // filled only by a function-call operand
-	av, err := p.a.fetch(w, l, r, &at)
-	if err != nil {
-		return false, err
-	}
-	bv, err := p.b.fetch(w, l, r, &bt)
-	if err != nil {
-		return false, err
-	}
-	if av.K.IsCollection() != bv.K.IsCollection() {
-		return false, p.broadcastErr(w, av, bv)
-	}
-	if w.Injector != nil {
-		if err := w.hitADT(p.op); err != nil {
-			return false, err
-		}
-	}
-	return cmpHolds(p.op, value.CompareRef(av, bv)), nil
-}
-
-// broadcastErr is the generic path's outcome for a collection compared
-// with a scalar: it broadcasts the comparison over the collection and then
-// fails to coerce the resulting collection to a boolean. Only an injector
-// can tell the two apart — the broadcast hits it once per element — so
-// with one present the generic broadcast runs for its hits and faults.
-func (p *cmpPred) broadcastErr(w *DB, av, bv *value.Value) error {
-	coll, scalar, scalarLeft := av, bv, false
-	if !coll.K.IsCollection() {
-		coll, scalar, scalarLeft = bv, av, true
-	}
-	if w.Injector != nil {
-		if _, err := w.broadcastCmp(p.op, *coll, *scalar, scalarLeft); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(p.expr), coll.K)
-}
-
-// cmpHolds mirrors the built-in comparison registrations (internal/adt):
-// each holds exactly when the value.Compare result satisfies the operator.
-func cmpHolds(op string, c int) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "<>":
-		return c != 0
-	case "<":
-		return c < 0
-	case ">":
-		return c > 0
-	case "<=":
-		return c <= 0
-	}
-	return c >= 0
-}
-
-// compilePreds compiles conjuncts against the flat row layout described
-// by widths. A conjunct compiles to a cmpPred when it is a built-in (never
-// overridden) comparison with both operands compilable, armed injector or
-// not — the kernel hits it where the generic path would; everything else
-// falls back to the generic evaluator.
-func (db *DB) compilePreds(conjs []*conjunct, widths []int) []searchPred {
-	preds := make([]searchPred, len(conjs))
-	for i, c := range conjs {
-		preds[i] = db.compilePred(c.expr, widths)
-	}
-	return preds
-}
-
-func (db *DB) compilePred(e *term.Term, widths []int) searchPred {
-	if e.Kind == term.Fun && len(e.Args) == 2 && db.Cat.ADTs.IsBuiltinComparison(e.Functor) {
-		if a, ok := compileOperand(e.Args[0], widths); ok {
-			if b, ok2 := compileOperand(e.Args[1], widths); ok2 {
-				return &cmpPred{expr: e, op: e.Functor, a: a, b: b}
-			}
-		}
-	}
-	return &genericPred{expr: e}
-}
-
-// compileOperand compiles a comparison operand: a constant, an in-range
-// attribute reference, or a function call over one in-range attribute.
-// Out-of-range attributes are left to the generic evaluator so its exact
-// bounds errors are preserved.
-func compileOperand(e *term.Term, widths []int) (operand, bool) {
-	if e.Kind == term.Const {
-		return operand{kind: opConst, cval: e.Val}, true
-	}
-	if i, j, ok := lera.AttrIdx(e); ok {
-		if slot, inRange := flatSlot(i, j, widths); inRange {
-			return operand{kind: opSlot, slot: slot}, true
-		}
-		return operand{}, false
-	}
-	if e.Kind == term.Fun && e.Functor == lera.ECall && len(e.Args) == 2 {
-		if name, ok := lera.CallName(e); ok {
-			if i, j, ok2 := lera.AttrIdx(e.Args[1]); ok2 {
-				if slot, inRange := flatSlot(i, j, widths); inRange {
-					return operand{kind: opField, field: name, slot: slot}, true
-				}
-			}
-		}
-	}
-	return operand{}, false
-}
-
-// flatSlot maps ATTR(i, j) to a flat row slot, reporting whether the
-// reference is within the layout.
-func flatSlot(i, j int, widths []int) (int, bool) {
-	if i < 1 || i > len(widths) || j < 1 || j > widths[i-1] {
-		return 0, false
-	}
-	slot := j - 1
-	for _, w := range widths[:i-1] {
-		slot += w
-	}
-	return slot, true
-}
-
-// projOp is one compiled projection: a flat slot copy for a pure in-range
-// attribute reference, the generic evaluator otherwise. The slot path
-// needs no injector hit — attribute access never calls an ADT.
-type projOp struct {
-	slot int // >= 0: copy that slot of the flat row
-	expr *term.Term
-}
-
-// eval writes the projection of the pair straight into dst, a cell of the
-// output row.
-func (p *projOp) eval(w *DB, l, r []value.Value, sc *splitScratch, dst *value.Value) (err error) {
-	if p.slot >= 0 {
-		*dst = *pairAt(l, r, p.slot)
-		return nil
-	}
-	*dst, err = w.evalExpr(p.expr, sc.get(l, r))
-	return err
-}
-
-func compileProjs(projs []*term.Term, widths []int) []projOp {
-	out := make([]projOp, len(projs))
-	for i, p := range projs {
-		out[i] = projOp{slot: -1, expr: p}
-		if pi, pj, ok := lera.AttrIdx(p); ok {
-			if slot, inRange := flatSlot(pi, pj, widths); inRange {
-				out[i].slot = slot
-			}
-		}
-	}
-	return out
 }

@@ -284,7 +284,7 @@ func TestCompiledComparisonFaults(t *testing.T) {
 	q := c.query()
 	prog := db.compileSearch(q, []*Relation{stored(db, "BIG"), stored(db, "SMALL")})
 	preds := prog.stages[1].preds
-	if _, ok := preds[len(preds)-1].(*cmpPred); !ok {
+	if _, ok := preds[len(preds)-1].(*cmpNode); !ok {
 		t.Fatalf("the armed %q conjunct compiled to %T, not the kernel", "<", preds[len(preds)-1])
 	}
 

@@ -6,268 +6,483 @@ package engine
 // set of tuples gives the set of projected tuples"), attribute-as-function
 // calls, comparison broadcast for the Figure 4 quantifiers, and ADT
 // function calls through the catalog's registry.
+//
+// An expression is compiled once per program — a SEARCH stage, a FILTER or
+// a raw JOIN evaluation — into nodes addressed over a pair (l, r): a SEARCH
+// stage's flat prefix row and relation row, a JOIN's two rows, or a
+// FILTER's row as r. The compiler resolves what does not change per row:
+// attribute slots, registry entries, whether a comparison is still the
+// builtin one. A node's arguments and temporaries live on the evaluating
+// worker's value stack (frame) at slots fixed at compile time, so a call
+// allocates nothing, and a comparison reads its attribute and constant
+// operands where they lie. What a node computes — value, error text,
+// PredEvals count, evaluation order, the injector hit of each ADT call —
+// is the tree walker's, which the tests keep as the oracle
+// (walker_test.go).
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
+	"lera/internal/adt"
 	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/value"
 )
 
-// evalExpr evaluates an expression against a row context: one row slice
-// per relation of the enclosing operator.
-func (db *DB) evalExpr(e *term.Term, rows [][]value.Value) (value.Value, error) {
+// frame is one worker's evaluation state for compiled expressions: the DB
+// it counts and calls through, and the stack its nodes' arguments and
+// temporaries live on, sized by the compiler.
+type frame struct {
+	w     *DB
+	stack []value.Value
+}
+
+// test evaluates a qualification: one PredEvals, then its truth.
+func (x *frame) test(p pred, l, r []value.Value) (bool, error) {
+	x.w.Count.PredEvals++
+	return p.truth(x, l, r)
+}
+
+// expr is a compiled expression: eval writes its value over the pair
+// (l, r) to dst.
+type expr interface {
+	eval(x *frame, l, r []value.Value, dst *value.Value) error
+}
+
+// pred is a compiled qualification: truth is its value as a boolean.
+type pred interface {
+	truth(x *frame, l, r []value.Value) (bool, error)
+}
+
+// compiler compiles expressions over one pair layout. widths has one
+// entry per relation of the pair, the last one r's; -1 is a width that
+// only the row knows, checked per row. top counts the stack slots the
+// compiled nodes use.
+type compiler struct {
+	db     *DB
+	widths []int
+	top    int
+}
+
+func (c *compiler) use(n int) { c.top = max(c.top, n) }
+
+// expr compiles e; the node may use the stack from slot at up.
+func (c *compiler) expr(e *term.Term, at int) expr {
 	switch e.Kind {
 	case term.Const:
-		return e.Val, nil
+		return &operand{kind: opConst, cval: &e.Val}
 	case term.Var, term.SeqVar:
-		return value.Null, fmt.Errorf("engine: unbound variable %s in expression", e)
+		return &errNode{fmt.Errorf("engine: unbound variable %s in expression", e)}
 	}
 	switch e.Functor {
 	case lera.EAttr:
-		i, j, _ := lera.AttrIdx(e)
-		if i < 1 || i > len(rows) {
-			return value.Null, fmt.Errorf("engine: attribute %d.%d: relation index out of range", i, j)
+		o, n := c.attr(e)
+		if n == nil {
+			n = &o
 		}
-		if j < 1 || j > len(rows[i-1]) {
-			return value.Null, fmt.Errorf("engine: attribute %d.%d: column index out of range", i, j)
-		}
-		return rows[i-1][j-1], nil
-
+		return n
 	case lera.EValue:
-		v, err := db.evalExpr(e.Args[0], rows)
-		if err != nil {
-			return value.Null, err
-		}
-		return db.deref(v)
-
+		return &derefNode{arg: c.expr(e.Args[0], at)}
 	case lera.EProject:
-		v, err := db.evalExpr(e.Args[0], rows)
-		if err != nil {
-			return value.Null, err
-		}
-		return db.projectField(v, e.Args[1].Val.S)
-
+		return &derefNode{arg: c.expr(e.Args[0], at), field: e.Args[1].Val.S, project: true}
 	case lera.ECall:
 		name, _ := lera.CallName(e)
-		args := make([]value.Value, len(e.Args)-1)
-		for i, a := range e.Args[1:] {
-			v, err := db.evalExpr(a, rows)
-			if err != nil {
-				return value.Null, err
-			}
-			args[i] = v
-		}
-		return db.call(name, args)
-
+		return &callNode{fn: c.fn(name, len(e.Args)-1), args: c.args(e.Args[1:], at), at: at}
 	case lera.EAnds, lera.EOrs:
-		all := e.Functor == lera.EAnds
-		for _, c := range e.Args[0].Args {
-			b, err := db.evalBool(c, rows)
-			if err != nil {
-				return value.Null, err
-			}
-			if all && !b {
-				return value.False, nil
-			}
-			if !all && b {
-				return value.True, nil
-			}
+		j := &junction{all: e.Functor == lera.EAnds, kids: make([]pred, 0, len(e.Args[0].Args))}
+		for _, k := range e.Args[0].Args {
+			j.kids = append(j.kids, c.pred(k, at))
 		}
-		return value.Bool(all), nil
-
+		return j
 	case lera.ENot:
-		b, err := db.evalBool(e.Args[0], rows)
-		if err != nil {
-			return value.Null, err
-		}
-		return value.Bool(!b), nil
-
+		return &junction{kids: []pred{c.pred(e.Args[0], at)}, all: true, not: true}
 	case "=", "<>", "<", ">", "<=", ">=":
-		a, err := db.evalExpr(e.Args[0], rows)
-		if err != nil {
-			return value.Null, err
+		n := &cmpNode{t: e, op: e.Functor, mask: cmpMasks[e.Functor], at: at, builtin: c.db.Cat.ADTs.IsBuiltinComparison(e.Functor)}
+		n.a, n.b = c.operand(e.Args[0], at+2), c.operand(e.Args[1], at+2)
+		if !n.builtin || n.a.sub != nil || n.b.sub != nil {
+			c.use(at + 2)
 		}
-		b, err := db.evalExpr(e.Args[1], rows)
-		if err != nil {
-			return value.Null, err
+		if !n.builtin {
+			n.fn = c.fn(e.Functor, 2)
 		}
-		// Comparison broadcast (Figure 4): a collection compared with a
-		// scalar yields the collection of element-wise comparisons, which
-		// the ALL/EXIST quantifiers then fold.
-		if a.K.IsCollection() && !b.K.IsCollection() {
-			return db.broadcastCmp(e.Functor, a, b, false)
-		}
-		if b.K.IsCollection() && !a.K.IsCollection() {
-			return db.broadcastCmp(e.Functor, b, a, true)
-		}
-		return db.adtCall(e.Functor, []value.Value{a, b})
-
+		return n
 	case term.FSet, term.FBag, term.FList, term.FArray:
-		elems := make([]value.Value, len(e.Args))
-		for i, a := range e.Args {
-			v, err := db.evalExpr(a, rows)
-			if err != nil {
-				return value.Null, err
-			}
-			elems[i] = v
-		}
-		switch e.Functor {
-		case term.FSet:
-			return value.NewSet(elems...), nil
-		case term.FBag:
-			return value.NewBag(elems...), nil
-		case term.FList:
-			return value.NewList(elems...), nil
-		default:
-			return value.NewArray(elems...), nil
-		}
+		return &callNode{ctor: ctorKinds[e.Functor], args: c.args(e.Args, at), at: at}
 	}
-
 	// Generic ADT function application (MEMBER, ISEMPTY, UNION, ALL, ...).
-	args := make([]value.Value, len(e.Args))
-	for i, a := range e.Args {
-		v, err := db.evalExpr(a, rows)
-		if err != nil {
-			return value.Null, err
-		}
-		args[i] = v
-	}
-	return db.call(e.Functor, args)
+	return &callNode{fn: c.fn(e.Functor, len(e.Args)), args: c.args(e.Args, at), at: at}
 }
 
-func (db *DB) broadcastCmp(op string, coll, scalar value.Value, scalarLeft bool) (value.Value, error) {
-	elems := make([]value.Value, 0, coll.Len())
-	for _, el := range coll.Elems {
-		a, b := el, scalar
-		if scalarLeft {
-			a, b = scalar, el
-		}
-		r, err := db.adtCall(op, []value.Value{a, b})
-		if err != nil {
-			return value.Null, err
-		}
-		elems = append(elems, r)
+// pred compiles a qualification: a comparison or connective answers its
+// truth itself; any other node's value is checked to be a boolean.
+func (c *compiler) pred(e *term.Term, at int) pred {
+	n := c.expr(e, at+1)
+	if p, ok := n.(pred); ok {
+		return p
 	}
-	switch coll.K {
-	case value.KSet:
-		return value.NewSet(elems...), nil
-	case value.KBag:
-		return value.NewBag(elems...), nil
-	case value.KList:
-		return value.NewList(elems...), nil
+	c.use(at + 1)
+	return &boolOf{t: e, n: n, at: at}
+}
+
+// args compiles the arguments of a call, which lie at stack slots at, at+1,
+// ...; each is evaluated with the stack above them.
+func (c *compiler) args(es []*term.Term, at int) []expr {
+	out := make([]expr, len(es))
+	for i, a := range es {
+		out[i] = c.expr(a, at+len(es))
+	}
+	c.use(at + len(es))
+	return out
+}
+
+// attr compiles ATTR(i, j): to a slot operand of the flat row l ++ r when
+// the layout fixes it; otherwise to a node — a column of l or r checked
+// against the row's width when only the row knows it, or outside the
+// layout the walker's error, raised when evaluated.
+func (c *compiler) attr(e *term.Term) (operand, expr) {
+	i, j, _ := lera.AttrIdx(e)
+	if i < 1 || i > len(c.widths) {
+		return operand{}, &errNode{fmt.Errorf("engine: attribute %d.%d: relation index out of range", i, j)}
+	}
+	w := c.widths[i-1]
+	if j < 1 || j > w && w >= 0 {
+		return operand{}, &errNode{fmt.Errorf("engine: attribute %d.%d: column index out of range", i, j)}
+	}
+	if w < 0 {
+		return operand{}, &colNode{i: i, j: j, left: i < len(c.widths)}
+	}
+	o := operand{kind: opSlot, slot: j - 1}
+	for _, w := range c.widths[:i-1] {
+		o.slot += w
+	}
+	return o, nil
+}
+
+// fn resolves the registry function name called with nargs arguments.
+func (c *compiler) fn(name string, nargs int) adtFn {
+	f := adtFn{name: name}
+	if e, ok := c.db.Cat.ADTs.Lookup(name); ok && (e.Arity < 0 || e.Arity == nargs) {
+		f.fn = e.Fn
+	}
+	return f
+}
+
+// colNode is ATTR(i, j) of a FILTER's or a raw JOIN's row, l's when left.
+type colNode struct {
+	i, j int
+	left bool
+}
+
+func (n *colNode) eval(_ *frame, l, r []value.Value, dst *value.Value) error {
+	if n.left {
+		r = l
+	}
+	if n.j > len(r) {
+		return fmt.Errorf("engine: attribute %d.%d: column index out of range", n.i, n.j)
+	}
+	*dst = r[n.j-1]
+	return nil
+}
+
+// errNode is an expression that fails whenever it is evaluated: an
+// unbound variable or an attribute reference outside the layout.
+type errNode struct{ err error }
+
+func (n *errNode) eval(*frame, []value.Value, []value.Value, *value.Value) error { return n.err }
+
+// derefNode is VALUE(arg), or with project set PROJECT(arg, field).
+type derefNode struct {
+	arg     expr
+	field   string
+	project bool
+}
+
+func (n *derefNode) eval(x *frame, l, r []value.Value, dst *value.Value) (err error) {
+	switch err = n.arg.eval(x, l, r, dst); {
+	case err != nil:
+	case n.project:
+		*dst, err = x.w.projectField(*dst, n.field, true)
 	default:
-		return value.NewArray(elems...), nil
+		*dst, err = x.w.deref(*dst)
 	}
+	return err
 }
 
-// deref resolves an OID through the object store; non-OIDs pass through
-// (VALUE on a value is the identity, §3.3).
-func (db *DB) deref(v value.Value) (value.Value, error) {
-	if v.K != value.KOID {
-		return v, nil
-	}
-	obj, ok := db.Objects[v.OID()]
-	if !ok {
-		return value.Null, fmt.Errorf("engine: dangling object identifier @%d", v.OID())
-	}
-	return obj, nil
+// callNode applies a function, or with ctor set a SET, BAG, LIST or ARRAY
+// constructor, to arguments it evaluates, in order, onto the stack slots
+// at, at+1, ... With one argument the attribute-as-function rule comes
+// first: NAME(actor) projects the field of a tuple, an object or a
+// collection of them, and only where that fails is the ADT called.
+type callNode struct {
+	fn   adtFn
+	ctor value.Kind
+	args []expr
+	at   int
 }
 
-// projectField extracts a named tuple field, dereferencing OIDs and
-// broadcasting over collections.
-func (db *DB) projectField(v value.Value, field string) (value.Value, error) {
-	if v.K == value.KOID {
-		d, err := db.deref(v)
+func (n *callNode) eval(x *frame, l, r []value.Value, dst *value.Value) (err error) {
+	args := x.stack[n.at : n.at+len(n.args) : n.at+len(n.args)]
+	for i, a := range n.args {
+		if err := a.eval(x, l, r, &args[i]); err != nil {
+			return err
+		}
+	}
+	if n.ctor != value.KNull {
+		*dst = newColl[n.ctor](args...)
+		return nil
+	}
+	if a := args; len(a) == 1 && (a[0].K == value.KOID || a[0].K == value.KTuple ||
+		a[0].K.IsCollection() && a[0].Len() > 0 && (a[0].Elems[0].K == value.KTuple || a[0].Elems[0].K == value.KOID)) {
+		if v, err := x.w.projectField(a[0], n.fn.name, false); err == nil {
+			*dst = v
+			return nil
+		}
+	}
+	*dst, err = n.fn.invoke(x.w, args)
+	return err
+}
+
+var ctorKinds = map[string]value.Kind{term.FSet: value.KSet, term.FBag: value.KBag, term.FList: value.KList, term.FArray: value.KArray}
+
+// newColl builds a collection of a kind from a copy of its elements.
+var newColl = map[value.Kind]func(...value.Value) value.Value{
+	value.KSet: value.NewSet, value.KBag: value.NewBag, value.KList: value.NewList, value.KArray: value.NewArray,
+}
+
+// junction is ANDS (all) or ORS over its qualifications, short-circuiting,
+// or NOT (not) of its one.
+type junction struct {
+	kids     []pred
+	all, not bool
+}
+
+func (j *junction) truth(x *frame, l, r []value.Value) (bool, error) {
+	for _, k := range j.kids {
+		b, err := x.test(k, l, r)
 		if err != nil {
+			return false, err
+		}
+		if b != j.all {
+			return b != j.not, nil
+		}
+	}
+	return j.all != j.not, nil
+}
+
+func (j *junction) eval(x *frame, l, r []value.Value, dst *value.Value) error {
+	b, err := j.truth(x, l, r)
+	*dst = value.Bool(b)
+	return err
+}
+
+// boolOf is a qualification whose node computes a value: it must be a
+// boolean.
+type boolOf struct {
+	t  *term.Term
+	n  expr
+	at int
+}
+
+func (b *boolOf) truth(x *frame, l, r []value.Value) (bool, error) {
+	v := &x.stack[b.at]
+	if err := b.n.eval(x, l, r, v); err != nil {
+		return false, err
+	}
+	if v.K != value.KBool {
+		return false, notBool(b.t, v.K)
+	}
+	return v.B(), nil
+}
+
+func notBool(t *term.Term, k value.Kind) error {
+	return fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(t), k)
+}
+
+// operand kinds: a comparison's operands and a SEARCH's projections are
+// operands, held by value; a slot or constant leaf of any other node is one.
+const (
+	opSlot  = iota // a slot of the flat row l ++ r, read where it lies
+	opConst        // a constant
+	opExpr         // anything else
+)
+
+type operand struct {
+	kind, slot int
+	cval       *value.Value // the term's own, which no one changes
+	sub        expr
+}
+
+func (c *compiler) operand(e *term.Term, at int) operand {
+	if e.Kind == term.Const {
+		return operand{kind: opConst, cval: &e.Val}
+	}
+	if e.Functor == lera.EAttr {
+		if o, n := c.attr(e); n == nil {
+			return o
+		}
+	}
+	return operand{kind: opExpr, sub: c.expr(e, at)}
+}
+
+// fetch returns the operand's value by reference: the cell of the pair,
+// the constant in its term, or stack slot at, which it fills.
+func (o *operand) fetch(x *frame, l, r []value.Value, at int) (*value.Value, error) {
+	switch o.kind {
+	case opSlot:
+		return pairAt(l, r, o.slot), nil
+	case opConst:
+		return o.cval, nil
+	}
+	v := &x.stack[at]
+	return v, o.sub.eval(x, l, r, v)
+}
+
+func (o *operand) eval(x *frame, l, r []value.Value, dst *value.Value) error {
+	switch o.kind {
+	case opSlot:
+		*dst = *pairAt(l, r, o.slot)
+	case opConst:
+		*dst = *o.cval
+	default:
+		return o.sub.eval(x, l, r, dst)
+	}
+	return nil
+}
+
+// cmpNode is a comparison. Its operands are evaluated left to right, an
+// expression operand into stack slot at or at+1 (the arguments of an
+// overridden comparison's call), and a collection compared with a scalar
+// broadcasts (Figure 4): the value is the collection of element-wise
+// comparisons, which the ALL/EXIST quantifiers fold. A builtin comparison
+// — the registry's own, a total wrapper over value.Compare — is decided by
+// value.CompareRef with no call, after the injector hit its call would make.
+type cmpNode struct {
+	t       *term.Term
+	op      string
+	mask    uint8 // the Compare outcomes it holds for: bit c+1 for c
+	builtin bool
+	fn      adtFn // the overriding function, when not builtin
+	a, b    operand
+	at      int
+}
+
+func (c *cmpNode) truth(x *frame, l, r []value.Value) (bool, error) {
+	av, err := c.a.fetch(x, l, r, c.at)
+	if err != nil {
+		return false, err
+	}
+	bv, err := c.b.fetch(x, l, r, c.at+1)
+	if err != nil {
+		return false, err
+	}
+	if c.builtin && av.K.IsCollection() == bv.K.IsCollection() && x.w.Injector == nil {
+		return c.holds(value.CompareRef(av, bv)), nil
+	}
+	var v value.Value
+	if err = c.apply(x, av, bv, &v); err == nil && v.K != value.KBool {
+		err = notBool(c.t, v.K)
+	}
+	return v.B(), err
+}
+
+func (c *cmpNode) eval(x *frame, l, r []value.Value, dst *value.Value) error {
+	av, err := c.a.fetch(x, l, r, c.at)
+	if err != nil {
+		return err
+	}
+	bv, err := c.b.fetch(x, l, r, c.at+1)
+	if err != nil {
+		return err
+	}
+	return c.apply(x, av, bv, dst)
+}
+
+// apply compares the values at av and bv into dst, broadcasting over a
+// collection compared with a scalar.
+func (c *cmpNode) apply(x *frame, av, bv, dst *value.Value) (err error) {
+	coll, scalar, scalarLeft := av, bv, false
+	if bv.K.IsCollection() && !av.K.IsCollection() {
+		coll, scalar, scalarLeft = bv, av, true
+	}
+	if !coll.K.IsCollection() || scalar.K.IsCollection() {
+		*dst, err = c.call(x, av, bv)
+		return err
+	}
+	kind, s := coll.K, *scalar
+	elems := make([]value.Value, len(coll.Elems))
+	for i, el := range coll.Elems {
+		a, b := &el, &s
+		if scalarLeft {
+			a, b = b, a
+		}
+		if elems[i], err = c.call(x, a, b); err != nil {
+			return err
+		}
+	}
+	*dst = newColl[kind](elems...)
+	return nil
+}
+
+// call is one call of the comparison function.
+func (c *cmpNode) call(x *frame, a, b *value.Value) (value.Value, error) {
+	if !c.builtin {
+		args := x.stack[c.at : c.at+2 : c.at+2]
+		args[0], args[1] = *a, *b
+		return c.fn.invoke(x.w, args)
+	}
+	if x.w.Injector != nil {
+		if err := x.w.hitADT(c.op); err != nil {
 			return value.Null, err
 		}
-		v = d
 	}
-	if v.K == value.KTuple {
-		f, ok := v.Field(field)
-		if !ok {
-			return value.Null, fmt.Errorf("engine: tuple has no field %q", field)
-		}
-		return f, nil
-	}
-	if v.K.IsCollection() {
-		elems := make([]value.Value, 0, v.Len())
-		for _, el := range v.Elems {
-			f, err := db.projectField(el, field)
-			if err != nil {
-				return value.Null, err
-			}
-			elems = append(elems, f)
-		}
-		switch v.K {
-		case value.KSet:
-			return value.NewSet(elems...), nil
-		case value.KBag:
-			return value.NewBag(elems...), nil
-		case value.KList:
-			return value.NewList(elems...), nil
-		default:
-			return value.NewArray(elems...), nil
-		}
-	}
-	return value.Null, fmt.Errorf("engine: cannot project field %q from %s", field, v.K)
+	return value.Bool(c.holds(value.CompareRef(a, b))), nil
 }
 
-// call resolves a function name: attribute-as-function on tuples/objects
-// first (NAME(actor)), with collection broadcast, then the ADT registry.
-func (db *DB) call(name string, args []value.Value) (value.Value, error) {
-	if len(args) == 1 {
-		return db.callField(name, args[0])
-	}
-	return db.adtCall(name, args)
+// cmpMasks mirror the built-in comparison registrations (internal/adt):
+// each holds exactly for its value.Compare outcomes.
+var cmpMasks = map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}
+
+func (c *cmpNode) holds(r int) bool { return c.mask>>(min(max(r, -1), 1)+1)&1 != 0 }
+
+// adtFn is a registry function resolved at compile time. fn is nil when
+// the name is unknown or the argument count wrong; the registry then
+// answers, with its error, at the call.
+type adtFn struct {
+	name string
+	fn   adt.Func
 }
 
-// callField is the single-argument case of call — the shape the compiled
-// search predicates (batchsearch.go) invoke directly.
-func (db *DB) callField(name string, a value.Value) (value.Value, error) {
-	if a.K == value.KOID || a.K == value.KTuple {
-		if v, err := db.projectField(a, name); err == nil {
-			return v, nil
-		}
-	}
-	if a.K.IsCollection() && a.Len() > 0 && (a.Elems[0].K == value.KTuple || a.Elems[0].K == value.KOID) {
-		if v, err := db.projectField(a, name); err == nil {
-			return v, nil
-		}
-	}
-	return db.adtCall(name, []value.Value{a})
-}
-
-// adtCall invokes an ADT function through the catalog registry with panic
-// isolation: implementor-registered functions run arbitrary code, and a
-// panic must surface as a typed ExternalError instead of unwinding the
-// evaluator.
-func (db *DB) adtCall(name string, args []value.Value) (v value.Value, err error) {
+// invoke calls the function with panic isolation: implementor-registered
+// functions run arbitrary code, and a panic must surface as a typed
+// ExternalError instead of unwinding the evaluator. args lie on the
+// caller's stack and are valid only during the call (adt.Func).
+func (f *adtFn) invoke(w *DB, args []value.Value) (v value.Value, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			v = value.Null
-			err = guard.NewExternalPanic(guard.ExtADT, "", name, "", p)
+			v, err = value.Null, guard.NewExternalPanic(guard.ExtADT, "", f.name, "", p)
 		}
 	}()
-	if db.Injector != nil {
-		if err := db.hitADT(name); err != nil {
+	if w.Injector != nil {
+		if err := w.hitADT(f.name); err != nil {
 			return value.Null, err
 		}
 	}
-	return db.Cat.ADTs.Call(name, args)
+	if f.fn == nil {
+		return w.Cat.ADTs.Call(f.name, args)
+	}
+	return f.fn(args)
 }
 
 // hitADT reports one call of the ADT function name to the injector, which
-// the caller has checked is non-nil — adtCall before the registry call,
-// and the compiled comparison (batchsearch.go) where the generic path
-// would call the comparison ADT — so the n'th hit lands on the same call
-// either way. A fired fault comes back typed: an injected error wrapped as
-// an ADT ExternalError, an injected panic as an external panic.
+// the caller has checked is non-nil, before the call — a builtin
+// comparison, which makes no call, hits it where its call would be — so
+// the n'th hit lands on the same call as in the tree walker. A fired fault
+// comes back typed: an injected error wrapped as an ADT ExternalError, an
+// injected panic as an external panic.
 func (db *DB) hitADT(name string) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -284,15 +499,45 @@ func (db *DB) hitADT(name string) (err error) {
 	return nil
 }
 
-// evalBool evaluates a qualification expression to a boolean.
-func (db *DB) evalBool(e *term.Term, rows [][]value.Value) (bool, error) {
-	db.Count.PredEvals++
-	v, err := db.evalExpr(e, rows)
-	if err != nil {
-		return false, err
+// deref resolves an OID through the object store; non-OIDs pass through
+// (VALUE on a value is the identity, §3.3).
+func (db *DB) deref(v value.Value) (value.Value, error) {
+	if v.K != value.KOID {
+		return v, nil
 	}
-	if v.K != value.KBool {
-		return false, fmt.Errorf("engine: qualification %s evaluated to %s, not boolean", lera.Format(e), v.K)
+	obj, ok := db.Objects[v.OID()]
+	if !ok {
+		return value.Null, fmt.Errorf("engine: dangling object identifier @%d", v.OID())
 	}
-	return v.B(), nil
+	return obj, nil
 }
+
+// projectField extracts a named tuple field, dereferencing OIDs and
+// broadcasting over collections. A failure is errNoField unless why asks
+// for the error PROJECT reports.
+func (db *DB) projectField(v value.Value, field string, why bool) (value.Value, error) {
+	v, err := db.deref(v)
+	switch {
+	case err != nil:
+		return value.Null, err
+	case v.K == value.KTuple:
+		if f, ok := v.Field(field); ok {
+			return f, nil
+		} else if why {
+			return value.Null, fmt.Errorf("engine: tuple has no field %q", field)
+		}
+	case v.K.IsCollection():
+		elems := make([]value.Value, len(v.Elems))
+		for i, el := range v.Elems {
+			if elems[i], err = db.projectField(el, field, why); err != nil {
+				return value.Null, err
+			}
+		}
+		return newColl[v.K](elems...), nil
+	case why:
+		return value.Null, fmt.Errorf("engine: cannot project field %q from %s", field, v.K)
+	}
+	return value.Null, errNoField
+}
+
+var errNoField = errors.New("engine: no such field")

@@ -117,6 +117,69 @@ func TestSearchPipelineAllocs(t *testing.T) {
 
 	// (c) No header slice grown by appending, in any producer.
 	checkStageOutputsExact(t)
+
+	// (d) A reject-all conjunct of OR, NOT ISEMPTY, MEMBER and a CALL
+	// field costs no more per pair than (a)'s comparison: its calls take
+	// their arguments on the worker's stack. Each pair evaluates all of it.
+	at1, n1 = evalAllocBytes(t, adtFanoutDB(t, keys, 1), join(adtRejectAll(2)))
+	at8, n8 = evalAllocBytes(t, adtFanoutDB(t, keys, 8), join(adtRejectAll(2)))
+	if n1 != 0 || n8 != 0 {
+		t.Fatalf("reject-all ADT join returned %d and %d rows", n1, n8)
+	}
+	t.Logf("reject-all ADT join: %d B at fan-out 1, %d B at fan-out 8", at1, at8)
+	if at8 > at1+1024 {
+		t.Errorf("rejected pairs allocate in ADT calls: %d B at fan-out 1, %d B at fan-out 8", at1, at8)
+	}
+
+	// (e) The same qualification in FILTER and the raw JOIN: 1 000 rows
+	// (JOIN: pairs) allocate no more than 10.
+	for _, op := range []struct {
+		name string
+		q    *term.Term
+	}{
+		{"FILTER", lera.Filter(lera.Rel("R"), adtRejectAll(1))},
+		{"JOIN", lera.Join(lera.Rel("L"), lera.Rel("R"), adtRejectAll(2))},
+	} {
+		at10, n10 := evalAllocBytes(t, adtFanoutDB(t, 1, 10), op.q)
+		at1000, n1000 := evalAllocBytes(t, adtFanoutDB(t, 1, 1000), op.q)
+		if n10 != 0 || n1000 != 0 {
+			t.Fatalf("reject-all %s returned %d and %d rows", op.name, n10, n1000)
+		}
+		t.Logf("reject-all %s: %d B over 10 rows, %d B over 1 000", op.name, at10, at1000)
+		if at1000 > at10+1024 {
+			t.Errorf("rejected %s rows allocate: %d B over 10 rows, %d B over 1 000", op.name, at10, at1000)
+		}
+	}
+}
+
+// adtFanoutDB is fanoutDB whose R rows are (key, int, SET('t'),
+// TUPLE(tag: 't')).
+func adtFanoutDB(t *testing.T, keys, fanout int) *DB {
+	db := fanoutDB(t, keys, 1, 1)
+	set, tup := value.NewSet(value.String("t")), value.NewTuple([]string{"tag"}, []value.Value{value.String("t")})
+	var r [][]value.Value
+	for k := 1; k <= keys; k++ {
+		for f := 0; f < fanout; f++ {
+			r = append(r, []value.Value{value.Int(int64(k)), value.Int(int64(k*fanout + f)), set, tup})
+		}
+	}
+	if err := db.Load("R", r); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// adtRejectAll is false on every row of relation i of adtFanoutDB, after
+// evaluating each of its parts: i.2 < 0 OR NOT (NOT ISEMPTY(i.3) AND
+// MEMBER(tag(i.4), i.3)).
+func adtRejectAll(i int) *term.Term {
+	return lera.Ors(
+		lera.Cmp("<", lera.Attr(i, 2), term.Num(0)),
+		lera.Not(lera.Ands(
+			lera.Not(term.F("ISEMPTY", lera.Attr(i, 3))),
+			term.F("MEMBER", lera.Call("tag", lera.Attr(i, 4)), lera.Attr(i, 3)),
+		)),
+	)
 }
 
 // checkStageOutputsExact: every SEARCH producer hands its stage's output

@@ -9,11 +9,12 @@ package engine
 // or config field, only through evalOpHook, which this file's init sets
 // and which claims no DB but the forks ReferenceEval registers. It makes
 // no promise about Counters, stats trees, batching, worker pools, fault
-// injection or the memory governor. It shares expr.go, the REL/LET/FIX
-// control flow (engine.go, fix.go) and SEARCH planning (searchInputs,
-// searchPlan, equiJoinKeys, takeConjuncts) with the engine, so the two
-// agree on evaluation order by construction and differ only in how rows
-// are moved and compared.
+// injection or the memory governor. Its expressions are the tree walker's
+// (walker_test.go). It shares the REL/LET/FIX control flow (engine.go,
+// fix.go) and SEARCH planning (searchInputs, searchPlan, equiJoinKeys,
+// takeConjuncts) with the engine, so the two agree on evaluation order by
+// construction and differ in how rows are moved and compared and in how
+// expressions are evaluated — walked, or compiled (expr.go).
 
 import (
 	"context"

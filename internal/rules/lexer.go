@@ -171,6 +171,15 @@ func (l *lexer) next() (token, error) {
 			}
 			break
 		}
+		// An exponent, as a real renders it: 1e-07, 1e+21.
+		if n1, n2 := l.peekRuneAt(1), l.peekRuneAt(2); l.peekRune() == 'e' && (n1 == '-' || n1 == '+') && unicode.IsDigit(n2) {
+			for i := 0; i < 2; i++ {
+				sb.WriteRune(l.advance())
+			}
+			for l.pos < len(l.src) && unicode.IsDigit(l.peekRune()) {
+				sb.WriteRune(l.advance())
+			}
+		}
 		return token{kind: tNumber, text: sb.String(), line: line, col: col}, nil
 
 	case r == '\'':

@@ -184,7 +184,10 @@ func Parse(src string) (*RuleSet, error) {
 			return nil, fmt.Errorf("rules: %d:%d: expected 'rule', 'block' or 'seq', got %q", t.line, t.col, t.text)
 		}
 	}
-	return rs, rs.ValidateBlocks()
+	if err := rs.ValidateBlocks(); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // ParseSequence parses a standalone "seq({...}, n);" declaration without
@@ -554,7 +557,20 @@ func (p *parser) parseMultiplicative() (*term.Term, error) {
 func (p *parser) parseUnary() (*term.Term, error) {
 	if p.atOp("-") {
 		p.advance()
-		arg, err := p.parseUnary()
+		var arg *term.Term
+		var err error
+		if p.atPunct("(") {
+			// -(x) negates; -(x, y) is the prefix form of x - y.
+			var args []*term.Term
+			if args, err = p.parseArgs(); err == nil && len(args) != 1 {
+				return term.F("-", args...), nil
+			}
+			if err == nil {
+				arg = args[0]
+			}
+		} else {
+			arg, err = p.parseUnary()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -576,7 +592,7 @@ func (p *parser) parsePrimary() (*term.Term, error) {
 	switch t.kind {
 	case tNumber:
 		p.advance()
-		if strings.Contains(t.text, ".") {
+		if strings.ContainsAny(t.text, ".e") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return nil, fmt.Errorf("rules: %d:%d: bad number %q", t.line, t.col, t.text)
@@ -634,6 +650,17 @@ func (p *parser) parsePrimary() (*term.Term, error) {
 		// A bare multi-letter identifier is a symbolic constant
 		// (e.g. a type name in ISA(x, Point)).
 		return term.Str(t.text), nil
+
+	case tOp:
+		// The prefix form of an operator, as a term renders it: =(x, y).
+		if p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tPunct && p.toks[p.pos+1].text == "(" && t.text != "-->" {
+			p.advance()
+			args, err := p.parseArgs()
+			if err != nil {
+				return nil, err
+			}
+			return term.F(t.text, args...), nil
+		}
 
 	case tPunct:
 		if t.text == "(" {
