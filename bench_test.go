@@ -207,6 +207,24 @@ func BenchmarkQualifications(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexAccessPath is the in-process table of docs/PERF.md "Index
+// access paths": a point query and a narrow range over 20 and over 2 000
+// films, plan cache on. Read through the sorted column index, the query
+// over 2 000 films costs about what it costs over 20; scanned, it tested
+// every film.
+func BenchmarkIndexAccessPath(b *testing.B) {
+	for _, n := range []int{20, 2000} {
+		s := filmsBench(b, n, WithPlanCache(64))
+		s.Parallelism = 1
+		for _, q := range []struct{ name, query string }{
+			{"point", "SELECT Title FROM FILM WHERE Numf = 14"},
+			{"range", "SELECT Title FROM FILM WHERE Numf > 10 AND Numf < 15"},
+		} {
+			b.Run(fmt.Sprintf("%s/films=%d", q.name, n), func(b *testing.B) { benchQuery(b, s, q.query) })
+		}
+	}
+}
+
 // BenchmarkExecClosure is exec_closure: the focused closure over chain(70)
 // at 15 positions along the chain.
 func BenchmarkExecClosure(b *testing.B) {

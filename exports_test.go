@@ -36,6 +36,7 @@ var exportAllowList = map[string]string{
 	"internal/rewrite: Engine.RunBlockCtx": "tests of 5 packages, 31 calls: one §4.2 block alone, the unit the rule-library tests pin",
 	"internal/testdb: DominatorsOfQuinn":   "tests of 5 packages, 9 calls: the Figure 5 expected answer",
 	"internal/guard: Injector.Calls":       "tests of 4 packages, 10 calls: fault-injection hit counts",
+	"internal/leakcheck: Main":             "tests of 4 packages, 4 calls: the goroutine-leak gate their TestMain runs",
 	"internal/term: At":                    "tests of 3 packages, 14 calls: path addressing beside ReplaceAt",
 	"internal/lera: Validate":              "tests of 3 packages, 7 calls: the structural check of LERA terms",
 }

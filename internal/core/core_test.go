@@ -497,3 +497,47 @@ func TestFormatResultPresizeIsBounded(t *testing.T) {
 		t.Errorf("FormatResult allocated %d B for a %d B answer: the presize is unbounded again", alloc, len(got))
 	}
 }
+
+// TestEnumDomainRefusedAtWrite: member_enum_incons rewrites
+// MEMBER('Cartoon', Categories) to FALSE because 'Cartoon' is outside the
+// Category enumeration. A row holding it would make the rewritten query
+// answer 0 rows where the query as written answers 1, so INSERT and LOAD
+// refuse it, store nothing, and rewritten ≡ unrewritten on what remains.
+func TestEnumDomainRefusedAtWrite(t *testing.T) {
+	on := filmsSession(t)
+	off := filmsSession(t)
+	off.Rewrite = false
+	for _, s := range []*Session{on, off} {
+		_, err := s.Exec("INSERT INTO FILM VALUES (901, 'Toon', SET('Cartoon'));")
+		if err == nil || !strings.Contains(err.Error(), `FILM: column Categories: "Cartoon" is not a value of the enumeration Category`) {
+			t.Fatalf("INSERT of 'Cartoon' into FILM: %v", err)
+		}
+		rows := [][]value.Value{
+			{value.Int(902), value.String("Legal"), value.NewSet(value.String("Comedy"))},
+			{value.Int(903), value.String("Toon"), value.NewSet(value.String("Cartoon"))},
+		}
+		if err := s.DB.Load("FILM", rows); err == nil || !strings.Contains(err.Error(), `"Cartoon"`) {
+			t.Fatalf("LOAD with a 'Cartoon' row: %v", err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT Title FROM FILM WHERE MEMBER('Cartoon', Categories)",
+		"SELECT Title FROM FILM WHERE Numf > 900",
+		"SELECT Title FROM FILM",
+	} {
+		r1, err := on.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := off.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1, k2 := rowKeys(r1.Rows), rowKeys(r2.Rows); strings.Join(k1, ";") != strings.Join(k2, ";") {
+			t.Errorf("%s: rewritten %v, as written %v", q, k1, k2)
+		}
+	}
+	if r, err := on.Query("SELECT Numf FROM FILM"); err != nil || len(r.Rows) != 4 {
+		t.Errorf("a refused write changed FILM: %v, %v", r, err)
+	}
+}

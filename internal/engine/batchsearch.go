@@ -327,6 +327,9 @@ type searchScratch struct {
 	rels   []*Relation
 	prog   *searchProgram // the program stages is laid out for
 	stages []stageScratch
+	// sel and bits are stage 1's index read buffers (indexscan.go).
+	sel  []int32
+	bits []uint64
 }
 
 // relBuf returns the relation list for searchInputs to refill.
@@ -335,6 +338,23 @@ func (s *searchScratch) relBuf() []*Relation {
 		return nil
 	}
 	return s.rels
+}
+
+// readBufs returns the index read buffers to refill: none without a
+// scratch.
+func (s *searchScratch) readBufs() ([]int32, []uint64) {
+	if s == nil {
+		return nil, nil
+	}
+	return s.sel, s.bits
+}
+
+// keepReadBufs keeps the buffers an index read filled for the next
+// evaluation.
+func (s *searchScratch) keepReadBufs(sel []int32, bits []uint64) {
+	if s != nil {
+		s.sel, s.bits = sel, bits
+	}
 }
 
 // fit keeps the relation list rels for the next evaluation and lays the
@@ -389,7 +409,7 @@ func (ss *stageScratch) kernel(w *DB, est int) *searchKernel {
 	if k.searchStage == nil {
 		*k = ss.st.kernel(w, est)
 	}
-	k.x.w, k.ar.db, k.err = w, w, nil
+	k.x.w, k.ar.db, k.err, k.skip = w, w, nil, 0
 	k.dropOutput()
 	return k
 }
@@ -431,7 +451,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 		switch {
 		case ri == 1:
 			scanned = true
-			current, err = db.scanStage(ss, current)
+			current, err = db.scanStage(ss, current, db.readIndex(scr, st, relTerms[0], e, current))
 		case len(st.leftKeys) > 0:
 			next := rels[ri-1].Rows
 			// The governor sizes the build side with the deterministic
@@ -490,9 +510,21 @@ var forceLeftDrive bool
 // scanStage is stage 1: each row of rows, the first relation, meets the
 // stage's conjuncts alone, with one amortized tick per BatchSize slice. In
 // the final stage a survivor is projected; otherwise it moves on as the
-// stored row itself, collected by its ordinal.
-func (db *DB) scanStage(ss *stageScratch, rows [][]value.Value) ([][]value.Value, error) {
+// stored row itself, collected by its ordinal. With an index read, only
+// the rows it selected are visited (readChunk).
+func (db *DB) scanStage(ss *stageScratch, rows [][]value.Value, rd indexRead) ([][]value.Value, error) {
 	bs := db.batchSize()
+	if rd.ix != nil {
+		if rd.n < parallelMinRows {
+			// Too few rows to visit to be worth fanning out.
+			return db.readChunk(ss.kernel(db, len(rows)), rd, rows, 0, bs)
+		}
+		return mapChunks(db, rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+			// A chunk is a subslice of rows: its offset in rows is the
+			// capacity it lacks.
+			return w.readChunk(ss.kernel(w, len(chunk)), rd, chunk, cap(rows)-cap(chunk), bs)
+		})
+	}
 	return mapChunks(db, rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		k := ss.kernel(w, len(chunk))
 		for start := 0; start < len(chunk) && k.err == nil; start += bs {
@@ -650,6 +682,9 @@ type searchKernel struct {
 	runs0 [4]rowRun
 	n     int
 	open  bool
+	// skip is the number of leading conjuncts an index read has already
+	// answered for every row the kernel meets.
+	skip int32
 	// ords are the scan stage's survivor ordinals when the stage is not
 	// final: they pass on as the stored rows themselves (picked).
 	ords  []int32
@@ -697,7 +732,7 @@ func (k *searchKernel) judge(l, r []value.Value) bool {
 	if k.err != nil {
 		return false
 	}
-	for _, p := range k.preds {
+	for _, p := range k.preds[k.skip:] {
 		ok, err := k.x.test(p, l, r)
 		if err != nil {
 			k.err = err

@@ -21,6 +21,7 @@ import (
 	"lera/internal/catalog"
 	"lera/internal/guard"
 	"lera/internal/term"
+	"lera/internal/types"
 	"lera/internal/value"
 )
 
@@ -223,13 +224,17 @@ func (db *DB) Fork() *DB {
 	}
 }
 
-// Load stores rows under a relation name, validating arity against the
-// catalog when the relation is declared.
+// Load stores rows under a relation name, validating arity and
+// enumeration domains (checkEnums) against the catalog when the relation
+// is declared. A refused load stores no row.
 func (db *DB) Load(name string, rows [][]value.Value) error {
 	if rel, ok := db.Cat.Relation(name); ok {
 		for i, row := range rows {
 			if len(row) != len(rel.Columns) {
 				return fmt.Errorf("engine: %s row %d has %d values, schema has %d columns", name, i, len(row), len(rel.Columns))
+			}
+			if err := checkEnums(rel, row); err != nil {
+				return fmt.Errorf("engine: %s row %d: %w", name, i, err)
 			}
 		}
 	}
@@ -249,8 +254,13 @@ func (db *DB) Load(name string, rows [][]value.Value) error {
 	return nil
 }
 
-// Insert appends a single row.
+// Insert appends a single row, validated like a row of Load.
 func (db *DB) Insert(name string, row []value.Value) error {
+	if rel, ok := db.Cat.Relation(name); ok && len(row) == len(rel.Columns) {
+		if err := checkEnums(rel, row); err != nil {
+			return fmt.Errorf("engine: %s: %w", name, err)
+		}
+	}
 	key := strings.ToUpper(name)
 	r := db.rels[key]
 	if r == nil {
@@ -270,6 +280,33 @@ func (db *DB) Insert(name string, row []value.Value) error {
 	}
 	if db.idx != nil {
 		db.idx.invalidate(key)
+	}
+	return nil
+}
+
+// checkEnums refuses a string outside its column's ENUMERATION, stored as
+// the column's value or as an element of a collection of the enumeration.
+// The semantic rules trust the declared domain (member_enum_incons turns
+// MEMBER('Cartoon', Categories) into FALSE), so a row outside it would make
+// a rewritten query answer differently from the query as written.
+func checkEnums(rel *catalog.Relation, row []value.Value) error {
+	for i, col := range rel.Columns {
+		enum, v := col.Type, row[i]
+		if enum != nil && enum.Kind == types.Collection {
+			enum = enum.Elem
+		}
+		if enum == nil || enum.Kind != types.Enum {
+			continue
+		}
+		elems := []value.Value{v}
+		if v.K.IsCollection() {
+			elems = v.Elems
+		}
+		for _, el := range elems {
+			if el.K == value.KString && !enum.HasEnumValue(el.S) {
+				return fmt.Errorf("column %s: %q is not a value of the enumeration %s", col.Name, el.S, enum.Name)
+			}
+		}
 	}
 	return nil
 }

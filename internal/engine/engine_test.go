@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lera/internal/catalog"
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/testdb"
@@ -469,5 +470,53 @@ func TestFixNonUnionBodyFallsBackToNaive(t *testing.T) {
 	}
 	if db.Count.FixIterations != 2 {
 		t.Errorf("iterations = %d", db.Count.FixIterations)
+	}
+}
+
+// TestWritesRefuseEnumOutsideDomain: Load and Insert refuse a string
+// outside its column's ENUMERATION — a scalar enum column, or an element of
+// a collection of the enumeration — naming relation, column and value, and
+// store nothing; a legal row and a NULL pass.
+func TestWritesRefuseEnumOutsideDomain(t *testing.T) {
+	cat := catalog.New()
+	color, err := cat.Types.DeclareEnum("Color", []string{"red", "green"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.DeclareRelation("PAINT", []catalog.Column{
+		{Name: "Name", Type: cat.Types.Char},
+		{Name: "Hue", Type: color},
+		{Name: "Mix", Type: cat.Types.Collection(value.KSet, color)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := New(cat)
+	row := func(hue value.Value, mix ...string) []value.Value {
+		var els []value.Value
+		for _, m := range mix {
+			els = append(els, value.String(m))
+		}
+		return []value.Value{value.String("p"), hue, value.NewSet(els...)}
+	}
+	legal := [][]value.Value{row(value.String("red"), "green"), row(value.Null)}
+	if err := db.Load("PAINT", legal); err != nil {
+		t.Fatalf("legal rows refused: %v", err)
+	}
+	for _, c := range []struct {
+		row  []value.Value
+		want string
+	}{
+		{row(value.String("blue")), `PAINT: column Hue: "blue" is not a value of the enumeration Color`},
+		{row(value.String("red"), "green", "teal"), `PAINT: column Mix: "teal" is not a value of the enumeration Color`},
+	} {
+		if err := db.Insert("PAINT", c.row); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Insert %v: %v, want %q", c.row, err, c.want)
+		}
+		if err := db.Load("PAINT", append(legal[:1:1], c.row)); err == nil || !strings.Contains(err.Error(), "PAINT row 1: "+c.want[len("PAINT: "):]) {
+			t.Errorf("Load with %v: %v", c.row, err)
+		}
+	}
+	if n := len(stored(db, "PAINT").Rows); n != len(legal) {
+		t.Errorf("PAINT holds %d rows after refused writes, want %d", n, len(legal))
 	}
 }

@@ -26,11 +26,20 @@ package engine
 //     (the server pool) probe warm indexes without rebuilding, and a
 //     racing first access builds twice with the last store winning.
 //
+// Beside the join indexes the set keeps, per (relation, column), one
+// sorted column index (sortedIndex): the access path through which stage 1
+// of a SEARCH reads only the rows its leading comparisons select
+// (indexscan.go). It has the same lifecycle, is kept apart from a join
+// index on the same column, and like the join indexes is not charged to
+// the memory grant.
+//
 // Counters are unaffected by index reuse: REL evaluation still accounts
 // Scanned for every stored access, so a warm index changes wall-clock and
 // allocations, never the logical work model.
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -50,11 +59,20 @@ type storedIndex struct {
 // a scan that allocates nothing (a semi-naive round acquires one per
 // recursive member).
 type indexSet struct {
-	mu sync.RWMutex
-	m  map[string][]*storedIndex
+	mu     sync.RWMutex
+	m      map[string][]*storedIndex
+	sorted map[sortedKey]*sortedIndex
 }
 
-func newIndexSet() *indexSet { return &indexSet{m: map[string][]*storedIndex{}} }
+// sortedKey names a sorted column index: a relation and a 0-based column.
+type sortedKey struct {
+	rel string
+	col int
+}
+
+func newIndexSet() *indexSet {
+	return &indexSet{m: map[string][]*storedIndex{}, sorted: map[sortedKey]*sortedIndex{}}
+}
 
 // findIndex returns the entry of list keyed on keyIdx, and its position.
 func findIndex(list []*storedIndex, keyIdx []int) (*storedIndex, int) {
@@ -88,7 +106,35 @@ func (s *indexSet) acquire(version uint64, name string, rows [][]value.Value, ke
 func (s *indexSet) invalidate(name string) {
 	s.mu.Lock()
 	delete(s.m, name)
+	for k := range s.sorted {
+		if k.rel == name {
+			delete(s.sorted, k)
+		}
+	}
 	s.mu.Unlock()
+}
+
+// acquireSorted returns a warm sorted index of column col of the named
+// relation when one is cached and still valid, building and caching a
+// fresh one otherwise — stamped and replaced exactly like a join index.
+// colName names the column in the index's label ("" when undeclared).
+func (s *indexSet) acquireSorted(version uint64, name string, rows [][]value.Value, col int, colName string) *sortedIndex {
+	key := sortedKey{name, col}
+	s.mu.RLock()
+	ix := s.sorted[key]
+	s.mu.RUnlock()
+	if ix != nil && ix.version == version && len(ix.rows) == len(rows) {
+		return ix
+	}
+	ix = buildSortedIndex(rows, col)
+	ix.version, ix.label = version, name+"."+colName
+	if colName == "" {
+		ix.label = fmt.Sprintf("%s.%d", name, col+1)
+	}
+	s.mu.Lock()
+	s.sorted[key] = ix
+	s.mu.Unlock()
+	return ix
 }
 
 // lookup returns the cached entry for (name, keyIdx) without validation.
@@ -99,7 +145,7 @@ func (s *indexSet) lookup(name string, keyIdx []int) *storedIndex {
 	return e
 }
 
-// size returns the number of cached indexes.
+// size returns the number of cached join indexes.
 func (s *indexSet) size() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -108,4 +154,92 @@ func (s *indexSet) size() int {
 		n += len(list)
 	}
 	return n
+}
+
+// sortedIndex orders a stored relation's rows by one column: ord holds the
+// row ordinals sorted stably by value.CompareRef of the cell, so that the
+// rows a comparison of the column against a constant selects are one span
+// of ord, and a span of cells equal under CompareRef lists its ordinals in
+// ascending order. It serves only a column whose order is total: every
+// cell of one kind, KInt, KString, or KReal without NaN (CompareRef calls
+// NaN equal to everything). kind records that kind; KNull marks a column
+// that has none, and such an index holds no ordinals.
+type sortedIndex struct {
+	version uint64 // catalog data version at build time
+	label   string // relation.column, for EXPLAIN ANALYZE
+	rows    [][]value.Value
+	col     int
+	kind    value.Kind
+	ord     []int32
+}
+
+func buildSortedIndex(rows [][]value.Value, col int) *sortedIndex {
+	ix := &sortedIndex{rows: rows, col: col, kind: columnKind(rows, col)}
+	if ix.kind == value.KNull {
+		return ix
+	}
+	ix.ord = make([]int32, len(rows))
+	for i := range ix.ord {
+		ix.ord[i] = int32(i)
+	}
+	slices.SortStableFunc(ix.ord, func(a, b int32) int {
+		return value.CompareRef(&rows[a][col], &rows[b][col])
+	})
+	return ix
+}
+
+// columnKind returns the one kind of column col's cells when CompareRef
+// orders them totally, KNull otherwise (or when a row is too short).
+func columnKind(rows [][]value.Value, col int) value.Kind {
+	if len(rows) == 0 || len(rows[0]) <= col {
+		return value.KNull
+	}
+	k := rows[0][col].K
+	if k != value.KInt && k != value.KString && k != value.KReal {
+		return value.KNull
+	}
+	for _, row := range rows {
+		if len(row) <= col || row[col].K != k || k == value.KReal && math.IsNaN(row[col].F()) {
+			return value.KNull
+		}
+	}
+	return k
+}
+
+// span returns the positions [lo, hi) of ord whose cells c satisfy
+// CompareRef(c, v) ∈ mask (bit r+1 for outcome r). mask must be a
+// contiguous set of outcomes, which those of =, <, <=, > and >= are: over
+// ord the outcome never decreases, so each bound is one binary search.
+func (ix *sortedIndex) span(mask uint8, v *value.Value) (lo, hi int) {
+	switch {
+	case mask&1 != 0:
+	case mask&2 != 0:
+		lo = ix.first(v, false)
+	default:
+		lo = ix.first(v, true)
+	}
+	switch {
+	case mask&4 != 0:
+		hi = len(ix.ord)
+	case mask&2 != 0:
+		hi = ix.first(v, true)
+	default:
+		hi = ix.first(v, false)
+	}
+	return lo, hi
+}
+
+// first returns the first position of ord whose cell is above v, or with
+// strict false not below it.
+func (ix *sortedIndex) first(v *value.Value, strict bool) int {
+	lo, hi := 0, len(ix.ord)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := value.CompareRef(&ix.rows[ix.ord[m]][ix.col], v); c > 0 || c == 0 && !strict {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }

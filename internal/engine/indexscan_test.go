@@ -1,0 +1,487 @@
+package engine
+
+// Gates of the index access path (docs/PERF.md "Index access paths"):
+// stage 1 of a SEARCH read through a sorted column index must be
+// indistinguishable from the scan it replaces — rows (order included),
+// every Counters field, the timing-free stats tree and the first error's
+// text — whatever the column holds, whatever the leading comparisons and
+// constants, wherever the stage sits; the index follows its relation
+// through INSERT and Load; and the read allocates nothing per row.
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"sync"
+	"testing"
+
+	"lera/internal/catalog"
+	"lera/internal/lera"
+	"lera/internal/term"
+	"lera/internal/testdb"
+	"lera/internal/value"
+)
+
+// fuzzSource turns fuzz bytes into choices; past the end every choice is 0.
+type fuzzSource struct {
+	data []byte
+	i    int
+}
+
+func (s *fuzzSource) next(n int) int {
+	if s.i >= len(s.data) {
+		return 0
+	}
+	s.i++
+	return int(s.data[s.i-1]) % n
+}
+
+// Column modes of an indexed-scan case: what the cells of a column are.
+const (
+	colInts = iota
+	colReals
+	colRealsNaN // reals with NaN among them: not indexable
+	colStrings
+	colMixed // ints, reals, strings, NULL and sets: not indexable
+	colIntsNull
+	colModes
+)
+
+// scanCell draws one cell of a column of the given mode.
+func scanCell(s *fuzzSource, mode int) value.Value {
+	reals := []float64{negZero(), 0, 1.5, 2.5, 7, -3, 1e9}
+	strs := []string{"", "a", "b", "c", "m", "z"}
+	switch mode {
+	case colInts:
+		return value.Int(int64(s.next(16) - 3))
+	case colReals:
+		return value.Real(reals[s.next(len(reals))])
+	case colRealsNaN:
+		if s.next(4) == 0 {
+			return value.Real(nanValue())
+		}
+		return value.Real(reals[s.next(len(reals))])
+	case colStrings:
+		return value.String(strs[s.next(len(strs))])
+	case colIntsNull:
+		if s.next(8) == 0 {
+			return value.Null
+		}
+		return value.Int(int64(s.next(16) - 3))
+	}
+	switch s.next(5) {
+	case 0:
+		return value.Int(int64(s.next(16) - 3))
+	case 1:
+		return value.Real(reals[s.next(len(reals))])
+	case 2:
+		return value.String(strs[s.next(len(strs))])
+	case 3:
+		return value.Null
+	}
+	return value.NewSet(value.Int(int64(s.next(4))))
+}
+
+// scanConst draws a comparison constant: of the column's kind — below, at,
+// between and above its cells — or of another kind.
+func scanConst(s *fuzzSource, mode int) *term.Term {
+	kind := mode
+	if s.next(4) == 0 || mode == colMixed {
+		kind = s.next(colModes)
+	}
+	switch kind {
+	case colInts, colIntsNull:
+		return term.Num(int64(s.next(22) - 6))
+	case colReals, colRealsNaN:
+		fs := []float64{-100, -3, negZero(), 0, 1.5, 2, 2.5, 7, 8, 1e9, 1e10, nanValue()}
+		return &term.Term{Kind: term.Const, Val: value.Real(fs[s.next(len(fs))])}
+	case colStrings:
+		strs := []string{"", "0", "a", "aa", "b", "c", "m", "n", "z", "zz"}
+		return term.Str(strs[s.next(len(strs))])
+	}
+	if s.next(2) == 0 {
+		return &term.Term{Kind: term.Const, Val: value.Bool(true)}
+	}
+	return &term.Term{Kind: term.Const, Val: value.Null}
+}
+
+// scanCase is one random stored relation T(c1, c2, c3, id) — id the row's
+// ordinal, c1..c3 of the drawn modes — a second relation U(k, v), and a
+// qualification over T: 1 to 4 leading comparisons, mostly of one column,
+// then perhaps FAILAT(1.4), which fails on row failAt, and perhaps a
+// comparison of another column.
+type scanCase struct {
+	modes    [3]int
+	rows     [][]value.Value
+	u        [][]value.Value
+	qual     *term.Term
+	failAt   int64 // -1: FAILAT never fails
+	failProj bool  // FAILAT is in the projection, not the qualification
+}
+
+func newScanCase(data []byte) scanCase {
+	s := &fuzzSource{data: data}
+	c := scanCase{failAt: -1}
+	for i := range c.modes {
+		c.modes[i] = s.next(colModes)
+	}
+	n := 1 + s.next(40)
+	if s.next(6) == 0 {
+		n = 200 + s.next(200) // several batches, and a tick boundary
+	}
+	for id := 0; id < n; id++ {
+		c.rows = append(c.rows, []value.Value{scanCell(s, c.modes[0]), scanCell(s, c.modes[1]), scanCell(s, c.modes[2]), value.Int(int64(id))})
+	}
+	for k := 0; k < 6; k++ {
+		c.u = append(c.u, []value.Value{value.Int(int64(k * 3)), value.String(fmt.Sprint("u", k))})
+	}
+	col := 1 + s.next(3)
+	var conjs []*term.Term
+	ops := []string{"=", "<", "<=", ">", ">=", "=", "<", ">", "<>"}
+	for i, lead := 0, 1+s.next(4); i < lead; i++ {
+		cc := col
+		if s.next(6) == 0 {
+			cc = 1 + s.next(4)
+		}
+		mode := colInts
+		if cc <= 3 {
+			mode = c.modes[cc-1]
+		}
+		a, b := lera.Attr(1, cc), scanConst(s, mode)
+		if s.next(2) == 0 {
+			a, b = b, a
+		}
+		conjs = append(conjs, lera.Cmp(ops[s.next(len(ops))], a, b))
+	}
+	if s.next(2) == 0 {
+		c.failAt = int64(s.next(n + 1)) // n: never
+		c.failProj = s.next(3) == 0
+		if !c.failProj {
+			conjs = append(conjs, lera.Call("FAILAT", lera.Attr(1, 4)))
+		}
+	}
+	if s.next(3) == 0 {
+		cc := 1 + s.next(3)
+		conjs = append(conjs, lera.Cmp(ops[s.next(5)], lera.Attr(1, cc), scanConst(s, c.modes[cc-1])))
+	}
+	c.qual = lera.Ands(conjs...)
+	return c
+}
+
+// db returns a fresh database holding the case's relations and FAILAT.
+func (c scanCase) db(t *testing.T) *DB {
+	t.Helper()
+	db := New(catalog.New())
+	if err := db.Load("T", c.rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load("U", c.u); err != nil {
+		t.Fatal(err)
+	}
+	db.Cat.ADTs.Register("FAILAT", 1, true, func(a []value.Value) (value.Value, error) {
+		if a[0].K == value.KInt && a[0].I == c.failAt {
+			return value.Null, fmt.Errorf("FAILAT: row %d", a[0].I)
+		}
+		if c.failProj {
+			return a[0], nil
+		}
+		return value.Bool(a[0].I%3 != 1), nil
+	})
+	return db
+}
+
+// queries places the case's stage 1 as the final stage, as a non-final
+// stage joined (and, separately, crossed) with U, and inside a FIX.
+func (c scanCase) queries() map[string]*term.Term {
+	projs := []*term.Term{lera.Attr(1, 4), lera.Attr(1, 1)}
+	if c.failProj {
+		projs = append(projs, lera.Call("FAILAT", lera.Attr(1, 4)))
+	}
+	join := func(extra ...*term.Term) *term.Term {
+		return lera.Search([]*term.Term{lera.Rel("T"), lera.Rel("U")},
+			lera.Ands(append(lera.Conjuncts(c.qual), extra...)...),
+			append(projs[:1:1], lera.Attr(2, 2)))
+	}
+	final := lera.Search([]*term.Term{lera.Rel("T")}, c.qual, projs)
+	rec := lera.Search([]*term.Term{lera.Rel("X")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), term.Num(-1000))), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)})
+	return map[string]*term.Term{
+		"final":     final,
+		"join":      join(lera.Cmp("=", lera.Attr(1, 4), lera.Attr(2, 1))),
+		"cartesian": join(),
+		"fix":       lera.Fix("X", lera.Union(lera.Search([]*term.Term{lera.Rel("T")}, c.qual, projs[:2]), rec), []string{"A", "B"}),
+	}
+}
+
+// checkIndexedScan runs every placement of the case through the index path
+// and the scan, at batch sizes 1, 2 and 1024 and in both fixpoint modes,
+// and requires the same run. It reports how many runs read an index.
+func checkIndexedScan(t *testing.T, c scanCase) (read int) {
+	t.Helper()
+	for name, q := range c.queries() {
+		for _, mode := range []FixMode{SemiNaive, Naive} {
+			for _, bs := range []int{1, 2, 1024} {
+				cfg := runCfg{batch: bs, par: 1, mode: mode}
+				forceScan = true
+				want := runOn(c.db(t), q, cfg)
+				forceScan = false
+				db := c.db(t)
+				got := runOn(db, q, cfg)
+				if d := diffRuns(want, got); d != "" {
+					t.Fatalf("%s (%s) over T%v, %s: index path vs scan: %s", name, cfg, c.modes, lera.Format(c.qual), d)
+				}
+				if len(db.idx.sorted) > 0 {
+					read++
+				}
+			}
+		}
+	}
+	return read
+}
+
+// FuzzIndexedScan: over a random stored relation whose columns are
+// indexable or not (ints, reals with ±0.0 and NaN, strings, NULL, sets), a
+// qualification leading with comparisons of a column against constants of
+// its kind or another, all five operators, either operand order, followed
+// by a function that fails on a chosen row: the index path and the scan
+// (forceScan) give the same run, with stage 1 final, joined, crossed and
+// inside a FIX.
+func FuzzIndexedScan(f *testing.F) {
+	for _, seed := range indexedScanSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkIndexedScan(t, newScanCase(data))
+	})
+}
+
+// indexedScanSeeds are hand-made inputs for newScanCase: each names its
+// modes, size and leading comparisons.
+func indexedScanSeeds() [][]byte {
+	return [][]byte{
+		// ints, 30 rows, point query on c1 then FAILAT failing mid-way.
+		{colInts, colReals, colStrings, 30, 1, 1, 0, 7, 1, 0, 0, 2, 1, 0, 12, 0},
+		// strings, 40 rows, two comparisons, constant left.
+		{colStrings, colStrings, colInts, 40, 1, 0, 1, 0, 1, 4, 0, 0, 3, 1, 0, 6, 0, 2},
+		// reals with NaN: never indexed.
+		{colRealsNaN, colRealsNaN, colRealsNaN, 35, 1, 2, 0, 3, 4, 0, 2},
+		// a large relation, a range of ints, FAILAT in the projection.
+		{colInts, colIntsNull, colMixed, 0, 0, 1, 3, 0, 0, 5, 0, 0, 9, 0, 1, 77, 0},
+		// mixed columns and constants of other kinds.
+		{colMixed, colIntsNull, colReals, 20, 2, 3, 0, 1, 2, 3, 1, 4},
+	}
+}
+
+// TestIndexedScanSeeds runs the seeds and requires that the index path was
+// taken by some of them — a fuzz target that never reads an index checks
+// nothing.
+func TestIndexedScanSeeds(t *testing.T) {
+	read := 0
+	for _, seed := range indexedScanSeeds() {
+		read += checkIndexedScan(t, newScanCase(seed))
+	}
+	if read == 0 {
+		t.Fatal("no seed read through an index")
+	}
+}
+
+// filmsN returns a database of n films (Numf 1..n, Title 'film-<n>', a
+// Category) with its sorted index state cold, serial.
+func filmsN(t *testing.T, n int) *DB {
+	t.Helper()
+	cat, err := testdb.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(cat)
+	db.Parallelism = 1
+	cats := []string{"Comedy", "Adventure", "Western"}
+	rows := make([][]value.Value, n)
+	for i := range rows {
+		rows[i] = []value.Value{value.Int(int64(i + 1)), value.String(fmt.Sprint("film-", i+1)), value.NewSet(value.String(cats[i%3]))}
+	}
+	if err := db.Load("FILM", rows); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func titleWhere(conjs ...*term.Term) *term.Term {
+	return lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(conjs...), []*term.Term{lera.Attr(1, 2)})
+}
+
+// explainIndex evaluates q with statistics and returns its SEARCH node's
+// Index and its rows.
+func explainIndex(t *testing.T, db *DB, q *term.Term) (string, []string) {
+	t.Helper()
+	db.CollectStats = true
+	defer func() { db.CollectStats = false }()
+	rel := evalOK(t, db, q)
+	var rows []string
+	for _, r := range rel.Rows {
+		rows = append(rows, rowKey(r))
+	}
+	return db.LastExecStats().Children[0].Index, rows
+}
+
+// TestSortedIndexLifecycle: the sorted index follows its relation. An
+// INSERT after it is warm is seen by the session and by forks made before
+// and after; a Load that replaces the rows and keeps their count is seen;
+// a LET or FIX binding that shadows the stored name is scanned; and two
+// forks racing to build the index first both answer right.
+func TestSortedIndexLifecycle(t *testing.T) {
+	db := filmsN(t, 50)
+	point := titleWhere(lera.Cmp("=", lera.Attr(1, 1), term.Num(51)))
+	if ix, rows := explainIndex(t, db, point); ix != "FILM.Numf" || len(rows) != 0 {
+		t.Fatalf("cold point query: index %q, rows %v", ix, rows)
+	}
+	before := db.Fork()
+	if err := db.Insert("FILM", []value.Value{value.Int(51), value.String("late"), value.NewSet(value.String("Comedy"))}); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Fork()
+	for name, d := range map[string]*DB{"session": db, "fork before": before, "fork after": after} {
+		if ix, rows := explainIndex(t, d, point); ix != "FILM.Numf" || strings.Join(rows, ",") != "s4:late|" {
+			t.Errorf("%s after INSERT: index %q, rows %v", name, ix, rows)
+		}
+	}
+
+	// Same count, other rows.
+	rows := stored(db, "FILM").Rows
+	moved := make([][]value.Value, len(rows))
+	for i, r := range rows {
+		moved[i] = []value.Value{value.Int(r[0].I + 1000), r[1], r[2]}
+	}
+	if err := db.Load("FILM", moved); err != nil {
+		t.Fatal(err)
+	}
+	if _, rows := explainIndex(t, db, point); len(rows) != 0 {
+		t.Errorf("after a Load of as many rows: %v, want none", rows)
+	}
+	if _, rows := explainIndex(t, db, titleWhere(lera.Cmp("=", lera.Attr(1, 1), term.Num(1051)))); strings.Join(rows, ",") != "s4:late|" {
+		t.Errorf("after a Load of as many rows, Numf = 1051: %v", rows)
+	}
+
+	// A binding that shadows FILM is no stored relation: only a SEARCH of
+	// stored FILM reads an index, not one of the LET's or the FIX's FILM.
+	pair := []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}
+	def := lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), term.Num(1003))), pair)
+	onBinding := lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1002))), pair)
+	if err := db.Load("SRC", [][]value.Value{{value.Int(1002), value.String("x")}, {value.Int(7), value.String("y")}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		q     *term.Term
+		reads int
+		rows  int
+	}{
+		{"LET", term.F(lera.OpLet, term.Str("FILM"), def, onBinding), 1, 1},
+		{"FIX", lera.Fix("FILM", lera.Union(lera.Search([]*term.Term{lera.Rel("SRC")}, lera.TrueQual(), pair), onBinding), []string{"Numf", "Title"}), 0, 2},
+	} {
+		db.CollectStats = true
+		rel := evalOK(t, db, c.q)
+		db.CollectStats = false
+		var read []string
+		var walk func(o *OpStats)
+		walk = func(o *OpStats) {
+			if o.Index != "" {
+				read = append(read, o.Index)
+			}
+			for _, ch := range o.Children {
+				walk(ch)
+			}
+		}
+		walk(db.LastExecStats())
+		if len(read) != c.reads || len(rel.Rows) != c.rows {
+			t.Errorf("%s: %d rows, %d SEARCHes read an index (%v), want %d and %d", c.name, len(rel.Rows), len(read), read, c.rows, c.reads)
+		}
+	}
+
+	// Two forks race to build a cold index.
+	cold := filmsN(t, 400)
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	for i := range got {
+		f := cold.Fork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rel, err := f.EvalCtx(context.Background(), titleWhere(lera.Cmp(">=", lera.Attr(1, 1), term.Num(399))))
+			if err != nil {
+				got[i] = err.Error()
+				return
+			}
+			for _, r := range rel.Rows {
+				got[i] += rowKey(r)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != "s8:film-399|s8:film-400|" {
+			t.Errorf("racing fork %d: %s", i, g)
+		}
+	}
+}
+
+// TestIndexedScanParallel: over a relation large enough to be read in
+// parallel chunks, the index path and the scan give the same run at pool
+// sizes 1 and 2, with leading comparisons on one column, on two, and
+// followed by a conjunct the index does not answer.
+func TestIndexedScanParallel(t *testing.T) {
+	const n = 5000
+	quals := [][]*term.Term{
+		{lera.Cmp(">", lera.Attr(1, 1), term.Num(100))},
+		{lera.Cmp(">", lera.Attr(1, 1), term.Num(100)), lera.Cmp("<=", term.Num(4900), lera.Attr(1, 1))},
+		{lera.Cmp("<", lera.Attr(1, 1), term.Num(4000)), lera.Cmp(">", lera.Attr(1, 1), term.Num(10)), term.F("MEMBER", term.Str("Western"), lera.Attr(1, 3))},
+		{lera.Cmp("=", lera.Attr(1, 2), term.Str("film-77"))},
+	}
+	for _, qual := range quals {
+		q := titleWhere(qual...)
+		for _, par := range []int{1, 2} {
+			cfg := runCfg{par: par}
+			forceScan = true
+			want := runOn(filmsN(t, n), q, cfg)
+			forceScan = false
+			db := filmsN(t, n)
+			got := runOn(db, q, cfg)
+			if d := diffRuns(want, got); d != "" {
+				t.Errorf("%s par=%d: index path vs scan: %s", lera.Format(qual[0]), par, d)
+			}
+			if len(db.idx.sorted) != 1 {
+				t.Errorf("%s par=%d: %d sorted indexes, want 1", lera.Format(qual[0]), par, len(db.idx.sorted))
+			}
+		}
+	}
+}
+
+// TestSortedIndexSpan pins span against a scan of CompareRef outcomes for
+// each operator and constant over a column with duplicates and ±0.0.
+func TestSortedIndexSpan(t *testing.T) {
+	cells := []float64{2.5, negZero(), 7, 0, 2.5, -3, 1e9, 0, 2.5}
+	rows := make([][]value.Value, len(cells))
+	for i, f := range cells {
+		rows[i] = []value.Value{value.Real(f)}
+	}
+	ix := buildSortedIndex(rows, 0)
+	if ix.kind != value.KReal {
+		t.Fatalf("kind %s, want real", ix.kind)
+	}
+	for op, mask := range map[string]uint8{"=": 2, "<": 1, "<=": 3, ">": 4, ">=": 6} {
+		for _, c := range []float64{-100, -3, 0, negZero(), 1, 2.5, 7, 1e9, math.Inf(1)} {
+			v := value.Real(c)
+			lo, hi := ix.span(mask, &v)
+			for p, o := range ix.ord {
+				in := mask>>(value.CompareRef(&rows[o][0], &v)+1)&1 != 0
+				if in != (lo <= p && p < hi) {
+					t.Errorf("cell %v %s %v: position %d in span [%d, %d) = %v", rows[o][0], op, c, p, lo, hi, !in)
+				}
+			}
+		}
+	}
+	rows = append(rows, []value.Value{value.Real(nanValue())})
+	if k := buildSortedIndex(rows, 0).kind; k != value.KNull {
+		t.Errorf("a column with NaN indexed as %s", k)
+	}
+}

@@ -150,6 +150,33 @@ func TestSearchPipelineAllocs(t *testing.T) {
 			t.Errorf("rejected %s rows allocate: %d B over 10 rows, %d B over 1 000", op.name, at10, at1000)
 		}
 	}
+
+	// (f) Read through the sorted column index (docs/PERF.md "Index access
+	// paths"), a point query and a narrow range over 2 000 stored rows
+	// allocate no more than over 20: nothing per row of the relation. The
+	// scan they replace tested every row.
+	for _, q := range []struct {
+		name  string
+		qual  *term.Term
+		nrows int
+	}{
+		{"point", lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(14))), 1},
+		{"narrow range", lera.Ands(lera.Cmp(">", lera.Attr(1, 1), term.Num(10)), lera.Cmp("<=", lera.Attr(1, 1), term.Num(14))), 4},
+	} {
+		search := lera.Search([]*term.Term{lera.Rel("L")}, q.qual, []*term.Term{lera.Attr(1, 1)})
+		var allocs [2]float64
+		for i, n := range []int{20, 2000} {
+			db := fanoutDB(t, n, 1, 1)
+			if rel := evalOK(t, db, search); len(rel.Rows) != q.nrows || len(db.idx.sorted) != 1 {
+				t.Fatalf("%s over %d rows: %d rows, %d sorted indexes", q.name, n, len(rel.Rows), len(db.idx.sorted))
+			}
+			allocs[i] = testing.AllocsPerRun(50, func() { evalOK(t, db, search) })
+		}
+		t.Logf("indexed %s: %.0f allocations over 20 rows, %.0f over 2 000", q.name, allocs[0], allocs[1])
+		if allocs[1] > allocs[0] {
+			t.Errorf("indexed %s allocates %.0f times over 2 000 rows, %.0f over 20", q.name, allocs[1], allocs[0])
+		}
+	}
 }
 
 // adtFanoutDB is fanoutDB whose R rows are (key, int, SET('t'),
@@ -213,11 +240,21 @@ func checkStageOutputsExact(t *testing.T) {
 	}{
 		{"scan, final", 1, keys / 2, func() ([][]value.Value, error) {
 			q := lera.Search([]*term.Term{lera.Rel("L")}, some, []*term.Term{lera.Attr(1, 1)})
-			return db.scanStage(stage(q, 1, l), l.Rows)
+			return db.scanStage(stage(q, 1, l), l.Rows, indexRead{})
 		}},
 		{"scan, stored rows on", 1, keys / 2, func() ([][]value.Value, error) {
 			q := lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R")}, lera.Ands(eq, some), projs)
-			return db.scanStage(stage(q, 1, l, r), l.Rows)
+			return db.scanStage(stage(q, 1, l, r), l.Rows, indexRead{})
+		}},
+		{"index read, final", 1, keys / 2, func() ([][]value.Value, error) {
+			q := lera.Search([]*term.Term{lera.Rel("L")}, some, []*term.Term{lera.Attr(1, 1)})
+			ss := stage(q, 1, l)
+			return db.scanStage(ss, l.Rows, mustRead(t, db, ss, l.Rows))
+		}},
+		{"index read, stored rows on", 1, keys / 2, func() ([][]value.Value, error) {
+			q := lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R")}, lera.Ands(some, eq), projs)
+			ss := stage(q, 1, l, r)
+			return db.scanStage(ss, l.Rows, mustRead(t, db, ss, l.Rows))
 		}},
 		{"cartesian, non-final", 1 + rwidth, keys * keys * fanout, func() ([][]value.Value, error) {
 			q := lera.Search([]*term.Term{lera.Rel("L"), lera.Rel("R"), lera.Rel("L")},
@@ -341,4 +378,14 @@ func TestNestTupleAllocs(t *testing.T) {
 	if len(a) != 2 || a[0] != "a2" || a[1] != "a3" || &a[0] != &b[0] {
 		t.Errorf("NEST tuples of two groups name their fields %q and %q, want one shared [a2 a3]", a, b)
 	}
+}
+
+// mustRead is stage ss's index read of L's rows, which must take place.
+func mustRead(t *testing.T, db *DB, ss *stageScratch, rows [][]value.Value) indexRead {
+	t.Helper()
+	rd := db.readIndex(nil, ss.st, lera.Rel("L"), env{}, rows)
+	if rd.ix == nil {
+		t.Fatal("stage 1 over L scans where the sorted index should serve it")
+	}
+	return rd
 }

@@ -45,11 +45,15 @@ type OpStats struct {
 	// operator (spill.go). Like Duration they are rendered only with
 	// timings — the deterministic Format(false) output must stay
 	// bit-identical between spilled and in-memory runs.
-	SpillPartitions int64         `json:"spillPartitions,omitempty"`
-	SpillBytes      int64         `json:"spillBytes,omitempty"`
-	Duration        time.Duration `json:"durationNs"`
-	Children        []*OpStats    `json:"children,omitempty"`
-	Truncated       int           `json:"truncatedChildren,omitempty"`
+	SpillPartitions int64 `json:"spillPartitions,omitempty"`
+	SpillBytes      int64 `json:"spillBytes,omitempty"`
+	// Index names the sorted column index (relation.column) stage 1 of a
+	// SEARCH read through (indexscan.go); rendered only with timings, as
+	// the index and the scan are otherwise indistinguishable.
+	Index     string        `json:"index,omitempty"`
+	Duration  time.Duration `json:"durationNs"`
+	Children  []*OpStats    `json:"children,omitempty"`
+	Truncated int           `json:"truncatedChildren,omitempty"`
 }
 
 // Self returns the node's own work: the inclusive counters minus the
@@ -108,6 +112,9 @@ func (o *OpStats) format(sb *strings.Builder, depth int, withTimings bool) {
 	if withTimings {
 		if o.SpillPartitions > 0 || o.SpillBytes > 0 {
 			fmt.Fprintf(sb, " spill=%dp/%dB", o.SpillPartitions, o.SpillBytes)
+		}
+		if o.Index != "" {
+			fmt.Fprintf(sb, " index=%s", o.Index)
 		}
 		fmt.Fprintf(sb, " (%s)", o.Duration.Round(time.Microsecond))
 	}
