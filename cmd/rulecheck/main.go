@@ -102,7 +102,6 @@ func run(files []string, diff bool, seed uint64, rows int, timeout time.Duration
 			Seed:            seed,
 			RowsPerRelation: rows,
 			Limits:          guard.Limits{Timeout: timeout},
-			EndToEnd:        true,
 		})
 		ds = append(ds, dds...)
 		if err != nil {

@@ -50,7 +50,7 @@ func TestTypecheckRules(t *testing.T) {
 		lera.Ands(lera.Cmp(">", lera.Call("Salary", lera.Attr(1, 2)), term.Num(1000))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out, _, err := rw.eng.RunBlockCtx(context.Background(), q, "typecheck", guard.Limits{}, false)
+	out, _, err := rw.eng.RunBlockCtx(context.Background(), q, "typecheck", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTypecheckRules(t *testing.T) {
 		lera.Ands(lera.Call("Member", term.Str("Adventure"), lera.Attr(1, 3))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out2, _, err := rw.eng.RunBlockCtx(context.Background(), q2, "typecheck", guard.Limits{}, false)
+	out2, _, err := rw.eng.RunBlockCtx(context.Background(), q2, "typecheck", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,5 +539,24 @@ func TestEnumDomainRefusedAtWrite(t *testing.T) {
 	}
 	if r, err := on.Query("SELECT Numf FROM FILM"); err != nil || len(r.Rows) != 4 {
 		t.Errorf("a refused write changed FILM: %v, %v", r, err)
+	}
+}
+
+// TestRefusedInsertStoresNothing: an INSERT refused for its arity leaves
+// the database as it was — a declared relation with no rows stays
+// unknown to execution rather than turning into an empty one.
+func TestRefusedInsertStoresNothing(t *testing.T) {
+	s := NewSession()
+	s.MustExec("TABLE T (A : INT, B : INT);")
+	const q = "SELECT A FROM T"
+	_, before := s.Query(q)
+	if before == nil || !strings.Contains(before.Error(), `unknown relation "T"`) {
+		t.Fatalf("query over an empty T: %v", before)
+	}
+	if _, err := s.Exec("INSERT INTO T VALUES (1);"); err == nil || !strings.Contains(err.Error(), "1 values for 2 columns") {
+		t.Fatalf("INSERT of one value into T: %v", err)
+	}
+	if r, err := s.Query(q); err == nil || err.Error() != before.Error() {
+		t.Errorf("after a refused INSERT: %v, %v; want %v", r, err, before)
 	}
 }

@@ -7,8 +7,8 @@ package core
 //  1. Templatize the translated term (internal/plancache): lift value
 //     constants into a binding vector, leaving a structural template.
 //  2. Look the template up under the session's cache environment — the
-//     rule-base fingerprint, the rewrite-relevant knobs, the guard
-//     budget shape and the catalog schema version. A hit substitutes
+//     rule-base fingerprint, the guard budget shape and the catalog
+//     schema version (planEnv below). A hit substitutes
 //     the bindings into the cached plan and skips the rewriter
 //     entirely; an entry whose environment changed is dropped and
 //     counted as an invalidation.
@@ -28,9 +28,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 
 	"lera/internal/obs"
 	"lera/internal/plancache"
@@ -54,46 +51,25 @@ func WithPlanCache(n int) Option { return func(c *config) { c.planCache = n } }
 // default) trusts the store-time round-trip check.
 func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCacheVal = n } }
 
-// knobs returns the signature of every construction-time option that
-// can change rewrite output without changing the rule-base fingerprint
-// (which covers the master sequence): block budgets and the dynamic
-// limit policy.
-func knobs(cfg *config) string {
-	var parts []string
-	if cfg.dynamicLimits {
-		parts = append(parts, "dyn")
-	}
-	var keys []string
-	for k := range cfg.blockLimits {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("bl:%s=%d", k, cfg.blockLimits[k]))
-	}
-	return strings.Join(parts, "|")
+// planEnv is the environment guarding every cache entry: everything
+// besides the template that the rewrite output depends on. If any of it
+// changes, stale entries die on their next lookup (observable as
+// invalidations). The rule-base fingerprint covers every block budget
+// and the dynamic-limit policy (Rewriter.fingerprint); data is the
+// catalog data version when a rule reads cardinalities, else 0.
+type planEnv struct {
+	rules                 string
+	maxSteps, maxTermSize int
+	schema, data          uint64
 }
 
-// usesPlanning reports whether the rule base carries the §7 planning
-// block, whose JOINORDER external reads estimated cardinalities — the
-// one case where rewrite output depends on stored data, so the cache
-// environment must also key on the catalog data version.
-func (r *Rewriter) usesPlanning() bool {
-	_, ok := r.RS.Blocks["planning"]
-	return ok
-}
-
-// cacheEnv is the environment string guarding every cache entry: if any
-// input the rewriter consults changes, the string changes and stale
-// entries die on their next lookup (observable as invalidations).
-func (s *Session) cacheEnv(rw *Rewriter) string {
-	var sb strings.Builder
-	sb.WriteString(rw.env)
-	fmt.Fprintf(&sb, "|steps=%d|size=%d|schema=%d", s.Limits.MaxSteps, s.Limits.MaxTermSize, s.Cat.SchemaVersion())
-	if rw.usesPlanning() {
-		fmt.Fprintf(&sb, "|data=%d", s.Cat.DataVersion())
+// planEnv returns the environment of a query s rewrites through rw.
+func (s *Session) planEnv(rw *Rewriter) planEnv {
+	env := planEnv{rules: rw.fingerprint, maxSteps: s.Limits.MaxSteps, maxTermSize: s.Limits.MaxTermSize, schema: s.Cat.SchemaVersion()}
+	if rw.readsData {
+		env.data = s.Cat.DataVersion()
 	}
-	return sb.String()
+	return env
 }
 
 // planKey is how the cache files query q: the environment guarding its
@@ -102,8 +78,8 @@ func (s *Session) cacheEnv(rw *Rewriter) string {
 // validation, so substitution is a no-op — and the Outcome header
 // reporting them. rewritePlan and the read-only peekPlanCache both key
 // through it.
-func (s *Session) planKey(rw *Rewriter, q *term.Term) (env string, tmpl, key *term.Term, params []value.Value, out *plancache.Outcome) {
-	env = s.cacheEnv(rw)
+func (s *Session) planKey(rw *Rewriter, q *term.Term) (env planEnv, tmpl, key *term.Term, params []value.Value, out *plancache.Outcome) {
+	env = s.planEnv(rw)
 	tmpl, params = plancache.Templatize(q)
 	key = tmpl
 	rejected := len(params) > 0 && s.Plans.Rejected(tmpl.Hash())

@@ -7,6 +7,7 @@ import (
 
 	"lera/internal/lera"
 	"lera/internal/obs"
+	"lera/internal/value"
 )
 
 // TestPlanCacheDifferentialGolden is the plan cache's central guarantee:
@@ -154,8 +155,9 @@ func TestPlanCacheForkSharing(t *testing.T) {
 }
 
 // Two sessions with different rule bases sharing one cache must never
-// serve each other's plans: the environment key (rule-base fingerprint
-// plus knob signature) keeps them apart. The probe query is one whose
+// serve each other's plans: the environment key (the rule-base
+// fingerprint, which covers block budgets and the dynamic-limit policy)
+// keeps them apart. The probe query is one whose
 // plan depends on the simplify block — with it, member('Cartoon', ...)
 // folds to FALSE; without it, the predicate survives.
 func TestPlanCacheRuleBaseIsolation(t *testing.T) {
@@ -188,6 +190,72 @@ func TestPlanCacheRuleBaseIsolation(t *testing.T) {
 	}
 	if !br2.Cache.Hit || lera.Format(br2.Rewritten) != lera.Format(br.Rewritten) {
 		t.Fatalf("bare session repeat: %+v, %s", br2.Cache, lera.Format(br2.Rewritten))
+	}
+
+	// The §7 dynamic-limit policy is part of the rule base as well: the
+	// probe is simple enough that under it no block runs, so the predicate
+	// survives, and the two sessions must not share that plan.
+	dyn := filmsSession(t, WithPlanCache(64), WithDynamicLimits())
+	dyn.Plans = full.Plans
+	dk, err := dyn.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dk.Cache.Hit || dk.Stats.Applications != 0 || strings.Contains(lera.Format(dk.Rewritten), "FALSE") {
+		t.Fatalf("dynamic-limit session served the full session's plan: %+v, %s", dk.Cache, lera.Format(dk.Rewritten))
+	}
+	dk2, err := dyn.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dk2.Cache.Hit || lera.Format(dk2.Rewritten) != lera.Format(dk.Rewritten) {
+		t.Fatalf("dynamic-limit session repeat: %+v, %s", dk2.Cache, lera.Format(dk2.Rewritten))
+	}
+	if fr2, err := full.Query(q); err != nil || fr2.Cache.Hit || !strings.Contains(lera.Format(fr2.Rewritten), "FALSE") {
+		t.Fatalf("full session was served the dynamic-limit session's plan: %v, %+v", err, fr2.Cache)
+	}
+}
+
+// TestPlanCacheKeysDataOnJoinOrder: a rule that calls JOINORDER reads
+// cardinality estimates, so its plans are keyed on the data version
+// whatever its block is called. Swapping the two relations' sizes must
+// invalidate the cached order, and the query is re-ordered.
+func TestPlanCacheKeysDataOnJoinOrder(t *testing.T) {
+	for _, block := range []string{"planning", "myplan"} {
+		t.Run(block, func(t *testing.T) {
+			s := planSession(t, WithPlanCache(8), WithRules(strings.ReplaceAll(PlanningRules, "planning", block)))
+			const q = "SELECT BIG.Id FROM BIG, TINY WHERE TINY.K = 3"
+			r, err := s.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rels := findSearchRels(r.Rewritten); relName(rels[0]) != "TINY" {
+				t.Fatalf("planning did not move TINY first: %s", lera.Format(r.Rewritten))
+			}
+			big, tiny := make([][]value.Value, 5), make([][]value.Value, 1000)
+			for i := range big {
+				big[i] = []value.Value{value.Int(int64(i)), value.Int(0)}
+			}
+			for i := range tiny {
+				tiny[i] = []value.Value{value.Int(int64(i)), value.Int(0)}
+			}
+			if err := s.DB.Load("BIG", big); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DB.Load("TINY", tiny); err != nil {
+				t.Fatal(err)
+			}
+			r, err = s.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Cache.Hit || !r.Cache.Invalidated {
+				t.Errorf("a cardinality change must invalidate the cached order: %+v", r.Cache)
+			}
+			if rels := findSearchRels(r.Rewritten); relName(rels[0]) != "BIG" {
+				t.Errorf("stale join order served after the sizes swapped: %s", lera.Format(r.Rewritten))
+			}
+		})
 	}
 }
 

@@ -56,8 +56,8 @@ type config struct {
 	planCacheVal  int
 }
 
-// WithDynamicLimits enables the §7 extension: block limits are scaled by
-// query complexity, with 0 for key-lookup-simple queries.
+// WithDynamicLimits enables the §7 extension: a key-lookup-simple query
+// runs with limit 0 on every block WithBlockLimit does not name.
 func WithDynamicLimits() Option { return func(c *config) { c.dynamicLimits = true } }
 
 // WithRules adds implementor-written rules, blocks and a master sequence
@@ -73,10 +73,11 @@ func WithConstraints(src string) Option {
 	return func(c *config) { c.constraintSrc = append(c.constraintSrc, src) }
 }
 
-// WithBlockLimit overrides a single block's budget: a non-negative
-// number of condition checks, or rules.Infinite. A zero limit turns the
-// block off — the §7 knob. New fails when the assembled rule base has no
-// block of that name.
+// WithBlockLimit sets a single block's budget in the assembled rule base,
+// in place of the limit its rule text declares: a non-negative number of
+// condition checks, or rules.Infinite. A zero limit turns the block off —
+// the §7 knob. New fails when the assembled rule base has no block of
+// that name.
 func WithBlockLimit(name string, limit int) Option {
 	return func(c *config) {
 		if c.blockLimits == nil {
@@ -112,6 +113,8 @@ func WithRuleCheck() Option { return func(c *config) { c.ruleCheck = true } }
 // Rewriter is the assembled query rewriter: one rule base, parsed,
 // validated and compiled by New and never written afterwards, so a
 // session and all its forks rewrite through the same *Rewriter at once.
+// RS is everything that runs: the built-in and WithRules sources, the
+// integrity constraints, and every WithBlockLimit budget.
 // Everything a rewrite produces — plan, statistics, the fallback term of
 // a failed run — is returned by the call that ran it; its rule
 // applications are recorded as rule.apply events on the recorder its
@@ -120,8 +123,11 @@ type Rewriter struct {
 	Cat *catalog.Catalog
 	RS  *rules.RuleSet
 	Ext *rewrite.Externals
-	cfg config
 	eng *rewrite.Engine
+	// simpleEng is nil unless WithDynamicLimits: RS with limit 0 on every
+	// block WithBlockLimit does not name, the engine a §7 simple query
+	// runs through.
+	simpleEng *rewrite.Engine
 
 	// schemaVersion is Cat.SchemaVersion() as New read the catalog's
 	// constraints: a session rebuilds its rewriter when the two differ.
@@ -130,9 +136,14 @@ type Rewriter struct {
 	// checkDiags are the non-fatal findings of the WithRuleCheck lint.
 	checkDiags []rulecheck.Diagnostic
 
-	// env is the rewriter's share of the plan-cache environment (see
-	// cacheEnv in plancache.go): the rule-base fingerprint and the knobs.
-	env string
+	// fingerprint is what the plan-cache environment (planEnv in
+	// plancache.go) knows of the rule base: RS's fingerprint, followed by
+	// the simple engine's when there is one.
+	fingerprint string
+	// readsData reports that some rule calls JOINORDER, which reads the
+	// catalog's cardinality estimates: the one way rewrite output depends
+	// on stored data, so cached plans also key on the data version.
+	readsData bool
 }
 
 // New builds a rewriter over a catalog.
@@ -211,17 +222,21 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 	if err := rs.Validate(); err != nil {
 		return nil, err
 	}
+	// Every Block was parsed by this build, so setting its limit changes
+	// nothing another rewriter holds.
 	for name, limit := range cfg.blockLimits {
-		if _, ok := rs.Blocks[name]; !ok {
+		b, ok := rs.Blocks[name]
+		if !ok {
 			return nil, fmt.Errorf("core: block limit for unknown block %q", name)
 		}
 		if limit < rules.Infinite {
 			return nil, fmt.Errorf("core: block %q: limit %d is below %d (infinite)", name, limit, rules.Infinite)
 		}
+		b.Limit = limit
 	}
 
-	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, cfg: cfg, schemaVersion: schemaVersion,
-		env: rs.Fingerprint() + "|" + knobs(&cfg)}
+	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, schemaVersion: schemaVersion,
+		fingerprint: rs.Fingerprint(), readsData: callsExternal(rs, "JOINORDER")}
 	if cfg.ruleCheck {
 		diags := rulecheck.Lint(rs, ext, cat)
 		var errs []string
@@ -236,17 +251,36 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 			return nil, fmt.Errorf("core: rule base failed verification:\n  %s", strings.Join(errs, "\n  "))
 		}
 	}
-	engOpts := rewrite.Options{Injector: cfg.injector}
-	if len(cfg.blockLimits) > 0 {
-		engOpts.BlockLimitOverride = func(block string, declared int) int {
-			if v, ok := cfg.blockLimits[block]; ok {
-				return v
+	rw.eng = rewrite.New(rs, ext, cat, cfg.injector)
+	if cfg.dynamicLimits {
+		simple := *rs
+		simple.Blocks = make(map[string]*rules.Block, len(rs.Blocks))
+		for name, b := range rs.Blocks {
+			if _, set := cfg.blockLimits[name]; !set {
+				off := *b
+				off.Limit = 0
+				b = &off
 			}
-			return declared
+			simple.Blocks[name] = b
+		}
+		rw.simpleEng = rewrite.New(&simple, ext, cat, cfg.injector)
+		rw.fingerprint += simple.Fingerprint()
+	}
+	return rw, nil
+}
+
+// callsExternal reports whether some rule of rs names the external fn as
+// a constraint, a method or a right-hand-side builtin.
+func callsExternal(rs *rules.RuleSet, fn string) bool {
+	other := func(t *term.Term) bool { return t.Kind != term.Fun || !strings.EqualFold(t.Functor, fn) }
+	for _, r := range rs.Rules {
+		for _, t := range append(append([]*term.Term{r.RHS}, r.Constraints...), r.Methods...) {
+			if !term.Visit(t, other) {
+				return true
+			}
 		}
 	}
-	rw.eng = rewrite.New(rs, ext, cat, engOpts)
-	return rw, nil
+	return false
 }
 
 // CheckDiagnostics returns the non-fatal findings recorded by the
@@ -260,7 +294,7 @@ func (r *Rewriter) CheckDiagnostics() []rulecheck.Diagnostic { return r.checkDia
 // session query does).
 func (r *Rewriter) CheckRules(ctx context.Context, lim guard.Limits) ([]rulecheck.Diagnostic, error) {
 	ds := rulecheck.Lint(r.RS, r.Ext, r.Cat)
-	diff, err := rulecheck.Diff(ctx, r.RS, r.Ext, r.Cat, rulecheck.DiffOptions{Limits: lim, EndToEnd: true})
+	diff, err := rulecheck.Diff(ctx, r.RS, r.Ext, r.Cat, rulecheck.DiffOptions{Limits: lim})
 	ds = append(ds, diff...)
 	return ds, err
 }
@@ -285,16 +319,15 @@ func complexity(q *term.Term) int {
 // search on a key" and gets zero budgets (§7).
 const simpleThreshold = 3
 
-// simple is the §7 dynamic-limit verdict on one query.
-func (r *Rewriter) simple(q *term.Term) bool {
-	return r.cfg.dynamicLimits && complexity(q) <= simpleThreshold
-}
-
 // RewriteCtx runs the full optimizer sequence under a cancellation
 // context and a guard budget. On error the returned Stats reflect the
 // work done before the failure and the returned term is the best safe
 // intermediate to fall back to: the query as of the last committed rule
-// application (q itself when none committed).
+// application (q itself when none committed). Under WithDynamicLimits a
+// simple query runs through the simple engine.
 func (r *Rewriter) RewriteCtx(ctx context.Context, q *term.Term, lim guard.Limits) (*term.Term, *rewrite.Stats, error) {
-	return r.eng.RunCtx(ctx, q, lim, r.simple(q))
+	if r.simpleEng != nil && complexity(q) <= simpleThreshold {
+		return r.simpleEng.RunCtx(ctx, q, lim)
+	}
+	return r.eng.RunCtx(ctx, q, lim)
 }

@@ -50,10 +50,11 @@ type Session struct {
 	// Plans is the session's plan cache (nil unless WithPlanCache was
 	// given; see internal/plancache and docs/PLANCACHE.md). Forks share
 	// the parent's cache pointer — entries are keyed by template hash
-	// AND cache environment (rule-base fingerprint, knobs, schema
-	// version), so sessions with different rule bases can share one
-	// cache without ever serving each other's plans.
-	Plans *plancache.Cache
+	// AND cache environment (rule-base fingerprint with its block
+	// budgets, guard budget shape, schema version), so sessions with
+	// different rule bases can share one cache without ever serving each
+	// other's plans.
+	Plans *plancache.Cache[planEnv]
 
 	// prepared is the PREPARE/EXECUTE registry: statement ASTs with
 	// their validated parameter counts, keyed by uppercased name. Fork
@@ -81,7 +82,7 @@ func NewSession(opts ...Option) *Session {
 	// covers constraints, methods, builtins and ADT calls alike.
 	s.Injector = s.cfg.injector
 	if s.cfg.planCache > 0 {
-		s.Plans = plancache.New(s.cfg.planCache)
+		s.Plans = plancache.New[planEnv](s.cfg.planCache)
 	}
 	return s
 }
@@ -106,8 +107,8 @@ func NewSession(opts ...Option) *Session {
 // parent's Plans pointer, so it sees — and contributes to — the same
 // cache, including entries stored before the fork. This is safe because
 // every entry is guarded by its cache environment: the rule-base
-// fingerprint, rewrite knobs and catalog schema version are part of the
-// key, so a session whose effective rule base differs (e.g. after a
+// fingerprint (block budgets included) and catalog schema version are
+// part of the key, so a session whose effective rule base differs (e.g. after a
 // DDL-induced rebuild) can never be served a plan derived under the old
 // rules — it observes an invalidation and re-derives. Cached templates and
 // plans are immutable structural terms holding no row data or bindings.

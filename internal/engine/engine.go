@@ -228,7 +228,9 @@ func (db *DB) Fork() *DB {
 // enumeration domains (checkEnums) against the catalog when the relation
 // is declared. A refused load stores no row.
 func (db *DB) Load(name string, rows [][]value.Value) error {
-	if rel, ok := db.Cat.Relation(name); ok {
+	rel, declared := db.Cat.Relation(name)
+	stored := &Relation{Rows: rows}
+	if declared {
 		for i, row := range rows {
 			if len(row) != len(rel.Columns) {
 				return fmt.Errorf("engine: %s row %d has %d values, schema has %d columns", name, i, len(row), len(rel.Columns))
@@ -237,9 +239,6 @@ func (db *DB) Load(name string, rows [][]value.Value) error {
 				return fmt.Errorf("engine: %s row %d: %w", name, i, err)
 			}
 		}
-	}
-	stored := &Relation{Rows: rows}
-	if rel, ok := db.Cat.Relation(name); ok {
 		stored.Width = len(rel.Columns)
 		rel.EstRows = len(rows)
 		db.Cat.BumpDataVersion()
@@ -254,9 +253,14 @@ func (db *DB) Load(name string, rows [][]value.Value) error {
 	return nil
 }
 
-// Insert appends a single row, validated like a row of Load.
+// Insert appends a single row, validated like a row of Load. A refused
+// row stores nothing, not even an empty relation.
 func (db *DB) Insert(name string, row []value.Value) error {
-	if rel, ok := db.Cat.Relation(name); ok && len(row) == len(rel.Columns) {
+	rel, declared := db.Cat.Relation(name)
+	if declared {
+		if len(row) != len(rel.Columns) {
+			return fmt.Errorf("engine: %s: %d values for %d columns", name, len(row), len(rel.Columns))
+		}
 		if err := checkEnums(rel, row); err != nil {
 			return fmt.Errorf("engine: %s: %w", name, err)
 		}
@@ -265,16 +269,13 @@ func (db *DB) Insert(name string, row []value.Value) error {
 	r := db.rels[key]
 	if r == nil {
 		r = &Relation{}
-		if rel, ok := db.Cat.Relation(name); ok {
+		if declared {
 			r.Width = len(rel.Columns)
 		}
 		db.rels[key] = r
 	}
-	if rel, ok := db.Cat.Relation(name); ok && len(row) != len(rel.Columns) {
-		return fmt.Errorf("engine: %s: %d values for %d columns", name, len(row), len(rel.Columns))
-	}
 	r.Rows = append(r.Rows, row)
-	if rel, ok := db.Cat.Relation(name); ok {
+	if declared {
 		rel.EstRows = len(r.Rows)
 		db.Cat.BumpDataVersion()
 	}

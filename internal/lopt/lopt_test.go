@@ -22,7 +22,7 @@ func engine(t *testing.T) *rewrite.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rewrite.New(RuleSet(), Externals(), cat, rewrite.Options{})
+	return rewrite.New(RuleSet(), Externals(), cat, nil)
 }
 
 // TestFigure7SearchMerging: two stacked searches merge into one, with the
@@ -41,7 +41,7 @@ func TestFigure7SearchMerging(t *testing.T) {
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))),
 		[]*term.Term{lera.Attr(2, 2)},
 	)
-	out, st, err := e.RunBlockCtx(context.Background(), outer, "merge", guard.Limits{}, false)
+	out, st, err := e.RunBlockCtx(context.Background(), outer, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSearchMergingStack(t *testing.T) {
 		q = lera.Search([]*term.Term{q}, lera.TrueQual(),
 			[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2), lera.Attr(1, 3)})
 	}
-	out, st, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{}, false)
+	out, st, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSearchMergingInlinesProjections(t *testing.T) {
 		lera.Ands(lera.Cmp(">", lera.Attr(1, 2), term.Num(10000))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out, _, err := e.RunBlockCtx(context.Background(), outer, "merge", guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(context.Background(), outer, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFigure7UnionMerging(t *testing.T) {
 		lera.Rel("FILM"),
 		lera.Union(lera.Rel("APPEARS_IN"), lera.Rel("DOMINATE")),
 	)
-	out, st, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{}, false)
+	out, st, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFigure7UnionMerging(t *testing.T) {
 func TestUnionSingleCollapses(t *testing.T) {
 	e := engine(t)
 	q := lera.Union(lera.Rel("FILM"))
-	out, _, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestUnionSingleCollapses(t *testing.T) {
 func TestNormalizeBasicOps(t *testing.T) {
 	e := engine(t)
 	f := lera.Filter(lera.Rel("FILM"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1))))
-	out, _, err := e.RunBlockCtx(context.Background(), f, "normalize", guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(context.Background(), f, "normalize", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestNormalizeBasicOps(t *testing.T) {
 		t.Errorf("filter = %s", lera.Format(out))
 	}
 	j := lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))))
-	out2, _, err := e.RunBlockCtx(context.Background(), j, "normalize", guard.Limits{}, false)
+	out2, _, err := e.RunBlockCtx(context.Background(), j, "normalize", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestNormalizeConnectives(t *testing.T) {
 	c1 := lera.Cmp("=", lera.Attr(1, 1), term.Num(1))
 	c2 := lera.Cmp(">", lera.Attr(1, 2), term.Num(2))
 	q := lera.Filter(lera.Rel("FILM"), term.F("AND", c1, c2))
-	out, _, err := e.RunBlockCtx(context.Background(), q, "normalize", guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(context.Background(), q, "normalize", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestNormalizeConnectives(t *testing.T) {
 	}
 	// AND nested inside an ANDS set flattens too.
 	q2 := lera.Filter(lera.Rel("FILM"), lera.Ands(term.F("AND", c1, c2)))
-	out2, _, err := e.RunBlockCtx(context.Background(), q2, "normalize", guard.Limits{}, false)
+	out2, _, err := e.RunBlockCtx(context.Background(), q2, "normalize", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestNormalizeConnectives(t *testing.T) {
 	}
 	// OR normalises into ORS.
 	q3 := lera.Filter(lera.Rel("FILM"), term.F("OR", c1, c2))
-	out3, _, err := e.RunBlockCtx(context.Background(), q3, "normalize", guard.Limits{}, false)
+	out3, _, err := e.RunBlockCtx(context.Background(), q3, "normalize", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +217,13 @@ func TestFigure8PushUnion(t *testing.T) {
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 2)},
 	)
-	out, _, err := e.RunBlockCtx(context.Background(), q, "push", guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(context.Background(), q, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Result: union of three searches, one per member (after the merge
 	// block flattens the nested unions).
-	out, _, err = e.RunBlockCtx(context.Background(), out, "merge", guard.Limits{}, false)
+	out, _, err = e.RunBlockCtx(context.Background(), out, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestFigure8PushNest(t *testing.T) {
 		),
 		[]*term.Term{lera.Attr(1, 2)},
 	)
-	out, st, err := e.RunBlockCtx(context.Background(), q, "push", guard.Limits{}, false)
+	out, st, err := e.RunBlockCtx(context.Background(), q, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestFigure8PushNest(t *testing.T) {
 		t.Errorf("kept conjunct missing: %s", got)
 	}
 	// Idempotent: nothing more to push.
-	out2, st2, err := e.RunBlockCtx(context.Background(), out, "push", guard.Limits{}, false)
+	out2, st2, err := e.RunBlockCtx(context.Background(), out, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestPushNestVetoed(t *testing.T) {
 		lera.Ands(term.F("NOT", term.F("ISEMPTY", lera.Attr(1, 2)))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	_, st, err := e.RunBlockCtx(context.Background(), q, "push", guard.Limits{}, false)
+	_, st, err := e.RunBlockCtx(context.Background(), q, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestPushNestVetoed(t *testing.T) {
 	// the conjunct on Numf would push through a well-formed one.
 	realIdx := term.F(lera.OpNest, lera.Rel("APPEARS_IN"), term.List(term.Flt(2)), term.Str("Actors"))
 	q = lera.Search([]*term.Term{realIdx}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1))), []*term.Term{lera.Attr(1, 1)})
-	if _, st, err = e.RunBlockCtx(context.Background(), q, "push", guard.Limits{}, false); err != nil || st.Applications != 0 {
+	if _, st, err = e.RunBlockCtx(context.Background(), q, "push", guard.Limits{}); err != nil || st.Applications != 0 {
 		t.Errorf("push through a real-indexed nest: %d applications, %v; want vetoed", st.Applications, err)
 	}
 }
@@ -323,7 +323,7 @@ func TestMergeReducesProgramSize(t *testing.T) {
 				[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2), lera.Attr(1, 3)})
 		}
 		before := lera.OperatorCount(q)
-		out, _, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{}, false)
+		out, _, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,11 +350,11 @@ block(extra, {mark}, inf);
 		t.Fatal(err)
 	}
 	rs.Merge(rsx)
-	e := rewrite.New(rs, ext, cat, rewrite.Options{})
+	e := rewrite.New(rs, ext, cat, nil)
 	q := lera.Search([]*term.Term{lera.Rel("FILM")},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 2)})
-	out, _, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	out, _, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestSearchIdentityElimination(t *testing.T) {
 	id := lera.Search([]*term.Term{lera.Rel("FILM")}, lera.TrueQual(),
 		[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2), lera.Attr(1, 3)})
 	q := lera.Diff(id, lera.Rel("FILM"))
-	out, st, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{}, false)
+	out, st, err := e.RunBlockCtx(context.Background(), q, "merge", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestSearchIdentityElimination(t *testing.T) {
 			[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2), lera.Attr(1, 3)}),
 	}
 	for _, k := range keep {
-		_, st, err := e.RunBlockCtx(context.Background(), k, "merge", guard.Limits{}, false)
+		_, st, err := e.RunBlockCtx(context.Background(), k, "merge", guard.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestPushDiffAndInter(t *testing.T) {
 	proj := []*term.Term{lera.Attr(1, 2)}
 
 	d := lera.Search([]*term.Term{lera.Diff(lera.Rel("FILM"), lera.Rel("FILM"))}, qual, proj)
-	out, st, err := e.RunBlockCtx(context.Background(), d, "push", guard.Limits{}, false)
+	out, st, err := e.RunBlockCtx(context.Background(), d, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestPushDiffAndInter(t *testing.T) {
 		t.Errorf("pushed diff = %s", f)
 	}
 	// Re-application is blocked (outer qual now true).
-	_, st2, err := e.RunBlockCtx(context.Background(), out, "push", guard.Limits{}, false)
+	_, st2, err := e.RunBlockCtx(context.Background(), out, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestPushDiffAndInter(t *testing.T) {
 	if _, err := e.Cat.DeclareRelation("DOMINATE2", r.Columns); err != nil {
 		t.Fatal(err)
 	}
-	out2, st3, err := e.RunBlockCtx(context.Background(), i, "push", guard.Limits{}, false)
+	out2, st3, err := e.RunBlockCtx(context.Background(), i, "push", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

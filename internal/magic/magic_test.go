@@ -42,7 +42,7 @@ func fixEngine(t *testing.T) *rewrite.Engine {
 	ext := rewrite.NewExternals()
 	RegisterExternals(ext)
 	rs := rules.MustParse(FixpointRules)
-	return rewrite.New(rs, ext, cat, rewrite.Options{})
+	return rewrite.New(rs, ext, cat, nil)
 }
 
 func betterThanFix() *term.Term {
@@ -72,7 +72,7 @@ func quinnQuery() *term.Term {
 // into a search over a focused fixpoint with filtered seeds.
 func TestFigure9RuleFires(t *testing.T) {
 	e := fixEngine(t)
-	out, st, err := e.RunCtx(context.Background(), quinnQuery(), guard.Limits{}, false)
+	out, st, err := e.RunCtx(context.Background(), quinnQuery(), guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFigure9RuleFires(t *testing.T) {
 	// Idempotent: running again does not re-fire endlessly (the rewritten
 	// fix has a filtered seed; adornment still finds the outer binding,
 	// but the result converges because rewriting yields an equal term).
-	out2, _, err := e.RunCtx(context.Background(), out, guard.Limits{}, false)
+	out2, _, err := e.RunCtx(context.Background(), out, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFocusedEqualsUnfocused(t *testing.T) {
 			return distinct(r), db.Count
 		}
 		orig := quinnQuery()
-		focused, _, err := e.RunCtx(context.Background(), orig, guard.Limits{}, false)
+		focused, _, err := e.RunCtx(context.Background(), orig, guard.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestAdornmentVetoWhenFree(t *testing.T) {
 		lera.TrueQual(),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestNonEqualityBindingVetoes(t *testing.T) {
 		lera.Ands(lera.Cmp(">", lera.Attr(1, 2), term.Num(0))),
 		[]*term.Term{lera.Attr(1, 1)},
 	)
-	_, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	_, st, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestLeftLinearDirection(t *testing.T) {
 		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 1)), term.Str("Quinn"))),
 		[]*term.Term{lera.Attr(1, 2)},
 	)
-	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestUnsupportedShapesVeto(t *testing.T) {
 	q := lera.Search([]*term.Term{fx},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 1)})
-	_, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	_, st, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestUnsupportedShapesVeto(t *testing.T) {
 	q2 := lera.Search([]*term.Term{fx2},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 1)})
-	_, st2, err := e.RunCtx(context.Background(), q2, guard.Limits{}, false)
+	_, st2, err := e.RunCtx(context.Background(), q2, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestUnsupportedShapesVeto(t *testing.T) {
 	q3 := lera.Search([]*term.Term{fx3},
 		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), term.Num(1))),
 		[]*term.Term{lera.Attr(1, 1)})
-	_, st3, err := e.RunCtx(context.Background(), q3, guard.Limits{}, false)
+	_, st3, err := e.RunCtx(context.Background(), q3, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestLinearRecursionFocuses(t *testing.T) {
 	q := lera.Search([]*term.Term{fx},
 		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
 		[]*term.Term{lera.Attr(1, 1)})
-	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestLinearRecursionFocuses(t *testing.T) {
 func TestFocusedOnCyclicGraphs(t *testing.T) {
 	cat, _ := testdb.Catalog()
 	e := fixEngine(t)
-	focused, _, err := e.RunCtx(context.Background(), quinnQuery(), guard.Limits{}, false)
+	focused, _, err := e.RunCtx(context.Background(), quinnQuery(), guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func tm(i int) *term.Term { return term.F("T", term.Num(int64(i))) }
 
 func TestStoreLookupHit(t *testing.T) {
-	c := New(4)
+	c := New[string](4)
 	tmpl, plan := tm(1), tm(100)
 	if _, _, _, st := c.Lookup(tmpl, "e"); st != Miss {
 		t.Fatalf("empty cache lookup = %v, want Miss", st)
@@ -31,7 +31,7 @@ func TestStoreLookupHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
+	c := New[string](2)
 	c.Store(tm(1), tm(101), 0, "e")
 	c.Store(tm(2), tm(102), 0, "e")
 	// Touch 1 so 2 becomes least-recently-used.
@@ -55,7 +55,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestStoreReplaceKeepsOneEntry(t *testing.T) {
-	c := New(2)
+	c := New[string](2)
 	c.Store(tm(1), tm(101), 0, "e")
 	if ev := c.Store(tm(1), tm(201), 1, "e2"); ev != 0 {
 		t.Fatalf("replace evicted %d", ev)
@@ -70,7 +70,7 @@ func TestStoreReplaceKeepsOneEntry(t *testing.T) {
 }
 
 func TestEnvMismatchInvalidates(t *testing.T) {
-	c := New(4)
+	c := New[string](4)
 	c.Store(tm(1), tm(101), 0, "rules-v1")
 	if _, _, _, st := c.Lookup(tm(1), "rules-v2"); st != Stale {
 		t.Fatalf("lookup under new env = %v, want Stale", st)
@@ -86,7 +86,7 @@ func TestEnvMismatchInvalidates(t *testing.T) {
 }
 
 func TestPeekIsReadOnly(t *testing.T) {
-	c := New(2)
+	c := New[string](2)
 	c.Store(tm(1), tm(101), 3, "e")
 	c.Store(tm(2), tm(102), 0, "e")
 	before := c.Snapshot()
@@ -114,7 +114,7 @@ func TestPeekIsReadOnly(t *testing.T) {
 }
 
 func TestRejectSet(t *testing.T) {
-	c := New(2)
+	c := New[string](2)
 	if c.Rejected(42) {
 		t.Fatal("fresh cache rejects nothing")
 	}
@@ -135,7 +135,7 @@ func TestRejectSet(t *testing.T) {
 }
 
 func TestFailValidation(t *testing.T) {
-	c := New(4)
+	c := New[string](4)
 	c.Store(tm(1), tm(101), 0, "e")
 	c.FailValidation(tm(1))
 	if _, _, _, st := c.Lookup(tm(1), "e"); st != Miss {
@@ -148,7 +148,7 @@ func TestFailValidation(t *testing.T) {
 }
 
 func TestClearPreservesCounters(t *testing.T) {
-	c := New(4)
+	c := New[string](4)
 	c.Store(tm(1), tm(101), 0, "e")
 	c.Store(tm(2), tm(102), 0, "e")
 	c.Lookup(tm(1), "e")
@@ -166,7 +166,7 @@ func TestClearPreservesCounters(t *testing.T) {
 }
 
 func TestMinimumCapacity(t *testing.T) {
-	c := New(0)
+	c := New[string](0)
 	c.Store(tm(1), tm(101), 0, "e")
 	if _, _, _, st := c.Lookup(tm(1), "e"); st != Hit {
 		t.Fatal("capacity 0 clamps to 1, entry should fit")
@@ -176,7 +176,7 @@ func TestMinimumCapacity(t *testing.T) {
 // Hammer the cache from many goroutines; correctness is checked by the
 // race detector plus the final entries-within-capacity invariant.
 func TestConcurrentAccess(t *testing.T) {
-	c := New(8)
+	c := New[string](8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -1,12 +1,12 @@
 // Package plancache is a bounded, concurrency-safe LRU of rewritten
 // LERA plans. Entries are keyed by the memoized structural hash of the
-// templatized query term and guarded by an environment string that
-// folds in everything else the rewrite output depends on — the rule
-// base fingerprint, the rewrite-relevant session knobs, and the catalog
-// schema version (plus the data version when planning hints are on).
-// A lookup whose environment no longer matches drops the entry and
-// reports it as an invalidation, so rule-base or catalog changes can
-// never serve a stale plan.
+// templatized query term and guarded by an environment: a comparable
+// value of the caller's type E that holds everything else the rewrite
+// output depends on (core's holds the rule-base fingerprint, the guard
+// budget shape, the catalog schema version, and the data version when a
+// rule reads cardinalities). A lookup whose environment no longer
+// matches drops the entry and reports it as an invalidation, so
+// rule-base or catalog changes can never serve a stale plan.
 //
 // Templates are structural only (constants live in the per-request
 // binding vector, see template.go), so a shared cache never leaks rows
@@ -89,18 +89,19 @@ type Stats struct {
 	Capacity           int
 }
 
-type entry struct {
+type entry[E comparable] struct {
 	key      uint64 // template structural hash
 	template *term.Term
 	plan     *term.Term
 	nparams  int
-	env      string
+	env      E
 	hits     uint64
 }
 
-// Cache is the bounded LRU. The zero value is not usable; construct
-// with New. All methods are safe for concurrent use.
-type Cache struct {
+// Cache is the bounded LRU of plans guarded by environments of type E.
+// The zero value is not usable; construct with New. All methods are safe
+// for concurrent use.
+type Cache[E comparable] struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
@@ -110,11 +111,11 @@ type Cache struct {
 }
 
 // New returns a cache bounded to capacity entries (minimum 1).
-func New(capacity int) *Cache {
+func New[E comparable](capacity int) *Cache[E] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{
+	return &Cache[E]{
 		capacity: capacity,
 		ll:       list.New(),
 		idx:      make(map[uint64]*list.Element),
@@ -128,7 +129,7 @@ func New(capacity int) *Cache {
 // sampled re-validation). A hash collision with a different template is
 // treated as a miss. An entry whose environment differs is dropped and
 // reported Stale.
-func (c *Cache) Lookup(tmpl *term.Term, env string) (plan *term.Term, nparams int, hitOrdinal uint64, st Status) {
+func (c *Cache[E]) Lookup(tmpl *term.Term, env E) (plan *term.Term, nparams int, hitOrdinal uint64, st Status) {
 	key := tmpl.Hash()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,7 +138,7 @@ func (c *Cache) Lookup(tmpl *term.Term, env string) (plan *term.Term, nparams in
 		c.stats.Misses++
 		return nil, 0, 0, Miss
 	}
-	e := el.Value.(*entry)
+	e := el.Value.(*entry[E])
 	if e.env != env {
 		c.removeLocked(el)
 		c.stats.Invalidations++
@@ -157,14 +158,14 @@ func (c *Cache) Lookup(tmpl *term.Term, env string) (plan *term.Term, nparams in
 // Peek is a read-only probe (plain EXPLAIN uses it): it reports what a
 // Lookup would return without counting a hit or miss, moving the entry
 // in LRU order, or dropping a stale entry.
-func (c *Cache) Peek(tmpl *term.Term, env string) (plan *term.Term, nparams int, ok bool) {
+func (c *Cache[E]) Peek(tmpl *term.Term, env E) (plan *term.Term, nparams int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, present := c.idx[tmpl.Hash()]
 	if !present {
 		return nil, 0, false
 	}
-	e := el.Value.(*entry)
+	e := el.Value.(*entry[E])
 	if e.env != env || !term.Equal(e.template, tmpl) {
 		return nil, 0, false
 	}
@@ -173,17 +174,17 @@ func (c *Cache) Peek(tmpl *term.Term, env string) (plan *term.Term, nparams int,
 
 // Store inserts (or replaces) the entry for tmpl and returns how many
 // entries were evicted to stay within capacity.
-func (c *Cache) Store(tmpl, plan *term.Term, nparams int, env string) (evicted int) {
+func (c *Cache[E]) Store(tmpl, plan *term.Term, nparams int, env E) (evicted int) {
 	key := tmpl.Hash()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
-		e := el.Value.(*entry)
+		e := el.Value.(*entry[E])
 		e.template, e.plan, e.nparams, e.env, e.hits = tmpl, plan, nparams, env, 0
 		c.ll.MoveToFront(el)
 		return 0
 	}
-	c.idx[key] = c.ll.PushFront(&entry{key: key, template: tmpl, plan: plan, nparams: nparams, env: env})
+	c.idx[key] = c.ll.PushFront(&entry[E]{key: key, template: tmpl, plan: plan, nparams: nparams, env: env})
 	for c.ll.Len() > c.capacity {
 		c.removeLocked(c.ll.Back())
 		c.stats.Evictions++
@@ -195,7 +196,7 @@ func (c *Cache) Store(tmpl, plan *term.Term, nparams int, env string) (evicted i
 // FailValidation drops the entry for tmpl after a sampled hit
 // re-validation disagreed with a cold rewrite, counting both a
 // validation failure and an invalidation.
-func (c *Cache) FailValidation(tmpl *term.Term) {
+func (c *Cache[E]) FailValidation(tmpl *term.Term) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[tmpl.Hash()]; ok {
@@ -207,7 +208,7 @@ func (c *Cache) FailValidation(tmpl *term.Term) {
 
 // Reject marks a template hash as not safely templatizable; subsequent
 // queries with this shape use exact-term entries instead.
-func (c *Cache) Reject(key uint64) {
+func (c *Cache[E]) Reject(key uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.rejected) >= rejectedCap {
@@ -218,7 +219,7 @@ func (c *Cache) Reject(key uint64) {
 }
 
 // Rejected reports whether a template hash has been rejected.
-func (c *Cache) Rejected(key uint64) bool {
+func (c *Cache[E]) Rejected(key uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.rejected[key]
@@ -227,7 +228,7 @@ func (c *Cache) Rejected(key uint64) bool {
 
 // Clear empties the cache and the reject set, returning how many plan
 // entries were dropped. Counters are preserved (they are cumulative).
-func (c *Cache) Clear() int {
+func (c *Cache[E]) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.ll.Len()
@@ -238,7 +239,7 @@ func (c *Cache) Clear() int {
 }
 
 // Snapshot returns the cumulative counters plus current size/capacity.
-func (c *Cache) Snapshot() Stats {
+func (c *Cache[E]) Snapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
@@ -247,8 +248,8 @@ func (c *Cache) Snapshot() Stats {
 	return s
 }
 
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
+func (c *Cache[E]) removeLocked(el *list.Element) {
+	e := el.Value.(*entry[E])
 	c.ll.Remove(el)
 	delete(c.idx, e.key)
 }

@@ -27,7 +27,7 @@ rule fv: H(x, y) / H(x, y), ISA(H(x), constant), PAIRC(H(x, y)) --> GG(x);
 rule conn: FF(x, y) / AND(ISA(x, constant), OR(x, NOT(y))), OR(AND(), y), NOT y --> GG(x);
 rule ground: FF(x, y) / x < y, MEMBER(x, SET(1, 2)), UNKNOWNC(y), ISA(x), NOTMEMBER(x), z --> GG(x);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	e.Ext.RegisterConstraint("PAIRC", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		return len(args) == 1 && len(args[0].Args) == 2, nil
 	})
@@ -76,13 +76,13 @@ rule ground: FF(x, y) / x < y, MEMBER(x, SET(1, 2)), UNKNOWNC(y), ISA(x), NOTMEM
 // constraint with bound arguments allocates nothing — the constraint term
 // is not instantiated and the arguments go to the run's stack.
 func TestConditionCheckAllocs(t *testing.T) {
-	e := newEngine(t, "rule r: FF(x, y) / ISA(x, constant), CHK(x, y), AND(CHK(y, x), NOT(ISA(y, constant))) --> GG(x);", Options{})
+	e := newEngine(t, "rule r: FF(x, y) / ISA(x, constant), CHK(x, y), AND(CHK(y, x), NOT(ISA(y, constant))) --> GG(x);")
 	e.Ext.RegisterConstraint("CHK", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		return len(args) == 2 && args[0] != args[1], nil
 	})
 	rule := e.RS.Rules["r"]
 	q := term.F("FF", term.Num(1), term.F("GG", term.Num(2)))
-	r := e.newRun(context.Background(), q, guard.Limits{}, false)
+	r := e.newRun(context.Background(), q, guard.Limits{})
 	r.bind.BindVar("x", q.Args[0])
 	r.bind.BindVar("y", q.Args[1])
 	r.cx = Ctx{Cat: e.Cat, Root: q, Site: term.Path{}, Bind: &r.bind, Rule: rule.Name, run: r}
@@ -181,7 +181,7 @@ seq({b}, 1);
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := newEngine(t, src, Options{})
+			e := newEngine(t, src)
 			e.Ext.RegisterConstraint("CHK", func(ctx *Ctx, args []*term.Term) (bool, error) { return true, nil })
 			e.Ext.RegisterConstraint("ERRC", func(ctx *Ctx, args []*term.Term) (bool, error) {
 				return false, errors.New("no good")
@@ -190,9 +190,9 @@ seq({b}, 1);
 			runOnce := func() {
 				var err error
 				if c.block != "" {
-					_, _, err = e.RunBlockCtx(context.Background(), c.q, c.block, c.lim, false)
+					_, _, err = e.RunBlockCtx(context.Background(), c.q, c.block, c.lim)
 				} else {
-					_, _, err = e.RunCtx(context.Background(), c.q, c.lim, false)
+					_, _, err = e.RunCtx(context.Background(), c.q, c.lim)
 				}
 				if (c.wantErr == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("error %v, want one containing %q", err, c.wantErr)
@@ -218,10 +218,10 @@ seq({b}, 1);
 	}
 
 	// The walk is not vacuous: a run in flight holds its query.
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	e.Ext.RegisterConstraint("CHK", func(ctx *Ctx, args []*term.Term) (bool, error) { return true, nil })
 	q := term.F("PAIR", set, term.Num(4))
-	r := e.newRun(context.Background(), q, guard.Limits{}, false)
+	r := e.newRun(context.Background(), q, guard.Limits{})
 	if _, err := r.runBlock(q, e.blocks["b"]); err != nil {
 		t.Fatal(err)
 	}

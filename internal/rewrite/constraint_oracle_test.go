@@ -48,7 +48,7 @@ func corpusRoots(t *testing.T) ([]*term.Term, *core.Rewriter) {
 			out = append(out, q)
 		}
 	}
-	eng := rewrite.New(rw.RS, rw.Ext, rw.Cat, rewrite.Options{})
+	eng := rewrite.New(rw.RS, rw.Ext, rw.Cat, nil)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -66,7 +66,7 @@ func corpusRoots(t *testing.T) ([]*term.Term, *core.Rewriter) {
 			add(r.Initial)
 			add(r.Rewritten)
 			for _, blk := range rw.RS.Sequence.Blocks {
-				if q, _, err := eng.RunBlockCtx(context.Background(), r.Initial, blk, guard.Limits{}, false); err == nil {
+				if q, _, err := eng.RunBlockCtx(context.Background(), r.Initial, blk, guard.Limits{}); err == nil {
 					add(q)
 				}
 			}
@@ -85,7 +85,7 @@ func corpusRoots(t *testing.T) ([]*term.Term, *core.Rewriter) {
 // stack empty.
 func TestConstraintChecksMatchOracle(t *testing.T) {
 	roots, rw := corpusRoots(t)
-	e := rewrite.New(rw.RS, rw.Ext, rw.Cat, rewrite.Options{})
+	e := rewrite.New(rw.RS, rw.Ext, rw.Cat, nil)
 	var checks, held, failed int
 	for _, root := range roots {
 		term.Walk(root, func(sub *term.Term, path term.Path) bool {

@@ -9,9 +9,9 @@
 // how the database implementor extends the optimizer without touching the
 // engine (the paper's central extensibility claim).
 //
-// Compile once, run many: New compiles a rule base against its options —
-// each block's rules with their LHS head filters (index.go), its resolved
-// condition-check budgets, the sequence to drive — after which an Engine
+// Compile once, run many: New compiles a rule base — each block's rules
+// with their LHS head filters (index.go), its condition-check budget (the
+// rule set's Block.Limit), the sequence to drive — after which an Engine
 // is never written again, save for its pool of finished runs' scratch
 // (a sync.Pool), and any number of goroutines may run queries through it
 // at once. Everything one rewrite writes lives in a per-call run value:
@@ -247,7 +247,7 @@ type Stats struct {
 	Rounds        int // sequence iterations executed
 	// StepsLimit echoes the MaxSteps cap the run was budgeted with
 	// (0 = unlimited), so consumers can report Applications against it
-	// without holding the Options that produced the run.
+	// without holding the guard.Limits that produced the run.
 	StepsLimit int
 
 	// Degraded records graceful degradation: the rewrite failed, panicked
@@ -264,20 +264,6 @@ type Stats struct {
 	DegradationCode string
 }
 
-// Options configure an engine; New resolves them once.
-type Options struct {
-	// BlockLimitOverride, if non-nil, replaces every block's limit —
-	// the §7 dynamic-limit hook. New calls it once per block.
-	BlockLimitOverride func(block string, declared int) int
-	// Injector, when non-nil, is hit (by uppercase external name) before
-	// every constraint, method and builtin invocation, so armed faults
-	// fire deterministically inside live rewrites — the shared chaos/test
-	// path (see guard/faultinject.go for the determinism contract).
-	// Injected panics and errors surface as typed ExternalErrors exactly
-	// like faults in real implementor code.
-	Injector *guard.Injector
-}
-
 // DefaultMaxChecks bounds runaway rule systems.
 const DefaultMaxChecks = 1_000_000
 
@@ -286,15 +272,21 @@ const DefaultMaxChecks = 1_000_000
 // (termination is undecidable, §4.2). Tests lower it.
 var maxChecks = DefaultMaxChecks
 
-// Engine is a rule set compiled against its options. It is immutable
-// after New, but for its pool of run scratch, and safe for concurrent use
-// (provided nobody registers externals or edits the rule set meanwhile);
-// what a rewrite writes lives in its run.
+// Engine is a compiled rule set. It is immutable after New, but for its
+// pool of run scratch, and safe for concurrent use (provided nobody
+// registers externals or edits the rule set meanwhile); what a rewrite
+// writes lives in its run.
 type Engine struct {
-	RS   *rules.RuleSet
-	Ext  *Externals
-	Cat  *catalog.Catalog
-	Opts Options
+	RS  *rules.RuleSet
+	Ext *Externals
+	Cat *catalog.Catalog
+	// inj, when non-nil, is hit (by uppercase external name) before every
+	// constraint, method and builtin invocation, so armed faults fire
+	// deterministically inside live rewrites — the shared chaos/test path
+	// (see guard/faultinject.go for the determinism contract). Injected
+	// panics and errors surface as typed ExternalErrors exactly like
+	// faults in real implementor code.
+	inj *guard.Injector
 
 	blocks map[string]*block // every declared block, by name
 	seq    []*block          // the blocks one round applies, in order
@@ -306,15 +298,12 @@ type Engine struct {
 }
 
 // block is a rules.Block compiled for the match loop: its rules resolved
-// and classified (index.go), its §4.2 condition-check budget resolved
-// against Options.BlockLimitOverride.
+// and classified (index.go), and its §4.2 condition-check allowance per
+// visit — the Block's Limit, with rules.Infinite as math.MaxInt.
 type block struct {
-	name  string
-	rules []blockRule
-	// budget is the block's allowance per visit; simpleBudget is what a §7
-	// "simple" query gets instead — the declared limit taken as zero, so
-	// only an explicit override still grants anything.
-	budget, simpleBudget int
+	name   string
+	rules  []blockRule
+	budget int
 }
 
 type blockRule struct {
@@ -324,9 +313,9 @@ type blockRule struct {
 
 // New compiles a rule set. If no sequence is declared, all blocks run once
 // in declaration order; if no blocks are declared, all rules form one
-// implicit saturating block.
-func New(rs *rules.RuleSet, ext *Externals, cat *catalog.Catalog, opts Options) *Engine {
-	e := &Engine{RS: rs, Ext: ext, Cat: cat, Opts: opts, blocks: make(map[string]*block, len(rs.Blocks)), rounds: 1}
+// implicit saturating block. inj may be nil (no fault injection).
+func New(rs *rules.RuleSet, ext *Externals, cat *catalog.Catalog, inj *guard.Injector) *Engine {
+	e := &Engine{RS: rs, Ext: ext, Cat: cat, inj: inj, blocks: make(map[string]*block, len(rs.Blocks)), rounds: 1}
 	for name, b := range rs.Blocks {
 		e.blocks[name] = e.compile(b)
 	}
@@ -348,16 +337,10 @@ func New(rs *rules.RuleSet, ext *Externals, cat *catalog.Catalog, opts Options) 
 }
 
 func (e *Engine) compile(b *rules.Block) *block {
-	resolve := func(declared int) int {
-		if e.Opts.BlockLimitOverride != nil {
-			declared = e.Opts.BlockLimitOverride(b.Name, declared)
-		}
-		if declared == rules.Infinite {
-			return math.MaxInt
-		}
-		return declared
+	cb := &block{name: b.Name, budget: b.Limit, rules: make([]blockRule, len(b.Rules))}
+	if b.Limit == rules.Infinite {
+		cb.budget = math.MaxInt
 	}
-	cb := &block{name: b.Name, budget: resolve(b.Limit), simpleBudget: resolve(0), rules: make([]blockRule, len(b.Rules))}
 	for i, rn := range b.Rules {
 		r := e.RS.Rules[rn]
 		cb.rules[i] = blockRule{Rule: r, filter: filterFor(r.LHS)}
@@ -367,13 +350,12 @@ func (e *Engine) compile(b *rules.Block) *block {
 
 // runState is one rewrite in flight: everything RunCtx or RunBlockCtx writes.
 type runState struct {
-	e      *Engine
-	ctx    context.Context // cancellation context of the run
-	rec    *obs.Recorder   // trace recorder carried by ctx (nil = off)
-	lim    guard.Limits    // MaxSteps and MaxTermSize of the request
-	simple bool            // §7: blocks get their simpleBudget
-	st     *Stats
-	last   *term.Term // term after the last committed application
+	e    *Engine
+	ctx  context.Context // cancellation context of the run
+	rec  *obs.Recorder   // trace recorder carried by ctx (nil = off)
+	lim  guard.Limits    // MaxSteps and MaxTermSize of the request
+	st   *Stats
+	last *term.Term // term after the last committed application
 
 	// Hot-path state (docs/PERF.md "Match attempts without allocation"):
 	// the per-pass site index, and the bindings (with the matcher's goal
@@ -405,7 +387,7 @@ type attempt struct {
 }
 
 // newRun starts a rewrite of q on a pooled state, or a new one.
-func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) *runState {
+func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits) *runState {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -414,7 +396,7 @@ func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits, sim
 		r = &runState{e: e}
 		r.accept = r.acceptMatch
 	}
-	r.ctx, r.rec, r.lim, r.simple = ctx, obs.FromContext(ctx), lim, simple
+	r.ctx, r.rec, r.lim = ctx, obs.FromContext(ctx), lim
 	r.st, r.last = &Stats{StepsLimit: lim.MaxSteps}, q
 	return r
 }
@@ -435,15 +417,13 @@ func (e *Engine) release(r *runState) {
 // RunCtx rewrites q under the rule set's sequence meta-rule. Cancellation
 // is checked on every condition check; of lim, MaxSteps caps successful
 // applications across all blocks and MaxTermSize the query term's node
-// count (the wall-clock deadline arrives through ctx). simple is the §7
-// verdict that q is not worth optimizing: every block gets a zero budget
-// unless an override names it.
+// count (the wall-clock deadline arrives through ctx).
 //
 // On error the returned term is the query as of the last committed rule
 // application — the best safe plan to fall back to (q itself when nothing
 // committed) — and the Stats hold the work done up to the failure.
-func (e *Engine) RunCtx(ctx context.Context, q *term.Term, lim guard.Limits, simple bool) (*term.Term, *Stats, error) {
-	r := e.newRun(ctx, q, lim, simple)
+func (e *Engine) RunCtx(ctx context.Context, q *term.Term, lim guard.Limits) (*term.Term, *Stats, error) {
+	r := e.newRun(ctx, q, lim)
 	out, err := r.runSequence(q)
 	st := r.st
 	e.release(r)
@@ -479,12 +459,12 @@ func (r *runState) runSequence(q *term.Term) (*term.Term, error) {
 // RunBlockCtx applies a single named block to q — one §4.2 block alone,
 // the unit the rule libraries' tests pin — under RunCtx's per-request
 // inputs, with the same contract on error.
-func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string, lim guard.Limits, simple bool) (*term.Term, *Stats, error) {
+func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string, lim guard.Limits) (*term.Term, *Stats, error) {
 	b, ok := e.blocks[blockName]
 	if !ok {
 		return nil, nil, fmt.Errorf("rewrite: unknown block %q", blockName)
 	}
-	r := e.newRun(ctx, q, lim, simple)
+	r := e.newRun(ctx, q, lim)
 	out, err := r.runBlock(q, b)
 	if err != nil {
 		out = r.last
@@ -497,9 +477,6 @@ func (e *Engine) RunBlockCtx(ctx context.Context, q *term.Term, blockName string
 func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 	st := r.st
 	budget := b.budget
-	if r.simple {
-		budget = b.simpleBudget
-	}
 	var blockSpan *obs.Span
 	if r.rec != nil {
 		blockSpan = r.rec.Begin("rewrite.block", obs.Str("block", b.name))
@@ -538,9 +515,9 @@ func (r *runState) runBlock(q *term.Term, b *block) (*term.Term, error) {
 			break
 		}
 	}
-	if budget <= 0 && r.rec != nil {
+	if budget <= 0 && b.budget > 0 && r.rec != nil {
 		// §4.2 budget consumption: the block spent its whole
-		// condition-check allowance.
+		// condition-check allowance (a block of limit 0 had none to spend).
 		r.rec.Event("budget.exhausted", obs.Str("block", b.name))
 	}
 	return q, nil
@@ -691,10 +668,10 @@ func (e *Engine) evalConstraintSafe(ctx *Ctx, c *term.Term) (ok bool, err error)
 // injector, if any. A FaultStall consults the run's cancellation context;
 // a FaultPanic unwinds into the caller's panic isolation.
 func (e *Engine) injectorHit(ctx *Ctx, name string) error {
-	if e.Opts.Injector == nil {
+	if e.inj == nil {
 		return nil
 	}
-	return e.Opts.Injector.Hit(ctx.Context(), strings.ToUpper(name))
+	return e.inj.Hit(ctx.Context(), strings.ToUpper(name))
 }
 
 func (e *Engine) runMethod(ctx *Ctx, call *term.Term) (ok bool, err error) {

@@ -14,7 +14,7 @@ import (
 	"lera/internal/value"
 )
 
-func newEngine(t *testing.T, src string, opts Options) *Engine {
+func newEngine(t *testing.T, src string) *Engine {
 	t.Helper()
 	rs, err := rules.Parse(src)
 	if err != nil {
@@ -24,12 +24,12 @@ func newEngine(t *testing.T, src string, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(rs, NewExternals(), cat, opts)
+	return New(rs, NewExternals(), cat, nil)
 }
 
 func run(t *testing.T, e *Engine, q *term.Term) (*term.Term, *Stats) {
 	t.Helper()
-	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{}, false)
+	out, st, err := e.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func run(t *testing.T, e *Engine, q *term.Term) (*term.Term, *Stats) {
 }
 
 func TestSimpleRewrite(t *testing.T) {
-	e := newEngine(t, "rule r: FOO(x) --> BAR(x);", Options{})
+	e := newEngine(t, "rule r: FOO(x) --> BAR(x);")
 	out, st := run(t, e, term.F("WRAP", term.F("FOO", term.Num(1))))
 	if out.String() != "WRAP(BAR(1))" {
 		t.Errorf("out = %s", out)
@@ -50,7 +50,7 @@ func TestSimpleRewrite(t *testing.T) {
 func TestRewriteToFixpoint(t *testing.T) {
 	// Peano-style: s(s(s(z))) with rule s(x) --> x reduces to z in 3
 	// applications under an infinite implicit block.
-	e := newEngine(t, "rule strip: SUCC(x) --> x;", Options{})
+	e := newEngine(t, "rule strip: SUCC(x) --> x;")
 	n := term.F("ZERO")
 	for i := 0; i < 3; i++ {
 		n = term.F("SUCC", n)
@@ -65,7 +65,7 @@ func TestRewriteToFixpoint(t *testing.T) {
 }
 
 func TestConstraintComparison(t *testing.T) {
-	e := newEngine(t, "rule r: F(x) / x > 5 --> BIG(x);", Options{})
+	e := newEngine(t, "rule r: F(x) / x > 5 --> BIG(x);")
 	out, _ := run(t, e, term.F("PAIR", term.F("F", term.Num(3)), term.F("F", term.Num(7))))
 	if out.String() != "PAIR(F(3), BIG(7))" {
 		t.Errorf("out = %s", out)
@@ -77,7 +77,7 @@ func TestConstraintConnectives(t *testing.T) {
 rule r1: FF(x) / x > 5 AND x < 10 --> MID(x);
 rule r2: GG(x) / x < 0 OR x > 100 --> EXT(x);
 rule r3: HH(x) / NOT x = 0 --> NZ(x);
-`, Options{})
+`)
 	out, _ := run(t, e, term.F("TT",
 		term.F("FF", term.Num(7)), term.F("FF", term.Num(12)),
 		term.F("GG", term.Num(-1)), term.F("GG", term.Num(50)),
@@ -90,7 +90,7 @@ rule r3: HH(x) / NOT x = 0 --> NZ(x);
 
 func TestConstraintISAConstant(t *testing.T) {
 	// Figure 12's ISA(x, constant).
-	e := newEngine(t, "rule r: F(x, y) / ISA(x, constant), ISA(y, constant) --> a / EVALUATE(PLUSOP(x, y), a);", Options{})
+	e := newEngine(t, "rule r: F(x, y) / ISA(x, constant), ISA(y, constant) --> a / EVALUATE(PLUSOP(x, y), a);")
 	// PLUSOP is an implementor-registered pure ADT function, so
 	// EVALUATE can fold it (the extensibility path of Section 4.1).
 	e.Cat.ADTs.Register("PLUSOP", 2, true, func(args []value.Value) (value.Value, error) {
@@ -110,7 +110,7 @@ func TestConstraintISAConstant(t *testing.T) {
 func TestConstraintISAType(t *testing.T) {
 	// ISA typed against the schema of the enclosing search: Categories
 	// (2.3 in the Figure 3 ordering) is a SetCategory.
-	e := newEngine(t, "rule r: MEMBER(c, x) / ISA(x, SetCategory) --> MARKED(c, x);", Options{})
+	e := newEngine(t, "rule r: MEMBER(c, x) / ISA(x, SetCategory) --> MARKED(c, x);")
 	q := lera.Search(
 		[]*term.Term{lera.Rel("APPEARS_IN"), lera.Rel("FILM")},
 		lera.Ands(term.F("MEMBER", term.Str("Adventure"), lera.Attr(2, 3))),
@@ -141,7 +141,7 @@ func TestSeqVarRule(t *testing.T) {
 	// already in the rest of the set. (The paper prints the right-hand
 	// side as F(x*); under our splice semantics the set-typed result is
 	// written explicitly as F(SET(x*)).)
-	e := newEngine(t, "rule ex: F(SET(x*, G(y, f))) / MEMBER(y, x*), f = TRUE --> F(SET(x*));", Options{})
+	e := newEngine(t, "rule ex: F(SET(x*, G(y, f))) / MEMBER(y, x*), f = TRUE --> F(SET(x*));")
 	q := term.F("F", term.Set(term.Num(1), term.Num(2), term.F("G", term.Num(2), term.TrueT())))
 	out, _ := run(t, e, q)
 	if out.String() != "F(SET(1, 2))" {
@@ -166,7 +166,7 @@ func TestBuiltins(t *testing.T) {
 rule flat: CAT(LIST(x*), LIST(y*)) --> APPENDL(x*, y*);
 rule merge: MRG(f, g) --> ANDMERGE(f, g);
 rule su: UU(SET(x*), SET(y*)) --> SET-UNION(x*, y*);
-`, Options{})
+`)
 	out, _ := run(t, e, term.F("CAT", term.List(term.Num(1)), term.List(term.Num(2))))
 	if out.String() != "LIST(1, 2)" {
 		t.Errorf("APPENDL: %s", out)
@@ -185,7 +185,7 @@ rule su: UU(SET(x*), SET(y*)) --> SET-UNION(x*, y*);
 
 func TestMethodVeto(t *testing.T) {
 	// EVALUATE on a non-ground expression vetoes the rule.
-	e := newEngine(t, "rule r: F(x) --> a / EVALUATE(UNKNOWNFN(x), a);", Options{})
+	e := newEngine(t, "rule r: F(x) --> a / EVALUATE(UNKNOWNFN(x), a);")
 	q := term.F("F", term.Num(1))
 	out, st := run(t, e, q)
 	if st.Applications != 0 || !term.Equal(out, q) {
@@ -194,33 +194,33 @@ func TestMethodVeto(t *testing.T) {
 }
 
 func TestMethodErrors(t *testing.T) {
-	e := newEngine(t, "rule r: F(x) --> a / NOSUCHMETHOD(x, a);", Options{})
-	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
+	e := newEngine(t, "rule r: F(x) --> a / NOSUCHMETHOD(x, a);")
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}); err == nil {
 		t.Error("unknown method must error")
 	}
-	e2 := newEngine(t, "rule r: F(x) --> a / EVALUATE(x);", Options{})
-	if _, _, err := e2.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
+	e2 := newEngine(t, "rule r: F(x) --> a / EVALUATE(x);")
+	if _, _, err := e2.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}); err == nil {
 		t.Error("bad EVALUATE arity must error")
 	}
 }
 
 func TestUnknownConstraintErrors(t *testing.T) {
-	e := newEngine(t, "rule r: F(x) / MYSTERY(x) --> G(x);", Options{})
-	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
+	e := newEngine(t, "rule r: F(x) / MYSTERY(x) --> G(x);")
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}); err == nil {
 		t.Error("unknown constraint must error")
 	}
 }
 
 func TestUnboundRHSVariableErrors(t *testing.T) {
-	e := newEngine(t, "rule r: F(x) --> G(x, q9);", Options{})
-	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
+	e := newEngine(t, "rule r: F(x) --> G(x, q9);")
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}); err == nil {
 		t.Error("unbound RHS variable must error")
 	}
 }
 
 func TestNoChangeApplicationsDoNotLoop(t *testing.T) {
 	// G(x) --> G(x) would loop forever if no-change detection failed.
-	e := newEngine(t, "rule id: G(x) --> G(x);", Options{})
+	e := newEngine(t, "rule id: G(x) --> G(x);")
 	out, st := run(t, e, term.F("G", term.Num(1)))
 	if st.Applications != 0 {
 		t.Errorf("identity rule must not count as application: %d", st.Applications)
@@ -235,8 +235,8 @@ func TestMaxChecksGuard(t *testing.T) {
 	// hang: F(x) --> F(S(x)).
 	defer func(saved int) { maxChecks = saved }(maxChecks)
 	maxChecks = 500
-	e := newEngine(t, "rule grow: F(x) --> F(S(x));", Options{})
-	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}, false); err == nil {
+	e := newEngine(t, "rule grow: F(x) --> F(S(x));")
+	if _, _, err := e.RunCtx(context.Background(), term.F("F", term.Num(1)), guard.Limits{}); err == nil {
 		t.Error("non-terminating rule set must be cut by maxChecks")
 	}
 }
@@ -249,10 +249,10 @@ rule r: FF(x) / x > 10 --> BIG(x);
 block(b, {r}, 1);
 seq({b}, 1);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	q := term.F("TT", term.F("FF", term.Num(1)), term.F("FF", term.Num(20)))
 	rec := obs.NewRecorder("rewrite")
-	out, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), q, guard.Limits{}, false)
+	out, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ seq({b}, 1);
 	}
 	// With budget 2 the second check succeeds.
 	src2 := strings.Replace(src, ", 1);", ", 2);", 1)
-	e2 := newEngine(t, src2, Options{})
+	e2 := newEngine(t, src2)
 	out2, _ := run(t, e2, q)
 	if out2.String() != "TT(FF(1), BIG(20))" {
 		t.Errorf("out2 = %s", out2)
@@ -286,7 +286,7 @@ rule r: FF(x) --> GG(x);
 block(b, {r}, 0);
 seq({b}, 1);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	q := term.F("FF", term.Num(1))
 	out, st := run(t, e, q)
 	if st.Applications != 0 || !term.Equal(out, q) {
@@ -305,7 +305,7 @@ block(first, {a2b}, inf);
 block(second, {b2c}, 1);
 seq({first, second, first}, 1);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	out, _ := run(t, e, term.F("AA", term.Num(1)))
 	// first: AA->BB; second: BB->CC(AA(1)); first again: inner AA->BB.
 	if out.String() != "CC(BB(1))" {
@@ -322,7 +322,7 @@ block(bp, {p}, 1);
 block(bq, {q}, 1);
 seq({bp, bq}, 3);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	out, st := run(t, e, term.F("PP", term.Num(0)))
 	if st.Rounds != 3 {
 		t.Errorf("rounds = %d", st.Rounds)
@@ -337,28 +337,36 @@ func TestRunBlockDirect(t *testing.T) {
 rule r: FF(x) --> GG(x);
 block(b, {r}, inf);
 `
-	e := newEngine(t, src, Options{})
-	out, st, err := e.RunBlockCtx(context.Background(), term.F("FF", term.Num(1)), "b", guard.Limits{}, false)
+	e := newEngine(t, src)
+	out, st, err := e.RunBlockCtx(context.Background(), term.F("FF", term.Num(1)), "b", guard.Limits{})
 	if err != nil || out.String() != "GG(1)" || st.Applications != 1 {
 		t.Errorf("RunBlock: %s %v %v", out, st, err)
 	}
-	if _, _, err := e.RunBlockCtx(context.Background(), term.Num(1), "nosuch", guard.Limits{}, false); err == nil {
+	if _, _, err := e.RunBlockCtx(context.Background(), term.Num(1), "nosuch", guard.Limits{}); err == nil {
 		t.Error("unknown block must error")
 	}
 }
 
-func TestBlockLimitOverride(t *testing.T) {
+// TestDeclaredZeroBlock: a block declared with limit 0 — how the §7
+// knobs turn a block off — checks nothing, applies nothing, and reports
+// no budget.exhausted, since it had no allowance to spend.
+func TestDeclaredZeroBlock(t *testing.T) {
 	src := `
 rule r: FF(x) --> GG(x);
-block(b, {r}, inf);
+block(b, {r}, 0);
 seq({b}, 1);
 `
-	e := newEngine(t, src, Options{
-		BlockLimitOverride: func(block string, declared int) int { return 0 },
-	})
-	out, st := run(t, e, term.F("FF", term.Num(1)))
-	if st.Applications != 0 || out.String() != "FF(1)" {
-		t.Errorf("override to 0 must disable the block: %s", out)
+	e := newEngine(t, src)
+	rec := obs.NewRecorder("rewrite")
+	out, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), term.F("FF", term.Num(1)), guard.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Applications != 0 || st.ConditionChecks != 0 || out.String() != "FF(1)" {
+		t.Errorf("a 0 limit must disable the block: %s after %d checks", out, st.ConditionChecks)
+	}
+	if got := obs.FormatTree(rec.Finish(), false); strings.Contains(got, "budget.exhausted") {
+		t.Errorf("a block declared 0 reported an exhausted budget:\n%s", got)
 	}
 }
 
@@ -370,9 +378,9 @@ rule r: FF(x) --> GG(x);
 block(b, {r}, inf);
 seq({b}, 1);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	rec := obs.NewRecorder("rewrite")
-	_, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), term.F("HH", term.F("FF", term.Num(1))), guard.Limits{}, false)
+	_, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), term.F("HH", term.F("FF", term.Num(1))), guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +398,7 @@ rule second: FOO(x) --> TWO(x);
 block(b, {first, second}, inf);
 seq({b}, 1);
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	out, _ := run(t, e, term.F("FOO", term.Num(1)))
 	if out.String() != "ONE(1)" {
 		t.Errorf("out = %s", out)
@@ -404,7 +412,7 @@ func TestNotMemberAndDistinctConstraints(t *testing.T) {
 rule trans: ANDS(SET(w*, EQT(x, y), EQT(y, z))) / DISTINCT(x, z), NOTMEMBER(EQT(x, z), w*)
   --> ANDS(SET(w*, EQT(x, y), EQT(y, z), EQT(x, z)));
 `
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	q := term.F("ANDS", term.Set(
 		term.F("EQT", term.Str("a"), term.Str("b")),
 		term.F("EQT", term.Str("b"), term.Str("c")),
@@ -420,7 +428,7 @@ rule trans: ANDS(SET(w*, EQT(x, y), EQT(y, z))) / DISTINCT(x, z), NOTMEMBER(EQT(
 // Context helpers: EnclosingRels and InferAt must respect FIX/LET binders
 // crossed on the way to the match site.
 func TestCtxEnclosingRelsThroughBinders(t *testing.T) {
-	e := newEngine(t, "rule probe: MEMBER(c, x) / ISA(x, SetCategory) --> HIT(c, x);", Options{})
+	e := newEngine(t, "rule probe: MEMBER(c, x) / ISA(x, SetCategory) --> HIT(c, x);")
 	// The MEMBER conjunct sits inside a fixpoint body whose relation list
 	// includes the fix-bound name; typing 2.3 must resolve through the
 	// provisional schema (declared columns) and the base FILM schema.
@@ -453,7 +461,7 @@ func TestCtxEnclosingRelsThroughBinders(t *testing.T) {
 // A constraint needing a relational context outside any operator fails
 // gracefully (rule simply does not apply).
 func TestCtxNoEnclosingOperator(t *testing.T) {
-	e := newEngine(t, "rule probe: MEMBER(c, x) / ISA(x, SetCategory) --> HIT(c, x);", Options{})
+	e := newEngine(t, "rule probe: MEMBER(c, x) / ISA(x, SetCategory) --> HIT(c, x);")
 	q := term.F("MEMBER", term.Str("Adventure"), lera.Attr(1, 3))
 	_, st := run(t, e, q)
 	if st.Applications != 0 {

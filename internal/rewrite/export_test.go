@@ -16,7 +16,7 @@ import (
 // the oracle the index is pinned to. A differential against it checks
 // exactly what the filters add.
 func FullScan(e *Engine) *Engine {
-	c := &Engine{RS: e.RS, Ext: e.Ext, Cat: e.Cat, Opts: e.Opts, blocks: make(map[string]*block, len(e.blocks)), rounds: e.rounds}
+	c := &Engine{RS: e.RS, Ext: e.Ext, Cat: e.Cat, inj: e.inj, blocks: make(map[string]*block, len(e.blocks)), rounds: e.rounds}
 	scan := func(b *block) *block {
 		nb := *b
 		nb.rules = make([]blockRule, len(b.rules))
@@ -103,7 +103,7 @@ func (e *Engine) evalConstraintOracle(ctx *Ctx, c *term.Term) (bool, error) {
 // bindings b with the engine's evaluator and with the oracle, and renders
 // each verdict as "ok=<bool> err=<text>".
 func CheckBothWays(e *Engine, root *term.Term, site term.Path, b *term.Bindings, rule string, c *term.Term) (got, want string) {
-	r := e.newRun(context.Background(), root, guard.Limits{}, false)
+	r := e.newRun(context.Background(), root, guard.Limits{})
 	defer e.release(r)
 	r.cx = Ctx{Cat: e.Cat, Root: root, Site: site, Bind: b, Rule: rule, run: r}
 	verdict := func(ok bool, err error) string {

@@ -147,8 +147,8 @@ func rewriteBoth(t *testing.T, s *core.Session, query string) (indexed, full *te
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := rewrite.FullScan(rewrite.New(rw.RS, rw.Ext, rw.Cat, rewrite.Options{}))
-	full, sf, err = oracle.RunCtx(context.Background(), q, guard.Limits{}, false)
+	oracle := rewrite.FullScan(rewrite.New(rw.RS, rw.Ext, rw.Cat, nil))
+	full, sf, err = oracle.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 func TestConstraintPanicIsolated(t *testing.T) {
-	e := newEngine(t, "rule rc: FF(x) / BOOMC(x) --> GG(x);", Options{})
+	e := newEngine(t, "rule rc: FF(x) / BOOMC(x) --> GG(x);")
 	inj := guard.NewInjector()
 	inj.Set("BOOMC", guard.Fault{OnCall: 1, Mode: guard.FaultPanic})
 	e.Ext.RegisterConstraint("BOOMC", func(ctx *Ctx, args []*term.Term) (bool, error) {
@@ -26,7 +26,7 @@ func TestConstraintPanicIsolated(t *testing.T) {
 		}
 		return true, nil
 	})
-	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{}, false)
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{})
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
@@ -49,11 +49,11 @@ func TestConstraintPanicIsolated(t *testing.T) {
 }
 
 func TestMethodPanicIsolated(t *testing.T) {
-	e := newEngine(t, "rule rm: FF(x) --> a / BOOMM(x, a);", Options{})
+	e := newEngine(t, "rule rm: FF(x) --> a / BOOMM(x, a);")
 	e.Ext.RegisterMethod("BOOMM", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		panic("method kaboom")
 	})
-	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{}, false)
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{})
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
@@ -64,11 +64,11 @@ func TestMethodPanicIsolated(t *testing.T) {
 }
 
 func TestBuiltinPanicIsolated(t *testing.T) {
-	e := newEngine(t, "rule rb: FF(x) --> BOOMB(x);", Options{})
+	e := newEngine(t, "rule rb: FF(x) --> BOOMB(x);")
 	e.Ext.RegisterBuiltin("BOOMB", func(ctx *Ctx, args []*term.Term) (*term.Term, error) {
 		panic("builtin kaboom")
 	})
-	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{}, false)
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{})
 	var ee *guard.ExternalError
 	if !errors.As(err, &ee) {
 		t.Fatalf("want ExternalError, got %v", err)
@@ -81,11 +81,11 @@ func TestBuiltinPanicIsolated(t *testing.T) {
 func TestRewriteDeadline(t *testing.T) {
 	// The grow rule never terminates; below the condition-check cap only
 	// the context deadline can cut it.
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)), guard.Limits{}, false)
+	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)), guard.Limits{})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline did not interrupt the rewrite (took %v)", elapsed)
 	}
@@ -95,21 +95,21 @@ func TestRewriteDeadline(t *testing.T) {
 }
 
 func TestRewriteCancel(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));")
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)), guard.Limits{}, false)
+	_, _, err := e.RunCtx(ctx, term.F("FF", term.Num(1)), guard.Limits{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 func TestStepBudget(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
-	_, st, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxSteps: 5}, false)
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));")
+	_, st, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxSteps: 5})
 	if !errors.Is(err, guard.ErrStepBudget) {
 		t.Fatalf("got %v, want ErrStepBudget", err)
 	}
@@ -122,8 +122,8 @@ func TestStepBudget(t *testing.T) {
 }
 
 func TestTermSizeBudget(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
-	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxTermSize: 10}, false)
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));")
+	_, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxTermSize: 10})
 	if !errors.Is(err, guard.ErrTermSize) {
 		t.Fatalf("got %v, want ErrTermSize", err)
 	}
@@ -139,11 +139,11 @@ func TestLastGoodAfterPanic(t *testing.T) {
 	e := newEngine(t, `
 rule ok: AA(x) --> BB(x);
 rule boom: BB(x) / BOOMC(x) --> CC(x);
-`, Options{})
+`)
 	e.Ext.RegisterConstraint("BOOMC", func(ctx *Ctx, args []*term.Term) (bool, error) {
 		panic("late kaboom")
 	})
-	lg, _, err := e.RunCtx(context.Background(), term.F("AA", term.Num(1)), guard.Limits{}, false)
+	lg, _, err := e.RunCtx(context.Background(), term.F("AA", term.Num(1)), guard.Limits{})
 	if err == nil {
 		t.Fatal("want error from panicking constraint")
 	}
@@ -153,8 +153,8 @@ rule boom: BB(x) / BOOMC(x) --> CC(x);
 }
 
 func TestLastGoodAfterStepBudget(t *testing.T) {
-	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));", Options{})
-	lg, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxSteps: 2}, false)
+	e := newEngine(t, "rule grow: FF(x) --> FF(SS(x));")
+	lg, _, err := e.RunCtx(context.Background(), term.F("FF", term.Num(1)), guard.Limits{MaxSteps: 2})
 	if !errors.Is(err, guard.ErrStepBudget) {
 		t.Fatalf("got %v", err)
 	}

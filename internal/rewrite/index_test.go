@@ -103,13 +103,13 @@ func differentialQueries() []*term.Term {
 // counts, while the index performs strictly fewer match attempts.
 func TestIndexedMatchesFullScan(t *testing.T) {
 	for i, q := range differentialQueries() {
-		idx := newEngine(t, differentialRules, Options{})
-		full := FullScan(newEngine(t, differentialRules, Options{}))
-		oi, si, err := idx.RunCtx(context.Background(), q, guard.Limits{}, false)
+		idx := newEngine(t, differentialRules)
+		full := FullScan(newEngine(t, differentialRules))
+		oi, si, err := idx.RunCtx(context.Background(), q, guard.Limits{})
 		if err != nil {
 			t.Fatalf("query %d indexed: %v", i, err)
 		}
-		of, sf, err := full.RunCtx(context.Background(), q, guard.Limits{}, false)
+		of, sf, err := full.RunCtx(context.Background(), q, guard.Limits{})
 		if err != nil {
 			t.Fatalf("query %d full-scan: %v", i, err)
 		}
@@ -139,13 +139,13 @@ func TestIndexSkipsNonCandidateSites(t *testing.T) {
 	fmt.Fprintf(&src, "block(all, {%s}, inf);\nseq({all}, 1);\n", strings.Join(names, ", "))
 	q := term.F("BAZ", term.F("BAZ", term.F("BAZ", term.F("FOO", term.Num(1)))))
 
-	idx := newEngine(t, src.String(), Options{})
-	_, si, err := idx.RunCtx(context.Background(), q, guard.Limits{}, false)
+	idx := newEngine(t, src.String())
+	_, si, err := idx.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := FullScan(newEngine(t, src.String(), Options{}))
-	_, sf, err := full.RunCtx(context.Background(), q, guard.Limits{}, false)
+	full := FullScan(newEngine(t, src.String()))
+	_, sf, err := full.RunCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestScratchBindingsIsolatedAcrossSites(t *testing.T) {
 	// attempt at the next site: the x bound at the first G site would
 	// otherwise force the second match to fail (or worse, succeed with a
 	// stale binding in the RHS).
-	e := newEngine(t, "rule r: GG(x) / x > 5 --> HH(x);", Options{})
+	e := newEngine(t, "rule r: GG(x) / x > 5 --> HH(x);")
 	q := term.F("TOP", term.F("GG", term.Num(1)), term.F("GG", term.Num(9)))
 	out, st := run(t, e, q)
 	if out.String() != "TOP(GG(1), HH(9))" {
@@ -181,7 +181,7 @@ func TestScratchBindingsIsolatedAcrossSites(t *testing.T) {
 func TestVarHeadRuleStillMatchesEverywhere(t *testing.T) {
 	// Function-variable heads live in the wildcard bucket; make sure the
 	// indexed engine still applies them at arbitrary functors.
-	e := newEngine(t, "rule r: F(REMOVE(x)) --> F(x);", Options{})
+	e := newEngine(t, "rule r: F(REMOVE(x)) --> F(x);")
 	q := term.F("AA", term.F("BB", term.F("REMOVE", term.Num(3))))
 	out, _ := run(t, e, q)
 	if out.String() != "AA(BB(3))" {
@@ -211,14 +211,14 @@ rule fv: F(GUARDED(x), NOMATCH()) --> F(x);
 		{"split", term.F("PAIR", term.Set(term.Num(1), term.Num(2), term.Num(3)), term.Set(term.Num(4)))},
 		{"fv", term.F("WRAP", term.F("GUARDED", term.Num(1)), term.F("OTHER"))},
 	}
-	e := newEngine(t, src, Options{})
+	e := newEngine(t, src)
 	for _, c := range cases {
 		rule := e.RS.Rules[c.rule]
 		if !filterFor(rule.LHS).admits(c.site) {
 			t.Fatalf("%s: the site must pass the head filter", c.rule)
 		}
 		q := c.site
-		r := e.newRun(context.Background(), q, guard.Limits{}, false)
+		r := e.newRun(context.Background(), q, guard.Limits{})
 		r.ix.rebuild(q)
 		budget := math.MaxInt
 		attempt := func() {

@@ -17,29 +17,22 @@ import (
 )
 
 // DiffOptions configures the differential tester. The zero value is
-// usable: seed 1, 4 rows per relation, a per-rule block budget of 16 and
-// no guard limits.
+// usable: seed 1, 4 rows per relation and no guard limits.
 type DiffOptions struct {
 	// Seed drives all data generation. Same seed, same catalog, same
 	// rule base => byte-identical diagnostics.
 	Seed uint64
 	// RowsPerRelation is the generated database size.
 	RowsPerRelation int
-	// BlockBudget bounds how often a single rule may fire per corpus
-	// term, so even divergent rules terminate without an error (every
-	// prefix of a sound rule's applications must preserve semantics).
-	BlockBudget int
 	// Limits is the guard budget for each rewrite and each execution;
 	// Limits.Timeout is applied per phase, exactly as a Session does.
 	Limits guard.Limits
-	// MaxCounterexamples stops testing a rule after this many findings
-	// (default 1).
-	MaxCounterexamples int
-	// EndToEnd additionally runs every corpus term through the whole
-	// rule base (blocks and sequence as declared), catching unsound
-	// rule interactions that no single rule exhibits alone.
-	EndToEnd bool
 }
+
+// ruleBudget bounds how often a single rule may fire per corpus term, so
+// even divergent rules terminate without an error (every prefix of a
+// sound rule's applications must preserve semantics).
+const ruleBudget = 16
 
 func (o DiffOptions) withDefaults() DiffOptions {
 	if o.Seed == 0 {
@@ -48,20 +41,17 @@ func (o DiffOptions) withDefaults() DiffOptions {
 	if o.RowsPerRelation <= 0 {
 		o.RowsPerRelation = 4
 	}
-	if o.BlockBudget <= 0 {
-		o.BlockBudget = 16
-	}
-	if o.MaxCounterexamples <= 0 {
-		o.MaxCounterexamples = 1
-	}
 	return o
 }
 
 // Diff runs differential semantic testing: for every rule, every corpus
 // term the rule's left-hand side fires on is executed both before and
-// after the rewrite, and the results are compared as multisets. Findings
-// are returned as diagnostics (RC100-RC103); the error return is reserved
-// for setup failures and context cancellation.
+// after the rewrite, and the results are compared as multisets; a rule's
+// first finding ends its testing. Then every corpus term runs through the
+// whole rule base (blocks and sequence as declared), catching unsound rule
+// interactions that no single rule exhibits alone. Findings are returned
+// as diagnostics (RC100-RC103); the error return is reserved for setup
+// failures and context cancellation.
 func Diff(ctx context.Context, rs *rules.RuleSet, ext *rewrite.Externals, cat *catalog.Catalog, opt DiffOptions) ([]Diagnostic, error) {
 	opt = opt.withDefaults()
 	inst := Generate(cat, opt.Seed, opt.RowsPerRelation)
@@ -77,12 +67,9 @@ func Diff(ctx context.Context, rs *rules.RuleSet, ext *rewrite.Externals, cat *c
 			return ds, err
 		}
 		r := rs.Rules[rn]
-		eng := rewrite.New(singleRuleSet(r, opt.BlockBudget), ext, cat, rewrite.Options{})
-		found, exercised := 0, false
+		eng := rewrite.New(singleRuleSet(r), ext, cat, nil)
+		exercised := false
 		for _, q := range corpus {
-			if found >= opt.MaxCounterexamples {
-				break
-			}
 			d, fired, err := diffOne(ctx, db, eng, r, q, opt)
 			if err != nil {
 				return ds, err
@@ -90,7 +77,7 @@ func Diff(ctx context.Context, rs *rules.RuleSet, ext *rewrite.Externals, cat *c
 			exercised = exercised || fired
 			if d != nil {
 				ds = append(ds, *d)
-				found++
+				break
 			}
 		}
 		if !exercised {
@@ -100,39 +87,37 @@ func Diff(ctx context.Context, rs *rules.RuleSet, ext *rewrite.Externals, cat *c
 		}
 	}
 
-	if opt.EndToEnd {
-		// A structurally invalid rule set (dangling block/sequence
-		// references, reported by the lint as RC008/RC009) cannot be run
-		// through the engine.
-		if err := rs.Validate(); err != nil {
-			ds = append(ds, Diagnostic{Rule: "(all)", Severity: SevInfo, Code: CodeNotExercised,
-				Msg: fmt.Sprintf("end-to-end differential testing skipped: %v", err)})
-			return ds, nil
+	// A structurally invalid rule set (dangling block/sequence
+	// references, reported by the lint as RC008/RC009) cannot be run
+	// through the engine.
+	if err := rs.Validate(); err != nil {
+		ds = append(ds, Diagnostic{Rule: "(all)", Severity: SevInfo, Code: CodeNotExercised,
+			Msg: fmt.Sprintf("end-to-end differential testing skipped: %v", err)})
+		return ds, nil
+	}
+	eng := rewrite.New(rs, ext, cat, nil)
+	for _, q := range corpus {
+		if err := ctx.Err(); err != nil {
+			return ds, err
 		}
-		eng := rewrite.New(rs, ext, cat, rewrite.Options{})
-		for _, q := range corpus {
-			if err := ctx.Err(); err != nil {
-				return ds, err
-			}
-			d, err := diffWhole(ctx, db, eng, q, opt)
-			if err != nil {
-				return ds, err
-			}
-			if d != nil {
-				ds = append(ds, *d)
-			}
+		d, err := diffWhole(ctx, db, eng, q, opt)
+		if err != nil {
+			return ds, err
+		}
+		if d != nil {
+			ds = append(ds, *d)
 		}
 	}
 	return ds, nil
 }
 
 // singleRuleSet wraps one rule in a finite-budget block so the rewrite
-// engine applies just that rule, at most BlockBudget times.
-func singleRuleSet(r *rules.Rule, budget int) *rules.RuleSet {
+// engine applies just that rule, at most ruleBudget times.
+func singleRuleSet(r *rules.Rule) *rules.RuleSet {
 	rs := rules.NewRuleSet()
 	rs.Rules[r.Name] = r
 	rs.RuleOrder = []string{r.Name}
-	b := &rules.Block{Name: "check", Rules: []string{r.Name}, Limit: budget}
+	b := &rules.Block{Name: "check", Rules: []string{r.Name}, Limit: ruleBudget}
 	rs.Blocks["check"] = b
 	rs.BlockOrder = []string{"check"}
 	return rs
@@ -243,7 +228,7 @@ func runPhase(ctx context.Context, eng *rewrite.Engine, lim guard.Limits, q *ter
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	return eng.RunCtx(ctx, q, lim, false)
+	return eng.RunCtx(ctx, q, lim)
 }
 
 // evalPhase is runPhase for execution.

@@ -75,7 +75,7 @@ func TestDiffDeterministic(t *testing.T) {
 	}
 	run := func() []Diagnostic {
 		rs := mustParse(t, dropQual)
-		ds, err := Diff(context.Background(), rs, rewrite.NewExternals(), cat, DiffOptions{EndToEnd: true})
+		ds, err := Diff(context.Background(), rs, rewrite.NewExternals(), cat, DiffOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestDiffShippedOptimizerRulesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Diff(context.Background(), lopt.RuleSet(), lopt.Externals(), cat, DiffOptions{EndToEnd: true})
+	ds, err := Diff(context.Background(), lopt.RuleSet(), lopt.Externals(), cat, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,12 @@ func semEngine(t *testing.T, extraSrc string) *rewrite.Engine {
 		}
 		rs.Merge(extra)
 	}
-	return rewrite.New(rs, ext, cat, rewrite.Options{})
+	return rewrite.New(rs, ext, cat, nil)
 }
 
 func runBlock(t *testing.T, e *rewrite.Engine, q *term.Term, block string) *term.Term {
 	t.Helper()
-	out, _, err := e.RunBlockCtx(context.Background(), q, block, guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(context.Background(), q, block, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +308,14 @@ func TestSemanticBudgetBounds(t *testing.T) {
 		"block(semantic, {transitivity_eq, include_trans, eq_subst}, 200);",
 		"block(semantic, {transitivity_eq, include_trans, eq_subst}, 1);", 1)
 	rs = rules.MustParse(src)
-	e := rewrite.New(rs, ext, cat, rewrite.Options{})
+	e := rewrite.New(rs, ext, cat, nil)
 	q := lera.Ands(
 		lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
 		lera.Cmp("=", lera.Attr(2, 1), lera.Attr(3, 1)),
 		lera.Cmp("=", lera.Attr(3, 1), lera.Attr(4, 1)),
 	)
 	rec := obs.NewRecorder("rewrite")
-	out, _, err := e.RunBlockCtx(obs.NewContext(context.Background(), rec), q, "semantic", guard.Limits{}, false)
+	out, _, err := e.RunBlockCtx(obs.NewContext(context.Background(), rec), q, "semantic", guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func corpusTerms(t *testing.T) ([]*term.Term, *rules.RuleSet) {
 			return true
 		})
 	}
-	eng := rewrite.New(rw.RS, rw.Ext, rw.Cat, rewrite.Options{})
+	eng := rewrite.New(rw.RS, rw.Ext, rw.Cat, nil)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -101,7 +101,7 @@ func corpusTerms(t *testing.T) ([]*term.Term, *rules.RuleSet) {
 			add(r.Initial)
 			add(r.Rewritten)
 			for _, blk := range rw.RS.Sequence.Blocks {
-				if q, _, err := eng.RunBlockCtx(context.Background(), r.Initial, blk, guard.Limits{}, false); err == nil {
+				if q, _, err := eng.RunBlockCtx(context.Background(), r.Initial, blk, guard.Limits{}); err == nil {
 					add(q)
 				}
 			}

@@ -92,8 +92,8 @@ var (
 	WithRules = core.WithRules
 	// WithConstraints adds Figure 10-style integrity constraints.
 	WithConstraints = core.WithConstraints
-	// WithBlockLimit overrides one block's budget; a zero limit turns the
-	// block off (§7).
+	// WithBlockLimit sets one block's budget in the assembled rule base; a
+	// zero limit turns the block off (§7).
 	WithBlockLimit = core.WithBlockLimit
 	// WithPlanning enables the §7 planning-hint extension: join operands
 	// reorder by estimated cardinality, smallest first.
@@ -104,7 +104,7 @@ var (
 	// docs/RULES.md ("Validating your rules").
 	WithRuleCheck = core.WithRuleCheck
 	// WithPlanCache arms a bounded LRU of rewritten plans keyed by
-	// templatized term hash + rule-base fingerprint + session knobs, so
+	// templatized term hash + rule-base fingerprint + guard budget shape, so
 	// repeated query shapes skip the rewriter (docs/PLANCACHE.md).
 	WithPlanCache = core.WithPlanCache
 	// WithPlanCacheValidation re-validates every n'th cache hit against
