@@ -28,7 +28,8 @@ import (
 // ("internal/core: Session.Fork" for a method, "internal/server:
 // Config.Addr" for a field).
 var exportAllowList = map[string]string{
-	"internal/guard: ExternalError.Unwrap": "stdlib interface method: errors.Is and errors.As unwrap through it",
+	"internal/guard: ExternalError.Unwrap":    "stdlib interface method: errors.Is and errors.As unwrap through it",
+	"internal/server: rowsText.UnmarshalJSON": "stdlib interface method: encoding/json hands the client's decoder a response's rows text through it",
 
 	"internal/catalog: Catalog.AddConstraint": "extension API (§6.1 integrity constraints), shown in docs/RULES.md",
 	"internal/core: WithDynamicLimits":        "extension API (§7 dynamic block limits), shown in README.md and DESIGN.md",

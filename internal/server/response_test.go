@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -24,7 +25,8 @@ import (
 
 // FuzzResponseJSON: for any strings and any rows of every value kind, the
 // writer produces exactly json.Marshal of the Response with its Rows
-// rendered by value.Value.String, plus Encoder.Encode's newline.
+// rendered by value.Value.String, plus Encoder.Encode's newline, and the
+// client's decoder reads those Rows back from it.
 func FuzzResponseJSON(f *testing.F) {
 	f.Add("OK", "", "default", "Title", "", "it's <b>&</b>", []byte("caf\xc3\xa9 \xff"), int64(-7), 2.5, true, uint8(0xff), 3, int64(120534))
 	e := new(encoder) // reused across inputs, as a server reuses its encoders
@@ -68,6 +70,21 @@ func FuzzResponseJSON(f *testing.F) {
 		e.buf = e.response(e.buf[:0], &resp)
 		if !bytes.Equal(e.buf, wantJSON) {
 			t.Fatalf("writer and encoding/json differ:\n got %q\nwant %q", e.buf, wantJSON)
+		}
+
+		// The wire round trip: the client decodes want's rows, each byte
+		// of invalid UTF-8 read back as U+FFFD.
+		var got Response
+		if err := decodeResponse(e.buf, &got); err != nil {
+			t.Fatalf("client cannot decode %q: %v", e.buf, err)
+		}
+		for _, row := range want.Rows {
+			for j, cell := range row {
+				row[j] = string([]rune(cell))
+			}
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("client decoded rows %q, want %q", got.Rows, want.Rows)
 		}
 	})
 }
