@@ -39,7 +39,6 @@ var exportAllowList = map[string]string{
 	"internal/guard: Injector.Calls":       "tests of 4 packages, 10 calls: fault-injection hit counts",
 	"internal/leakcheck: Main":             "tests of 4 packages, 4 calls: the goroutine-leak gate their TestMain runs",
 	"internal/term: At":                    "tests of 3 packages, 14 calls: path addressing beside ReplaceAt",
-	"internal/lera: Validate":              "tests of 3 packages, 7 calls: the structural check of LERA terms",
 }
 
 // TestEveryExportHasACaller: product code is what the product runs. Every

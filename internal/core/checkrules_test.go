@@ -32,6 +32,21 @@ seq({typecheck, extension}, 1);
 	}
 }
 
+// TestWithRuleCheckRefusesMalformedRHS: a right-hand side that applies a
+// LERA operator to the wrong number of arguments is an RC004 error, so
+// the checked rewriter refuses to build rather than degrade every query
+// the rule touches.
+func TestWithRuleCheckRefusesMalformedRHS(t *testing.T) {
+	cat, err := testdb.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(cat, WithRuleCheck(), WithRules("rule bad: SEARCH(r, q, p) --> SEARCH(r, q); block(bb, {bad}, 1); seq({bb}, 1);"))
+	if err == nil || !strings.Contains(err.Error(), "RC004") || !strings.Contains(err.Error(), "bad") {
+		t.Fatalf("WithRuleCheck on SEARCH(r, q): %v, want the RC004 refusal", err)
+	}
+}
+
 func TestWithRuleCheckAcceptsShippedRuleBase(t *testing.T) {
 	cat, err := testdb.Catalog()
 	if err != nil {

@@ -542,6 +542,31 @@ func TestEnumDomainRefusedAtWrite(t *testing.T) {
 	}
 }
 
+// TestDomainRefusedAtWrite: an INSERT whose value the column's declared
+// type excludes is refused and stores nothing. A bare string in the
+// SetCategory column once made every MEMBER over Categories fail with
+// INTERNAL, and a string in the NUMERIC Numf satisfied Numf > 900.
+func TestDomainRefusedAtWrite(t *testing.T) {
+	s := filmsSession(t)
+	for _, c := range []struct{ insert, want string }{
+		{"INSERT INTO FILM VALUES (902, 'Toon', 'Comedy');", `FILM: column Categories: string 'Comedy' is not a value of SetCategory`},
+		{"INSERT INTO FILM VALUES ('x', 'Toon2', SET('Comedy'));", `FILM: column Numf: string 'x' is not a value of NUMERIC`},
+	} {
+		if _, err := s.Exec(c.insert); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", c.insert, err, c.want)
+		}
+	}
+	for q, want := range map[string]int{
+		"SELECT Title FROM FILM WHERE MEMBER('Comedy', Categories)": 1,
+		"SELECT Title FROM FILM WHERE Numf > 900":                   0,
+		"SELECT Numf FROM FILM":                                     4,
+	} {
+		if r, err := s.Query(q); err != nil || len(r.Rows) != want {
+			t.Errorf("%s after the refused writes: %v, %v; want %d rows", q, r, err, want)
+		}
+	}
+}
+
 // TestRefusedInsertStoresNothing: an INSERT refused for its arity leaves
 // the database as it was — a declared relation with no rows stays
 // unknown to execution rather than turning into an empty one.

@@ -195,3 +195,38 @@ func TestLimitsZeroValueIsUnlimited(t *testing.T) {
 		t.Fatal("no rows")
 	}
 }
+
+// TestMalformedPlanDegrades: a rule whose right-hand side builds a
+// malformed operator — a SEARCH short of its projection, a FILTER or DIFF
+// of one operand, a PROJECT without its field, an ATTR where the
+// projection LIST belongs — fails lera.Validate, so the query degrades to
+// its translated plan and answers the unrewritten rows, with the
+// violation as the reason, where executing the plan would panic or
+// misread ATTR's indices as a projection.
+func TestMalformedPlanDegrades(t *testing.T) {
+	const q = "SELECT Title FROM FILM WHERE Numf = 1"
+	for _, rule := range []string{
+		"SEARCH(r, q, p) --> SEARCH(r, q)",
+		"SEARCH(r, q, p) --> FILTER(SEARCH(r, q, p))",
+		"SEARCH(r, q, p) --> DIFF(SEARCH(r, q, p))",
+		"SEARCH(r, q, LIST(p)) --> SEARCH(r, q, LIST(PROJECT(p)))",
+		"SEARCH(r, q, LIST(p)) --> SEARCH(r, q, p)",
+	} {
+		s := filmsSession(t, WithRules("rule bad: "+rule+"; block(bb, {bad}, 1); seq({bb}, 1);"))
+		res, err := s.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", rule, err)
+			continue
+		}
+		if got := FormatResult(res); !strings.Contains(got, "'Lawrence of Arabia'") || len(res.Rows) != 1 {
+			t.Errorf("%s: answered %q, want the one unrewritten row", rule, got)
+		}
+		st := res.RewriteStats()
+		if !st.Degraded || !strings.Contains(st.DegradationReason, "malformed plan: lera: at") {
+			t.Errorf("%s: stats %+v, want a degradation naming the malformed plan", rule, st)
+		}
+		if !term.Equal(res.Rewritten, res.Initial) {
+			t.Errorf("%s: ran %s, want the translated plan %s", rule, res.Rewritten, res.Initial)
+		}
+	}
+}

@@ -325,9 +325,24 @@ const simpleThreshold = 3
 // intermediate to fall back to: the query as of the last committed rule
 // application (q itself when none committed). Under WithDynamicLimits a
 // simple query runs through the simple engine.
+//
+// A plan that fails lera.Validate is never returned: a rule whose
+// right-hand side builds a malformed operator would make the engine
+// panic or misread its arguments, so the rewrite fails and falls back to
+// q, the query as translated.
 func (r *Rewriter) RewriteCtx(ctx context.Context, q *term.Term, lim guard.Limits) (*term.Term, *rewrite.Stats, error) {
+	eng := r.eng
 	if r.simpleEng != nil && complexity(q) <= simpleThreshold {
-		return r.simpleEng.RunCtx(ctx, q, lim)
+		eng = r.simpleEng
 	}
-	return r.eng.RunCtx(ctx, q, lim)
+	rq, st, err := eng.RunCtx(ctx, q, lim)
+	if rq != q {
+		if verr := lera.Validate(rq); verr != nil {
+			if err == nil {
+				err = fmt.Errorf("rewrite: a rule built a malformed plan: %w", verr)
+			}
+			return q, st, err
+		}
+	}
+	return rq, st, err
 }

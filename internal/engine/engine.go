@@ -224,9 +224,9 @@ func (db *DB) Fork() *DB {
 	}
 }
 
-// Load stores rows under a relation name, validating arity and
-// enumeration domains (checkEnums) against the catalog when the relation
-// is declared. A refused load stores no row.
+// Load stores rows under a relation name, validating arity and column
+// domains (checkDomains) against the catalog when the relation is
+// declared. A refused load stores no row.
 func (db *DB) Load(name string, rows [][]value.Value) error {
 	rel, declared := db.Cat.Relation(name)
 	stored := &Relation{Rows: rows}
@@ -235,7 +235,7 @@ func (db *DB) Load(name string, rows [][]value.Value) error {
 			if len(row) != len(rel.Columns) {
 				return fmt.Errorf("engine: %s row %d has %d values, schema has %d columns", name, i, len(row), len(rel.Columns))
 			}
-			if err := checkEnums(rel, row); err != nil {
+			if err := checkDomains(rel, row); err != nil {
 				return fmt.Errorf("engine: %s row %d: %w", name, i, err)
 			}
 		}
@@ -261,7 +261,7 @@ func (db *DB) Insert(name string, row []value.Value) error {
 		if len(row) != len(rel.Columns) {
 			return fmt.Errorf("engine: %s: %d values for %d columns", name, len(row), len(rel.Columns))
 		}
-		if err := checkEnums(rel, row); err != nil {
+		if err := checkDomains(rel, row); err != nil {
 			return fmt.Errorf("engine: %s: %w", name, err)
 		}
 	}
@@ -285,29 +285,64 @@ func (db *DB) Insert(name string, row []value.Value) error {
 	return nil
 }
 
-// checkEnums refuses a string outside its column's ENUMERATION, stored as
-// the column's value or as an element of a collection of the enumeration.
-// The semantic rules trust the declared domain (member_enum_incons turns
-// MEMBER('Cartoon', Categories) into FALSE), so a row outside it would make
-// a rewritten query answer differently from the query as written.
-func checkEnums(rel *catalog.Relation, row []value.Value) error {
+// checkDomains refuses a value outside its column's declared type. The
+// rewriter trusts the declared domain — member_enum_incons turns
+// MEMBER('Cartoon', Categories) into FALSE, and the engine evaluates
+// MEMBER over a collection column — so a row outside it would make a
+// rewritten query answer differently from the query as written, or fail.
+func checkDomains(rel *catalog.Relation, row []value.Value) error {
 	for i, col := range rel.Columns {
-		enum, v := col.Type, row[i]
-		if enum != nil && enum.Kind == types.Collection {
-			enum = enum.Elem
+		if err := checkDomain(col.Type, row[i]); err != nil {
+			return fmt.Errorf("column %s: %w", col.Name, err)
 		}
-		if enum == nil || enum.Kind != types.Enum {
-			continue
+	}
+	return nil
+}
+
+// checkDomain reports why v is not a value of t. NULL is a value of every
+// type. Judged: a built-in scalar's kind (an INT is an int, a REAL or
+// NUMERIC an int or a real, a CHAR a string, a BOOLEAN a bool), an
+// enumeration's values, a collection's kind and, recursively, its
+// elements, and that a tuple is a tuple and an object an OID. Not judged,
+// so accepted: a tuple's fields, an object's state, ANY, and a type
+// without a declaration (nil).
+func checkDomain(t *types.Type, v value.Value) error {
+	if t == nil || v.K == value.KNull {
+		return nil
+	}
+	ok := true
+	switch t.Kind {
+	case types.Basic:
+		switch t.Name {
+		case "INT":
+			ok = v.K == value.KInt
+		case "REAL", "NUMERIC":
+			ok = v.K == value.KInt || v.K == value.KReal
+		case "CHAR":
+			ok = v.K == value.KString
+		case "BOOLEAN":
+			ok = v.K == value.KBool
 		}
-		elems := []value.Value{v}
-		if v.K.IsCollection() {
-			elems = v.Elems
+	case types.Enum:
+		if v.K == value.KString && !t.HasEnumValue(v.S) {
+			return fmt.Errorf("%q is not a value of the enumeration %s", v.S, t.Name)
 		}
-		for _, el := range elems {
-			if el.K == value.KString && !enum.HasEnumValue(el.S) {
-				return fmt.Errorf("column %s: %q is not a value of the enumeration %s", col.Name, el.S, enum.Name)
+		ok = v.K == value.KString
+	case types.Collection:
+		ok = v.K.IsCollection() && (t.CollKind == value.KNull || v.K == t.CollKind)
+		for i := 0; ok && i < len(v.Elems); i++ {
+			if err := checkDomain(t.Elem, v.Elems[i]); err != nil {
+				return err
 			}
 		}
+	case types.Tuple:
+		ok = v.K == value.KTuple
+		if t.IsObject {
+			ok = v.K == value.KOID
+		}
+	}
+	if !ok {
+		return fmt.Errorf("%s %s is not a value of %s", v.K, v, t)
 	}
 	return nil
 }

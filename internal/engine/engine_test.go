@@ -10,6 +10,7 @@ import (
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/testdb"
+	"lera/internal/types"
 	"lera/internal/value"
 )
 
@@ -518,5 +519,76 @@ func TestWritesRefuseEnumOutsideDomain(t *testing.T) {
 	}
 	if n := len(stored(db, "PAINT").Rows); n != len(legal) {
 		t.Errorf("PAINT holds %d rows after refused writes, want %d", n, len(legal))
+	}
+}
+
+// TestWritesRefuseValuesOutsideDomain: beyond enumerations, Load and
+// Insert refuse a value whose kind the column's declared type excludes —
+// a scalar's kind, a collection's kind, an element's type, a tuple or an
+// object reference — and accept NULL anywhere, an int where a REAL or
+// NUMERIC is declared, and whatever a type they cannot judge (ANY) holds.
+func TestWritesRefuseValuesOutsideDomain(t *testing.T) {
+	cat := catalog.New()
+	reg := cat.Types
+	point, err := reg.DeclareTuple("Pt", []types.Field{{Name: "X", Type: reg.Int}}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	person, err := reg.DeclareTuple("Who", []types.Field{{Name: "Name", Type: reg.Char}}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []catalog.Column{
+		{Name: "I", Type: reg.Int},
+		{Name: "R", Type: reg.Real},
+		{Name: "N", Type: reg.Numeric},
+		{Name: "C", Type: reg.Char},
+		{Name: "B", Type: reg.Bool},
+		{Name: "S", Type: reg.Collection(value.KSet, reg.Int)},
+		{Name: "L", Type: reg.Collection(value.KList, point)},
+		{Name: "P", Type: person},
+		{Name: "A", Type: reg.AnyT},
+	}
+	if _, err := cat.DeclareRelation("T", cols); err != nil {
+		t.Fatal(err)
+	}
+	db := New(cat)
+	pt := value.NewTuple([]string{"X"}, []value.Value{value.Int(1)})
+	legal := func() []value.Value {
+		return []value.Value{value.Int(1), value.Int(2), value.Real(2.5), value.String("c"), value.Bool(true),
+			value.NewSet(value.Int(1), value.Null), value.NewList(pt), value.OID(7), value.String("any")}
+	}
+	nulls := make([]value.Value, len(cols))
+	if err := db.Load("T", [][]value.Value{legal(), nulls}); err != nil {
+		t.Fatalf("legal rows refused: %v", err)
+	}
+	for _, c := range []struct {
+		col  int
+		v    value.Value
+		want string
+	}{
+		{0, value.String("x"), `column I: string 'x' is not a value of INT`},
+		{0, value.Real(1.5), `column I: real 1.5 is not a value of INT`},
+		{1, value.String("x"), `column R: string 'x' is not a value of REAL`},
+		{2, value.Bool(true), `column N: bool TRUE is not a value of NUMERIC`},
+		{3, value.Int(3), `column C: int 3 is not a value of CHAR`},
+		{4, value.Int(1), `column B: int 1 is not a value of BOOLEAN`},
+		{5, value.Int(1), `column S: int 1 is not a value of SET OF INT`},
+		{5, value.NewList(value.Int(1)), `column S: list LIST(1) is not a value of SET OF INT`},
+		{5, value.NewSet(value.String("x")), `column S: string 'x' is not a value of INT`},
+		{6, value.NewList(value.Int(1)), `column L: int 1 is not a value of Pt`},
+		{7, pt, `column P: tuple`},
+	} {
+		row := legal()
+		row[c.col] = c.v
+		if err := db.Insert("T", row); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Insert with %s in column %d: %v, want %q", c.v, c.col, err, c.want)
+		}
+		if err := db.Load("T", [][]value.Value{legal(), row}); err == nil || !strings.Contains(err.Error(), "T row 1: "+c.want) {
+			t.Errorf("Load with %s in column %d: %v", c.v, c.col, err)
+		}
+	}
+	if n := len(stored(db, "T").Rows); n != 2 {
+		t.Errorf("T holds %d rows after refused writes, want 2", n)
 	}
 }

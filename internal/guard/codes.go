@@ -47,8 +47,9 @@ const (
 	CodeInternal Code = "INTERNAL"
 )
 
-// Admission-control errors (see Gate). Typed so that shed work is
-// distinguishable from failed work everywhere errors.Is reaches.
+// Admission-control errors (the server's session pool returns them).
+// Typed so that shed work is distinguishable from failed work everywhere
+// errors.Is reaches.
 var (
 	// ErrOverloaded: the request was shed at admission — the in-flight
 	// limit was reached and the bounded accept queue was full. The

@@ -264,15 +264,18 @@ func IsRelational(t *term.Term) bool {
 
 // Validate checks the structural well-formedness of a LERA term: operator
 // arities, LIST/SET argument shapes, and that attribute references are
-// positive. It returns the first violation found.
+// positive. It returns the first violation found, in preorder. A valid
+// term costs no allocation: the path of a violation is only looked for
+// once there is one.
 func Validate(t *term.Term) error {
 	var err error
-	term.Walk(t, func(s *term.Term, p term.Path) bool {
+	var bad *term.Term
+	term.Visit(t, func(s *term.Term) bool {
 		if s.Kind != term.Fun {
 			return true
 		}
 		fail := func(format string, args ...any) bool {
-			err = fmt.Errorf("lera: at %v: "+format, append([]any{p}, args...)...)
+			err, bad = fmt.Errorf(format, args...), s
 			return false
 		}
 		switch s.Functor {
@@ -356,7 +359,17 @@ func Validate(t *term.Term) error {
 		}
 		return true
 	})
-	return err
+	if err == nil {
+		return nil
+	}
+	var at term.Path
+	term.Walk(t, func(s *term.Term, p term.Path) bool {
+		if s == bad {
+			at = p.Clone()
+		}
+		return s != bad
+	})
+	return fmt.Errorf("lera: at %v: %w", at, err)
 }
 
 // OperatorCount counts relational operator nodes — the program-size

@@ -179,9 +179,31 @@ func TestValidate(t *testing.T) {
 			t.Errorf("Validate(%s) should fail", b)
 		}
 	}
-	// Validation recurses: a bad subterm inside a good operator fails.
-	if err := Validate(Filter(term.F(OpRel), TrueQual())); err == nil {
-		t.Error("nested invalid REL should fail")
+	// Validation recurses: a bad subterm inside a good operator fails,
+	// named by its path from the root.
+	const want = "lera: at [0]: REL requires one constant name, got REL()"
+	if err := Validate(Filter(term.F(OpRel), TrueQual())); err == nil || err.Error() != want {
+		t.Errorf("nested invalid REL: %v, want %q", err, want)
+	}
+	// The path is of the first violation in preorder: the DIFF that is
+	// the second relation of the inner SEARCH.
+	nested := Search([]*term.Term{Rel("A"), Search([]*term.Term{Rel("B"), term.F(OpDiff, Rel("C"))}, TrueQual(), nil)}, TrueQual(), nil)
+	if err := Validate(nested); err == nil || err.Error() != "lera: at [0 1 0 1]: DIFF requires two relational operands, got DIFF(REL('C'))" {
+		t.Errorf("deep violation: %v", err)
+	}
+}
+
+// TestValidateAllocs: validating a well-formed plan allocates nothing, so
+// the rewriter can check every plan it returns. The Figure 3 plan took 28
+// objects when Validate built a path per node.
+func TestValidateAllocs(t *testing.T) {
+	q := figure3Search()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := Validate(q); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate of the Figure 3 plan allocates %.0f objects, want 0", allocs)
 	}
 }
 

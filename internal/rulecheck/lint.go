@@ -334,7 +334,14 @@ func lintSymbols(r *rules.Rule, ext *rewrite.Externals, cat *catalog.Catalog) []
 				}
 				u.arities[len(sub.Args)] = true
 				if want, fixed := fixedArity(f, cat); fixed && len(sub.Args) != want {
-					ds = append(ds, Diagnostic{Rule: r.Name, Severity: SevWarn, Code: CodeArity,
+					// A LERA operator the rule builds with the wrong arity
+					// is a malformed plan (the rewriter refuses it at run
+					// time); elsewhere a mismatch only fails to match.
+					sev := SevWarn
+					if _, op := leraArity[f]; op && part == "rhs" {
+						sev = SevError
+					}
+					ds = append(ds, Diagnostic{Rule: r.Name, Severity: sev, Code: CodeArity,
 						Site: site,
 						Msg:  fmt.Sprintf("%s is applied to %d arguments but its declared arity is %d", f, len(sub.Args), want)})
 				}

@@ -104,10 +104,24 @@ func TestLintUnknownMethod(t *testing.T) {
 }
 
 func TestLintArityMismatch(t *testing.T) {
-	// JOIN's declared arity is 3.
+	// JOIN's declared arity is 3. A left-hand side of the wrong arity
+	// only never matches; a right-hand side builds a malformed plan.
 	rs := mustParse(t, `rule broken: JOIN(a, b) / --> JOIN(b, a) / ;`)
 	ds := Lint(rs, testExt(), catalog.New())
 	want(t, ds, CodeArity, "broken", SevWarn, "declared arity is 3")
+	want(t, ds, CodeArity, "broken", SevError, "declared arity is 3")
+
+	// The SEARCH short of its projection is refused, the ADT function of
+	// the wrong arity stays a warning.
+	rs = mustParse(t, `rule short: SEARCH(r, q, p) / --> SEARCH(r, AND(q, ISEMPTY(p, p))) / ;`)
+	ds = Lint(rs, testExt(), catalog.New())
+	want(t, ds, CodeArity, "short", SevError, "SEARCH is applied to 2 arguments but its declared arity is 3")
+	want(t, ds, CodeArity, "short", SevWarn, "ISEMPTY is applied to 2 arguments but its declared arity is 1")
+	for _, d := range ds {
+		if d.Severity == SevError && strings.Contains(d.Msg, "ISEMPTY") {
+			t.Errorf("an ADT arity mismatch is an error: %s", d)
+		}
+	}
 }
 
 func TestLintArityInconsistentWithinRule(t *testing.T) {

@@ -74,7 +74,9 @@ const (
 	CodeUnknownMethod = "RC003"
 	// CodeArity: a function symbol is applied with inconsistent arity
 	// across the rule, or with an arity the LERA vocabulary / ADT library
-	// fixes differently.
+	// fixes differently. An error when a right-hand side applies a LERA
+	// operator with the wrong arity (the plan it builds is malformed), a
+	// warning otherwise.
 	CodeArity = "RC004"
 	// CodeUnknownSymbol: a function symbol is unknown to the LERA
 	// vocabulary, the catalog's ADT library and the registered externals.

@@ -96,7 +96,7 @@ func TestChaosOffServerHasNoInjector(t *testing.T) {
 			t.Errorf("%s: the server replaced the supplied injector", c.name)
 		}
 		for i := 0; i < c.cfg.MaxInFlight; i++ {
-			if sess := <-srv.pool; sess.Injector != inj {
+			if sess := <-srv.pool.idle; sess.Injector != inj {
 				t.Errorf("%s: pooled session %d carries injector %p, the server %p", c.name, i, sess.Injector, inj)
 			}
 		}
@@ -277,15 +277,29 @@ func TestChaosPanicReplacesSession(t *testing.T) {
 // lives on the session every fork comes from, not at each fork site.
 func TestReplacedSessionFeedsSlowRing(t *testing.T) {
 	srv, base := startServer(t, Config{MaxInFlight: 1, SlowThreshold: time.Nanosecond})
-	sess := <-srv.pool
+	ctx := context.Background()
+	sess, err := srv.pool.checkout(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess.DB = nil // the next query on this session panics past every isolation
-	srv.pool <- sess
+	srv.pool.checkin(sess)
 
 	c := NewClient(base)
-	if out := c.Query(context.Background(), filmQuery); out.Code != guard.CodeInternal {
+	if out := c.Query(ctx, filmQuery); out.Code != guard.CodeInternal {
 		t.Fatalf("poisoned session: code = %s, want INTERNAL", out.Code)
 	}
-	if out := c.Query(context.Background(), filmQuery); out.Code != guard.CodeOK {
+	// The replacement was checked in: nothing is out, the pool is whole,
+	// and the poisoned session is not in it.
+	if n, idle := srv.pool.inFlight(), len(srv.pool.idle); n != 0 || idle != srv.cfg.MaxInFlight {
+		t.Fatalf("after the panic: %d in flight, %d of %d sessions idle", n, idle, srv.cfg.MaxInFlight)
+	}
+	if got := <-srv.pool.idle; got == sess {
+		t.Fatal("the panicked session went back into the pool")
+	} else {
+		srv.pool.checkin(got)
+	}
+	if out := c.Query(ctx, filmQuery); out.Code != guard.CodeOK {
 		t.Fatalf("replacement session: code = %s", out.Code)
 	}
 	e := srv.SlowLog().Snapshot()[0] // newest first

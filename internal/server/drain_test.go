@@ -156,7 +156,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		t.Fatalf("pre-drain query: %d %s", st, resp.Code)
 	}
 
-	// Hold a slot so drain stays in its waiting phase.
+	// Hold a session so drain stays in its waiting phase.
 	slow := make(chan Outcome, 1)
 	go func() {
 		c := NewClient("http://" + addr)
@@ -170,7 +170,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		defer cancel()
 		drainDone <- srv.Drain(ctx)
 	}()
-	// Queries answer OK until the gate starts draining; the first that
+	// Queries answer OK until the pool starts draining; the first that
 	// does not must be refused with DRAINING.
 	waitFor(t, func() bool {
 		st, resp := query()
@@ -197,7 +197,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 
 func waitInFlight(t *testing.T, srv *Server) {
 	t.Helper()
-	waitFor(t, func() bool { return srv.gate.InFlight() > 0 }, "query never entered execution")
+	waitFor(t, func() bool { return srv.pool.inFlight() > 0 }, "query never entered execution")
 }
 
 func waitFor(t *testing.T, cond func() bool, msg string) {

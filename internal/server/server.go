@@ -1,9 +1,9 @@
 // Package server is the multi-tenant network front end over the LERA
 // pipeline: an HTTP/JSON API served by net/http, a bounded pool of
 // forked core.Sessions over a shared immutable catalog + rule base +
-// data snapshot, per-tenant guard budgets, admission control with
-// typed shedding (guard.Gate), graceful
-// drain, per-request panic isolation, and a deterministic chaos mode
+// data snapshot that is also the admission gate (typed shedding, bounded
+// queueing, graceful drain: admission.go), per-tenant guard budgets,
+// per-request panic isolation, and a deterministic chaos mode
 // (guard.Injector) so every overload and fault path is testable rather
 // than asserted. See docs/SERVER.md.
 //
@@ -47,12 +47,12 @@ type Config struct {
 	// Rules is extra rule-language source merged into the rule base
 	// (core.WithRules).
 	Rules string
-	// MaxInFlight bounds concurrently executing queries; it is also the
-	// session-pool size. Default 8.
+	// MaxInFlight is the session-pool size, and so the bound on
+	// concurrently executing queries. Default 8.
 	MaxInFlight int
-	// MaxQueue bounds queries waiting for an execution slot; beyond it,
+	// MaxQueue bounds queries waiting for a pooled session; beyond it,
 	// requests shed with OVERLOADED. Default (0) is 2*MaxInFlight;
-	// negative means no queue at all — shed the moment all slots are
+	// negative means no queue at all — shed the moment every session is
 	// busy.
 	MaxQueue int
 	// DrainTimeout bounds the graceful-drain wait for in-flight work;
@@ -157,13 +157,14 @@ type Server struct {
 	cfg  Config
 	obs  *obs.Observer
 	m    *metrics
-	gate *guard.Gate
 	inj  *guard.Injector
 	qlog *obs.QueryLog
 	slow *core.SlowLog
 
 	base *core.Session
-	pool chan *core.Session
+	// pool holds the forked sessions queries run on; checking one out is
+	// admission (admission.go).
+	pool *pool
 	// encoders holds idle response encoders (response.go). It is sized to
 	// the pool: that many answers are rendered at once under full load;
 	// beyond it an encoder is made for one response and dropped.
@@ -214,9 +215,6 @@ func newServer(cfg Config, inj *guard.Injector) (*Server, error) {
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 2 * cfg.MaxInFlight
 	}
-	if cfg.MaxQueue < 0 {
-		cfg.MaxQueue = 0
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
@@ -266,12 +264,11 @@ func newServer(cfg Config, inj *guard.Injector) (*Server, error) {
 		cfg:      cfg,
 		obs:      ob,
 		m:        newMetrics(ob.Metrics),
-		gate:     guard.NewGate(cfg.MaxInFlight, cfg.MaxQueue),
 		inj:      inj,
 		qlog:     cfg.QueryLog,
 		slow:     core.NewSlowLog(slowSize, cfg.SlowThreshold),
 		base:     base,
-		pool:     make(chan *core.Session, cfg.MaxInFlight),
+		pool:     newPool(cfg.MaxInFlight, cfg.MaxQueue),
 		encoders: make(chan *encoder, cfg.MaxInFlight),
 		drained:  make(chan struct{}),
 	}
@@ -289,7 +286,7 @@ func newServer(cfg Config, inj *guard.Injector) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: forking session pool: %w", err)
 		}
-		s.pool <- fork
+		s.pool.checkin(fork)
 	}
 	s.m.sessions.Set(int64(cfg.MaxInFlight))
 
@@ -351,7 +348,7 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // handleQuery is the request path behind POST and GET /query: chaos
-// hook, admission, session checkout, guarded execution, typed response.
+// hook, admission (a session checkout), guarded execution, typed response.
 // It never panics — a panic anywhere inside is isolated per request,
 // counted, and answered as INTERNAL.
 func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Response) {
@@ -380,14 +377,14 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 	}()
 
 	// Chaos hook: deterministic latency/error/panic injection at the
-	// request level, before admission (a stalled request occupies no
-	// execution slot, like a slow client).
+	// request level, before admission (a stalled request holds no
+	// session, like a slow client).
 	if err := s.inj.Hit(ctx, RequestHook); err != nil {
 		s.m.chaos.Inc()
 		return s.errResponse(tenantName, err)
 	}
 
-	release, err := s.gate.Acquire(ctx)
+	sess, err := s.pool.checkout(ctx)
 	if err != nil {
 		switch {
 		case errors.Is(err, guard.ErrOverloaded):
@@ -397,16 +394,11 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 		}
 		return s.errResponse(tenantName, err)
 	}
-	defer release()
 	s.m.admitted.Inc()
-	s.m.inFlight.Set(int64(s.gate.InFlight()))
-
-	sess := <-s.pool
+	s.m.inFlight.Set(int64(s.pool.inFlight()))
 	healthy := true
 	defer func() {
-		if healthy {
-			s.pool <- sess
-		} else {
+		if !healthy {
 			// The session panicked mid-query; its internal state is
 			// suspect. Replace it with a fresh fork of the immutable
 			// boot snapshot so the pool never shrinks. The fork reads
@@ -417,8 +409,9 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 				s.logf("session replacement failed, recycling suspect session: %v", ferr)
 				fork = sess
 			}
-			s.pool <- fork
+			sess = fork
 		}
+		s.pool.checkin(sess)
 	}()
 
 	err = func() (err error) {
@@ -473,8 +466,8 @@ func (s *Server) account(t0 time.Time, tenant, query string, resp *Response, res
 	elapsed := time.Since(t0)
 	resp.ElapsedNs = elapsed.Nanoseconds()
 	s.m.observe(tenant, guard.Code(resp.Code), resp.Degraded, elapsed)
-	s.m.inFlight.Set(int64(s.gate.InFlight()))
-	s.m.queued.Set(int64(s.gate.Queued()))
+	s.m.inFlight.Set(int64(s.pool.inFlight()))
+	s.m.queued.Set(int64(s.pool.queuedCallers()))
 	s.recordDiagnostics(t0, elapsed, tenant, query, *resp, res)
 }
 
@@ -542,7 +535,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
-	writeJSON(w, status, map[string]any{"status": state, "inFlight": s.gate.InFlight(), "queued": s.gate.Queued()})
+	writeJSON(w, status, map[string]any{"status": state, "inFlight": s.pool.inFlight(), "queued": s.pool.queuedCallers()})
 }
 
 // httpStatus maps protocol codes onto HTTP statuses. Degraded answers are
@@ -606,14 +599,14 @@ func (s *Server) drain(ctx context.Context) {
 
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancel()
-	err := s.gate.Drain(dctx)
+	err := s.pool.drain(dctx)
 	if err != nil {
 		// In-flight work outlived the deadline: cancel it and give the
 		// cancellations a bounded grace period to unwind.
-		s.logf("drain deadline after %v with %d in flight; cancelling", s.cfg.DrainTimeout, s.gate.InFlight())
+		s.logf("drain deadline after %v with %d in flight; cancelling", s.cfg.DrainTimeout, s.pool.inFlight())
 		s.cancel()
 		gctx, gcancel := context.WithTimeout(context.Background(), s.cfg.DrainGrace)
-		if gerr := s.gate.Drain(gctx); gerr == nil {
+		if gerr := s.pool.drain(gctx); gerr == nil {
 			err = fmt.Errorf("%w (in-flight work cancelled at drain deadline)", guard.ErrDeadline)
 		} else {
 			err = fmt.Errorf("%w (work still stuck after cancel+grace)", guard.ErrDeadline)

@@ -264,7 +264,7 @@ func TestServerShedsWhenOverloaded(t *testing.T) {
 
 	// Wait until the slow query holds the slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.gate.InFlight() == 0 {
+	for srv.pool.inFlight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow query never entered execution")
 		}
