@@ -60,7 +60,7 @@ func (s *Session) ExplainCtx(ctx context.Context, ex *esql.Explain) (*Result, er
 		if cached, oc := s.peekPlanCache(q); oc != nil && oc.Hit {
 			res.Rewritten, res.Stats, res.Cache = cached, &rewrite.Stats{}, oc
 		} else {
-			res.Rewritten, res.Stats = s.rewriteGuarded(ctx, q)
+			res.Rewritten, res.Stats, _ = s.rewriteGuarded(ctx, q)
 			res.Cache = oc
 		}
 		rec.End(rSpan)

@@ -230,3 +230,38 @@ func TestMalformedPlanDegrades(t *testing.T) {
 		}
 	}
 }
+
+// TestUntypedPlanDegrades: a rule whose plan passes lera.Validate but not
+// lera.Infer — an ATTR past its SEARCH's relations or past its relation's
+// columns — or that changes the answer's width degrades the query to its
+// translated plan, with the inference error as the reason, and the plan is
+// never cached. Unchecked, the first two fail the query at execution and
+// the third answers two columns for one.
+func TestUntypedPlanDegrades(t *testing.T) {
+	const q = "SELECT Title FROM FILM WHERE Numf = 1"
+	for _, c := range []struct{ rule, reason string }{
+		{"SEARCH(r, q, LIST(p)) --> SEARCH(r, q, LIST(ATTR(2, 1)))", "relation index out of range"},
+		{"SEARCH(r, q, LIST(p)) --> SEARCH(r, q, LIST(ATTR(1, 9)))", "column index out of range"},
+		{"SEARCH(r, q, LIST(p)) --> SEARCH(r, q, LIST(p, p))", "2 columns where the query has 1"},
+	} {
+		s := filmsSession(t, WithPlanCache(8), WithRules("rule bad: "+c.rule+"; block(bb, {bad}, 1); seq({bb}, 1);"))
+		res, err := s.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", c.rule, err)
+			continue
+		}
+		if got := FormatResult(res); got != "Title\n-----\n'Lawrence of Arabia'\n1 rows" {
+			t.Errorf("%s: answered %q, want the one unrewritten row", c.rule, got)
+		}
+		st := res.RewriteStats()
+		if !st.Degraded || !strings.Contains(st.DegradationReason, "cannot type: ") || !strings.Contains(st.DegradationReason, c.reason) {
+			t.Errorf("%s: stats %+v, want a degradation naming %q", c.rule, st, c.reason)
+		}
+		if !term.Equal(res.Rewritten, res.Initial) {
+			t.Errorf("%s: ran %s, want the translated plan %s", c.rule, res.Rewritten, res.Initial)
+		}
+		if n := s.Plans.Snapshot().Entries; n != 0 {
+			t.Errorf("%s: %d plans cached, want none", c.rule, n)
+		}
+	}
+}

@@ -29,6 +29,7 @@ package core
 import (
 	"context"
 
+	"lera/internal/lera"
 	"lera/internal/obs"
 	"lera/internal/plancache"
 	"lera/internal/rewrite"
@@ -94,16 +95,16 @@ func (s *Session) planKey(rw *Rewriter, q *term.Term) (env planEnv, tmpl, key *t
 // no cache is armed, else the cache-aware path described at the top of
 // this file. The returned Outcome is nil exactly when the cache did not
 // participate (no cache, or no usable rewriter).
-func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *rewrite.Stats, *plancache.Outcome) {
+func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *rewrite.Stats, *plancache.Outcome, *lera.Schema) {
 	if s.Plans == nil {
-		plan, st := s.rewriteGuarded(ctx, q)
-		return plan, st, nil
+		plan, st, schema := s.rewriteGuarded(ctx, q)
+		return plan, st, nil, schema
 	}
 	rw, err := s.Rewriter()
 	if err != nil {
 		// rewriteGuarded reports the broken rule base as a degradation.
-		plan, st := s.rewriteGuarded(ctx, q)
-		return plan, st, nil
+		plan, st, schema := s.rewriteGuarded(ctx, q)
+		return plan, st, nil, schema
 	}
 	env, tmpl, key, params, out := s.planKey(rw, q)
 
@@ -116,7 +117,7 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 				return s.validateHit(ctx, q, key, bound, out)
 			}
 			out.Hit = true
-			return bound, &rewrite.Stats{}, out
+			return bound, &rewrite.Stats{}, out, nil
 		}
 		// A plan referencing bindings we do not have is a corrupt entry;
 		// drop it and treat the query as a miss.
@@ -128,13 +129,13 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 
 	// Miss: the concrete term takes today's exact rewrite path, so this
 	// query's plan, stats and spans are identical to an uncached run.
-	plan, stats := s.rewriteGuarded(ctx, q)
+	plan, stats, schema := s.rewriteGuarded(ctx, q)
 	if stats.Degraded {
-		return plan, stats, out // degraded plans are never cached
+		return plan, stats, out, schema // degraded plans are never cached
 	}
 	if len(params) == 0 || out.Rejected {
 		out.Evicted = s.Plans.Store(key, plan, 0, env)
-		return plan, stats, out
+		return plan, stats, out, schema
 	}
 
 	// First sighting of a parameterized shape: rewrite the template once
@@ -143,13 +144,13 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 	if tplan, ok := s.rewriteTemplate(ctx, rw, tmpl); ok {
 		if check, serr := plancache.Substitute(tplan, params); serr == nil && term.Equal(check, plan) {
 			out.Evicted = s.Plans.Store(tmpl, tplan, len(params), env)
-			return plan, stats, out
+			return plan, stats, out, schema
 		}
 	}
 	s.Plans.Reject(tmpl.Hash())
 	out.Rejected = true
 	out.Evicted += s.Plans.Store(q, plan, 0, env)
-	return plan, stats, out
+	return plan, stats, out, schema
 }
 
 // validateHit re-derives the plan for a sampled cache hit and compares
@@ -157,17 +158,17 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 // the honest cost of the check in the stats); disagreement invalidates
 // the entry and serves the cold plan, so a WithPlanCacheValidation(1)
 // session is bit-identical to an uncached one on every query.
-func (s *Session) validateHit(ctx context.Context, q, key, bound *term.Term, out *plancache.Outcome) (*term.Term, *rewrite.Stats, *plancache.Outcome) {
-	cold, coldStats := s.rewriteGuarded(obs.NewContext(ctx, nil), q)
+func (s *Session) validateHit(ctx context.Context, q, key, bound *term.Term, out *plancache.Outcome) (*term.Term, *rewrite.Stats, *plancache.Outcome, *lera.Schema) {
+	cold, coldStats, schema := s.rewriteGuarded(obs.NewContext(ctx, nil), q)
 	out.Validated = true
 	if coldStats.Degraded || !term.Equal(cold, bound) {
 		s.Plans.FailValidation(key)
 		out.ValidationFailed = true
 		out.Invalidated = true
-		return cold, coldStats, out
+		return cold, coldStats, out, schema
 	}
 	out.Hit = true
-	return bound, coldStats, out
+	return bound, coldStats, out, schema
 }
 
 // rewriteTemplate rewrites a templatized term under the session limits

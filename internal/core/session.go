@@ -416,10 +416,11 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 		return nil, err
 	}
 	res := &Result{Kind: ResultRows, Initial: q, Rewritten: q, Report: rep}
+	var schema *lera.Schema
 	if s.Rewrite {
 		rSpan := rec.Begin("rewrite")
 		t0 = time.Now()
-		res.Rewritten, res.Stats, res.Cache = s.rewritePlan(ctx, q)
+		res.Rewritten, res.Stats, res.Cache, schema = s.rewritePlan(ctx, q)
 		rec.End(rSpan)
 		if rep != nil {
 			rep.Phases.Rewrite = time.Since(t0)
@@ -435,8 +436,10 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 			}
 		}
 	}
-	schema, err := lera.Infer(res.Rewritten, s.Cat, nil)
-	if err == nil {
+	if schema == nil {
+		schema, _ = lera.Infer(res.Rewritten, s.Cat, nil)
+	}
+	if schema != nil {
 		for _, c := range schema.Cols {
 			res.Columns = append(res.Columns, c.Name)
 		}
@@ -495,21 +498,29 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 // rewriteGuarded runs the optimizer under the session Limits and never
 // fails: on any rewrite error it returns a safe fallback term (the last
 // committed intermediate, else the untouched input) with the degradation
-// recorded in the returned Stats.
-func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term, *rewrite.Stats) {
+// recorded in the returned Stats. A rewritten plan must also type (see
+// typePlan), or the query falls back to q; the schema returned is the one
+// that check inferred, nil when the plan is q (its caller infers it).
+func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term, *rewrite.Stats, *lera.Schema) {
 	rw, err := s.Rewriter()
 	if err != nil {
 		return q, &rewrite.Stats{
 			Degraded:          true,
 			DegradationReason: "rewriter unavailable: " + err.Error(),
 			DegradationCode:   string(guard.CodeOf(err)),
-		}
+		}, nil
 	}
 	rwCtx, cancel := s.phaseCtx(ctx)
 	defer cancel()
 	rq, st, err := rw.RewriteCtx(rwCtx, q, s.Limits)
+	var schema *lera.Schema
+	if err == nil && rq != q {
+		if schema, err = typePlan(s.Cat, q, rq); err != nil {
+			rq = q
+		}
+	}
 	if err == nil {
-		return rq, st
+		return rq, st, schema
 	}
 	st.Degraded = true
 	st.DegradationReason = err.Error()
@@ -517,7 +528,26 @@ func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term,
 	if rec := obs.FromContext(ctx); rec != nil {
 		rec.Event("rewrite.degraded", obs.Str("reason", st.DegradationReason))
 	}
-	return rq, st
+	return rq, st, nil
+}
+
+// typePlan is the rewrite post-condition only the catalog can check: the
+// rewritten plan infers, with as many columns as q, the query as
+// translated. lera.Validate passes a plan that names an attribute past its
+// SEARCH's relations or columns, which would fail at execution, and one
+// that changed the answer's width, which would not.
+func typePlan(cat *catalog.Catalog, q, plan *term.Term) (*lera.Schema, error) {
+	schema, err := lera.Infer(plan, cat, nil)
+	if lera.IsOp(q, lera.OpNest) {
+		q = q.Args[0] // a GROUP BY's NEST keeps its SEARCH's column count
+	}
+	if want := len(q.Args[2].Args); err == nil && schema.Arity() != want {
+		err = fmt.Errorf("%d columns where the query has %d", schema.Arity(), want)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rewrite: a rule built a plan the catalog cannot type: %w", err)
+	}
+	return schema, nil
 }
 
 // phaseCtx bounds one pipeline phase — a rewrite or an execution — by

@@ -20,18 +20,11 @@ func RegisterExternals(ext *rewrite.Externals) {
 	ext.RegisterMethod("IDPROJ", idProj)
 	ext.RegisterMethod("PUSHNEST", pushNest)
 	ext.RegisterConstraint("REFERONLY", referOnly)
-	ext.RegisterConstraint("NOTEMPTYL", notEmptyL)
 	ext.RegisterConstraint("ISTRUEQ", func(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 		if len(args) != 1 {
 			return false, fmt.Errorf("ISTRUEQ takes one qualification")
 		}
 		return lera.IsTrueQual(args[0]), nil
-	})
-	ext.RegisterConstraint("NOTTRUEQ", func(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
-		if len(args) != 1 {
-			return false, fmt.Errorf("NOTTRUEQ takes one qualification")
-		}
-		return !lera.IsTrueQual(args[0]), nil
 	})
 	ext.RegisterConstraint("ISIDPROJ", isIDProj)
 	ext.RegisterBuiltin("ORMERGE", func(ctx *rewrite.Ctx, args []*term.Term) (*term.Term, error) {
@@ -118,25 +111,22 @@ func shift(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 	return true, bindOut(ctx, args[4], out)
 }
 
-// idProj implements IDPROJ(r, out): bind out to the identity projection
-// LIST(1.1, ..., 1.n) over relation expression r — the SCHEMA method of
-// Figure 8 specialised to the use the canonicalisation rules need.
+// idProj implements IDPROJ(r1, ..., rn, out): bind out to the identity
+// projection LIST(1.1, ..., n.k) over the relation list (r1, ..., rn) —
+// the SCHEMA method of Figure 8 specialised to the use the
+// canonicalisation rules need.
 func idProj(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
-	if len(args) != 2 {
-		return false, fmt.Errorf("IDPROJ takes (rel, out)")
+	if len(args) < 2 {
+		return false, fmt.Errorf("IDPROJ takes (rel, ..., out)")
 	}
-	s, err := ctx.InferAt(args[0])
+	p, err := idProjN(ctx, args[:len(args)-1])
 	if err != nil {
 		return false, nil // unknown schema: not applicable
 	}
-	projs := make([]*term.Term, s.Arity())
-	for j := 1; j <= s.Arity(); j++ {
-		projs[j-1] = lera.Attr(1, j)
-	}
-	return true, bindOut(ctx, args[1], term.List(projs...))
+	return true, bindOut(ctx, args[len(args)-1], p)
 }
 
-// idProj2 is like idProj for a two-relation list: LIST(1.*, 2.*).
+// idProjN is the identity projection over a relation list: LIST(1.*, 2.*, ...).
 func idProjN(ctx *rewrite.Ctx, rels []*term.Term) (*term.Term, error) {
 	var projs []*term.Term
 	for i, r := range rels {
@@ -186,18 +176,6 @@ func referOnly(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
 		return false, fmt.Errorf("REFERONLY: relation index must be an integer, got %s", args[1])
 	}
 	return lera.RefersOnly(args[0], func(i, j int) bool { return i == n }), nil
-}
-
-// notEmptyL is true when the instantiated list argument is non-empty.
-func notEmptyL(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
-	if len(args) != 1 {
-		return false, fmt.Errorf("NOTEMPTYL takes one list")
-	}
-	as, ok := listArgs(args[0])
-	if !ok {
-		return false, fmt.Errorf("NOTEMPTYL: list expected, got %s", args[0])
-	}
-	return len(as) > 0, nil
 }
 
 // pushNest implements the Figure 8 "search through nest pushing" rule's

@@ -187,7 +187,7 @@ func TestNormalizeConnectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(lera.Conjuncts(out2.Args[1])) != 2 {
-		t.Errorf("and_in_ands = %s", lera.Format(out2.Args[1]))
+		t.Errorf("AND inside ANDS normalised = %s", lera.Format(out2.Args[1]))
 	}
 	// OR normalises into ORS.
 	q3 := lera.Filter(lera.Rel("FILM"), term.F("OR", c1, c2))

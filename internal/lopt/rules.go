@@ -1,11 +1,8 @@
 package lopt
 
 import (
-	"fmt"
-
 	"lera/internal/rewrite"
 	"lera/internal/rules"
-	"lera/internal/term"
 )
 
 // SyntacticRules is the default syntactic rule base, written in the
@@ -18,10 +15,9 @@ const SyntacticRules = `
 -- operators (filter, join) into the compound search (§3.1)
 rule and_norm: AND(f, g) --> ANDMERGE(f, g);
 rule or_norm: OR(f, g) --> ORMERGE(f, g);
-rule and_in_ands: ANDS(SET(w*, AND(f, g))) --> ANDS(SET(w*, f, g));
 rule ands_in_ands: ANDS(SET(w*, ANDS(z))) --> ANDS(SET-UNION(w*, z));
 rule filter_to_search: FILTER(r, q) --> SEARCH(LIST(r), q, p9) / IDPROJ(r, p9);
-rule join_to_search: JOIN(r, s, q) --> SEARCH(LIST(r, s), q, p9) / IDPROJ2(r, s, p9);
+rule join_to_search: JOIN(r, s, q) --> SEARCH(LIST(r, s), q, p9) / IDPROJ(r, s, p9);
 
 -- Figure 7: operation merging. Two successive searches merge; their
 -- qualifications are connected by "and" after SUBSTITUTE remaps the
@@ -62,21 +58,21 @@ rule push_nest:
 -- Under set semantics a selection commutes with difference on its left
 -- operand and with intersection on any operand:
 --   σq(u − v) = σq(u) − v        σq(u ∩ v) = σq(u) ∩ v
--- The NOTTRUEQ guard stops re-application once the qualification has
+-- The NOT ISTRUEQ guard stops re-application once the qualification has
 -- moved inside.
 rule push_diff:
   SEARCH(LIST(DIFF(u, v)), q, a)
-  / NOTTRUEQ(q)
+  / NOT ISTRUEQ(q)
   --> SEARCH(LIST(DIFF(SEARCH(LIST(u), q, p9), v)), ANDS(SET()), a)
   / IDPROJ(u, p9) ;
 
 rule push_inter:
   SEARCH(LIST(INTERN(SET(u, w*))), q, a)
-  / NOTTRUEQ(q)
+  / NOT ISTRUEQ(q)
   --> SEARCH(LIST(INTERN(SET(SEARCH(LIST(u), q, p9), w*))), ANDS(SET()), a)
   / IDPROJ(u, p9) ;
 
-block(normalize, {and_norm, or_norm, and_in_ands, ands_in_ands, filter_to_search, join_to_search}, inf);
+block(normalize, {and_norm, or_norm, ands_in_ands, filter_to_search, join_to_search}, inf);
 block(merge, {union_merge, union_single, search_merge, search_identity}, inf);
 block(push, {push_union, push_nest, push_diff, push_inter}, inf);
 `
@@ -84,24 +80,10 @@ block(push, {push_union, push_nest, push_diff, push_inter}, inf);
 // RuleSet parses the syntactic rule base.
 func RuleSet() *rules.RuleSet { return rules.MustParse(SyntacticRules) }
 
-func registerIDProj2(ext *rewrite.Externals) {
-	ext.RegisterMethod("IDPROJ2", func(ctx *rewrite.Ctx, args []*term.Term) (bool, error) {
-		if len(args) != 3 {
-			return false, fmt.Errorf("IDPROJ2 takes (r, s, out)")
-		}
-		p, err := idProjN(ctx, []*term.Term{args[0], args[1]})
-		if err != nil {
-			return false, nil
-		}
-		return true, bindOut(ctx, args[2], p)
-	})
-}
-
 // Externals returns a fresh externals registry with both the generic and
 // the syntactic externals installed.
 func Externals() *rewrite.Externals {
 	ext := rewrite.NewExternals()
 	RegisterExternals(ext)
-	registerIDProj2(ext)
 	return ext
 }
