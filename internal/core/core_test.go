@@ -168,25 +168,10 @@ func TestRewritePreservesResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (raw): %v", q, err)
 		}
-		k1 := rowKeys(r1.Rows)
-		k2 := rowKeys(r2.Rows)
-		if strings.Join(k1, ";") != strings.Join(k2, ";") {
+		if k1, k2 := canon(r1.Rows), canon(r2.Rows); k1 != k2 {
 			t.Errorf("%s: results differ\nrewritten: %v\nraw: %v", q, k1, k2)
 		}
 	}
-}
-
-func rowKeys(rows [][]value.Value) []string {
-	var out []string
-	for _, r := range rows {
-		var parts []string
-		for _, v := range r {
-			parts = append(parts, v.Key())
-		}
-		out = append(out, strings.Join(parts, ","))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TestInconsistencyShortCircuit: the Section 6.1 example — a query for
@@ -533,7 +518,7 @@ func TestEnumDomainRefusedAtWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k1, k2 := rowKeys(r1.Rows), rowKeys(r2.Rows); strings.Join(k1, ";") != strings.Join(k2, ";") {
+		if k1, k2 := canon(r1.Rows), canon(r2.Rows); k1 != k2 {
 			t.Errorf("%s: rewritten %v, as written %v", q, k1, k2)
 		}
 	}

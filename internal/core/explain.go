@@ -24,7 +24,7 @@ import (
 // report is on Result.Message; the structured form on Result.Report.
 func (s *Session) ExplainCtx(ctx context.Context, ex *esql.Explain) (*Result, error) {
 	if ex.Analyze {
-		res, err := s.execSelect(ctx, ex.Sel, true)
+		res, err := s.execSelect(ctx, ex.Sel, true, nil)
 		if err != nil {
 			return res, err
 		}

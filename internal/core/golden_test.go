@@ -102,7 +102,7 @@ var goldenCases = []struct {
 	},
 }
 
-func goldenSession(t *testing.T, opts ...Option) *Session {
+func goldenSession(t testing.TB, opts ...Option) *Session {
 	t.Helper()
 	s := NewSession(opts...)
 	if err := s.LoadFilms(); err != nil {

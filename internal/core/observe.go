@@ -71,6 +71,8 @@ const (
 	mPlanEvictions = "lera_plancache_evictions_total"
 	mPlanInvalid   = "lera_plancache_invalidations_total"
 	mPlanValFail   = "lera_plancache_validation_failures_total"
+	mTextHits      = "lera_plancache_text_hits_total"
+	mTextMismatch  = "lera_plancache_text_mismatch_total"
 	hPlanHitSecs   = "lera_plancache_hit_seconds"
 	hParseSeconds  = "lera_parse_seconds"
 	hTransSeconds  = "lera_translate_seconds"
@@ -79,6 +81,9 @@ const (
 	hQueryRows     = "lera_query_rows"
 	hRewriteChecks = "lera_rewrite_checks"
 )
+
+// textMismatchHelp is mTextMismatch's help, given at two call sites.
+const textMismatchHelp = "Learned texts whose term path, in a sampled validation, disagreed with what was learned."
 
 // obsParse records one parse phase (batch or single-query).
 func (s *Session) obsParse(d time.Duration, err error) {
@@ -147,6 +152,11 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 			if res.Report != nil {
 				m.Histogram(hPlanHitSecs, "Rewrite-phase wall time on plan-cache hits.", obs.DefaultDurationBuckets).Observe(res.Report.Phases.Rewrite.Seconds())
 			}
+			if oc.TextHit {
+				m.Counter(mTextHits, "Plan-cache hits served by the text key, with nothing parsed or translated.").Inc()
+				// Registered with the first text hit, so a scrape then shows 0.
+				m.Counter(mTextMismatch, textMismatchHelp)
+			}
 		} else {
 			m.Counter(mPlanMisses, "Queries that required a cold rewrite.").Inc()
 		}
@@ -158,6 +168,9 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		}
 		if oc.ValidationFailed {
 			m.Counter(mPlanValFail, "Sampled hit validations that disagreed with a cold rewrite.").Inc()
+		}
+		if oc.TextMismatch {
+			m.Counter(mTextMismatch, textMismatchHelp).Inc()
 		}
 	}
 	m.Histogram(hQueryRows, "Rows returned per query.", obs.DefaultCountBuckets).Observe(float64(len(res.Rows)))

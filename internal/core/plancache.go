@@ -29,6 +29,7 @@ package core
 import (
 	"context"
 
+	"lera/internal/catalog"
 	"lera/internal/lera"
 	"lera/internal/obs"
 	"lera/internal/plancache"
@@ -57,16 +58,19 @@ func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCach
 // changes, stale entries die on their next lookup (observable as
 // invalidations). The rule-base fingerprint covers every block budget
 // and the dynamic-limit policy (Rewriter.fingerprint); data is the
-// catalog data version when a rule reads cardinalities, else 0.
+// catalog data version when a rule reads cardinalities, else 0. cat is
+// the catalog itself: a learned text (text.go) skips translation, so its
+// entry must not serve a session of another catalog at the same version.
 type planEnv struct {
 	rules                 string
 	maxSteps, maxTermSize int
 	schema, data          uint64
+	cat                   *catalog.Catalog
 }
 
 // planEnv returns the environment of a query s rewrites through rw.
 func (s *Session) planEnv(rw *Rewriter) planEnv {
-	env := planEnv{rules: rw.fingerprint, maxSteps: s.Limits.MaxSteps, maxTermSize: s.Limits.MaxTermSize, schema: s.Cat.SchemaVersion()}
+	env := planEnv{rules: rw.fingerprint, maxSteps: s.Limits.MaxSteps, maxTermSize: s.Limits.MaxTermSize, schema: s.Cat.SchemaVersion(), cat: s.Cat}
 	if rw.readsData {
 		env.data = s.Cat.DataVersion()
 	}
@@ -94,8 +98,9 @@ func (s *Session) planKey(rw *Rewriter, q *term.Term) (env planEnv, tmpl, key *t
 // rewritePlan is the rewrite phase of execSelect: rewriteGuarded when
 // no cache is armed, else the cache-aware path described at the top of
 // this file. The returned Outcome is nil exactly when the cache did not
-// participate (no cache, or no usable rewriter).
-func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *rewrite.Stats, *plancache.Outcome, *lera.Schema) {
+// participate (no cache, or no usable rewriter). qt, when QueryCtx gives
+// one, receives the template and bindings of a hit that was not validated.
+func (s *Session) rewritePlan(ctx context.Context, q *term.Term, qt *queryText) (*term.Term, *rewrite.Stats, *plancache.Outcome, *lera.Schema) {
 	if s.Plans == nil {
 		plan, st, schema := s.rewriteGuarded(ctx, q)
 		return plan, st, nil, schema
@@ -117,6 +122,9 @@ func (s *Session) rewritePlan(ctx context.Context, q *term.Term) (*term.Term, *r
 				return s.validateHit(ctx, q, key, bound, out)
 			}
 			out.Hit = true
+			if qt != nil {
+				qt.template, qt.params, qt.rejected = tmpl, params, out.Rejected
+			}
 			return bound, &rewrite.Stats{}, out, nil
 		}
 		// A plan referencing bindings we do not have is a corrupt entry;

@@ -127,6 +127,8 @@ CREATE VIEW REACH (Src, Dst) AS (
 	}
 }
 
+// canon is a bag of rows as one comparable string: each row's value keys
+// joined, the rows sorted.
 func canon(rows [][]value.Value) string {
 	var keys []string
 	for _, row := range rows {

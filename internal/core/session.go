@@ -254,22 +254,35 @@ func (s *Session) Query(src string) (*Result, error) {
 
 // QueryCtx executes a single SELECT under a cancellation context. When
 // the session traces, the recorder is opened here so the span tree also
-// covers the parse phase.
+// covers the parse phase. With a plan cache armed, a text the cache has
+// learned is served from it without being parsed (text.go).
 func (s *Session) QueryCtx(ctx context.Context, src string) (*Result, error) {
 	rec := s.Obs.Recorder("query")
 	ctx = obs.NewContext(ctx, rec)
 	pSpan := rec.Begin("parse")
 	t0 := time.Now()
-	q, err := esql.ParseQuery(src)
+	known, plan := s.lookupText(src)
+	var q *esql.Select
+	var err error
+	if plan == nil {
+		q, err = esql.ParseQuery(src)
+	}
 	parseDur := time.Since(t0)
 	rec.End(pSpan)
 	s.obsParse(parseDur, err)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.ExecSelectCtx(ctx, q)
+	if plan != nil {
+		return s.serveText(ctx, known, plan, parseDur)
+	}
+	qt := queryText{known: known}
+	res, err := s.execSelect(ctx, q, false, &qt)
 	if res != nil && res.Report != nil {
 		res.Report.Phases.Parse = parseDur
+	}
+	if err == nil && known == nil && qt.template != nil {
+		s.learnText(src, &qt, res)
 	}
 	return res, err
 }
@@ -386,14 +399,16 @@ func (s *Session) execExecute(ctx context.Context, d *esql.ExecuteStmt) (*Result
 // but the Result is returned alongside them so callers can see which
 // plan was running.
 func (s *Session) ExecSelectCtx(ctx context.Context, sel *esql.Select) (*Result, error) {
-	return s.execSelect(ctx, sel, false)
+	return s.execSelect(ctx, sel, false, nil)
 }
 
-// execSelect is the shared SELECT path behind ExecSelectCtx and EXPLAIN
-// ANALYZE. With analyze set, tracing and per-operator statistics
+// execSelect is the shared SELECT path behind ExecSelectCtx, QueryCtx and
+// EXPLAIN ANALYZE. With analyze set, tracing and per-operator statistics
 // collection are forced on for this one query even if the session
-// observer has them off (or the session has no observer at all).
-func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool) (*Result, error) {
+// observer has them off (or the session has no observer at all). qt is
+// what QueryCtx and this path tell each other about the query's text
+// (text.go), nil for a query that came without one.
+func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool, qt *queryText) (*Result, error) {
 	rec := obs.FromContext(ctx)
 	if rec == nil && (analyze || (s.Obs != nil && s.Obs.Trace)) {
 		rec = obs.NewRecorder("query")
@@ -420,7 +435,7 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 	if s.Rewrite {
 		rSpan := rec.Begin("rewrite")
 		t0 = time.Now()
-		res.Rewritten, res.Stats, res.Cache, schema = s.rewritePlan(ctx, q)
+		res.Rewritten, res.Stats, res.Cache, schema = s.rewritePlan(ctx, q, qt)
 		rec.End(rSpan)
 		if rep != nil {
 			rep.Phases.Rewrite = time.Since(t0)
@@ -444,6 +459,16 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 			res.Columns = append(res.Columns, c.Name)
 		}
 	}
+	if qt != nil && qt.known != nil {
+		s.checkText(qt.known, res)
+	}
+	return s.execute(ctx, res, analyze)
+}
+
+// execute runs res.Rewritten, the execution half of a SELECT, and
+// completes res with its rows, budget and report.
+func (s *Session) execute(ctx context.Context, res *Result, analyze bool) (*Result, error) {
+	rec, rep := obs.FromContext(ctx), res.Report
 	execCtx, cancel := s.phaseCtx(ctx)
 	defer cancel()
 
@@ -455,7 +480,7 @@ func (s *Session) execSelect(ctx context.Context, sel *esql.Select, analyze bool
 	before := s.DB.Count
 	spillBefore := s.DB.Spill
 	eSpan := rec.Begin("execute")
-	t0 = time.Now()
+	t0 := time.Now()
 	rel, evalErr := s.DB.EvalCtx(execCtx, res.Rewritten)
 	rec.End(eSpan)
 	s.DB.CollectStats = savedCollect

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -18,6 +19,8 @@ const (
 	tParam // $1, $2, ... (text holds the digits)
 )
 
+// token is one lexeme. Its text is a slice of the source (a string
+// literal's only when it holds no doubled quote).
 type token struct {
 	kind      tokKind
 	text      string
@@ -29,15 +32,19 @@ func (t token) is(text string) bool {
 		((t.kind == tPunct || t.kind == tOp) && t.text == text)
 }
 
+// lexer walks the source's bytes; line and col count runes, as error
+// messages report them.
 type lexer struct {
-	src       []rune
+	src       string
 	pos       int
 	line, col int
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: []rune(src), line: 1, col: 1}
-	var toks []token
+	l := &lexer{src: src, line: 1, col: 1}
+	// About four bytes a token in a query; a long string literal must not
+	// size the buffer.
+	toks := make([]token, 0, min(len(src)/4+4, 1024))
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -50,23 +57,33 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-func (l *lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
+// runeAt decodes the rune at byte offset i (0 past the end). An invalid
+// byte decodes as utf8.RuneError of width 1.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.pos]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
 }
 
-func (l *lexer) peekAt(off int) rune {
-	if l.pos+off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos+off]
+func (l *lexer) peek() rune {
+	r, _ := l.runeAt(l.pos)
+	return r
+}
+
+// peekNext is the rune after the current one.
+func (l *lexer) peekNext() rune {
+	_, n := l.runeAt(l.pos)
+	r, _ := l.runeAt(l.pos + n)
+	return r
 }
 
 func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
+	r, n := l.runeAt(l.pos)
+	l.pos += n
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -83,7 +100,7 @@ func (l *lexer) next() (token, error) {
 			l.advance()
 			continue
 		}
-		if r == '-' && l.peekAt(1) == '-' {
+		if r == '-' && l.peekNext() == '-' {
 			for l.pos < len(l.src) && l.peek() != '\n' {
 				l.advance()
 			}
@@ -95,87 +112,88 @@ func (l *lexer) next() (token, error) {
 	if l.pos >= len(l.src) {
 		return token{kind: tEOF, line: line, col: col}, nil
 	}
+	start := l.pos
 	r := l.peek()
 	switch {
 	case unicode.IsLetter(r) || r == '_':
-		var sb strings.Builder
 		for l.pos < len(l.src) {
 			c := l.peek()
-			if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' {
-				sb.WriteRune(c)
-				l.advance()
-				continue
+			if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' {
+				break
 			}
-			break
+			l.advance()
 		}
-		return token{kind: tIdent, text: sb.String(), line: line, col: col}, nil
+		return token{kind: tIdent, text: l.src[start:l.pos], line: line, col: col}, nil
 
 	case unicode.IsDigit(r):
-		var sb strings.Builder
 		seenDot := false
 		for l.pos < len(l.src) {
 			c := l.peek()
-			if unicode.IsDigit(c) {
-				sb.WriteRune(c)
-				l.advance()
-				continue
-			}
-			if c == '.' && !seenDot && unicode.IsDigit(l.peekAt(1)) {
+			if c == '.' && !seenDot && unicode.IsDigit(l.peekNext()) {
 				seenDot = true
-				sb.WriteRune(c)
-				l.advance()
-				continue
+			} else if !unicode.IsDigit(c) {
+				break
 			}
-			break
+			l.advance()
 		}
-		return token{kind: tNumber, text: sb.String(), line: line, col: col}, nil
+		return token{kind: tNumber, text: l.src[start:l.pos], line: line, col: col}, nil
 
 	case r == '\'':
 		l.advance()
-		var sb strings.Builder
+		escaped := false
 		for {
 			if l.pos >= len(l.src) {
 				return token{}, fmt.Errorf("esql: %d:%d: unterminated string", line, col)
 			}
-			c := l.advance()
-			if c == '\'' {
-				if l.peek() == '\'' {
-					sb.WriteRune('\'')
-					l.advance()
-					continue
+			if l.advance() == '\'' {
+				if l.peek() != '\'' {
+					break
 				}
-				break
+				escaped = true
+				l.advance()
 			}
-			sb.WriteRune(c)
 		}
-		return token{kind: tString, text: sb.String(), line: line, col: col}, nil
+		return token{kind: tString, text: unquote(l.src[start+1:l.pos-1], escaped), line: line, col: col}, nil
 
 	case r == '$':
-		if !unicode.IsDigit(l.peekAt(1)) {
+		if !unicode.IsDigit(l.peekNext()) {
 			return token{}, fmt.Errorf("esql: %d:%d: expected parameter number after '$'", line, col)
 		}
 		l.advance()
-		var sb strings.Builder
 		for l.pos < len(l.src) && unicode.IsDigit(l.peek()) {
-			sb.WriteRune(l.peek())
 			l.advance()
 		}
-		return token{kind: tParam, text: sb.String(), line: line, col: col}, nil
+		return token{kind: tParam, text: l.src[start+1 : l.pos], line: line, col: col}, nil
 	}
-	two := string(r) + string(l.peekAt(1))
-	switch two {
-	case "<>", "<=", ">=":
+	if next := l.peekNext(); next == '>' && r == '<' || next == '=' && (r == '<' || r == '>') {
 		l.advance()
 		l.advance()
-		return token{kind: tOp, text: two, line: line, col: col}, nil
+		return token{kind: tOp, text: l.src[start:l.pos], line: line, col: col}, nil
 	}
 	switch r {
 	case '(', ')', ',', ';', '.', ':':
 		l.advance()
-		return token{kind: tPunct, text: string(r), line: line, col: col}, nil
+		return token{kind: tPunct, text: l.src[start:l.pos], line: line, col: col}, nil
 	case '=', '<', '>', '+', '-', '*', '/':
 		l.advance()
-		return token{kind: tOp, text: string(r), line: line, col: col}, nil
+		return token{kind: tOp, text: l.src[start:l.pos], line: line, col: col}, nil
 	}
 	return token{}, fmt.Errorf("esql: %d:%d: unexpected character %q", line, col, string(r))
+}
+
+// unquote is a string literal's value from the text between its quotes:
+// a doubled quote stands for one, and an invalid UTF-8 byte reads as
+// U+FFFD, as it does in every other token.
+func unquote(s string, escaped bool) string {
+	if escaped {
+		s = strings.ReplaceAll(s, "''", "'")
+	}
+	if utf8.ValidString(s) {
+		return s
+	}
+	var sb strings.Builder
+	for _, r := range s {
+		sb.WriteRune(r)
+	}
+	return sb.String()
 }

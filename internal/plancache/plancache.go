@@ -49,6 +49,8 @@ const (
 // lera_plancache_* metrics and EXPLAIN renders it.
 type Outcome struct {
 	Hit              bool   // plan served from cache
+	TextHit          bool   // served by the text key: nothing was parsed or translated
+	TextMismatch     bool   // a learned text took the term path, which disagreed with it
 	Rejected         bool   // template failed validation; exact entry used
 	Invalidated      bool   // a stale or failing entry was dropped
 	Evicted          int    // entries evicted by this store
@@ -96,6 +98,7 @@ type entry[E comparable] struct {
 	nparams  int
 	env      E
 	hits     uint64
+	texts    []string // the texts learned on this entry, oldest first (text.go)
 }
 
 // Cache is the bounded LRU of plans guarded by environments of type E.
@@ -108,6 +111,7 @@ type Cache[E comparable] struct {
 	idx      map[uint64]*list.Element
 	rejected map[uint64]struct{}
 	stats    Stats
+	texts    map[string]*Text // the learned texts of every entry
 }
 
 // New returns a cache bounded to capacity entries (minimum 1).
@@ -120,6 +124,7 @@ func New[E comparable](capacity int) *Cache[E] {
 		ll:       list.New(),
 		idx:      make(map[uint64]*list.Element),
 		rejected: make(map[uint64]struct{}),
+		texts:    make(map[string]*Text),
 	}
 }
 
@@ -180,6 +185,7 @@ func (c *Cache[E]) Store(tmpl, plan *term.Term, nparams int, env E) (evicted int
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
 		e := el.Value.(*entry[E])
+		c.dropTextsLocked(e)
 		e.template, e.plan, e.nparams, e.env, e.hits = tmpl, plan, nparams, env, 0
 		c.ll.MoveToFront(el)
 		return 0
@@ -226,8 +232,9 @@ func (c *Cache[E]) Rejected(key uint64) bool {
 	return ok
 }
 
-// Clear empties the cache and the reject set, returning how many plan
-// entries were dropped. Counters are preserved (they are cumulative).
+// Clear empties the cache, its learned texts and the reject set, returning
+// how many plan entries were dropped. Counters are preserved (they are
+// cumulative).
 func (c *Cache[E]) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -235,6 +242,7 @@ func (c *Cache[E]) Clear() int {
 	c.ll.Init()
 	c.idx = make(map[uint64]*list.Element)
 	c.rejected = make(map[uint64]struct{})
+	c.texts = make(map[string]*Text)
 	return n
 }
 
@@ -250,6 +258,7 @@ func (c *Cache[E]) Snapshot() Stats {
 
 func (c *Cache[E]) removeLocked(el *list.Element) {
 	e := el.Value.(*entry[E])
+	c.dropTextsLocked(e)
 	c.ll.Remove(el)
 	delete(c.idx, e.key)
 }

@@ -292,7 +292,7 @@ func registerGenericExternals(e *Externals) {
 	// SET-UNION(xs..., set): the Figure 7 union-merge builtin — splice
 	// sequence elements and the elements of any SET arguments into one
 	// SET.
-	setUnion := func(ctx *Ctx, args []*term.Term) (*term.Term, error) {
+	e.RegisterBuiltin("SET-UNION", func(ctx *Ctx, args []*term.Term) (*term.Term, error) {
 		var elems []*term.Term
 		for _, a := range args {
 			if a.Kind == term.Fun && (a.Functor == term.FSet || a.Functor == term.FList) {
@@ -302,9 +302,7 @@ func registerGenericExternals(e *Externals) {
 			elems = append(elems, a)
 		}
 		return term.Set(elems...), nil
-	}
-	e.RegisterBuiltin("SET-UNION", setUnion)
-	e.RegisterBuiltin("SETUNION", setUnion)
+	})
 
 	// APPENDL(args...): build a LIST, flattening LIST arguments — the
 	// append(x*, v*, z) of the Figure 7 search-merging rule.

@@ -14,6 +14,7 @@ package term
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -138,7 +139,8 @@ func V(name string) *Term { return (&Term{Kind: Var, Name: name}).seal() }
 func SV(name string) *Term { return (&Term{Kind: SeqVar, Name: name}).seal() }
 
 // F constructs a function application. SET and BAG arguments are put in
-// canonical order (SET deduplicated).
+// canonical order (SET deduplicated). The term keeps args when it can: do
+// not change the slice after passing it.
 func F(functor string, args ...*Term) *Term {
 	f := strings.ToUpper(functor)
 	t := &Term{Kind: Fun, Functor: f, Args: args}
@@ -161,6 +163,26 @@ func Array(args ...*Term) *Term  { return F(FArray, args...) }
 func TupleT(args ...*Term) *Term { return F(FTuple, args...) }
 
 func canonicalize(args []*Term, dedupe bool) []*Term {
+	// Arguments already in canonical order — no sequence variable, each
+	// before the next (or equal to it, in a BAG) — are kept as given: the
+	// order F builds most sets in, and the one a substitution into a
+	// canonical term keeps unless a value moved.
+	canonical := true
+	for i, a := range args {
+		if a.Kind == SeqVar {
+			canonical = false
+			break
+		}
+		if i > 0 {
+			if c := Compare(args[i-1], a); c > 0 || c == 0 && dedupe {
+				canonical = false
+				break
+			}
+		}
+	}
+	if canonical {
+		return args
+	}
 	// Sequence variables float to the end, preserving their relative
 	// order, so that patterns like SET(x*, G(y)) keep the fixed element
 	// visible; concrete elements sort canonically.
@@ -172,7 +194,7 @@ func canonicalize(args []*Term, dedupe bool) []*Term {
 			fixed = append(fixed, a)
 		}
 	}
-	sort.SliceStable(fixed, func(i, j int) bool { return Compare(fixed[i], fixed[j]) < 0 })
+	slices.SortStableFunc(fixed, Compare)
 	if dedupe {
 		out := fixed[:0]
 		for i, a := range fixed {
