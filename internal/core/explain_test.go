@@ -91,7 +91,9 @@ func TestExplainWithoutAnalyze(t *testing.T) {
 // the Figure 3 join query and the Figure 5 recursive query must show
 // per-block rewrite spans, per-operator row counts, and — for the
 // recursive query — per-round fixpoint deltas under both evaluation
-// modes, with a non-empty ExecStats tree.
+// modes, with a non-empty ExecStats tree; over a SEARCH projecting FILM's
+// distinct Numf it must name the column that spared the dedup pass, in
+// the timed tree only.
 func TestExplainAnalyzeCorpus(t *testing.T) {
 	fig3 := "EXPLAIN ANALYZE " + strings.TrimSpace(strings.TrimRight(strings.TrimSpace(esql.Figure3Query), ";")) + ";"
 	fig5 := "EXPLAIN ANALYZE " + strings.TrimSpace(strings.TrimRight(strings.TrimSpace(esql.Figure5Query), ";")) + ";"
@@ -141,6 +143,16 @@ func TestExplainAnalyzeCorpus(t *testing.T) {
 		fix := findStats(res.Report.Exec, "FIX")
 		if fix == nil || len(fix.Rounds) == 0 {
 			t.Fatal("FIX node missing per-round deltas")
+		}
+	})
+
+	t.Run("distinct-column", func(t *testing.T) {
+		res := explainOf(t, filmsSession(t), "EXPLAIN ANALYZE SELECT Numf, Title FROM FILM WHERE Numf > 0;")
+		if exec := section(res.Message, "execution:"); !strings.Contains(exec, "SEARCH rows=4 ") || !strings.Contains(exec, " distinct=FILM.Numf ") {
+			t.Errorf("execution section does not name the distinct column:\n%s", res.Message)
+		}
+		if plain := res.Report.Exec.Format(false); strings.Contains(plain, "distinct=") {
+			t.Errorf("timing-free stats name the distinct column:\n%s", plain)
 		}
 	})
 }

@@ -85,12 +85,66 @@ const (
 // textMismatchHelp is mTextMismatch's help, given at two call sites.
 const textMismatchHelp = "Learned texts whose term path, in a sampled validation, disagreed with what was learned."
 
+// queryMetrics holds the handles the per-query hooks update. Each is
+// resolved from reg at its first use — so a metric is still registered
+// where it is first touched: the spill families at a query's first spill,
+// mTextMismatch at the first text hit — and updated without a registry
+// lookup after. A session keeps its own, for the registry it last
+// reported to (Session.metrics); a fork starts empty.
+type queryMetrics struct {
+	reg *obs.Registry
+
+	queries, statements, errors, degraded            *obs.Counter
+	checks, attempts, applications                   *obs.Counter
+	planHits, planMisses, planEvictions              *obs.Counter
+	planInvalid, planValFail, textHits, textMismatch *obs.Counter
+	scanned, joinPairs, emitted, predEvals, fixIters *obs.Counter
+	spillParts, spillBytes, spillReads               *obs.Counter
+	memPeak                                          *obs.Gauge
+
+	parseSecs, planHitSecs, transSecs, rewSecs, execSecs *obs.Histogram
+	queryRows, rewriteChecks                             *obs.Histogram
+}
+
+// metrics returns the session's handles for its observer's registry.
+func (s *Session) metrics() *queryMetrics {
+	if s.met.reg != s.Obs.Metrics {
+		s.met = queryMetrics{reg: s.Obs.Metrics}
+	}
+	return &s.met
+}
+
+// counter returns *h, resolving it from the registry on first use.
+func (q *queryMetrics) counter(h **obs.Counter, name, help string) *obs.Counter {
+	if *h == nil {
+		*h = q.reg.Counter(name, help)
+	}
+	return *h
+}
+
+// gauge returns *h, resolving it from the registry on first use.
+func (q *queryMetrics) gauge(h **obs.Gauge, name, help string) *obs.Gauge {
+	if *h == nil {
+		*h = q.reg.Gauge(name, help)
+	}
+	return *h
+}
+
+// histogram returns *h, resolving it from the registry on first use.
+func (q *queryMetrics) histogram(h **obs.Histogram, name, help string, bounds []float64) *obs.Histogram {
+	if *h == nil {
+		*h = q.reg.Histogram(name, help, bounds)
+	}
+	return *h
+}
+
 // obsParse records one parse phase (batch or single-query).
 func (s *Session) obsParse(d time.Duration, err error) {
 	if s.Obs == nil {
 		return
 	}
-	s.Obs.Metrics.Histogram(hParseSeconds, "ESQL parse wall time per Parse call.", obs.DefaultDurationBuckets).Observe(d.Seconds())
+	m := s.metrics()
+	m.histogram(&m.parseSecs, hParseSeconds, "ESQL parse wall time per Parse call.", obs.DefaultDurationBuckets).Observe(d.Seconds())
 	if err != nil {
 		s.obsError()
 	}
@@ -99,7 +153,8 @@ func (s *Session) obsParse(d time.Duration, err error) {
 // obsError counts one query or statement that returned an error.
 func (s *Session) obsError() {
 	if s.Obs != nil {
-		s.Obs.Metrics.Counter(mErrors, "Queries and statements that returned an error.").Inc()
+		m := s.metrics()
+		m.counter(&m.errors, mErrors, "Queries and statements that returned an error.").Inc()
 	}
 }
 
@@ -108,7 +163,8 @@ func (s *Session) obsStatement() {
 	if s.Obs == nil {
 		return
 	}
-	s.Obs.Metrics.Counter(mStatements, "ESQL statements executed (DDL, INSERT and queries).").Inc()
+	m := s.metrics()
+	m.counter(&m.statements, mStatements, "ESQL statements executed (DDL, INSERT and queries).").Inc()
 }
 
 // obsCatalog refreshes the catalog-size gauges after a DDL statement.
@@ -126,8 +182,8 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 	if s.Obs == nil {
 		return
 	}
-	m := s.Obs.Metrics
-	m.Counter(mQueries, "SELECT queries executed.").Inc()
+	m := s.metrics()
+	m.counter(&m.queries, mQueries, "SELECT queries executed.").Inc()
 	if execErr != nil {
 		s.obsError()
 	}
@@ -135,12 +191,12 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		return
 	}
 	st := res.RewriteStats()
-	m.Counter(mChecks, "Rewrite condition checks, the §4.2 budget currency.").Add(int64(st.ConditionChecks))
-	m.Counter(mAttempts, "Backtracking-matcher invocations (what the rule index shrinks).").Add(int64(st.MatchAttempts))
-	m.Counter(mApplications, "Committed rule applications.").Add(int64(st.Applications))
-	m.Histogram(hRewriteChecks, "Condition checks per query.", obs.DefaultCountBuckets).Observe(float64(st.ConditionChecks))
+	m.counter(&m.checks, mChecks, "Rewrite condition checks, the §4.2 budget currency.").Add(int64(st.ConditionChecks))
+	m.counter(&m.attempts, mAttempts, "Backtracking-matcher invocations (what the rule index shrinks).").Add(int64(st.MatchAttempts))
+	m.counter(&m.applications, mApplications, "Committed rule applications.").Add(int64(st.Applications))
+	m.histogram(&m.rewriteChecks, hRewriteChecks, "Condition checks per query.", obs.DefaultCountBuckets).Observe(float64(st.ConditionChecks))
 	if st.Degraded {
-		m.Counter(mDegraded, "Queries answered from the guard fallback plan.").Inc()
+		m.counter(&m.degraded, mDegraded, "Queries answered from the guard fallback plan.").Inc()
 	}
 	if oc := res.Cache; oc != nil {
 		// The ledger invariant (docs/PLANCACHE.md): every SELECT that
@@ -148,55 +204,55 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		// exactly one hit or miss, so hits+misses equals
 		// lera_queries_total minus translate failures.
 		if oc.Hit {
-			m.Counter(mPlanHits, "Queries whose plan was served from the plan cache.").Inc()
+			m.counter(&m.planHits, mPlanHits, "Queries whose plan was served from the plan cache.").Inc()
 			if res.Report != nil {
-				m.Histogram(hPlanHitSecs, "Rewrite-phase wall time on plan-cache hits.", obs.DefaultDurationBuckets).Observe(res.Report.Phases.Rewrite.Seconds())
+				m.histogram(&m.planHitSecs, hPlanHitSecs, "Rewrite-phase wall time on plan-cache hits.", obs.DefaultDurationBuckets).Observe(res.Report.Phases.Rewrite.Seconds())
 			}
 			if oc.TextHit {
-				m.Counter(mTextHits, "Plan-cache hits served by the text key, with nothing parsed or translated.").Inc()
+				m.counter(&m.textHits, mTextHits, "Plan-cache hits served by the text key, with nothing parsed or translated.").Inc()
 				// Registered with the first text hit, so a scrape then shows 0.
-				m.Counter(mTextMismatch, textMismatchHelp)
+				m.counter(&m.textMismatch, mTextMismatch, textMismatchHelp)
 			}
 		} else {
-			m.Counter(mPlanMisses, "Queries that required a cold rewrite.").Inc()
+			m.counter(&m.planMisses, mPlanMisses, "Queries that required a cold rewrite.").Inc()
 		}
 		if oc.Evicted > 0 {
-			m.Counter(mPlanEvictions, "Plan-cache entries evicted by capacity.").Add(int64(oc.Evicted))
+			m.counter(&m.planEvictions, mPlanEvictions, "Plan-cache entries evicted by capacity.").Add(int64(oc.Evicted))
 		}
 		if oc.Invalidated {
-			m.Counter(mPlanInvalid, "Plan-cache entries dropped as stale (rule-base, knob or catalog change) or failing validation.").Inc()
+			m.counter(&m.planInvalid, mPlanInvalid, "Plan-cache entries dropped as stale (rule-base, knob or catalog change) or failing validation.").Inc()
 		}
 		if oc.ValidationFailed {
-			m.Counter(mPlanValFail, "Sampled hit validations that disagreed with a cold rewrite.").Inc()
+			m.counter(&m.planValFail, mPlanValFail, "Sampled hit validations that disagreed with a cold rewrite.").Inc()
 		}
 		if oc.TextMismatch {
-			m.Counter(mTextMismatch, textMismatchHelp).Inc()
+			m.counter(&m.textMismatch, mTextMismatch, textMismatchHelp).Inc()
 		}
 	}
-	m.Histogram(hQueryRows, "Rows returned per query.", obs.DefaultCountBuckets).Observe(float64(len(res.Rows)))
+	m.histogram(&m.queryRows, hQueryRows, "Rows returned per query.", obs.DefaultCountBuckets).Observe(float64(len(res.Rows)))
 	if rep := res.Report; rep != nil {
 		c := rep.ExecCounters
-		m.Counter(mScanned, "Rows read from stored relations.").Add(int64(c.Scanned))
-		m.Counter(mJoinPairs, "Rows produced by join steps before filtering.").Add(int64(c.JoinPairs))
-		m.Counter(mEmitted, "Rows emitted by relational operators.").Add(int64(c.Emitted))
-		m.Counter(mPredEvals, "Qualification conjuncts evaluated against rows.").Add(int64(c.PredEvals))
-		m.Counter(mFixIters, "Fixpoint rounds executed.").Add(int64(c.FixIterations))
+		m.counter(&m.scanned, mScanned, "Rows read from stored relations.").Add(int64(c.Scanned))
+		m.counter(&m.joinPairs, mJoinPairs, "Rows produced by join steps before filtering.").Add(int64(c.JoinPairs))
+		m.counter(&m.emitted, mEmitted, "Rows emitted by relational operators.").Add(int64(c.Emitted))
+		m.counter(&m.predEvals, mPredEvals, "Qualification conjuncts evaluated against rows.").Add(int64(c.PredEvals))
+		m.counter(&m.fixIters, mFixIters, "Fixpoint rounds executed.").Add(int64(c.FixIterations))
 		if sp := rep.Spill; sp.Partitions > 0 || sp.Bytes > 0 || sp.Reads > 0 {
-			m.Counter(mSpillParts, "Spill partitions written by the memory governor.").Add(sp.Partitions)
-			m.Counter(mSpillBytes, "Bytes spilled by the memory governor.").Add(sp.Bytes)
-			m.Counter(mSpillReads, "Spill records read back during out-of-core processing.").Add(sp.Reads)
+			m.counter(&m.spillParts, mSpillParts, "Spill partitions written by the memory governor.").Add(sp.Partitions)
+			m.counter(&m.spillBytes, mSpillBytes, "Bytes spilled by the memory governor.").Add(sp.Bytes)
+			m.counter(&m.spillReads, mSpillReads, "Spill records read back during out-of-core processing.").Add(sp.Reads)
 		}
 		if mp := res.Budget.MemPeakBytes; mp > 0 {
 			// A gauge of the largest tracked-memory peak seen, so operators
 			// can tell how close governed queries run to their grant.
-			g := m.Gauge(mMemPeak, "High-water mark of engine tracked memory over observed queries.")
+			g := m.gauge(&m.memPeak, mMemPeak, "High-water mark of engine tracked memory over observed queries.")
 			if mp > g.Value() {
 				g.Set(mp)
 			}
 		}
-		m.Histogram(hTransSeconds, "Translate wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Translate.Seconds())
-		m.Histogram(hRewSeconds, "Rewrite wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Rewrite.Seconds())
-		m.Histogram(hExecSeconds, "Execute wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Execute.Seconds())
+		m.histogram(&m.transSecs, hTransSeconds, "Translate wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Translate.Seconds())
+		m.histogram(&m.rewSecs, hRewSeconds, "Rewrite wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Rewrite.Seconds())
+		m.histogram(&m.execSecs, hExecSeconds, "Execute wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Execute.Seconds())
 	}
 }
 

@@ -61,6 +61,9 @@ type Session struct {
 	// copies the map (a snapshot: later PREPAREs on either side are
 	// private), which is what a session pool wants.
 	prepared map[string]*preparedStmt
+
+	// met holds the handles of the metrics each query updates (observe.go).
+	met queryMetrics
 }
 
 // preparedStmt is one PREPARE'd SELECT: the parsed body with its $n

@@ -488,10 +488,14 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	}
 
 	// LERA is an extension of Codd's algebra: relations are sets, so the
-	// projection output deduplicates.
+	// projection output deduplicates — unless it cannot hold a duplicate.
 	out := &Relation{Width: len(t.Args[2].Args)}
-	out.Rows, err = db.dedupRows(current)
-	if err != nil {
+	if label := db.distinctColumn(prog, rels, relTerms[0], e, current); label != "" {
+		out.Rows = current
+		if g := db.g; g != nil && g.cur != nil {
+			g.cur.Distinct = label
+		}
+	} else if out.Rows, err = db.dedupRows(current); err != nil {
 		return nil, err
 	}
 	db.Count.Emitted += len(out.Rows)
@@ -500,6 +504,38 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	}
 	return out, nil
 }
+
+// distinctColumn returns the label of a column that keeps the output rows
+// of a SEARCH, out, free of duplicates — "" when they must be deduplicated
+// (docs/PERF.md "Set semantics where a duplicate can arise"). A column does
+// when the SEARCH reads one relation, rt, served straight from storage, and
+// projects the column as is, and the column's sorted index finds no two of
+// its cells equal: each output row then comes from a stored row of its own
+// and carries that row's cell. A projected column without a sorted index
+// gets one, which the next comparison on the column reads.
+func (db *DB) distinctColumn(prog *searchProgram, rels []*Relation, rt *term.Term, e env, out [][]value.Value) string {
+	if forceDedup || len(rels) != 1 || len(out) < 2 || db.idx == nil {
+		return ""
+	}
+	name := db.storedRelName(rt, e)
+	if name == "" {
+		return ""
+	}
+	for _, p := range prog.stages[0].projs {
+		if p.kind != opSlot {
+			continue
+		}
+		if ix := db.sortedIndex(name, rels[0].Rows, p.slot); ix.distinct {
+			return ix.label
+		}
+	}
+	return ""
+}
+
+// forceDedup makes every SEARCH deduplicate its output, as all did before
+// the distinct-column fact. Only tests set it, to pin the two paths against
+// each other; no option, flag or DB field reaches it.
+var forceDedup bool
 
 // forceLeftDrive makes every in-memory hash join drive from the prefix
 // side, as all did before the driving side was chosen by size. Only tests

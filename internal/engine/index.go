@@ -29,7 +29,9 @@ package engine
 // Beside the join indexes the set keeps, per (relation, column), one
 // sorted column index (sortedIndex): the access path through which stage 1
 // of a SEARCH reads only the rows its leading comparisons select
-// (indexscan.go). It has the same lifecycle, is kept apart from a join
+// (indexscan.go), and the fact that the column holds no two equal cells,
+// through which a SEARCH projecting it skips its dedup pass
+// (batchsearch.go). It has the same lifecycle, is kept apart from a join
 // index on the same column, and like the join indexes is not charged to
 // the memory grant.
 //
@@ -164,13 +166,20 @@ func (s *indexSet) size() int {
 // cell of one kind, KInt, KString, or KReal without NaN (CompareRef calls
 // NaN equal to everything). kind records that kind; KNull marks a column
 // that has none, and such an index holds no ordinals.
+//
+// distinct records that no two cells of a KInt or KString column are equal:
+// no two neighbours in ord compare equal. For these kinds cells that
+// CompareRef orders apart have different dedup keys (valueKeyEq), so a
+// SEARCH projecting the column as is cannot emit a duplicate row
+// (batchsearch.go). Reals and every other kind get no fact.
 type sortedIndex struct {
-	version uint64 // catalog data version at build time
-	label   string // relation.column, for EXPLAIN ANALYZE
-	rows    [][]value.Value
-	col     int
-	kind    value.Kind
-	ord     []int32
+	version  uint64 // catalog data version at build time
+	label    string // relation.column, for EXPLAIN ANALYZE
+	rows     [][]value.Value
+	col      int
+	kind     value.Kind
+	ord      []int32
+	distinct bool
 }
 
 func buildSortedIndex(rows [][]value.Value, col int) *sortedIndex {
@@ -185,6 +194,12 @@ func buildSortedIndex(rows [][]value.Value, col int) *sortedIndex {
 	slices.SortStableFunc(ix.ord, func(a, b int32) int {
 		return value.CompareRef(&rows[a][col], &rows[b][col])
 	})
+	if ix.kind == value.KInt || ix.kind == value.KString {
+		ix.distinct = true
+		for i := 1; i < len(ix.ord) && ix.distinct; i++ {
+			ix.distinct = value.CompareRef(&rows[ix.ord[i-1]][col], &rows[ix.ord[i]][col]) != 0
+		}
+	}
 	return ix
 }
 

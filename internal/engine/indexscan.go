@@ -115,11 +115,7 @@ func (db *DB) readIndex(scr *searchScratch, st *searchStage, rt *term.Term, e en
 	if !ok || name == "" {
 		return rd
 	}
-	var colName string
-	if r, ok := db.Cat.Relation(name); ok && col < len(r.Columns) {
-		colName = r.Columns[col].Name
-	}
-	ix := db.idx.acquireSorted(db.Cat.DataVersion(), name, rows, col, colName)
+	ix := db.sortedIndex(name, rows, col)
 	lo, hi, m := 0, len(ix.ord), 0
 	point := false // the span lies in one run of equal cells
 	for _, p := range preds {
@@ -165,6 +161,16 @@ func (db *DB) readIndex(scr *searchScratch, st *searchStage, rt *term.Term, e en
 		g.cur.Index = ix.label
 	}
 	return rd
+}
+
+// sortedIndex returns the sorted index of column col of rows, the stored
+// relation name, labelled with the column's declared name.
+func (db *DB) sortedIndex(name string, rows [][]value.Value, col int) *sortedIndex {
+	var colName string
+	if r, ok := db.Cat.Relation(name); ok && col < len(r.Columns) {
+		colName = r.Columns[col].Name
+	}
+	return db.idx.acquireSorted(db.Cat.DataVersion(), name, rows, col, colName)
 }
 
 // evals returns the PredEvals the scan spends on the leading comparisons

@@ -6,7 +6,10 @@ package engine
 // every Counters field, the timing-free stats tree and the first error's
 // text — whatever the column holds, whatever the leading comparisons and
 // constants, wherever the stage sits; the index follows its relation
-// through INSERT and Load; and the read allocates nothing per row.
+// through INSERT and Load; and the read allocates nothing per row. The
+// same runs pin a SEARCH that skips its dedup pass on a distinct projected
+// column against the one that dedups (forceDedup), before and after an
+// INSERT that duplicates the column.
 
 import (
 	"context"
@@ -17,6 +20,7 @@ import (
 	"testing"
 
 	"lera/internal/catalog"
+	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/testdb"
@@ -118,6 +122,7 @@ type scanCase struct {
 	qual     *term.Term
 	failAt   int64 // -1: FAILAT never fails
 	failProj bool  // FAILAT is in the projection, not the qualification
+	insert   bool  // a copy of row 0 is inserted into T, and the query run again
 }
 
 func newScanCase(data []byte) scanCase {
@@ -166,6 +171,7 @@ func newScanCase(data []byte) scanCase {
 		conjs = append(conjs, lera.Cmp(ops[s.next(5)], lera.Attr(1, cc), scanConst(s, c.modes[cc-1])))
 	}
 	c.qual = lera.Ands(conjs...)
+	c.insert = s.next(2) == 1
 	return c
 }
 
@@ -191,8 +197,9 @@ func (c scanCase) db(t *testing.T) *DB {
 	return db
 }
 
-// queries places the case's stage 1 as the final stage, as a non-final
-// stage joined (and, separately, crossed) with U, and inside a FIX.
+// queries places the case's stage 1 as the final stage — projecting the
+// distinct id and c1, and c1 and c2 — as a non-final stage joined (and,
+// separately, crossed) with U, and inside a FIX.
 func (c scanCase) queries() map[string]*term.Term {
 	projs := []*term.Term{lera.Attr(1, 4), lera.Attr(1, 1)}
 	if c.failProj {
@@ -205,38 +212,82 @@ func (c scanCase) queries() map[string]*term.Term {
 	}
 	final := lera.Search([]*term.Term{lera.Rel("T")}, c.qual, projs)
 	rec := lera.Search([]*term.Term{lera.Rel("X")}, lera.Ands(lera.Cmp("<", lera.Attr(1, 1), term.Num(-1000))), []*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)})
+	cells := append([]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)}, projs[2:]...)
 	return map[string]*term.Term{
 		"final":     final,
+		"cells":     lera.Search([]*term.Term{lera.Rel("T")}, c.qual, cells),
 		"join":      join(lera.Cmp("=", lera.Attr(1, 4), lera.Attr(2, 1))),
 		"cartesian": join(),
 		"fix":       lera.Fix("X", lera.Union(lera.Search([]*term.Term{lera.Rel("T")}, c.qual, projs[:2]), rec), []string{"A", "B"}),
 	}
 }
 
+// run evaluates q on a fresh database of the case and, with insert, again
+// after a copy of row 0 is inserted into T. It reports how many of the runs
+// read an index and how many skipped a dedup pass.
+func (c scanCase) run(t *testing.T, q *term.Term, cfg runCfg) (runs []engineRun, read, elided int) {
+	t.Helper()
+	db := c.db(t)
+	once := func() {
+		run := runOn(db, q, cfg)
+		runs = append(runs, run)
+		if run.Err == "" {
+			read += len(statsLabels(db.LastExecStats(), func(o *OpStats) string { return o.Index }))
+			elided += len(statsLabels(db.LastExecStats(), func(o *OpStats) string { return o.Distinct }))
+		}
+	}
+	once()
+	if c.insert {
+		if err := db.Insert("T", append([]value.Value(nil), c.rows[0]...)); err != nil {
+			t.Fatal(err)
+		}
+		once()
+	}
+	return runs, read, elided
+}
+
+// statsLabels returns the non-empty labels of the nodes of a stats tree.
+func statsLabels(o *OpStats, label func(*OpStats) string) []string {
+	var out []string
+	if l := label(o); l != "" {
+		out = append(out, l)
+	}
+	for _, ch := range o.Children {
+		out = append(out, statsLabels(ch, label)...)
+	}
+	return out
+}
+
 // checkIndexedScan runs every placement of the case through the index path
-// and the scan, at batch sizes 1, 2 and 1024 and in both fixpoint modes,
-// and requires the same run. It reports how many runs read an index.
-func checkIndexedScan(t *testing.T, c scanCase) (read int) {
+// and the scan, and with and without the dedup pass forced, at batch sizes
+// 1, 2 and 1024 and in both fixpoint modes, and requires the same runs. It
+// reports how many runs read an index and how many skipped a dedup pass.
+func checkIndexedScan(t *testing.T, c scanCase) (read, elided int) {
 	t.Helper()
 	for name, q := range c.queries() {
 		for _, mode := range []FixMode{SemiNaive, Naive} {
 			for _, bs := range []int{1, 2, 1024} {
 				cfg := runCfg{batch: bs, par: 1, mode: mode}
 				forceScan = true
-				want := runOn(c.db(t), q, cfg)
+				scanned, _, _ := c.run(t, q, cfg)
 				forceScan = false
-				db := c.db(t)
-				got := runOn(db, q, cfg)
-				if d := diffRuns(want, got); d != "" {
-					t.Fatalf("%s (%s) over T%v, %s: index path vs scan: %s", name, cfg, c.modes, lera.Format(c.qual), d)
-				}
-				if len(db.idx.sorted) > 0 {
-					read++
+				forceDedup = true
+				deduped, _, _ := c.run(t, q, cfg)
+				forceDedup = false
+				got, r, e := c.run(t, q, cfg)
+				read, elided = read+r, elided+e
+				for i := range got {
+					if d := diffRuns(scanned[i], got[i]); d != "" {
+						t.Fatalf("%s (%s) over T%v, %s, run %d: index path vs scan: %s", name, cfg, c.modes, lera.Format(c.qual), i+1, d)
+					}
+					if d := diffRuns(deduped[i], got[i]); d != "" {
+						t.Fatalf("%s (%s) over T%v, %s, run %d: dedup skipped vs forced: %s", name, cfg, c.modes, lera.Format(c.qual), i+1, d)
+					}
 				}
 			}
 		}
 	}
-	return read
+	return read, elided
 }
 
 // FuzzIndexedScan: over a random stored relation whose columns are
@@ -245,7 +296,8 @@ func checkIndexedScan(t *testing.T, c scanCase) (read int) {
 // its kind or another, all five operators, either operand order, followed
 // by a function that fails on a chosen row: the index path and the scan
 // (forceScan) give the same run, with stage 1 final, joined, crossed and
-// inside a FIX.
+// inside a FIX; so do a SEARCH that skips its dedup pass and the one that
+// runs it (forceDedup), also after an INSERT duplicating row 0.
 func FuzzIndexedScan(f *testing.F) {
 	for _, seed := range indexedScanSeeds() {
 		f.Add(seed)
@@ -269,19 +321,51 @@ func indexedScanSeeds() [][]byte {
 		{colInts, colIntsNull, colMixed, 0, 0, 1, 3, 0, 0, 5, 0, 0, 9, 0, 1, 77, 0},
 		// mixed columns and constants of other kinds.
 		{colMixed, colIntsNull, colReals, 20, 2, 3, 0, 1, 2, 3, 1, 4},
+		// The seeds below list each row's cells, then c1 > 0 or the like
+		// selecting every row, and whether row 0 is inserted again.
+		// Duplicate rows: 8 rows of ints and strings, each twice; (c1, c2)
+		// has no distinct column and dedups to 4 rows.
+		{colInts, colStrings, colInts, 7, 1,
+			4, 1, 4, 4, 1, 4, 5, 2, 5, 5, 2, 5, 6, 3, 6, 6, 3, 6, 7, 4, 7, 7, 4, 7,
+			0, 0, 1, 1, 6, 1, 3, 1, 1, 0},
+		// Duplicate cells in c1, strings, beside distinct ints in c2: (c1,
+		// c2) skips its dedup on c2. Two comparisons of c2, then c1 < 'zz'.
+		{colStrings, colInts, colReals, 5, 1,
+			1, 4, 3, 1, 5, 3, 2, 6, 4, 2, 7, 4, 5, 8, 1, 5, 9, 0,
+			1, 1, 1, 1, 7, 1, 4, 1, 1, 12, 0, 4, 1, 0, 0, 1, 1, 9, 0},
+		// NULL cells in c1 and c2, distinct ints in c3; then row 0 again.
+		{colIntsNull, colIntsNull, colInts, 5, 1,
+			0, 1, 4, 4, 0, 1, 4, 5, 1, 5, 0, 6, 1, 5, 0, 7, 0, 0, 8, 0, 0, 9,
+			2, 0, 1, 1, 6, 1, 4, 1, 1, 1},
+		// Reals: 0.0 beside −0.0 (two dedup keys), and (2.5, 7) and
+		// (−0.0, 1.5) twice: a real column is never taken as distinct.
+		{colReals, colReals, colInts, 5, 1,
+			1, 2, 4, 0, 2, 5, 3, 4, 6, 3, 4, 7, 6, 5, 8, 0, 2, 9,
+			0, 0, 1, 1, 0, 1, 4, 1, 1, 0},
+		// Mixed kinds in c1 and c2 (ints, a real, strings, NULL, sets),
+		// distinct strings in c3; then row 0 again.
+		{colMixed, colMixed, colStrings, 5, 1,
+			0, 5, 2, 1, 1, 1, 3, 2, 1, 2, 0, 5, 2, 1, 3, 3, 4, 1, 4, 3, 4, 1, 5, 2, 2, 0, 8, 0,
+			2, 0, 1, 1, 0, 1, 4, 1, 1, 1},
+		// Distinct ints in c1 and strings in c2, then an INSERT of row 0
+		// that duplicates both, and id, between two reads.
+		{colInts, colStrings, colInts, 5, 1,
+			4, 1, 4, 5, 2, 5, 6, 3, 6, 7, 4, 7, 8, 5, 8, 9, 0, 9,
+			0, 0, 1, 1, 7, 1, 4, 1, 1, 1},
 	}
 }
 
 // TestIndexedScanSeeds runs the seeds and requires that the index path was
-// taken by some of them — a fuzz target that never reads an index checks
-// nothing.
+// taken by some of them, and the dedup pass skipped — a fuzz target that
+// never reads an index or never skips a dedup checks nothing.
 func TestIndexedScanSeeds(t *testing.T) {
-	read := 0
+	read, elided := 0, 0
 	for _, seed := range indexedScanSeeds() {
-		read += checkIndexedScan(t, newScanCase(seed))
+		r, e := checkIndexedScan(t, newScanCase(seed))
+		read, elided = read+r, elided+e
 	}
-	if read == 0 {
-		t.Fatal("no seed read through an index")
+	if read == 0 || elided == 0 {
+		t.Fatalf("of the seeds' runs %d read through an index and %d skipped a dedup pass, want some of each", read, elided)
 	}
 }
 
@@ -382,17 +466,7 @@ func TestSortedIndexLifecycle(t *testing.T) {
 		db.CollectStats = true
 		rel := evalOK(t, db, c.q)
 		db.CollectStats = false
-		var read []string
-		var walk func(o *OpStats)
-		walk = func(o *OpStats) {
-			if o.Index != "" {
-				read = append(read, o.Index)
-			}
-			for _, ch := range o.Children {
-				walk(ch)
-			}
-		}
-		walk(db.LastExecStats())
+		read := statsLabels(db.LastExecStats(), func(o *OpStats) string { return o.Index })
 		if len(read) != c.reads || len(rel.Rows) != c.rows {
 			t.Errorf("%s: %d rows, %d SEARCHes read an index (%v), want %d and %d", c.name, len(rel.Rows), len(read), read, c.rows, c.reads)
 		}
@@ -428,7 +502,9 @@ func TestSortedIndexLifecycle(t *testing.T) {
 // TestIndexedScanParallel: over a relation large enough to be read in
 // parallel chunks, the index path and the scan give the same run at pool
 // sizes 1 and 2, with leading comparisons on one column, on two, and
-// followed by a conjunct the index does not answer.
+// followed by a conjunct the index does not answer. A query on Numf builds
+// two sorted indexes: the one it reads and, as its answer has more than one
+// row, the projected Title's, whose distinct cells spare the dedup pass.
 func TestIndexedScanParallel(t *testing.T) {
 	const n = 5000
 	quals := [][]*term.Term{
@@ -437,7 +513,8 @@ func TestIndexedScanParallel(t *testing.T) {
 		{lera.Cmp("<", lera.Attr(1, 1), term.Num(4000)), lera.Cmp(">", lera.Attr(1, 1), term.Num(10)), term.F("MEMBER", term.Str("Western"), lera.Attr(1, 3))},
 		{lera.Cmp("=", lera.Attr(1, 2), term.Str("film-77"))},
 	}
-	for _, qual := range quals {
+	indexes := []int{2, 2, 2, 1}
+	for qi, qual := range quals {
 		q := titleWhere(qual...)
 		for _, par := range []int{1, 2} {
 			cfg := runCfg{par: par}
@@ -449,10 +526,69 @@ func TestIndexedScanParallel(t *testing.T) {
 			if d := diffRuns(want, got); d != "" {
 				t.Errorf("%s par=%d: index path vs scan: %s", lera.Format(qual[0]), par, d)
 			}
-			if len(db.idx.sorted) != 1 {
-				t.Errorf("%s par=%d: %d sorted indexes, want 1", lera.Format(qual[0]), par, len(db.idx.sorted))
+			if len(db.idx.sorted) != indexes[qi] {
+				t.Errorf("%s par=%d: %d sorted indexes, want %d", lera.Format(qual[0]), par, len(db.idx.sorted), indexes[qi])
 			}
 		}
+	}
+}
+
+// TestDistinctColumnSkipsDedup: over 3 000 films, a SEARCH that projects a
+// distinct column of stored FILM as is skips its dedup pass and names the
+// column, at pool sizes 1 and 2, and gives the run the forced dedup gives;
+// one whose projection holds no distinct column, whose answer has one row,
+// that joins, or that reads a LET binding of the name, dedups. A grant no
+// dedup set fits in fails only the query that dedups.
+func TestDistinctColumnSkipsDedup(t *testing.T) {
+	const n = 3000
+	numf, title, cats := lera.Attr(1, 1), lera.Attr(1, 2), lera.Attr(1, 3)
+	above := lera.Ands(lera.Cmp(">", numf, term.Num(5)))
+	film := []*term.Term{lera.Rel("FILM")}
+	for _, c := range []struct {
+		name     string
+		q        *term.Term
+		distinct string
+	}{
+		{"Numf, Title", lera.Search(film, above, []*term.Term{numf, title}), "FILM.Numf"},
+		{"Title", lera.Search(film, above, []*term.Term{title}), "FILM.Title"},
+		{"Categories, Title", lera.Search(film, above, []*term.Term{cats, title}), "FILM.Title"},
+		{"Categories", lera.Search(film, above, []*term.Term{cats}), ""},
+		{"Numf + 1", lera.Search(film, above, []*term.Term{lera.Call("+", numf, term.Num(1))}), ""},
+		{"one row", lera.Search(film, lera.Ands(lera.Cmp("=", numf, term.Num(7))), []*term.Term{title}), ""},
+		{"self-join", lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("FILM")},
+			lera.Ands(lera.Cmp("=", numf, lera.Attr(2, 1)), lera.Cmp(">", numf, term.Num(5))), []*term.Term{numf}), ""},
+		{"LET", term.F(lera.OpLet, term.Str("FILM"), lera.Search(film, above, []*term.Term{numf, title}),
+			lera.Search(film, lera.TrueQual(), []*term.Term{numf})), "FILM.Numf"},
+	} {
+		for _, par := range []int{1, 2} {
+			cfg := runCfg{par: par}
+			forceDedup = true
+			want := runOn(filmsN(t, n), c.q, cfg)
+			forceDedup = false
+			db := filmsN(t, n)
+			got := runOn(db, c.q, cfg)
+			if d := diffRuns(want, got); d != "" || got.Err != "" {
+				t.Errorf("%s par=%d: dedup skipped vs forced: %s %s", c.name, par, d, got.Err)
+			}
+			labels := statsLabels(db.LastExecStats(), func(o *OpStats) string { return o.Distinct })
+			if strings.Join(labels, ",") != c.distinct {
+				t.Errorf("%s par=%d: distinct columns %v, want %q", c.name, par, labels, c.distinct)
+			}
+		}
+	}
+
+	// No grant fits a dedup set of 2 995 rows, and there is no spill
+	// directory: only the forced dedup fails.
+	q := lera.Search(film, above, []*term.Term{numf, title})
+	cfg := runCfg{par: 1, lim: guard.Limits{MaxMemBytes: 1}}
+	if run := runOn(filmsN(t, n), q, cfg); run.Err != "" || run.NRows != n-5 {
+		t.Errorf("under a 1-byte grant: %d rows, error %q; want %d rows", run.NRows, run.Err, n-5)
+	}
+	forceDedup = true
+	run := runOn(filmsN(t, n), q, cfg)
+	forceDedup = false
+	if !strings.Contains(run.Err, "dedup set") {
+		t.Errorf("forced dedup under a 1-byte grant: error %q, want the dedup set over the grant", run.Err)
 	}
 }
 

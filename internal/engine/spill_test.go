@@ -136,7 +136,9 @@ func TestSpillCountersPinned(t *testing.T) {
 		want  SpillStats
 	}{
 		{"join+dedup", chainDB(t, 4000), bigJoinQuery(), 32 << 10, SpillStats{Partitions: 544, Bytes: 575928, Reads: 15998}},
-		{"fixpoint", chainDB(t, 60), tcFix("TC"), 4 << 10, SpillStats{Partitions: 1566, Bytes: 224094, Reads: 4662}},
+		// The fixpoint's base SEARCH projects EDGE's distinct Src as is, so
+		// it admits no dedup set and spills none.
+		{"fixpoint", chainDB(t, 60), tcFix("TC"), 4 << 10, SpillStats{Partitions: 1551, Bytes: 221934, Reads: 4602}},
 	} {
 		dir := t.TempDir()
 		if run := runOn(c.db, c.q, runCfg{par: 1, lim: guard.Limits{MaxMemBytes: c.grant}, spillDir: dir}); run.Err != "" {

@@ -50,7 +50,11 @@ type OpStats struct {
 	// Index names the sorted column index (relation.column) stage 1 of a
 	// SEARCH read through (indexscan.go); rendered only with timings, as
 	// the index and the scan are otherwise indistinguishable.
-	Index     string        `json:"index,omitempty"`
+	Index string `json:"index,omitempty"`
+	// Distinct names the column (relation.column) whose distinct cells let
+	// a SEARCH skip its duplicate elimination (batchsearch.go); rendered
+	// only with timings, like Index.
+	Distinct  string        `json:"distinct,omitempty"`
 	Duration  time.Duration `json:"durationNs"`
 	Children  []*OpStats    `json:"children,omitempty"`
 	Truncated int           `json:"truncatedChildren,omitempty"`
@@ -115,6 +119,9 @@ func (o *OpStats) format(sb *strings.Builder, depth int, withTimings bool) {
 		}
 		if o.Index != "" {
 			fmt.Fprintf(sb, " index=%s", o.Index)
+		}
+		if o.Distinct != "" {
+			fmt.Fprintf(sb, " distinct=%s", o.Distinct)
 		}
 		fmt.Fprintf(sb, " (%s)", o.Duration.Round(time.Microsecond))
 	}

@@ -343,6 +343,10 @@ func TestServerTenantBudgets(t *testing.T) {
 // request, spill activity visible on /metrics, and no spill files left
 // behind once the queries are done.
 func TestServerMemBudget(t *testing.T) {
+	// A duplicate-free answer admits no dedup set and so needs no memory;
+	// Categories, a set column, holds no distinct fact, so this query's
+	// answer goes through the governed dedup pass.
+	const dupQuery = "SELECT Categories FROM FILM WHERE Numf > 0"
 	spill := t.TempDir()
 	_, base := startServer(t, Config{
 		SpillDir: spill,
@@ -353,13 +357,13 @@ func TestServerMemBudget(t *testing.T) {
 	})
 
 	c := NewClient(base)
-	want := c.Query(context.Background(), filmQuery)
+	want := c.Query(context.Background(), dupQuery)
 	if want.Code != guard.CodeOK {
 		t.Fatalf("ungoverned query code = %s", want.Code)
 	}
 
 	c.Tenant = "mem"
-	out := c.Query(context.Background(), filmQuery)
+	out := c.Query(context.Background(), dupQuery)
 	if out.Code != guard.CodeOK {
 		t.Fatalf("governed query code = %s (%v)", out.Code, out.Err)
 	}
@@ -392,11 +396,11 @@ func TestServerMemBudget(t *testing.T) {
 	})
 	c2 := NewClient(base2)
 	c2.Tenant = "mem"
-	out = c2.Query(context.Background(), filmQuery)
+	out = c2.Query(context.Background(), dupQuery)
 	if out.Code != guard.CodeMemBudget {
 		t.Fatalf("no-spill governed query code = %s, want MEM_BUDGET (%+v)", out.Code, out.Resp)
 	}
-	body2, _ := json.Marshal(map[string]string{"tenant": "mem", "query": filmQuery})
+	body2, _ := json.Marshal(map[string]string{"tenant": "mem", "query": dupQuery})
 	hresp, err := http.Post(base2+"/query", "application/json", strings.NewReader(string(body2)))
 	if err != nil {
 		t.Fatal(err)
