@@ -172,7 +172,8 @@ type Result struct {
 	Kind    ResultKind
 	Message string
 
-	// For queries:
+	// For queries. Rows are read-only: they may share cells with the
+	// session's stored relations (engine.Relation).
 	Columns   []string
 	Rows      [][]value.Value
 	Initial   *term.Term // translated LERA before rewriting

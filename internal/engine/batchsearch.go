@@ -215,6 +215,9 @@ func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 			for i, p := range plan.projs {
 				st.projs[i] = c.operand(p, 0)
 			}
+			if n == 1 && !forceCopy {
+				st.lo, st.hi, st.sliced = columnRun(st.projs)
+			}
 		}
 		st.preds = make([]pred, len(conjs))
 		for i, cj := range conjs {
@@ -224,6 +227,27 @@ func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 	}
 	return prog
 }
+
+// columnRun reports whether projs are the columns [lo, hi) of one relation
+// in order, each read as it is: a run a stored row holds as it stands.
+func columnRun(projs []operand) (lo, hi int, ok bool) {
+	if len(projs) == 0 {
+		return 0, 0, false
+	}
+	lo = projs[0].slot
+	for i := range projs {
+		if p := &projs[i]; p.kind != opSlot || p.slot != lo+i {
+			return 0, 0, false
+		}
+	}
+	return lo, lo + len(projs), true
+}
+
+// forceCopy makes every final stage copy its projected cells into arena
+// rows, as all did before a final scan handed out slices of the stored
+// rows. Only tests set it, to pin the two paths against each other; no
+// option, flag or DB field reaches it.
+var forceCopy bool
 
 // valid reports whether the program still fits an evaluation: compiled
 // slots assume the relations' widths.
@@ -545,9 +569,10 @@ var forceLeftDrive bool
 
 // scanStage is stage 1: each row of rows, the first relation, meets the
 // stage's conjuncts alone, with one amortized tick per BatchSize slice. In
-// the final stage a survivor is projected; otherwise it moves on as the
-// stored row itself, collected by its ordinal. With an index read, only
-// the rows it selected are visited (readChunk).
+// a copying final stage a survivor is projected; otherwise it moves on as
+// the stored row itself, or in a sliced final stage as its projected run of
+// cells, collected by its ordinal. With an index read, only the rows it
+// selected are visited (readChunk).
 func (db *DB) scanStage(ss *stageScratch, rows [][]value.Value, rd indexRead) ([][]value.Value, error) {
 	bs := db.batchSize()
 	if rd.ix != nil {
@@ -569,14 +594,14 @@ func (db *DB) scanStage(ss *stageScratch, rows [][]value.Value, rd indexRead) ([
 				return nil, err
 			}
 			for i, row := range batch {
-				if k.final {
+				if k.copies() {
 					k.pair(nil, row)
 				} else if k.judge(nil, row) {
-					k.ords = append(k.ords, int32(start+i))
+					k.keep(int32(start+i), len(chunk))
 				}
 			}
 		}
-		if k.err != nil || k.final {
+		if k.err != nil || k.copies() {
 			return k.output()
 		}
 		return k.picked(chunk), nil
@@ -696,7 +721,16 @@ type searchStage struct {
 	final     bool
 	widths    []int // per-relation widths of the prefix plus this stage's relation
 	stack     int   // the value stack a worker's frame needs
+	// sliced says the final stage of a one-relation SEARCH projects the run
+	// of columns [lo, hi) as it is: a survivor's output row is that run of
+	// its stored row's cells (picked), and no cell is copied.
+	sliced bool
+	lo, hi int
 }
+
+// copies reports whether the stage projects its survivors into arena rows:
+// a final stage that is not sliced.
+func (st *searchStage) copies() bool { return st.final && !st.sliced }
 
 // searchKernel is one worker's late-materialising evaluator of a stage,
 // fed (prefix row, next-relation row) pairs by the scan, hash-probe,
@@ -721,8 +755,9 @@ type searchKernel struct {
 	// skip is the number of leading conjuncts an index read has already
 	// answered for every row the kernel meets.
 	skip int32
-	// ords are the scan stage's survivor ordinals when the stage is not
-	// final: they pass on as the stored rows themselves (picked).
+	// ords are the scan stage's survivor ordinals when it does not copy:
+	// they pass on as the stored rows themselves, or their sliced runs
+	// (picked).
 	ords  []int32
 	ords0 [8]int32
 	// err is the first evaluation error. It is sticky rather than returned
@@ -868,15 +903,32 @@ func (k *searchKernel) output() ([][]value.Value, error) {
 	return k.rows(nil), nil
 }
 
-// picked hands over the non-final scan's survivors: the rows of chunk at
-// ords, in one slice of exactly their number.
+// keep records the ordinal o of a survivor of a chunk in which at most n
+// rows can survive. A sliced stage's list grows at most once past its
+// inline start, straight to n: the ordinals and the output header are all
+// such a scan allocates.
+func (k *searchKernel) keep(o int32, n int) {
+	if k.sliced && len(k.ords) == cap(k.ords) && cap(k.ords) < n {
+		k.ords = append(make([]int32, 0, n), k.ords...)
+	}
+	k.ords = append(k.ords, o)
+}
+
+// picked hands over the scan's survivors, in one slice of exactly their
+// number: the rows of chunk at ords or, in a sliced stage, their cells
+// [lo, hi) — at full capacity, so an append on an output row can never
+// write into the stored row.
 func (k *searchKernel) picked(chunk [][]value.Value) [][]value.Value {
 	var out [][]value.Value
 	if len(k.ords) > 0 {
 		out = make([][]value.Value, len(k.ords))
 	}
 	for i, o := range k.ords {
-		out[i] = chunk[o]
+		if row := chunk[o]; k.sliced {
+			out[i] = row[k.lo:k.hi:k.hi]
+		} else {
+			out[i] = row
+		}
 	}
 	k.dropOutput()
 	return out

@@ -29,7 +29,10 @@ import (
 // declared arity for the empty case: operators that know their output
 // width record it, so an empty result still answers Arity correctly
 // instead of collapsing to 0 (which under-reported operator width in
-// OpStats and EXPLAIN ANALYZE).
+// OpStats and EXPLAIN ANALYZE). Its rows are read-only and may share
+// cells with a stored relation: a REL answers with the stored rows
+// themselves, and a scan that projects a run of columns with slices of
+// them, each at full capacity so that an append copies.
 type Relation struct {
 	Rows  [][]value.Value
 	Width int

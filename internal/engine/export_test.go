@@ -11,3 +11,7 @@ const (
 
 // SetFixMode selects db's fixpoint strategy.
 func SetFixMode(db *DB, m FixMode) { db.naive = bool(m) }
+
+// SetForceCopy makes every final stage copy its projected cells into arena
+// rows (on) or lets a final scan slice them out of the stored rows (off).
+func SetForceCopy(on bool) { forceCopy = on }

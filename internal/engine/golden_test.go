@@ -325,9 +325,19 @@ func golden(t *testing.T, g map[string]engineRun, key string) engineRun {
 
 // TestEngineGolden pins the serial default configuration to the golden
 // file entry by entry (the other configurations are covered by the
-// bit-identity tests), and checks the file has no stale entries.
+// bit-identity tests), and checks the file has no stale entries. Final
+// scans that copy their projected cells (forceCopy) give the same runs as
+// the ones that slice them out of the stored rows.
 func TestEngineGolden(t *testing.T) {
 	runs := goldenRuns(t, 0, 1)
+	forceCopy = true
+	copied := goldenRuns(t, 0, 1)
+	forceCopy = false
+	for key, run := range runs {
+		if d := diffRuns(copied[key], run); d != "" {
+			t.Errorf("%s: sliced vs copied: %s", key, d)
+		}
+	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(runs, "", " ")
 		if err != nil {

@@ -217,10 +217,10 @@ func (w *DB) readChunk(k *searchKernel, rd indexRead, chunk [][]value.Value, bas
 			return nil, err
 		}
 		for o := rd.next(base+start, &i) - base; o < stop; o = rd.next(base+o+1, &i) - base {
-			if k.final {
+			if k.copies() {
 				k.pair(nil, chunk[o])
 			} else if k.judge(nil, chunk[o]) {
-				k.ords = append(k.ords, int32(o))
+				k.keep(int32(o), min(rd.n, len(chunk)))
 			}
 			if k.err != nil {
 				covered = o + 1
@@ -229,7 +229,7 @@ func (w *DB) readChunk(k *searchKernel, rd indexRead, chunk [][]value.Value, bas
 		}
 	}
 	w.Count.PredEvals += rd.evals(base, base+covered)
-	if k.err != nil || k.final {
+	if k.err != nil || k.copies() {
 		return k.output()
 	}
 	return k.picked(chunk), nil

@@ -9,7 +9,9 @@ package engine
 // through INSERT and Load; and the read allocates nothing per row. The
 // same runs pin a SEARCH that skips its dedup pass on a distinct projected
 // column against the one that dedups (forceDedup), before and after an
-// INSERT that duplicates the column.
+// INSERT that duplicates the column, and a final scan that slices its
+// projection out of the stored rows against the one that copies its cells
+// (forceCopy).
 
 import (
 	"context"
@@ -198,8 +200,10 @@ func (c scanCase) db(t *testing.T) *DB {
 }
 
 // queries places the case's stage 1 as the final stage — projecting the
-// distinct id and c1, and c1 and c2 — as a non-final stage joined (and,
-// separately, crossed) with U, and inside a FIX.
+// distinct id and c1, c1 and c2, the contiguous c2 and c3 a final scan
+// slices out of each stored row, and c3 and c1, which it copies — as a
+// non-final stage joined (and, separately, crossed) with U, and inside a
+// FIX.
 func (c scanCase) queries() map[string]*term.Term {
 	projs := []*term.Term{lera.Attr(1, 4), lera.Attr(1, 1)}
 	if c.failProj {
@@ -216,6 +220,8 @@ func (c scanCase) queries() map[string]*term.Term {
 	return map[string]*term.Term{
 		"final":     final,
 		"cells":     lera.Search([]*term.Term{lera.Rel("T")}, c.qual, cells),
+		"c2c3":      lera.Search([]*term.Term{lera.Rel("T")}, c.qual, []*term.Term{lera.Attr(1, 2), lera.Attr(1, 3)}),
+		"c3c1":      lera.Search([]*term.Term{lera.Rel("T")}, c.qual, []*term.Term{lera.Attr(1, 3), lera.Attr(1, 1)}),
 		"join":      join(lera.Cmp("=", lera.Attr(1, 4), lera.Attr(2, 1))),
 		"cartesian": join(),
 		"fix":       lera.Fix("X", lera.Union(lera.Search([]*term.Term{lera.Rel("T")}, c.qual, projs[:2]), rec), []string{"A", "B"}),
@@ -259,9 +265,11 @@ func statsLabels(o *OpStats, label func(*OpStats) string) []string {
 }
 
 // checkIndexedScan runs every placement of the case through the index path
-// and the scan, and with and without the dedup pass forced, at batch sizes
-// 1, 2 and 1024 and in both fixpoint modes, and requires the same runs. It
-// reports how many runs read an index and how many skipped a dedup pass.
+// and the scan, with and without the dedup pass forced, and with the final
+// scan slicing stored rows and copying their cells (forceCopy), at batch
+// sizes 1, 2 and 1024 and in both fixpoint modes, and requires the same
+// runs. It reports how many runs read an index and how many skipped a dedup
+// pass.
 func checkIndexedScan(t *testing.T, c scanCase) (read, elided int) {
 	t.Helper()
 	for name, q := range c.queries() {
@@ -274,6 +282,9 @@ func checkIndexedScan(t *testing.T, c scanCase) (read, elided int) {
 				forceDedup = true
 				deduped, _, _ := c.run(t, q, cfg)
 				forceDedup = false
+				forceCopy = true
+				copied, _, _ := c.run(t, q, cfg)
+				forceCopy = false
 				got, r, e := c.run(t, q, cfg)
 				read, elided = read+r, elided+e
 				for i := range got {
@@ -282,6 +293,9 @@ func checkIndexedScan(t *testing.T, c scanCase) (read, elided int) {
 					}
 					if d := diffRuns(deduped[i], got[i]); d != "" {
 						t.Fatalf("%s (%s) over T%v, %s, run %d: dedup skipped vs forced: %s", name, cfg, c.modes, lera.Format(c.qual), i+1, d)
+					}
+					if d := diffRuns(copied[i], got[i]); d != "" {
+						t.Fatalf("%s (%s) over T%v, %s, run %d: sliced vs copied: %s", name, cfg, c.modes, lera.Format(c.qual), i+1, d)
 					}
 				}
 			}
@@ -297,61 +311,168 @@ func checkIndexedScan(t *testing.T, c scanCase) (read, elided int) {
 // by a function that fails on a chosen row: the index path and the scan
 // (forceScan) give the same run, with stage 1 final, joined, crossed and
 // inside a FIX; so do a SEARCH that skips its dedup pass and the one that
-// runs it (forceDedup), also after an INSERT duplicating row 0.
+// runs it (forceDedup), also after an INSERT duplicating row 0, and a final
+// scan that slices its projection out of the stored rows and one that
+// copies it (forceCopy).
 func FuzzIndexedScan(f *testing.F) {
 	for _, seed := range indexedScanSeeds() {
-		f.Add(seed)
+		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkIndexedScan(t, newScanCase(data))
 	})
 }
 
-// indexedScanSeeds are hand-made inputs for newScanCase: each names its
-// modes, size and leading comparisons.
-func indexedScanSeeds() [][]byte {
-	return [][]byte{
-		// ints, 30 rows, point query on c1 then FAILAT failing mid-way.
-		{colInts, colReals, colStrings, 30, 1, 1, 0, 7, 1, 0, 0, 2, 1, 0, 12, 0},
-		// strings, 40 rows, two comparisons, constant left.
-		{colStrings, colStrings, colInts, 40, 1, 0, 1, 0, 1, 4, 0, 0, 3, 1, 0, 6, 0, 2},
-		// reals with NaN: never indexed.
-		{colRealsNaN, colRealsNaN, colRealsNaN, 35, 1, 2, 0, 3, 4, 0, 2},
-		// a large relation, a range of ints, FAILAT in the projection.
-		{colInts, colIntsNull, colMixed, 0, 0, 1, 3, 0, 0, 5, 0, 0, 9, 0, 1, 77, 0},
-		// mixed columns and constants of other kinds.
-		{colMixed, colIntsNull, colReals, 20, 2, 3, 0, 1, 2, 3, 1, 4},
+// scanSeed is a hand-made input for newScanCase and what it decodes to:
+// the qualification as lera.Format prints it, the row count, where FAILAT
+// fails (-1: nowhere) and sits, and whether row 0 is inserted again.
+type scanSeed struct {
+	data     []byte
+	qual     string
+	rows     int
+	failAt   int64
+	failProj bool
+	insert   bool
+}
+
+// seedBytes assembles an input for newScanCase: the column modes, the row
+// count n, the cell choices of each row i (cells(i), as scanCell reads
+// them), then tail, the choices that draw the qualification and the INSERT.
+func seedBytes(modes [3]int, n int, cells func(i int) []byte, tail ...byte) []byte {
+	b := []byte{byte(modes[0]), byte(modes[1]), byte(modes[2])}
+	if n <= 40 {
+		b = append(b, byte(n-1), 1)
+	} else {
+		b = append(b, 0, 0, byte(n-200)) // 200 + n-200 rows
+	}
+	for i := 0; i < n; i++ {
+		b = append(b, cells(i)...)
+	}
+	return append(b, tail...)
+}
+
+// mixedCell is the choice of a colMixed cell drawn from i: an int, a real,
+// a string, NULL or a set, in turn.
+func mixedCell(i int) []byte {
+	switch i % 5 {
+	case 0:
+		return []byte{0, byte(i % 16)}
+	case 1:
+		return []byte{1, byte(i % 7)}
+	case 2:
+		return []byte{2, byte(i % 6)}
+	case 3:
+		return []byte{3}
+	}
+	return []byte{4, byte(i % 4)}
+}
+
+// intNullCell is the choice of a colIntsNull cell drawn from i: NULL on
+// every ninth row, an int otherwise.
+func intNullCell(i int) []byte {
+	if i%9 == 0 {
+		return []byte{0}
+	}
+	return []byte{1, byte(i % 16)}
+}
+
+// indexedScanSeeds are the seeds of FuzzIndexedScan. A leading comparison's
+// choices in a tail are: another column or not, the constant's kind, the
+// constant, operand order (0: constant left), operator. The qualification
+// is a set: its conjuncts print, and meet the rows, in the set's order.
+func indexedScanSeeds() []scanSeed {
+	return []scanSeed{
+		// ints, 30 rows, a point query on c1 (rows 7 and 19) then FAILAT
+		// in the qualification, failing on row 19.
+		{data: seedBytes([3]int{colInts, colReals, colStrings}, 30,
+			func(i int) []byte { return []byte{byte(i % 12), byte(i % 7), byte(i % 6)} },
+			0, 0, 1, 1, 10, 1, 0, 0, 19, 1, 1, 0),
+			qual: "1.1=4 ∧ failat(1.4)", rows: 30, failAt: 19},
+		// strings, 40 rows, two comparisons of c1 with the constant on the
+		// left, then row 0 inserted again.
+		{data: seedBytes([3]int{colStrings, colStrings, colInts}, 40,
+			func(i int) []byte { return []byte{byte(i % 6), byte(i * 5 % 6), byte(i % 16)} },
+			0, 1, 1, 1, 4, 0, 1, 1, 1, 8, 0, 4, 1, 1, 1),
+			qual: "'b'<1.1 ∧ 'z'>=1.1", rows: 40, failAt: -1, insert: true},
+		// reals with NaN in every column, never indexed: comparisons of c2
+		// with 2.5 and of c3 with NaN; then row 0 inserted again.
+		{data: seedBytes([3]int{colRealsNaN, colRealsNaN, colRealsNaN}, 35,
+			func(i int) []byte {
+				var b []byte
+				for j := 0; j < 3; j++ {
+					if (i+j)%5 == 0 {
+						b = append(b, 0) // NaN
+					} else {
+						b = append(b, 1, byte((i+j)%7))
+					}
+				}
+				return b
+			},
+			1, 0, 1, 1, 6, 1, 3, 1, 0, 2, 1, 1, 11, 1),
+			qual: "1.3<NaN ∧ 1.2>2.5", rows: 35, failAt: -1, insert: true},
+		// a large relation, 300 rows: an int range on c1 read through a
+		// bitmap, FAILAT in the projection failing on row 150, inside it.
+		{data: seedBytes([3]int{colInts, colIntsNull, colMixed}, 300,
+			func(i int) []byte { return append(append([]byte{byte(i % 16)}, intNullCell(i)...), mixedCell(i)...) },
+			0, 1, 1, 1, 5, 1, 4, 1, 1, 15, 1, 1, 0, 150, 0, 1, 0),
+			qual: "1.1<9 ∧ 1.1>=-1", rows: 300, failAt: 150, failProj: true},
+		// mixed kinds in c1 and constants of other kinds: an int against
+		// c1, a string against c2 (ints and NULL) and an int against c3
+		// (reals); then row 0 inserted again.
+		{data: seedBytes([3]int{colMixed, colIntsNull, colReals}, 20,
+			func(i int) []byte { return append(append(mixedCell(i), intNullCell(i)...), byte(i%7)) },
+			0, 1, 1, 1, 0, 8, 1, 0, 0, 1, 0, 3, 6, 0, 8, 1, 0, 2, 3, 0, 5, 7, 1),
+			qual: "'m'<>1.2 ∧ 1.1=2 ∧ 1.3>1", rows: 20, failAt: -1, insert: true},
 		// The seeds below list each row's cells, then c1 > 0 or the like
 		// selecting every row, and whether row 0 is inserted again.
 		// Duplicate rows: 8 rows of ints and strings, each twice; (c1, c2)
 		// has no distinct column and dedups to 4 rows.
-		{colInts, colStrings, colInts, 7, 1,
+		{data: []byte{colInts, colStrings, colInts, 7, 1,
 			4, 1, 4, 4, 1, 4, 5, 2, 5, 5, 2, 5, 6, 3, 6, 6, 3, 6, 7, 4, 7, 7, 4, 7,
 			0, 0, 1, 1, 6, 1, 3, 1, 1, 0},
+			qual: "1.1>0", rows: 8, failAt: -1},
 		// Duplicate cells in c1, strings, beside distinct ints in c2: (c1,
-		// c2) skips its dedup on c2. Two comparisons of c2, then c1 < 'zz'.
-		{colStrings, colInts, colReals, 5, 1,
+		// c2) skips its dedup on c2. c1 < 'zz', then two comparisons of c2.
+		{data: []byte{colStrings, colInts, colReals, 5, 1,
 			1, 4, 3, 1, 5, 3, 2, 6, 4, 2, 7, 4, 5, 8, 1, 5, 9, 0,
 			1, 1, 1, 1, 7, 1, 4, 1, 1, 12, 0, 4, 1, 0, 0, 1, 1, 9, 0},
+			qual: "1.1<'zz' ∧ 6>=1.2 ∧ 1.2>=1", rows: 6, failAt: -1},
 		// NULL cells in c1 and c2, distinct ints in c3; then row 0 again.
-		{colIntsNull, colIntsNull, colInts, 5, 1,
+		{data: []byte{colIntsNull, colIntsNull, colInts, 5, 1,
 			0, 1, 4, 4, 0, 1, 4, 5, 1, 5, 0, 6, 1, 5, 0, 7, 0, 0, 8, 0, 0, 9,
 			2, 0, 1, 1, 6, 1, 4, 1, 1, 1},
+			qual: "1.3>=0", rows: 6, failAt: -1, insert: true},
 		// Reals: 0.0 beside −0.0 (two dedup keys), and (2.5, 7) and
 		// (−0.0, 1.5) twice: a real column is never taken as distinct.
-		{colReals, colReals, colInts, 5, 1,
+		{data: []byte{colReals, colReals, colInts, 5, 1,
 			1, 2, 4, 0, 2, 5, 3, 4, 6, 3, 4, 7, 6, 5, 8, 0, 2, 9,
 			0, 0, 1, 1, 0, 1, 4, 1, 1, 0},
+			qual: "1.1>=-100.0", rows: 6, failAt: -1},
 		// Mixed kinds in c1 and c2 (ints, a real, strings, NULL, sets),
 		// distinct strings in c3; then row 0 again.
-		{colMixed, colMixed, colStrings, 5, 1,
+		{data: []byte{colMixed, colMixed, colStrings, 5, 1,
 			0, 5, 2, 1, 1, 1, 3, 2, 1, 2, 0, 5, 2, 1, 3, 3, 4, 1, 4, 3, 4, 1, 5, 2, 2, 0, 8, 0,
 			2, 0, 1, 1, 0, 1, 4, 1, 1, 1},
+			qual: "1.3>=''", rows: 6, failAt: -1, insert: true},
 		// Distinct ints in c1 and strings in c2, then an INSERT of row 0
 		// that duplicates both, and id, between two reads.
-		{colInts, colStrings, colInts, 5, 1,
+		{data: []byte{colInts, colStrings, colInts, 5, 1,
 			4, 1, 4, 5, 2, 5, 6, 3, 6, 7, 4, 7, 8, 5, 8, 9, 0, 9,
 			0, 0, 1, 1, 7, 1, 4, 1, 1, 1},
+			qual: "1.1>=1", rows: 6, failAt: -1, insert: true},
+	}
+}
+
+// TestIndexedScanSeedsDecode: each seed decodes to the case its comment
+// names — a seed that reads its cells as the qualification, say, tests a
+// case nobody chose.
+func TestIndexedScanSeedsDecode(t *testing.T) {
+	for i, seed := range indexedScanSeeds() {
+		c := newScanCase(seed.data)
+		if got := lera.Format(c.qual); got != seed.qual || len(c.rows) != seed.rows || c.failAt != seed.failAt || c.failProj != seed.failProj || c.insert != seed.insert {
+			t.Errorf("seed %d decodes to %s over %d rows, FAILAT on row %d (in the projection: %v), insert %v; want %s over %d rows, %d (%v), %v",
+				i, got, len(c.rows), c.failAt, c.failProj, c.insert, seed.qual, seed.rows, seed.failAt, seed.failProj, seed.insert)
+		}
 	}
 }
 
@@ -361,7 +482,7 @@ func indexedScanSeeds() [][]byte {
 func TestIndexedScanSeeds(t *testing.T) {
 	read, elided := 0, 0
 	for _, seed := range indexedScanSeeds() {
-		r, e := checkIndexedScan(t, newScanCase(seed))
+		r, e := checkIndexedScan(t, newScanCase(seed.data))
 		read, elided = read+r, elided+e
 	}
 	if read == 0 || elided == 0 {

@@ -72,6 +72,14 @@ func TestFormatOtherOps(t *testing.T) {
 		{Not(Call("IsEmpty", Attr(1, 1))), "¬(isempty(1.1))"},
 		{Ors(Cmp("=", Attr(1, 1), term.Num(1)), Cmp("=", Attr(1, 1), term.Num(2))), "1.1=1 ∨ 1.1=2"},
 		{Ors(), "false"},
+		// A conjunction or disjunction inside another is parenthesised;
+		// the outermost one is not.
+		{Ands(Cmp(">", Attr(1, 1), term.Num(1)), Ors(Cmp("=", Attr(1, 1), term.Num(2)), Cmp("=", Attr(1, 1), term.Num(3)))),
+			"1.1>1 ∧ (1.1=2 ∨ 1.1=3)"},
+		{term.F(EAnds, term.Set(term.F(EAnds, term.Set(V1(), V2())), term.V("z"))), "z ∧ (x ∧ y)"},
+		{Ands(V1(), V2(), term.V("z")), "x ∧ y ∧ z"},
+		{Ands(Ors(V1(), V2())), "x ∨ y"},
+		{term.F(EAnds, term.Set(V1(), V2()), V1()), "ands({x, y}, x)"},
 		{TrueQual(), "true"},
 		{term.F(EProject, term.F(EValue, Attr(1, 2)), term.Str("Salary")), "PROJECT(VALUE(1.2), Salary)"},
 		{Cmp("=", term.F("-", V1(), V2()), term.Num(0)), "(x - y)=0"},

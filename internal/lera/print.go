@@ -159,12 +159,11 @@ func formatExpr(sb *strings.Builder, t *term.Term) {
 			sb.WriteString(")")
 			return
 		}
-	case EAnds:
-		formatQual(sb, t)
-		return
-	case EOrs:
-		formatQual(sb, t)
-		return
+	case EAnds, EOrs:
+		if len(t.Args) == 1 {
+			formatQual(sb, t)
+			return
+		}
 	case ENot:
 		if len(t.Args) == 1 {
 			sb.WriteString("¬(")
@@ -221,7 +220,7 @@ func formatQual(sb *strings.Builder, q *term.Term) {
 			if i > 0 {
 				sb.WriteString(" ∧ ")
 			}
-			formatExpr(sb, c)
+			formatJunct(sb, c, len(cs) > 1)
 		}
 	case IsOp(q, EOrs) && len(q.Args) == 1:
 		ds := q.Args[0].Args
@@ -233,11 +232,25 @@ func formatQual(sb *strings.Builder, q *term.Term) {
 			if i > 0 {
 				sb.WriteString(" ∨ ")
 			}
-			formatExpr(sb, d)
+			formatJunct(sb, d, len(ds) > 1)
 		}
 	default:
 		formatExpr(sb, q)
 	}
+}
+
+// formatJunct renders one conjunct or disjunct of a qualification, in
+// parentheses when it is a conjunction or disjunction itself beside others:
+// x > 1 AND (x = 2 OR x = 3) must not read as (x > 1 AND x = 2) OR x = 3.
+// Alone, as the one conjunct a SEARCH's ORS sits in, it needs none.
+func formatJunct(sb *strings.Builder, t *term.Term, siblings bool) {
+	if siblings && (IsOp(t, EAnds) || IsOp(t, EOrs)) && len(t.Args) == 1 {
+		sb.WriteString("(")
+		formatQual(sb, t)
+		sb.WriteString(")")
+		return
+	}
+	formatExpr(sb, t)
 }
 
 func formatQualBracketed(sb *strings.Builder, q *term.Term) {
