@@ -90,7 +90,7 @@ seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, 
 func TestPublicAPIOptions(t *testing.T) {
 	opts := []Option{
 		WithBlockLimit("constraints", 10), WithBlockLimit("push", 0), WithBlockLimit("merge", 5),
-		WithPlanning(), WithRuleCheck(), WithPlanCache(8), WithPlanCacheValidation(2),
+		WithRuleCheck(), WithPlanCache(8), WithPlanCacheValidation(2),
 		WithConstraints("rule ic_numf: F(x) / ISA(x, INT) --> F(x) AND x > 0 / ;"),
 		WithRules("seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge}, 1);"),
 	}

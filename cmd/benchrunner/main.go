@@ -33,7 +33,8 @@ type experiment struct {
 }
 
 // experiments lists the tables in print order (the numbers are
-// EXPERIMENTS.md's; 9 and 12 onwards are not work-counter tables).
+// EXPERIMENTS.md's; 9 and 12 onwards are not work-counter tables, and 10
+// is retired).
 var experiments = []experiment{
 	{1, e1SearchMerging},
 	{2, e2PushUnion},
@@ -43,7 +44,6 @@ var experiments = []experiment{
 	{6, e6Simplify},
 	{7, e7BlockLimits},
 	{8, e8RepeatedBlocks},
-	{10, e10Planning},
 	{11, e11Guardrails},
 }
 
@@ -438,42 +438,6 @@ func e8RepeatedBlocks(w io.Writer) {
 		s := edgeGraph(chain(n), lera.WithRules(sq.seq))
 		res, c := measure(s, q)
 		row(w, "%s | %d | %d | %d", sq.name, lera.OperatorCount(res.Rewritten), c.Emitted, c.JoinPairs)
-	}
-}
-
-// --- E10: §7 "applicable to query planning" extension ---
-
-func e10Planning(w io.Writer) {
-	header(w, "E10 — planning hints: cardinality-ordered joins (§7 extension)",
-		"\"We believe that the ideas developed in this paper might be applicable to query planning.\" (beyond the paper; off by default, WithPlanning)",
-		"big rows | join pairs unplanned | join pairs planned | ratio")
-	for _, n := range []int{1000, 4000, 16000} {
-		build := func(opts ...lera.Option) *lera.Session {
-			s := lera.NewSession(opts...)
-			s.MustExec("TABLE BIG (Id : INT, V : INT); TABLE TINY (K : INT, W : INT);")
-			big := make([][]value.Value, n)
-			for i := range big {
-				big[i] = []value.Value{value.Int(int64(i)), value.Int(int64(i % 7))}
-			}
-			if err := s.DB.Load("BIG", big); err != nil {
-				panic(err)
-			}
-			tiny := make([][]value.Value, 5)
-			for i := range tiny {
-				tiny[i] = []value.Value{value.Int(int64(i)), value.Int(int64(i * 10))}
-			}
-			if err := s.DB.Load("TINY", tiny); err != nil {
-				panic(err)
-			}
-			return s
-		}
-		q := "SELECT BIG.Id FROM BIG, TINY WHERE TINY.K = 3"
-		base := build()
-		_, cBase := measure(base, q)
-		planned := build(lera.WithPlanning())
-		_, cPlan := measure(planned, q)
-		ratio := float64(cBase.JoinPairs) / float64(max(cPlan.JoinPairs, 1))
-		row(w, "%d | %d | %d | %.1fx", n, cBase.JoinPairs, cPlan.JoinPairs, ratio)
 	}
 }
 

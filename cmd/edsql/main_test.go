@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,5 +62,30 @@ func TestCaptureFailedStatement(t *testing.T) {
 		case e.Code != string(guard.CodeOf(err)) || e.Error != err.Error() || e.Rows != 0 || e.Report != nil:
 			t.Errorf("failed statement recorded as %s", lera.FormatSlowEntry(e))
 		}
+	}
+}
+
+// TestSyntaxErrorIsParse: the shell reports a statement that does not
+// parse as PARSE, the code the server answers it with, not INTERNAL.
+func TestSyntaxErrorIsParse(t *testing.T) {
+	s := lera.NewSession()
+	if err := s.LoadFilms(); err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	run(s, false, "SELECT Title FROM FILM WHERE Numf = 1 LIMIT 2;")
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `error [PARSE]: esql: 1:39: expected ';', got "LIMIT"`; !strings.Contains(string(out), want) {
+		t.Errorf("printed %q, want %q", out, want)
 	}
 }

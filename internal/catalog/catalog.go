@@ -28,10 +28,6 @@ type Column struct {
 type Relation struct {
 	Name    string
 	Columns []Column
-	// EstRows is the stored cardinality estimate, maintained by the
-	// engine on load/insert; the planning-hint rules (§7 extension) sort
-	// join operands by it.
-	EstRows int
 }
 
 // View describes a (possibly recursive) view. Def is the translated LERA
@@ -57,8 +53,9 @@ type Catalog struct {
 	constraints []*rules.Rule
 
 	// schemaVersion counts schema mutations (relations, views,
-	// constraints); dataVersion counts statistics mutations (EstRows).
-	// Both feed plan-cache invalidation keys (docs/PLANCACHE.md).
+	// constraints), the plan cache's key (docs/PLANCACHE.md); dataVersion
+	// counts writes to declared relations, the stamp of the engine's
+	// cached indexes.
 	schemaVersion atomic.Uint64
 	dataVersion   atomic.Uint64
 }
@@ -68,13 +65,13 @@ type Catalog struct {
 // any schema change invalidates them.
 func (c *Catalog) SchemaVersion() uint64 { return c.schemaVersion.Load() }
 
-// DataVersion returns a counter that changes whenever a relation's
-// estimated cardinality changes (engine loads/inserts). Only rewrites
-// that consulted cardinalities (planning hints) key on it.
+// DataVersion returns a counter that changes whenever the engine loads
+// or inserts rows of a declared relation. The engine's cached indexes are
+// stamped with it; no rewrite reads it.
 func (c *Catalog) DataVersion() uint64 { return c.dataVersion.Load() }
 
-// BumpDataVersion records a statistics change; the engine calls it when
-// it updates Relation.EstRows.
+// BumpDataVersion records a write to a declared relation; the engine
+// calls it on every load and insert.
 func (c *Catalog) BumpDataVersion() { c.dataVersion.Add(1) }
 
 // New creates an empty catalog with fresh type and ADT registries.

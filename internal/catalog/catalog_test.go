@@ -102,14 +102,4 @@ func TestNewHasRegistries(t *testing.T) {
 	if _, ok := c.ADTs.Lookup("MEMBER"); !ok {
 		t.Error("built-in ADT functions missing")
 	}
-	// EstRows starts at zero and is writable (the engine maintains it).
-	r, _ := c.DeclareRelation("T", []catalog.Column{{Name: "a", Type: c.Types.Int}})
-	if r.EstRows != 0 {
-		t.Error("EstRows must start at 0")
-	}
-	r.EstRows = 7
-	got, _ := c.Relation("T")
-	if got.EstRows != 7 {
-		t.Error("EstRows must be shared state")
-	}
 }

@@ -262,8 +262,8 @@ func TestWithoutBlockAndBlockLimit(t *testing.T) {
 }
 
 // TestBlockLimitRejectsWhatItCannotApply: a block limit must name a
-// block of the assembled rule base — built-in, added by WithRules or by
-// WithPlanning, whatever the option order — and be a budget or
+// block of the assembled rule base — built-in or added by WithRules,
+// whatever the option order — and be a budget or
 // rules.Infinite; anything else fails construction, naming the block.
 func TestBlockLimitRejectsWhatItCannotApply(t *testing.T) {
 	const extra = "rule dbl: NEG(NEG(x)) --> x;\nblock(extra, {dbl}, inf);"
@@ -276,7 +276,6 @@ func TestBlockLimitRejectsWhatItCannotApply(t *testing.T) {
 		{[]Option{WithBlockLimit("extra", 0)}, `"extra"`},
 		{[]Option{WithBlockLimit("merge", rules.Infinite)}, ""},
 		{[]Option{WithBlockLimit("extra", 0), WithRules(extra)}, ""},
-		{[]Option{WithBlockLimit("planning", 2), WithPlanning()}, ""},
 	} {
 		_, err := NewSession(c.opts...).Rewriter()
 		switch {

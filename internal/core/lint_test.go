@@ -16,7 +16,7 @@ import (
 // evaluation of pure ADT functions) or a registered constraint function.
 // This is the drift check between rule text and Go externals.
 func TestBuiltinRuleBaseLint(t *testing.T) {
-	rw, err := New(catalog.New(), WithPlanning())
+	rw, err := New(catalog.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestBuiltinRuleBaseLint(t *testing.T) {
 	}
 	// The sequence must reference every phase block exactly as DESIGN.md
 	// documents.
-	want := []string{"typecheck", "normalize", "merge", "push", "fixpoint", "merge", "constraints", "semantic", "simplify", "merge", "planning"}
+	want := []string{"typecheck", "normalize", "merge", "push", "fixpoint", "merge", "constraints", "semantic", "simplify", "merge"}
 	if strings.Join(rw.RS.Sequence.Blocks, ",") != strings.Join(want, ",") {
 		t.Errorf("sequence = %v, want %v", rw.RS.Sequence.Blocks, want)
 	}

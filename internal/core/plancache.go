@@ -57,24 +57,20 @@ func WithPlanCacheValidation(n int) Option { return func(c *config) { c.planCach
 // besides the template that the rewrite output depends on. If any of it
 // changes, stale entries die on their next lookup (observable as
 // invalidations). The rule-base fingerprint covers every block budget
-// and the dynamic-limit policy (Rewriter.fingerprint); data is the
-// catalog data version when a rule reads cardinalities, else 0. cat is
-// the catalog itself: a learned text (text.go) skips translation, so its
-// entry must not serve a session of another catalog at the same version.
+// and the dynamic-limit policy (Rewriter.fingerprint). No rule reads
+// stored data, so no data version is part of it. cat is the catalog
+// itself: a learned text (text.go) skips translation, so its entry must
+// not serve a session of another catalog at the same version.
 type planEnv struct {
 	rules                 string
 	maxSteps, maxTermSize int
-	schema, data          uint64
+	schema                uint64
 	cat                   *catalog.Catalog
 }
 
 // planEnv returns the environment of a query s rewrites through rw.
 func (s *Session) planEnv(rw *Rewriter) planEnv {
-	env := planEnv{rules: rw.fingerprint, maxSteps: s.Limits.MaxSteps, maxTermSize: s.Limits.MaxTermSize, schema: s.Cat.SchemaVersion(), cat: s.Cat}
-	if rw.readsData {
-		env.data = s.Cat.DataVersion()
-	}
-	return env
+	return planEnv{rules: rw.fingerprint, maxSteps: s.Limits.MaxSteps, maxTermSize: s.Limits.MaxTermSize, schema: s.Cat.SchemaVersion(), cat: s.Cat}
 }
 
 // planKey is how the cache files query q: the environment guarding its

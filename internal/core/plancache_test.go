@@ -7,7 +7,6 @@ import (
 
 	"lera/internal/lera"
 	"lera/internal/obs"
-	"lera/internal/value"
 )
 
 // TestPlanCacheDifferentialGolden is the plan cache's central guarantee:
@@ -213,49 +212,6 @@ func TestPlanCacheRuleBaseIsolation(t *testing.T) {
 	}
 	if fr2, err := full.Query(q); err != nil || fr2.Cache.Hit || !strings.Contains(lera.Format(fr2.Rewritten), "FALSE") {
 		t.Fatalf("full session was served the dynamic-limit session's plan: %v, %+v", err, fr2.Cache)
-	}
-}
-
-// TestPlanCacheKeysDataOnJoinOrder: a rule that calls JOINORDER reads
-// cardinality estimates, so its plans are keyed on the data version
-// whatever its block is called. Swapping the two relations' sizes must
-// invalidate the cached order, and the query is re-ordered.
-func TestPlanCacheKeysDataOnJoinOrder(t *testing.T) {
-	for _, block := range []string{"planning", "myplan"} {
-		t.Run(block, func(t *testing.T) {
-			s := planSession(t, WithPlanCache(8), WithRules(strings.ReplaceAll(PlanningRules, "planning", block)))
-			const q = "SELECT BIG.Id FROM BIG, TINY WHERE TINY.K = 3"
-			r, err := s.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rels := findSearchRels(r.Rewritten); relName(rels[0]) != "TINY" {
-				t.Fatalf("planning did not move TINY first: %s", lera.Format(r.Rewritten))
-			}
-			big, tiny := make([][]value.Value, 5), make([][]value.Value, 1000)
-			for i := range big {
-				big[i] = []value.Value{value.Int(int64(i)), value.Int(0)}
-			}
-			for i := range tiny {
-				tiny[i] = []value.Value{value.Int(int64(i)), value.Int(0)}
-			}
-			if err := s.DB.Load("BIG", big); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.DB.Load("TINY", tiny); err != nil {
-				t.Fatal(err)
-			}
-			r, err = s.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Cache.Hit || !r.Cache.Invalidated {
-				t.Errorf("a cardinality change must invalidate the cached order: %+v", r.Cache)
-			}
-			if rels := findSearchRels(r.Rewritten); relName(rels[0]) != "BIG" {
-				t.Errorf("stale join order served after the sizes swapped: %s", lera.Format(r.Rewritten))
-			}
-		})
 	}
 }
 

@@ -140,10 +140,6 @@ type Rewriter struct {
 	// plancache.go) knows of the rule base: RS's fingerprint, followed by
 	// the simple engine's when there is one.
 	fingerprint string
-	// readsData reports that some rule calls JOINORDER, which reads the
-	// catalog's cardinality estimates: the one way rewrite output depends
-	// on stored data, so cached plans also key on the data version.
-	readsData bool
 }
 
 // New builds a rewriter over a catalog.
@@ -169,7 +165,6 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 	magic.RegisterExternals(ext)
 	semantic.RegisterExternals(ext)
 	registerTypecheckExternals(ext)
-	registerPlanningExternals(ext)
 
 	rs := rules.NewRuleSet()
 	rs.Merge(rules.MustParse(TypecheckRules))
@@ -235,8 +230,7 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 		b.Limit = limit
 	}
 
-	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, schemaVersion: schemaVersion,
-		fingerprint: rs.Fingerprint(), readsData: callsExternal(rs, "JOINORDER")}
+	rw := &Rewriter{Cat: cat, RS: rs, Ext: ext, schemaVersion: schemaVersion, fingerprint: rs.Fingerprint()}
 	if cfg.ruleCheck {
 		diags := rulecheck.Lint(rs, ext, cat)
 		var errs []string
@@ -267,20 +261,6 @@ func build(cat *catalog.Catalog, cfg config) (*Rewriter, error) {
 		rw.fingerprint += simple.Fingerprint()
 	}
 	return rw, nil
-}
-
-// callsExternal reports whether some rule of rs names the external fn as
-// a constraint, a method or a right-hand-side builtin.
-func callsExternal(rs *rules.RuleSet, fn string) bool {
-	other := func(t *term.Term) bool { return t.Kind != term.Fun || !strings.EqualFold(t.Functor, fn) }
-	for _, r := range rs.Rules {
-		for _, t := range append(append([]*term.Term{r.RHS}, r.Constraints...), r.Methods...) {
-			if !term.Visit(t, other) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // CheckDiagnostics returns the non-fatal findings recorded by the

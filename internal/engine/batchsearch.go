@@ -25,8 +25,9 @@ package engine
 //     from whichever side is smaller, docs/PERF.md "Delta-driven rounds"),
 //     grace partitions when the build side exceeds the memory grant
 //     (spill.go), or a nested loop when no equi-join conjunct connects the
-//     relation — with one amortized tick and counter update per driving
-//     row;
+//     relation, which first cuts the relation to the rows its own leading
+//     conjuncts keep — with one amortized tick and counter update per
+//     driving row;
 //   - searchKernel.pair judges each pair in place over compiled predicate
 //     programs and materialises only what survives: the joined row in a
 //     non-final stage, the projected output row in the final one, laid end
@@ -61,29 +62,35 @@ type searchPlan struct {
 }
 
 type conjunct struct {
-	expr   *term.Term
-	maxRel int // highest relation index referenced (0 = none)
-	used   bool
+	expr           *term.Term
+	minRel, maxRel int // lowest and highest relation index referenced (0 = none)
+	used           bool
 }
 
 func newSearchPlan(t *term.Term) *searchPlan {
 	conjs := lera.Conjuncts(t.Args[1])
 	plan := &searchPlan{conjs: make([]conjunct, len(conjs)), projs: t.Args[2].Args}
 	for i, c := range conjs {
-		plan.conjs[i] = conjunct{expr: c, maxRel: maxRelIndex(c)}
+		lo, hi := relRange(c)
+		plan.conjs[i] = conjunct{expr: c, minRel: lo, maxRel: hi}
 	}
 	return plan
 }
 
-func maxRelIndex(e *term.Term) int {
-	max := 0
+// relRange returns the lowest and the highest relation index e references
+// (the highest no less than 0), or 0, 0 when e references no attribute.
+func relRange(e *term.Term) (lo, hi int) {
+	seen := false
 	term.Visit(e, func(s *term.Term) bool {
-		if i, _, ok := lera.AttrIdx(s); ok && i > max {
-			max = i
+		if i, _, ok := lera.AttrIdx(s); ok {
+			if !seen || i < lo {
+				lo = i
+			}
+			hi, seen = max(hi, i), true
 		}
 		return true
 	})
-	return max
+	return lo, hi
 }
 
 // searchInputs evaluates the relation list of a SEARCH, in order, into
@@ -222,6 +229,14 @@ func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 		st.preds = make([]pred, len(conjs))
 		for i, cj := range conjs {
 			st.preds[i] = c.pred(cj.expr, 0)
+		}
+		if ri > 1 && len(st.leftKeys) == 0 {
+			for _, cj := range conjs {
+				if cj.minRel != ri || cj.maxRel != ri {
+					break
+				}
+				st.local++
+			}
 		}
 		st.stack = c.top
 	}
@@ -421,6 +436,7 @@ type stageScratch struct {
 	// pair judge bound once, so that a round hands mapChunks no new closure.
 	left, right [][]value.Value
 	judge       func(w *DB, chunk []uint64) ([][]value.Value, error)
+	kept        [][]value.Value // the rows cartesian's pre-filter keeps
 }
 
 // kernel returns worker w's kernel of the stage: the holder's own, reset,
@@ -611,11 +627,22 @@ func (db *DB) scanStage(ss *stageScratch, rows [][]value.Value, rd indexRead) ([
 // cartesian is the nested-loop stage, for a relation no equi-join conjunct
 // connects to the prefix: every row of left pairs with every row of right,
 // in order, with one amortized tick and JoinPairs update per BatchSize
-// slice of right.
+// slice of right. When the stage leads with conjuncts that read right
+// alone, right is first cut to the rows they keep (preFilter), and the
+// pairs skip them (docs/PERF.md "Filter before crossing").
 func (db *DB) cartesian(ss *stageScratch, left, right [][]value.Value) ([][]value.Value, error) {
 	bs := db.batchSize()
+	var skip int32
+	if ss.st.local > 0 && len(left) > 0 {
+		var err error
+		if right, err = db.preFilter(ss, left[0], right, bs); err != nil {
+			return nil, err
+		}
+		skip = ss.st.local
+	}
 	return mapChunks(db, left, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		k := ss.kernel(w, 1)
+		k.skip = skip
 		for _, prow := range chunk {
 			for ni := 0; ni < len(right); ni += bs {
 				batch := right[ni:min(ni+bs, len(right))]
@@ -630,6 +657,30 @@ func (db *DB) cartesian(ss *stageScratch, left, right [][]value.Value) ([][]valu
 		}
 		return k.output()
 	})
+}
+
+// preFilter returns the rows of right that pass the stage's local
+// conjuncts, in order, in the stage scratch. Each row meets them over the
+// pair (l, row), l the first prefix row: the very evaluations the nested
+// loop made of that pair, which, reading the row alone, answer for every
+// prefix row. It runs on the evaluation's own kernel, before the pairs fan
+// out, so its counters and its first error are the same at every pool size.
+func (db *DB) preFilter(ss *stageScratch, l []value.Value, right [][]value.Value, bs int) ([][]value.Value, error) {
+	k := ss.kernel(db, 1)
+	kept := ss.kept[:0]
+	for ni := 0; ni < len(right) && k.err == nil; ni += bs {
+		batch := right[ni:min(ni+bs, len(right))]
+		if err := db.tickRows(len(batch)); err != nil {
+			return nil, err
+		}
+		for _, r := range batch {
+			if k.passes(k.preds[:k.local], l, r) {
+				kept = append(kept, r)
+			}
+		}
+	}
+	ss.kept = kept
+	return kept, k.err
 }
 
 // probeEach is the one probe loop of the hash joins, in memory and in a
@@ -721,6 +772,9 @@ type searchStage struct {
 	final     bool
 	widths    []int // per-relation widths of the prefix plus this stage's relation
 	stack     int   // the value stack a worker's frame needs
+	// local is the length of the leading run of a nested-loop stage's
+	// conjuncts that read the stage's relation alone (preFilter).
+	local int32
 	// sliced says the final stage of a one-relation SEARCH projects the run
 	// of columns [lo, hi) as it is: a survivor's output row is that run of
 	// its stored row's cells (picked), and no cell is copied.
@@ -752,8 +806,8 @@ type searchKernel struct {
 	runs0 [4]rowRun
 	n     int
 	open  bool
-	// skip is the number of leading conjuncts an index read has already
-	// answered for every row the kernel meets.
+	// skip is the number of leading conjuncts an index read or a
+	// pre-filter has already answered for every row the kernel meets.
 	skip int32
 	// ords are the scan stage's survivor ordinals when it does not copy:
 	// they pass on as the stored rows themselves, or their sliced runs
@@ -799,11 +853,14 @@ func (st *searchStage) kernel(w *DB, est int) searchKernel {
 // scan stage) and relation row r, in order and short-circuiting, exactly
 // as a filter over the materialised pair would, and reports whether the
 // pair survives. An evaluation error is recorded in err.
-func (k *searchKernel) judge(l, r []value.Value) bool {
+func (k *searchKernel) judge(l, r []value.Value) bool { return k.passes(k.preds[k.skip:], l, r) }
+
+// passes evaluates preds, in order and short-circuiting, over (l, r).
+func (k *searchKernel) passes(preds []pred, l, r []value.Value) bool {
 	if k.err != nil {
 		return false
 	}
-	for _, p := range k.preds[k.skip:] {
+	for _, p := range preds {
 		ok, err := k.x.test(p, l, r)
 		if err != nil {
 			k.err = err

@@ -243,7 +243,6 @@ func (db *DB) Load(name string, rows [][]value.Value) error {
 			}
 		}
 		stored.Width = len(rel.Columns)
-		rel.EstRows = len(rows)
 		db.Cat.BumpDataVersion()
 	}
 	key := strings.ToUpper(name)
@@ -279,7 +278,6 @@ func (db *DB) Insert(name string, row []value.Value) error {
 	}
 	r.Rows = append(r.Rows, row)
 	if declared {
-		rel.EstRows = len(r.Rows)
 		db.Cat.BumpDataVersion()
 	}
 	if db.idx != nil {

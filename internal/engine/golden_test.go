@@ -131,7 +131,48 @@ func diffCorpus() map[string]*term.Term {
 			),
 			[]*term.Term{lera.Attr(1, 2), lera.Attr(2, 1), lera.Call("Name", lera.Attr(3, 2))},
 		),
+		// A nested-loop stage that leads with a conjunct reading its own
+		// relation alone judges it once per row of the relation, then
+		// pairs the rows it keeps with the prefix (docs/PERF.md "Filter
+		// before crossing", TestPreFilterStages): here a conjunct of both
+		// relations follows it;
+		"cross-local-first": lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("DOMINATE")},
+			lera.Ands(
+				lera.Cmp("=", lera.Attr(2, 1), term.Num(1)),
+				lera.Cmp(">=", lera.Attr(1, 1), lera.Attr(2, 1)),
+			),
+			[]*term.Term{lera.Attr(1, 2), lera.Call("Name", lera.Attr(2, 2))},
+		),
+		// a local conjunct behind one of both relations is judged per pair;
+		"cross-local-behind": lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("DOMINATE")},
+			lera.Ands(
+				lera.Cmp("<", lera.Attr(1, 1), lera.Attr(2, 1)),
+				lera.Cmp("=", lera.Attr(2, 1), term.Num(3)),
+			),
+			[]*term.Term{lera.Attr(1, 2), lera.Attr(2, 1)},
+		),
+		// and after an empty prefix a local conjunct that fails on some row
+		// of the relation is never judged.
+		"cross-empty-prefix": lera.Search(
+			[]*term.Term{lera.Rel("FILM"), lera.Rel("DOMINATE")},
+			lera.Ands(lera.Cmp("<", lera.Attr(1, 1), term.Num(0)), failsOnNumf3()),
+			[]*term.Term{lera.Attr(1, 2)},
+		),
 	}
+}
+
+// failsOnNumf3 is 1 / (2.1 - 3) > 0, a conjunct of DOMINATE alone that
+// fails on its row with Numf 3, the third: division by zero.
+func failsOnNumf3() *term.Term {
+	return lera.Cmp(">", term.F("/", term.Num(1), term.F("-", lera.Attr(2, 1), term.Num(3))), term.Num(0))
+}
+
+// crossFails is a nested-loop stage whose pre-filter fails: failsOnNumf3
+// over FILM × DOMINATE.
+func crossFails() *term.Term {
+	return lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("DOMINATE")}, lera.Ands(failsOnNumf3()), []*term.Term{lera.Attr(1, 2)})
 }
 
 // runCfg is one engine configuration of the determinism matrix.
@@ -248,7 +289,8 @@ var tightLimits = guard.Limits{MaxRows: 12, MaxFixIterations: 50}
 
 // goldenRuns computes every golden entry under the given batch and pool
 // size: the corpus in both fixpoint modes, the corpus under tightLimits,
-// the first two MEMBER fault positions of the Figure 3 query, the Figure 5
+// the first two MEMBER fault positions of the Figure 3 query, the failing
+// pre-filter of crossFails, the Figure 5
 // closure over three random graphs and its left-linear form over the first
 // (rows elided).
 func goldenRuns(t *testing.T, batch, par int) map[string]engineRun {
@@ -263,6 +305,7 @@ func goldenRuns(t *testing.T, batch, par int) map[string]engineRun {
 	for _, call := range []int{1, 2} {
 		out[fmt.Sprintf("fault/member-call-%d", call)] = runEngine(t, diffCorpus()["fig3-hash-join"], runCfg{batch: batch, par: par, fault: call})
 	}
+	out["fault/cross-prefilter"] = runEngine(t, crossFails(), runCfg{batch: batch, par: par})
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, mode := range []FixMode{SemiNaive, Naive} {
 			run := runOn(graphDB(t, seed), fig5Fix(), runCfg{batch: batch, par: par, mode: mode})

@@ -4,11 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"lera/internal/guard"
 )
 
 // FuzzParse: Parse and ParseQuery, which every query sent to the server
 // goes through, never panic on any byte string, and an error comes with a
-// nil result. Seeds: the paper's figures, examples/*.esql and, under
+// nil result and is PARSE under guard.CodeOf. Seeds: the paper's figures, examples/*.esql and, under
 // testdata/fuzz/FuzzParse, the strings of parser_test.go; plain go test
 // replays them all.
 //
@@ -29,11 +31,11 @@ func FuzzParse(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		if stmts, err := Parse(src); err != nil && stmts != nil {
-			t.Errorf("Parse: error %v with %d statements", err, len(stmts))
+		if stmts, err := Parse(src); err != nil && (stmts != nil || guard.CodeOf(err) != guard.CodeParse) {
+			t.Errorf("Parse: error %v (%s) with %d statements", err, guard.CodeOf(err), len(stmts))
 		}
-		if q, err := ParseQuery(src); err != nil && q != nil {
-			t.Errorf("ParseQuery: error %v with a query", err)
+		if q, err := ParseQuery(src); err != nil && (q != nil || guard.CodeOf(err) != guard.CodeParse) {
+			t.Errorf("ParseQuery: error %v (%s) with a query", err, guard.CodeOf(err))
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package esql
 
 import (
-	"fmt"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -143,7 +142,7 @@ func (l *lexer) next() (token, error) {
 		escaped := false
 		for {
 			if l.pos >= len(l.src) {
-				return token{}, fmt.Errorf("esql: %d:%d: unterminated string", line, col)
+				return token{}, errorf("%d:%d: unterminated string", line, col)
 			}
 			if l.advance() == '\'' {
 				if l.peek() != '\'' {
@@ -157,7 +156,7 @@ func (l *lexer) next() (token, error) {
 
 	case r == '$':
 		if !unicode.IsDigit(l.peekNext()) {
-			return token{}, fmt.Errorf("esql: %d:%d: expected parameter number after '$'", line, col)
+			return token{}, errorf("%d:%d: expected parameter number after '$'", line, col)
 		}
 		l.advance()
 		for l.pos < len(l.src) && unicode.IsDigit(l.peek()) {
@@ -178,7 +177,7 @@ func (l *lexer) next() (token, error) {
 		l.advance()
 		return token{kind: tOp, text: l.src[start:l.pos], line: line, col: col}, nil
 	}
-	return token{}, fmt.Errorf("esql: %d:%d: unexpected character %q", line, col, string(r))
+	return token{}, errorf("%d:%d: unexpected character %q", line, col, string(r))
 }
 
 // unquote is a string literal's value from the text between its quotes:

@@ -1,9 +1,6 @@
 package esql
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // CountParams validates the $n placeholders of a PREPARE body and
 // returns the parameter count. Placeholders must be exactly $1..$n with
@@ -26,7 +23,7 @@ func CountParams(sel *Select) (int, error) {
 	max := idxs[len(idxs)-1]
 	for want := 1; want <= max; want++ {
 		if !seen[want] {
-			return 0, fmt.Errorf("esql: prepared statement uses $%d but not $%d (parameters must be $1..$%d with no gaps)", max, want, max)
+			return 0, errorf("prepared statement uses $%d but not $%d (parameters must be $1..$%d with no gaps)", max, want, max)
 		}
 	}
 	return max, nil
@@ -45,7 +42,7 @@ func BindParams(sel *Select, args []Expr) (*Select, error) {
 		}
 		if p.Index < 1 || p.Index > len(args) {
 			if err == nil {
-				err = fmt.Errorf("esql: statement uses $%d but EXECUTE passed %d argument(s)", p.Index, len(args))
+				err = errorf("statement uses $%d but EXECUTE passed %d argument(s)", p.Index, len(args))
 			}
 			return e
 		}

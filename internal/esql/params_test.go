@@ -3,6 +3,8 @@ package esql
 import (
 	"strings"
 	"testing"
+
+	"lera/internal/guard"
 )
 
 func TestParsePrepareExecute(t *testing.T) {
@@ -91,5 +93,34 @@ func TestBindParams(t *testing.T) {
 	if _, err := BindParams(sel, []Expr{&Lit{}}); err == nil ||
 		!strings.Contains(err.Error(), "uses $2 but EXECUTE passed 1") {
 		t.Fatalf("arity error = %v", err)
+	}
+}
+
+// TestErrorsAreParse: every error of the package — the lexer's, the
+// parser's, a placeholder gap, a missing EXECUTE argument — is PARSE under
+// guard.CodeOf, and reads as its own text.
+func TestErrorsAreParse(t *testing.T) {
+	var errs []error
+	for _, src := range []string{
+		"SELECT Title FROM FILM WHERE Numf = 1 LIMIT 2;",
+		"SELECT Title FROM FILM WHERE Title = 'open",
+		"SELECT Title FROM FILM WHERE Numf = 1 # 2;",
+		"SELECT Title FROM FILM; SELECT Numf FROM FILM;",
+	} {
+		_, err := ParseQuery(src)
+		errs = append(errs, err)
+	}
+	sel, err := ParseQuery("SELECT Title FROM FILM WHERE Numf = $2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CountParams(sel)
+	errs = append(errs, err)
+	_, err = BindParams(sel, nil)
+	errs = append(errs, err)
+	for i, err := range errs {
+		if code := guard.CodeOf(err); code != guard.CodeParse || !strings.HasPrefix(err.Error(), "esql: ") {
+			t.Errorf("error %d: %v is %s, want PARSE and the esql text", i, err, code)
+		}
 	}
 }

@@ -5,8 +5,16 @@ import (
 	"strconv"
 	"strings"
 
+	"lera/internal/guard"
 	"lera/internal/value"
 )
+
+// errorf formats an error of this package, a text that is not ESQL: it
+// wraps guard.ErrParse, whose text "esql" heads the message, so
+// guard.CodeOf reports it as PARSE.
+func errorf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{guard.ErrParse}, args...)...)
+}
 
 // Parse parses a sequence of ESQL statements.
 func Parse(src string) ([]Stmt, error) {
@@ -28,7 +36,7 @@ func Parse(src string) ([]Stmt, error) {
 		out = append(out, s)
 		if !p.peek().is(";") && !p.atEOF() {
 			t := p.peek()
-			return nil, fmt.Errorf("esql: %d:%d: expected ';', got %q", t.line, t.col, t.text)
+			return nil, errorf("%d:%d: expected ';', got %q", t.line, t.col, t.text)
 		}
 	}
 	return out, nil
@@ -41,11 +49,11 @@ func ParseQuery(src string) (*Select, error) {
 		return nil, err
 	}
 	if len(stmts) != 1 {
-		return nil, fmt.Errorf("esql: expected one statement, got %d", len(stmts))
+		return nil, errorf("expected one statement, got %d", len(stmts))
 	}
 	s, ok := stmts[0].(*Select)
 	if !ok {
-		return nil, fmt.Errorf("esql: expected a SELECT statement")
+		return nil, errorf("expected a SELECT statement")
 	}
 	return s, nil
 }
@@ -85,13 +93,13 @@ func (p *parser) expect(text string) error {
 		p.advance()
 		return nil
 	}
-	return fmt.Errorf("esql: %d:%d: expected %q, got %q", t.line, t.col, text, t.text)
+	return errorf("%d:%d: expected %q, got %q", t.line, t.col, text, t.text)
 }
 
 func (p *parser) ident(what string) (string, error) {
 	t := p.peek()
 	if t.kind != tIdent {
-		return "", fmt.Errorf("esql: %d:%d: expected %s, got %q", t.line, t.col, what, t.text)
+		return "", errorf("%d:%d: expected %s, got %q", t.line, t.col, what, t.text)
 	}
 	p.advance()
 	return t.text, nil
@@ -117,7 +125,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case t.is("EXECUTE"):
 		return p.parseExecute()
 	}
-	return nil, fmt.Errorf("esql: %d:%d: unexpected %q (expected TYPE, TABLE, CREATE, SELECT, INSERT, EXPLAIN, PREPARE or EXECUTE)", t.line, t.col, t.text)
+	return nil, errorf("%d:%d: unexpected %q (expected TYPE, TABLE, CREATE, SELECT, INSERT, EXPLAIN, PREPARE or EXECUTE)", t.line, t.col, t.text)
 }
 
 // parsePrepare parses PREPARE name AS SELECT ... ($n placeholders are
@@ -133,7 +141,7 @@ func (p *parser) parsePrepare() (Stmt, error) {
 	}
 	t := p.peek()
 	if !t.is("SELECT") {
-		return nil, fmt.Errorf("esql: %d:%d: PREPARE expects a SELECT body, got %q", t.line, t.col, t.text)
+		return nil, errorf("%d:%d: PREPARE expects a SELECT body, got %q", t.line, t.col, t.text)
 	}
 	sel, err := p.parseSelect()
 	if err != nil {
@@ -166,7 +174,7 @@ func (p *parser) parseExplain() (Stmt, error) {
 	}
 	t := p.peek()
 	if !t.is("SELECT") {
-		return nil, fmt.Errorf("esql: %d:%d: EXPLAIN expects a SELECT, got %q", t.line, t.col, t.text)
+		return nil, errorf("%d:%d: EXPLAIN expects a SELECT, got %q", t.line, t.col, t.text)
 	}
 	sel, err := p.parseSelect()
 	if err != nil {
@@ -207,7 +215,7 @@ func (p *parser) parseType() (Stmt, error) {
 		for !p.peek().is(")") {
 			v := p.peek()
 			if v.kind != tString {
-				return nil, fmt.Errorf("esql: %d:%d: enumeration values must be strings", v.line, v.col)
+				return nil, errorf("%d:%d: enumeration values must be strings", v.line, v.col)
 			}
 			p.advance()
 			d.EnumVals = append(d.EnumVals, v.text)
@@ -257,7 +265,7 @@ func (p *parser) parseType() (Stmt, error) {
 		d.Elem = ref.Elem
 
 	default:
-		return nil, fmt.Errorf("esql: %d:%d: unexpected %q in TYPE declaration", t.line, t.col, t.text)
+		return nil, errorf("%d:%d: unexpected %q in TYPE declaration", t.line, t.col, t.text)
 	}
 	return d, nil
 }
@@ -269,7 +277,7 @@ func (p *parser) skipParens() error {
 	depth := 1
 	for depth > 0 {
 		if p.atEOF() {
-			return fmt.Errorf("esql: unbalanced parentheses")
+			return errorf("unbalanced parentheses")
 		}
 		t := p.advance()
 		if t.is("(") {
@@ -651,13 +659,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if strings.Contains(t.text, ".") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
-				return nil, fmt.Errorf("esql: %d:%d: bad number %q", t.line, t.col, t.text)
+				return nil, errorf("%d:%d: bad number %q", t.line, t.col, t.text)
 			}
 			return &Lit{Val: value.Real(f)}, nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("esql: %d:%d: bad number %q", t.line, t.col, t.text)
+			return nil, errorf("%d:%d: bad number %q", t.line, t.col, t.text)
 		}
 		return &Lit{Val: value.Int(n)}, nil
 
@@ -669,7 +677,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.advance()
 		n, err := strconv.Atoi(t.text)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("esql: %d:%d: bad parameter $%s (parameters are $1, $2, ...)", t.line, t.col, t.text)
+			return nil, errorf("%d:%d: bad parameter $%s (parameters are $1, $2, ...)", t.line, t.col, t.text)
 		}
 		return &Param{Index: n}, nil
 
@@ -770,7 +778,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("esql: %d:%d: unexpected token %q", t.line, t.col, t.text)
+	return nil, errorf("%d:%d: unexpected token %q", t.line, t.col, t.text)
 }
 
 func (p *parser) parseArgList() ([]Expr, error) {

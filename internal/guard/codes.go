@@ -47,6 +47,10 @@ const (
 	CodeInternal Code = "INTERNAL"
 )
 
+// ErrParse marks a text that is not ESQL: every error the esql package
+// returns wraps it, and its text is the head of theirs.
+var ErrParse = errors.New("esql")
+
 // Admission-control errors (the server's session pool returns them).
 // Typed so that shed work is distinguishable from failed work everywhere
 // errors.Is reaches.
@@ -93,6 +97,8 @@ func CodeOf(err error) Code {
 		return CodeMemBudget
 	case errors.Is(err, context.Canceled):
 		return CodeCanceled
+	case errors.Is(err, ErrParse):
+		return CodeParse
 	}
 	var ext *ExternalError
 	if errors.As(err, &ext) {

@@ -25,6 +25,7 @@ func TestCodeOf(t *testing.T) {
 		{fmt.Errorf("%w: 900 nodes", ErrTermSize), CodeTermSize},
 		{fmt.Errorf("engine: %w: 100 rows", ErrRowBudget), CodeRowBudget},
 		{context.Canceled, CodeCanceled},
+		{fmt.Errorf("%w: 1:8: unexpected token", ErrParse), CodeParse},
 		{NewExternalPanic(ExtConstraint, "r", "F", "[0]", "boom"), CodeExternalPanic},
 		{&ExternalError{Kind: ExtADT, External: "F", Err: errors.New("bad")}, CodeExternalError},
 		// An external wrapping an injected fault keeps the INJECTED code.

@@ -23,8 +23,20 @@ import (
 // every shipped rule base and the examples of docs/RULES.md.
 func FuzzParseRules(f *testing.F) {
 	for _, src := range []string{
-		lopt.SyntacticRules, semantic.SemanticRules, core.TypecheckRules, core.PlanningRules,
+		lopt.SyntacticRules, semantic.SemanticRules, core.TypecheckRules,
 		magic.FixpointRules, core.DefaultSequence,
+		// A block whose one rule binds its outputs in a method call, with
+		// an empty condition on both sides, and a sequence that names it.
+		`
+rule join_order:
+  SEARCH(z, q, a)
+  / -->
+  SEARCH(z2, q2, a2)
+  / JOINORDER(z, q, a, z2, q2, a2) ;
+
+block(planning, {join_order}, inf);
+seq({typecheck, normalize, merge, push, fixpoint, merge, constraints, semantic, simplify, merge, planning}, 2);
+`,
 		// Operators in the prefix form a term renders them in, and reals
 		// that render with an exponent.
 		"rule r: FOO(=(x, y), -(x, 2), NEG(-(x))) / *(x, 2) > 1e-07 --> BAR(/(x, 1e+21), 'it''s') / ;",

@@ -431,11 +431,13 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 	}()
 	if err != nil {
 		resp = s.errResponse(tenantName, err)
-		// QueryCtx returns no Result exactly when parsing or translating
-		// the text failed: the request never reached the guarded
-		// pipeline, so an otherwise unclassified failure is in the
-		// request, not the server. (An isolated panic also leaves res
-		// nil, and stays INTERNAL.)
+		// A text that does not parse is PARSE by its own error
+		// (guard.ErrParse). One that parses but does not translate has no
+		// code of its own yet (ROADMAP item 11), and QueryCtx returns no
+		// Result exactly when parsing or translating failed: the request
+		// never reached the guarded pipeline, so an otherwise
+		// unclassified failure is in the request, not the server. (An
+		// isolated panic also leaves res nil, and stays INTERNAL.)
 		if res == nil && healthy && resp.Code == string(guard.CodeInternal) {
 			resp.Code = string(guard.CodeParse)
 		}

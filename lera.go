@@ -95,17 +95,15 @@ var (
 	// WithBlockLimit sets one block's budget in the assembled rule base; a
 	// zero limit turns the block off (§7).
 	WithBlockLimit = core.WithBlockLimit
-	// WithPlanning enables the §7 planning-hint extension: join operands
-	// reorder by estimated cardinality, smallest first.
-	WithPlanning = core.WithPlanning
 	// WithRuleCheck statically verifies the assembled rule base at
 	// construction time: error-level findings refuse the rule base,
 	// advisory findings are kept on Rewriter.CheckDiagnostics. See
 	// docs/RULES.md ("Validating your rules").
 	WithRuleCheck = core.WithRuleCheck
-	// WithPlanCache arms a bounded LRU of rewritten plans keyed by
-	// templatized term hash + rule-base fingerprint + guard budget shape, so
-	// repeated query shapes skip the rewriter (docs/PLANCACHE.md).
+	// WithPlanCache arms a bounded LRU of rewritten plans keyed by the
+	// query's template under the rule-base fingerprint, the guard budget
+	// shape and the catalog's schema version, so repeated query shapes skip
+	// the rewriter (docs/PLANCACHE.md).
 	WithPlanCache = core.WithPlanCache
 	// WithPlanCacheValidation re-validates every n'th cache hit against
 	// a cold rewrite, invalidating entries that disagree.
