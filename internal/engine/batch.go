@@ -7,7 +7,11 @@ package engine
 // per-row function dispatch. Row identity uses 64-bit hashed keys with
 // collision-checked buckets (hash.go) in place of rowKey strings, and
 // SEARCH join build sides over stored relations come from
-// the persistent index set (index.go, batchsearch.go).
+// the persistent index set (index.go, batchsearch.go). Selection and join
+// have one evaluator: FILTER(r, q) is the SEARCH of r under q and JOIN(r,
+// s, q) the SEARCH of r and s under q, each projecting every column
+// (§3.1), so both take SEARCH's access paths and its work model —
+// JoinPairs, PredEvals and the first error are a SEARCH's.
 //
 // The contract (docs/PERF.md, "Batched execution & relation indexes"):
 // rows, order included, equal the semantics-only reference evaluator's
@@ -117,24 +121,12 @@ func (a *rowArena) alloc(n int) []value.Value {
 	return a.buf[s : s+n : s+n]
 }
 
-// join returns the concatenation l ++ r as a fresh arena row.
-func (a *rowArena) join(l, r []value.Value) []value.Value {
-	row := a.alloc(len(l) + len(r))
-	copy(row, l)
-	copy(row[len(l):], r)
-	return row
-}
-
 // evalOpBatch dispatches the data-moving operators to their batched
-// implementations.
+// implementations; FILTER and JOIN are SEARCHes (searchParts).
 func (db *DB) evalOpBatch(t *term.Term, e env) (*Relation, error) {
 	switch t.Functor {
-	case "SEARCH":
+	case "SEARCH", "FILTER", "JOIN":
 		return db.evalSearchBatch(t, e)
-	case "FILTER":
-		return db.evalFilterBatch(t, e)
-	case "JOIN":
-		return db.evalJoinBatch(t, e)
 	case "UNIONN":
 		return db.evalUnionBatch(t, e)
 	case "INTERN":
@@ -147,108 +139,6 @@ func (db *DB) evalOpBatch(t *term.Term, e env) (*Relation, error) {
 		return db.evalUnnestBatch(t, e)
 	}
 	return nil, fmt.Errorf("engine: unknown operator %s", t.Functor)
-}
-
-func (db *DB) evalFilterBatch(t *term.Term, e env) (*Relation, error) {
-	in, err := db.eval(t.Args[0], e)
-	if err != nil {
-		return nil, err
-	}
-	// The row is the pair's r; its width is checked per row.
-	c := compiler{db: db, widths: []int{-1}}
-	qual := c.pred(t.Args[1], 0)
-	kept, err := mapChunks(db, in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-		var out [][]value.Value
-		bs := w.batchSize()
-		x := &frame{w: w, stack: make([]value.Value, c.top)}
-		for len(chunk) > 0 {
-			batch := chunk
-			if len(batch) > bs {
-				batch = batch[:bs]
-			}
-			chunk = chunk[len(batch):]
-			if err := w.tickRows(len(batch)); err != nil {
-				return nil, err
-			}
-			for _, row := range batch {
-				ok, err := x.test(qual, nil, row)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out = append(out, row)
-				}
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	deduped, err := db.dedupRows(kept)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Rows: deduped, Width: in.Arity()}
-	db.Count.Emitted += len(out.Rows)
-	if err := db.chargeRows(len(out.Rows)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (db *DB) evalJoinBatch(t *term.Term, e env) (*Relation, error) {
-	left, err := db.eval(t.Args[0], e)
-	if err != nil {
-		return nil, err
-	}
-	right, err := db.eval(t.Args[1], e)
-	if err != nil {
-		return nil, err
-	}
-	// The raw JOIN operator stays a nested loop in both engines: every
-	// pair is accounted in JoinPairs, so converting it to a hash join
-	// would change the work model (SEARCH is where join planning lives).
-	out := &Relation{Width: left.Arity() + right.Arity()}
-	ar := &rowArena{db: db}
-	c := compiler{db: db, widths: []int{-1, -1}}
-	qual := c.pred(t.Args[2], 0)
-	x := &frame{w: db, stack: make([]value.Value, c.top)}
-	bs := db.batchSize()
-	for _, l := range left.Rows {
-		for ri := 0; ri < len(right.Rows); {
-			n := len(right.Rows) - ri
-			if n > bs {
-				n = bs
-			}
-			if err := db.tickRows(n); err != nil {
-				return nil, err
-			}
-			for _, r := range right.Rows[ri : ri+n] {
-				// JoinPairs stays per-pair (not per-batch) so the counter
-				// state is the same at every batch size when a
-				// qualification faults mid-batch.
-				db.Count.JoinPairs++
-				ok, err := x.test(qual, l, r)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out.Rows = append(out.Rows, ar.join(l, r))
-				}
-			}
-			ri += n
-		}
-	}
-	out.Rows, err = db.dedupRows(out.Rows)
-	if err != nil {
-		return nil, err
-	}
-	db.Count.Emitted += len(out.Rows)
-	if err := db.chargeRows(len(out.Rows)); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (db *DB) evalUnionBatch(t *term.Term, e env) (*Relation, error) {

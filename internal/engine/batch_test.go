@@ -412,6 +412,10 @@ func TestWidthPreservation(t *testing.T) {
 		{"empty-input-search", lera.Search([]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1))), []*term.Term{lera.Attr(1, 2), lera.Attr(2, 2), lera.Attr(2, 1)}), 3},
 		{"filter-empty", lera.Filter(lera.Rel("FILM"), lera.Ands(lera.Cmp("=", lera.Attr(1, 1), term.Num(1)))), 3},
 		{"join-empty", lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.TrueQual()), 5},
+		// FILTER and JOIN project every column: a statically false one
+		// learns its width from its inputs before it short-circuits.
+		{"static-false-filter", lera.Filter(lera.Rel("APPEARS_IN"), lera.Ands(term.FalseT())), 2},
+		{"static-false-join", lera.Join(lera.Rel("APPEARS_IN"), lera.Rel("APPEARS_IN"), lera.Ands(term.FalseT())), 4},
 		{"union-empty", lera.Union(lera.Rel("FILM"), lera.Rel("FILM")), 3},
 		{"inter-empty", lera.Inter(lera.Rel("FILM"), lera.Rel("FILM")), 3},
 		{"diff-full", lera.Diff(lera.Rel("APPEARS_IN"), lera.Rel("APPEARS_IN")), 2},

@@ -1,9 +1,11 @@
 package engine
 
-// Evaluation of the compound SEARCH operator (§3.1): the relation list is
-// joined left-to-right, using a hash join whenever the qualification
-// supplies an equi-join conjunct connecting the accumulated prefix to the
-// next relation, and a nested-loop (cartesian) step otherwise. Conjuncts
+// Evaluation of the compound SEARCH operator (§3.1) — and of FILTER and
+// JOIN, the SEARCHes that project every column (searchParts): the
+// relation list is joined left-to-right, using a hash join whenever the
+// qualification supplies an equi-join conjunct connecting the accumulated
+// prefix to the next relation, and a nested-loop (cartesian) step
+// otherwise. Conjuncts
 // are applied as early as their attribute references allow; the projection
 // is computed last. Planning is split by what it depends on. What depends
 // on the evaluation — the static-false short-circuit, relation evaluation
@@ -68,8 +70,9 @@ type conjunct struct {
 }
 
 func newSearchPlan(t *term.Term) *searchPlan {
-	conjs := lera.Conjuncts(t.Args[1])
-	plan := &searchPlan{conjs: make([]conjunct, len(conjs)), projs: t.Args[2].Args}
+	_, qual, projs, _ := searchParts(t)
+	conjs := lera.Conjuncts(qual)
+	plan := &searchPlan{conjs: make([]conjunct, len(conjs)), projs: projs}
 	for i, c := range conjs {
 		lo, hi := relRange(c)
 		plan.conjs[i] = conjunct{expr: c, minRel: lo, maxRel: hi}
@@ -93,13 +96,26 @@ func relRange(e *term.Term) (lo, hi int) {
 	return lo, hi
 }
 
+// searchParts reads t as a SEARCH: its relation terms, its qualification
+// and its projection. FILTER(r, q) and JOIN(r, s, q) are the SEARCHes of
+// r, and of r and s, under q that project every column (every, with no
+// projection terms): their rows are their inputs' rows, joined.
+func searchParts(t *term.Term) (rels []*term.Term, qual *term.Term, projs []*term.Term, every bool) {
+	if t.Functor == "SEARCH" {
+		return t.Args[0].Args, t.Args[1], t.Args[2].Args, false
+	}
+	n := len(t.Args) - 1
+	return t.Args[:n], t.Args[n], nil, true
+}
+
 // searchInputs evaluates the relation list of a SEARCH, in order, into
 // rels — a buffer to refill, or nil. It returns a non-nil short relation
 // when the search short-circuits (statically false qualification, or an
 // empty input relation) — both cases preserve the declared projection
-// arity.
+// arity. A SEARCH that projects every column learns that arity from its
+// inputs, so it evaluates them before it short-circuits.
 func (db *DB) searchInputs(t *term.Term, e env, rels []*Relation) ([]*Relation, *Relation, error) {
-	relTerms := t.Args[0].Args
+	relTerms, qual, projs, every := searchParts(t)
 	if len(relTerms) == 0 {
 		return nil, nil, fmt.Errorf("engine: SEARCH with empty relation list")
 	}
@@ -107,10 +123,15 @@ func (db *DB) searchInputs(t *term.Term, e env, rels []*Relation) ([]*Relation, 
 	// relation is touched — the payoff of the semantic inconsistency
 	// rules (§6.2): zero tuples scanned. The empty result still declares
 	// the projection arity.
-	for _, c := range lera.Conjuncts(t.Args[1]) {
+	never := false
+	for _, c := range lera.Conjuncts(qual) {
 		if c.Kind == term.Const && c.Val.K == value.KBool && !c.Val.B() {
-			return nil, &Relation{Width: len(t.Args[2].Args)}, nil
+			never = true
+			break
 		}
+	}
+	if never && !every {
+		return nil, &Relation{Width: len(projs)}, nil
 	}
 	if cap(rels) < len(relTerms) {
 		rels = make([]*Relation, 0, len(relTerms))
@@ -123,10 +144,15 @@ func (db *DB) searchInputs(t *term.Term, e env, rels []*Relation) ([]*Relation, 
 		}
 		rels = append(rels, r)
 	}
+	empty, width := false, len(projs)
 	for _, r := range rels {
-		if len(r.Rows) == 0 {
-			return nil, &Relation{Width: len(t.Args[2].Args)}, nil
+		empty = empty || len(r.Rows) == 0
+		if every {
+			width += r.Arity()
 		}
+	}
+	if never || empty {
+		return nil, &Relation{Width: width}, nil
 	}
 	return rels, nil, nil
 }
@@ -205,6 +231,7 @@ type searchProgram struct {
 
 func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 	plan := newSearchPlan(t)
+	_, _, _, every := searchParts(t)
 	widths, offset := relOffsets(rels)
 	n := len(rels)
 	prog := &searchProgram{stages: make([]searchStage, n)}
@@ -218,9 +245,16 @@ func (db *DB) compileSearch(t *term.Term, rels []*Relation) *searchProgram {
 		c := compiler{db: db, widths: st.widths}
 		if st.final {
 			conjs = append(conjs, leftoverConjuncts(plan)...)
-			st.projs = make([]operand, len(plan.projs))
-			for i, p := range plan.projs {
-				st.projs[i] = c.operand(p, 0)
+			if every {
+				st.projs = make([]operand, offset[n])
+				for i := range st.projs {
+					st.projs[i] = operand{kind: opSlot, slot: i}
+				}
+			} else {
+				st.projs = make([]operand, len(plan.projs))
+				for i, p := range plan.projs {
+					st.projs[i] = c.operand(p, 0)
+				}
 			}
 			if n == 1 && !forceCopy {
 				st.lo, st.hi, st.sliced = columnRun(st.projs)
@@ -473,7 +507,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	}
 	prog := db.programFor(ent, t, rels)
 	scr.fit(prog, rels)
-	relTerms := t.Args[0].Args
+	relTerms, _, _, _ := searchParts(t)
 
 	// One stage per relation: stage 1 scans the first relation, stage ri
 	// pairs every surviving prefix row with its matches in relation ri. The
@@ -529,7 +563,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 
 	// LERA is an extension of Codd's algebra: relations are sets, so the
 	// projection output deduplicates — unless it cannot hold a duplicate.
-	out := &Relation{Width: len(t.Args[2].Args)}
+	out := &Relation{Width: len(prog.stages[len(rels)-1].projs)}
 	if label := db.distinctColumn(prog, rels, relTerms[0], e, current); label != "" {
 		out.Rows = current
 		if g := db.g; g != nil && g.cur != nil {

@@ -17,8 +17,8 @@ import (
 // comparisons of scalars and collections, AND/OR/NOT, MEMBER, ISEMPTY,
 // ALL, arithmetic, VALUE, PROJECT, a CALL field of a tuple or an object,
 // constructors, unknown functions, wrong arities, out-of-range ATTRs and
-// a panicking function — in a SEARCH stage's layout, a raw JOIN's or a
-// FILTER's, as a qualification and as a value, optionally with an
+// a panicking function — in a SEARCH stage's layout over one to three
+// relations, as a qualification and as a value, optionally with an
 // overridden comparison and with an injector armed at its n-th hit. Both
 // must give the same value bit for bit or the same error text, the same
 // PredEvals and the same injector call counts.
@@ -148,11 +148,14 @@ type exprCase struct {
 
 func (g *exprGen) exprCase() *exprCase {
 	c := &exprCase{e: g.expr(1 + g.next(4))}
-	layout, n := g.next(3), 1
-	switch layout {
-	case 0: // a SEARCH stage over 1 to 3 relations
+	// The relation count: 1 to 3, or two (once a raw JOIN's layout) or one
+	// (once a FILTER's) — FILTER and JOIN are SEARCHes now, and this byte
+	// keeps the committed seeds' decoding.
+	n := 1
+	switch g.next(3) {
+	case 0:
 		n = 1 + g.next(3)
-	case 1: // a raw JOIN
+	case 1:
 		n = 2
 	}
 	for i := 0; i < n; i++ {
@@ -161,11 +164,7 @@ func (g *exprGen) exprCase() *exprCase {
 			row[j] = fuzzPool[g.next(len(fuzzPool))]
 		}
 		c.segs = append(c.segs, row)
-		if layout == 0 {
-			c.widths = append(c.widths, len(row))
-		} else {
-			c.widths = append(c.widths, -1)
-		}
+		c.widths = append(c.widths, len(row))
 	}
 	c.override = g.next(3)
 	if c.armHit = g.next(5); c.armHit > 0 {

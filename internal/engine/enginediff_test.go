@@ -14,6 +14,9 @@ package engine_test
 //	in-memory ↔ spill, serial         out-of-core processing changes nothing
 //	spill serial ↔ spill parallel     … at any pool size
 //
+// Beside the generated corpus run fixed FILTER and JOIN terms (fixedForms)
+// that take the pre-filter, the hash join and the index read.
+//
 // This is the random-corpus half of the engine's determinism gates
 // (docs/PERF.md); the golden-corpus half, which also pins counters and
 // EXPLAIN ANALYZE trees, is golden_test.go and internal/core's corpus.
@@ -72,7 +75,7 @@ type engineVariant struct {
 func engineDiff(t *testing.T, cat *catalog.Catalog, opt diffOptions) []string {
 	t.Helper()
 	inst := rulecheck.Generate(cat, opt.seed, opt.rowsPerRelation)
-	corpus := rulecheck.Corpus(cat, inst, opt.seed)
+	corpus := append(rulecheck.Corpus(cat, inst, opt.seed), fixedForms()...)
 	variants := []engineVariant{
 		{name: "naive/serial", mode: engine.Naive, par: 1},
 		{name: "semi-naive/serial", mode: engine.SemiNaive, par: 1},
@@ -168,6 +171,18 @@ func engineDiff(t *testing.T, cat *catalog.Catalog, opt diffOptions) []string {
 			report(q, variants[0], variants[1], d)
 		}
 	}
+	return out
+}
+
+// fixedForms are engine.FixedForms as corpus entries, in name order: the
+// FILTER and JOIN terms that reach the pre-filter, the hash join and the
+// index read, which the generated corpus alone may not (ROADMAP F6).
+func fixedForms() []rulecheck.Query {
+	var out []rulecheck.Query
+	for name, q := range engine.FixedForms() {
+		out = append(out, rulecheck.Query{Name: "fixed/" + name, Term: q})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -7,18 +7,17 @@ package engine
 // calls, comparison broadcast for the Figure 4 quantifiers, and ADT
 // function calls through the catalog's registry.
 //
-// An expression is compiled once per program — a SEARCH stage, a FILTER or
-// a raw JOIN evaluation — into nodes addressed over a pair (l, r): a SEARCH
-// stage's flat prefix row and relation row, a JOIN's two rows, or a
-// FILTER's row as r. The compiler resolves what does not change per row:
-// attribute slots, registry entries, whether a comparison is still the
-// builtin one. A node's arguments and temporaries live on the evaluating
-// worker's value stack (frame) at slots fixed at compile time, so a call
-// allocates nothing, and a comparison reads its attribute and constant
-// operands where they lie. What a node computes — value, error text,
-// PredEvals count, evaluation order, the injector hit of each ADT call —
-// is the tree walker's, which the tests keep as the oracle
-// (walker_test.go).
+// An expression is compiled once per program — a SEARCH stage, FILTER and
+// JOIN being SEARCHes — into nodes addressed over a pair (l, r): the
+// stage's flat prefix row and its relation's row. The compiler resolves
+// what does not change per row: attribute slots, registry entries, whether
+// a comparison is still the builtin one. A node's arguments and
+// temporaries live on the evaluating worker's value stack (frame) at slots
+// fixed at compile time, so a call allocates nothing, and a comparison
+// reads its attribute and constant operands where they lie. What a node
+// computes — value, error text, PredEvals count, evaluation order, the
+// injector hit of each ADT call — is the tree walker's, which the tests
+// keep as the oracle (walker_test.go).
 
 import (
 	"context"
@@ -59,9 +58,8 @@ type pred interface {
 }
 
 // compiler compiles expressions over one pair layout. widths has one
-// entry per relation of the pair, the last one r's; -1 is a width that
-// only the row knows, checked per row. top counts the stack slots the
-// compiled nodes use.
+// entry per relation of the pair, the last one r's. top counts the stack
+// slots the compiled nodes use.
 type compiler struct {
 	db     *DB
 	widths []int
@@ -139,21 +137,15 @@ func (c *compiler) args(es []*term.Term, at int) []expr {
 	return out
 }
 
-// attr compiles ATTR(i, j): to a slot operand of the flat row l ++ r when
-// the layout fixes it; otherwise to a node — a column of l or r checked
-// against the row's width when only the row knows it, or outside the
-// layout the walker's error, raised when evaluated.
+// attr compiles ATTR(i, j): to a slot operand of the flat row l ++ r, or
+// outside the layout to the walker's error, raised when evaluated.
 func (c *compiler) attr(e *term.Term) (operand, expr) {
 	i, j, _ := lera.AttrIdx(e)
 	if i < 1 || i > len(c.widths) {
 		return operand{}, &errNode{fmt.Errorf("engine: attribute %d.%d: relation index out of range", i, j)}
 	}
-	w := c.widths[i-1]
-	if j < 1 || j > w && w >= 0 {
+	if j < 1 || j > c.widths[i-1] {
 		return operand{}, &errNode{fmt.Errorf("engine: attribute %d.%d: column index out of range", i, j)}
-	}
-	if w < 0 {
-		return operand{}, &colNode{i: i, j: j, left: i < len(c.widths)}
 	}
 	o := operand{kind: opSlot, slot: j - 1}
 	for _, w := range c.widths[:i-1] {
@@ -169,23 +161,6 @@ func (c *compiler) fn(name string, nargs int) adtFn {
 		f.fn = e.Fn
 	}
 	return f
-}
-
-// colNode is ATTR(i, j) of a FILTER's or a raw JOIN's row, l's when left.
-type colNode struct {
-	i, j int
-	left bool
-}
-
-func (n *colNode) eval(_ *frame, l, r []value.Value, dst *value.Value) error {
-	if n.left {
-		r = l
-	}
-	if n.j > len(r) {
-		return fmt.Errorf("engine: attribute %d.%d: column index out of range", n.i, n.j)
-	}
-	*dst = r[n.j-1]
-	return nil
 }
 
 // errNode is an expression that fails whenever it is evaluated: an

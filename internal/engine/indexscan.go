@@ -21,8 +21,9 @@ package engine
 // straight from storage (storedRelName), no fault injector is armed — so
 // the comparisons run the compiled kernel's CompareRef fast path, which
 // cannot fail — and the column's cells are all of the constant's kind with
-// a total order. Everything else — join stages, FILTER, OR, a relation
-// bound by LET or FIX, a column of mixed kinds — is scanned.
+// a total order; a FILTER of a stored relation is such a SEARCH. Everything
+// else — join stages, OR, a relation bound by LET or FIX, a column of mixed
+// kinds — is scanned.
 
 import (
 	"math"

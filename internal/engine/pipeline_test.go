@@ -143,8 +143,9 @@ func TestSearchPipelineAllocs(t *testing.T) {
 		t.Errorf("rejected pairs allocate in ADT calls: %d B at fan-out 1, %d B at fan-out 8", at1, at8)
 	}
 
-	// (e) The same qualification in FILTER and the raw JOIN: 1 000 rows
-	// (JOIN: pairs) allocate no more than 10.
+	// (e) The same qualification in FILTER and JOIN, each evaluated as the
+	// SEARCH it is (the JOIN's stage 2 pre-filters R with it): 1 000 rows
+	// allocate no more than 10.
 	for _, op := range []struct {
 		name string
 		q    *term.Term
