@@ -36,7 +36,7 @@ func TestCaptureFailedStatement(t *testing.T) {
 		t.Fatalf("%d entries, want 1", len(entries))
 	}
 	e := entries[0]
-	if e.Code != string(guard.CodeRowBudget) || e.Error != err.Error() || e.Rows != 0 || e.RowsUsed != 0 || e.RowsLimit != 0 || e.Report != nil {
+	if e.Code != string(guard.CodeRowBudget) || e.Error != err.Error() || e.Rows != 0 || e.Emitted != 0 || e.RowsLimit != 0 || e.Report != nil {
 		t.Errorf("failed statement recorded as %s", lera.FormatSlowEntry(e))
 	}
 
@@ -72,20 +72,46 @@ func TestSyntaxErrorIsParse(t *testing.T) {
 	if err := s.LoadFilms(); err != nil {
 		t.Fatal(err)
 	}
+	if want := `error [PARSE]: esql: 1:39: expected ';', got "LIMIT"`; !strings.Contains(printed(t, s, "SELECT Title FROM FILM WHERE Numf = 1 LIMIT 2;"), want) {
+		t.Errorf("printed no %q", want)
+	}
+}
+
+// TestInvalidStatementIsInvalid: a statement that parses but that the
+// catalog refuses prints INVALID, not INTERNAL.
+func TestInvalidStatementIsInvalid(t *testing.T) {
+	s := lera.NewSession()
+	if err := s.LoadFilms(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ src, want string }{
+		{"SELECT Title FROM NOSUCH;", `error [INVALID]: unknown relation or view "NOSUCH"`},
+		{"SELECT Nope FROM FILM;", `error [INVALID]: unknown column "Nope"`},
+		{"EXECUTE nope(1);", `error [INVALID]: core: no prepared statement "nope" (PREPARE it first)`},
+		{"CREATE VIEW V (A) AS SELECT Title FROM FILM; CREATE VIEW V (A) AS SELECT Title FROM FILM;",
+			`error [INVALID]: catalog: view "V" already declared`},
+	} {
+		if out := printed(t, s, c.src); !strings.Contains(out, c.want) {
+			t.Errorf("%s printed %q, want %q", c.src, out, c.want)
+		}
+	}
+}
+
+// printed returns what run prints for src.
+func printed(t *testing.T, s *lera.Session, src string) string {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	run(s, false, "SELECT Title FROM FILM WHERE Numf = 1 LIMIT 2;")
+	run(s, false, src)
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `error [PARSE]: esql: 1:39: expected ';', got "LIMIT"`; !strings.Contains(string(out), want) {
-		t.Errorf("printed %q, want %q", out, want)
-	}
+	return string(out)
 }

@@ -29,6 +29,7 @@ import (
 // Config.Addr" for a field).
 var exportAllowList = map[string]string{
 	"internal/guard: ExternalError.Unwrap":    "stdlib interface method: errors.Is and errors.As unwrap through it",
+	"internal/guard: invalidError.Unwrap":     "stdlib interface method: errors.Is and errors.As reach ErrInvalid and the wrapped error through it",
 	"internal/server: rowsText.UnmarshalJSON": "stdlib interface method: encoding/json hands the client's decoder a response's rows text through it",
 
 	"internal/catalog: Catalog.AddConstraint": "extension API (§6.1 integrity constraints), shown in docs/RULES.md",

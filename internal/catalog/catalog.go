@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"lera/internal/adt"
+	"lera/internal/guard"
 	"lera/internal/rules"
 	"lera/internal/term"
 	"lera/internal/types"
@@ -88,10 +89,10 @@ func New() *Catalog {
 func (c *Catalog) DeclareRelation(name string, cols []Column) (*Relation, error) {
 	key := strings.ToUpper(name)
 	if _, dup := c.rels[key]; dup {
-		return nil, fmt.Errorf("catalog: relation %q already declared", name)
+		return nil, guard.Invalid(fmt.Errorf("catalog: relation %q already declared", name))
 	}
 	if _, dup := c.views[key]; dup {
-		return nil, fmt.Errorf("catalog: %q already declared as a view", name)
+		return nil, guard.Invalid(fmt.Errorf("catalog: %q already declared as a view", name))
 	}
 	r := &Relation{Name: name, Columns: append([]Column(nil), cols...)}
 	c.rels[key] = r
@@ -103,10 +104,10 @@ func (c *Catalog) DeclareRelation(name string, cols []Column) (*Relation, error)
 func (c *Catalog) DeclareView(v *View) error {
 	key := strings.ToUpper(v.Name)
 	if _, dup := c.views[key]; dup {
-		return fmt.Errorf("catalog: view %q already declared", v.Name)
+		return guard.Invalid(fmt.Errorf("catalog: view %q already declared", v.Name))
 	}
 	if _, dup := c.rels[key]; dup {
-		return fmt.Errorf("catalog: %q already declared as a relation", v.Name)
+		return guard.Invalid(fmt.Errorf("catalog: %q already declared as a relation", v.Name))
 	}
 	c.views[key] = v
 	c.schemaVersion.Add(1)

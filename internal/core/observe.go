@@ -79,7 +79,6 @@ const (
 	hRewSeconds    = "lera_rewrite_seconds"
 	hExecSeconds   = "lera_execute_seconds"
 	hQueryRows     = "lera_query_rows"
-	hRewriteChecks = "lera_rewrite_checks"
 )
 
 // textMismatchHelp is mTextMismatch's help, given at two call sites.
@@ -102,8 +101,7 @@ type queryMetrics struct {
 	spillParts, spillBytes, spillReads               *obs.Counter
 	memPeak                                          *obs.Gauge
 
-	parseSecs, planHitSecs, transSecs, rewSecs, execSecs *obs.Histogram
-	queryRows, rewriteChecks                             *obs.Histogram
+	parseSecs, planHitSecs, transSecs, rewSecs, execSecs, queryRows *obs.Histogram
 }
 
 // metrics returns the session's handles for its observer's registry.
@@ -144,7 +142,7 @@ func (s *Session) obsParse(d time.Duration, err error) {
 		return
 	}
 	m := s.metrics()
-	m.histogram(&m.parseSecs, hParseSeconds, "ESQL parse wall time per Parse call.", obs.DefaultDurationBuckets).Observe(d.Seconds())
+	m.histogram(&m.parseSecs, hParseSeconds, "ESQL parse wall time per Parse call (a batch or one query).", obs.DefaultDurationBuckets).Observe(d.Seconds())
 	if err != nil {
 		s.obsError()
 	}
@@ -154,7 +152,7 @@ func (s *Session) obsParse(d time.Duration, err error) {
 func (s *Session) obsError() {
 	if s.Obs != nil {
 		m := s.metrics()
-		m.counter(&m.errors, mErrors, "Queries and statements that returned an error.").Inc()
+		m.counter(&m.errors, mErrors, "Queries and statements that returned an error, parse errors included.").Inc()
 	}
 }
 
@@ -183,7 +181,7 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		return
 	}
 	m := s.metrics()
-	m.counter(&m.queries, mQueries, "SELECT queries executed.").Inc()
+	m.counter(&m.queries, mQueries, "SELECT queries that parsed, whether or not they then failed.").Inc()
 	if execErr != nil {
 		s.obsError()
 	}
@@ -191,12 +189,11 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		return
 	}
 	st := res.RewriteStats()
-	m.counter(&m.checks, mChecks, "Rewrite condition checks, the §4.2 budget currency.").Add(int64(st.ConditionChecks))
-	m.counter(&m.attempts, mAttempts, "Backtracking-matcher invocations (what the rule index shrinks).").Add(int64(st.MatchAttempts))
-	m.counter(&m.applications, mApplications, "Committed rule applications.").Add(int64(st.Applications))
-	m.histogram(&m.rewriteChecks, hRewriteChecks, "Condition checks per query.", obs.DefaultCountBuckets).Observe(float64(st.ConditionChecks))
+	m.counter(&m.checks, mChecks, "Rewrite condition checks, the §4.2 budget currency, summed over queries.").Add(int64(st.ConditionChecks))
+	m.counter(&m.attempts, mAttempts, "Backtracking-matcher invocations, summed over queries (what the rule index shrinks).").Add(int64(st.MatchAttempts))
+	m.counter(&m.applications, mApplications, "Committed rule applications, summed over queries.").Add(int64(st.Applications))
 	if st.Degraded {
-		m.counter(&m.degraded, mDegraded, "Queries answered from the guard fallback plan.").Inc()
+		m.counter(&m.degraded, mDegraded, "Queries whose rewrite degraded to the guard fallback plan, whether or not that plan then executed.").Inc()
 	}
 	if oc := res.Cache; oc != nil {
 		// The ledger invariant (docs/PLANCACHE.md): every SELECT that
@@ -204,9 +201,9 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 		// exactly one hit or miss, so hits+misses equals
 		// lera_queries_total minus translate failures.
 		if oc.Hit {
-			m.counter(&m.planHits, mPlanHits, "Queries whose plan was served from the plan cache.").Inc()
+			m.counter(&m.planHits, mPlanHits, "Queries whose plan was served from the plan cache, by template or by text.").Inc()
 			if res.Report != nil {
-				m.histogram(&m.planHitSecs, hPlanHitSecs, "Rewrite-phase wall time on plan-cache hits.", obs.DefaultDurationBuckets).Observe(res.Report.Phases.Rewrite.Seconds())
+				m.histogram(&m.planHitSecs, hPlanHitSecs, "Rewrite-phase wall time per plan-cache hit.", obs.DefaultDurationBuckets).Observe(res.Report.Phases.Rewrite.Seconds())
 			}
 			if oc.TextHit {
 				m.counter(&m.textHits, mTextHits, "Plan-cache hits served by the text key, with nothing parsed or translated.").Inc()
@@ -214,7 +211,7 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 				m.counter(&m.textMismatch, mTextMismatch, textMismatchHelp)
 			}
 		} else {
-			m.counter(&m.planMisses, mPlanMisses, "Queries that required a cold rewrite.").Inc()
+			m.counter(&m.planMisses, mPlanMisses, "Queries of a cache-armed session that took a cold rewrite.").Inc()
 		}
 		if oc.Evicted > 0 {
 			m.counter(&m.planEvictions, mPlanEvictions, "Plan-cache entries evicted by capacity.").Add(int64(oc.Evicted))
@@ -229,12 +226,12 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 			m.counter(&m.textMismatch, mTextMismatch, textMismatchHelp).Inc()
 		}
 	}
-	m.histogram(&m.queryRows, hQueryRows, "Rows returned per query.", obs.DefaultCountBuckets).Observe(float64(len(res.Rows)))
+	m.histogram(&m.queryRows, hQueryRows, "Rows returned per query that reached execution (0 when it failed there).", obs.DefaultCountBuckets).Observe(float64(len(res.Rows)))
 	if rep := res.Report; rep != nil {
 		c := rep.ExecCounters
 		m.counter(&m.scanned, mScanned, "Rows read from stored relations.").Add(int64(c.Scanned))
-		m.counter(&m.joinPairs, mJoinPairs, "Rows produced by join steps before filtering.").Add(int64(c.JoinPairs))
-		m.counter(&m.emitted, mEmitted, "Rows emitted by relational operators.").Add(int64(c.Emitted))
+		m.counter(&m.joinPairs, mJoinPairs, "Row pairs a join step formed, before its conjuncts were judged.").Add(int64(c.JoinPairs))
+		m.counter(&m.emitted, mEmitted, "Rows emitted by relational operators, each operator's output counted once.").Add(int64(c.Emitted))
 		m.counter(&m.predEvals, mPredEvals, "Qualification conjuncts evaluated against rows.").Add(int64(c.PredEvals))
 		m.counter(&m.fixIters, mFixIters, "Fixpoint rounds executed.").Add(int64(c.FixIterations))
 		if sp := rep.Spill; sp.Partitions > 0 || sp.Bytes > 0 || sp.Reads > 0 {
@@ -250,9 +247,9 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 				g.Set(mp)
 			}
 		}
-		m.histogram(&m.transSecs, hTransSeconds, "Translate wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Translate.Seconds())
-		m.histogram(&m.rewSecs, hRewSeconds, "Rewrite wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Rewrite.Seconds())
-		m.histogram(&m.execSecs, hExecSeconds, "Execute wall time per query.", obs.DefaultDurationBuckets).Observe(rep.Phases.Execute.Seconds())
+		m.histogram(&m.transSecs, hTransSeconds, "Translate wall time per query that reached execution.", obs.DefaultDurationBuckets).Observe(rep.Phases.Translate.Seconds())
+		m.histogram(&m.rewSecs, hRewSeconds, "Rewrite wall time per query that reached execution.", obs.DefaultDurationBuckets).Observe(rep.Phases.Rewrite.Seconds())
+		m.histogram(&m.execSecs, hExecSeconds, "Execute wall time per query that reached execution.", obs.DefaultDurationBuckets).Observe(rep.Phases.Execute.Seconds())
 	}
 }
 

@@ -351,7 +351,7 @@ func (s *Session) execPrepare(d *esql.PrepareStmt) (*Result, error) {
 	}
 	key := strings.ToUpper(d.Name)
 	if _, dup := s.prepared[key]; dup {
-		return nil, fmt.Errorf("core: prepared statement %q already exists", d.Name)
+		return nil, guard.Invalid(fmt.Errorf("core: prepared statement %q already exists", d.Name))
 	}
 	if s.prepared == nil {
 		s.prepared = map[string]*preparedStmt{}
@@ -371,10 +371,10 @@ func (s *Session) execPrepare(d *esql.PrepareStmt) (*Result, error) {
 func (s *Session) execExecute(ctx context.Context, d *esql.ExecuteStmt) (*Result, error) {
 	p := s.prepared[strings.ToUpper(d.Name)]
 	if p == nil {
-		return nil, fmt.Errorf("core: no prepared statement %q (PREPARE it first)", d.Name)
+		return nil, guard.Invalid(fmt.Errorf("core: no prepared statement %q (PREPARE it first)", d.Name))
 	}
 	if len(d.Args) != p.nparams {
-		return nil, fmt.Errorf("core: %s expects %d argument(s), got %d", d.Name, p.nparams, len(d.Args))
+		return nil, guard.Invalid(fmt.Errorf("core: %s expects %d argument(s), got %d", d.Name, p.nparams, len(d.Args)))
 	}
 	args := make([]esql.Expr, len(d.Args))
 	for i, a := range d.Args {

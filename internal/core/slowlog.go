@@ -65,8 +65,11 @@ func NewSlowEntry(t time.Time, tenant, query, code string, elapsed time.Duration
 	e.Report = r.Report
 	e.Rows = int64(len(r.Rows))
 	b := r.Budget
-	e.RowsUsed, e.RowsLimit = b.RowsUsed, b.RowsLimit
-	e.StepsUsed, e.StepsLimit = b.StepsUsed, b.StepsLimit
+	// Every operator charges the row budget exactly the rows it emits, so
+	// the rows charged are the engine's Emitted counter, read here from
+	// the budget, which a result carries with or without a report.
+	e.Emitted, e.RowsLimit = b.RowsUsed, b.RowsLimit
+	e.StepsLimit = b.StepsLimit
 	e.MemPeakBytes, e.MemLimit = b.MemPeakBytes, b.MemLimit
 	st := r.RewriteStats()
 	e.MatchAttempts = int64(st.MatchAttempts)
@@ -87,7 +90,6 @@ func NewSlowEntry(t time.Time, tenant, query, code string, elapsed time.Duration
 		c := rep.ExecCounters
 		e.Scanned = int64(c.Scanned)
 		e.JoinPairs = int64(c.JoinPairs)
-		e.Emitted = int64(c.Emitted)
 		e.PredEvals = int64(c.PredEvals)
 		e.FixIterations = int64(c.FixIterations)
 		e.SpillPartitions = rep.Spill.Partitions
@@ -218,8 +220,8 @@ func FormatSlowEntry(e SlowEntry) string {
 	}
 	sb.WriteByte('\n')
 	fmt.Fprintf(&sb, "budget: %s\n", guard.Consumption{
-		RowsUsed: e.RowsUsed, RowsLimit: e.RowsLimit,
-		StepsUsed: e.StepsUsed, StepsLimit: e.StepsLimit,
+		RowsUsed: e.Emitted, RowsLimit: e.RowsLimit,
+		StepsUsed: e.Applications, StepsLimit: e.StepsLimit,
 		MemPeakBytes: e.MemPeakBytes, MemLimit: e.MemLimit,
 	})
 	if e.Degraded {

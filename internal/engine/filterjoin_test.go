@@ -11,6 +11,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -22,15 +23,20 @@ import (
 	"lera/internal/value"
 )
 
-// FixedForms are the FILTER and JOIN terms the random differential
-// (enginediff_test.go) runs beside its generated corpus, over any database
-// of the Figure 2 schema, each as it stands and inside a FIX body
-// (fix-<name>), where its program and scratch are cached by the term's
+// FixedForms are the FILTER, JOIN and SEARCH terms the random
+// differential (enginediff_test.go) runs beside its generated corpus, over
+// any database of the Figure 2 schema, each as it stands and inside a FIX
+// body (fix-<name>), where its program and scratch are cached by the term's
 // identity: a nested-loop JOIN that leads with a conjunct of its second
-// relation alone, which it pre-filters; an equi-JOIN, a hash join; and a
-// FILTER that leads with constant comparisons on a stored column, which it
-// reads through the column's sorted index.
+// relation alone, which it pre-filters; an equi-JOIN, a hash join; a FILTER
+// that leads with constant comparisons on a stored column, which it reads
+// through the column's sorted index; and an equi-JOIN and a SEARCH whose
+// key is -0.0 on one side and 0.0 on the other, which `=` pairs.
 func FixedForms() map[string]*term.Term {
+	zero := func(z float64) *term.Term {
+		return lera.Search([]*term.Term{lera.Rel("FILM")}, lera.Ands(), []*term.Term{term.Flt(z)})
+	}
+	zeroKey := lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)))
 	forms := map[string]*term.Term{
 		"cross-local-join": lera.Join(lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Ands(
 			lera.Cmp("<", lera.Attr(2, 1), term.Num(5)),
@@ -43,12 +49,20 @@ func FixedForms() map[string]*term.Term {
 			lera.Cmp(">=", lera.Attr(1, 1), term.Num(3)),
 			lera.Cmp("<", lera.Attr(1, 1), term.Num(8)),
 		)),
+		"signed-zero-join": lera.Join(zero(negZero()), zero(0), zeroKey),
+		"signed-zero-search": lera.Search([]*term.Term{zero(negZero()), zero(0)}, zeroKey,
+			[]*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)}),
 	}
 	out := map[string]*term.Term{}
 	for name, q := range forms {
-		cols := []string{"C1", "C2", "C3"}
-		if q.Functor == "JOIN" {
-			cols = append(cols, "C4", "C5")
+		var cols []string
+		switch {
+		case strings.HasPrefix(name, "signed-zero"):
+			cols = []string{"C1", "C2"}
+		case q.Functor == "JOIN":
+			cols = []string{"C1", "C2", "C3", "C4", "C5"}
+		default:
+			cols = []string{"C1", "C2", "C3"}
 		}
 		out[name], out["fix-"+name] = q, lera.Fix("FX", q, cols)
 	}
@@ -93,13 +107,17 @@ func TestFixedFormPaths(t *testing.T) {
 }
 
 // searchForm is the SEARCH that filter_to_search or join_to_search makes of
-// a FILTER or JOIN of stored relations: the same relations and
-// qualification, projecting every column.
+// a FILTER or JOIN: the same relations and qualification, projecting every
+// column.
 func searchForm(db *DB, q *term.Term) *term.Term {
 	relTerms, qual, _, _ := searchParts(q)
 	var projs []*term.Term
 	for i, rt := range relTerms {
-		for j := 1; j <= stored(db, rt.Args[0].Val.S).Arity(); j++ {
+		schema, err := lera.Infer(rt, db.Cat, nil)
+		if err != nil {
+			panic(err)
+		}
+		for j := 1; j <= len(schema.Cols); j++ {
 			projs = append(projs, lera.Attr(i+1, j))
 		}
 	}
@@ -121,7 +139,7 @@ func TestFilterJoinAreTheirSearch(t *testing.T) {
 	forms["join-key-rejected"] = joinKeyRejected()
 	var names []string
 	for name, q := range forms {
-		if q.Functor != "FIX" {
+		if q.Functor == "FILTER" || q.Functor == "JOIN" {
 			names = append(names, name)
 		}
 	}
@@ -228,6 +246,56 @@ func TestFilterJoinRowsAreTheReferences(t *testing.T) {
 			got.Counters, got.Stats = want.Counters, nil
 			if d := diffRuns(want, got); d != "" {
 				t.Errorf("%s (%s): against the reference: %s", name, c, d)
+			}
+		}
+	}
+}
+
+// TestJoinKeyIsEquality: an equi-join pairs two cells exactly when `=`
+// holds between them — in memory, through the grace join under a one-byte
+// grant, and as the conjunction 1.1 <= 2.1 ∧ 1.1 >= 2.1, which no join key
+// serves — over -0.0, 0.0, 5, 5.0, '5' and NULL on each side. What NaN
+// does is logged, not checked: `=` finds NaN equal to every number, the
+// join key only to NaN.
+func TestJoinKeyIsEquality(t *testing.T) {
+	cells := []value.Value{value.Real(negZero()), value.Real(0), value.Int(5), value.Real(5), value.String("5"), value.Null}
+	cmp := func(ops ...string) *term.Term {
+		var conj []*term.Term
+		for _, op := range ops {
+			conj = append(conj, lera.Cmp(op, lera.Attr(1, 1), lera.Attr(2, 1)))
+		}
+		return lera.Search([]*term.Term{lera.Rel("A"), lera.Rel("B")}, lera.Ands(conj...),
+			[]*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)})
+	}
+	pairs := func(a, b value.Value, q *term.Term, c runCfg) engineRun {
+		db := New(catalog.New())
+		for name, v := range map[string]value.Value{"A": a, "B": b} {
+			if err := db.Load(name, [][]value.Value{{v}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := runOn(db, q, c)
+		if c.spillDir != "" && run.Err == "" && db.Spill.Partitions == 0 {
+			t.Fatalf("%s ⋈ %s under a one-byte grant did not spill", a, b)
+		}
+		return run
+	}
+	grace := runCfg{par: 1, lim: guard.Limits{MaxMemBytes: 1}, spillDir: t.TempDir()}
+	for _, a := range append(cells, value.Real(nanValue())) {
+		for _, b := range append(cells, value.Real(nanValue())) {
+			want := pairs(a, b, cmp("<=", ">="), runCfg{par: 1})
+			hash := pairs(a, b, cmp("="), runCfg{par: 1})
+			spilled := pairs(a, b, cmp("="), grace)
+			if want.Err != "" || hash.Err != "" || spilled.Err != "" {
+				t.Fatalf("%s ⋈ %s: errors %q %q %q", a, b, want.Err, hash.Err, spilled.Err)
+			}
+			if a.K == value.KReal && math.IsNaN(a.F()) || b.K == value.KReal && math.IsNaN(b.F()) {
+				t.Logf("%s ⋈ %s: <= and >= pair %d, the join key %d (grace %d)", a, b, want.NRows, hash.NRows, spilled.NRows)
+				continue
+			}
+			if hash.NRows != want.NRows || spilled.NRows != want.NRows {
+				t.Errorf("%s ⋈ %s: the join key pairs %d in memory and %d in the grace join, <= and >= pair %d",
+					a, b, hash.NRows, spilled.NRows, want.NRows)
 			}
 		}
 	}

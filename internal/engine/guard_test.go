@@ -210,3 +210,30 @@ func TestADTPanicIsolated(t *testing.T) {
 		t.Errorf("fault fired on call %d, want 2 (deterministic)", got)
 	}
 }
+
+// TestRowsChargedAreRowsEmitted: every operator charges the row budget
+// exactly the rows it emits, so an evaluation's rows charged equal its
+// Emitted counter — when it answers and when the row budget trips it,
+// serially, on a pool and spilling. A query-log event reads its emitted
+// field from the budget on that account (core.NewSlowEntry).
+func TestRowsChargedAreRowsEmitted(t *testing.T) {
+	forms := diffCorpus()
+	for name, q := range FixedForms() {
+		forms[name] = q
+	}
+	spill := t.TempDir()
+	cfgs := []runCfg{
+		{par: 1}, {par: 4},
+		{par: 1, lim: guard.Limits{MaxRows: 3}}, {par: 4, lim: guard.Limits{MaxRows: 3}},
+		{par: 2, lim: guard.Limits{MaxMemBytes: 1}, spillDir: spill},
+	}
+	for name, q := range forms {
+		for _, c := range cfgs {
+			db := loadedDB(t)
+			run := runOn(db, q, c)
+			if got, want := db.LastRowsCharged(), int64(db.Count.Emitted); got != want {
+				t.Errorf("%s %s: %d rows charged, %d emitted (error %q)", name, c, got, want, run.Err)
+			}
+		}
+	}
+}

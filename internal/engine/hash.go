@@ -18,6 +18,10 @@ package engine
 //
 // value.Hash is consistent with this equality (Key-equal values hash
 // identically), so hash buckets only ever split rowKey-distinct rows.
+//
+// A join key is matched by `=`, not by row identity: keyColsEq is the same
+// comparison with -0.0 equal to 0.0, as value.CompareRef has them, and
+// value.Hash already folds the two into one hash.
 
 import (
 	"math"
@@ -38,7 +42,7 @@ func rowHash(row []value.Value) uint64 {
 }
 
 // hashKey folds the key columns of a row (by index) into a 64-bit hash —
-// the join-build/probe hash. Rows whose key columns are rowKey-equal
+// the join-build/probe hash. Rows whose key columns are keyColsEq-equal
 // hash identically.
 func hashKey(row []value.Value, keyIdx []int) uint64 {
 	h := uint64(value.HashOffset)
@@ -65,7 +69,11 @@ var (
 // building the strings. The values are compared where they lie: the hot
 // loops (join probes, dedup buckets) call this per candidate, and a
 // value.Value is too wide to pass by value there.
-func valueKeyEq(a, b *value.Value) bool {
+func valueKeyEq(a, b *value.Value) bool { return valueEq(a, b, false) }
+
+// valueEq is valueKeyEq, except that with zeroes set -0.0 equals 0.0 at
+// any depth: the equality of a join key.
+func valueEq(a, b *value.Value, zeroes bool) bool {
 	aNum := a.K == value.KInt || a.K == value.KReal
 	bNum := b.K == value.KInt || b.K == value.KReal
 	if aNum || bNum {
@@ -74,7 +82,7 @@ func valueKeyEq(a, b *value.Value) bool {
 		}
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		if math.Float64bits(af) == math.Float64bits(bf) {
+		if math.Float64bits(af) == math.Float64bits(bf) || zeroes && af == 0 && bf == 0 {
 			return true
 		}
 		return math.IsNaN(af) && math.IsNaN(bf)
@@ -97,7 +105,7 @@ func valueKeyEq(a, b *value.Value) bool {
 		return false
 	}
 	for i := range a.Elems {
-		if !valueKeyEq(&a.Elems[i], &b.Elems[i]) {
+		if !valueEq(&a.Elems[i], &b.Elems[i], zeroes) {
 			return false
 		}
 	}
@@ -146,11 +154,11 @@ func rowKeyEq(a, b []value.Value) bool {
 }
 
 // keyColsEq reports whether columns acols of row a and bcols of row b are
-// pairwise key-equal — rowKeyEq over two key projections, without
-// materialising either.
+// pairwise equal as join keys — rowKeyEq over two key projections, with
+// -0.0 equal to 0.0, without materialising either.
 func keyColsEq(a []value.Value, acols []int, b []value.Value, bcols []int) bool {
 	for i, ac := range acols {
-		if !valueKeyEq(&a[ac], &b[bcols[i]]) {
+		if !valueEq(&a[ac], &b[bcols[i]], true) {
 			return false
 		}
 	}

@@ -19,6 +19,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -175,10 +176,10 @@ rowLoop:
 	return out, nil
 }
 
-// refSearch joins the relation list left to right — matching rows by the
-// rowKey of the equi-join columns when the plan has any, a plain product
-// otherwise — applies each conjunct as soon as its relations are joined,
-// then projects.
+// refSearch joins the relation list left to right — pairing rows whose
+// equi-join columns are equal (refKeysEqual) when the plan has any, a plain
+// product otherwise — applies each conjunct as soon as its relations are
+// joined, then projects.
 func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
 	rels, short, err := db.searchInputs(t, e, nil)
 	if err != nil || short != nil {
@@ -186,32 +187,14 @@ func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
 	}
 	plan := newSearchPlan(t)
 	widths, offset := relOffsets(rels)
-	keyOf := func(row []value.Value, cols []int) string {
-		key := make([]value.Value, len(cols))
-		for i, c := range cols {
-			key[i] = row[c]
-		}
-		return rowKey(key)
-	}
 	current, err := db.refFilter(rels[0].Rows, takeConjuncts(plan, 1), widths[:1])
 	for ri := 2; err == nil && ri <= len(rels); ri++ {
 		next := rels[ri-1].Rows
 		leftKeys, rightKeys := equiJoinKeys(plan, ri, offset)
 		var joined [][]value.Value
-		if len(leftKeys) > 0 {
-			build := map[string][][]value.Value{}
+		for _, l := range current {
 			for _, r := range next {
-				k := keyOf(r, rightKeys)
-				build[k] = append(build[k], r)
-			}
-			for _, l := range current {
-				for _, r := range build[keyOf(l, leftKeys)] {
-					joined = append(joined, concat(l, r))
-				}
-			}
-		} else {
-			for _, l := range current {
-				for _, r := range next {
+				if refKeysEqual(l, leftKeys, r, rightKeys) {
 					joined = append(joined, concat(l, r))
 				}
 			}
@@ -236,6 +219,22 @@ func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
 		out.Rows = append(out.Rows, prow)
 	}
 	return out, nil
+}
+
+// refKeysEqual judges a pair's equi-join conjuncts one by one as `=`
+// judges them, by value.CompareRef — not by a hash of the key — except that
+// a NaN meets only a NaN, as in the engine's hash join: CompareRef finds
+// NaN equal to every number, and which of the two `=` should follow is an
+// open question (ROADMAP).
+func refKeysEqual(l []value.Value, lcols []int, r []value.Value, rcols []int) bool {
+	isNaN := func(v *value.Value) bool { return v.K == value.KReal && math.IsNaN(v.F()) }
+	for i, lc := range lcols {
+		a, b := &l[lc], &r[rcols[i]]
+		if value.CompareRef(a, b) != 0 || isNaN(a) != isNaN(b) {
+			return false
+		}
+	}
+	return true
 }
 
 func (db *DB) refJoin(t *term.Term, e env) (*Relation, error) {

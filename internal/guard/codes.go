@@ -45,11 +45,31 @@ const (
 	CodeParse Code = "PARSE"
 	// Anything not covered above.
 	CodeInternal Code = "INTERNAL"
+	// A statement that parses but is invalid against the catalog.
+	CodeInvalid Code = "INVALID"
 )
 
 // ErrParse marks a text that is not ESQL: every error the esql package
 // returns wraps it, and its text is the head of theirs.
 var ErrParse = errors.New("esql")
+
+// ErrInvalid marks a statement that parses but is invalid against the
+// catalog: an unknown relation or column, a name declared twice, an
+// unknown prepared statement. Invalid wraps an error in it.
+var ErrInvalid = errors.New("guard: invalid statement")
+
+// Invalid returns err marked with ErrInvalid and its text unchanged, or
+// err itself when it is nil or already has a code of its own.
+func Invalid(err error) error {
+	if CodeOf(err) != CodeInternal {
+		return err
+	}
+	return invalidError{err}
+}
+
+type invalidError struct{ error }
+
+func (e invalidError) Unwrap() []error { return []error{ErrInvalid, e.error} }
 
 // Admission-control errors (the server's session pool returns them).
 // Typed so that shed work is distinguishable from failed work everywhere
@@ -99,6 +119,8 @@ func CodeOf(err error) Code {
 		return CodeCanceled
 	case errors.Is(err, ErrParse):
 		return CodeParse
+	case errors.Is(err, ErrInvalid):
+		return CodeInvalid
 	}
 	var ext *ExternalError
 	if errors.As(err, &ext) {

@@ -185,9 +185,9 @@ func (b *Budget) MemPeak() int64 { return b.memPeak.Load() }
 // Consumption is a per-query snapshot of budget use against its limits:
 // how many rows the engine materialized and how many rewrite steps the
 // rule engine applied, next to the caps that bounded them (0 = the cap
-// was unlimited). It rides on Result.Budget, the query-log event and
-// the slow-query ring so an operator can see how close a query came to
-// tripping — not just whether it tripped.
+// was unlimited). It rides on Result.Budget, and a slow-query report
+// renders it from the query-log event's fields, so an operator can see how
+// close a query came to tripping — not just whether it tripped.
 type Consumption struct {
 	RowsUsed   int64 `json:"rows_used"`
 	RowsLimit  int64 `json:"rows_limit,omitempty"`

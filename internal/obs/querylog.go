@@ -52,10 +52,10 @@ type QueryEvent struct {
 	ExecNs      int64 `json:"exec_ns,omitempty"`
 	ElapsedNs   int64 `json:"elapsed_ns"`
 
-	// Guard budget consumption (used vs. limit; limits 0 = unlimited).
-	RowsUsed   int64 `json:"rows_used,omitempty"`
+	// Guard budget caps (0 = unlimited). What a query used of them is
+	// Emitted (rows: every operator charges the rows it emits) and
+	// Applications (steps: each committed rule application is one).
 	RowsLimit  int64 `json:"rows_limit,omitempty"`
-	StepsUsed  int64 `json:"steps_used,omitempty"`
 	StepsLimit int64 `json:"steps_limit,omitempty"`
 	// Memory governor consumption: the tracked-memory peak against the
 	// per-operator grant, all zero when the governor is off.

@@ -55,7 +55,7 @@ func (s *Server) metricsHandler(reg *obs.Registry) http.Handler {
 func (s *Server) syncDiagnosticsMetrics(reg *obs.Registry) {
 	s.qlog.SyncMetrics(reg)
 	if s.slow != nil {
-		reg.Gauge("lera_server_slowlog_captured_total", "queries captured into the slow-query ring").Set(s.slow.Captured())
+		reg.Gauge("lera_server_slowlog_captured_total", "answers captured into the slow-query ring: slow, degraded or not OK").Set(s.slow.Captured())
 		reg.Gauge("lera_server_slowlog_evicted_total", "slow-query ring entries overwritten by newer captures").Set(s.slow.Evicted())
 		reg.Gauge("lera_server_slowlog_size", "slow-query ring capacity").Set(int64(s.slow.Size()))
 	}

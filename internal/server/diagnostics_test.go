@@ -113,8 +113,8 @@ func TestQueryLogOneEventPerRequest(t *testing.T) {
 		if ev.Tenant != "default" {
 			t.Errorf("OK event tenant %q, want default", ev.Tenant)
 		}
-		if ev.RowsUsed <= 0 {
-			t.Errorf("OK event RowsUsed = %d, want > 0", ev.RowsUsed)
+		if ev.Emitted <= 0 {
+			t.Errorf("OK event Emitted = %d, want > 0", ev.Emitted)
 		}
 		if ev.Scanned <= 0 {
 			t.Errorf("OK event Scanned = %d, want > 0 (report counters missing)", ev.Scanned)
@@ -131,7 +131,7 @@ func TestRejectedRequestsEnterLedger(t *testing.T) {
 	qlog := obs.NewQueryLog(sink, 64, 1)
 	srv, base := startServer(t, Config{QueryLog: qlog,
 		Tenants: Tenants{"default": {}, "alpha": {}}})
-	send := func(method, body string) Response {
+	send := func(method, body string, code guard.Code) Response {
 		req, err := http.NewRequest(method, base+"/query", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -145,18 +145,21 @@ func TestRejectedRequestsEnterLedger(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
 			t.Fatal(err)
 		}
-		if r.Code != string(guard.CodeParse) {
-			t.Fatalf("%s %q: code %s, want PARSE", method, body, r.Code)
+		if r.Code != string(code) {
+			t.Fatalf("%s %q: code %s, want %s", method, body, r.Code, code)
 		}
 		return r
 	}
-	for _, c := range []struct{ method, body, tenant string }{
-		{http.MethodPost, `{"tenant": "alpha", "query": `, "default"},
-		{http.MethodPost, `{"tenant": "alpha", "query": "  "}`, "alpha"},
-		{http.MethodPut, `{"tenant": "alpha", "query": "SELECT Title FROM FILM"}`, "default"},
-		{http.MethodPost, `{"tenant": "alpha", "query": "SELECT Title FROM NOSUCH"}`, "alpha"},
+	for _, c := range []struct {
+		method, body, tenant string
+		code                 guard.Code
+	}{
+		{http.MethodPost, `{"tenant": "alpha", "query": `, "default", guard.CodeParse},
+		{http.MethodPost, `{"tenant": "alpha", "query": "  "}`, "alpha", guard.CodeParse},
+		{http.MethodPut, `{"tenant": "alpha", "query": "SELECT Title FROM FILM"}`, "default", guard.CodeParse},
+		{http.MethodPost, `{"tenant": "alpha", "query": "SELECT Title FROM NOSUCH"}`, "alpha", guard.CodeInvalid},
 	} {
-		if r := send(c.method, c.body); r.Tenant != c.tenant {
+		if r := send(c.method, c.body, c.code); r.Tenant != c.tenant {
 			t.Errorf("%s %q: answered under tenant %q, want %q", c.method, c.body, r.Tenant, c.tenant)
 		}
 	}
@@ -235,11 +238,11 @@ func TestSlowlogEndpoint(t *testing.T) {
 		Size        int   `json:"size"`
 		Captured    int64 `json:"captured"`
 		Entries     []struct {
-			Query    string `json:"query"`
-			Code     string `json:"code"`
-			Report   string `json:"report"`
-			RowsUsed int64  `json:"rows_used"`
-			Scanned  int64  `json:"scanned"`
+			Query   string `json:"query"`
+			Code    string `json:"code"`
+			Report  string `json:"report"`
+			Emitted int64  `json:"emitted"`
+			Scanned int64  `json:"scanned"`
 		} `json:"entries"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -258,8 +261,8 @@ func TestSlowlogEndpoint(t *testing.T) {
 	if e.Query != filmQuery || e.Code != "OK" {
 		t.Errorf("entry %q code %q", e.Query, e.Code)
 	}
-	if e.RowsUsed <= 0 || e.Scanned <= 0 {
-		t.Errorf("entry rows_used = %d, scanned = %d, want both > 0 (the event's flat fields)", e.RowsUsed, e.Scanned)
+	if e.Emitted <= 0 || e.Scanned <= 0 {
+		t.Errorf("entry emitted = %d, scanned = %d, want both > 0 (the event's flat fields)", e.Emitted, e.Scanned)
 	}
 	// The full EXPLAIN ANALYZE operator tree came along.
 	for _, want := range []string{"execution:", "budget:", "timings:"} {

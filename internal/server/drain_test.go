@@ -189,8 +189,8 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if n := srv.Metrics().Counter("lera_server_draining_rejected_total", "").Value(); n == 0 {
-		t.Error("draining_rejected counter never incremented")
+	if n := srv.Metrics().Snapshot()["lera_server_requests_total"].(map[string]int64)[`{tenant="default",code="DRAINING"}`]; n == 0 {
+		t.Error("the request ledger counted no DRAINING answer")
 	}
 	<-done
 }

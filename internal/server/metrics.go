@@ -21,13 +21,12 @@ type metrics struct {
 	// audits. Tenant cardinality is bounded upstream (Tenants.Resolve
 	// collapses unknown tenants to "default") and by the vector's own
 	// _other overflow cap.
-	requests    *obs.CounterVec
-	admitted    *obs.Counter // passed admission control
-	shed        *obs.Counter // refused with OVERLOADED
-	drainReject *obs.Counter // refused with DRAINING
-	degraded    *obs.Counter // answered OK from the fallback plan
-	panics      *obs.Counter // per-request panic isolation fired
-	chaos       *obs.Counter // chaos faults that fired at the request hook
+	requests *obs.CounterVec
+	admitted *obs.Counter // passed admission control
+	shed     *obs.Counter // refused with OVERLOADED
+	degraded *obs.Counter // answered OK from the fallback plan
+	panics   *obs.Counter // per-request panic isolation fired
+	chaos    *obs.Counter // requests a chaos fault at the request hook failed
 
 	inFlight    *obs.Gauge // queries currently executing
 	queued      *obs.Gauge // queries waiting for an execution slot
@@ -41,19 +40,18 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		requests:    reg.CounterVec("lera_server_requests_total", "queries finished, by tenant and protocol code", "tenant", "code"),
-		admitted:    reg.Counter("lera_server_admitted_total", "queries that passed admission control"),
-		shed:        reg.Counter("lera_server_shed_total", "queries shed with OVERLOADED at admission"),
-		drainReject: reg.Counter("lera_server_draining_rejected_total", "queries refused with DRAINING"),
-		degraded:    reg.Counter("lera_server_degraded_total", "queries answered from the rewrite fallback plan"),
-		panics:      reg.Counter("lera_server_panics_total", "request panics isolated by the per-request recover"),
-		chaos:       reg.Counter("lera_server_chaos_faults_total", "chaos faults fired at the server.request hook"),
-		inFlight:    reg.Gauge("lera_server_in_flight", "queries currently executing"),
-		queued:      reg.Gauge("lera_server_queued", "queries waiting for an execution slot"),
+		requests:    reg.CounterVec("lera_server_requests_total", "answers sent, one per request, by tenant and protocol code", "tenant", "code"),
+		admitted:    reg.Counter("lera_server_admitted_total", "requests that checked out a pooled session"),
+		shed:        reg.Counter("lera_server_shed_total", "requests refused with OVERLOADED at admission"),
+		degraded:    reg.Counter("lera_server_degraded_total", "OK answers whose rewrite degraded to the fallback plan"),
+		panics:      reg.Counter("lera_server_panics_total", "panics recovered by the per-request isolation"),
+		chaos:       reg.Counter("lera_server_chaos_faults_total", "requests failed by a chaos fault at the server.request hook"),
+		inFlight:    reg.Gauge("lera_server_in_flight", "pooled sessions checked out, as of the last admission or answer"),
+		queued:      reg.Gauge("lera_server_queued", "requests waiting for a pooled session, as of the last answer"),
 		connections: reg.Gauge("lera_server_connections", "open client connections"),
 		sessions:    reg.Gauge("lera_server_sessions", "pooled sessions"),
 		drainState:  reg.Gauge("lera_server_draining", "1 while the server is draining"),
-		latency:     reg.HistogramVec("lera_server_request_seconds", "request wall-clock latency in seconds, by tenant", nil, "tenant"),
+		latency:     reg.HistogramVec("lera_server_request_seconds", "request wall-clock seconds, admission wait included and rendering excluded, by tenant", nil, "tenant"),
 		encode:      reg.Histogram("lera_server_encode_seconds", "seconds spent rendering a response's JSON", nil),
 	}
 }

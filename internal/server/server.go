@@ -386,11 +386,8 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 
 	sess, err := s.pool.checkout(ctx)
 	if err != nil {
-		switch {
-		case errors.Is(err, guard.ErrOverloaded):
+		if errors.Is(err, guard.ErrOverloaded) {
 			s.m.shed.Inc()
-		case errors.Is(err, guard.ErrDraining):
-			s.m.drainReject.Inc()
 		}
 		return s.errResponse(tenantName, err)
 	}
@@ -430,18 +427,7 @@ func (s *Server) handleQuery(ctx context.Context, tenant, query string) (resp Re
 		return err
 	}()
 	if err != nil {
-		resp = s.errResponse(tenantName, err)
-		// A text that does not parse is PARSE by its own error
-		// (guard.ErrParse). One that parses but does not translate has no
-		// code of its own yet (ROADMAP item 11), and QueryCtx returns no
-		// Result exactly when parsing or translating failed: the request
-		// never reached the guarded pipeline, so an otherwise
-		// unclassified failure is in the request, not the server. (An
-		// isolated panic also leaves res nil, and stays INTERNAL.)
-		if res == nil && healthy && resp.Code == string(guard.CodeInternal) {
-			resp.Code = string(guard.CodeParse)
-		}
-		return resp
+		return s.errResponse(tenantName, err)
 	}
 
 	resp.Code = string(guard.CodeOK)
@@ -546,7 +532,7 @@ func httpStatus(c guard.Code) int {
 	switch c {
 	case guard.CodeOK:
 		return http.StatusOK
-	case guard.CodeParse:
+	case guard.CodeParse, guard.CodeInvalid:
 		return http.StatusBadRequest
 	case guard.CodeOverloaded:
 		return http.StatusTooManyRequests

@@ -457,7 +457,7 @@ func FuzzHTTPQuery(f *testing.F) {
 	for _, c := range []guard.Code{guard.CodeOK, guard.CodeDeadline, guard.CodeStepBudget, guard.CodeTermSize,
 		guard.CodeRowBudget, guard.CodeMemBudget, guard.CodeCanceled, guard.CodeExternalPanic,
 		guard.CodeExternalError, guard.CodeInjected, guard.CodeOverloaded, guard.CodeDraining,
-		guard.CodeParse, guard.CodeInternal} {
+		guard.CodeParse, guard.CodeInternal, guard.CodeInvalid} {
 		codes[string(c)] = true
 	}
 	mux := srv.httpSrv.Handler
@@ -503,8 +503,8 @@ func TestServerExecutionErrorIsNotParse(t *testing.T) {
 	if out.Code != guard.CodeInternal || !strings.Contains(out.Resp.Error, "unknown currency code") {
 		t.Errorf("execution failure: code %s (%s), want INTERNAL", out.Code, out.Resp.Error)
 	}
-	if out := c.Query(context.Background(), "SELECT Title FROM NOSUCHTABLE"); out.Code != guard.CodeParse {
-		t.Errorf("translate failure: code %s (%s), want PARSE", out.Code, out.Resp.Error)
+	if out := c.Query(context.Background(), "SELECT Title FROM NOSUCHTABLE"); out.Code != guard.CodeInvalid {
+		t.Errorf("translate failure: code %s (%s), want INVALID", out.Code, out.Resp.Error)
 	}
 }
 

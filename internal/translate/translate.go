@@ -7,6 +7,10 @@
 // Function applications are emitted in raw CALL form; the type-checking
 // rule block later "infers types and adds the necessary conversion
 // functions" (§3.3).
+//
+// Every error an exported function returns that no other layer typed is
+// guard.ErrInvalid (code INVALID): the statement parsed, and the catalog
+// refuses it.
 package translate
 
 import (
@@ -15,6 +19,7 @@ import (
 
 	"lera/internal/catalog"
 	"lera/internal/esql"
+	"lera/internal/guard"
 	"lera/internal/lera"
 	"lera/internal/term"
 	"lera/internal/types"
@@ -22,7 +27,8 @@ import (
 )
 
 // DeclareType registers a TYPE declaration in the catalog.
-func DeclareType(cat *catalog.Catalog, d *esql.TypeDecl) error {
+func DeclareType(cat *catalog.Catalog, d *esql.TypeDecl) (err error) {
+	defer func() { err = guard.Invalid(err) }()
 	switch d.Kind {
 	case esql.TypeEnum:
 		_, err := cat.Types.DeclareEnum(d.Name, d.EnumVals)
@@ -92,7 +98,7 @@ func DeclareTable(cat *catalog.Catalog, d *esql.TableDecl) error {
 	for i, c := range d.Cols {
 		ct, err := resolveTypeRef(cat, c.Type)
 		if err != nil {
-			return err
+			return guard.Invalid(err)
 		}
 		cols[i] = catalog.Column{Name: c.Name, Type: ct}
 	}
@@ -104,7 +110,8 @@ func DeclareTable(cat *catalog.Catalog, d *esql.TableDecl) error {
 // terms (§3.2); their column list is required. Non-recursive views infer
 // their schema from the translated body, renamed to declared columns when
 // given.
-func DeclareView(cat *catalog.Catalog, v *esql.ViewDecl) (*catalog.View, error) {
+func DeclareView(cat *catalog.Catalog, v *esql.ViewDecl) (_ *catalog.View, err error) {
+	defer func() { err = guard.Invalid(err) }()
 	recursive := v.Recursive()
 	if recursive && len(v.Cols) == 0 {
 		return nil, fmt.Errorf("translate: recursive view %s requires a column list", v.Name)
@@ -162,7 +169,8 @@ func DeclareView(cat *catalog.Catalog, v *esql.ViewDecl) (*catalog.View, error) 
 // Select translates a SELECT statement into a LERA term.
 func Select(cat *catalog.Catalog, s *esql.Select) (*term.Term, error) {
 	tr := &translator{cat: cat}
-	return tr.translateSelect(s, nil)
+	t, err := tr.translateSelect(s, nil)
+	return t, guard.Invalid(err)
 }
 
 // Insert evaluates an INSERT statement's literal rows.
@@ -173,7 +181,7 @@ func Insert(cat *catalog.Catalog, ins *esql.InsertStmt) (string, [][]value.Value
 		for j, e := range r {
 			v, err := evalLiteral(cat, e)
 			if err != nil {
-				return "", nil, fmt.Errorf("translate: INSERT row %d: %w", i+1, err)
+				return "", nil, guard.Invalid(fmt.Errorf("translate: INSERT row %d: %w", i+1, err))
 			}
 			row[j] = v
 		}
@@ -186,7 +194,8 @@ func Insert(cat *catalog.Catalog, ins *esql.InsertStmt) (string, [][]value.Value
 // tuple literals, constant ADT calls and arithmetic) to a value. The
 // EXECUTE path uses it to type-check prepared-statement arguments.
 func Literal(cat *catalog.Catalog, e esql.Expr) (value.Value, error) {
-	return evalLiteral(cat, e)
+	v, err := evalLiteral(cat, e)
+	return v, guard.Invalid(err)
 }
 
 func evalLiteral(cat *catalog.Catalog, e esql.Expr) (value.Value, error) {
