@@ -257,6 +257,9 @@ func TestUntypedPlanDegrades(t *testing.T) {
 		if !st.Degraded || !strings.Contains(st.DegradationReason, "cannot type: ") || !strings.Contains(st.DegradationReason, c.reason) {
 			t.Errorf("%s: stats %+v, want a degradation naming %q", c.rule, st, c.reason)
 		}
+		if st.DegradationCode != string(guard.CodeInvalid) {
+			t.Errorf("%s: degraded with code %s, want %s: the catalog refused a plan a user's rule built", c.rule, st.DegradationCode, guard.CodeInvalid)
+		}
 		if !term.Equal(res.Rewritten, res.Initial) {
 			t.Errorf("%s: ran %s, want the translated plan %s", c.rule, res.Rewritten, res.Initial)
 		}

@@ -190,7 +190,7 @@ func (s *Session) obsQueryDone(res *Result, execErr error) {
 	}
 	st := res.RewriteStats()
 	m.counter(&m.checks, mChecks, "Rewrite condition checks, the §4.2 budget currency, summed over queries.").Add(int64(st.ConditionChecks))
-	m.counter(&m.attempts, mAttempts, "Backtracking-matcher invocations, summed over queries (what the rule index shrinks).").Add(int64(st.MatchAttempts))
+	m.counter(&m.attempts, mAttempts, "Backtracking-matcher invocations, summed over queries (what the rule index and the failed-attempt memo shrink; a remembered failure replayed is not an attempt).").Add(int64(st.MatchAttempts))
 	m.counter(&m.applications, mApplications, "Committed rule applications, summed over queries.").Add(int64(st.Applications))
 	if st.Degraded {
 		m.counter(&m.degraded, mDegraded, "Queries whose rewrite degraded to the guard fallback plan, whether or not that plan then executed.").Inc()

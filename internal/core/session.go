@@ -564,7 +564,9 @@ func (s *Session) rewriteGuarded(ctx context.Context, q *term.Term) (*term.Term,
 // rewritten plan infers, with as many columns as q, the query as
 // translated. lera.Validate passes a plan that names an attribute past its
 // SEARCH's relations or columns, which would fail at execution, and one
-// that changed the answer's width, which would not.
+// that changed the answer's width, which would not. Its failure is
+// INVALID: the catalog refuses a plan a rule built, as it refuses a
+// statement.
 func typePlan(cat *catalog.Catalog, q, plan *term.Term) (*lera.Schema, error) {
 	schema, err := lera.Infer(plan, cat, nil)
 	if lera.IsOp(q, lera.OpNest) {
@@ -574,7 +576,7 @@ func typePlan(cat *catalog.Catalog, q, plan *term.Term) (*lera.Schema, error) {
 		err = fmt.Errorf("%d columns where the query has %d", schema.Arity(), want)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("rewrite: a rule built a plan the catalog cannot type: %w", err)
+		return nil, guard.Invalid(fmt.Errorf("rewrite: a rule built a plan the catalog cannot type: %w", err))
 	}
 	return schema, nil
 }

@@ -252,13 +252,13 @@ func TestFilterJoinRowsAreTheReferences(t *testing.T) {
 }
 
 // TestJoinKeyIsEquality: an equi-join pairs two cells exactly when `=`
-// holds between them — in memory, through the grace join under a one-byte
-// grant, and as the conjunction 1.1 <= 2.1 ∧ 1.1 >= 2.1, which no join key
-// serves — over -0.0, 0.0, 5, 5.0, '5' and NULL on each side. What NaN
-// does is logged, not checked: `=` finds NaN equal to every number, the
-// join key only to NaN.
+// holds between them — `=` within one row, the equi-join in memory, the
+// grace join under a one-byte grant, and the conjunction 1.1 <= 2.1 ∧
+// 1.1 >= 2.1, which no join key serves, all pair the same — over NaN,
+// -0.0, 0.0, 5, 5.0, '5' and NULL on each side. NaN equals NaN and
+// nothing else.
 func TestJoinKeyIsEquality(t *testing.T) {
-	cells := []value.Value{value.Real(negZero()), value.Real(0), value.Int(5), value.Real(5), value.String("5"), value.Null}
+	cells := []value.Value{value.Real(nanValue()), value.Real(negZero()), value.Real(0), value.Int(5), value.Real(5), value.String("5"), value.Null}
 	cmp := func(ops ...string) *term.Term {
 		var conj []*term.Term
 		for _, op := range ops {
@@ -267,10 +267,14 @@ func TestJoinKeyIsEquality(t *testing.T) {
 		return lera.Search([]*term.Term{lera.Rel("A"), lera.Rel("B")}, lera.Ands(conj...),
 			[]*term.Term{lera.Attr(1, 1), lera.Attr(2, 1)})
 	}
+	// within judges a = b on one row (a, b) of C: the compiled comparison,
+	// no key involved.
+	within := lera.Search([]*term.Term{lera.Rel("C")}, lera.Ands(lera.Cmp("=", lera.Attr(1, 1), lera.Attr(1, 2))),
+		[]*term.Term{lera.Attr(1, 1), lera.Attr(1, 2)})
 	pairs := func(a, b value.Value, q *term.Term, c runCfg) engineRun {
 		db := New(catalog.New())
-		for name, v := range map[string]value.Value{"A": a, "B": b} {
-			if err := db.Load(name, [][]value.Value{{v}}); err != nil {
+		for name, rows := range map[string][][]value.Value{"A": {{a}}, "B": {{b}}, "C": {{a, b}}} {
+			if err := db.Load(name, rows); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -281,21 +285,22 @@ func TestJoinKeyIsEquality(t *testing.T) {
 		return run
 	}
 	grace := runCfg{par: 1, lim: guard.Limits{MaxMemBytes: 1}, spillDir: t.TempDir()}
-	for _, a := range append(cells, value.Real(nanValue())) {
-		for _, b := range append(cells, value.Real(nanValue())) {
+	isNaN := func(v value.Value) bool { return v.K == value.KReal && math.IsNaN(v.F()) }
+	for _, a := range cells {
+		for _, b := range cells {
+			eq := pairs(a, b, within, runCfg{par: 1})
 			want := pairs(a, b, cmp("<=", ">="), runCfg{par: 1})
 			hash := pairs(a, b, cmp("="), runCfg{par: 1})
 			spilled := pairs(a, b, cmp("="), grace)
-			if want.Err != "" || hash.Err != "" || spilled.Err != "" {
-				t.Fatalf("%s ⋈ %s: errors %q %q %q", a, b, want.Err, hash.Err, spilled.Err)
+			if eq.Err != "" || want.Err != "" || hash.Err != "" || spilled.Err != "" {
+				t.Fatalf("%s ⋈ %s: errors %q %q %q %q", a, b, eq.Err, want.Err, hash.Err, spilled.Err)
 			}
-			if a.K == value.KReal && math.IsNaN(a.F()) || b.K == value.KReal && math.IsNaN(b.F()) {
-				t.Logf("%s ⋈ %s: <= and >= pair %d, the join key %d (grace %d)", a, b, want.NRows, hash.NRows, spilled.NRows)
-				continue
+			if eq.NRows != want.NRows || hash.NRows != want.NRows || spilled.NRows != want.NRows {
+				t.Errorf("%s ⋈ %s: `=` holds on %d rows, the join key pairs %d in memory and %d in the grace join, <= and >= pair %d",
+					a, b, eq.NRows, hash.NRows, spilled.NRows, want.NRows)
 			}
-			if hash.NRows != want.NRows || spilled.NRows != want.NRows {
-				t.Errorf("%s ⋈ %s: the join key pairs %d in memory and %d in the grace join, <= and >= pair %d",
-					a, b, hash.NRows, spilled.NRows, want.NRows)
+			if aNaN, bNaN := isNaN(a), isNaN(b); (aNaN || bNaN) && (want.NRows == 1) != (aNaN && bNaN) {
+				t.Errorf("%s ⋈ %s: <= and >= pair %d: NaN equals NaN and nothing else", a, b, want.NRows)
 			}
 		}
 	}

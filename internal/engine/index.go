@@ -163,9 +163,9 @@ func (s *indexSet) size() int {
 // rows a comparison of the column against a constant selects are one span
 // of ord, and a span of cells equal under CompareRef lists its ordinals in
 // ascending order. It serves only a column whose order is total: every
-// cell of one kind, KInt, KString, or KReal without NaN (CompareRef calls
-// NaN equal to everything). kind records that kind; KNull marks a column
-// that has none, and such an index holds no ordinals.
+// cell of one kind, KInt, KString, or KReal without NaN (a column or a
+// constant holding NaN is left to the scan). kind records that kind; KNull
+// marks a column that has none, and such an index holds no ordinals.
 //
 // distinct records that no two cells of a KInt or KString column are equal:
 // no two neighbours in ord compare equal. For these kinds cells that

@@ -19,7 +19,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -222,15 +221,10 @@ func (db *DB) refSearch(t *term.Term, e env) (*Relation, error) {
 }
 
 // refKeysEqual judges a pair's equi-join conjuncts one by one as `=`
-// judges them, by value.CompareRef — not by a hash of the key — except that
-// a NaN meets only a NaN, as in the engine's hash join: CompareRef finds
-// NaN equal to every number, and which of the two `=` should follow is an
-// open question (ROADMAP).
+// judges them, by value.CompareRef — not by a hash of the key.
 func refKeysEqual(l []value.Value, lcols []int, r []value.Value, rcols []int) bool {
-	isNaN := func(v *value.Value) bool { return v.K == value.KReal && math.IsNaN(v.F()) }
 	for i, lc := range lcols {
-		a, b := &l[lc], &r[rcols[i]]
-		if value.CompareRef(a, b) != 0 || isNaN(a) != isNaN(b) {
+		if value.CompareRef(&l[lc], &r[rcols[i]]) != 0 {
 			return false
 		}
 	}

@@ -85,7 +85,7 @@ func TestConditionCheckAllocs(t *testing.T) {
 	r := e.newRun(context.Background(), q, guard.Limits{})
 	r.bind.BindVar("x", q.Args[0])
 	r.bind.BindVar("y", q.Args[1])
-	r.cx = Ctx{Cat: e.Cat, Root: q, Site: term.Path{}, Bind: &r.bind, Rule: rule.Name, run: r}
+	r.cx = Ctx{Cat: e.Cat, Bind: &r.bind, Rule: rule.Name, root: q, site: term.Path{}, run: r}
 	for _, c := range rule.Constraints {
 		check := func() {
 			if ok, err := e.evalConstraintSafe(&r.cx, c); !ok || err != nil {
@@ -155,14 +155,16 @@ func termRefs(v reflect.Value, seen map[uintptr]bool) int {
 // plan, or with an error from a budget, a constraint or a panicking
 // external — the state it put back in the pool holds no term pointer: not
 // in the site index, the bindings trail, the matcher's arenas, the
-// argument stack or the Ctx, nor beyond any slice's length.
+// argument stack, the Ctx or the failed-attempt memo, nor beyond any
+// slice's length.
 func TestPooledRunHoldsNoTerms(t *testing.T) {
 	const src = `
 rule pick: PAIR(SET(c, w*), z) / CHK(c, w*), ISA(c, constant) --> SEEN(c, z);
 rule grow: FF(x) --> FF(SS(x));
 rule bad: BAD(x) / ERRC(x) --> GG(x);
 rule boom: BOOM(x) / AND(CHK(x, x), BOOMC(x, x)) --> GG(x);
-block(b, {pick, grow, bad, boom}, inf);
+rule miss: SEEN(c, z) / DISTINCT(c, c) --> GG(c);
+block(b, {pick, grow, bad, boom, miss}, inf);
 seq({b}, 1);
 `
 	set := term.Set(term.Num(1), term.Num(2), term.Num(3))
@@ -211,6 +213,9 @@ seq({b}, 1);
 			if n := termRefs(reflect.ValueOf(r), map[uintptr]bool{}); n != 0 {
 				t.Errorf("the pooled run state holds %d term pointers", n)
 			}
+			if len(r.failed) != 0 {
+				t.Errorf("the pooled run state remembers %d failed attempts", len(r.failed))
+			}
 			if cap(r.ix.sites) == 0 {
 				t.Error("the pooled state kept no site index storage")
 			}
@@ -227,5 +232,8 @@ seq({b}, 1);
 	}
 	if n := termRefs(reflect.ValueOf(r), map[uintptr]bool{}); n == 0 {
 		t.Error("a run in flight shows no term pointers; the walk sees nothing")
+	}
+	if len(r.failed) == 0 {
+		t.Error("a run in flight remembers no failed attempt (miss at SEEN); the scrub of the memo is not exercised")
 	}
 }

@@ -46,17 +46,24 @@ import (
 // which it is applied" (Section 4.1).
 //
 // A run owns one Ctx, one Bindings and one site-path buffer and resets
-// them for every match attempt, so an external must not retain the *Ctx,
-// ctx.Bind or ctx.Site past its call: all three describe the next attempt
-// by then. Terms are immutable and may be kept.
+// them for every match attempt, so an external must not retain the *Ctx
+// or ctx.Bind past its call: both describe the next attempt by then.
+// Terms are immutable and may be kept.
+//
+// The query around the match site is reachable only through EnvAtSite,
+// InferAt and EnclosingRels, which all walk from the root to the site
+// (walkToSite). That walk marks the attempt as one that read its context,
+// and only an attempt that did not may be remembered as a failure of its
+// rule at its subterm (failed, docs/PERF.md "Failed attempts are not
+// repeated").
 type Ctx struct {
 	Cat  *catalog.Catalog
-	Root *term.Term // the whole query term being rewritten
-	Site term.Path  // path of the subterm being matched
 	Bind *term.Bindings
 	Rule string // name of the rule being applied, if any
 
-	run *runState
+	root *term.Term // the whole query term being rewritten
+	site term.Path  // path of the subterm being matched
+	run  *runState
 }
 
 // Context returns the cancellation context of the current engine run, so
@@ -74,10 +81,13 @@ func (c *Ctx) Context() context.Context {
 // every node stepped into, each with the environment in scope at it; the
 // environment at the site is returned.
 func (c *Ctx) walkToSite(visit func(n *term.Term, env lera.Env)) lera.Env {
+	if c.run != nil {
+		c.run.at.readCtx = true
+	}
 	env := lera.Env{}
-	node := c.Root
+	node := c.root
 	visit(node, env)
-	for _, i := range c.Site {
+	for _, i := range c.site {
 		var bound *term.Term // what the binder crossed at this step names
 		switch {
 		case lera.IsOp(node, lera.OpFix) && i == 1:
@@ -130,7 +140,7 @@ func (c *Ctx) EnclosingRels() ([]*lera.Schema, error) {
 		}
 	})
 	if best == nil {
-		return nil, fmt.Errorf("rewrite: no enclosing relational operator at %v", c.Site)
+		return nil, fmt.Errorf("rewrite: no enclosing relational operator at %v", c.site)
 	}
 	var relTerms []*term.Term
 	switch best.Functor {
@@ -291,6 +301,12 @@ type Engine struct {
 	blocks map[string]*block // every declared block, by name
 	seq    []*block          // the blocks one round applies, in order
 	rounds int               // the sequence meta-rule's round limit
+	// heads numbers the concrete LHS head functors of the compiled rules:
+	// the site index keeps one bucket per number (index.go).
+	heads map[string]int32
+	// noMemo turns the failed-attempt memo off; only tests set it, to
+	// hold the memo to the run that repeats every attempt.
+	noMemo bool
 
 	// pool holds finished runs' *runState, scrubbed of terms (release):
 	// the Engine's only mutable field.
@@ -315,7 +331,7 @@ type blockRule struct {
 // in declaration order; if no blocks are declared, all rules form one
 // implicit saturating block. inj may be nil (no fault injection).
 func New(rs *rules.RuleSet, ext *Externals, cat *catalog.Catalog, inj *guard.Injector) *Engine {
-	e := &Engine{RS: rs, Ext: ext, Cat: cat, inj: inj, blocks: make(map[string]*block, len(rs.Blocks)), rounds: 1}
+	e := &Engine{RS: rs, Ext: ext, Cat: cat, inj: inj, blocks: make(map[string]*block, len(rs.Blocks)), rounds: 1, heads: map[string]int32{}}
 	for name, b := range rs.Blocks {
 		e.blocks[name] = e.compile(b)
 	}
@@ -343,7 +359,16 @@ func (e *Engine) compile(b *rules.Block) *block {
 	}
 	for i, rn := range b.Rules {
 		r := e.RS.Rules[rn]
-		cb.rules[i] = blockRule{Rule: r, filter: filterFor(r.LHS)}
+		f := filterFor(r.LHS)
+		if f.kind == headExact {
+			h, ok := e.heads[f.functor]
+			if !ok {
+				h = int32(len(e.heads))
+				e.heads[f.functor] = h
+			}
+			f.head = h
+		}
+		cb.rules[i] = blockRule{Rule: r, filter: f}
 	}
 	return cb
 }
@@ -373,7 +398,24 @@ type runState struct {
 	// frame per registered-constraint or ISA call, popped and cleared when
 	// the call returns (evalConstraint).
 	args []*term.Term
+
+	// failed remembers the attempts of this run that ended siteNoMatch
+	// without reading their context: rule and subterm, with the condition
+	// checks each spent (docs/PERF.md "Failed attempts are not repeated").
+	failed map[failKey]int
 }
+
+// failKey names one attempt: a rule at a subterm. Terms are immutable and
+// an application rebuilds only the spine above its site, so a subterm no
+// application touched keeps its pointer from pass to pass.
+type failKey struct {
+	rule *rules.Rule
+	sub  *term.Term
+}
+
+// maxFailed caps the failures one run remembers; past it, attempts run as
+// if there were no memo.
+const maxFailed = 1 << 12
 
 // attempt is what the match continuation needs of the attempt in flight.
 // The site is a site index entry, whose path is materialized into
@@ -383,6 +425,7 @@ type attempt struct {
 	budget   *int
 	id       int32
 	haveSite bool
+	readCtx  bool // an external walked to the site (Ctx.walkToSite)
 	err      error
 }
 
@@ -395,6 +438,7 @@ func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits) *ru
 	if r == nil {
 		r = &runState{e: e}
 		r.accept = r.acceptMatch
+		r.ix.heads = e.heads
 	}
 	r.ctx, r.rec, r.lim = ctx, obs.FromContext(ctx), lim
 	r.st, r.last = &Stats{StepsLimit: lim.MaxSteps}, q
@@ -402,13 +446,14 @@ func (e *Engine) newRun(ctx context.Context, q *term.Term, lim guard.Limits) *ru
 }
 
 // release ends a run: it clears every term pointer the state holds — site
-// entries, the bindings trail and the matcher's arenas, the Ctx; the
-// argument stack is empty and cleared already, each frame by popArgs —
-// and puts the state back in the pool. A run that panics is not
-// released; its state is left to the collector.
+// entries, the bindings trail and the matcher's arenas, the Ctx, the
+// failed-attempt memo; the argument stack is empty and cleared already,
+// each frame by popArgs — and puts the state back in the pool. A run that
+// panics is not released; its state is left to the collector.
 func (e *Engine) release(r *runState) {
 	r.ix.release()
 	r.bind.Release()
+	clear(r.failed)
 	r.cx, r.at = Ctx{}, attempt{}
 	r.ctx, r.rec, r.st, r.last = nil, nil, nil, nil
 	e.pool.Put(r)
@@ -539,16 +584,56 @@ const (
 )
 
 // tryRuleAtSite attempts one rule at one Fun site, site index entry id.
-// Nothing is allocated until a match completes:
-// the attempt reuses the run's bindings, Ctx and continuation, and the
-// site's root path is only materialized (into the run's buffer) once a
-// complete LHS match needs it for constraints, methods, replacement and
-// traces.
+//
+// An attempt this run already saw fail is replayed, not run: what it
+// spent is charged again and nothing else happens. It is remembered only
+// if it read no context, no injector is armed, and the block's budget
+// outlasted it; it is replayed only if the budget and the check cap
+// still cover it. Under those conditions running it again would take the
+// same matches, get the same verdicts from every constraint and method,
+// and so spend the same checks and fail again: every §4.2 decrement is
+// the one the repeated attempt would have made.
 func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, id int32, budget *int) (*term.Term, siteOutcome, error) {
+	if r.e.inj != nil || r.e.noMemo {
+		// A replay calls no external, so it would change an armed
+		// injector's hit sequence.
+		return r.attemptAt(q, rule, blockName, sub, id, budget)
+	}
+	st, key := r.st, failKey{rule, sub}
+	if c, ok := r.failed[key]; ok && *budget >= c && st.ConditionChecks+c <= maxChecks {
+		if c > 0 {
+			if err := guard.CheckCtx(r.ctx); err != nil {
+				// The attempt run again would fail its first check here.
+				*budget--
+				st.ConditionChecks++
+				return nil, siteStop, err
+			}
+		}
+		*budget -= c
+		st.ConditionChecks += c
+		return nil, siteNoMatch, nil
+	}
+	checks0 := st.ConditionChecks
+	res, out, err := r.attemptAt(q, rule, blockName, sub, id, budget)
+	if out == siteNoMatch && !r.at.readCtx && *budget >= 0 && len(r.failed) < maxFailed {
+		if r.failed == nil {
+			r.failed = make(map[failKey]int)
+		}
+		r.failed[key] = st.ConditionChecks - checks0
+	}
+	return res, out, err
+}
+
+// attemptAt runs one attempt of rule at site sub. Nothing is allocated
+// until a match completes: the attempt reuses the run's bindings, Ctx and
+// continuation, and the site's root path is only materialized (into the
+// run's buffer) once a complete LHS match needs it for constraints,
+// methods, replacement and traces.
+func (r *runState) attemptAt(q *term.Term, rule *rules.Rule, blockName string, sub *term.Term, id int32, budget *int) (*term.Term, siteOutcome, error) {
 	e, st := r.e, r.st
 	st.MatchAttempts++
 	r.bind.Reset()
-	r.cx = Ctx{Cat: e.Cat, Root: q, Bind: &r.bind, Rule: rule.Name, run: r}
+	r.cx = Ctx{Cat: e.Cat, Bind: &r.bind, Rule: rule.Name, root: q, run: r}
 	r.at = attempt{rule: rule, budget: budget, id: id}
 	matched := term.Match(rule.LHS, sub, &r.bind, r.accept)
 	if err := r.at.err; err != nil {
@@ -581,7 +666,7 @@ func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName strin
 		return nil, siteStop, fmt.Errorf("rewrite: %w: %d rule applications reached (cap %d)",
 			guard.ErrStepBudget, st.Applications, max)
 	}
-	result := term.ReplaceAt(q, ctx.Site, rhs)
+	result := term.ReplaceAt(q, ctx.site, rhs)
 	if max := r.lim.MaxTermSize; max > 0 {
 		if sz := result.Size(); sz > max {
 			return nil, siteStop, fmt.Errorf("rewrite: rule %s: %w: term grew to %d nodes (cap %d)",
@@ -595,7 +680,7 @@ func (r *runState) tryRuleAtSite(q *term.Term, rule *rules.Rule, blockName strin
 		// size reads are O(1) via the memoized size).
 		r.rec.Event("rule.apply",
 			obs.Str("rule", rule.Name), obs.Str("block", blockName),
-			obs.Str("site", sitePath(ctx.Site)),
+			obs.Str("site", sitePath(ctx.site)),
 			obs.Int("checks", st.ConditionChecks), obs.Int("size", result.Size()))
 	}
 	return result, siteApplied, nil
@@ -619,7 +704,7 @@ func (r *runState) acceptMatch() bool {
 	}
 	if !at.haveSite {
 		r.site = r.ix.path(r.site, at.id)
-		r.cx.Site = r.site
+		r.cx.site = r.site
 		at.haveSite = true
 	}
 	ok, err := e.checkConstraints(&r.cx, at.rule)
@@ -655,11 +740,11 @@ func (e *Engine) evalConstraintSafe(ctx *Ctx, c *term.Term) (ok bool, err error)
 		if p := recover(); p != nil {
 			ctx.run.popArgs(base)
 			ok = false
-			err = guard.NewExternalPanic(guard.ExtConstraint, ctx.Rule, externalName(c), sitePath(ctx.Site), p)
+			err = guard.NewExternalPanic(guard.ExtConstraint, ctx.Rule, externalName(c), sitePath(ctx.site), p)
 		}
 	}()
 	if err := e.injectorHit(ctx, externalName(c)); err != nil {
-		return false, &guard.ExternalError{Kind: guard.ExtConstraint, Rule: ctx.Rule, External: externalName(c), Site: sitePath(ctx.Site), Err: err}
+		return false, &guard.ExternalError{Kind: guard.ExtConstraint, Rule: ctx.Rule, External: externalName(c), Site: sitePath(ctx.site), Err: err}
 	}
 	return e.evalConstraint(ctx, c)
 }
@@ -689,11 +774,11 @@ func (e *Engine) runMethod(ctx *Ctx, call *term.Term) (ok bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			ok = false
-			err = guard.NewExternalPanic(guard.ExtMethod, ctx.Rule, call.Functor, sitePath(ctx.Site), p)
+			err = guard.NewExternalPanic(guard.ExtMethod, ctx.Rule, call.Functor, sitePath(ctx.site), p)
 		}
 	}()
 	if err := e.injectorHit(ctx, call.Functor); err != nil {
-		return false, &guard.ExternalError{Kind: guard.ExtMethod, Rule: ctx.Rule, External: call.Functor, Site: sitePath(ctx.Site), Err: err}
+		return false, &guard.ExternalError{Kind: guard.ExtMethod, Rule: ctx.Rule, External: call.Functor, Site: sitePath(ctx.site), Err: err}
 	}
 	return fn(ctx, args)
 }
@@ -818,11 +903,11 @@ func (e *Engine) callBuiltin(ctx *Ctx, s *term.Term, fn BuiltinFn) (t *term.Term
 	defer func() {
 		if p := recover(); p != nil {
 			t = nil
-			err = guard.NewExternalPanic(guard.ExtBuiltin, ctx.Rule, s.Functor, sitePath(ctx.Site), p)
+			err = guard.NewExternalPanic(guard.ExtBuiltin, ctx.Rule, s.Functor, sitePath(ctx.site), p)
 		}
 	}()
 	if err := e.injectorHit(ctx, s.Functor); err != nil {
-		return nil, &guard.ExternalError{Kind: guard.ExtBuiltin, Rule: ctx.Rule, External: s.Functor, Site: sitePath(ctx.Site), Err: err}
+		return nil, &guard.ExternalError{Kind: guard.ExtBuiltin, Rule: ctx.Rule, External: s.Functor, Site: sitePath(ctx.site), Err: err}
 	}
 	return fn(ctx, s.Args)
 }

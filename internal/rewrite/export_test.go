@@ -12,11 +12,12 @@ import (
 
 // FullScan returns a copy of e whose compiled rules all carry the headAny
 // filter, so every rule is attempted at every Fun site of the term in
-// preorder: the match loop as it was before the rule/site index, kept as
-// the oracle the index is pinned to. A differential against it checks
-// exactly what the filters add.
+// preorder, and which keeps no failed-attempt memo, so every attempt is
+// run: the match loop as it was before the rule/site index and the memo,
+// kept as the oracle both are pinned to. A differential against it checks
+// exactly what the filters and the memo add.
 func FullScan(e *Engine) *Engine {
-	c := &Engine{RS: e.RS, Ext: e.Ext, Cat: e.Cat, inj: e.inj, blocks: make(map[string]*block, len(e.blocks)), rounds: e.rounds}
+	c := &Engine{RS: e.RS, Ext: e.Ext, Cat: e.Cat, inj: e.inj, blocks: make(map[string]*block, len(e.blocks)), rounds: e.rounds, noMemo: true}
 	scan := func(b *block) *block {
 		nb := *b
 		nb.rules = make([]blockRule, len(b.rules))
@@ -32,6 +33,22 @@ func FullScan(e *Engine) *Engine {
 		c.seq = append(c.seq, scan(b))
 	}
 	return c
+}
+
+// WithoutMemo returns e compiled again, indexed as e is but keeping no
+// failed-attempt memo: the oracle the memo alone is pinned to.
+func WithoutMemo(e *Engine) *Engine {
+	c := New(e.RS, e.Ext, e.Cat, e.inj)
+	c.noMemo = true
+	return c
+}
+
+// SetMaxChecks lowers the cap on a run's condition checks and returns
+// the function that restores it.
+func SetMaxChecks(n int) (restore func()) {
+	saved := maxChecks
+	maxChecks = n
+	return func() { maxChecks = saved }
 }
 
 // SitePaths indexes root and returns, for every site index entry in id
@@ -105,7 +122,7 @@ func (e *Engine) evalConstraintOracle(ctx *Ctx, c *term.Term) (bool, error) {
 func CheckBothWays(e *Engine, root *term.Term, site term.Path, b *term.Bindings, rule string, c *term.Term) (got, want string) {
 	r := e.newRun(context.Background(), root, guard.Limits{})
 	defer e.release(r)
-	r.cx = Ctx{Cat: e.Cat, Root: root, Site: site, Bind: b, Rule: rule, run: r}
+	r.cx = Ctx{Cat: e.Cat, Bind: b, Rule: rule, root: root, site: site, run: r}
 	verdict := func(ok bool, err error) string {
 		if err != nil {
 			return fmt.Sprintf("ok=%v err=%s", ok, err)

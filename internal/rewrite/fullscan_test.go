@@ -19,7 +19,9 @@ import (
 	"lera/internal/esql"
 	"lera/internal/guard"
 	"lera/internal/lera"
+	"lera/internal/obs"
 	"lera/internal/rewrite"
+	"lera/internal/rules"
 	"lera/internal/term"
 	"lera/internal/translate"
 	"lera/internal/value"
@@ -116,20 +118,21 @@ var indexCorpus = []struct {
 	}, "SELECT Title, Categories, Salary(Refactor) FROM APPEARS_IN, FILM WHERE FILM.Numf = APPEARS_IN.Numf AND Name(Refactor) = 'Quinn' AND MEMBER('Adventure', Categories)"},
 }
 
-// attemptCeilings records, per corpus entry, a generous upper bound on the
-// indexed engine's match attempts (observed value plus headroom). If an
-// engine change pushes past one of these, the hot path has regressed.
+// attemptCeilings records, per corpus entry, an upper bound on the
+// indexed engine's match attempts: the observed value with the
+// failed-attempt memo plus a quarter. Each lies below what the engine
+// attempted before the memo (the figure in brackets), so a change that
+// stops replaying remembered failures, or re-grows the hot path, fails.
 var attemptCeilings = map[string]int{
-	"films-member":    700,  // observed 67
-	"films-viewstack": 800,  // observed 74
-	"graph-closure":   2200, // observed 218
-	"paper-figure3":   900,  // observed 89
+	"films-member":    38,  // observed 30 (65)
+	"films-viewstack": 40,  // observed 32 (70)
+	"graph-closure":   129, // observed 103 (212)
+	"paper-figure3":   50,  // observed 40 (87)
 }
 
-// rewriteBoth rewrites query on session s with the session's rewriter and
-// with the full-scan oracle over the same rule base, returning each plan
-// and its Stats.
-func rewriteBoth(t *testing.T, s *core.Session, query string) (indexed, full *term.Term, si, sf *rewrite.Stats) {
+// corpusQuery returns the rewriter of a corpus entry's session and the
+// entry's query, translated.
+func corpusQuery(t *testing.T, s *core.Session, query string) (*core.Rewriter, *term.Term) {
 	t.Helper()
 	rw, err := s.Rewriter()
 	if err != nil {
@@ -143,7 +146,16 @@ func rewriteBoth(t *testing.T, s *core.Session, query string) (indexed, full *te
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, si, err = rw.RewriteCtx(context.Background(), q, guard.Limits{})
+	return rw, q
+}
+
+// rewriteBoth rewrites query on session s with the session's rewriter and
+// with the full-scan oracle over the same rule base, returning each plan
+// and its Stats.
+func rewriteBoth(t *testing.T, s *core.Session, query string) (indexed, full *term.Term, si, sf *rewrite.Stats) {
+	t.Helper()
+	rw, q := corpusQuery(t, s, query)
+	indexed, si, err := rw.RewriteCtx(context.Background(), q, guard.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,4 +294,70 @@ func TestAttemptCeilingsCoverCorpus(t *testing.T) {
 			t.Errorf("ceiling %q has no corpus entry", name)
 		}
 	}
+}
+
+// TestMemoMatchesRepeatedAttempts: the failed-attempt memo changes nothing
+// a rewrite shows but its match attempts. Over the corpus, with every
+// block's limit set to each of 0, 1, 2, 3, 5 and inf, and under MaxSteps
+// and check caps that cut the run short, the engine that replays the
+// failures it remembers and the one that repeats them give the same plan
+// or error, the same ConditionChecks, Applications and Rounds, and the
+// same trace: every round and block span with its checks and
+// applications, every rule.apply and budget.exhausted event.
+func TestMemoMatchesRepeatedAttempts(t *testing.T) {
+	limits := []int{0, 1, 2, 3, 5, rules.Infinite}
+	caps := []struct {
+		lim       guard.Limits
+		maxChecks int
+	}{
+		{guard.Limits{}, rewrite.DefaultMaxChecks},
+		{guard.Limits{MaxSteps: 1}, rewrite.DefaultMaxChecks},
+		{guard.Limits{MaxSteps: 2}, rewrite.DefaultMaxChecks},
+		{guard.Limits{MaxSteps: 5}, rewrite.DefaultMaxChecks},
+		{guard.Limits{}, 7},
+		{guard.Limits{}, 30},
+	}
+	rewriteOnce := func(e *rewrite.Engine, q *term.Term, lim guard.Limits) (string, int) {
+		rec := obs.NewRecorder("rewrite")
+		out, st, err := e.RunCtx(obs.NewContext(context.Background(), rec), q, lim)
+		return fmt.Sprintf("%s\nerr=%v\nchecks=%d applications=%d rounds=%d\n%s",
+			lera.Format(out), err, st.ConditionChecks, st.Applications, st.Rounds,
+			obs.FormatTree(rec.Finish(), false)), st.MatchAttempts
+	}
+	runs, withMemo, without := 0, 0, 0
+	for _, c := range indexCorpus {
+		rw, q := corpusQuery(t, c.build(t), c.query)
+		for _, limit := range limits {
+			memo := rewrite.New(withBlockLimits(rw.RS, limit), rw.Ext, rw.Cat, nil)
+			plain := rewrite.WithoutMemo(memo)
+			for _, cp := range caps {
+				restore := rewrite.SetMaxChecks(cp.maxChecks)
+				got, am := rewriteOnce(memo, q, cp.lim)
+				want, ap := rewriteOnce(plain, q, cp.lim)
+				restore()
+				if got != want {
+					t.Errorf("%s, block limit %d, %+v, check cap %d: the memo changed the rewrite:\nwith:\n%s\nwithout:\n%s",
+						c.name, limit, cp.lim, cp.maxChecks, got, want)
+				}
+				runs, withMemo, without = runs+1, withMemo+am, without+ap
+			}
+		}
+	}
+	if withMemo >= without {
+		t.Errorf("the memo saved no attempt: %d with it, %d without", withMemo, without)
+	}
+	t.Logf("%d runs: %d match attempts with the memo, %d without", runs, withMemo, without)
+}
+
+// withBlockLimits copies rs with every block's condition-check limit set
+// to limit.
+func withBlockLimits(rs *rules.RuleSet, limit int) *rules.RuleSet {
+	c := *rs
+	c.Blocks = make(map[string]*rules.Block, len(rs.Blocks))
+	for name, b := range rs.Blocks {
+		nb := *b
+		nb.Limit = limit
+		c.Blocks[name] = &nb
+	}
+	return &c
 }

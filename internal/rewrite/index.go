@@ -50,6 +50,7 @@ type lhsFilter struct {
 	// than functor/minimum-arity (see docs/PERF.md).
 	minArity int
 	exact    bool
+	head     int32 // headExact only: the functor's number in Engine.heads
 }
 
 // filterFor classifies a rule's LHS.
@@ -108,9 +109,13 @@ type siteEntry struct {
 // stays valid across all rules of a pass because no term changes between
 // applications.
 type siteIndex struct {
-	root   *term.Term // the term indexed, nil before the first rebuild
-	sites  []siteEntry
-	byHead map[string][]int32
+	root  *term.Term // the term indexed, nil before the first rebuild
+	sites []siteEntry
+	// heads is the Engine's numbering of the rules' concrete head
+	// functors, and byHead[h] the sites whose functor is numbered h: a
+	// node costs one map read, and a functor no rule names no bucket.
+	heads  map[string]int32
+	byHead [][]int32
 	coll   []int32 // sites matching the COLLECTION pattern head
 }
 
@@ -124,12 +129,11 @@ func (ix *siteIndex) rebuild(root *term.Term) {
 	ix.root = root
 	ix.sites = ix.sites[:0]
 	ix.coll = ix.coll[:0]
-	if ix.byHead == nil {
-		ix.byHead = make(map[string][]int32)
-	} else {
-		for k, v := range ix.byHead {
-			ix.byHead[k] = v[:0]
-		}
+	if len(ix.byHead) != len(ix.heads) {
+		ix.byHead = make([][]int32, len(ix.heads))
+	}
+	for h := range ix.byHead {
+		ix.byHead[h] = ix.byHead[h][:0]
 	}
 	ix.add(root, -1, -1, 0)
 }
@@ -141,7 +145,9 @@ func (ix *siteIndex) add(t *term.Term, parent, arg, depth int32) {
 	}
 	id := int32(len(ix.sites))
 	ix.sites = append(ix.sites, siteEntry{node: t, parent: parent, arg: arg, depth: depth})
-	ix.byHead[t.Functor] = append(ix.byHead[t.Functor], id)
+	if h, ok := ix.heads[t.Functor]; ok {
+		ix.byHead[h] = append(ix.byHead[h], id)
+	}
 	switch t.Functor {
 	case term.FSet, term.FBag, term.FList, term.FArray, term.FCollection:
 		ix.coll = append(ix.coll, id)
@@ -184,7 +190,7 @@ func (r *runState) applyOnce(q *term.Term, rule *blockRule, blockName string, bu
 	case headNone:
 		return nil, false, nil
 	case headExact:
-		ids = r.ix.byHead[f.functor]
+		ids = r.ix.byHead[f.head]
 	case headCollection:
 		ids = r.ix.coll
 	}

@@ -52,7 +52,7 @@ func TestFilterAdmitsArity(t *testing.T) {
 
 func TestSiteIndexPreorderAndPaths(t *testing.T) {
 	q := term.F("A", term.F("B", term.Num(1), term.F("C")), term.F("B"))
-	var ix siteIndex
+	ix := siteIndex{heads: map[string]int32{"B": 0, "D": 1}}
 	ix.rebuild(q)
 	// Fun nodes in preorder: A, B(1,C), C, B().
 	var got []string
@@ -63,14 +63,14 @@ func TestSiteIndexPreorderAndPaths(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("site index = %v, want %v", got, want)
 	}
-	if len(ix.byHead["B"]) != 2 || ix.byHead["B"][0] != 1 || ix.byHead["B"][1] != 3 {
-		t.Errorf("byHead[B] = %v", ix.byHead["B"])
+	if len(ix.byHead) != 2 || len(ix.byHead[0]) != 2 || ix.byHead[0][0] != 1 || ix.byHead[0][1] != 3 || len(ix.byHead[1]) != 0 {
+		t.Errorf("byHead = %v, want [[1 3] []]: B's sites and none for D; A and C, which no rule names, have no bucket", ix.byHead)
 	}
 	// Rebuild on a different term must fully supersede the old contents.
 	ix.rebuild(term.Set(term.F("D")))
-	if len(ix.sites) != 2 || len(ix.byHead["B"]) != 0 || len(ix.coll) != 1 {
-		t.Errorf("rebuild left stale state: sites=%d byHead[B]=%v coll=%v",
-			len(ix.sites), ix.byHead["B"], ix.coll)
+	if len(ix.sites) != 2 || len(ix.byHead[0]) != 0 || len(ix.byHead[1]) != 1 || len(ix.coll) != 1 {
+		t.Errorf("rebuild left stale state: sites=%d byHead=%v coll=%v",
+			len(ix.sites), ix.byHead, ix.coll)
 	}
 }
 

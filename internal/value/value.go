@@ -240,7 +240,9 @@ func (v *Value) AsFloat() (float64, bool) {
 }
 
 // Compare imposes a total order on all values. Values of different kinds
-// order by kind, except that ints and reals compare numerically. Within a
+// order by kind, except that ints and reals compare numerically, with NaN
+// equal only to NaN and after every other number (PostgreSQL's rule, and
+// the equality Hash and the engine's join key already keep). Within a
 // kind: booleans order false < true, strings lexicographically, tuples and
 // collections lexicographically element-wise then by length.
 func Compare(a, b Value) int { return CompareRef(&a, &b) }
@@ -257,10 +259,19 @@ func CompareRef(a, b *Value) int {
 				return -1
 			case af > bf:
 				return 1
+			case af == bf:
+				// Equal numerically: int and real of equal magnitude are
+				// considered equal (5 = 5.0), matching SQL semantics.
+				return 0
 			}
-			// Equal numerically: int and real of equal magnitude are
-			// considered equal (5 = 5.0), matching SQL semantics.
-			return 0
+			// At least one NaN.
+			switch aNaN, bNaN := af != af, bf != bf; {
+			case aNaN == bNaN:
+				return 0
+			case aNaN:
+				return 1
+			}
+			return -1
 		}
 	}
 	if a.K != b.K {

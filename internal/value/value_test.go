@@ -596,3 +596,58 @@ func TestPropKeyAgreesWithEqual(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareTotalOrderWithNaN: Compare is a total order over values drawn
+// with NaN — bare, beside -0.0 and 0.0, and inside collections — checked
+// on every triple: reflexive, antisymmetric and transitive in both its
+// order and its equality. NaN equals NaN only and sorts after every number.
+func TestCompareTotalOrderWithNaN(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	vals := []Value{
+		Real(nan), Real(-nan), Real(negZero), Real(0), Int(0), Int(5), Real(5), Real(5.5), Int(-3),
+		Real(math.Inf(1)), Real(math.Inf(-1)), String("5"), Null, Bool(true),
+		NewList(Real(nan)), NewList(Int(5)), NewList(Real(nan), Int(1)), NewList(Int(5), Int(1)),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ab := Compare(a, b)
+			if Compare(a, a) != 0 || ab != -Compare(b, a) {
+				t.Fatalf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", a, b, ab, b, a, Compare(b, a))
+			}
+			for _, c := range vals {
+				bc, ac := Compare(b, c), Compare(a, c)
+				if ab <= 0 && bc <= 0 && ac > 0 || ab == 0 && bc == 0 && ac != 0 {
+					t.Fatalf("not transitive: %v ? %v = %d, %v ? %v = %d, %v ? %v = %d", a, b, ab, b, c, bc, a, c, ac)
+				}
+			}
+		}
+	}
+	if Compare(Real(nan), Real(-nan)) != 0 || Compare(Real(nan), Int(5)) <= 0 || Compare(Real(nan), Real(math.Inf(1))) <= 0 {
+		t.Error("NaN must equal NaN and sort after every number")
+	}
+}
+
+// TestSetCanonicalWithNaN: a set's canonical form does not depend on the
+// order its elements arrive in, NaN among them.
+func TestSetCanonicalWithNaN(t *testing.T) {
+	elems := []Value{Int(5), Real(math.NaN()), Int(6), Real(5), Real(math.NaN()), String("5")}
+	want := NewSet(elems...)
+	if n := want.Len(); n != 4 {
+		t.Fatalf("%v has %d elements, want 4: 5, 6, NaN and '5'", want, n)
+	}
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(elems) {
+			if got := NewSet(elems...); got.Key() != want.Key() {
+				t.Fatalf("NewSet(%v) = %v, want %v", elems, got, want)
+			}
+			return
+		}
+		for i := k; i < len(elems); i++ {
+			elems[k], elems[i] = elems[i], elems[k]
+			permute(k + 1)
+			elems[k], elems[i] = elems[i], elems[k]
+		}
+	}
+	permute(0)
+}
